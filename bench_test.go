@@ -231,6 +231,54 @@ func BenchmarkMirrorRestoreOnly(b *testing.B) {
 	}
 }
 
+// newCkptFramework builds the 64 MiB synthetic model of the repository
+// benchmark's ckpt-large workload, with its mirror already allocated.
+func newCkptFramework(b *testing.B) *core.Framework {
+	b.Helper()
+	cfgText, err := core.SyntheticModelConfig(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := core.New(core.Config{ModelConfig: cfgText, PMBytes: 640 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := f.MirrorSave(); err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
+// BenchmarkMirrorSave64MiB is one mirror-out at ckpt-large scale: the
+// wall time of the seal -> PM store -> Romulus commit data path, per
+// model byte.
+func BenchmarkMirrorSave64MiB(b *testing.B) {
+	f := newCkptFramework(b)
+	b.SetBytes(int64(f.Net.ParamBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.MirrorSave(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCrashRecover64MiB is one power failure plus full recovery
+// (Romulus re-open, model rebuild, mirror-in) at ckpt-large scale.
+func BenchmarkCrashRecover64MiB(b *testing.B) {
+	f := newCkptFramework(b)
+	b.SetBytes(int64(f.Net.ParamBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Crash()
+		if err := f.Recover(true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSPSFlushKinds compares the PWB flavours (ablation for the
 // §V footnote: clwb+sfence vs clflushopt+sfence vs clflush+nop).
 func BenchmarkSPSFlushKinds(b *testing.B) {

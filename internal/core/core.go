@@ -213,7 +213,7 @@ func New(cfg Config) (*Framework, error) {
 		return nil, fmt.Errorf("core: romulus init: %w", err)
 	}
 
-	if err := f.buildModel(); err != nil {
+	if err := f.buildModel(true); err != nil {
 		return nil, err
 	}
 	f.rng = mrand.New(mrand.NewSource(cfg.Seed + 1))
@@ -276,10 +276,15 @@ func (f *Framework) provisionKey() error {
 }
 
 // buildModel parses the config in the untrusted runtime and builds the
-// enclave model via an ecall, reserving its EPC footprint.
-func (f *Framework) buildModel() error {
-	net, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig),
-		mrand.New(mrand.NewSource(f.cfg.Seed)))
+// enclave model via an ecall, reserving its EPC footprint. With
+// initWeights false the weights stay zero: the caller restores them
+// from PM in the same call.
+func (f *Framework) buildModel(initWeights bool) error {
+	var rng *mrand.Rand
+	if initWeights {
+		rng = mrand.New(mrand.NewSource(f.cfg.Seed))
+	}
+	net, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig), rng)
 	if err != nil {
 		return fmt.Errorf("core: model config: %w", err)
 	}
@@ -394,11 +399,12 @@ func (f *Framework) Crash() {
 	}
 }
 
-// Recover restarts the process after a Crash: a fresh enclave model is
-// built (random weights), SGX-Romulus re-opens the PM heap (running its
-// recovery), and the persistent data matrix is re-attached. The model
-// parameters themselves are restored lazily by Train via mirror-in —
-// or immediately if RestoreNow is true.
+// Recover restarts the process after a Crash: SGX-Romulus re-opens the
+// PM heap (running its recovery), a fresh enclave model is built, and
+// the persistent data matrix is re-attached. The model parameters
+// themselves are restored lazily by Train via mirror-in (over random
+// weights) — or immediately if restoreNow is true, in which case the
+// random init is skipped as the mirror overwrites every parameter.
 func (f *Framework) Recover(restoreNow bool) error {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
@@ -418,7 +424,11 @@ func (f *Framework) Recover(restoreNow bool) error {
 	if err != nil {
 		return fmt.Errorf("core: recover romulus: %w", err)
 	}
-	if err := f.buildModel(); err != nil {
+	// Restore whenever PM actually holds a mirror — it may exist even
+	// with config-level mirroring off (a run used the MirrorEvery
+	// override).
+	restore := restoreNow && mirror.Exists(f.Rom)
+	if err := f.buildModel(!restore); err != nil {
 		return err
 	}
 	f.crashed = false
@@ -441,10 +451,7 @@ func (f *Framework) Recover(restoreNow bool) error {
 	if err := f.maybeFinishRotation(); err != nil {
 		return err
 	}
-	// Restore whenever PM actually holds a mirror — it may exist even
-	// with config-level mirroring off (a run used the MirrorEvery
-	// override).
-	if restoreNow && mirror.Exists(f.Rom) {
+	if restore {
 		return f.Enclave.Ecall(f.attachMirror)
 	}
 	return nil

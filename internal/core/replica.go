@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"strings"
 	"time"
 
@@ -185,12 +184,11 @@ func (f *Framework) NewReplicaOn(host *enclave.Host, seed int64, opts ...Replica
 		return nil, fmt.Errorf("core: replica engine: %w", err)
 	}
 
-	// Build the replica's enclave model (random weights) and overwrite
-	// it from the pinned published snapshot. A quantized replica clones
-	// the architecture into its int8 inference form first, so only the
-	// quantized parameters are ever resident.
-	net, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig),
-		mrand.New(mrand.NewSource(seed)))
+	// Build the replica's enclave model (zero weights: no init to throw
+	// away) and overwrite it from the pinned published snapshot. A
+	// quantized replica clones the architecture into its int8 inference
+	// form first, so only the quantized parameters are ever resident.
+	net, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig), nil)
 	if err != nil {
 		_ = r.Enclave.Close()
 		return nil, fmt.Errorf("core: replica model config: %w", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -270,9 +269,8 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 
 	// One parsed copy serves every shard: the ranges are disjoint, so
 	// each shard's layers (and their buffers) are private to its
-	// enclave.
-	full, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig),
-		mrand.New(mrand.NewSource(opts.Seed)))
+	// enclave. Weights stay zero until each range's first restore.
+	full, err := darknet.ParseConfig(strings.NewReader(f.cfg.ModelConfig), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard model config: %w", err)
 	}

@@ -84,7 +84,11 @@ func parseSections(r io.Reader) ([]*section, error) {
 }
 
 // ParseConfig reads a Darknet .cfg document and builds the network with
-// weights initialised from rng.
+// weights initialised from rng. A nil rng skips the random init and
+// leaves every weight zero — for a model built only to be overwritten
+// from PM (recovery, serving replicas and shards), where initialising
+// 64 MiB of weights costs more than restoring them. rng is used for
+// nothing else.
 func ParseConfig(r io.Reader, rng *rand.Rand) (*Network, error) {
 	secs, err := parseSections(r)
 	if err != nil {

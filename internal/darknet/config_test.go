@@ -118,6 +118,43 @@ func TestMNISTConfigParses(t *testing.T) {
 	}
 }
 
+// TestParseConfigNilRNGSkipsInit: a nil rng builds the same
+// architecture with zero weights (and the rng-independent defaults:
+// unit scales and rolling variance), for models restored from PM.
+func TestParseConfigNilRNGSkipsInit(t *testing.T) {
+	cfg := MNISTConfig(2, 4, 8)
+	seeded, err := ParseConfig(strings.NewReader(cfg), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatalf("ParseConfig: %v", err)
+	}
+	bare, err := ParseConfig(strings.NewReader(cfg), nil)
+	if err != nil {
+		t.Fatalf("ParseConfig(nil rng): %v", err)
+	}
+	if len(bare.Layers) != len(seeded.Layers) || bare.ParamBytes() != seeded.ParamBytes() {
+		t.Fatalf("nil-rng network has a different shape")
+	}
+	for li, l := range bare.Layers {
+		params := l.Params()
+		if len(params) == 0 {
+			continue
+		}
+		for i, w := range params[0] {
+			if w != 0 {
+				t.Fatalf("layer %d weight %d = %v, want 0", li, i, w)
+			}
+		}
+		for bi := 1; bi < len(params); bi++ {
+			want := seeded.Layers[li].Params()[bi]
+			for i, v := range params[bi] {
+				if v != want[i] {
+					t.Fatalf("layer %d buffer %d differs from the seeded build at %d", li, bi, i)
+				}
+			}
+		}
+	}
+}
+
 func TestBatchNormFromConfig(t *testing.T) {
 	cfg := "[net]\nbatch=2\nheight=6\nwidth=6\nchannels=1\n[convolutional]\nfilters=2\nsize=3\nstride=1\npad=1\nbatch_normalize=1\n[softmax]\n"
 	n, err := ParseConfig(strings.NewReader(cfg), rand.New(rand.NewSource(1)))

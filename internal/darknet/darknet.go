@@ -156,8 +156,13 @@ func checkInput(x []float32, batch int, in Shape) error {
 	return nil
 }
 
-// initScaled fills w with He-style scaled uniform noise.
+// initScaled fills w with He-style scaled uniform noise. A nil rng
+// leaves w zero: the caller is about to overwrite the parameters (a
+// restore from PM), so the init would be thrown away.
 func initScaled(rng *rand.Rand, w []float32, fanIn int) {
+	if rng == nil {
+		return
+	}
 	if fanIn <= 0 {
 		fanIn = 1
 	}

@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"plinius/internal/enclave"
 	"plinius/internal/obs"
@@ -53,14 +54,14 @@ var (
 
 // Engine seals and opens buffers under one 128-bit data key.
 //
-// The *Scratch methods reuse internal buffers to avoid garbage on the
+// SealFloatsScratch reuses an internal buffer to avoid garbage on the
 // hot mirroring path; like the Plinius training loop itself (§VI: "a
-// fairly intensive single-threaded application"), they are not safe for
-// concurrent use. The plain Seal/Open methods are, as are the
-// Scratch-pool methods (AcquireScratch / SealFloatsWith /
-// OpenFloatsWith): each goroutine stages through its own Scratch while
-// the AEAD and the IV source are shared safely — the concurrent mode
-// the parallel mirroring path fans out over.
+// fairly intensive single-threaded application"), it is not safe for
+// concurrent use. Everything else is: Seal/Open allocate their output,
+// OpenFloatsInto/OpenFloatsWith decrypt into the caller's floats, and
+// SealFloatsWith stages through the caller's Scratch (AcquireScratch)
+// while the AEAD and the IV source are shared safely — the concurrent
+// mode the parallel mirroring path fans out over.
 type Engine struct {
 	aead cipher.AEAD
 	rng  io.Reader
@@ -70,44 +71,33 @@ type Engine struct {
 	// RNG or an injected reader) is not required to be concurrent-safe.
 	rngMu sync.Mutex
 
-	// scratch backs the single-goroutine *Scratch methods, which
-	// delegate to the *With methods over it.
+	// scratch backs the single-goroutine SealFloatsScratch.
 	scratch Scratch
 
-	// pool recycles Scratch staging pairs for the concurrent seal/open
-	// mode.
+	// pool recycles Scratch buffers for the concurrent seal/open mode.
 	pool sync.Pool
 }
 
-// Scratch is a per-goroutine pair of staging buffers for the
+// Scratch is a per-goroutine sealed-side staging buffer for the
 // concurrent seal/open mode. Obtain one with AcquireScratch, use it
 // from a single goroutine, and return it with ReleaseScratch once the
-// bytes produced into it are no longer needed.
+// bytes produced into it are no longer needed. There is no plaintext
+// side: floats are sealed from, and opened into, their own memory.
 type Scratch struct {
-	plain  []byte
 	sealed []byte
 }
 
-func (s *Scratch) growPlain(n int) []byte {
-	if cap(s.plain) < n {
-		s.plain = make([]byte, n)
-	}
-	return s.plain[:n]
-}
-
-func (s *Scratch) growSealed(n int) []byte {
+// SealedBuf returns a length-n buffer backed by the scratch's staging
+// area: where SealFloatsWith builds its output, and where callers load
+// sealed bytes they will immediately OpenFloatsWith (which decrypts
+// straight into its destination, so the two never alias). This keeps
+// hot restore loops allocation-free.
+func (s *Scratch) SealedBuf(n int) []byte {
 	if cap(s.sealed) < n {
 		s.sealed = make([]byte, n)
 	}
 	return s.sealed[:n]
 }
-
-// SealedBuf returns a length-n buffer backed by the scratch's
-// sealed-side staging area, for callers loading sealed bytes they will
-// immediately OpenFloatsWith on the same scratch (which stages only
-// through the plain side, so the two never alias). This keeps hot
-// restore loops allocation-free.
-func (s *Scratch) SealedBuf(n int) []byte { return s.growSealed(n) }
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -241,7 +231,7 @@ func (e *Engine) SealFloatsScratch(v []float32) ([]byte, error) {
 	return e.SealFloatsWith(&e.scratch, v)
 }
 
-// AcquireScratch returns a staging-buffer pair for the concurrent
+// AcquireScratch returns a staging buffer for the concurrent
 // seal/open mode, recycled through an internal pool.
 func (e *Engine) AcquireScratch() *Scratch {
 	if s, ok := e.pool.Get().(*Scratch); ok {
@@ -258,64 +248,96 @@ func (e *Engine) ReleaseScratch(s *Scratch) {
 	}
 }
 
+// floatBytes views v's memory as bytes: on a little-endian host this IS
+// the little-endian IEEE-754 wire encoding, so sealing from it and
+// opening into it needs no conversion pass and no staging copy.
+func floatBytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
 // SealFloatsWith is SealFloatsScratch staged through the caller's
 // Scratch instead of the engine's internal buffers: safe for any
 // number of goroutines each holding its own Scratch. The returned
 // slice aliases sc and is valid until sc's next use or release.
+//
+// AES-GCM reads the plaintext straight from v's memory. On a
+// big-endian host the floats are first encoded into the ciphertext
+// area and sealed in place.
 func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
-	plain := sc.growPlain(4 * len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(plain[4*i:], math.Float32bits(f))
-	}
-	out := sc.growSealed(SealedLen(len(plain)))[:IVSize]
+	n := 4 * len(v)
+	out := sc.SealedBuf(SealedLen(n))
 	if err := e.readIV(out[:IVSize]); err != nil {
 		return nil, err
 	}
 	if e.encl != nil {
-		e.encl.Touch(len(plain) + SealedLen(len(plain)))
+		e.encl.Touch(n + SealedLen(n))
 	}
 	mSealOps.Inc()
-	mSealBytes.Add(float64(len(plain)))
-	return e.aead.Seal(out, out[:IVSize], plain, nil), nil
+	mSealBytes.Add(float64(n))
+	plain := floatBytes(v)
+	if !hostLittleEndian {
+		plain = out[IVSize : IVSize+n]
+		encodeLE(plain, v)
+	}
+	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, nil), nil
 }
 
-// OpenFloatsWith is OpenFloatsInto staged through the caller's
-// Scratch: safe for any number of goroutines each holding its own
-// Scratch.
-func (e *Engine) OpenFloatsWith(sc *Scratch, dst []float32, sealed []byte) error {
+// OpenFloatsWith opens sealed into dst without allocating or staging,
+// from any number of goroutines. The Scratch is not used by the open
+// itself; callers pass the one whose SealedBuf holds sealed.
+//
+// AES-GCM authenticates and decrypts straight into dst's memory. A
+// sealed buffer of the wrong length for dst is rejected before dst is
+// written; on ErrAuth dst has been CLOBBERED (Go's GCM zeroes its
+// output on a failed tag check), so callers must treat dst as garbage
+// after any error.
+func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error {
 	if len(sealed) < Overhead {
 		return fmt.Errorf("%w: %d bytes", ErrTooShort, len(sealed))
+	}
+	if len(sealed)-Overhead != 4*len(dst) {
+		return fmt.Errorf("engine: sealed buffer holds %d plaintext bytes for %d floats", len(sealed)-Overhead, len(dst))
 	}
 	if e.encl != nil {
 		e.encl.Touch(2*len(sealed) - Overhead)
 	}
 	mOpenOps.Inc()
 	mOpenBytes.Add(float64(len(sealed)))
-	plain, err := e.aead.Open(sc.growPlain(len(sealed))[:0], sealed[:IVSize], sealed[IVSize:], nil)
-	if err != nil {
+	plain := floatBytes(dst)
+	if _, err := e.aead.Open(plain[:0], sealed[:IVSize], sealed[IVSize:], nil); err != nil {
 		return ErrAuth
 	}
-	if len(plain) != 4*len(dst) {
-		return fmt.Errorf("engine: decrypted %d bytes for %d floats", len(plain), len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(plain[4*i:]))
+	if !hostLittleEndian {
+		decodeLE(dst, plain)
 	}
 	return nil
 }
 
-// OpenFloatsInto authenticates and decrypts sealed into dst without
-// allocating. Single-goroutine use only.
+// OpenFloatsInto is OpenFloatsWith for callers that hold no Scratch;
+// the same dst-on-failure contract applies.
 func (e *Engine) OpenFloatsInto(dst []float32, sealed []byte) error {
-	return e.OpenFloatsWith(&e.scratch, dst, sealed)
+	return e.OpenFloatsWith(nil, dst, sealed)
+}
+
+// encodeLE writes v into dst (len 4*len(v)) little-endian, one float at
+// a time: the portable reference encoding.
+func encodeLE(dst []byte, v []float32) {
+	for i, f := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
+	}
+}
+
+// decodeLE is the inverse of encodeLE; src may alias dst's own memory.
+func decodeLE(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // FloatsToBytes encodes a float32 vector little-endian.
 func FloatsToBytes(v []float32) []byte {
 	out := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(f))
-	}
+	encodeLE(out, v)
 	return out
 }
 
@@ -325,10 +347,23 @@ func BytesToFloats(b []byte) ([]float32, error) {
 		return nil, fmt.Errorf("engine: float buffer length %d not a multiple of 4", len(b))
 	}
 	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	decodeLE(out, b)
 	return out, nil
+}
+
+// DecodeFloats decodes a little-endian float32 vector into dst without
+// allocating — the plaintext twin of OpenFloatsWith (one memmove on a
+// little-endian host).
+func DecodeFloats(dst []float32, src []byte) error {
+	if len(src) != 4*len(dst) {
+		return fmt.Errorf("engine: %d bytes for %d floats", len(src), len(dst))
+	}
+	if hostLittleEndian {
+		copy(floatBytes(dst), src)
+	} else {
+		decodeLE(dst, src)
+	}
+	return nil
 }
 
 // GenerateKey produces a fresh 128-bit data key from rng (in Plinius,

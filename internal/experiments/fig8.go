@@ -9,6 +9,7 @@ import (
 	"plinius/internal/core"
 	"plinius/internal/darknet"
 	"plinius/internal/mnist"
+	"plinius/internal/obs"
 )
 
 // Fig8Row is one batch-size point of the batched-decryption overhead
@@ -29,6 +30,13 @@ type Fig8Row struct {
 	EncryptedFetch time.Duration
 	PlainFetch     time.Duration
 	FetchOverhead  float64 // encrypted / plain, batch fetch only
+
+	// AES-GCM bytes the engine opened per fetched batch: the accounted
+	// decryption work, exact where the wall-clock columns are noisy.
+	// The two fetch paths share every other step, so this is the whole
+	// difference between them.
+	EncryptedOpenedBytes int
+	PlainOpenedBytes     int
 }
 
 // Fig8Result holds one server's sweep.
@@ -75,20 +83,22 @@ func RunFig8(cfg Fig8Config) (Fig8Result, error) {
 	res := Fig8Result{Server: cfg.Server.Name}
 	ds := mnist.Synthetic(cfg.DatasetSize, cfg.Seed)
 	for _, batch := range cfg.BatchSizes {
-		encIter, encFetch, err := runFig8Point(cfg, ds, batch, false)
+		encIter, encFetch, encOpened, err := runFig8Point(cfg, ds, batch, false)
 		if err != nil {
 			return Fig8Result{}, fmt.Errorf("fig8 batch %d encrypted: %w", batch, err)
 		}
-		plainIter, plainFetch, err := runFig8Point(cfg, ds, batch, true)
+		plainIter, plainFetch, plainOpened, err := runFig8Point(cfg, ds, batch, true)
 		if err != nil {
 			return Fig8Result{}, fmt.Errorf("fig8 batch %d plain: %w", batch, err)
 		}
 		row := Fig8Row{
-			BatchSize:      batch,
-			EncryptedIter:  encIter,
-			PlainIter:      plainIter,
-			EncryptedFetch: encFetch,
-			PlainFetch:     plainFetch,
+			BatchSize:            batch,
+			EncryptedIter:        encIter,
+			PlainIter:            plainIter,
+			EncryptedFetch:       encFetch,
+			PlainFetch:           plainFetch,
+			EncryptedOpenedBytes: encOpened,
+			PlainOpenedBytes:     plainOpened,
 		}
 		if plainIter > 0 {
 			row.Overhead = float64(encIter) / float64(plainIter)
@@ -101,7 +111,13 @@ func RunFig8(cfg Fig8Config) (Fig8Result, error) {
 	return res, nil
 }
 
-func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) (iter, fetch time.Duration, err error) {
+// openedBytes reads the process-wide count of sealed bytes the
+// encryption engine has opened.
+func openedBytes() float64 {
+	return obs.Flatten(obs.Default())["engine_opened_bytes_total"]
+}
+
+func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) (iter, fetch time.Duration, opened int, err error) {
 	f, err := core.New(core.Config{
 		ModelConfig:   darknet.MNISTConfig(cfg.ConvLayers, cfg.Filters, batch),
 		Server:        cfg.Server,
@@ -110,20 +126,20 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		PlaintextData: plaintext,
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if err := f.LoadDataset(ds); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	// Warm-up iteration (allocates layer workspaces).
 	if err := f.TrainIters(1, nil); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	pm0 := f.PM.Clock().Modeled()
 	encl0 := f.Enclave.Clock().Modeled()
 	start := time.Now()
 	if err := f.TrainIters(1+cfg.Iters, nil); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	wall := time.Since(start)
 	modeled := (f.PM.Clock().Modeled() - pm0) + (f.Enclave.Clock().Modeled() - encl0)
@@ -139,15 +155,17 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		fetchReps = 32
 	}
 	if _, _, err := f.Data.Batch(rng, batch); err != nil { // warm-up
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	for trial := 0; trial < 3; trial++ {
+	const trials = 3
+	opened0 := openedBytes()
+	for trial := 0; trial < trials; trial++ {
 		pm1 := f.PM.Clock().Modeled()
 		encl1 := f.Enclave.Clock().Modeled()
 		fstart := time.Now()
 		for i := 0; i < fetchReps; i++ {
 			if _, _, err := f.Data.Batch(rng, batch); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 		}
 		fwall := time.Since(fstart)
@@ -157,18 +175,20 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 			fetch = got
 		}
 	}
-	return iter, fetch, nil
+	opened = int(openedBytes()-opened0) / (trials * fetchReps)
+	return iter, fetch, opened, nil
 }
 
 // Print renders the Fig. 8 series.
 func (r Fig8Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 8 — %s: iteration time vs batch size\n", r.Server)
 	tw := newTable(w)
-	fmt.Fprintln(tw, "batch\titer enc (ms)\titer plain (ms)\titer ovh\tfetch enc (ms)\tfetch plain (ms)\tfetch ovh")
+	fmt.Fprintln(tw, "batch\titer enc (ms)\titer plain (ms)\titer ovh\tfetch enc (ms)\tfetch plain (ms)\tfetch ovh\tAES B/batch enc\tplain")
 	for _, row := range r.Rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2fx\t%s\t%s\t%.2fx\n",
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2fx\t%s\t%s\t%.2fx\t%d\t%d\n",
 			row.BatchSize, ms(row.EncryptedIter), ms(row.PlainIter), row.Overhead,
-			ms(row.EncryptedFetch), ms(row.PlainFetch), row.FetchOverhead)
+			ms(row.EncryptedFetch), ms(row.PlainFetch), row.FetchOverhead,
+			row.EncryptedOpenedBytes, row.PlainOpenedBytes)
 	}
 	tw.Flush()
 }

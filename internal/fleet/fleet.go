@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	mrand "math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -232,8 +231,7 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 	// An independent parse of the model config drives planning: layer
 	// footprints come from the same arithmetic the shard groups use,
 	// without touching the enclave model.
-	net, err := darknet.ParseConfig(strings.NewReader(f.ModelConfigText()),
-		mrand.New(mrand.NewSource(opts.Seed)))
+	net, err := darknet.ParseConfig(strings.NewReader(f.ModelConfigText()), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: model config: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"plinius/internal/enclave"
 	"plinius/internal/engine"
@@ -221,27 +222,34 @@ func (d *DataMatrix) Row(i int) (img, label []float32, err error) {
 		return nil, nil, fmt.Errorf("%w: row %d of %d", ErrDataCorrupt, i, d.n)
 	}
 	stored := make([]byte, d.storedRow)
-	if err := d.rom.Load(d.dataOff+i*d.storedRow, stored); err != nil {
+	vals := make([]float32, d.plainRow/4)
+	if err := d.fetchRow(i, stored, vals); err != nil {
 		return nil, nil, err
 	}
-	raw := stored
+	imgLen := mnist.Rows * mnist.Cols
+	return vals[:imgLen], vals[imgLen:], nil
+}
+
+// fetchRow loads stored row i through the caller's PM read buffer and
+// decodes it into vals (plainRow/4 floats) without allocating. The
+// encrypted and plaintext paths share every step but one — AES-GCM open
+// vs a plain little-endian decode — which is what lets the Fig. 8
+// baseline isolate the cost of batched decryption.
+func (d *DataMatrix) fetchRow(i int, stored []byte, vals []float32) error {
+	if err := d.rom.Load(d.dataOff+i*d.storedRow, stored); err != nil {
+		return err
+	}
 	if d.encrypted {
-		if raw, err = d.eng.Open(stored); err != nil {
-			return nil, nil, fmt.Errorf("decrypt row %d: %w", i, err)
+		if err := d.eng.OpenFloatsInto(vals, stored); err != nil {
+			return fmt.Errorf("decrypt row %d: %w", i, err)
 		}
+	} else if err := engine.DecodeFloats(vals, stored); err != nil {
+		return fmt.Errorf("%w: row %d: %v", ErrDataCorrupt, i, err)
 	}
 	if d.encl != nil {
-		d.encl.Touch(len(raw))
+		d.encl.Touch(d.plainRow)
 	}
-	vals, err := engine.BytesToFloats(raw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("row %d: %w", i, err)
-	}
-	imgLen := mnist.Rows * mnist.Cols
-	if len(vals) != imgLen+mnist.Classes {
-		return nil, nil, fmt.Errorf("%w: row %d has %d values", ErrDataCorrupt, i, len(vals))
-	}
-	return vals[:imgLen], vals[imgLen:], nil
+	return nil
 }
 
 // Reseal re-encrypts every row under newEng's data key and switches the
@@ -318,9 +326,9 @@ const batchParallelBytes = 32 << 10
 // All row indices are drawn from rng on the calling goroutine first,
 // so the sampled batch is identical to the sequential path no matter
 // how the work is then distributed; the per-row load → decrypt →
-// decode fans out across a bounded worker pool, each worker staging
-// through its own PM read buffer and engine Scratch (the MirrorIn
-// discipline), writing disjoint row slices of x and y.
+// decode (fetchRow) fans out across a bounded worker pool, each worker
+// staging through its own PM read buffer and row buffer, writing
+// disjoint row slices of x and y.
 func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error) {
 	if size <= 0 {
 		return nil, nil, fmt.Errorf("%w: batch size %d", mnist.ErrBadBatch, size)
@@ -333,92 +341,49 @@ func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error)
 		idxs[b] = rng.Intn(d.n)
 	}
 
-	// fetch loads row idxs[b] into batch position b through the
-	// worker-owned buffers. Plaintext decodes straight into rowBuf;
-	// Touch accounting matches Row's (plaintext bytes staged in
-	// enclave memory).
-	fetch := func(sc *engine.Scratch, stored []byte, rowBuf []float32, b int) error {
-		i := idxs[b]
-		if err := d.rom.Load(d.dataOff+i*d.storedRow, stored); err != nil {
-			return err
-		}
-		if d.encrypted {
-			if err := d.eng.OpenFloatsWith(sc, rowBuf, stored); err != nil {
-				return fmt.Errorf("decrypt row %d: %w", i, err)
+	// fetch runs batch positions from next through buffers it owns,
+	// until they run out; a failing worker exhausts next to stop the
+	// others.
+	var (
+		next     atomic.Int64
+		errMu    sync.Mutex
+		firstErr error
+	)
+	fetch := func() {
+		stored := make([]byte, d.storedRow)
+		rowBuf := make([]float32, d.plainRow/4)
+		for {
+			b := int(next.Add(1)) - 1
+			if b >= size {
+				return
 			}
-		} else {
-			vals, err := engine.BytesToFloats(stored)
-			if err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
+			if err := d.fetchRow(idxs[b], stored, rowBuf); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+				next.Store(int64(size))
+				return
 			}
-			copy(rowBuf, vals)
+			copy(x[b*imgLen:(b+1)*imgLen], rowBuf[:imgLen])
+			copy(y[b*mnist.Classes:(b+1)*mnist.Classes], rowBuf[imgLen:])
 		}
-		if d.encl != nil {
-			d.encl.Touch(d.plainRow)
-		}
-		copy(x[b*imgLen:(b+1)*imgLen], rowBuf[:imgLen])
-		copy(y[b*mnist.Classes:(b+1)*mnist.Classes], rowBuf[imgLen:])
-		return nil
 	}
 
 	workers := mirrorWorkersAt(size, size*d.storedRow, batchParallelBytes)
-	if workers <= 1 {
-		var sc *engine.Scratch
-		if d.encrypted {
-			sc = d.eng.AcquireScratch()
-			defer d.eng.ReleaseScratch(sc)
-		}
-		stored := make([]byte, d.storedRow)
-		rowBuf := make([]float32, d.plainRow/4)
-		for b := 0; b < size; b++ {
-			if err := fetch(sc, stored, rowBuf, b); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else {
-		var (
-			errMu    sync.Mutex
-			firstErr error
-		)
-		idx := make(chan int, size)
-		for b := 0; b < size; b++ {
-			idx <- b
-		}
-		close(idx)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var sc *engine.Scratch
-				if d.encrypted {
-					sc = d.eng.AcquireScratch()
-					defer d.eng.ReleaseScratch(sc)
-				}
-				stored := make([]byte, d.storedRow)
-				rowBuf := make([]float32, d.plainRow/4)
-				for b := range idx {
-					errMu.Lock()
-					failed := firstErr != nil
-					errMu.Unlock()
-					if failed {
-						return
-					}
-					if err := fetch(sc, stored, rowBuf, b); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, nil, firstErr
-		}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fetch()
+		}()
+	}
+	fetch()
+	wg.Wait()
+	if firstErr != nil {
+		return nil, nil, firstErr
 	}
 	mBatchReads.Add(float64(size))
 	return x, y, nil

@@ -505,31 +505,26 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 			return nil
 		}
 
+		// Workers claim tasks in order and hand each sealed buffer to
+		// the ordered store loop through a ring of one-deep slots, task
+		// ti in slot ti%len(ring). A worker takes an inflight token
+		// BEFORE claiming and the store loop returns it after storing,
+		// so claimed-but-unstored tasks are at most len(ring)
+		// consecutive indices: every one owns its slot, live scratch
+		// buffers are bounded at 2x workers instead of one per buffer,
+		// and the store loop's next task is always claimed or claimable
+		// — no deadlock.
 		type sealResult struct {
 			sc     *engine.Scratch
 			sealed []byte
 			err    error
-			done   chan struct{}
 		}
-		results := make([]sealResult, len(tasks))
-		for i := range results {
-			results[i].done = make(chan struct{})
+		ring := make([]chan sealResult, 2*workers)
+		for i := range ring {
+			ring[i] = make(chan sealResult, 1)
 		}
-		idx := make(chan int, len(tasks))
-		for i := range tasks {
-			idx <- i
-		}
-		close(idx)
-		// inflight bounds sealed-but-unstored results so the seal pool
-		// cannot run arbitrarily far ahead of the ordered store
-		// consumer: at most 2x workers scratch pairs are live, instead
-		// of one per buffer (~2x the model payload for a large model).
-		// The token is acquired BEFORE pulling a task index: idx is
-		// FIFO, so the pulled set is always a prefix of the task list,
-		// every pulled-but-unstored task holds a token, and the store
-		// loop (which releases in task order) always finds the head
-		// task pulled or pullable — no deadlock.
-		inflight := make(chan struct{}, 2*workers)
+		inflight := make(chan struct{}, len(ring))
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -537,32 +532,29 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 				defer wg.Done()
 				for {
 					inflight <- struct{}{}
-					ti, ok := <-idx
-					if !ok {
+					ti := int(next.Add(1)) - 1
+					if ti >= len(tasks) {
 						<-inflight
 						return
 					}
-					r := &results[ti]
-					r.sc = m.eng.AcquireScratch()
+					sc := m.eng.AcquireScratch()
 					sealStart := time.Now()
-					r.sealed, r.err = m.eng.SealFloatsWith(r.sc, tasks[ti].p)
+					sealed, err := m.eng.SealFloatsWith(sc, tasks[ti].p)
 					m.lastSeal.Add(int64(time.Since(sealStart)))
-					close(r.done)
+					ring[ti%len(ring)] <- sealResult{sc, sealed, err}
 				}
 			}()
 		}
-		// Store each sealed buffer as it becomes ready, in task order.
+		// Store each sealed buffer as it becomes ready, in task order;
+		// after a failure keep draining so every worker exits.
 		var firstErr error
-		for ti := range tasks {
-			r := &results[ti]
-			<-r.done
+		for ti, t := range tasks {
+			r := <-ring[ti%len(ring)]
 			if firstErr == nil && r.err != nil {
-				firstErr = fmt.Errorf("seal layer %d buffer %d: %w", tasks[ti].li, tasks[ti].bi, r.err)
+				firstErr = fmt.Errorf("seal layer %d buffer %d: %w", t.li, t.bi, r.err)
 			}
 			if firstErr == nil {
-				if err := m.rom.Store(tasks[ti].off, r.sealed); err != nil {
-					firstErr = err
-				}
+				firstErr = m.rom.Store(t.off, r.sealed)
 			}
 			m.eng.ReleaseScratch(r.sc)
 			<-inflight

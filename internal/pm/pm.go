@@ -17,6 +17,7 @@ package pm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -155,19 +156,35 @@ type Device struct {
 	stats     Stats
 }
 
-func (d *Device) setDirty(line int) {
-	w, b := line>>6, uint(line&63)
-	if d.dirty[w]&(1<<b) == 0 {
-		d.dirty[w] |= 1 << b
-		d.dirtyN++
+// rangeMask returns the bits of dirty-bitset word w that fall inside
+// the inclusive line range [first, last].
+func rangeMask(w, first, last int) uint64 {
+	mask := ^uint64(0)
+	if w == first>>6 {
+		mask &= ^uint64(0) << uint(first&63)
+	}
+	if w == last>>6 {
+		mask &= ^uint64(0) >> uint(63-(last&63))
+	}
+	return mask
+}
+
+// setDirtyRange marks lines [first, last] dirty a bitset word at a
+// time, keeping dirtyN exact by popcount.
+func (d *Device) setDirtyRange(first, last int) {
+	for w := first >> 6; w <= last>>6; w++ {
+		mask := rangeMask(w, first, last)
+		d.dirtyN += bits.OnesCount64(mask &^ d.dirty[w])
+		d.dirty[w] |= mask
 	}
 }
 
-func (d *Device) clearDirty(line int) {
-	w, b := line>>6, uint(line&63)
-	if d.dirty[w]&(1<<b) != 0 {
-		d.dirty[w] &^= 1 << b
-		d.dirtyN--
+// clearDirtyRange marks lines [first, last] clean.
+func (d *Device) clearDirtyRange(first, last int) {
+	for w := first >> 6; w <= last>>6; w++ {
+		mask := rangeMask(w, first, last)
+		d.dirtyN -= bits.OnesCount64(mask & d.dirty[w])
+		d.dirty[w] &^= mask
 	}
 }
 
@@ -243,17 +260,31 @@ func (d *Device) Store(off int, data []byte) error {
 	}
 	copy(d.volatile[off:], data)
 	if len(data) > 0 {
-		first, last := lineRange(off, len(data))
-		for l := first; l <= last; l++ {
-			d.setDirty(l)
-		}
-		d.stats.Stores++
-		d.stats.BytesStored += uint64(len(data))
-		mStores.Inc()
-		mBytesStored.Add(float64(len(data)))
-		d.clock.Advance(time.Duration(last-first+1) * d.prof.Store)
+		d.noteStore(off, len(data))
 	}
 	return nil
+}
+
+// noteStore accounts an n-byte store at off (n > 0): dirty lines,
+// counters and modeled time. Callers hold d.mu.
+func (d *Device) noteStore(off, n int) {
+	first, last := lineRange(off, n)
+	d.setDirtyRange(first, last)
+	d.stats.Stores++
+	d.stats.BytesStored += uint64(n)
+	mStores.Inc()
+	mBytesStored.Add(float64(n))
+	d.clock.Advance(time.Duration(last-first+1) * d.prof.Store)
+}
+
+// noteLoad accounts an n-byte load at off (n > 0). Callers hold d.mu.
+func (d *Device) noteLoad(off, n int) {
+	first, last := lineRange(off, n)
+	d.stats.Loads++
+	d.stats.BytesLoaded += uint64(n)
+	mLoads.Inc()
+	mBytesLoaded.Add(float64(n))
+	d.clock.Advance(time.Duration(last-first+1) * d.prof.Load)
 }
 
 // Load reads len(buf) bytes at off from the volatile view.
@@ -265,12 +296,28 @@ func (d *Device) Load(off int, buf []byte) error {
 	}
 	copy(buf, d.volatile[off:])
 	if len(buf) > 0 {
-		first, last := lineRange(off, len(buf))
-		d.stats.Loads++
-		d.stats.BytesLoaded += uint64(len(buf))
-		mLoads.Inc()
-		mBytesLoaded.Add(float64(len(buf)))
-		d.clock.Advance(time.Duration(last-first+1) * d.prof.Load)
+		d.noteLoad(off, len(buf))
+	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst inside the volatile view. It is
+// exactly a Load of [src, src+n) followed by a Store to [dst, dst+n) —
+// same counters, stats, dirty lines and modeled time — but one memmove
+// with no bounce buffer (the Romulus main<->back propagation).
+func (d *Device) Copy(dst, src, n int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.checkRange(src, n); err != nil {
+		return err
+	}
+	if err := d.checkRange(dst, n); err != nil {
+		return err
+	}
+	if n > 0 {
+		copy(d.volatile[dst:dst+n], d.volatile[src:src+n])
+		d.noteLoad(src, n)
+		d.noteStore(dst, n)
 	}
 	return nil
 }
@@ -293,9 +340,7 @@ func (d *Device) Flush(off, n int, kind FlushKind) error {
 	start := first * CacheLineSize
 	end := (last + 1) * CacheLineSize
 	copy(d.persisted[start:end], d.volatile[start:end])
-	for l := first; l <= last; l++ {
-		d.clearDirty(l)
-	}
+	d.clearDirtyRange(first, last)
 	lines := last - first + 1
 	d.stats.Flushes++
 	d.stats.FlushedLines += uint64(lines)
@@ -317,13 +362,23 @@ func (d *Device) Fence() {
 
 // Crash simulates a power failure: every store that was never flushed is
 // lost, and the volatile view is re-initialised from the persisted image,
-// as it would be after reboot and DAX re-mapping.
+// as it would be after reboot and DAX re-mapping. Only stores dirty a
+// line and only a flush cleans it, so a clean line is already equal in
+// both images: reverting the runs of dirty lines is the whole crash, at
+// O(bitset + dirty bytes) instead of O(device).
 func (d *Device) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	copy(d.volatile, d.persisted)
-	for i := range d.dirty {
-		d.dirty[i] = 0
+	for w, word := range d.dirty {
+		for word != 0 {
+			lo := bits.TrailingZeros64(word)
+			run := bits.TrailingZeros64(^(word >> uint(lo)))
+			start := (w<<6 + lo) * CacheLineSize
+			end := start + run*CacheLineSize
+			copy(d.volatile[start:end], d.persisted[start:end])
+			word &^= (uint64(1)<<uint(run) - 1) << uint(lo)
+		}
+		d.dirty[w] = 0
 	}
 	d.dirtyN = 0
 	d.stats.Crashes++

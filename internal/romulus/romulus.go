@@ -88,7 +88,6 @@ type Romulus struct {
 	log        []logEntry
 	inTx       bool
 	used       int // cached allocator offset (authoritative copy in PM)
-	copyBuf    []byte
 
 	// crashAt injects a device crash before the i-th commit step
 	// (1-based); 0 disables. Used by crash-consistency tests.
@@ -178,17 +177,37 @@ func (r *Romulus) format() error {
 	return nil
 }
 
-func (r *Romulus) loadUsed() error {
+// readUsed reads and validates the allocator cursor of the region
+// (main or back) starting at regionStart.
+func (r *Romulus) readUsed(regionStart int) (int, error) {
 	var buf [8]byte
-	if err := r.dev.Load(r.mainStart+usedOffset, buf[:]); err != nil {
-		return err
+	if err := r.dev.Load(regionStart+usedOffset, buf[:]); err != nil {
+		return 0, err
 	}
 	used := binary.LittleEndian.Uint64(buf[:])
 	if used < reservedBytes || used > uint64(r.regionSize) {
-		return fmt.Errorf("%w: used=%d", ErrCorruptHeader, used)
+		return 0, fmt.Errorf("%w: used=%d", ErrCorruptHeader, used)
 	}
-	r.used = int(used)
+	return int(used), nil
+}
+
+func (r *Romulus) loadUsed() error {
+	used, err := r.readUsed(r.mainStart)
+	if err != nil {
+		return err
+	}
+	r.used = used
 	return nil
+}
+
+// propagate copies [off, off+n) of the region at src over the region
+// at dst and issues its write-back: one in-device memmove, accounted
+// as the load + store + flush it models.
+func (r *Romulus) propagate(dst, src, off, n int) error {
+	if err := r.dev.Copy(dst+off, src+off, n); err != nil {
+		return err
+	}
+	return r.flush(dst+off, n)
 }
 
 // state helpers -------------------------------------------------------
@@ -350,17 +369,7 @@ func (r *Romulus) Commit() error {
 	}
 	// Propagate logged ranges main -> back.
 	for _, ent := range r.log {
-		if cap(r.copyBuf) < ent.n {
-			r.copyBuf = make([]byte, ent.n)
-		}
-		buf := r.copyBuf[:ent.n]
-		if err := r.dev.Load(r.mainStart+ent.off, buf); err != nil {
-			return err
-		}
-		if err := r.dev.Store(r.backStart+ent.off, buf); err != nil {
-			return err
-		}
-		if err := r.flush(r.backStart+ent.off, ent.n); err != nil {
+		if err := r.propagate(r.backStart, r.mainStart, ent.off, ent.n); err != nil {
 			return err
 		}
 		if err := r.maybeCrash(); err != nil {
@@ -387,14 +396,7 @@ func (r *Romulus) Abort() error {
 		return ErrNoTransaction
 	}
 	for _, ent := range r.log {
-		buf := make([]byte, ent.n)
-		if err := r.dev.Load(r.backStart+ent.off, buf); err != nil {
-			return err
-		}
-		if err := r.dev.Store(r.mainStart+ent.off, buf); err != nil {
-			return err
-		}
-		if err := r.flush(r.mainStart+ent.off, ent.n); err != nil {
+		if err := r.propagate(r.mainStart, r.backStart, ent.off, ent.n); err != nil {
 			return err
 		}
 	}
@@ -460,15 +462,18 @@ func (r *Romulus) Recover() error {
 	return r.loadUsed()
 }
 
+// copyRegion restores the torn region at dst from the consistent one at
+// src. Only [0, used) is copied, used being the CONSISTENT side's
+// allocator cursor: the cursor only grows, everything a transaction can
+// have touched lies below the larger of the two cursors, and bytes past
+// the consistent cursor are unallocated in the state being restored —
+// so recovery moves (and is charged for) the live heap, not the device.
 func (r *Romulus) copyRegion(src, dst int) error {
-	buf := make([]byte, r.regionSize)
-	if err := r.dev.Load(src, buf); err != nil {
+	used, err := r.readUsed(src)
+	if err != nil {
 		return err
 	}
-	if err := r.dev.Store(dst, buf); err != nil {
-		return err
-	}
-	return r.flush(dst, r.regionSize)
+	return r.propagate(dst, src, 0, used)
 }
 
 // allocator and roots ---------------------------------------------------

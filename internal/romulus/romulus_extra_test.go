@@ -2,6 +2,7 @@ package romulus
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"plinius/internal/pm"
@@ -175,5 +176,127 @@ func TestStatsFourFencesScaleWithTransactions(t *testing.T) {
 	got := dev.Stats().Fences - before
 	if got != 4*txs {
 		t.Fatalf("%d transactions used %d fences, want %d", txs, got, 4*txs)
+	}
+}
+
+// TestCrashSweepOnMostlyEmptyHeap sweeps every crash step of a
+// transaction that allocates, stores and re-roots on a heap whose used
+// prefix is a sliver of the region. Recovery copies only [0, used) of
+// the consistent twin, so this pins that the bound is the right one:
+// whichever side the crash leaves consistent, the data, the allocator
+// cursor and the roots all come back all-old or all-new, and recovery
+// moves bytes in proportion to the live heap, not the region.
+func TestCrashSweepOnMostlyEmptyHeap(t *testing.T) {
+	const payload = 3000
+	oldData := bytes.Repeat([]byte{0xAA}, payload)
+	newData := bytes.Repeat([]byte{0x55}, payload)
+	extra := bytes.Repeat([]byte{0x77}, payload)
+
+	recovered := 0
+	for crashPoint := 1; ; crashPoint++ {
+		dev, err := pm.New(8 << 20)
+		if err != nil {
+			t.Fatalf("pm.New: %v", err)
+		}
+		r, err := Open(dev)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var off int
+		if err := r.Update(func() error {
+			o, err := r.Alloc(payload)
+			if err != nil {
+				return err
+			}
+			off = o
+			if err := r.Store(off, oldData); err != nil {
+				return err
+			}
+			return r.SetRoot(0, off)
+		}); err != nil {
+			t.Fatalf("seed Update: %v", err)
+		}
+		oldUsed := r.Used()
+		if oldUsed*100 > r.RegionSize() {
+			t.Fatalf("heap not mostly empty: used %d of %d", oldUsed, r.RegionSize())
+		}
+
+		// The swept transaction overwrites the old block, grows the
+		// heap past the old cursor and moves a root to the new block.
+		var off2 int
+		r.SetCrashPoint(crashPoint)
+		err = r.Update(func() error {
+			if err := r.Store(off, newData); err != nil {
+				return err
+			}
+			o, err := r.Alloc(payload)
+			if err != nil {
+				return err
+			}
+			off2 = o
+			if err := r.Store(off2, extra); err != nil {
+				return err
+			}
+			return r.SetRoot(1, off2)
+		})
+		if err == nil {
+			if recovered == 0 {
+				t.Fatal("no crash point fired")
+			}
+			t.Logf("swept %d crash points", recovered)
+			return // swept past the transaction's last step
+		}
+		if !errors.Is(err, ErrCrashInjected) {
+			t.Fatalf("crashPoint=%d: unexpected error %v", crashPoint, err)
+		}
+		recovered++
+
+		before := dev.Stats()
+		r2, err := Open(dev)
+		if err != nil {
+			t.Fatalf("crashPoint=%d: recovery Open: %v", crashPoint, err)
+		}
+		if moved := dev.Stats().BytesStored - before.BytesStored; moved > uint64(oldUsed+2*payload+64) {
+			t.Fatalf("crashPoint=%d: recovery stored %d bytes on a heap using %d", crashPoint, moved, oldUsed)
+		}
+		got := make([]byte, payload)
+		if err := r2.Load(off, got); err != nil {
+			t.Fatalf("crashPoint=%d: Load: %v", crashPoint, err)
+		}
+		root0, _ := r2.Root(0)
+		root1, _ := r2.Root(1)
+		if root0 != off {
+			t.Fatalf("crashPoint=%d: root 0 = %d, want %d", crashPoint, root0, off)
+		}
+		switch {
+		case bytes.Equal(got, oldData):
+			if r2.Used() != oldUsed || root1 != 0 {
+				t.Fatalf("crashPoint=%d: all-old data with used=%d (want %d) root1=%d (want 0)", crashPoint, r2.Used(), oldUsed, root1)
+			}
+		case bytes.Equal(got, newData):
+			got2 := make([]byte, payload)
+			if err := r2.Load(off2, got2); err != nil {
+				t.Fatalf("crashPoint=%d: Load new block: %v", crashPoint, err)
+			}
+			if r2.Used() <= oldUsed || root1 != off2 || !bytes.Equal(got2, extra) {
+				t.Fatalf("crashPoint=%d: all-new data with used=%d root1=%d (want %d) or torn new block", crashPoint, r2.Used(), root1, off2)
+			}
+		default:
+			t.Fatalf("crashPoint=%d: recovered torn state %x...", crashPoint, got[:8])
+		}
+		// The recovered heap keeps working and survives a further crash.
+		if err := r2.Update(func() error {
+			o, err := r2.Alloc(64)
+			if err != nil {
+				return err
+			}
+			return r2.Store(o, oldData[:64])
+		}); err != nil {
+			t.Fatalf("crashPoint=%d: Update after recovery: %v", crashPoint, err)
+		}
+		dev.Crash()
+		if _, err := Open(dev); err != nil {
+			t.Fatalf("crashPoint=%d: re-open after recovery: %v", crashPoint, err)
+		}
 	}
 }

@@ -88,8 +88,12 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 // zero: no exit path leaks an open trace.
 func TestTraceLifecycleAllExitPaths(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
+	// TraceKeep exceeds every request this test can issue (20 bursts of
+	// 128 plus a handful), so the instant rejections are retained
+	// whatever the scheduler makes of the bursts — with the default 16
+	// slowest the error traces survive only if few requests succeed.
 	s, err := New(context.Background(), f, Options{
-		Workers: 1, MaxBatch: 1, MaxQueueLatency: time.Millisecond, QueueDepth: 2,
+		Workers: 1, MaxBatch: 1, MaxQueueLatency: time.Millisecond, QueueDepth: 2, TraceKeep: 4096,
 	})
 	if err != nil {
 		t.Fatalf("New server: %v", err)
