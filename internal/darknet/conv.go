@@ -37,15 +37,16 @@ type Conv struct {
 	vWeights, vBiases, vScales []float32
 	batchMean, batchVar        []float32
 	gMean, gVar                []float32
-	lastX, lastCols, lastOut   []float32
+	lastCols, lastOut          []float32
 	preBN, xhat                []float32
 	lastBatch                  int
 
-	// outBuf, dxBuf and dcolsBuf are reusable forward/backward scratch
-	// (grown to the largest batch seen), keeping the hot serve/train
-	// paths allocation-free. Forward's return value aliases outBuf and
-	// is valid until the layer's next Forward.
-	outBuf, dxBuf, dcolsBuf []float32
+	// outBuf, dxBuf and gradParts (one dW ‖ db partial per sample) are
+	// reusable forward/backward scratch (grown to the largest batch
+	// seen), keeping the hot serve/train paths allocation-free.
+	// Forward's return value aliases outBuf and is valid until the
+	// layer's next Forward.
+	outBuf, dxBuf, gradParts []float32
 }
 
 var _ Layer = (*Conv)(nil)
@@ -108,157 +109,146 @@ func (c *Conv) Grads() [][]float32 {
 
 func (c *convGeom) kcols() int { return c.in.C * c.cfg.Size * c.cfg.Size }
 
-// im2col expands one input volume into a (k x outH*outW) column matrix.
-func (c *convGeom) im2col(x []float32, cols []float32) {
-	for ch := 0; ch < c.in.C; ch++ {
-		c.im2colChannel(x, cols, ch)
+// validRange returns the output positions [lo, hi) along one axis
+// whose input position o*stride+off-pad lies inside [0, inDim); the
+// rest read padding.
+func (c *convGeom) validRange(off, inDim, outDim int) (lo, hi int) {
+	stride, pad := c.cfg.Stride, c.cfg.Pad
+	if pad > off {
+		lo = (pad - off + stride - 1) / stride
 	}
+	if last := inDim - 1 + pad - off; last >= 0 {
+		hi = min(last/stride+1, outDim)
+	}
+	return min(lo, hi), hi
 }
 
-// im2colChannel expands a single input channel into its size*size rows
-// of the column matrix. Different channels write disjoint `cols` rows
-// and only read `x`, so channels can run concurrently with results
-// identical to the serial loop.
-func (c *convGeom) im2colChannel(x []float32, cols []float32, ch int) {
+// im2col expands one input volume into a (k x outH*outW) column
+// matrix a row segment at a time: padding is cleared, and the in-bounds
+// span [oxLo, oxHi) of each output row is one (strided) copy.
+func (c *convGeom) im2col(x []float32, cols []float32) {
 	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
-	outHW := c.out.H * c.out.W
-	chBase := ch * c.in.H * c.in.W
-	for ky := 0; ky < size; ky++ {
-		for kx := 0; kx < size; kx++ {
-			row := ((ch*size+ky)*size + kx) * outHW
-			for oy := 0; oy < c.out.H; oy++ {
-				iy := oy*stride + ky - pad
-				for ox := 0; ox < c.out.W; ox++ {
-					ix := ox*stride + kx - pad
-					var v float32
-					if iy >= 0 && iy < c.in.H && ix >= 0 && ix < c.in.W {
-						v = x[chBase+iy*c.in.W+ix]
+	inH, inW, outH, outW := c.in.H, c.in.W, c.out.H, c.out.W
+	row := 0
+	for ch := 0; ch < c.in.C; ch++ {
+		plane := x[ch*inH*inW : (ch+1)*inH*inW]
+		for ky := 0; ky < size; ky++ {
+			oyLo, oyHi := c.validRange(ky, inH, outH)
+			for kx := 0; kx < size; kx++ {
+				oxLo, oxHi := c.validRange(kx, inW, outW)
+				dst := cols[row : row+outH*outW]
+				row += outH * outW
+				clear(dst[:oyLo*outW])
+				clear(dst[oyHi*outW:])
+				for oy := oyLo; oy < oyHi; oy++ {
+					d := dst[oy*outW : (oy+1)*outW]
+					clear(d[:oxLo])
+					clear(d[oxHi:])
+					src := plane[(oy*stride+ky-pad)*inW+oxLo*stride+kx-pad:]
+					if stride == 1 {
+						copy(d[oxLo:oxHi], src)
+						continue
 					}
-					cols[row+oy*c.out.W+ox] = v
+					for i := range d[oxLo:oxHi] {
+						d[oxLo+i] = src[i*stride]
+					}
 				}
 			}
 		}
 	}
-}
-
-// im2colParallelWork is the per-chunk write volume (floats) below
-// which parallel im2col/col2im chunks are not worth a goroutine.
-const im2colParallelWork = 1 << 14
-
-// im2colChunk returns the minimum channels per parallel chunk so each
-// chunk writes at least im2colParallelWork floats.
-func (c *convGeom) im2colChunk() int {
-	perCh := c.cfg.Size * c.cfg.Size * c.out.H * c.out.W
-	if perCh <= 0 {
-		return 1
-	}
-	chunk := im2colParallelWork / perCh
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
 }
 
 // col2im scatters a column-matrix gradient back into an input-volume
-// gradient (accumulating). Channels are fanned across the kernel
-// worker pool: each channel's column rows scatter into that channel's
-// disjoint dx region, and within a channel the accumulation order is
-// the serial one, so the result is bit-identical to the serial loop.
+// gradient (accumulating) over im2col's row segments, in (channel, ky,
+// kx, oy, ox) order: the per-pixel order, for every dx element.
 func (c *convGeom) col2im(cols []float32, dx []float32) {
-	if ScalarKernels() || c.in.C == 1 {
-		for ch := 0; ch < c.in.C; ch++ {
-			c.col2imChannel(cols, dx, ch)
-		}
-		return
-	}
-	parallelFor(c.in.C, c.im2colChunk(), func(lo, hi int) {
-		for ch := lo; ch < hi; ch++ {
-			c.col2imChannel(cols, dx, ch)
-		}
-	})
-}
-
-// col2imChannel scatters one channel's column rows into its dx region.
-func (c *convGeom) col2imChannel(cols []float32, dx []float32, ch int) {
 	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
-	outHW := c.out.H * c.out.W
-	chBase := ch * c.in.H * c.in.W
-	for ky := 0; ky < size; ky++ {
-		for kx := 0; kx < size; kx++ {
-			row := ((ch*size+ky)*size + kx) * outHW
-			for oy := 0; oy < c.out.H; oy++ {
-				iy := oy*stride + ky - pad
-				if iy < 0 || iy >= c.in.H {
-					continue
-				}
-				for ox := 0; ox < c.out.W; ox++ {
-					ix := ox*stride + kx - pad
-					if ix < 0 || ix >= c.in.W {
+	inH, inW, outH, outW := c.in.H, c.in.W, c.out.H, c.out.W
+	row := 0
+	for ch := 0; ch < c.in.C; ch++ {
+		plane := dx[ch*inH*inW : (ch+1)*inH*inW]
+		for ky := 0; ky < size; ky++ {
+			oyLo, oyHi := c.validRange(ky, inH, outH)
+			for kx := 0; kx < size; kx++ {
+				oxLo, oxHi := c.validRange(kx, inW, outW)
+				for oy := oyLo; oy < oyHi; oy++ {
+					src := cols[row+oy*outW+oxLo : row+oy*outW+oxHi]
+					d := plane[(oy*stride+ky-pad)*inW+oxLo*stride+kx-pad:]
+					if stride == 1 {
+						d = d[:len(src)]
+						for i, v := range src {
+							d[i] += v
+						}
 						continue
 					}
-					dx[chBase+iy*c.in.W+ix] += cols[row+oy*c.out.W+ox]
+					for i, v := range src {
+						d[i*stride] += v
+					}
 				}
+				row += outH * outW
 			}
 		}
 	}
 }
 
-// Forward implements Layer.
+// biasActivate adds the per-filter biases to out (whole samples) and
+// applies the activation. Biases come after batch norm, as in Darknet,
+// where they act as the BN beta.
+func (c *convGeom) biasActivate(biases, out []float32) {
+	outHW := c.out.H * c.out.W
+	for p := 0; p*outHW < len(out); p++ {
+		bias := biases[p%c.cfg.Filters]
+		plane := out[p*outHW : (p+1)*outHW]
+		for i := range plane {
+			plane[i] += bias
+		}
+	}
+	activate(c.cfg.Activation, out)
+}
+
+// sampleFlops is the multiply-add count of one sample's forward GEMM.
+func (c *convGeom) sampleFlops() int { return c.cfg.Filters * c.kcols() * c.out.H * c.out.W }
+
+// Forward implements Layer. The pass forks once over the samples of
+// the batch: each worker takes a run of samples through im2col, GEMM,
+// bias and activation, so a sample stays in one core's cache. A batch
+// too small to shard runs inline and lets its GEMMs fork over output
+// rows instead.
 func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	if err := checkInput(x, batch, c.in); err != nil {
 		return nil, err
 	}
-	k := c.kcols()
-	outHW := c.out.H * c.out.W
-	outSize := c.out.Size()
-	if cap(c.lastCols) < batch*k*outHW {
-		c.lastCols = make([]float32, batch*k*outHW)
-	}
-	c.lastCols = c.lastCols[:batch*k*outHW]
-	out := scratchF32(&c.outBuf, batch*outSize)
-	inSize := c.in.Size()
-	colSize := k * outHW
-	if !ScalarKernels() && batch*c.in.C > 1 {
-		// Expand every sample's column matrix first, fanned over
-		// (sample, channel) pairs: the writes are disjoint, so this is
-		// exactly the serial expansion, and convolution setup no longer
-		// serializes ahead of the parallel GEMM below.
-		parallelFor(batch*c.in.C, c.im2colChunk(), func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				b, ch := idx/c.in.C, idx%c.in.C
-				c.im2colChannel(x[b*inSize:(b+1)*inSize], c.lastCols[b*colSize:(b+1)*colSize], ch)
-			}
-		})
-		for b := 0; b < batch; b++ {
-			gemm(c.cfg.Filters, k, outHW, c.weights,
-				c.lastCols[b*colSize:(b+1)*colSize], out[b*outSize:(b+1)*outSize])
-		}
+	c.lastCols = growF32(&c.lastCols, batch*c.kcols()*c.out.H*c.out.W)
+	out := growF32(&c.outBuf, batch*c.out.Size())
+	if chunk := minChunk(c.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+		c.forwardSamples(x, out, 0, batch, true)
 	} else {
-		for b := 0; b < batch; b++ {
-			cols := c.lastCols[b*colSize : (b+1)*colSize]
-			c.im2col(x[b*inSize:(b+1)*inSize], cols)
-			gemm(c.cfg.Filters, k, outHW, c.weights, cols, out[b*outSize:(b+1)*outSize])
-		}
+		parallelFor(batch, chunk, func(lo, hi int) { c.forwardSamples(x, out, lo, hi, false) })
 	}
-	c.lastX = x
 	c.lastBatch = batch
-
 	if c.cfg.BatchNorm {
 		c.forwardBatchNorm(out, batch, train)
+		c.biasActivate(c.biases, out)
 	}
-	// Bias add (after BN, as in Darknet: biases act as the BN beta).
-	for b := 0; b < batch; b++ {
-		for f := 0; f < c.cfg.Filters; f++ {
-			base := b*outSize + f*outHW
-			bias := c.biases[f]
-			for i := 0; i < outHW; i++ {
-				out[base+i] += bias
-			}
-		}
-	}
-	activate(c.cfg.Activation, out)
 	c.lastOut = out
 	return out, nil
+}
+
+// forwardSamples takes samples [lo, hi) through im2col, GEMM and —
+// unless batch norm must see the whole batch first — bias, activation.
+func (c *Conv) forwardSamples(x, out []float32, lo, hi int, fork bool) {
+	k, outHW := c.kcols(), c.out.H*c.out.W
+	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
+	for b := lo; b < hi; b++ {
+		cols := c.lastCols[b*colSize : (b+1)*colSize]
+		o := out[b*outSize : (b+1)*outSize]
+		c.im2col(x[b*inSize:(b+1)*inSize], cols)
+		clear(o)
+		shapeAB.run(fork, c.cfg.Filters, k, outHW, c.weights, cols, o)
+		if !c.cfg.BatchNorm {
+			c.biasActivate(c.biases, o)
+		}
+	}
 }
 
 const bnEps = 1e-5
@@ -326,47 +316,81 @@ func (c *Conv) forwardBatchNorm(out []float32, batch int, train bool) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer, forking once over samples like Forward.
+// Each sample's weight and bias gradients land in its own partial and
+// are reduced in ascending sample order — the serial accumulation
+// order, so the gradients are bit-identical however samples shard.
 func (c *Conv) Backward(delta []float32) ([]float32, error) {
 	if c.lastBatch == 0 || len(delta) != c.lastBatch*c.out.Size() {
 		return nil, ErrBatchMismatch
 	}
 	batch := c.lastBatch
-	gradActivate(c.cfg.Activation, c.lastOut, delta)
-
-	outHW := c.out.H * c.out.W
-	outSize := c.out.Size()
-	// Bias gradients.
-	for b := 0; b < batch; b++ {
-		for f := 0; f < c.cfg.Filters; f++ {
-			base := b*outSize + f*outHW
-			var sum float32
-			for i := 0; i < outHW; i++ {
-				sum += delta[base+i]
-			}
-			c.gBiases[f] += sum
-		}
-	}
+	parts := growF32(&c.gradParts, batch*(len(c.gWeights)+len(c.gBiases)))
+	dx := growF32(&c.dxBuf, batch*c.in.Size())
 	if c.cfg.BatchNorm {
+		// Needs the whole batch's activation gradients first.
+		for b := 0; b < batch; b++ {
+			c.backwardActivation(delta, parts, b)
+		}
 		c.backwardBatchNorm(delta, batch)
 	}
-
-	k := c.kcols()
-	dx := scratchF32(&c.dxBuf, batch*c.in.Size())
-	dcols := growF32(&c.dcolsBuf, k*outHW)
+	if chunk := minChunk(2 * c.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+		c.backwardSamples(delta, dx, parts, 0, batch, true)
+	} else {
+		parallelFor(batch, chunk, func(lo, hi int) { c.backwardSamples(delta, dx, parts, lo, hi, false) })
+	}
 	for b := 0; b < batch; b++ {
-		cols := c.lastCols[b*k*outHW : (b+1)*k*outHW]
-		dout := delta[b*outSize : (b+1)*outSize]
-		// dW += dout x colsᵀ : (filters x outHW) x (outHW x k)
-		gemmTB(c.cfg.Filters, outHW, k, dout, cols, c.gWeights)
-		// dcols = Wᵀ x dout : (k x filters) x (filters x outHW)
-		for i := range dcols {
-			dcols[i] = 0
-		}
-		gemmTA(k, c.cfg.Filters, outHW, c.weights, dout, dcols)
-		c.col2im(dcols, dx[b*c.in.Size():(b+1)*c.in.Size()])
+		dW, db := c.gradPart(parts, b)
+		axpy(1, dW, c.gWeights)
+		axpy(1, db, c.gBiases)
 	}
 	return dx, nil
+}
+
+// gradPart returns sample b's dW and db partials within parts.
+func (c *Conv) gradPart(parts []float32, b int) (dW, db []float32) {
+	nW, n := len(c.gWeights), len(c.gWeights)+len(c.gBiases)
+	return parts[b*n : b*n+nW], parts[b*n+nW : (b+1)*n]
+}
+
+// backwardActivation rewrites sample b's delta through the activation
+// derivative and sums it per filter into the sample's bias partial.
+func (c *Conv) backwardActivation(delta, parts []float32, b int) {
+	outHW, outSize := c.out.H*c.out.W, c.out.Size()
+	d := delta[b*outSize : (b+1)*outSize]
+	gradActivate(c.cfg.Activation, c.lastOut[b*outSize:(b+1)*outSize], d)
+	_, db := c.gradPart(parts, b)
+	for f := range db {
+		var sum float32
+		for _, v := range d[f*outHW : (f+1)*outHW] {
+			sum += v
+		}
+		db[f] = sum
+	}
+}
+
+// backwardSamples computes, for samples [lo, hi), the weight-gradient
+// partial dout x colsᵀ and the input gradient col2im(Wᵀ x dout).
+func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool) {
+	k, filters, outHW := c.kcols(), c.cfg.Filters, c.out.H*c.out.W
+	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
+	bp := scratchPool.Get().(*[]float32)
+	dcols := growF32(bp, colSize)
+	for b := lo; b < hi; b++ {
+		if !c.cfg.BatchNorm {
+			c.backwardActivation(delta, parts, b)
+		}
+		dout := delta[b*outSize : (b+1)*outSize]
+		dW, _ := c.gradPart(parts, b)
+		clear(dW)
+		shapeTB.run(fork, filters, outHW, k, dout, c.lastCols[b*colSize:(b+1)*colSize], dW)
+		clear(dcols)
+		shapeTA.run(fork, k, filters, outHW, c.weights, dout, dcols)
+		dxb := dx[b*inSize : (b+1)*inSize]
+		clear(dxb)
+		c.col2im(dcols, dxb)
+	}
+	scratchPool.Put(bp)
 }
 
 // backwardBatchNorm rewrites delta (d loss / d BN output) into

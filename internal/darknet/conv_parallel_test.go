@@ -1,6 +1,7 @@
 package darknet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -17,74 +18,127 @@ var convTestGeoms = []struct {
 	{Shape{C: 3, H: 6, W: 6}, ConvConfig{Filters: 2, Size: 2, Stride: 2, Pad: 0}},
 }
 
-// TestIm2colParallelMatchesSerial expands the same input with the
-// serial channel loop and with the parallel (sample, channel) fan-out
-// Conv.Forward uses, requiring bit-identical column matrices: the
-// chunks write disjoint rows and only read x, so any difference is a
-// partitioning bug.
-func TestIm2colParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	withKernelConfigs(t, func(t *testing.T) {
-		for _, g := range convTestGeoms {
-			c, err := NewConv(g.in, g.cfg, rng)
-			if err != nil {
-				t.Fatalf("conv %+v: %v", g, err)
+// im2colPerPixel is the per-pixel reference the row-wise im2col is
+// tested against: one bounds test and one store per column-matrix
+// element.
+func im2colPerPixel(c *convGeom, x, cols []float32) {
+	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
+	outHW := c.out.H * c.out.W
+	for ch := 0; ch < c.in.C; ch++ {
+		for ky := 0; ky < size; ky++ {
+			for kx := 0; kx < size; kx++ {
+				row := ((ch*size+ky)*size + kx) * outHW
+				for oy := 0; oy < c.out.H; oy++ {
+					iy := oy*stride + ky - pad
+					for ox := 0; ox < c.out.W; ox++ {
+						ix := ox*stride + kx - pad
+						var v float32
+						if iy >= 0 && iy < c.in.H && ix >= 0 && ix < c.in.W {
+							v = x[(ch*c.in.H+iy)*c.in.W+ix]
+						}
+						cols[row+oy*c.out.W+ox] = v
+					}
+				}
 			}
-			batch := 3
-			inSize := c.in.Size()
-			colSize := c.kcols() * c.out.H * c.out.W
-			x := make([]float32, batch*inSize)
-			fillRandSparse(rng, x)
+		}
+	}
+}
 
-			serial := make([]float32, batch*colSize)
-			for b := 0; b < batch; b++ {
-				c.im2col(x[b*inSize:(b+1)*inSize], serial[b*colSize:(b+1)*colSize])
+// col2imPerPixel is the per-pixel reference for col2im (accumulating).
+func col2imPerPixel(c *convGeom, cols, dx []float32) {
+	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
+	outHW := c.out.H * c.out.W
+	for ch := 0; ch < c.in.C; ch++ {
+		for ky := 0; ky < size; ky++ {
+			for kx := 0; kx < size; kx++ {
+				row := ((ch*size+ky)*size + kx) * outHW
+				for oy := 0; oy < c.out.H; oy++ {
+					iy := oy*stride + ky - pad
+					for ox := 0; ox < c.out.W; ox++ {
+						ix := ox*stride + kx - pad
+						if iy >= 0 && iy < c.in.H && ix >= 0 && ix < c.in.W {
+							dx[(ch*c.in.H+iy)*c.in.W+ix] += cols[row+oy*c.out.W+ox]
+						}
+					}
+				}
 			}
-			parallel := make([]float32, batch*colSize)
-			parallelFor(batch*c.in.C, c.im2colChunk(), func(lo, hi int) {
-				for idx := lo; idx < hi; idx++ {
-					b, ch := idx/c.in.C, idx%c.in.C
-					c.im2colChannel(x[b*inSize:(b+1)*inSize], parallel[b*colSize:(b+1)*colSize], ch)
+		}
+	}
+}
+
+// forEachConvGeom runs body over stride {1,2,3} x pad {0,1,2} x size
+// {1,3,5} on non-square multi-channel inputs (including ones narrower
+// than the kernel, where whole kernel columns read only padding), plus
+// convTestGeoms.
+func forEachConvGeom(t *testing.T, body func(c *convGeom)) {
+	t.Helper()
+	geoms := convTestGeoms
+	for _, in := range []Shape{{C: 2, H: 7, W: 10}, {C: 3, H: 9, W: 4}, {C: 1, H: 2, W: 3}} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, size := range []int{1, 3, 5} {
+					geoms = append(geoms, struct {
+						in  Shape
+						cfg ConvConfig
+					}{in, ConvConfig{Filters: 2, Size: size, Stride: stride, Pad: pad}})
 				}
-			})
-			for i := range serial {
-				if serial[i] != parallel[i] {
-					t.Fatalf("geom %+v cols[%d]: serial %v parallel %v", g, i, serial[i], parallel[i])
-				}
+			}
+		}
+	}
+	ran := 0
+	for _, g := range geoms {
+		c, err := NewConv(g.in, g.cfg, nil)
+		if err != nil {
+			continue // kernel larger than the padded input
+		}
+		ran++
+		body(&c.convGeom)
+	}
+	if ran < 60 {
+		t.Fatalf("only %d of %d geometries are valid", ran, len(geoms))
+	}
+}
+
+// TestIm2colRowwiseMatchesPerPixel requires the row-segment im2col to
+// write exactly the per-pixel reference's column matrix — every
+// element, padding included, over a buffer pre-filled with garbage.
+func TestIm2colRowwiseMatchesPerPixel(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	forEachConvGeom(t, func(c *convGeom) {
+		x := make([]float32, c.in.Size())
+		fillRandSparse(rng, x)
+		n := c.kcols() * c.out.H * c.out.W
+		want := make([]float32, n)
+		got := make([]float32, n)
+		for i := range got {
+			got[i] = float32(math.NaN())
+		}
+		im2colPerPixel(c, x, want)
+		c.im2col(x, got)
+		for i := range want {
+			if !sameFloat(want[i], got[i]) {
+				t.Fatalf("in %v cfg %+v cols[%d]: row-wise %v per-pixel %v", c.in, c.cfg, i, got[i], want[i])
 			}
 		}
 	})
 }
 
-// TestCol2imParallelMatchesSerial scatters the same column gradient
-// back with the serial loop and the channel-parallel col2im, requiring
-// bit-identical dx: channels accumulate into disjoint regions in the
-// serial per-channel order.
-func TestCol2imParallelMatchesSerial(t *testing.T) {
+// TestCol2imRowwiseMatchesPerPixel requires the row-segment col2im to
+// accumulate into dx exactly as the per-pixel reference does: same
+// contributions, same order, starting from a non-zero dx.
+func TestCol2imRowwiseMatchesPerPixel(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	withKernelConfigs(t, func(t *testing.T) {
-		for _, g := range convTestGeoms {
-			c, err := NewConv(g.in, g.cfg, rng)
-			if err != nil {
-				t.Fatalf("conv %+v: %v", g, err)
-			}
-			colSize := c.kcols() * c.out.H * c.out.W
-			cols := make([]float32, colSize)
-			fillRandSparse(rng, cols)
-			// Non-zero initial dx: col2im accumulates.
-			init := make([]float32, c.in.Size())
-			fillRandSparse(rng, init)
-
-			serial := append([]float32(nil), init...)
-			SetScalarKernels(true)
-			c.col2im(cols, serial)
-			SetScalarKernels(false)
-			parallel := append([]float32(nil), init...)
-			c.col2im(cols, parallel)
-			for i := range serial {
-				if serial[i] != parallel[i] {
-					t.Fatalf("geom %+v dx[%d]: serial %v parallel %v", g, i, serial[i], parallel[i])
-				}
+	forEachConvGeom(t, func(c *convGeom) {
+		cols := make([]float32, c.kcols()*c.out.H*c.out.W)
+		fillRandSparse(rng, cols)
+		want := make([]float32, c.in.Size())
+		fillRandSparse(rng, want)
+		got := append([]float32(nil), want...)
+		col2imPerPixel(c, cols, want)
+		c.col2im(cols, got)
+		for i := range want {
+			if !sameFloat(want[i], got[i]) {
+				t.Fatalf("in %v cfg %+v dx[%d]: row-wise %v per-pixel %v", c.in, c.cfg, i, got[i], want[i])
 			}
 		}
 	})

@@ -18,6 +18,7 @@ package darknet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -33,6 +34,11 @@ const (
 )
 
 const leakySlope = 0.1
+
+// leakyScale is the leaky-ReLU factor indexed by "on the negative
+// side". Scaling by 1 is exact, so indexing changes no value; it takes
+// a coin-flip branch out of the element-wise activation loops.
+var leakyScale = [2]float32{1, leakySlope}
 
 // String implements fmt.Stringer.
 func (a Activation) String() string {
@@ -72,9 +78,8 @@ func activate(a Activation, v []float32) {
 		}
 	case LeakyReLU:
 		for i, x := range v {
-			if x < 0 {
-				v[i] = leakySlope * x
-			}
+			// The sign bit, not x < 0: -0 scales to itself either way.
+			v[i] = x * leakyScale[math.Float32bits(x)>>31]
 		}
 	}
 }
@@ -92,9 +97,11 @@ func gradActivate(a Activation, out, delta []float32) {
 		}
 	case LeakyReLU:
 		for i, x := range out {
+			side := 0
 			if x <= 0 {
-				delta[i] *= leakySlope
+				side = 1
 			}
+			delta[i] *= leakyScale[side&1]
 		}
 	}
 }
@@ -205,52 +212,13 @@ func sgdStep(w, g, v []float32, lr, momentum, decay float32) {
 // gemm computes C += A * B for row-major A (m x k), B (k x n), C (m x n).
 // Large multiplies shard output rows across the bounded worker pool
 // (parallel.go); the result is bit-identical to gemmScalar either way.
-func gemm(m, k, n int, a, b, c []float32) {
-	if scalarKernels.Load() {
-		gemmScalar(m, k, n, a, b, c)
-		return
-	}
-	mGemmBlocked.Inc()
-	if m*k*n < gemmParallelFlops {
-		gemmRows(k, n, a, b, c, 0, m)
-		return
-	}
-	parallelFor(m, rowChunk(k, n), func(lo, hi int) {
-		gemmRows(k, n, a, b, c, lo, hi)
-	})
-}
+func gemm(m, k, n int, a, b, c []float32) { shapeAB.run(true, m, k, n, a, b, c) }
 
 // gemmTA computes C += Aᵀ * B for A (k x m), B (k x n), C (m x n).
-func gemmTA(m, k, n int, a, b, c []float32) {
-	if scalarKernels.Load() {
-		gemmTAScalar(m, k, n, a, b, c)
-		return
-	}
-	mGemmBlocked.Inc()
-	if m*k*n < gemmParallelFlops {
-		gemmTARows(m, k, n, a, b, c, 0, m)
-		return
-	}
-	parallelFor(m, rowChunk(k, n), func(lo, hi int) {
-		gemmTARows(m, k, n, a, b, c, lo, hi)
-	})
-}
+func gemmTA(m, k, n int, a, b, c []float32) { shapeTA.run(true, m, k, n, a, b, c) }
 
 // gemmTB computes C += A * Bᵀ for A (m x k), B (n x k), C (m x n).
-func gemmTB(m, k, n int, a, b, c []float32) {
-	if scalarKernels.Load() {
-		gemmTBScalar(m, k, n, a, b, c)
-		return
-	}
-	mGemmBlocked.Inc()
-	if m*k*n < gemmParallelFlops {
-		gemmTBRows(k, n, a, b, c, 0, m)
-		return
-	}
-	parallelFor(m, rowChunk(k, n), func(lo, hi int) {
-		gemmTBRows(k, n, a, b, c, lo, hi)
-	})
-}
+func gemmTB(m, k, n int, a, b, c []float32) { shapeTB.run(true, m, k, n, a, b, c) }
 
 // gemmScalar is the single-threaded reference for gemm: the paper's
 // "fairly intensive single-threaded application" inner loop, kept as
@@ -315,9 +283,7 @@ func scratchF32(buf *[]float32, n int) []float32 {
 		return *buf
 	}
 	s := (*buf)[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 

@@ -53,52 +53,57 @@ func (m *MaxPool) Params() [][]float32 { return nil }
 // Grads implements Layer.
 func (m *MaxPool) Grads() [][]float32 { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer, forking once over the samples of the
+// batch like Conv.Forward.
 func (m *MaxPool) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	if err := checkInput(x, batch, m.in); err != nil {
 		return nil, err
 	}
-	outSize := m.out.Size()
-	out := growF32(&m.outBuf, batch*outSize)
+	out := growF32(&m.outBuf, batch*m.out.Size())
 	if cap(m.lastIdx) < len(out) {
 		m.lastIdx = make([]int32, len(out))
 	}
 	m.lastIdx = m.lastIdx[:len(out)]
-	inHW := m.in.H * m.in.W
-	for b := 0; b < batch; b++ {
-		for ch := 0; ch < m.in.C; ch++ {
-			inBase := b*m.in.Size() + ch*inHW
-			outBase := b*outSize + ch*m.out.H*m.out.W
-			for oy := 0; oy < m.out.H; oy++ {
-				for ox := 0; ox < m.out.W; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := int32(-1)
-					for ky := 0; ky < m.size; ky++ {
-						iy := oy*m.stride + ky
-						if iy >= m.in.H {
-							continue
-						}
-						for kx := 0; kx < m.size; kx++ {
-							ix := ox*m.stride + kx
-							if ix >= m.in.W {
-								continue
-							}
-							idx := int32(inBase + iy*m.in.W + ix)
-							if v := x[idx]; v > best {
-								best = v
-								bestIdx = idx
-							}
-						}
-					}
-					o := outBase + oy*m.out.W + ox
-					out[o] = best
-					m.lastIdx[o] = bestIdx
-				}
-			}
-		}
+	// A compare costs what ~8 vector multiply-adds do.
+	chunk := minChunk(8 * m.size * m.size * m.out.Size())
+	if kernelChunks(batch, chunk) == 1 {
+		m.forwardSamples(x, out, 0, batch)
+	} else {
+		parallelFor(batch, chunk, func(lo, hi int) { m.forwardSamples(x, out, lo, hi) })
 	}
 	m.lastBatch = batch
 	return out, nil
+}
+
+// forwardSamples pools samples [lo, hi), recording each window's
+// argmax. The layer has no padding, so every window of a valid output
+// position lies inside the input plane and its rows are plain slices.
+func (m *MaxPool) forwardSamples(x, out []float32, lo, hi int) {
+	inW, planes := m.in.W, m.in.C
+	inHW, outHW := m.in.H*inW, m.out.H*m.out.W
+	for pl := lo * planes; pl < hi*planes; pl++ {
+		o := pl * outHW
+		for oy := 0; oy < m.out.H; oy++ {
+			rowBase := pl*inHW + oy*m.stride*inW
+			for ox := 0; ox < m.out.W; ox++ {
+				best := float32(math.Inf(-1))
+				bestIdx := int32(-1)
+				p := rowBase + ox*m.stride
+				for ky := 0; ky < m.size; ky++ {
+					for kx, v := range x[p : p+m.size] {
+						if v > best {
+							best = v
+							bestIdx = int32(p + kx)
+						}
+					}
+					p += inW
+				}
+				out[o] = best
+				m.lastIdx[o] = bestIdx
+				o++
+			}
+		}
+	}
 }
 
 // Backward implements Layer: gradients route to each window's argmax.

@@ -112,11 +112,11 @@ func gemmQRows(k, n int, qa []int8, scale float32, b, c []float32, lo, hi int) {
 
 // gemmQ dispatches gemmQRows over the kernel worker pool.
 func gemmQ(m, k, n int, qa []int8, scale float32, b, c []float32) {
-	if scalarKernels.Load() || m*k*n < gemmParallelFlops {
+	if kernelChunks(m, minChunk(k*n)) == 1 {
 		gemmQRows(k, n, qa, scale, b, c, 0, m)
 		return
 	}
-	parallelFor(m, rowChunk(k, n), func(lo, hi int) {
+	parallelFor(m, minChunk(k*n), func(lo, hi int) {
 		gemmQRows(k, n, qa, scale, b, c, lo, hi)
 	})
 }
@@ -142,11 +142,11 @@ func gemmTBQRows(k, n int, a []float32, qb []int8, scale float32, c []float32, l
 
 // gemmTBQ dispatches gemmTBQRows over the kernel worker pool.
 func gemmTBQ(m, k, n int, a []float32, qb []int8, scale float32, c []float32) {
-	if scalarKernels.Load() || m*k*n < gemmParallelFlops {
+	if kernelChunks(m, minChunk(k*n)) == 1 {
 		gemmTBQRows(k, n, a, qb, scale, c, 0, m)
 		return
 	}
-	parallelFor(m, rowChunk(k, n), func(lo, hi int) {
+	parallelFor(m, minChunk(k*n), func(lo, hi int) {
 		gemmTBQRows(k, n, a, qb, scale, c, lo, hi)
 	})
 }
@@ -213,54 +213,44 @@ func (q *QuantConv) Forward(x []float32, batch int, train bool) ([]float32, erro
 	if err := checkInput(x, batch, q.in); err != nil {
 		return nil, err
 	}
-	k := q.kcols()
-	outHW := q.out.H * q.out.W
-	outSize := q.out.Size()
-	inSize := q.in.Size()
-	colSize := k * outHW
-	cols := growF32(&q.colsBuf, batch*colSize)
-	out := scratchF32(&q.outBuf, batch*outSize)
-	if !ScalarKernels() && batch*q.in.C > 1 {
-		parallelFor(batch*q.in.C, q.im2colChunk(), func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				b, ch := idx/q.in.C, idx%q.in.C
-				q.im2colChannel(x[b*inSize:(b+1)*inSize], cols[b*colSize:(b+1)*colSize], ch)
-			}
-		})
+	cols := growF32(&q.colsBuf, batch*q.kcols()*q.out.H*q.out.W)
+	out := growF32(&q.outBuf, batch*q.out.Size())
+	if chunk := minChunk(q.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+		q.forwardSamples(x, cols, out, 0, batch, true)
 	} else {
-		for b := 0; b < batch; b++ {
-			q.im2col(x[b*inSize:(b+1)*inSize], cols[b*colSize:(b+1)*colSize])
+		parallelFor(batch, chunk, func(lo, hi int) { q.forwardSamples(x, cols, out, lo, hi, false) })
+	}
+	return out, nil
+}
+
+// forwardSamples takes samples [lo, hi) through im2col, the int8 GEMM,
+// inference batch norm over the rolling statistics, bias and
+// activation (see Conv.forwardSamples).
+func (q *QuantConv) forwardSamples(x, cols, out []float32, lo, hi int, fork bool) {
+	k, outHW := q.kcols(), q.out.H*q.out.W
+	inSize, outSize, colSize := q.in.Size(), q.out.Size(), k*outHW
+	for b := lo; b < hi; b++ {
+		cb := cols[b*colSize : (b+1)*colSize]
+		o := out[b*outSize : (b+1)*outSize]
+		q.im2col(x[b*inSize:(b+1)*inSize], cb)
+		clear(o)
+		if fork {
+			gemmQ(q.cfg.Filters, k, outHW, q.qWeights, q.wScale, cb, o)
+		} else {
+			gemmQRows(k, outHW, q.qWeights, q.wScale, cb, o, 0, q.cfg.Filters)
 		}
-	}
-	for b := 0; b < batch; b++ {
-		gemmQ(q.cfg.Filters, k, outHW, q.qWeights, q.wScale,
-			cols[b*colSize:(b+1)*colSize], out[b*outSize:(b+1)*outSize])
-	}
-	if q.cfg.BatchNorm {
-		// Inference batch norm over the rolling statistics.
-		for f := 0; f < q.cfg.Filters; f++ {
-			inv := 1 / sqrt32(q.rollVar[f]+bnEps)
-			scale := q.scales[f]
-			m := q.rollMean[f]
-			for b := 0; b < batch; b++ {
-				base := b*outSize + f*outHW
-				for i := 0; i < outHW; i++ {
-					out[base+i] = scale * ((out[base+i] - m) * inv)
+		if q.cfg.BatchNorm {
+			for f := 0; f < q.cfg.Filters; f++ {
+				inv := 1 / sqrt32(q.rollVar[f]+bnEps)
+				scale, m := q.scales[f], q.rollMean[f]
+				plane := o[f*outHW : (f+1)*outHW]
+				for i, v := range plane {
+					plane[i] = scale * ((v - m) * inv)
 				}
 			}
 		}
+		q.biasActivate(q.biases, o)
 	}
-	for b := 0; b < batch; b++ {
-		for f := 0; f < q.cfg.Filters; f++ {
-			base := b*outSize + f*outHW
-			bias := q.biases[f]
-			for i := 0; i < outHW; i++ {
-				out[base+i] += bias
-			}
-		}
-	}
-	activate(q.cfg.Activation, out)
-	return out, nil
 }
 
 // Backward implements Layer: quantized layers do not train.

@@ -43,6 +43,9 @@ import (
 type PerfResult struct {
 	GoMaxProcs    int `json:"gomaxprocs"`
 	KernelWorkers int `json:"kernel_workers"`
+	// KernelISA is the micro-kernel instruction set the parallel column
+	// ran on: "avx2" or "go" (darknet.KernelISA).
+	KernelISA string `json:"kernel_isa"`
 
 	TrainIters          int     `json:"train_iters"`
 	TrainBatch          int     `json:"train_batch"`
@@ -92,6 +95,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 	res := PerfResult{
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		KernelWorkers: darknet.KernelParallelism(),
+		KernelISA:     darknet.KernelISA(),
 	}
 	if err := perfKernels(cfg, &res); err != nil {
 		return res, fmt.Errorf("perf kernels: %w", err)
@@ -414,7 +418,7 @@ func perfShard(cfg PerfConfig, res *PerfResult) error {
 
 // Print renders the snapshot as a table.
 func (r PerfResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Parallel hot paths — GOMAXPROCS=%d, kernel workers=%d\n", r.GoMaxProcs, r.KernelWorkers)
+	fmt.Fprintf(w, "Parallel hot paths — GOMAXPROCS=%d, kernel workers=%d, kernel ISA=%s\n", r.GoMaxProcs, r.KernelWorkers, r.KernelISA)
 	tw := newTable(w)
 	fmt.Fprintln(tw, "path\tmetric\tscalar/off\tparallel/on\tgain")
 	fmt.Fprintf(tw, "train\titers/s (batch %d)\t%.2f\t%.2f\t%.2fx\n",
