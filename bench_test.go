@@ -312,8 +312,10 @@ func BenchmarkSPSFlushKinds(b *testing.B) {
 
 // BenchmarkServeThroughput measures the serving subsystem's
 // requests/sec across micro-batch size caps and worker pool sizes (the
-// serving perf baseline; metric req/s). Clients submit concurrently so
-// the dynamic batcher actually coalesces.
+// serving perf baseline; metric req/s). The 32-client rows keep every
+// worker busy, so batches form from the backlog; the 2-client rows
+// leave workers idle between requests, which is where a server that
+// waits on a timer before dispatching shows up as lost throughput.
 func BenchmarkServeThroughput(b *testing.B) {
 	f, err := core.New(core.Config{
 		ModelConfig: darknet.MNISTConfig(1, 8, 32),
@@ -327,41 +329,49 @@ func BenchmarkServeThroughput(b *testing.B) {
 	if err := f.LoadDataset(ds); err != nil {
 		b.Fatal(err)
 	}
-	if err := f.TrainIters(4, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(4)); err != nil {
 		b.Fatal(err)
 	}
+	type row struct{ workers, batch, clients int }
+	var rows []row
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("w%d/b%d", workers, batch), func(b *testing.B) {
-				s, err := serve.New(context.Background(), f, serve.Options{Workers: workers, MaxBatch: batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				// Enough concurrent clients to fill the largest batch,
-				// so big-batch rows are not timer-bound.
-				const clients = 32
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for i := c; i < b.N; i += clients {
-							if _, err := s.Classify(context.Background(), ds.Image(i%ds.N)); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := s.Stats()
-				b.ReportMetric(st.Throughput, "req/s")
-				b.ReportMetric(st.AvgBatch, "avg-batch")
-			})
+			rows = append(rows, row{workers, batch, 32})
 		}
+		rows = append(rows, row{workers, 32, 2})
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("w%d/b%d", r.workers, r.batch)
+		if r.clients != 32 {
+			name += fmt.Sprintf("/c%d", r.clients)
+		}
+		b.Run(name, func(b *testing.B) {
+			s, err := serve.New(context.Background(), f, serve.Options{Workers: r.workers, MaxBatch: r.batch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < r.clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; i < b.N; i += r.clients {
+						if _, err := s.Classify(context.Background(), ds.Image(i%ds.N)); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := s.Stats()
+			b.ReportMetric(st.Throughput, "req/s")
+			b.ReportMetric(st.AvgBatch, "avg-batch")
+		})
 	}
 }
 

@@ -26,18 +26,28 @@
 //	GET  /healthz
 //
 // With -pprof the mux additionally mounts net/http/pprof under
-// /debug/pprof/; batch dispatch and shard stage goroutines carry pprof
-// labels (request_id, worker, shard), so CPU profiles attribute enclave
-// compute to pipeline stages.
+// /debug/pprof/; serving workers and shard stage goroutines carry pprof
+// labels (worker, shard), so CPU profiles attribute enclave compute to
+// pipeline stages.
 //
 // SIGINT/SIGTERM shuts down gracefully: the HTTP listener stops, the
 // request queue drains (every accepted request is answered), and the
 // replica enclaves are closed.
 //
 // Without -addr it runs an in-process load generator and prints the
-// throughput/latency baseline:
+// throughput/latency baseline. By default the load is closed-loop:
+// -clients callers that each wait for a reply before sending again, so
+// a slow server is offered less.
 //
 //	plinius-serve -workers 4 -max-batch 32 -requests 20000 -clients 64
+//
+// With -rate the load is open-loop: requests arrive on a Poisson
+// schedule at that many per second whatever the server is doing, each
+// latency is timed from when the request was due (so a stall is charged
+// to every request it delays), and the generator reports how late it
+// ran at worst.
+//
+//	plinius-serve -workers 2 -requests 3000 -rate 150
 package main
 
 import (
@@ -46,10 +56,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -72,12 +84,13 @@ func main() {
 		maxEPC     = flag.Float64("max-epc-pressure", 0, "shed requests while the host EPC is overcommitted past this fraction (0 disables)")
 		quantized  = flag.Bool("quantized", false, "serve the int8-quantized snapshot variant: ~4x smaller sealed payloads and replica EPC footprints (whole-model replica pool only)")
 		maxBatch   = flag.Int("max-batch", 32, "micro-batch size cap")
-		maxLatency = flag.Duration("max-latency", 2*time.Millisecond, "micro-batch queue-latency cap")
+		maxLatency = flag.Duration("max-latency", 2*time.Millisecond, "upper bound on the wait for batch company; an idle worker dispatches immediately")
 		queueDepth = flag.Int("queue-depth", 1024, "request queue bound; beyond it requests are rejected (ErrOverloaded)")
 		addr       = flag.String("addr", "", "HTTP listen address (e.g. :8080); empty runs the load generator")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP mux")
 		requests   = flag.Int("requests", 10000, "load-generator request count")
-		clients    = flag.Int("clients", 64, "load-generator concurrent clients")
+		clients    = flag.Int("clients", 64, "load-generator concurrent clients (closed loop)")
+		rate       = flag.Float64("rate", 0, "load-generator arrival rate in req/s: open loop, Poisson arrivals, latency timed from each request's due time (0 keeps the closed loop of -clients)")
 	)
 	flag.Parse()
 
@@ -90,7 +103,7 @@ func main() {
 		*shards = plinius.ShardAuto
 	}
 	err := run(ctx, *iters, *layers, *filters, *batch, *dataset, *seed,
-		*workers, *shards, *fleetHosts, *fleetEPC, *maxBatch, *maxLatency, *queueDepth, *maxEPC, *quantized, *addr, *pprofOn, *requests, *clients)
+		*workers, *shards, *fleetHosts, *fleetEPC, *maxBatch, *maxLatency, *queueDepth, *maxEPC, *quantized, *addr, *pprofOn, *requests, *clients, *rate)
 	switch {
 	case errors.Is(err, context.Canceled):
 		// Interrupted before or during serving: the shutdown was
@@ -104,7 +117,7 @@ func main() {
 }
 
 func run(ctx context.Context, iters, layers, filters, batch, dataset int, seed int64,
-	workers, shards, fleetHosts, fleetEPC, maxBatch int, maxLatency time.Duration, queueDepth int, maxEPC float64, quantized bool, addr string, pprofOn bool, requests, clients int) error {
+	workers, shards, fleetHosts, fleetEPC, maxBatch int, maxLatency time.Duration, queueDepth int, maxEPC float64, quantized bool, addr string, pprofOn bool, requests, clients int, rate float64) error {
 	f, err := plinius.New(plinius.Config{
 		ModelConfig: plinius.MNISTConfig(layers, filters, batch),
 		Seed:        seed,
@@ -168,9 +181,12 @@ func run(ctx context.Context, iters, layers, filters, batch, dataset int, seed i
 			srv.Version(), srv.Iteration(), srv.Workers(), srv.Precision(), maxBatch, maxLatency, queueDepth, srv.EPCPressure())
 	}
 
-	if addr != "" {
+	switch {
+	case addr != "":
 		err = serveHTTP(ctx, srv, addr, pprofOn)
-	} else {
+	case rate > 0:
+		err = openLoadgen(ctx, srv, ds, requests, rate, seed)
+	default:
 		err = loadgen(ctx, srv, ds, requests, clients)
 	}
 	// Graceful teardown either way: drain everything accepted, then
@@ -448,12 +464,7 @@ func loadgen(ctx context.Context, srv *plinius.Server, ds *plinius.Dataset, requ
 	for err := range errCh {
 		return err
 	}
-	elapsed := time.Since(start)
-	st := srv.Stats()
-	fmt.Printf("served %d requests in %v (%d rejected by admission control, %d shed for EPC pressure)\n",
-		st.Requests, elapsed.Round(time.Millisecond), st.Rejected, st.EPCShed)
-	fmt.Printf("  throughput : %.0f req/s\n", float64(st.Requests)/elapsed.Seconds())
-	fmt.Printf("  micro-batch: %.1f avg over %d batches\n", st.AvgBatch, st.Batches)
+	st := printServed(srv, time.Since(start))
 	fmt.Printf("  latency    : avg %v, p50 %v, p95 %v, p99 %v, max %v\n",
 		st.AvgLatency.Round(time.Microsecond), st.P50Latency.Round(time.Microsecond),
 		st.P95Latency.Round(time.Microsecond), st.P99Latency.Round(time.Microsecond),
@@ -465,5 +476,76 @@ func loadgen(ctx context.Context, srv *plinius.Server, ds *plinius.Dataset, requ
 		fmt.Printf("  sharding   : %d shards, window %d, streaming=%v, %d PM range restores\n",
 			srv.Shards(), srv.Workers(), srv.ShardsStreaming(), srv.ShardRestores())
 	}
+	return nil
+}
+
+// printServed prints what a load run got out of the server in elapsed.
+func printServed(srv *plinius.Server, elapsed time.Duration) plinius.ServerStats {
+	st := srv.Stats()
+	fmt.Printf("served %d requests in %v (%d rejected by admission control, %d shed for EPC pressure)\n",
+		st.Requests, elapsed.Round(time.Millisecond), st.Rejected, st.EPCShed)
+	fmt.Printf("  throughput : %.0f req/s\n", float64(st.Requests)/elapsed.Seconds())
+	fmt.Printf("  micro-batch: %.1f avg over %d batches\n", st.AvgBatch, st.Batches)
+	return st
+}
+
+// openLoadgen offers the server a Poisson arrival stream at rate
+// requests per second, whatever the server is doing: one pacer sleeps to
+// each due time and hands the request to a goroutine that only blocks in
+// Classify. Latency runs from the due time, so a stall is charged to
+// every request it delays (no coordinated omission), and the worst
+// lateness of the pacer itself is reported so that a generator that
+// could not keep the schedule is not mistaken for a slow server.
+// Outstanding requests need no cap of their own: the server's bounded
+// queue rejects what it cannot hold.
+func openLoadgen(ctx context.Context, srv *plinius.Server, ds *plinius.Dataset, requests int, rate float64, seed int64) error {
+	fmt.Printf("load generator: %d requests, open loop at %g req/s (Poisson arrivals)\n", requests, rate)
+	var (
+		rng     = rand.New(rand.NewSource(seed))
+		lat     = make([]time.Duration, requests) // zero: not served
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		failed  error
+		lateMax time.Duration
+		due     time.Duration
+	)
+	start := time.Now()
+	for i := 0; i < requests && ctx.Err() == nil; i++ {
+		due += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		dueAt := start.Add(due)
+		time.Sleep(time.Until(dueAt))
+		lateMax = max(lateMax, time.Since(dueAt))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := srv.Classify(ctx, ds.Image(i%ds.N))
+			switch {
+			case err == nil:
+				lat[i] = time.Since(dueAt)
+			case errors.Is(err, plinius.ErrOverloaded), errors.Is(err, context.Canceled):
+				// Shed, or interrupted: expected, and not a latency.
+			default:
+				errOnce.Do(func() { failed = err })
+			}
+		}(i)
+	}
+	wg.Wait()
+	if failed != nil {
+		return failed
+	}
+	printServed(srv, time.Since(start))
+	served := lat[:0]
+	for _, d := range lat {
+		if d > 0 {
+			served = append(served, d)
+		}
+	}
+	if len(served) == 0 {
+		return nil
+	}
+	sort.Slice(served, func(i, j int) bool { return served[i] < served[j] })
+	q := func(p float64) time.Duration { return served[int(p*float64(len(served)-1))].Round(time.Microsecond) }
+	fmt.Printf("  latency    : from due time, p50 %v, p95 %v, p99 %v, max %v\n", q(0.50), q(0.95), q(0.99), q(1))
+	fmt.Printf("  generator  : at worst %v late sending a request\n", lateMax.Round(time.Microsecond))
 	return nil
 }

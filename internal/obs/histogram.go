@@ -20,11 +20,17 @@ const HistBuckets = 36
 // describe exactly those observations.
 type Histogram struct {
 	mu      sync.Mutex
+	counts  bool // unitless counts (Registry.CountHistogram), not durations
 	count   uint64
 	sum     time.Duration
 	max     time.Duration
 	buckets [HistBuckets]uint64
 }
+
+// countUnit is the stored value of a count of one in a histogram of
+// unitless counts (Registry.CountHistogram): counts share the latency
+// layout, so bucket i holds the counts in (2^(i-1), 2^i].
+const countUnit = time.Microsecond
 
 func newHistogram() *Histogram { return &Histogram{} }
 
@@ -47,11 +53,25 @@ func BucketBound(i int) time.Duration {
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
 	if d < 0 {
 		d = 0
+	}
+	h.observe(d, histBucket(d))
+}
+
+// ObserveCount records one unitless count (a batch size, a queue
+// length) on a histogram made by Registry.CountHistogram. A power of
+// two lands in the bucket it bounds, so every le is exact for integers.
+func (h *Histogram) ObserveCount(n int) {
+	if n < 1 {
+		n = 1
+	}
+	h.observe(time.Duration(n)*countUnit, min(bits.Len64(uint64(n-1)), HistBuckets-1))
+}
+
+func (h *Histogram) observe(d time.Duration, bucket int) {
+	if h == nil {
+		return
 	}
 	h.mu.Lock()
 	h.count++
@@ -59,7 +79,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	h.buckets[histBucket(d)]++
+	h.buckets[bucket]++
 	h.mu.Unlock()
 }
 
@@ -74,7 +94,10 @@ func (h *Histogram) Count() uint64 {
 }
 
 // HistSnapshot is a consistent point-in-time copy of a Histogram.
+// Sum, Max and the bucket bounds are durations; Scale converts one to
+// the histogram's exposition unit (seconds, or a plain count).
 type HistSnapshot struct {
+	Counts  bool
 	Count   uint64
 	Sum     time.Duration
 	Max     time.Duration
@@ -89,7 +112,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max, Buckets: h.buckets}
+	return HistSnapshot{Counts: h.counts, Count: h.count, Sum: h.sum, Max: h.max, Buckets: h.buckets}
+}
+
+// Scale renders a stored duration in the histogram's exposition unit.
+func (s HistSnapshot) Scale(d time.Duration) float64 {
+	if s.Counts {
+		return float64(d / countUnit)
+	}
+	return d.Seconds()
 }
 
 // Mean returns the average observed duration, zero when empty.

@@ -244,6 +244,17 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return r.getFamily(name, help, KindHistogram).getSeries(labels).hist
 }
 
+// CountHistogram returns a histogram of unitless counts (observed with
+// ObserveCount) under name: same power-of-two buckets, but le, _sum and
+// Flatten's name_sum are plain counts, not seconds.
+func (r *Registry) CountHistogram(name, help string, labels ...Label) *Histogram {
+	h := r.Histogram(name, help, labels...)
+	h.mu.Lock()
+	h.counts = true
+	h.mu.Unlock()
+	return h
+}
+
 // CounterFunc registers a counter whose value is computed by fn at
 // gather time — for totals that already live elsewhere under their own
 // lock, so the exposition reads the authoritative copy instead of
@@ -327,7 +338,8 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 // Flatten gathers one or more registries into a flat name→value map
 // (for embedding in benchmark JSON). Labeled series render as
 // name{k=v,...}; histograms contribute name_count and name_sum (sum in
-// seconds). Later registries win on (unlikely) key collisions.
+// seconds, or in counts for a count histogram). Later registries win on
+// (unlikely) key collisions.
 func Flatten(regs ...*Registry) map[string]float64 {
 	out := make(map[string]float64)
 	for _, r := range regs {
@@ -346,7 +358,7 @@ func Flatten(regs ...*Registry) map[string]float64 {
 				}
 				if s.Hist != nil {
 					out[key+"_count"] = float64(s.Hist.Count)
-					out[key+"_sum"] = s.Hist.Sum.Seconds()
+					out[key+"_sum"] = s.Hist.Scale(s.Hist.Sum)
 					continue
 				}
 				out[key] = s.Value

@@ -12,7 +12,8 @@ import (
 // family followed by its samples, families sorted by name and series
 // by label set. Histograms emit cumulative name_bucket{le="..."}
 // samples up to the highest populated bucket plus le="+Inf", then
-// name_sum (seconds) and name_count.
+// name_sum and name_count, in seconds (or, for a count histogram, in
+// plain counts).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, fam := range r.Snapshot() {
@@ -42,7 +43,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeHistogram emits one histogram series in Prometheus histogram
-// convention: cumulative buckets keyed by le in seconds.
+// convention: cumulative buckets keyed by le in the histogram's unit.
 func writeHistogram(bw *bufio.Writer, name string, s SeriesPoint) {
 	top := -1
 	for i, n := range s.Hist.Buckets {
@@ -55,7 +56,7 @@ func writeHistogram(bw *bufio.Writer, name string, s SeriesPoint) {
 		cum += s.Hist.Buckets[i]
 		bw.WriteString(name)
 		bw.WriteString("_bucket")
-		writeLabels(bw, s.Labels, "le", BucketBound(i).Seconds())
+		writeLabels(bw, s.Labels, "le", s.Hist.Scale(BucketBound(i)))
 		bw.WriteByte(' ')
 		bw.WriteString(strconv.FormatUint(cum, 10))
 		bw.WriteByte('\n')
@@ -70,7 +71,7 @@ func writeHistogram(bw *bufio.Writer, name string, s SeriesPoint) {
 	bw.WriteString("_sum")
 	writeLabels(bw, s.Labels, "", 0)
 	bw.WriteByte(' ')
-	bw.WriteString(formatValue(s.Hist.Sum.Seconds()))
+	bw.WriteString(formatValue(s.Hist.Scale(s.Hist.Sum)))
 	bw.WriteByte('\n')
 	bw.WriteString(name)
 	bw.WriteString("_count")

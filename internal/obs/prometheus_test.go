@@ -8,7 +8,8 @@ import (
 
 // TestWritePrometheusGolden pins the exact text exposition of a fixed
 // registry: HELP/TYPE headers, sorted families and series, escaped
-// label values, cumulative histogram buckets with le in seconds, and
+// label values, cumulative histogram buckets with le in seconds (in
+// plain counts, exact at the powers of two, for a count histogram), and
 // the _sum/_count pair.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
@@ -20,6 +21,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(3 * time.Microsecond)    // bucket 2: (2,4] µs
 	h.Observe(3 * time.Microsecond)    // bucket 2 again
 	h.Observe(1000 * time.Microsecond) // bucket 10: (512,1024] µs
+	sizes := r.CountHistogram("serve_batch_size", "Requests per batch.")
+	for _, n := range []int{1, 2, 3, 4, 5} {
+		sizes.ObserveCount(n)
+	}
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -29,6 +34,15 @@ func TestWritePrometheusGolden(t *testing.T) {
 # TYPE epc_page_swaps_total counter
 epc_page_swaps_total{enclave="replica"} 3
 epc_page_swaps_total{enclave="train"} 12
+# HELP serve_batch_size Requests per batch.
+# TYPE serve_batch_size histogram
+serve_batch_size_bucket{le="1"} 1
+serve_batch_size_bucket{le="2"} 2
+serve_batch_size_bucket{le="4"} 4
+serve_batch_size_bucket{le="8"} 5
+serve_batch_size_bucket{le="+Inf"} 5
+serve_batch_size_sum 15
+serve_batch_size_count 5
 # HELP serve_epc_pressure Host EPC overcommit fraction.
 # TYPE serve_epc_pressure gauge
 serve_epc_pressure 0.25

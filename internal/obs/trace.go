@@ -36,13 +36,19 @@ type Trace struct {
 	total time.Duration
 	err   string
 	spans []SpanRec
+	// first backs spans until a request outgrows it, so a request on
+	// the whole-model replica path (queue, batch, compute, deliver)
+	// costs one allocation for its trace and none for its spans.
+	first [4]SpanRec
 }
 
 // NewTrace returns a free-standing trace not owned by any Tracer —
 // used for batch-level accounting that is later folded into the
 // per-request traces with AddSpans.
 func NewTrace() *Trace {
-	return &Trace{start: time.Now()}
+	t := &Trace{start: time.Now()}
+	t.spans = t.first[:0]
+	return t
 }
 
 // ID returns the trace's id (zero for free-standing traces).
@@ -102,6 +108,17 @@ func (t *Trace) Spans() []SpanRec {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]SpanRec(nil), t.spans...)
+}
+
+// Drain appends the spans recorded so far to dst and forgets them, so
+// one scratch trace serves batch after batch: a worker hands it to the
+// pipeline in a context, then drains it into a reused buffer.
+func (t *Trace) Drain(dst []SpanRec) []SpanRec {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dst = append(dst, t.spans...)
+	t.spans = t.spans[:0]
+	return dst
 }
 
 // Finish closes the trace, stamps its end-to-end duration, and offers
@@ -167,7 +184,9 @@ func NewTracer(keep int) *Tracer {
 // every exit path.
 func (tr *Tracer) Start() *Trace {
 	tr.active.Add(1)
-	return &Trace{tracer: tr, id: tr.nextID.Add(1), start: time.Now()}
+	t := NewTrace()
+	t.tracer, t.id = tr, tr.nextID.Add(1)
+	return t
 }
 
 // Active returns the number of started-but-unfinished traces — zero

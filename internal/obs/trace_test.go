@@ -86,6 +86,16 @@ func TestTraceContext(t *testing.T) {
 	if len(spans) != 1 || spans[0].Stage != "compute" || spans[0].Dur != 3*time.Millisecond {
 		t.Fatalf("spans = %+v", spans)
 	}
+	// Drain hands the spans over and leaves the trace empty for the next
+	// batch, appending to whatever the caller's buffer already holds.
+	drained := tc.Drain([]SpanRec{{Stage: "kept"}})
+	if len(drained) != 2 || drained[0].Stage != "kept" || drained[1].Stage != "compute" || len(tc.Spans()) != 0 {
+		t.Fatalf("Drain = %+v, left %+v", drained, tc.Spans())
+	}
+	SpanInto(ctx, "next", time.Millisecond)
+	if spans := tc.Spans(); len(spans) != 1 || spans[0].Stage != "next" || drained[1].Stage != "compute" {
+		t.Fatalf("after Drain: trace %+v, drained %+v", spans, drained)
+	}
 	snap := TraceSnapshot{Spans: []SpanRec{{Dur: time.Second}, {Dur: 2 * time.Second}}}
 	if snap.SpanSum() != 3*time.Second {
 		t.Fatalf("SpanSum = %v", snap.SpanSum())

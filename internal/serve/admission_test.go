@@ -9,85 +9,63 @@ import (
 	"time"
 )
 
-// TestOverloadedAtQueueBound floods a deliberately tiny queue in front
-// of a single slow-draining worker (MaxBatch 1, so every request costs
-// one full enclave forward) and checks admission control fires: some
-// requests fail fast with ErrOverloaded, every accepted request is
-// answered, and the counters agree. Run under -race this also checks
+// TestOverloadedAtQueueBound fills a deliberately tiny queue behind a
+// busy worker and checks admission control fires: every arrival beyond
+// the queue bound fails fast with ErrOverloaded, every accepted request
+// is answered, and the counters agree. Run under -race this also checks
 // the enqueue fast path.
 func TestOverloadedAtQueueBound(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	s, err := New(context.Background(), f, Options{
-		Workers:         1,
-		MaxBatch:        1,
-		MaxQueueLatency: time.Millisecond,
-		QueueDepth:      2,
-	})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
+	const depth = 2
+	s, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: 1, QueueDepth: depth})
 	defer s.Close()
+	occupied := g.occupy(t, s, test.Image(0))
 
-	var served, rejected atomic.Uint64
-	// Burst until a rejection is observed (bounded attempts keep the
-	// test fast on any scheduler).
-	for attempt := 0; attempt < 20 && rejected.Load() == 0; attempt++ {
-		const burst = 128
-		var wg sync.WaitGroup
-		errCh := make(chan error, burst)
-		for i := 0; i < burst; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, err := s.Classify(context.Background(), test.Image(i%test.N))
-				switch {
-				case err == nil:
-					served.Add(1)
-				case errors.Is(err, ErrOverloaded):
-					rejected.Add(1)
-				default:
-					errCh <- err
-				}
-			}(i)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			t.Fatalf("Classify: %v", err)
+	var (
+		wg     sync.WaitGroup
+		served atomic.Uint64
+	)
+	for i := 0; i < depth; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Classify(context.Background(), test.Image(i)); err != nil {
+				t.Errorf("queued request %d: %v", i, err)
+				return
+			}
+			served.Add(1)
+		}(i)
+	}
+	awaitQueued(t, s, depth)
+	const rejected = 16
+	for i := 0; i < rejected; i++ {
+		if _, err := s.Classify(context.Background(), test.Image(i)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("arrival %d at a full queue = %v, want ErrOverloaded", i, err)
 		}
 	}
-	if rejected.Load() == 0 {
-		t.Fatal("no request was rejected with ErrOverloaded at queue depth 2 under sustained overload")
-	}
+	g.open()
+	occupied()
+	wg.Wait()
 	st := s.Stats()
-	if st.Rejected != rejected.Load() {
-		t.Fatalf("stats.Rejected = %d, clients saw %d", st.Rejected, rejected.Load())
+	if st.Rejected != rejected {
+		t.Fatalf("stats.Rejected = %d, clients saw %d", st.Rejected, rejected)
 	}
-	if st.Requests != served.Load() {
-		t.Fatalf("stats.Requests = %d, clients saw %d served", st.Requests, served.Load())
-	}
-	if served.Load() == 0 {
-		t.Fatal("overload shed everything; accepted requests must still be served")
+	// The request that kept the worker busy, and the queued ones.
+	if st.Requests != 1+served.Load() || served.Load() != depth {
+		t.Fatalf("stats.Requests = %d with %d of %d queued requests served", st.Requests, served.Load(), depth)
 	}
 }
 
-// TestExpiredQueuedRequestsSkipBatchSlots parks requests in a
-// slow-flushing batcher, cancels some of them while queued, and checks
-// the cancelled ones are dropped without ever occupying a micro-batch
-// slot: the surviving request is served in a batch of one and the drops
-// are counted as Expired.
+// TestExpiredQueuedRequestsSkipBatchSlots queues requests behind a busy
+// worker, cancels some of them while queued, and checks the cancelled
+// ones are dropped without ever occupying a micro-batch slot: the
+// surviving request is served in a batch of one and the drops are
+// counted as Expired.
 func TestExpiredQueuedRequestsSkipBatchSlots(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	const flushAfter = 300 * time.Millisecond
-	s, err := New(context.Background(), f, Options{
-		Workers:         1,
-		MaxBatch:        64,
-		MaxQueueLatency: flushAfter,
-	})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
+	s, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: 64})
 	defer s.Close()
+	occupied := g.occupy(t, s, test.Image(0))
 
 	const cancelled = 2
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,11 +90,13 @@ func TestExpiredQueuedRequestsSkipBatchSlots(t *testing.T) {
 		survivor <- outcome{pred, err}
 	}()
 
-	// Let all three enqueue into the waiting batch, then cancel two of
-	// them well before the 300ms flush.
-	time.Sleep(50 * time.Millisecond)
+	// All three wait in the queue while the only worker is busy; two
+	// of them are cancelled there.
+	awaitQueued(t, s, cancelled+1)
 	cancel()
 	cancelledWg.Wait()
+	g.open()
+	occupied()
 
 	res := <-survivor
 	if res.err != nil {
@@ -129,8 +109,9 @@ func TestExpiredQueuedRequestsSkipBatchSlots(t *testing.T) {
 	if st.Expired != cancelled {
 		t.Fatalf("stats.Expired = %d, want %d", st.Expired, cancelled)
 	}
-	if st.Requests != 1 {
-		t.Fatalf("stats.Requests = %d, want 1", st.Requests)
+	// The request that kept the worker busy, and the survivor.
+	if st.Requests != 2 {
+		t.Fatalf("stats.Requests = %d, want 2", st.Requests)
 	}
 }
 
@@ -139,21 +120,17 @@ func TestExpiredQueuedRequestsSkipBatchSlots(t *testing.T) {
 // and never reaches a worker.
 func TestDeadlineExpiredQueuedRequest(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	s, err := New(context.Background(), f, Options{
-		Workers:         1,
-		MaxBatch:        64,
-		MaxQueueLatency: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
+	s, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: 64})
 	defer s.Close()
+	occupied := g.occupy(t, s, test.Image(0))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	if _, err := s.Classify(ctx, test.Image(0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline-expired Classify = %v, want DeadlineExceeded", err)
 	}
+	g.open()
+	occupied()
 	// The lone live request after it still gets a batch of one.
 	pred, err := s.Classify(context.Background(), test.Image(1))
 	if err != nil {
@@ -162,7 +139,7 @@ func TestDeadlineExpiredQueuedRequest(t *testing.T) {
 	if pred.BatchSize != 1 {
 		t.Fatalf("follow-up rode batch of %d, want 1", pred.BatchSize)
 	}
-	if st := s.Stats(); st.Expired == 0 {
-		t.Fatalf("deadline drop not counted: %+v", st)
+	if st := s.Stats(); st.Expired != 1 || st.Batches != 2 {
+		t.Fatalf("deadline drop not counted, or it took a batch: %+v", st)
 	}
 }

@@ -274,6 +274,11 @@ func TestRefreshIsZeroDowntimeUnderLoad(t *testing.T) {
 		if iter != 4+round+1 {
 			t.Fatalf("Refresh round %d restored iteration %d, want %d", round, iter, 4+round+1)
 		}
+		// Every round sees the clients served: on one core nothing
+		// else makes this goroutine yield to them.
+		for before := served.Load(); served.Load() == before; {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -88,35 +88,28 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 // zero: no exit path leaks an open trace.
 func TestTraceLifecycleAllExitPaths(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	// TraceKeep exceeds every request this test can issue (20 bursts of
-	// 128 plus a handful), so the instant rejections are retained
-	// whatever the scheduler makes of the bursts — with the default 16
-	// slowest the error traces survive only if few requests succeed.
-	s, err := New(context.Background(), f, Options{
-		Workers: 1, MaxBatch: 1, MaxQueueLatency: time.Millisecond, QueueDepth: 2, TraceKeep: 4096,
-	})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
+	s, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: 1, QueueDepth: 2})
 
-	// Queue overflow first, while the model is cold and forwards are
-	// slow: every request costs a full enclave forward (MaxBatch 1)
-	// behind a depth-2 queue, so bursts must reject some arrivals with
-	// ErrOverloaded (bounded attempts keep the test fast on any
-	// scheduler).
-	for attempt := 0; attempt < 20 && s.Stats().Rejected == 0; attempt++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 128; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := s.Classify(context.Background(), test.Image(i%test.N)); err != nil && !errors.Is(err, ErrOverloaded) {
-					t.Errorf("burst Classify: %v", err)
-				}
-			}(i)
-		}
-		wg.Wait()
+	// Queue overflow: with the only worker busy and the depth-2 queue
+	// full, an arrival is rejected with ErrOverloaded.
+	occupied := g.occupy(t, s, test.Image(0))
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Classify(context.Background(), test.Image(i)); err != nil {
+				t.Errorf("queued Classify: %v", err)
+			}
+		}(i)
 	}
+	awaitQueued(t, s, 2)
+	if _, err := s.Classify(context.Background(), test.Image(0)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("arrival at a full queue err = %v, want ErrOverloaded", err)
+	}
+	g.open()
+	occupied()
+	wg.Wait()
 	// Success.
 	if _, err := s.Classify(context.Background(), test.Image(0)); err != nil {
 		t.Fatalf("Classify: %v", err)
@@ -126,21 +119,24 @@ func TestTraceLifecycleAllExitPaths(t *testing.T) {
 		t.Fatalf("short image err = %v, want ErrBadImage", err)
 	}
 	// Expired context: a request whose deadline ends while it waits in
-	// an unfilled batch returns the context error.
-	longQueue, err := New(context.Background(), f, Options{Workers: 1, MaxBatch: 32, MaxQueueLatency: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
+	// the queue behind a busy worker returns the context error.
+	busy, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: 32})
+	occupied = g.occupy(t, busy, test.Image(0))
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	if _, err := longQueue.Classify(ctx, test.Image(0)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := busy.Classify(ctx, test.Image(0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired request err = %v, want DeadlineExceeded", err)
 	}
 	cancel()
-	if err := longQueue.Close(); err != nil {
+	g.open()
+	occupied()
+	if err := busy.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if n := longQueue.Tracer().Active(); n != 0 {
+	if n := busy.Tracer().Active(); n != 0 {
 		t.Fatalf("expired-path tracer still has %d active traces", n)
+	}
+	if st := busy.Stats(); st.Expired != 1 {
+		t.Fatalf("expired request counted %d times", st.Expired)
 	}
 	// Closed server.
 	if err := s.Close(); err != nil {
@@ -150,8 +146,8 @@ func TestTraceLifecycleAllExitPaths(t *testing.T) {
 		t.Fatalf("closed server err = %v, want ErrClosed", err)
 	}
 
-	if st := s.Stats(); st.Rejected == 0 {
-		t.Fatalf("sustained bursts at depth 2 rejected nothing; overload path not exercised")
+	if st := s.Stats(); st.Rejected != 1 {
+		t.Fatalf("stats.Rejected = %d, want the one arrival at the full queue", st.Rejected)
 	}
 	if n := s.Tracer().Active(); n != 0 {
 		t.Fatalf("tracer still has %d active traces after all exit paths", n)

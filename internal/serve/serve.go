@@ -2,16 +2,23 @@
 // subsystem: the paper's §VI secure classification turned into a
 // request-level model server.
 //
-// A Server accepts single-image classification requests concurrently,
-// coalesces them into dynamic micro-batches — a batch is dispatched
-// when it reaches Options.MaxBatch or when its oldest request has
-// waited Options.MaxQueueLatency — and fans the batches out to a pool
-// of enclave worker replicas. Each replica is its own enclave with its
-// own encryption engine and its own copy of the model restored from an
-// immutable published snapshot in PM (core.Replica), so workers share
-// no mutable state and scale across cores while parameters and inputs
-// stay inside enclave memory, exactly as in the single-enclave
-// experiment.
+// A Server accepts single-image classification requests concurrently
+// and serves them in micro-batches that its workers form themselves: an
+// idle worker takes the next request straight off the admission queue
+// together with whatever else is already queued (up to
+// Options.MaxBatch) and dispatches immediately, so batches grow because
+// every worker was busy, never because a timer said so. One worker
+// forms at a time, and it waits for company only as long as the
+// measured service time justifies — a quarter of what a batch has
+// lately cost per request, capped by Options.MaxQueueLatency, and not
+// at all when that is too short to time (see Server.form).
+//
+// The batches run on a pool of enclave replicas. Each replica is its
+// own enclave with its own encryption engine and its own copy of the
+// model restored from an immutable published snapshot in PM
+// (core.Replica), so replicas share no mutable state and scale across
+// cores while parameters and inputs stay inside enclave memory, exactly
+// as in the single-enclave experiment.
 //
 // Replicas join their framework's EPC host: on real SGX all enclaves
 // on one machine share a single enclave page cache, so the pool's
@@ -95,12 +102,13 @@ type Options struct {
 	// Workers is the number of enclave inference replicas (default 1).
 	// WorkersAuto sizes the pool from the host's EPC headroom.
 	Workers int
-	// MaxBatch is the micro-batch size at which a batch dispatches
-	// without waiting (default 32).
+	// MaxBatch is the largest micro-batch a worker forms (default 32).
 	MaxBatch int
-	// MaxQueueLatency bounds how long a queued request may wait for
-	// its batch to fill before the batch is flushed anyway (default
-	// 2ms). Lower values favour latency, higher values throughput.
+	// MaxQueueLatency is the upper bound on the wait for batch company
+	// (default 2ms): an idle worker dispatches immediately, and a
+	// worker whose requests are slow enough to serve that sharing a
+	// batch pays waits a quarter of the measured per-request service
+	// time for more of them, never longer than this.
 	MaxQueueLatency time.Duration
 	// QueueDepth is the request queue capacity (default 1024). A
 	// Classify arriving at a full queue is rejected immediately with
@@ -205,12 +213,23 @@ var (
 )
 
 type request struct {
-	ctx        context.Context
-	image      []float32
-	enq        time.Time
-	dispatched time.Time // stamped by the batcher when the batch flushes
-	tr         *obs.Trace
-	done       chan result
+	ctx   context.Context
+	image []float32
+	enq   time.Time // entered reqCh
+	taken time.Time // a forming worker took it off reqCh
+	tr    *obs.Trace
+	done  chan result
+}
+
+// requestPool recycles requests with their done channel. Only a
+// Classify whose request no worker can still hold puts it back — it
+// was never queued, or its result came — never one that gave up on
+// ctx.Done.
+var requestPool = sync.Pool{New: func() any { return &request{done: make(chan result, 1)} }}
+
+func (r *request) recycle() {
+	*r = request{done: r.done}
+	requestPool.Put(r)
 }
 
 type result struct {
@@ -218,25 +237,49 @@ type result struct {
 	err  error
 }
 
-// ctlKind selects a worker control operation; control calls run inside
-// the worker goroutine, so they serialize with classification on that
-// replica while the rest of the pool keeps serving.
-type ctlKind int
-
-const (
-	ctlRefresh ctlKind = iota
-	ctlRotate
-)
-
-type ctlCall struct {
-	kind ctlKind
-	ack  chan ctlReply
+// backend is what a worker serves one micro-batch through: a
+// whole-model replica, or one slot of the shard group's or fleet's
+// pipeline window (every slot then shares the same two funcs).
+type backend struct {
+	id       int
+	classify func(context.Context, []float32) ([]int, error)
+	version  func() uint64
+	rep      *core.Replica // replica pool only: what Refresh and RotateKey update
 }
 
-type ctlReply struct {
-	iter    int
-	version uint64
-	err     error
+// backendPool lends the backends out: to a worker for the length of
+// one batch, and in the replica pool to Refresh / RotateKey one chosen
+// replica at a time — so a control call never runs beside a batch on
+// the same replica, the other replicas keep serving, and a batch
+// formed meanwhile goes to whichever replica comes free first.
+type backendPool struct {
+	mu   sync.Mutex
+	cond sync.Cond  // signalled on every put
+	free []*backend // LIFO: the backend that served last is the warmest
+}
+
+// get borrows any free backend, want == nil, or that one.
+func (p *backendPool) get(want *backend) *backend {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		for i := len(p.free) - 1; i >= 0; i-- {
+			if b := p.free[i]; want == nil || b == want {
+				p.free = append(p.free[:i], p.free[i+1:]...)
+				return b
+			}
+		}
+		p.cond.Wait()
+	}
+}
+
+func (p *backendPool) put(b *backend) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
+	// Broadcast: a worker and a control call waiting for different
+	// backends may both be parked here.
+	p.cond.Broadcast()
 }
 
 // Server is a running inference service over one trained framework.
@@ -248,11 +291,12 @@ type Server struct {
 	replicas  []*core.Replica
 	group     *core.ShardGroup // non-nil in shard mode; replicas empty
 	fleet     *fleet.Fleet     // non-nil in fleet mode; group and replicas empty
-	workers   int
+	backends  []*backend       // one per worker
+	pool      backendPool
 
 	reqCh   chan *request
-	batchCh chan []*request
-	ctlCh   []chan ctlCall // one per worker
+	formMu  sync.Mutex   // held by the one worker forming a batch
+	service atomic.Int64 // recent floor of batch service time per request, ns
 	wg      sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed; held shared across enqueues
@@ -279,6 +323,16 @@ type Server struct {
 // fails fast with an error matching ErrNotServable (and the underlying
 // core sentinel).
 func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) {
+	s, err := build(ctx, f, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// build is New up to, not including, starting the workers.
+func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if err := f.Servable(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotServable, err)
@@ -320,16 +374,17 @@ func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) 
 		host:      f.Host,
 		inputSize: f.Net.InputSize(),
 		reqCh:     make(chan *request, opts.QueueDepth),
-		batchCh:   make(chan []*request),
 		reg:       reg,
 		tracer:    obs.NewTracer(opts.TraceKeep),
 		stats:     newStatsCollector(reg),
 	}
+	reg.GaugeFunc("serve_batch_service_seconds", "Recent floor of micro-batch service time per request served; a forming worker waits at most a quarter of it for batch company.",
+		func() float64 { return time.Duration(s.service.Load()).Seconds() })
 	reg.GaugeFunc("serve_epc_pressure", "Host EPC overcommit fraction (0 = working set fits the usable EPC).",
 		func() float64 { return s.host.Overcommit() })
 	reg.GaugeFunc("serve_host_resident_bytes", "Aggregate enclave working set on the host.",
 		func() float64 { return float64(s.host.Resident()) })
-	reg.GaugeFunc("serve_queue_len", "Requests currently queued for batching.",
+	reg.GaugeFunc("serve_queue_len", "Requests queued until a worker takes them.",
 		func() float64 { return float64(len(s.reqCh)) })
 	reg.GaugeFunc("serve_quantized", "1 when the pool serves the int8-quantized snapshot variant, 0 for fp32.",
 		func() float64 {
@@ -365,13 +420,10 @@ func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) 
 			return nil, fmt.Errorf("serve: fleet: %w", err)
 		}
 		s.fleet = fl
-		s.workers = fl.Window()
 		s.iter.Store(int64(fl.Iteration()))
 		s.ver.Store(fl.Version())
-		s.wg.Add(1 + s.workers)
-		go s.batcher()
-		for i := 0; i < s.workers; i++ {
-			go s.fleetWorker(i)
+		for i := 0; i < fl.Window(); i++ {
+			s.backends = append(s.backends, &backend{id: i, classify: fl.ClassifyBatchCtx, version: fl.Version})
 		}
 		return s, nil
 	}
@@ -403,13 +455,10 @@ func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) 
 			return nil, fmt.Errorf("serve: shard group: %w", err)
 		}
 		s.group = g
-		s.workers = g.Window()
 		s.iter.Store(int64(g.Iteration()))
 		s.ver.Store(g.Version())
-		s.wg.Add(1 + s.workers)
-		go s.batcher()
-		for i := 0; i < s.workers; i++ {
-			go s.shardWorker(i)
+		for i := 0; i < g.Window(); i++ {
+			s.backends = append(s.backends, &backend{id: i, classify: g.ClassifyBatchCtx, version: g.Version})
 		}
 		return s, nil
 	}
@@ -437,18 +486,21 @@ func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) 
 			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
 		}
 		s.replicas = append(s.replicas, rep)
+		s.backends = append(s.backends, &backend{id: i, classify: rep.ClassifyBatchCtx, version: rep.Version, rep: rep})
 	}
-	s.workers = opts.Workers
 	s.iter.Store(int64(s.replicas[0].Iteration()))
 	s.ver.Store(ver)
-	s.wg.Add(1 + opts.Workers)
-	go s.batcher()
-	for i, rep := range s.replicas {
-		ch := make(chan ctlCall)
-		s.ctlCh = append(s.ctlCh, ch)
-		go s.worker(i, rep, ch)
-	}
 	return s, nil
+}
+
+// start launches one worker per backend.
+func (s *Server) start() {
+	s.pool.cond.L = &s.pool.mu
+	s.pool.free = append(s.pool.free, s.backends...)
+	s.wg.Add(len(s.backends))
+	for i := range s.backends {
+		go s.worker(i)
+	}
 }
 
 // replicaFootprint is the per-replica EPC claim at the configured
@@ -517,13 +569,13 @@ func (s *Server) classify(ctx context.Context, image []float32, tr *obs.Trace) (
 				ErrOverloaded, p, s.opts.MaxEPCPressure, ErrEPCPressure)
 		}
 	}
-	req := &request{ctx: ctx, image: image, enq: time.Now(), tr: tr, done: make(chan result, 1)}
-
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return Prediction{}, ErrClosed
 	}
+	req := requestPool.Get().(*request)
+	req.ctx, req.image, req.enq, req.tr = ctx, image, time.Now(), tr
 	// The shared lock is held across the enqueue so Close cannot close
 	// reqCh between the check and the send. The send never blocks: a
 	// full queue is an admission-control rejection, not backpressure.
@@ -532,6 +584,7 @@ func (s *Server) classify(ctx context.Context, image []float32, tr *obs.Trace) (
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
+		req.recycle()
 		s.stats.recordRejected()
 		return Prediction{}, fmt.Errorf("%w (depth %d)", ErrOverloaded, s.opts.QueueDepth)
 	}
@@ -544,183 +597,182 @@ func (s *Server) classify(ctx context.Context, image []float32, tr *obs.Trace) (
 			// tile its end-to-end latency.
 			tr.Add("deliver", time.Since(req.enq)-res.pred.Latency)
 		}
+		req.recycle() // the worker's send was its last touch of req
 		return res.pred, res.err
 	case <-ctx.Done():
 		return Prediction{}, ctx.Err()
 	}
 }
 
-// batcher coalesces queued requests into micro-batches: a batch goes
-// out when it reaches MaxBatch or when its first request has waited
-// MaxQueueLatency. Requests whose context already expired are dropped
-// here, before they can occupy a batch slot.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	defer close(s.batchCh)
-	var (
-		batch  []*request
-		timer  *time.Timer
-		timerC <-chan time.Time
-	)
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-		if len(batch) > 0 {
-			now := time.Now()
-			for _, req := range batch {
-				req.dispatched = now
-			}
-			s.batchCh <- batch
-			batch = nil
-		}
+// minLinger is the shortest wait for batch company worth a timer: the
+// runtime cannot time much less, and arming one costs a closed-loop
+// client more than the company could save.
+const minLinger = 100 * time.Microsecond
+
+// take admits req, just received from reqCh, into the forming batch —
+// unless its context already ended: an expired request is dropped here,
+// before it can occupy a batch slot.
+func (s *Server) take(batch []*request, req *request) []*request {
+	if req.ctx.Err() != nil {
+		s.stats.recordExpired()
+		return batch
 	}
-	for {
+	req.taken = time.Now()
+	return append(batch, req)
+}
+
+// form builds the next micro-batch into batch; the caller holds formMu,
+// so the workers form one at a time and two requests arriving together
+// ride one batch instead of waking two workers. It parks until a live
+// request arrives, adds whatever else is already queued, and then
+// lingers for company for min(MaxQueueLatency, S/4), S being the
+// recent floor of batch service time per request served (see
+// serveBatch): a rider spares the pool about S of work and costs the
+// batch a quarter of that, while a server whose requests are quick to
+// serve — one at a time, or amortised over batches that are already
+// large, or because it has served nothing yet — has no wait worth
+// arming a timer for and dispatches at once. An empty result means the
+// queue is closed and drained.
+func (s *Server) form(batch []*request, timer *time.Timer) []*request {
+	for len(batch) == 0 {
+		req, ok := <-s.reqCh
+		if !ok {
+			return batch
+		}
+		batch = s.take(batch, req)
+	}
+drain:
+	for len(batch) < s.opts.MaxBatch {
 		select {
 		case req, ok := <-s.reqCh:
 			if !ok {
-				flush()
-				return
+				return batch
 			}
-			if req.ctx.Err() != nil {
-				s.stats.recordExpired()
-				continue
-			}
-			batch = append(batch, req)
-			if len(batch) >= s.opts.MaxBatch {
-				flush()
-			} else if timer == nil {
-				timer = time.NewTimer(s.opts.MaxQueueLatency)
-				timerC = timer.C
-			}
-		case <-timerC:
-			timer, timerC = nil, nil
-			flush()
+			batch = s.take(batch, req)
+		default:
+			break drain
 		}
 	}
+	wait := min(s.opts.MaxQueueLatency, time.Duration(s.service.Load())/4)
+	if wait < minLinger || len(batch) == s.opts.MaxBatch {
+		return batch
+	}
+	start := time.Now()
+	timer.Reset(wait)
+	fired := false
+linger:
+	for len(batch) < s.opts.MaxBatch {
+		select {
+		case req, ok := <-s.reqCh:
+			if !ok {
+				break linger
+			}
+			batch = s.take(batch, req)
+		case <-timer.C:
+			fired = true
+			break linger
+		}
+	}
+	if !fired && !timer.Stop() {
+		<-timer.C
+	}
+	s.stats.recordLinger(time.Since(start))
+	return batch
 }
 
-// serveBatch runs one micro-batch through classify and delivers
-// per-request results: requests that expired while the batch waited
-// are dropped, the live images are copied into the contiguous batch
-// buffer buf, and every live request gets its prediction (stamped with
-// the post-classification version) or the batch error. live is reused
-// across calls; the possibly-regrown slice is returned.
-func (s *Server) serveBatch(id int, batch, live []*request, buf []float32,
-	classify func(context.Context, []float32) ([]int, error), version func() uint64) []*request {
-	live = live[:0]
+// worker forms micro-batches and serves each on a backend borrowed from
+// the pool for that batch.
+func (s *Server) worker(id int) {
+	defer s.wg.Done()
+	var (
+		buf   = make([]float32, s.opts.MaxBatch*s.inputSize)
+		batch = make([]*request, 0, s.opts.MaxBatch)
+		spans []obs.SpanRec
+		timer = time.NewTimer(time.Hour)
+		// One scratch trace collects each batch's pipeline spans
+		// (window, per-shard wait/restore/open/compute/seal, or the
+		// replica's compute), folded into every rider's trace.
+		bt = obs.NewTrace()
+	)
+	timer.Stop()
+	// The label attributes enclave compute in CPU profiles to the worker.
+	pprof.Do(obs.ContextWithTrace(context.Background(), bt), pprof.Labels("worker", strconv.Itoa(id)), func(ctx context.Context) {
+		for {
+			s.formMu.Lock()
+			batch = s.form(batch[:0], timer)
+			s.formMu.Unlock()
+			if len(batch) == 0 {
+				return
+			}
+			spans = s.serveBatch(ctx, batch, buf, bt, spans[:0])
+		}
+	})
+}
+
+// serveBatch runs one formed micro-batch on a borrowed backend and
+// delivers per-request results: requests that expired since they were
+// taken are dropped, the live images are copied into the contiguous
+// batch buffer buf, and every live request gets its prediction (stamped
+// with the post-classification version) or the batch error. spans is
+// the worker's reused buffer for the batch's pipeline spans.
+func (s *Server) serveBatch(ctx context.Context, batch []*request, buf []float32, bt *obs.Trace, spans []obs.SpanRec) []obs.SpanRec {
+	n := 0
 	for _, req := range batch {
 		if req.ctx.Err() != nil {
 			s.stats.recordExpired()
 			continue
 		}
-		live = append(live, req)
+		copy(buf[n*s.inputSize:], req.image)
+		batch[n] = req
+		n++
 	}
-	if len(live) == 0 {
-		return live
+	if n == 0 {
+		return spans
 	}
-	n := len(live)
-	for i, req := range live {
-		copy(buf[i*s.inputSize:(i+1)*s.inputSize], req.image)
-	}
-	// One batch-level trace collects the pipeline's spans (window,
-	// per-shard wait/restore/open/compute/seal, or the replica's
-	// compute), folded into every rider's request trace below. The
-	// pprof labels attribute the enclave compute in CPU profiles to
-	// the worker and the batch's lead request.
-	bt := obs.NewTrace()
+	live := batch[:n]
+	b := s.pool.get(nil)
 	dispatch := time.Now()
-	var (
-		classes []int
-		err     error
-	)
-	pprof.Do(obs.ContextWithTrace(context.Background(), bt),
-		pprof.Labels("worker", strconv.Itoa(id), "request_id", strconv.FormatUint(live[0].tr.ID(), 10)),
-		func(ctx context.Context) {
-			classes, err = classify(ctx, buf[:n*s.inputSize])
-		})
+	classes, err := b.classify(ctx, buf[:n*s.inputSize])
 	now := time.Now()
 	var ver uint64
 	if err == nil {
-		ver = version()
+		ver = b.version()
 	}
-	spans := bt.Spans()
-	for i, req := range live {
-		if err != nil {
+	s.pool.put(b)
+	spans = bt.Drain(spans)
+	// Per request, so that large batches, whose fixed cost is already
+	// shared, do not argue for waiting longer and growing larger still.
+	// And a floor, not a mean — down to a quicker sample at once, up an
+	// eighth per slower one — because what slows a batch for a moment
+	// (a collection, a descheduled worker) is no reason to wait for
+	// company. Racing workers may lose an update; it is a hint.
+	served := int64(now.Sub(dispatch)) / int64(n)
+	if floor := s.service.Load(); floor > 0 && served > floor {
+		served = min(served, floor+floor/8)
+	}
+	s.service.Store(served)
+	if err != nil {
+		for _, req := range live {
 			req.done <- result{err: err}
-			continue
 		}
+		return spans
+	}
+	s.stats.recordBatch(n)
+	for i, req := range live {
 		pred := Prediction{
 			Class:        classes[i],
 			Latency:      now.Sub(req.enq),
 			BatchSize:    n,
-			Worker:       id,
+			Worker:       b.id,
 			ModelVersion: ver,
 		}
 		s.stats.record(pred)
-		req.tr.Add("queue", req.dispatched.Sub(req.enq))
-		req.tr.Add("batch", dispatch.Sub(req.dispatched))
+		req.tr.Add("queue", req.taken.Sub(req.enq))
+		req.tr.Add("batch", dispatch.Sub(req.taken))
 		req.tr.AddSpans(spans)
 		req.done <- result{pred: pred}
 	}
-	if err == nil {
-		s.stats.recordBatch()
-	}
-	return live
-}
-
-// worker serves micro-batches on one enclave replica. Control calls
-// (refresh, rotate) run in the same loop, so they never race with
-// classification on this replica.
-func (s *Server) worker(id int, rep *core.Replica, ctl <-chan ctlCall) {
-	defer s.wg.Done()
-	buf := make([]float32, s.opts.MaxBatch*s.inputSize)
-	live := make([]*request, 0, s.opts.MaxBatch)
-	for {
-		select {
-		case batch, ok := <-s.batchCh:
-			if !ok {
-				return
-			}
-			live = s.serveBatch(id, batch, live, buf, rep.ClassifyBatchCtx, rep.Version)
-		case call := <-ctl:
-			var reply ctlReply
-			switch call.kind {
-			case ctlRefresh:
-				reply.iter, reply.err = rep.Refresh()
-			case ctlRotate:
-				reply.iter, reply.err = rep.Rotate()
-			}
-			reply.version = rep.Version()
-			call.ack <- reply
-		}
-	}
-}
-
-// shardWorker serves micro-batches through the shard-group pipeline:
-// several workers submit concurrently, so shard k processes batch i+1
-// while shard k+1 processes batch i. Per-request semantics (expired
-// drops, latency, stats) are serveBatch's, same as the replica worker.
-func (s *Server) shardWorker(id int) {
-	defer s.wg.Done()
-	buf := make([]float32, s.opts.MaxBatch*s.inputSize)
-	live := make([]*request, 0, s.opts.MaxBatch)
-	for batch := range s.batchCh {
-		live = s.serveBatch(id, batch, live, buf, s.group.ClassifyBatchCtx, s.group.Version)
-	}
-}
-
-// fleetWorker serves micro-batches through the multi-host fabric: the
-// fleet's router picks a replica group per batch, and several workers
-// submit concurrently to keep every group's pipeline full.
-func (s *Server) fleetWorker(id int) {
-	defer s.wg.Done()
-	buf := make([]float32, s.opts.MaxBatch*s.inputSize)
-	live := make([]*request, 0, s.opts.MaxBatch)
-	for batch := range s.batchCh {
-		live = s.serveBatch(id, batch, live, buf, s.fleet.ClassifyBatchCtx, s.fleet.Version)
-	}
+	return spans
 }
 
 // Close stops accepting requests, serves everything already queued or
@@ -755,7 +807,7 @@ func (s *Server) Close() error {
 
 // Workers returns the number of serving workers: enclave replicas, or
 // in shard mode the pipeline's residency window.
-func (s *Server) Workers() int { return s.workers }
+func (s *Server) Workers() int { return len(s.backends) }
 
 // Shards returns the number of shard enclaves the model is pipelined
 // across (per replica group in fleet mode), 0 when serving whole-model
@@ -866,40 +918,28 @@ func (s *Server) Iteration() int { return int(s.iter.Load()) }
 // Refresh or RotateKey completes).
 func (s *Server) Version() uint64 { return s.ver.Load() }
 
-// broadcast runs one control operation on every replica, one at a
-// time, inside each worker's goroutine: the replica being updated
-// pauses, the rest of the pool keeps serving, so there is never a
-// serving gap. ctx cancels between replicas (never mid-replica).
-func (s *Server) broadcast(ctx context.Context, kind ctlKind) (int, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, 0, ErrClosed
-	}
-	var (
-		iter     int
-		version  uint64
-		firstErr error
-	)
-	for i, ch := range s.ctlCh {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, fmt.Errorf("serve: cancelled before replica %d: %w", i, err)
-		}
-		call := ctlCall{kind: kind, ack: make(chan ctlReply, 1)}
-		ch <- call
-		reply := <-call.ack
-		if reply.err != nil {
-			if firstErr == nil {
-				firstErr = reply.err
+// eachReplica returns the control operation that runs op — Refresh or
+// Rotate — on every replica, one at a time, each borrowed from the pool
+// for the call: the replica being updated serves nothing, the rest of
+// the pool keeps serving, so there is never a serving gap. ctx cancels
+// between replicas (never mid-replica); every replica is attempted even
+// if one fails.
+func (s *Server) eachReplica(ctx context.Context, op func(*core.Replica) (int, error)) func() (int, error) {
+	return func() (iter int, firstErr error) {
+		for _, b := range s.backends {
+			if err := ctx.Err(); err != nil {
+				return 0, fmt.Errorf("serve: cancelled before replica %d: %w", b.id, err)
 			}
-			continue
+			s.pool.get(b)
+			it, err := op(b.rep)
+			s.pool.put(b)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			iter = it
 		}
-		iter, version = reply.iter, reply.version
+		return iter, firstErr
 	}
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	return iter, version, nil
 }
 
 // Refresh rolls every replica forward to the latest published model
@@ -915,37 +955,23 @@ func (s *Server) broadcast(ctx context.Context, kind ctlKind) (int, uint64, erro
 func (s *Server) Refresh(ctx context.Context) (int, error) {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
-	if s.fleet != nil {
-		iter, err := s.groupControl(ctx, s.fleet.Refresh)
-		if err != nil {
-			return 0, err
-		}
-		return iter, nil
+	switch {
+	case s.fleet != nil:
+		return s.control(ctx, s.fleet.Refresh)
+	case s.group != nil:
+		return s.control(ctx, s.group.Refresh)
 	}
-	if s.group != nil {
-		iter, err := s.groupControl(ctx, s.group.Refresh)
-		if err != nil {
-			return 0, err
-		}
-		return iter, nil
-	}
-	iter, version, err := s.broadcast(ctx, ctlRefresh)
-	if err != nil {
-		return 0, err
-	}
-	s.iter.Store(int64(iter))
-	s.ver.Store(version)
-	return iter, nil
+	return s.control(ctx, s.eachReplica(ctx, (*core.Replica).Refresh))
 }
 
-// groupControl runs one shard-group (or fleet-wide) control operation
-// — Refresh or Rotate — under the server's closed check. The group or
-// fleet quiesces its own pipeline(s) — queued requests wait, none are
-// dropped — because the shards of one model must change version
-// together: a half-refreshed pipeline would mix two versions inside a
-// single forward pass. In fleet mode the drain-and-flip covers every
-// replica group on every host at once.
-func (s *Server) groupControl(ctx context.Context, op func() (int, error)) (int, error) {
+// control runs one control operation — Refresh or Rotate — under the
+// server's closed check and publishes the iteration and version it
+// left the pool on. A shard group or fleet quiesces its own pipeline(s)
+// — queued requests wait, none are dropped — because the shards of one
+// model must change version together: a half-refreshed pipeline would
+// mix two versions inside a single forward pass. In fleet mode the
+// drain-and-flip covers every replica group on every host at once.
+func (s *Server) control(ctx context.Context, op func() (int, error)) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -959,11 +985,9 @@ func (s *Server) groupControl(ctx context.Context, op func() (int, error)) (int,
 		return 0, err
 	}
 	s.iter.Store(int64(iter))
-	if s.fleet != nil {
-		s.ver.Store(s.fleet.Version())
-	} else {
-		s.ver.Store(s.group.Version())
-	}
+	// Control calls are serialized and every replica just restored the
+	// same version, so one can be read outside the pool.
+	s.ver.Store(s.backends[0].version())
 	return iter, nil
 }
 
@@ -989,25 +1013,17 @@ func (s *Server) RotateKey(ctx context.Context) (uint64, error) {
 	if _, err := s.f.RotateKey(); err != nil {
 		return 0, err
 	}
-	if s.fleet != nil {
-		if _, err := s.groupControl(ctx, s.fleet.Rotate); err != nil {
-			return 0, err
-		}
-		return s.ver.Load(), nil
+	op := s.eachReplica(ctx, (*core.Replica).Rotate)
+	switch {
+	case s.fleet != nil:
+		op = s.fleet.Rotate
+	case s.group != nil:
+		op = s.group.Rotate
 	}
-	if s.group != nil {
-		if _, err := s.groupControl(ctx, s.group.Rotate); err != nil {
-			return 0, err
-		}
-		return s.ver.Load(), nil
-	}
-	iter, version, err := s.broadcast(ctx, ctlRotate)
-	if err != nil {
+	if _, err := s.control(ctx, op); err != nil {
 		return 0, err
 	}
-	s.iter.Store(int64(iter))
-	s.ver.Store(version)
-	return version, nil
+	return s.ver.Load(), nil
 }
 
 // Stats returns a snapshot of the serving counters, including the

@@ -32,7 +32,7 @@ func newTrainedFramework(t testing.TB, iters int) (*core.Framework, *mnist.Datas
 	if err := f.LoadDataset(train); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(iters, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(iters)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	return f, test
@@ -145,12 +145,13 @@ func TestConcurrentClientsManyWorkers(t *testing.T) {
 	}
 }
 
-// TestQueueLatencyFlush checks a lone request is not held hostage for
-// a full batch: it must come back after ~MaxQueueLatency in a batch of
-// one.
+// TestQueueLatencyFlush checks MaxQueueLatency is an upper bound on the
+// wait for company, not a wait: a lone request on an idle server comes
+// back in a batch of one without the (here enormous) cap being timed at
+// all.
 func TestQueueLatencyFlush(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	const maxLat = 20 * time.Millisecond
+	const maxLat = 10 * time.Second
 	s, err := New(context.Background(), f, Options{Workers: 1, MaxBatch: 64, MaxQueueLatency: maxLat})
 	if err != nil {
 		t.Fatalf("New server: %v", err)
@@ -166,25 +167,24 @@ func TestQueueLatencyFlush(t *testing.T) {
 	if pred.BatchSize != 1 {
 		t.Fatalf("lone request served in batch of %d", pred.BatchSize)
 	}
-	if elapsed < maxLat/2 {
-		t.Fatalf("lone request served after %v; queue-latency timer (%v) not awaited", elapsed, maxLat)
+	if elapsed > maxLat/2 {
+		t.Fatalf("lone request on an idle server took %v; the %v cap was waited out", elapsed, maxLat)
 	}
-	if elapsed > 50*maxLat {
-		t.Fatalf("lone request took %v, far beyond the %v flush", elapsed, maxLat)
+	if d := lingered(s); d != 0 {
+		t.Fatalf("lone request on a fresh idle server lingered %v for company", d)
 	}
 }
 
-// TestBatchCoalescing checks that requests arriving together ride one
-// micro-batch (dispatch at MaxBatch, not per request).
+// TestBatchCoalescing checks that requests which queue up while the
+// worker is busy ride one micro-batch (dispatch at MaxBatch, not per
+// request).
 func TestBatchCoalescing(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
-	s, err := New(context.Background(), f, Options{Workers: 1, MaxBatch: 8, MaxQueueLatency: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
-	defer s.Close()
-
 	const n = 8
+	s, g := newGatedServer(t, f, Options{Workers: 1, MaxBatch: n})
+	defer s.Close()
+	occupied := g.occupy(t, s, test.Image(0))
+
 	var wg sync.WaitGroup
 	sizes := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -197,21 +197,14 @@ func TestBatchCoalescing(t *testing.T) {
 			}
 		}(i)
 	}
+	awaitQueued(t, s, n)
+	g.open()
+	occupied()
 	wg.Wait()
-	// All n requests were in flight together against a single worker;
-	// batch sizes above 1 prove coalescing happened (the exact split
-	// depends on scheduling).
-	maxSeen := 0
 	for _, b := range sizes {
-		if b > maxSeen {
-			maxSeen = b
+		if b != n {
+			t.Fatalf("%d requests queued behind one busy worker rode batches of %v, want one batch of %d", n, sizes, n)
 		}
-	}
-	if maxSeen < 2 {
-		t.Fatalf("no coalescing: batch sizes %v", sizes)
-	}
-	if maxSeen > 8 {
-		t.Fatalf("batch exceeded MaxBatch: %v", sizes)
 	}
 }
 

@@ -31,7 +31,7 @@ type Stats struct {
 	// HostResidentBytes is the aggregate enclave working set on the
 	// host at snapshot time (training enclave plus all replicas).
 	HostResidentBytes int
-	// Batches is the number of micro-batches dispatched.
+	// Batches is the number of micro-batches served.
 	Batches uint64
 	// AvgBatch is the mean micro-batch size.
 	AvgBatch float64
@@ -86,39 +86,45 @@ type Stats struct {
 // percentiles) are all derived from ONE histogram snapshot taken under
 // the histogram's lock, so they always describe the same set of served
 // requests — a count can never be paired with a percentile from a
-// different moment. The event counters (rejected, expired, shed,
-// batches) are independent monotonic counters read in the same pass.
+// different moment. The event counters (rejected, expired, shed) and
+// the batch-size histogram are read in the same pass.
 type statsCollector struct {
-	start    time.Time
-	hist     *obs.Histogram
-	rejected *obs.Counter
-	expired  *obs.Counter
-	epcShed  *obs.Counter
-	batches  *obs.Counter
+	start     time.Time
+	hist      *obs.Histogram
+	batchSize *obs.Histogram
+	linger    *obs.Counter
+	rejected  *obs.Counter
+	expired   *obs.Counter
+	epcShed   *obs.Counter
 }
 
 // newStatsCollector registers the serving metrics on reg and returns
-// the collector writing to them. serve_requests_total is a read-through
-// onto the latency histogram's count, so the two can never disagree in
-// an exposition.
+// the collector writing to them. serve_requests_total and
+// serve_batches_total are read-throughs onto the latency and batch-size
+// histograms' counts, so each pair can never disagree in an exposition.
 func newStatsCollector(reg *obs.Registry) statsCollector {
 	c := statsCollector{
-		start:    time.Now(),
-		hist:     reg.Histogram("serve_request_seconds", "End-to-end request latency in the server, enqueue to classification."),
-		rejected: reg.Counter("serve_rejected_total", "Requests rejected at a full queue."),
-		expired:  reg.Counter("serve_expired_total", "Queued requests dropped because their context ended before dispatch."),
-		epcShed:  reg.Counter("serve_epc_shed_total", "Requests shed by pressure-aware admission while the host EPC was overcommitted."),
-		batches:  reg.Counter("serve_batches_total", "Micro-batches dispatched."),
+		start:     time.Now(),
+		hist:      reg.Histogram("serve_request_seconds", "End-to-end request latency in the server, enqueue to classification."),
+		batchSize: reg.CountHistogram("serve_batch_size", "Requests per served micro-batch."),
+		linger:    reg.Counter("serve_batch_linger_seconds_total", "Time forming workers spent waiting for batch company beyond what was already queued."),
+		rejected:  reg.Counter("serve_rejected_total", "Requests rejected at a full queue."),
+		expired:   reg.Counter("serve_expired_total", "Queued requests dropped because their context ended before dispatch."),
+		epcShed:   reg.Counter("serve_epc_shed_total", "Requests shed by pressure-aware admission while the host EPC was overcommitted."),
 	}
-	hist := c.hist
+	hist, batchSize := c.hist, c.batchSize
 	reg.CounterFunc("serve_requests_total", "Requests served successfully.",
 		func() float64 { return float64(hist.Count()) })
+	reg.CounterFunc("serve_batches_total", "Micro-batches served.",
+		func() float64 { return float64(batchSize.Count()) })
 	return c
 }
 
 func (c *statsCollector) record(p Prediction) { c.hist.Observe(p.Latency) }
 
-func (c *statsCollector) recordBatch() { c.batches.Inc() }
+func (c *statsCollector) recordBatch(size int) { c.batchSize.ObserveCount(size) }
+
+func (c *statsCollector) recordLinger(d time.Duration) { c.linger.Add(d.Seconds()) }
 
 func (c *statsCollector) recordRejected() { c.rejected.Inc() }
 
@@ -136,7 +142,7 @@ func (c *statsCollector) snapshot() Stats {
 		Rejected: uint64(c.rejected.Value()),
 		Expired:  uint64(c.expired.Value()),
 		EPCShed:  uint64(c.epcShed.Value()),
-		Batches:  uint64(c.batches.Value()),
+		Batches:  c.batchSize.Count(),
 		Uptime:   time.Since(c.start),
 	}
 	if s.Batches > 0 {

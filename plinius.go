@@ -219,6 +219,9 @@ type (
 	// Server is a running secure inference service.
 	Server = serve.Server
 	// ServerOptions parameterises a Server (workers, batching, queue).
+	// MaxQueueLatency is an upper bound on the wait for batch company:
+	// an idle worker dispatches immediately, and no request waits
+	// longer than a quarter of the measured per-request service time.
 	ServerOptions = serve.Options
 	// Prediction is the answer to one classification request.
 	Prediction = serve.Prediction
