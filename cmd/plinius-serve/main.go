@@ -166,19 +166,20 @@ func run(ctx context.Context, iters, layers, filters, batch, dataset int, seed i
 		}
 		return err
 	}
-	if srv.FleetSize() > 0 {
+	switch st := srv.Stats(); {
+	case st.FleetHosts > 0:
 		fmt.Printf("serving model version %d (iteration %d) across a %d-host fleet: %d replica group(s) of %d shard(s), window %d, max batch %d, queue depth %d\n",
-			srv.Version(), srv.Iteration(), srv.FleetSize(), srv.FleetGroups(), srv.Shards(), srv.Workers(), maxBatch, queueDepth)
+			srv.Version(), srv.Iteration(), st.FleetHosts, st.FleetGroups, st.Shards, srv.Workers(), maxBatch, queueDepth)
 		for _, hr := range srv.FleetHostReports() {
 			fmt.Printf("  host %d: %d bytes resident / %d usable EPC, shards %v\n",
 				hr.Host, hr.ResidentBytes, hr.UsableEPC, hr.Shards)
 		}
-	} else if srv.Shards() > 0 {
+	case st.Shards > 0:
 		fmt.Printf("serving model version %d (iteration %d) pipelined across %d shard enclaves (window %d, streaming=%v, max batch %d, queue depth %d)\n",
-			srv.Version(), srv.Iteration(), srv.Shards(), srv.Workers(), srv.ShardsStreaming(), maxBatch, queueDepth)
-	} else {
+			srv.Version(), srv.Iteration(), st.Shards, srv.Workers(), st.Streaming, maxBatch, queueDepth)
+	default:
 		fmt.Printf("serving model version %d (iteration %d) on %d enclave replicas (%s, max batch %d, max queue latency %v, queue depth %d, EPC pressure %.2f)\n",
-			srv.Version(), srv.Iteration(), srv.Workers(), srv.Precision(), maxBatch, maxLatency, queueDepth, srv.EPCPressure())
+			srv.Version(), srv.Iteration(), srv.Workers(), st.Precision, maxBatch, maxLatency, queueDepth, st.EPCPressure)
 	}
 
 	switch {
@@ -307,7 +308,7 @@ func serveHTTP(ctx context.Context, srv *plinius.Server, addr string, pprofOn bo
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
 		st := srv.Stats()
 		stats := map[string]any{
-			"precision":            st.Precision,
+			"precision":            st.Precision.String(),
 			"requests":             st.Requests,
 			"rejected":             st.Rejected,
 			"expired":              st.Expired,
@@ -324,8 +325,8 @@ func serveHTTP(ctx context.Context, srv *plinius.Server, addr string, pprofOn bo
 			"req_per_sec":          st.Throughput,
 			"uptime_sec":           st.Uptime.Seconds(),
 			"model_version":        srv.Version(),
-			"shards":               srv.Shards(),
-			"shard_streaming":      srv.ShardsStreaming(),
+			"shards":               st.Shards,
+			"shard_streaming":      st.Streaming,
 			"shard_pm_restores":    st.ShardRestores,
 			"shard_stalls":         st.ShardStalls,
 			"shard_prefetch_waits": st.ShardPrefetchWaits,
@@ -380,7 +381,7 @@ func serveHTTP(ctx context.Context, srv *plinius.Server, addr string, pprofOn bo
 				down++
 			}
 		}
-		degraded := srv.FleetDegraded()
+		degraded := srv.Stats().FleetDegraded
 		status := "ok"
 		code := http.StatusOK
 		switch {
@@ -471,10 +472,10 @@ func loadgen(ctx context.Context, srv *plinius.Server, ds *plinius.Dataset, requ
 		st.MaxLatency.Round(time.Microsecond))
 	if st.FleetHosts > 0 {
 		fmt.Printf("  fleet      : %d hosts, %d groups, %d shards, %d hand-offs (%d bytes)\n",
-			st.FleetHosts, st.FleetGroups, srv.Shards(), st.FleetHandoffs, st.FleetHandoffBytes)
-	} else if srv.Shards() > 0 {
+			st.FleetHosts, st.FleetGroups, st.Shards, st.FleetHandoffs, st.FleetHandoffBytes)
+	} else if st.Shards > 0 {
 		fmt.Printf("  sharding   : %d shards, window %d, streaming=%v, %d PM range restores\n",
-			srv.Shards(), srv.Workers(), srv.ShardsStreaming(), srv.ShardRestores())
+			st.Shards, srv.Workers(), st.Streaming, st.ShardRestores)
 	}
 	return nil
 }

@@ -193,6 +193,6 @@ func shardedServing(ctx context.Context) error {
 		100*float64(correct)/200, float64(hs.PeakResidentBytes)/(1<<20),
 		float64(host.UsableEPC())/(1<<20), srv.EPCPressure())
 	fmt.Printf("PM range restores instead of page faults: %d restores, %d faults since serving began\n",
-		srv.ShardRestores(), hs.PageSwaps)
+		srv.Stats().ShardRestores, hs.PageSwaps)
 	return nil
 }

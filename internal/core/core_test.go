@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestNewRequiresModelConfig(t *testing.T) {
 
 func TestTrainRequiresDataset(t *testing.T) {
 	f := newFramework(t, smallConfig())
-	if err := f.TrainIters(1, nil); !errors.Is(err, ErrNoDataset) {
+	if err := f.Train(context.Background(), StopAt(1)); !errors.Is(err, ErrNoDataset) {
 		t.Fatalf("Train without data = %v, want ErrNoDataset", err)
 	}
 }
@@ -71,12 +72,12 @@ func TestTrainReducesLossOnSyntheticMNIST(t *testing.T) {
 		t.Fatalf("LoadDataset: %v", err)
 	}
 	var first, last float32
-	err := f.TrainIters(30, func(iter int, loss float32) {
+	err := f.Train(context.Background(), StopAt(30), WithProgress(func(iter int, loss float32) {
 		if iter == 1 {
 			first = loss
 		}
 		last = loss
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestCrashRecoveryResumesWhereItLeftOff(t *testing.T) {
 		t.Fatalf("LoadDataset: %v", err)
 	}
 	var lossBefore float32
-	if err := f.TrainIters(20, func(_ int, l float32) { lossBefore = l }); err != nil {
+	if err := f.Train(context.Background(), StopAt(20), WithProgress(func(_ int, l float32) { lossBefore = l })); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 
@@ -105,7 +106,7 @@ func TestCrashRecoveryResumesWhereItLeftOff(t *testing.T) {
 	if !f.Crashed() {
 		t.Fatal("Crashed = false after Crash")
 	}
-	if err := f.TrainIters(25, nil); !errors.Is(err, ErrCrashedDown) {
+	if err := f.Train(context.Background(), StopAt(25)); !errors.Is(err, ErrCrashedDown) {
 		t.Fatalf("Train while crashed = %v, want ErrCrashedDown", err)
 	}
 	if err := f.Recover(true); err != nil {
@@ -115,7 +116,7 @@ func TestCrashRecoveryResumesWhereItLeftOff(t *testing.T) {
 		t.Fatalf("iteration after recovery = %d, want 20", got)
 	}
 	var lossAfter float32
-	if err := f.TrainIters(21, func(_ int, l float32) { lossAfter = l }); err != nil {
+	if err := f.Train(context.Background(), StopAt(21), WithProgress(func(_ int, l float32) { lossAfter = l })); err != nil {
 		t.Fatalf("Train after recovery: %v", err)
 	}
 	// The first post-recovery loss continues the curve: it must be far
@@ -135,7 +136,7 @@ func TestNonResilientRestartsFromScratch(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(20, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(20)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	f.Crash()
@@ -160,7 +161,7 @@ func TestDatasetSurvivesCrash(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(5, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(5)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	f.Crash()
@@ -174,7 +175,7 @@ func TestDatasetSurvivesCrash(t *testing.T) {
 		t.Fatalf("data rows = %d, want 100", f.Data.N())
 	}
 	// Training continues without re-loading the dataset.
-	if err := f.TrainIters(7, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(7)); err != nil {
 		t.Fatalf("Train after recovery: %v", err)
 	}
 }
@@ -187,7 +188,7 @@ func TestMirrorFrequency(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(7, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(7)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	// Iterations 5 was mirrored; 6,7 were not. After a crash the model
@@ -216,7 +217,7 @@ func TestInferAccuracyOnTrainedModel(t *testing.T) {
 	if err := f.LoadDataset(train); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(60, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(60)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	acc, err := f.Infer(test)
@@ -277,7 +278,7 @@ func TestSSDRestoreIntoFreshModelMatches(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(5, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(5)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.SSDSave("ckpt"); err != nil {
@@ -365,7 +366,7 @@ func TestPlaintextDataMode(t *testing.T) {
 	if f.Data.Encrypted() {
 		t.Fatal("plaintext mode loaded encrypted data")
 	}
-	if err := f.TrainIters(3, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(3)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestFullWorkflowBothServers(t *testing.T) {
 			if err := f.LoadDataset(mnist.Synthetic(100, 50)); err != nil {
 				t.Fatalf("LoadDataset: %v", err)
 			}
-			if err := f.TrainIters(8, nil); err != nil {
+			if err := f.Train(context.Background(), StopAt(8)); err != nil {
 				t.Fatalf("Train: %v", err)
 			}
 			f.Crash()
@@ -53,7 +54,7 @@ func TestSSDCheckpointSurvivesPMCrash(t *testing.T) {
 	if err := f.LoadDataset(mnist.Synthetic(100, 51)); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(6, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(6)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.SSDSave("ckpt"); err != nil {
@@ -131,7 +132,7 @@ func TestRepeatedCrashRecoverCycles(t *testing.T) {
 	}
 	for cycle := 0; cycle < 5; cycle++ {
 		target := (cycle + 1) * 3
-		if err := f.TrainIters(target, nil); err != nil {
+		if err := f.Train(context.Background(), StopAt(target)); err != nil {
 			t.Fatalf("cycle %d Train: %v", cycle, err)
 		}
 		f.Crash()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,8 +30,8 @@ func TestParallelMirrorOutConcurrentWithClassify(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(1, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), StopAt(1)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	rep, err := f.NewReplica(3)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -23,7 +24,7 @@ func streamingGroup(t *testing.T, f *Framework, budget int, disablePrefetch bool
 	if err != nil {
 		t.Fatalf("NewShardGroup: %v", err)
 	}
-	if !g.Streaming() {
+	if !g.Report().Streaming {
 		t.Fatalf("group not streaming on a %d-byte host (plan %v)", budget, g.Plan())
 	}
 	return g, host
@@ -42,7 +43,7 @@ func TestShardGroupPrefetchOverlapsRestores(t *testing.T) {
 
 	gOff, hostOff := streamingGroup(t, f, budget, true, 5)
 	off := groupClassifyAll(t, gOff, test, 2)
-	offStalls, offPrefetched := gOff.Stalls(), gOff.PrefetchedRestores()
+	offStalls, offPrefetched := gOff.Report().ShardStalls, gOff.Report().ShardPrefetched
 	if err := gOff.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -55,7 +56,7 @@ func TestShardGroupPrefetchOverlapsRestores(t *testing.T) {
 
 	gOn, hostOn := streamingGroup(t, f, budget, false, 5)
 	on := groupClassifyAll(t, gOn, test, 2)
-	onStalls, onPrefetched := gOn.Stalls(), gOn.PrefetchedRestores()
+	onStalls, onPrefetched := gOn.Report().ShardStalls, gOn.Report().ShardPrefetched
 	if err := gOn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -113,8 +114,8 @@ func TestShardGroupPrefetchQuiescesOnRefresh(t *testing.T) {
 		}(w)
 	}
 	for r := 0; r < 3; r++ {
-		if err := f.TrainIters(1, nil); err != nil {
-			t.Fatalf("TrainIters: %v", err)
+		if err := f.Train(context.Background(), StopAt(1)); err != nil {
+			t.Fatalf("Train: %v", err)
 		}
 		if _, err := f.Publish(); err != nil {
 			t.Fatalf("Publish: %v", err)

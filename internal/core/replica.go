@@ -304,12 +304,16 @@ func (r *Replica) Rotate() (int, error) {
 // Iteration returns the training iteration of the restored model.
 func (r *Replica) Iteration() int { return r.net.Iteration }
 
-// Precision returns the replica's serving parameter precision.
-func (r *Replica) Precision() darknet.Precision {
+// Window is 1: a replica serves one batch at a time.
+func (r *Replica) Window() int { return 1 }
+
+// Report returns the replica's serving precision; a whole-model replica
+// has no pipeline or fabric to report.
+func (r *Replica) Report() BackendReport {
 	if r.quantized {
-		return darknet.Int8
+		return BackendReport{Precision: darknet.Int8}
 	}
-	return darknet.FP32
+	return BackendReport{Precision: darknet.FP32}
 }
 
 // Version returns the published model version the replica serves.

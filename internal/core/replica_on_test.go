@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"plinius/internal/enclave"
@@ -27,8 +28,8 @@ func TestNewReplicaOnChargesTargetHost(t *testing.T) {
 			if err := f.LoadDataset(mnist.Synthetic(64, 3)); err != nil {
 				t.Fatalf("LoadDataset: %v", err)
 			}
-			if err := f.TrainIters(2, nil); err != nil {
-				t.Fatalf("TrainIters: %v", err)
+			if err := f.Train(context.Background(), StopAt(2)); err != nil {
+				t.Fatalf("Train: %v", err)
 			}
 
 			target := f.Host

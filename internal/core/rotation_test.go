@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -29,7 +30,7 @@ func tornRotationFramework(t *testing.T, chunks int) (*Framework, []byte) {
 	if err := f.LoadDataset(mnist.Synthetic(200, 11)); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(3, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(3)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	oldKey := f.Key()
@@ -79,7 +80,7 @@ func TestTornRotationRecovered(t *testing.T) {
 	if got := f.Iteration(); got != 3 {
 		t.Fatalf("Iteration after recovery = %d, want 3", got)
 	}
-	if err := f.TrainIters(5, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(5)); err != nil {
 		t.Fatalf("Train after recovered rotation: %v", err)
 	}
 	if _, err := f.Infer(mnist.Synthetic(64, 12)); err != nil {
@@ -114,7 +115,7 @@ func TestTornRotationLateAbort(t *testing.T) {
 			t.Fatalf("row %d unreadable after recovery: %v", i, err)
 		}
 	}
-	if err := f.TrainIters(4, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(4)); err != nil {
 		t.Fatalf("Train after recovered rotation: %v", err)
 	}
 }
@@ -136,7 +137,7 @@ func TestTornRotationMirrorlessKeepsPublishedModel(t *testing.T) {
 	if err := f.LoadDataset(mnist.Synthetic(200, 17)); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(3, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(3)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {
@@ -188,7 +189,7 @@ func TestCleanRotationLeavesNoMarker(t *testing.T) {
 	if err := f.LoadDataset(mnist.Synthetic(128, 13)); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(2, nil); err != nil {
+	if err := f.Train(context.Background(), StopAt(2)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.RotateKey(); err != nil {

@@ -205,7 +205,7 @@ type ShardGroup struct {
 
 	// reg holds the group's per-shard restore/stall/prefetch counters
 	// (see ShardOptions.Metrics); the compute path and the prefetcher
-	// both bump them, and the accessors sum across shards.
+	// both bump them, and Report sums across shards.
 	reg *obs.Registry
 
 	// handoff, when non-nil, carries sealed activations across stage
@@ -651,8 +651,8 @@ func (s *shard) finishRestore(err error) {
 // waiting on an in-flight prefetch or — when none is running — doing
 // the restore synchronously. A synchronous restore puts the full
 // restore latency on the critical path (a pipeline stall, counted in
-// Stalls); waiting out a prefetch costs only the restore's unfinished
-// remainder (counted in PrefetchWaits).
+// ShardStalls); waiting out a prefetch costs only the restore's
+// unfinished remainder (counted in ShardPrefetchWaits).
 func (g *ShardGroup) ensureHot(s *shard) error {
 	waited := false
 	s.mu.Lock()
@@ -1093,16 +1093,9 @@ func (g *ShardGroup) Close() error {
 	return firstErr
 }
 
-// Shards returns the number of pipeline stages.
-func (g *ShardGroup) Shards() int { return len(g.shards) }
-
 // Window returns how many batches may be in flight at once — in
 // streaming mode, the number of hot shards the EPC budget admits.
 func (g *ShardGroup) Window() int { return g.window }
-
-// Streaming reports whether the group streams parked ranges from PM
-// per batch (true when the whole plan does not fit the host headroom).
-func (g *ShardGroup) Streaming() bool { return g.streaming }
 
 // Plan returns a copy of the layer ranges, one per shard.
 func (g *ShardGroup) Plan() []darknet.ShardRange {
@@ -1133,42 +1126,21 @@ func (g *ShardGroup) Iteration() int {
 	return g.iter
 }
 
-// sumShardCounter totals one per-shard counter across the group.
-func (g *ShardGroup) sumShardCounter(pick func(*shard) *obs.Counter) uint64 {
-	var total float64
+// Report returns the pipeline's shape and its restore counters summed
+// over the shards. In streaming mode restores are the price paid per
+// batch per parked shard instead of the paging knee; with
+// double-buffered restore most batches find their stage hot or
+// mid-restore, so stalls stay near the per-batch stage-0 floor, and
+// with DisablePrefetch they approach batches x shards.
+func (g *ShardGroup) Report() BackendReport {
+	r := BackendReport{Shards: len(g.shards), Streaming: g.streaming}
 	for _, s := range g.shards {
-		total += pick(s).Value()
+		r.ShardRestores += uint64(s.mRestores.Value())
+		r.ShardStalls += uint64(s.mStalls.Value())
+		r.ShardPrefetchWaits += uint64(s.mPrefetchWaits.Value())
+		r.ShardPrefetched += uint64(s.mPrefetched.Value())
 	}
-	return uint64(total)
-}
-
-// Restores counts range restores from PM — in streaming mode, the
-// price paid per batch per parked shard instead of the paging knee.
-func (g *ShardGroup) Restores() uint64 {
-	return g.sumShardCounter(func(s *shard) *obs.Counter { return s.mRestores })
-}
-
-// Stalls counts pipeline stalls: batches that arrived at a parked
-// stage with no restore in flight and paid the full range restore on
-// the compute path. With double-buffered restore most batches find
-// their stage hot or mid-restore, so this stays near the per-batch
-// stage-0 floor; with DisablePrefetch it approaches batches x shards.
-func (g *ShardGroup) Stalls() uint64 {
-	return g.sumShardCounter(func(s *shard) *obs.Counter { return s.mStalls })
-}
-
-// PrefetchWaits counts batches that arrived while their stage's
-// prefetch was still in flight and paid only the unfinished remainder
-// of the restore.
-func (g *ShardGroup) PrefetchWaits() uint64 {
-	return g.sumShardCounter(func(s *shard) *obs.Counter { return s.mPrefetchWaits })
-}
-
-// PrefetchedRestores counts range restores completed by the
-// background prefetcher — restore work overlapped with compute instead
-// of stalling the pipeline.
-func (g *ShardGroup) PrefetchedRestores() uint64 {
-	return g.sumShardCounter(func(s *shard) *obs.Counter { return s.mPrefetched })
+	return r
 }
 
 // Metrics returns the registry holding the group's per-shard counters.

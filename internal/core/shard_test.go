@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -28,8 +29,8 @@ func trainedShardFramework(t *testing.T, iters int) (*Framework, *mnist.Dataset)
 	if err := f.LoadDataset(train); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(iters, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), StopAt(iters)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	return f, test
 }
@@ -68,8 +69,8 @@ func TestShardGroupSingleShardMatchesReplica(t *testing.T) {
 		t.Fatalf("NewShardGroup: %v", err)
 	}
 	defer g.Close()
-	if g.Shards() != 1 || g.Streaming() {
-		t.Fatalf("Shards=%d Streaming=%v, want a resident single shard", g.Shards(), g.Streaming())
+	if r := g.Report(); r.Shards != 1 || r.Streaming {
+		t.Fatalf("Shards=%d Streaming=%v, want a resident single shard", r.Shards, r.Streaming)
 	}
 	if g.Version() != rep.Version() || g.Iteration() != rep.Iteration() {
 		t.Fatalf("group serves v%d iter %d, replica v%d iter %d",
@@ -114,8 +115,8 @@ func TestShardGroupPipelineMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewShardGroup(%d): %v", shards, err)
 		}
-		if g.Shards() < 2 {
-			t.Fatalf("plan %v produced %d shards, want >= 2", g.Plan(), g.Shards())
+		if g.Report().Shards < 2 {
+			t.Fatalf("plan %v produced %d shards, want >= 2", g.Plan(), g.Report().Shards)
 		}
 		got := groupClassifyAll(t, g, test, 8)
 		for i := range want {
@@ -170,7 +171,7 @@ func TestShardGroupStreamingStaysUnderKnee(t *testing.T) {
 		t.Fatalf("NewShardGroup: %v", err)
 	}
 	defer g.Close()
-	if !g.Streaming() {
+	if !g.Report().Streaming {
 		t.Fatalf("group not streaming on a %d-byte host (plan %v)", budget, g.Plan())
 	}
 
@@ -199,7 +200,7 @@ func TestShardGroupStreamingStaysUnderKnee(t *testing.T) {
 	if 20*hs.PageSwaps >= monoFaults {
 		t.Fatalf("sharded faults %d not under 5%% of monolithic %d", hs.PageSwaps, monoFaults)
 	}
-	if g.Restores() == 0 {
+	if g.Report().ShardRestores == 0 {
 		t.Fatal("streaming group recorded no PM range restores")
 	}
 }
@@ -215,8 +216,8 @@ func TestShardGroupRefreshAndRotate(t *testing.T) {
 	defer g.Close()
 	v1 := g.Version()
 
-	if err := f.TrainIters(3, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), StopAt(3)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
@@ -326,8 +327,8 @@ func TestShardGroupReusesPersistedPlan(t *testing.T) {
 		t.Fatalf("NewShardGroup explicit: %v", err)
 	}
 	defer g3.Close()
-	if g3.Shards() != 1 {
-		t.Fatalf("explicit single-shard plan got %d shards", g3.Shards())
+	if g3.Report().Shards != 1 {
+		t.Fatalf("explicit single-shard plan got %d shards", g3.Report().Shards)
 	}
 }
 

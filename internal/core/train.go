@@ -141,15 +141,3 @@ func (f *Framework) stopTraining(ctx context.Context, freq, lastMirrored int) er
 	f.modelMu.Unlock()
 	return fmt.Errorf("core: training interrupted at iteration %d: %w", iter, context.Cause(ctx))
 }
-
-// TrainIters runs training up to maxIter iterations with an optional
-// per-iteration loss callback.
-//
-// Deprecated: TrainIters is the v1 Train(maxIter, cb) signature kept as
-// a thin shim. Use Train with StopAt and WithProgress, which adds
-// cancellation and per-run mirror-frequency control:
-//
-//	f.Train(ctx, core.StopAt(maxIter), core.WithProgress(cb))
-func (f *Framework) TrainIters(maxIter int, cb func(iter int, loss float32)) error {
-	return f.Train(context.Background(), StopAt(maxIter), WithProgress(cb))
-}

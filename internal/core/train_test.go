@@ -54,6 +54,13 @@ func TestTrainCancelIsMirrorConsistent(t *testing.T) {
 	if got := f.Iteration(); got != cancelled+3 {
 		t.Fatalf("resumed to %d, want %d", f.Iteration(), cancelled+3)
 	}
+	// A target the model has already reached trains nothing.
+	if err := f.Train(context.Background(), StopAt(cancelled)); err != nil {
+		t.Fatalf("Train to a reached target: %v", err)
+	}
+	if got := f.Iteration(); got != cancelled+3 {
+		t.Fatalf("Train to a reached target moved iteration to %d", got)
+	}
 }
 
 // TestTrainCancelWithSparseMirrorFreq checks the final-flush path: with
@@ -170,25 +177,6 @@ func TestEnsureModelCurrentAfterLazyRecover(t *testing.T) {
 	}
 	if got := f.Iteration(); got != 6 {
 		t.Fatalf("EnsureModelCurrent restored iteration %d, want 6", got)
-	}
-}
-
-// TestTrainItersShimMatchesV1Semantics drives the deprecated shim.
-func TestTrainItersShimMatchesV1Semantics(t *testing.T) {
-	f := loadedFramework(t, smallConfig())
-	var iters []int
-	if err := f.TrainIters(3, func(iter int, _ float32) { iters = append(iters, iter) }); err != nil {
-		t.Fatalf("TrainIters: %v", err)
-	}
-	if len(iters) != 3 || iters[2] != 3 {
-		t.Fatalf("shim callback saw %v, want [1 2 3]", iters)
-	}
-	// A target at or below the current iteration is a no-op, as in v1.
-	if err := f.TrainIters(0, nil); err != nil {
-		t.Fatalf("TrainIters(0): %v", err)
-	}
-	if got := f.Iteration(); got != 3 {
-		t.Fatalf("TrainIters(0) moved iteration to %d", got)
 	}
 }
 

@@ -214,8 +214,9 @@ func RunChaos(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 			for i := 0; i < window; i++ {
 				sem <- struct{}{}
 			}
-			res.DegradedDuring = fl.Degraded()
-			res.HostsDownPeak = fl.HostsDown()
+			outage := fl.Report()
+			res.DegradedDuring = outage.FleetDegraded
+			res.HostsDownPeak = outage.FleetHostsDown
 			victim.Rejoin()
 			err := fl.Rejoin()
 			for i := 0; i < window; i++ {
@@ -256,10 +257,11 @@ func RunChaos(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 
 	res.DroppedRequests = dropped
 	res.RecoveryMs = float64(recovered.Microseconds()) / 1e3
-	res.Replans = fl.Replans()
-	res.EvictedGroups = fl.EvictedGroups()
-	res.HandoffRetries = fl.HandoffRetries()
-	res.ResidentAfterRejoin = !fl.Degraded() && !fl.Streaming()
+	rep := fl.Report()
+	res.Replans = rep.FleetReplans
+	res.EvictedGroups = rep.FleetEvictedGroups
+	res.HandoffRetries = rep.FleetHandoffRetries
+	res.ResidentAfterRejoin = !rep.FleetDegraded && !rep.Streaming
 	res.PlacementRestored = placementsEqual(original, fl.Placement())
 	res.Metrics = obs.Flatten(reg)
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -132,13 +133,13 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		return 0, 0, 0, err
 	}
 	// Warm-up iteration (allocates layer workspaces).
-	if err := f.TrainIters(1, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(1)); err != nil {
 		return 0, 0, 0, err
 	}
 	pm0 := f.PM.Clock().Modeled()
 	encl0 := f.Enclave.Clock().Modeled()
 	start := time.Now()
-	if err := f.TrainIters(1+cfg.Iters, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(1+cfg.Iters)); err != nil {
 		return 0, 0, 0, err
 	}
 	wall := time.Since(start)

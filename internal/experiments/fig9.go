@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -101,9 +102,9 @@ func RunFig9(cfg Fig9Config) (Fig9Result, error) {
 		return Fig9Result{}, err
 	}
 	res.Baseline = make([]float32, 0, cfg.Iters)
-	if err := baseline.TrainIters(cfg.Iters, func(_ int, l float32) {
+	if err := baseline.Train(context.Background(), core.StopAt(cfg.Iters), core.WithProgress(func(_ int, l float32) {
 		res.Baseline = append(res.Baseline, l)
-	}); err != nil {
+	})); err != nil {
 		return Fig9Result{}, fmt.Errorf("fig9 baseline: %w", err)
 	}
 
@@ -118,7 +119,7 @@ func RunFig9(cfg Fig9Config) (Fig9Result, error) {
 	res.Resilient = make([]float32, 0, cfg.Iters)
 	record := func(_ int, l float32) { res.Resilient = append(res.Resilient, l) }
 	for _, crashAt := range crashIters {
-		if err := resilient.TrainIters(crashAt, record); err != nil {
+		if err := resilient.Train(context.Background(), core.StopAt(crashAt), core.WithProgress(record)); err != nil {
 			return Fig9Result{}, fmt.Errorf("fig9 resilient: %w", err)
 		}
 		resilient.Crash()
@@ -126,7 +127,7 @@ func RunFig9(cfg Fig9Config) (Fig9Result, error) {
 			return Fig9Result{}, fmt.Errorf("fig9 resilient recover: %w", err)
 		}
 	}
-	if err := resilient.TrainIters(cfg.Iters, record); err != nil {
+	if err := resilient.Train(context.Background(), core.StopAt(cfg.Iters), core.WithProgress(record)); err != nil {
 		return Fig9Result{}, fmt.Errorf("fig9 resilient tail: %w", err)
 	}
 
@@ -148,7 +149,7 @@ func RunFig9(cfg Fig9Config) (Fig9Result, error) {
 		// Train until the global step count reaches the crash point.
 		need := crashAt - global
 		if need > 0 {
-			if err := fresh.TrainIters(fresh.Iteration()+need, recordFresh); err != nil {
+			if err := fresh.Train(context.Background(), core.StopAt(fresh.Iteration()+need), core.WithProgress(recordFresh)); err != nil {
 				return Fig9Result{}, fmt.Errorf("fig9 non-resilient: %w", err)
 			}
 		}
@@ -159,7 +160,7 @@ func RunFig9(cfg Fig9Config) (Fig9Result, error) {
 	}
 	// Final segment: the model still needs the full cfg.Iters from its
 	// last restart.
-	if err := fresh.TrainIters(cfg.Iters, recordFresh); err != nil {
+	if err := fresh.Train(context.Background(), core.StopAt(cfg.Iters), core.WithProgress(recordFresh)); err != nil {
 		return Fig9Result{}, fmt.Errorf("fig9 non-resilient tail: %w", err)
 	}
 	res.NonResilientTotal = global

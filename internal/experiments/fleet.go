@@ -208,9 +208,10 @@ func RunFleet(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 	if err != nil {
 		return FleetResult{}, fmt.Errorf("shard group: %w", err)
 	}
+	shape := g.Report()
 	sharded := FleetRow{
-		Mode: "sharded", Hosts: 1, Shards: g.Shards(), Groups: 1,
-		Window: g.Window(), Streaming: g.Streaming(),
+		Mode: "sharded", Hosts: 1, Shards: shape.Shards, Groups: 1,
+		Window: g.Window(), Streaming: shape.Streaming,
 	}
 	sharded.RestoreFaults = shardHost.Stats().PageSwaps
 	if err := run(&sharded, g.Window(), g.ClassifyBatchCtx); err != nil {
@@ -220,7 +221,7 @@ func RunFleet(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 	sharded.ServeFaults = hs.PageSwaps - sharded.RestoreFaults
 	sharded.PeakResidentBytes = hs.PeakResidentBytes
 	sharded.OverEPC = hs.PeakResidentBytes > epcBytes
-	sharded.PMRestores = g.Restores()
+	sharded.PMRestores = g.Report().ShardRestores
 	if err := g.Close(); err != nil {
 		return FleetResult{}, err
 	}
@@ -246,11 +247,11 @@ func RunFleet(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 	for _, h := range hosts {
 		buildFaults += h.Stats().PageSwaps
 	}
-	startRestores := fl.Restores()
+	built := fl.Report()
 	fleetRow := FleetRow{
-		Mode: "fleet", Hosts: numHosts, Shards: fl.Shards(),
-		Groups: fl.Groups(), Window: fl.Window(),
-		Streaming: fl.Streaming(), RestoreFaults: buildFaults,
+		Mode: "fleet", Hosts: numHosts, Shards: built.Shards,
+		Groups: built.FleetGroups, Window: fl.Window(),
+		Streaming: built.Streaming, RestoreFaults: buildFaults,
 	}
 	if err := run(&fleetRow, fl.Window(), fl.ClassifyBatchCtx); err != nil {
 		return FleetResult{}, err
@@ -271,9 +272,10 @@ func RunFleet(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 	fleetRow.ServeFaults = serveFaults - buildFaults
 	fleetRow.PeakResidentBytes = peak
 	fleetRow.OverEPC = overEPC
-	fleetRow.PMRestores = fl.Restores() - startRestores
-	fleetRow.Handoffs = fl.HandoffTransfers()
-	fleetRow.HandoffBytes = fl.HandoffBytes()
+	served := fl.Report()
+	fleetRow.PMRestores = served.ShardRestores - built.ShardRestores
+	fleetRow.Handoffs = served.FleetHandoffs
+	fleetRow.HandoffBytes = served.FleetHandoffBytes
 	fleetRow.Channels = fl.Channels()
 	res.HostReports = fl.HostReports()
 	res.Metrics = obs.Flatten(reg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -57,7 +58,7 @@ func RunFreqAblation(freqs []int, iters int, seed int64) (FreqResult, error) {
 		}
 		pm0 := f.PM.Clock().Modeled()
 		start := time.Now()
-		if err := f.TrainIters(iters, nil); err != nil {
+		if err := f.Train(context.Background(), core.StopAt(iters)); err != nil {
 			return FreqResult{}, fmt.Errorf("freq %d: %w", freq, err)
 		}
 		elapsed := time.Since(start) + (f.PM.Clock().Modeled() - pm0)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -76,7 +77,7 @@ func RunInference(cfg InferenceConfig) (InferenceResult, error) {
 	if err := f.LoadDataset(train); err != nil {
 		return InferenceResult{}, err
 	}
-	if err := f.TrainIters(cfg.Iters, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(cfg.Iters)); err != nil {
 		return InferenceResult{}, fmt.Errorf("inference training: %w", err)
 	}
 	acc, err := f.Infer(test)

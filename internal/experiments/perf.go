@@ -405,7 +405,8 @@ func perfShard(cfg PerfConfig, res *PerfResult) error {
 		wall = time.Since(start).Seconds() * 1e3
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		p95 = float64(lats[(len(lats)*95+99)/100-1]) / float64(time.Millisecond)
-		return p95, wall, g.Stalls(), g.PrefetchedRestores(), nil
+		r := g.Report()
+		return p95, wall, r.ShardStalls, r.ShardPrefetched, nil
 	}
 	if res.ShardP95NoPrefetch, res.ShardWallMsNoPf, res.ShardStallsNoPf, _, err = run(true); err != nil {
 		return err

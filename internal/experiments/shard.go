@@ -169,11 +169,12 @@ func RunShard(server core.ServerProfile, sizeMB, epcMB, batches, batch int, seed
 		if err != nil {
 			return ShardResult{}, fmt.Errorf("shard group (%s): %w", pf.mode, err)
 		}
+		shape := g.Report()
 		sharded := ShardRow{
 			Mode:      pf.mode,
-			Shards:    g.Shards(),
+			Shards:    shape.Shards,
 			Window:    g.Window(),
-			Streaming: g.Streaming(),
+			Streaming: shape.Streaming,
 			Batches:   batches,
 		}
 		sharded.RestoreFaults = shardHost.Stats().PageSwaps
@@ -220,9 +221,8 @@ func RunShard(server core.ServerProfile, sizeMB, epcMB, batches, batch int, seed
 		sharded.PagingTime = time.Duration(hs.PageSwaps) * pageCost
 		sharded.PeakResidentBytes = hs.PeakResidentBytes
 		sharded.HostOverEPC = hs.PeakResidentBytes > epcBytes
-		sharded.PMRestores = g.Restores()
-		sharded.Stalls = g.Stalls()
-		sharded.Prefetched = g.PrefetchedRestores()
+		r := g.Report()
+		sharded.PMRestores, sharded.Stalls, sharded.Prefetched = r.ShardRestores, r.ShardStalls, r.ShardPrefetched
 		if err := g.Close(); err != nil {
 			return ShardResult{}, err
 		}

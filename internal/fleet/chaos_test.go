@@ -43,7 +43,7 @@ func chaosFleet(t *testing.T, opts Options) (*core.Framework, []*enclave.Host, *
 // model) serve degraded-streaming.
 func TestKillHostUnderLoadZeroDrops(t *testing.T) {
 	f, hosts, fl := chaosFleet(t, Options{})
-	if fl.Streaming() {
+	if fl.Report().Streaming {
 		t.Fatalf("fleet starts streaming; want resident before the kill")
 	}
 	victim := hosts[fl.Placement().Groups[0][0]]
@@ -75,18 +75,18 @@ func TestKillHostUnderLoadZeroDrops(t *testing.T) {
 	for err := range errCh {
 		t.Fatalf("batch dropped across host kill: %v", err)
 	}
-	if got := fl.HostsDown(); got != 1 {
+	if got := fl.Report().FleetHostsDown; got != 1 {
 		t.Fatalf("HostsDown = %d, want 1", got)
 	}
-	if fl.EvictedGroups() < 1 {
-		t.Fatalf("EvictedGroups = %d, want >= 1", fl.EvictedGroups())
+	if fl.Report().FleetEvictedGroups < 1 {
+		t.Fatalf("EvictedGroups = %d, want >= 1", fl.Report().FleetEvictedGroups)
 	}
-	if fl.Replans() < 1 {
-		t.Fatalf("Replans = %d, want >= 1", fl.Replans())
+	if fl.Report().FleetReplans < 1 {
+		t.Fatalf("Replans = %d, want >= 1", fl.Report().FleetReplans)
 	}
-	if !fl.Degraded() || !fl.Streaming() {
+	if !fl.Report().FleetDegraded || !fl.Report().Streaming {
 		t.Fatalf("after kill: degraded=%v streaming=%v, want degraded streaming on the survivors",
-			fl.Degraded(), fl.Streaming())
+			fl.Report().FleetDegraded, fl.Report().Streaming)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestRejoinPromotesToOriginalResidentPlacement(t *testing.T) {
 	if _, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*in]); err != nil {
 		t.Fatalf("batch across kill: %v", err)
 	}
-	if !fl.Degraded() {
+	if !fl.Report().FleetDegraded {
 		t.Fatalf("fleet not degraded after losing 1 of 3 hosts")
 	}
 
@@ -115,11 +115,11 @@ func TestRejoinPromotesToOriginalResidentPlacement(t *testing.T) {
 	if err := fl.Rejoin(); err != nil {
 		t.Fatalf("Rejoin: %v", err)
 	}
-	if fl.Degraded() || fl.Streaming() {
-		t.Fatalf("after rejoin: degraded=%v streaming=%v, want resident", fl.Degraded(), fl.Streaming())
+	if fl.Report().FleetDegraded || fl.Report().Streaming {
+		t.Fatalf("after rejoin: degraded=%v streaming=%v, want resident", fl.Report().FleetDegraded, fl.Report().Streaming)
 	}
-	if fl.HostsDown() != 0 {
-		t.Fatalf("HostsDown = %d after rejoin, want 0", fl.HostsDown())
+	if fl.Report().FleetHostsDown != 0 {
+		t.Fatalf("HostsDown = %d after rejoin, want 0", fl.Report().FleetHostsDown)
 	}
 	promoted := fl.Placement()
 	if !reflect.DeepEqual(original.Plan, promoted.Plan) || !reflect.DeepEqual(original.Groups, promoted.Groups) {
@@ -148,8 +148,8 @@ func TestHandoffRetriesThroughTransientDrops(t *testing.T) {
 	if _, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*f.Net.InputSize()]); err != nil {
 		t.Fatalf("batch through injected drops: %v", err)
 	}
-	if fl.HandoffRetries() < 3 {
-		t.Fatalf("HandoffRetries = %d, want >= 3 (DropFirst(3) per channel)", fl.HandoffRetries())
+	if fl.Report().FleetHandoffRetries < 3 {
+		t.Fatalf("HandoffRetries = %d, want >= 3 (DropFirst(3) per channel)", fl.Report().FleetHandoffRetries)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestKillDuringRefresh(t *testing.T) {
 	if _, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*in]); err != nil {
 		t.Fatalf("batch after kill-during-refresh: %v", err)
 	}
-	if fl.HostsDown() != 1 {
-		t.Fatalf("HostsDown = %d, want 1", fl.HostsDown())
+	if fl.Report().FleetHostsDown != 1 {
+		t.Fatalf("HostsDown = %d, want 1", fl.Report().FleetHostsDown)
 	}
 }
 
@@ -315,7 +315,7 @@ func TestTotalOutageShedsTyped(t *testing.T) {
 	if _, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*in]); err != nil {
 		t.Fatalf("batch after full rejoin: %v", err)
 	}
-	if fl.Degraded() {
+	if fl.Report().FleetDegraded {
 		t.Fatalf("fleet degraded after full rejoin")
 	}
 }

@@ -147,9 +147,9 @@ func (h *handoff) Bind(from, to int, src, dst *enclave.Enclave) error {
 		return err
 	}
 	h.chans[from] = ch
-	h.fl.chanMu.Lock()
+	// Groups are built by New or under the write lock, never
+	// concurrently, so the append needs no lock of its own.
 	h.fl.channels = append(h.fl.channels, ch)
-	h.fl.chanMu.Unlock()
 	return nil
 }
 
@@ -199,16 +199,18 @@ type Fleet struct {
 	// recovery path (eviction + replan) is a control operation: it runs
 	// under the write side, so the atomic-flip guarantee extends to
 	// failure handling.
-	mu     sync.RWMutex
-	closed bool
-	down   []bool // per-host death marks, guarded by mu
+	mu       sync.RWMutex
+	closed   bool
+	down     []bool     // per-host death marks, guarded by mu
+	channels []*Channel // every channel ever provisioned, guarded by mu
+
+	// topo is what Report reads of the state above, republished
+	// whenever New, recovery or a rejoin changes it.
+	topo atomic.Pointer[topology]
 
 	degraded atomic.Bool
 
 	inflight atomic.Int64
-
-	chanMu   sync.Mutex
-	channels []*Channel
 
 	reg       *obs.Registry
 	mBytes    *obs.Counter
@@ -217,6 +219,32 @@ type Fleet struct {
 	mHostDown *obs.Counter
 	mReplans  *obs.Counter
 	mEvicted  *obs.Counter
+}
+
+var _ core.Backend = (*Fleet)(nil)
+
+// topology is a fleet's shape as Report sees it: a snapshot, so that
+// Report never waits on the lock a control call or a replan holds.
+type topology struct {
+	groups    []*core.ShardGroup
+	channels  []*Channel
+	shards    int
+	hostsDown int
+}
+
+// publishTopologyLocked snapshots the shape for Report; the caller
+// holds the write lock, or is New.
+func (fl *Fleet) publishTopologyLocked() {
+	t := &topology{channels: fl.channels, shards: len(fl.placement.Plan)}
+	for _, g := range fl.groups {
+		t.groups = append(t.groups, g.sg)
+	}
+	for _, d := range fl.down {
+		if d {
+			t.hostsDown++
+		}
+	}
+	fl.topo.Store(t)
 }
 
 // New builds the fleet: the placement is restored from the durable
@@ -343,6 +371,7 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		}
 		return nil, fmt.Errorf("fleet: record placement: %w", err)
 	}
+	fl.publishTopologyLocked()
 	return fl, nil
 }
 
@@ -590,6 +619,7 @@ func (fl *Fleet) classifyOnce(ctx context.Context, images []float32) ([]int, err
 func (fl *Fleet) recoverHostFailure() error {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
+	defer fl.publishTopologyLocked()
 	if fl.closed {
 		return ErrClosed
 	}
@@ -796,6 +826,7 @@ func (fl *Fleet) recordPlacementLocked() error {
 func (fl *Fleet) Rejoin() error {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
+	defer fl.publishTopologyLocked()
 	if fl.closed {
 		return ErrClosed
 	}
@@ -869,23 +900,6 @@ func (fl *Fleet) Close() error {
 	return firstErr
 }
 
-// Hosts returns the number of hosts in the fleet.
-func (fl *Fleet) Hosts() int { return len(fl.hosts) }
-
-// Groups returns the number of replica groups.
-func (fl *Fleet) Groups() int {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	return len(fl.groups)
-}
-
-// Shards returns the number of pipeline stages per replica group.
-func (fl *Fleet) Shards() int {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	return len(fl.placement.Plan)
-}
-
 // Window returns the fleet's total in-flight batch capacity (the sum
 // of the groups' pipeline windows).
 func (fl *Fleet) Window() int {
@@ -898,47 +912,31 @@ func (fl *Fleet) Window() int {
 	return w
 }
 
-// Streaming reports whether any replica group streams parked ranges
-// from PM per batch.
-func (fl *Fleet) Streaming() bool {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	for _, g := range fl.groups {
-		if g.sg.Streaming() {
-			return true
-		}
+// Report sums the replica groups' pipeline reports (Shards counts the
+// stages of one group) and adds the fabric: hosts, groups, hand-off
+// traffic and the failure-domain state. It reads counters and the last
+// published topology only, so a control call or a replan in progress
+// never holds it up.
+func (fl *Fleet) Report() core.BackendReport {
+	t := fl.topo.Load()
+	var r core.BackendReport
+	for _, g := range t.groups {
+		r.Add(g.Report())
 	}
-	return false
-}
-
-// Degraded reports whether the fleet is serving degraded: survivors
-// could not hold the full resident placement and the fleet fell back
-// to a streaming group (the ErrDegraded state).
-func (fl *Fleet) Degraded() bool { return fl.degraded.Load() }
-
-// HostsDown returns how many fleet hosts are currently marked down.
-func (fl *Fleet) HostsDown() int {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	n := 0
-	for _, d := range fl.down {
-		if d {
-			n++
-		}
+	r.Shards = t.shards
+	r.FleetHosts = len(fl.hosts)
+	r.FleetGroups = len(t.groups)
+	for _, c := range t.channels {
+		r.FleetHandoffs += c.Transfers()
+		r.FleetHandoffBytes += c.Bytes()
 	}
-	return n
+	r.FleetHostsDown = t.hostsDown
+	r.FleetDegraded = fl.degraded.Load()
+	r.FleetReplans = uint64(fl.mReplans.Value())
+	r.FleetEvictedGroups = uint64(fl.mEvicted.Value())
+	r.FleetHandoffRetries = uint64(fl.mRetries.Value())
+	return r
 }
-
-// Replans counts placement replans (failure recovery and rejoin
-// promotion).
-func (fl *Fleet) Replans() uint64 { return uint64(fl.mReplans.Value()) }
-
-// EvictedGroups counts replica groups evicted because a host died.
-func (fl *Fleet) EvictedGroups() uint64 { return uint64(fl.mEvicted.Value()) }
-
-// HandoffRetries counts hand-off transfers re-sent after transient
-// channel faults.
-func (fl *Fleet) HandoffRetries() uint64 { return uint64(fl.mRetries.Value()) }
 
 // Batch returns the plan's micro-batch bound.
 func (fl *Fleet) Batch() int { return fl.batch }
@@ -992,67 +990,8 @@ func (fl *Fleet) Metrics() *obs.Registry { return fl.reg }
 // InFlight returns the micro-batches currently inside the router.
 func (fl *Fleet) InFlight() int { return int(fl.inflight.Load()) }
 
-// HandoffBytes returns the sealed bytes carried across all inter-host
-// channels.
-func (fl *Fleet) HandoffBytes() uint64 {
-	fl.chanMu.Lock()
-	defer fl.chanMu.Unlock()
-	var total uint64
-	for _, c := range fl.channels {
-		total += c.Bytes()
-	}
-	return total
-}
-
-// HandoffTransfers returns the number of inter-host hand-offs carried.
-func (fl *Fleet) HandoffTransfers() uint64 {
-	fl.chanMu.Lock()
-	defer fl.chanMu.Unlock()
-	var total uint64
-	for _, c := range fl.channels {
-		total += c.Transfers()
-	}
-	return total
-}
-
 // Channels returns the number of attested inter-host channels.
-func (fl *Fleet) Channels() int {
-	fl.chanMu.Lock()
-	defer fl.chanMu.Unlock()
-	return len(fl.channels)
-}
-
-// sumGroups totals one shard-group counter across the fleet.
-func (fl *Fleet) sumGroups(pick func(*core.ShardGroup) uint64) uint64 {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	var total uint64
-	for _, g := range fl.groups {
-		total += pick(g.sg)
-	}
-	return total
-}
-
-// Restores counts layer-range restores from PM across all groups.
-func (fl *Fleet) Restores() uint64 {
-	return fl.sumGroups((*core.ShardGroup).Restores)
-}
-
-// Stalls counts pipeline stalls across all groups.
-func (fl *Fleet) Stalls() uint64 {
-	return fl.sumGroups((*core.ShardGroup).Stalls)
-}
-
-// PrefetchWaits counts prefetch waits across all groups.
-func (fl *Fleet) PrefetchWaits() uint64 {
-	return fl.sumGroups((*core.ShardGroup).PrefetchWaits)
-}
-
-// PrefetchedRestores counts background-prefetched restores across all
-// groups.
-func (fl *Fleet) PrefetchedRestores() uint64 {
-	return fl.sumGroups((*core.ShardGroup).PrefetchedRestores)
-}
+func (fl *Fleet) Channels() int { return len(fl.topo.Load().channels) }
 
 // HostReport is one host's view in the fleet: its EPC budget, load,
 // paging, and the shard ranges placed on it.

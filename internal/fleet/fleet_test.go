@@ -71,12 +71,12 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 	}
 	defer fl.Close()
 
-	if fl.Streaming() {
+	if fl.Report().Streaming {
 		t.Fatalf("fleet streams with aggregate capacity %d for a %d-byte model; want resident",
 			3*hostEPC, f.ReplicaFootprint())
 	}
-	if fl.Shards() < 2 {
-		t.Fatalf("Shards = %d, want a real split", fl.Shards())
+	if fl.Report().Shards < 2 {
+		t.Fatalf("Shards = %d, want a real split", fl.Report().Shards)
 	}
 	if fl.Channels() == 0 {
 		t.Fatal("no inter-host channels although the model cannot fit one host")
@@ -112,9 +112,9 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 			t.Fatalf("host %d overcommitted: resident %d of %d", i, h.Resident(), h.UsableEPC())
 		}
 	}
-	if fl.HandoffTransfers() == 0 || fl.HandoffBytes() == 0 {
+	if fl.Report().FleetHandoffs == 0 || fl.Report().FleetHandoffBytes == 0 {
 		t.Fatalf("hand-off accounting empty (%d transfers, %d bytes) although stages span hosts",
-			fl.HandoffTransfers(), fl.HandoffBytes())
+			fl.Report().FleetHandoffs, fl.Report().FleetHandoffBytes)
 	}
 
 	// The fabric series are registered and live.
@@ -300,8 +300,8 @@ func TestFleetRouterSpreadsLoad(t *testing.T) {
 		t.Fatalf("New fleet: %v", err)
 	}
 	defer fl.Close()
-	if fl.Groups() != 2 {
-		t.Fatalf("Groups = %d, want 2", fl.Groups())
+	if fl.Report().FleetGroups != 2 {
+		t.Fatalf("Groups = %d, want 2", fl.Report().FleetGroups)
 	}
 	ds := mnist.Synthetic(1, 61)
 	var wg sync.WaitGroup

@@ -17,11 +17,29 @@ import (
 // per-enclave overhead, so tests can steer the host working set.
 func newTrainedFrameworkOverhead(t testing.TB, iters, overhead int) (*core.Framework, *mnist.Dataset) {
 	t.Helper()
+	return newTrainedFrameworkOn(t, nil, iters, overhead)
+}
+
+// newStreamingFramework trains a framework on a 1.2 MB host whose
+// training enclave leaves about 150 KB of headroom: no whole replica
+// fits, not even an int8 one, so ShardAuto shards, and the shards' hot
+// set does not fit either, so the group streams from PM.
+func newStreamingFramework(t testing.TB) (*core.Framework, *mnist.Dataset) {
+	t.Helper()
+	host := enclave.NewHost(core.SGXEmlPM().Enclave, enclave.WithHostEPC(1200<<10))
+	return newTrainedFrameworkOn(t, host, 4, 1<<20)
+}
+
+// newTrainedFrameworkOn is newTrainedFrameworkOverhead on host (nil
+// gives the framework a private one).
+func newTrainedFrameworkOn(t testing.TB, host *enclave.Host, iters, overhead int) (*core.Framework, *mnist.Dataset) {
+	t.Helper()
 	f, err := core.New(core.Config{
 		ModelConfig:        darknet.MNISTConfig(1, 4, 16),
 		PMBytes:            64 << 20,
 		Seed:               7,
 		TrainOverheadBytes: overhead,
+		Host:               host,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -34,7 +52,7 @@ func newTrainedFrameworkOverhead(t testing.TB, iters, overhead int) (*core.Frame
 	if err := f.LoadDataset(train); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(iters, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(iters)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	return f, test

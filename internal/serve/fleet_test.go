@@ -35,11 +35,8 @@ func TestFleetServingMatchesSequential(t *testing.T) {
 		t.Fatalf("New server: %v", err)
 	}
 	defer s.Close()
-	if s.FleetSize() != 3 {
-		t.Fatalf("FleetSize = %d, want 3", s.FleetSize())
-	}
-	if s.FleetGroups() < 1 {
-		t.Fatalf("FleetGroups = %d", s.FleetGroups())
+	if st := s.Stats(); st.FleetHosts != 3 || st.FleetGroups < 1 {
+		t.Fatalf("Stats fleet view = %d hosts / %d groups, want 3 / >= 1", st.FleetHosts, st.FleetGroups)
 	}
 	if s.Workers() < 1 {
 		t.Fatalf("Workers = %d", s.Workers())
@@ -76,8 +73,8 @@ func TestFleetServingMatchesSequential(t *testing.T) {
 	}
 
 	// Refresh and rotation flip the whole fleet; serving continues.
-	if err := f.TrainIters(4, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), core.StopAt(4)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
@@ -128,8 +125,8 @@ func TestFleetAutoKeepsReplicasWhenFits(t *testing.T) {
 		t.Fatalf("New server: %v", err)
 	}
 	defer s.Close()
-	if s.FleetSize() != 0 {
-		t.Fatalf("FleetAuto engaged the fleet (%d hosts) although a replica fits", s.FleetSize())
+	if st := s.Stats(); st.FleetHosts != 0 {
+		t.Fatalf("FleetAuto engaged the fleet (%d hosts) although a replica fits", st.FleetHosts)
 	}
 	if s.Workers() != 2 {
 		t.Fatalf("Workers = %d, want 2", s.Workers())

@@ -261,7 +261,7 @@ func TestRefreshIsZeroDowntimeUnderLoad(t *testing.T) {
 		}(c)
 	}
 	for round := 0; round < 5; round++ {
-		if err := f.TrainIters(4+round+1, nil); err != nil {
+		if err := f.Train(context.Background(), core.StopAt(4+round+1)); err != nil {
 			t.Fatalf("Train round %d: %v", round, err)
 		}
 		if _, err := f.Publish(); err != nil {

@@ -8,10 +8,22 @@ import (
 	"time"
 
 	"plinius/internal/core"
+	"plinius/internal/enclave"
+	"plinius/internal/mnist"
 	"plinius/internal/obs"
 )
 
 type classifyFunc = func(context.Context, []float32) ([]int, error)
+
+// fakeBackend is a real backend whose batches go through classify.
+type fakeBackend struct {
+	core.Backend
+	classify classifyFunc
+}
+
+func (b *fakeBackend) ClassifyBatchCtx(ctx context.Context, images []float32) ([]int, error) {
+	return b.classify(ctx, images)
+}
 
 // newServerWith builds a server, lets wrap replace what each backend
 // classifies with, and only then starts the workers.
@@ -21,8 +33,14 @@ func newServerWith(t testing.TB, f *core.Framework, opts Options, wrap func(*Ser
 	if err != nil {
 		t.Fatalf("build server: %v", err)
 	}
-	for _, b := range s.backends {
-		b.classify = wrap(s, b.classify)
+	for i, b := range s.backends {
+		fake := &fakeBackend{Backend: b, classify: wrap(s, b.ClassifyBatchCtx)}
+		s.backends[i] = fake
+		for _, sl := range s.slots {
+			if sl.b == b {
+				sl.b = fake
+			}
+		}
 	}
 	s.start()
 	return s
@@ -358,20 +376,68 @@ func TestCloseDrainsQueue(t *testing.T) {
 	wg.Wait()
 }
 
-// TestControlUnderLoadDropsNothingAndConverges: Refresh and RotateKey
-// under concurrent load answer every request, and once either returns
-// no replica serves an older version.
+// TestControlUnderLoadDropsNothingAndConverges: on every kind of
+// backend, Refresh and RotateKey under concurrent load answer every
+// request, and once either returns nothing serves an older version.
+// Stats reports the backend's shape, and Close hands every host back
+// exactly the EPC it had before the server.
 func TestControlUnderLoadDropsNothingAndConverges(t *testing.T) {
-	f, test := newTrainedFramework(t, 4)
-	s, err := New(context.Background(), f, Options{Workers: 3, MaxBatch: 4})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
+	for _, tc := range []struct {
+		name                       string
+		setup                      func(t *testing.T) (*core.Framework, *mnist.Dataset, Options)
+		sharded, streaming, fleets bool
+	}{
+		{"replica pool", func(t *testing.T) (*core.Framework, *mnist.Dataset, Options) {
+			f, test := newTrainedFramework(t, 4)
+			return f, test, Options{Workers: 3, MaxBatch: 4}
+		}, false, false, false},
+		{"streaming shard group", func(t *testing.T) (*core.Framework, *mnist.Dataset, Options) {
+			f, test := newStreamingFramework(t)
+			return f, test, Options{Shards: ShardAuto, MaxBatch: 4, ShardOverheadBytes: 8 << 10}
+		}, true, true, false},
+		{"3-host fleet", func(t *testing.T) (*core.Framework, *mnist.Dataset, Options) {
+			f, test := newTrainedFramework(t, 4)
+			return f, test, Options{Fleet: newFleetHosts(f, 3, 32<<20), MaxBatch: 4}
+		}, true, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, test, opts := tc.setup(t)
+			hosts := append([]*enclave.Host{f.Host}, opts.Fleet...)
+			baseline := make([]int, len(hosts))
+			for i, h := range hosts {
+				baseline[i] = h.Resident()
+			}
+			s, err := New(context.Background(), f, opts)
+			if err != nil {
+				t.Fatalf("New server: %v", err)
+			}
+			defer s.Close()
+			if st := s.Stats(); (st.Shards > 0) != tc.sharded || st.Streaming != tc.streaming || (st.FleetGroups > 0) != tc.fleets {
+				t.Fatalf("Stats reports %d shards, streaming=%v, %d fleet groups; want sharded=%v streaming=%v fleet=%v",
+					st.Shards, st.Streaming, st.FleetGroups, tc.sharded, tc.streaming, tc.fleets)
+			}
+			controlUnderLoad(t, f, s, test)
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			for i, h := range hosts {
+				if got := h.Resident(); got != baseline[i] {
+					t.Fatalf("host %d holds %d resident bytes after Close, %d before New", i, got, baseline[i])
+				}
+			}
+		})
 	}
-	defer s.Close()
+}
+
+// controlUnderLoad alternates Publish + Refresh and RotateKey while
+// four clients classify, and checks no request fails and none is
+// answered by a version older than the server had converged on.
+func controlUnderLoad(t *testing.T, f *core.Framework, s *Server, test *mnist.Dataset) {
 	stop := make(chan struct{})
 	var (
 		wg     sync.WaitGroup
 		served atomic.Uint64
+		err    error
 	)
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -390,13 +456,23 @@ func TestControlUnderLoadDropsNothingAndConverges(t *testing.T) {
 					return
 				}
 				if pred.ModelVersion < floor {
-					t.Errorf("replica %d answered with version %d after the pool converged on %d", pred.Worker, pred.ModelVersion, floor)
+					t.Errorf("worker %d answered with version %d after the server converged on %d", pred.Worker, pred.ModelVersion, floor)
 					return
 				}
 				served.Add(1)
 			}
 		}(c)
 	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+		if served.Load() == 0 {
+			t.Error("nothing served during control")
+		}
+		if st := s.Stats(); st.Rejected != 0 || st.Expired != 0 {
+			t.Errorf("control dropped requests: %d rejected, %d expired", st.Rejected, st.Expired)
+		}
+	}()
 	for round := 0; round < 4; round++ {
 		var want uint64
 		if round%2 == 0 {
@@ -412,7 +488,7 @@ func TestControlUnderLoadDropsNothingAndConverges(t *testing.T) {
 		if got := s.Version(); got != want {
 			t.Fatalf("round %d: serving version %d, published %d", round, got, want)
 		}
-		// Enough requests to reach every replica, beside the clients'.
+		// Enough requests to reach every worker, beside the clients'.
 		for i := 0; i < 8*s.Workers(); i++ {
 			pred, err := s.Classify(context.Background(), test.Image(i%test.N))
 			if err != nil {
@@ -423,14 +499,6 @@ func TestControlUnderLoadDropsNothingAndConverges(t *testing.T) {
 					round, pred.Worker, pred.ModelVersion, want)
 			}
 		}
-	}
-	close(stop)
-	wg.Wait()
-	if served.Load() == 0 {
-		t.Fatal("nothing served during control")
-	}
-	if st := s.Stats(); st.Rejected != 0 || st.Expired != 0 {
-		t.Fatalf("control dropped requests: %d rejected, %d expired", st.Rejected, st.Expired)
 	}
 }
 
@@ -444,15 +512,15 @@ func TestControlDoesNotHoldBatchHostage(t *testing.T) {
 	}
 	defer s.Close()
 	// Stand in for a control call that is busy with replica 0.
-	held := s.pool.get(s.backends[0])
+	held := s.pool.drain(s.backends[0], 1)
 	for i := 0; i < 20; i++ {
 		pred, err := s.Classify(context.Background(), test.Image(i%test.N))
 		if err != nil {
 			t.Fatalf("Classify %d beside the held replica: %v", i, err)
 		}
-		if pred.Worker != 1 {
+		if pred.Worker == held[0].id {
 			t.Fatalf("request %d served by replica %d, which is under control", i, pred.Worker)
 		}
 	}
-	s.pool.put(held)
+	s.pool.release(held)
 }

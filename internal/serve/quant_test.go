@@ -30,8 +30,8 @@ func TestQuantizedServeEndToEnd(t *testing.T) {
 	if s.Precision() != darknet.Int8 {
 		t.Fatalf("Precision() = %v, want int8", s.Precision())
 	}
-	if st := s.Stats(); st.Precision != "int8" {
-		t.Fatalf("Stats().Precision = %q, want \"int8\"", st.Precision)
+	if st := s.Stats(); st.Precision != darknet.Int8 {
+		t.Fatalf("Stats().Precision = %v, want int8", st.Precision)
 	}
 
 	agree := 0
@@ -54,8 +54,8 @@ func TestQuantizedServeEndToEnd(t *testing.T) {
 
 	// Train further and refresh: the new version must publish a quant
 	// variant (SetPublishQuantized is sticky) and restore cleanly.
-	if err := f.TrainIters(2, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), core.StopAt(2)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
@@ -97,5 +97,31 @@ func TestQuantizedReplicaRefusesUntrainedRepublish(t *testing.T) {
 	}
 	if _, err := f.NewReplica(1, core.WithQuantizedReplica()); err == nil {
 		t.Fatal("quantized replica on an untrained restart succeeded; it must refuse to republish over the real snapshot")
+	}
+}
+
+// TestQuantizedShardServerPublishesNoInt8: Quantized asks for an int8
+// replica pool, but on a host too small even for one int8 replica the
+// server builds a shard group, which serves fp32 — so publication must
+// stay fp32-only rather than seal an int8 variant nobody restores.
+func TestQuantizedShardServerPublishesNoInt8(t *testing.T) {
+	f, _ := newStreamingFramework(t)
+	s, err := New(context.Background(), f, Options{
+		Shards: ShardAuto, Quantized: true, MaxBatch: 4, ShardOverheadBytes: 8 << 10,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Shards == 0 || st.Precision != darknet.FP32 {
+		t.Fatalf("served %d shards at %v, want a shard group at fp32", st.Shards, st.Precision)
+	}
+	pin, err := f.PinPublished(0)
+	if err != nil {
+		t.Fatalf("PinPublished: %v", err)
+	}
+	defer pin.Release()
+	if pin.HasQuant() {
+		t.Fatal("a shard-group server published an int8 variant")
 	}
 }

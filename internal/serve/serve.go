@@ -13,12 +13,16 @@
 // lately cost per request, capped by Options.MaxQueueLatency, and not
 // at all when that is too short to time (see Server.form).
 //
-// The batches run on a pool of enclave replicas. Each replica is its
-// own enclave with its own encryption engine and its own copy of the
-// model restored from an immutable published snapshot in PM
-// (core.Replica), so replicas share no mutable state and scale across
-// cores while parameters and inputs stay inside enclave memory, exactly
-// as in the single-enclave experiment.
+// The batches run on core.Backend values, one contract at three
+// settings: a pool of whole-model enclave replicas (core.Replica, one
+// batch at a time each), one pipelined shard group (core.ShardGroup)
+// for a model over the EPC headroom, or a multi-host fleet of shard
+// groups (fleet.Fleet). Every backend restores its model, sealed, from
+// an immutable published snapshot in PM, so parameters and inputs stay
+// inside enclave memory exactly as in the single-enclave experiment.
+// The server runs one worker per unit of backend window — per replica,
+// or per batch a pipeline admits at once — and past construction never
+// asks which kind it serves.
 //
 // Replicas join their framework's EPC host: on real SGX all enclaves
 // on one machine share a single enclave page cache, so the pool's
@@ -39,12 +43,15 @@
 // overcommitted past the limit.
 //
 // The server participates in the v2 model-publication handshake:
-// Refresh restores every replica to the latest published version, one
-// replica at a time, while the others keep serving — zero-downtime and
-// race-free against concurrent training, because published snapshots
-// are immutable and pinned during restore. RotateKey re-provisions the
-// data key end to end (framework re-seal + per-replica attested key
-// delivery) with the same no-gap property.
+// Refresh restores every backend to the latest published version, one
+// backend at a time, with no batch running on the one that changes — a
+// replica pool rolls forward replica by replica while the others keep
+// serving, and a shard group or fleet drains and flips at once, because
+// its shards must change version together. Either way it is race-free
+// against concurrent training, because published snapshots are
+// immutable and pinned during restore, and no accepted request is
+// dropped. RotateKey re-provisions the data key end to end (framework
+// re-seal + attested key delivery to every enclave) the same way.
 //
 // Dispatch preserves the model's math: every layer processes batch
 // samples independently, so a request's predicted class is identical
@@ -125,26 +132,26 @@ type Options struct {
 	// an overcommitted host keeps serving, just slower (every enclave
 	// touch pays the shared paging knee).
 	MaxEPCPressure float64
-	// Shards selects sharded serving: 0 (default) serves whole-model
-	// replicas; a positive count pipelines the model across at most
-	// that many shard enclaves (core.ShardGroup); ShardAuto shards
-	// only when a whole replica exceeds the host's EPC headroom. In
-	// shard mode Workers is ignored — the pool is one pipelined group,
-	// and the worker count is its residency window.
+	// Shards selects the backend: 0 (default) serves Workers
+	// whole-model replicas; a positive count serves one shard group
+	// pipelining the model across at most that many shard enclaves
+	// (core.ShardGroup); ShardAuto does so only when a whole replica
+	// exceeds the host's EPC headroom. A shard group ignores Workers:
+	// the server runs one worker per batch its window admits.
 	Shards int
 	// ShardOverheadBytes is the parked per-shard-enclave working set
 	// in shard mode (default core.DefaultShardOverheadBytes). Small
 	// hosts shard at finer granularity with a smaller overhead.
 	ShardOverheadBytes int
-	// Fleet, when non-empty, serves through the multi-host fabric
+	// Fleet, when non-empty, makes the backend a multi-host fleet
 	// (internal/fleet) instead of replicas or a single shard group:
 	// the model is bin-packed across these hosts' EPC headrooms into
 	// replica groups of pipelined shard enclaves joined by attested
 	// inter-host channels, and micro-batches are routed least-loaded
-	// across the groups. Workers and Shards are ignored in fleet mode;
-	// the worker count is the fleet's aggregate pipeline window. A
-	// model with no feasible placement fails construction with an
-	// error matching fleet.ErrInfeasible.
+	// across the groups. A fleet ignores Workers and Shards: the server
+	// runs one worker per batch its aggregate window admits. A model
+	// with no feasible placement fails construction with an error
+	// matching fleet.ErrInfeasible.
 	Fleet []*enclave.Host
 	// FleetAuto gates the fleet the way ShardAuto gates sharding: the
 	// Fleet hosts are engaged only when a whole-model replica exceeds
@@ -160,7 +167,8 @@ type Options struct {
 	// restores the variant — ~4x smaller sealed payloads and EPC
 	// footprints, so more replicas fit the same headroom, at a small
 	// documented accuracy cost. Applies to the whole-model replica
-	// pool; shard and fleet modes serve fp32 regardless.
+	// pool; a shard group or fleet serves fp32 and leaves publication
+	// fp32-only.
 	Quantized bool
 	// Metrics is the registry the server's metrics (and, in shard
 	// mode, the shard pipeline's) register into. Nil gets the server a
@@ -237,48 +245,81 @@ type result struct {
 	err  error
 }
 
-// backend is what a worker serves one micro-batch through: a
-// whole-model replica, or one slot of the shard group's or fleet's
-// pipeline window (every slot then shares the same two funcs).
-type backend struct {
-	id       int
-	classify func(context.Context, []float32) ([]int, error)
-	version  func() uint64
-	rep      *core.Replica // replica pool only: what Refresh and RotateKey update
+// slot is one unit of a backend's window — a whole-model replica, or
+// one of the batches a shard group or fleet admits at once. A worker
+// borrows a slot for the length of one batch.
+type slot struct {
+	id int
+	b  core.Backend
 }
 
-// backendPool lends the backends out: to a worker for the length of
-// one batch, and in the replica pool to Refresh / RotateKey one chosen
-// replica at a time — so a control call never runs beside a batch on
-// the same replica, the other replicas keep serving, and a batch
-// formed meanwhile goes to whichever replica comes free first.
+// backendPool lends the slots out: to a worker for the length of one
+// batch, and to Refresh / RotateKey every slot of one backend at a
+// time — so a control call never runs beside a batch on the backend it
+// changes, the other backends keep serving, and a batch formed
+// meanwhile goes to whichever other slot comes free first.
 type backendPool struct {
 	mu   sync.Mutex
-	cond sync.Cond  // signalled on every put
-	free []*backend // LIFO: the backend that served last is the warmest
+	cond sync.Cond // signalled on every put and release
+	free []*slot   // LIFO: the slot that served last is the warmest
+	// draining is the backend a control call is collecting the slots
+	// of. Workers leave its slots alone: a worker that frees a slot and
+	// forms its next batch at once would otherwise retake it before the
+	// waiting control call runs, for as long as requests keep coming.
+	draining core.Backend
 }
 
-// get borrows any free backend, want == nil, or that one.
-func (p *backendPool) get(want *backend) *backend {
+// get borrows a free slot for one batch.
+func (p *backendPool) get() *slot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		for i := len(p.free) - 1; i >= 0; i-- {
-			if b := p.free[i]; want == nil || b == want {
+			if sl := p.free[i]; sl.b != p.draining {
 				p.free = append(p.free[:i], p.free[i+1:]...)
-				return b
+				return sl
 			}
 		}
 		p.cond.Wait()
 	}
 }
 
-func (p *backendPool) put(b *backend) {
+func (p *backendPool) put(sl *slot) {
 	p.mu.Lock()
-	p.free = append(p.free, b)
+	p.free = append(p.free, sl)
 	p.mu.Unlock()
-	// Broadcast: a worker and a control call waiting for different
-	// backends may both be parked here.
+	// Broadcast: workers and a draining control call may all be parked
+	// here, waiting for different slots.
+	p.cond.Broadcast()
+}
+
+// drain borrows all n of b's slots, waiting out the batches that hold
+// them. Control calls are serialized, so one backend drains at a time.
+func (p *backendPool) drain(b core.Backend, n int) []*slot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.draining = b
+	held := make([]*slot, 0, n)
+	for {
+		for i := len(p.free) - 1; i >= 0; i-- {
+			if sl := p.free[i]; sl.b == b {
+				p.free = append(p.free[:i], p.free[i+1:]...)
+				held = append(held, sl)
+			}
+		}
+		if len(held) == n {
+			return held
+		}
+		p.cond.Wait()
+	}
+}
+
+// release returns drained slots to the workers.
+func (p *backendPool) release(held []*slot) {
+	p.mu.Lock()
+	p.draining = nil
+	p.free = append(p.free, held...)
+	p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
@@ -288,10 +329,8 @@ type Server struct {
 	f         *core.Framework
 	host      *enclave.Host
 	inputSize int
-	replicas  []*core.Replica
-	group     *core.ShardGroup // non-nil in shard mode; replicas empty
-	fleet     *fleet.Fleet     // non-nil in fleet mode; group and replicas empty
-	backends  []*backend       // one per worker
+	backends  []core.Backend // the replicas, or the one shard group or fleet
+	slots     []*slot        // one per unit of backend window, one worker each
 	pool      backendPool
 
 	reqCh   chan *request
@@ -312,13 +351,14 @@ type Server struct {
 
 // New builds and starts a Server on f's model. The current enclave
 // parameters are published to PM as an immutable versioned snapshot
-// (so serving sees exactly the weights f holds), then Options.Workers
-// replicas are attested, provisioned and restored from that pinned
-// version. Training may continue concurrently: call Refresh to roll
-// the pool forward to a later published version.
+// (so serving sees exactly the weights f holds), then the backends —
+// Options.Workers replicas, a shard group or a fleet — are attested,
+// provisioned and restored from that pinned version. Training may
+// continue concurrently: call Refresh to roll the backends forward to
+// a later published version.
 //
-// ctx bounds server construction (replica attestation and restore); it
-// does not affect the running server. A framework that cannot serve —
+// ctx bounds server construction (attestation and restore); it does
+// not affect the running server. A framework that cannot serve —
 // crashed, or dataset-less with nothing published or mirrored in PM —
 // fails fast with an error matching ErrNotServable (and the underlying
 // core sentinel).
@@ -331,7 +371,8 @@ func New(ctx context.Context, f *core.Framework, opts Options) (*Server, error) 
 	return s, nil
 }
 
-// build is New up to, not including, starting the workers.
+// build is New up to, not including, starting the workers. It is the
+// one place that knows which kind of backend the server runs.
 func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if err := f.Servable(); err != nil {
@@ -344,10 +385,21 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 	if err := f.EnsureModelCurrent(); err != nil {
 		return nil, fmt.Errorf("serve: restore model before publish: %w", err)
 	}
-	// Quantized serving flips the framework into quantized publication
-	// before the snapshot below, so the very first published version
-	// already carries the int8 variant the replicas will restore.
-	if opts.Quantized {
+	// The backend kind: a fleet when Options.Fleet hosts are given, a
+	// shard group for explicit Options.Shards, else the replica pool —
+	// except that FleetAuto and ShardAuto engage a fleet or a shard
+	// group only when even one whole-model replica would blow past the
+	// host's remaining EPC headroom, the regime where a monolithic pool
+	// would drag every co-located enclave over the paging knee.
+	fp := replicaFootprint(f, opts)
+	overHeadroom := fp > 0 && fp > f.Host.Headroom()
+	fleeted := len(opts.Fleet) > 0 && (!opts.FleetAuto || overHeadroom)
+	sharded := !fleeted && (opts.Shards > 0 || opts.Shards == ShardAuto && overHeadroom)
+	// Only a quantized replica pool restores the int8 variant, so only
+	// it turns quantized publication on — a sticky switch — and does so
+	// before the snapshot below, so the first published version already
+	// carries the variant.
+	if opts.Quantized && !fleeted && !sharded {
 		f.SetPublishQuantized(true)
 	}
 	ver, err := f.LatestPublished()
@@ -359,8 +411,7 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 	// previously published version already exists; then serve that
 	// instead of superseding it with random weights.
 	if f.Iteration() > 0 || ver == 0 {
-		ver, err = f.Publish()
-		if err != nil {
+		if _, err := f.Publish(); err != nil {
 			return nil, fmt.Errorf("serve: publish model to PM: %w", err)
 		}
 	}
@@ -378,6 +429,64 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 		tracer:    obs.NewTracer(opts.TraceKeep),
 		stats:     newStatsCollector(reg),
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("serve: cancelled building backends: %w", err)
+	}
+	switch {
+	case fleeted:
+		fl, err := fleet.New(f, fleet.Options{
+			Hosts:         opts.Fleet,
+			Replicas:      opts.FleetReplicas,
+			Batch:         opts.MaxBatch,
+			OverheadBytes: opts.ShardOverheadBytes,
+			Seed:          opts.Seed,
+			Metrics:       reg,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("serve: fleet: %w", err)
+		}
+		s.add(fl)
+	case sharded:
+		so := core.ShardOptions{
+			Batch:         opts.MaxBatch,
+			Seed:          opts.Seed,
+			OverheadBytes: opts.ShardOverheadBytes,
+			Metrics:       reg,
+		}
+		if opts.Shards > 0 {
+			so.Shards = opts.Shards
+		}
+		g, err := f.NewShardGroup(so)
+		if err != nil {
+			return nil, fmt.Errorf("serve: shard group: %w", err)
+		}
+		s.add(g)
+	default:
+		workers := opts.Workers
+		if workers == WorkersAuto {
+			workers = autoWorkers(f, fp)
+		}
+		var repOpts []core.ReplicaOption
+		if opts.Quantized {
+			repOpts = append(repOpts, core.WithQuantizedReplica())
+		}
+		for i := 0; i < workers; i++ {
+			if err := ctx.Err(); err != nil {
+				_ = s.closeBackends()
+				return nil, fmt.Errorf("serve: cancelled building replica %d: %w", i, err)
+			}
+			rep, err := f.NewReplica(opts.Seed+int64(i)+1, repOpts...)
+			if err != nil {
+				_ = s.closeBackends()
+				return nil, fmt.Errorf("serve: replica %d: %w", i, err)
+			}
+			s.add(rep)
+		}
+	}
+	s.iter.Store(int64(s.backends[0].Iteration()))
+	s.ver.Store(s.backends[0].Version())
+	// Registered only now: serve_quantized reads the backends, and a
+	// shared registry may be scraped while they are being built.
 	reg.GaugeFunc("serve_batch_service_seconds", "Recent floor of micro-batch service time per request served; a forming worker waits at most a quarter of it for batch company.",
 		func() float64 { return time.Duration(s.service.Load()).Seconds() })
 	reg.GaugeFunc("serve_epc_pressure", "Host EPC overcommit fraction (0 = working set fits the usable EPC).",
@@ -393,112 +502,24 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 			}
 			return 0
 		})
-
-	// Fleet serving: the multi-host fabric, when Options.Fleet hosts
-	// are given (gated on the over-headroom regime by FleetAuto). The
-	// fleet is one logical pool: the router inside it spreads batches
-	// over replica groups, so the server runs one worker per slot of
-	// the aggregate pipeline window.
-	fleeted := len(opts.Fleet) > 0
-	if fleeted && opts.FleetAuto {
-		fp := replicaFootprint(f, opts)
-		fleeted = fp > 0 && fp > f.Host.Headroom()
-	}
-	if fleeted {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("serve: cancelled building fleet: %w", err)
-		}
-		fl, err := fleet.New(f, fleet.Options{
-			Hosts:         opts.Fleet,
-			Replicas:      opts.FleetReplicas,
-			Batch:         opts.MaxBatch,
-			OverheadBytes: opts.ShardOverheadBytes,
-			Seed:          opts.Seed,
-			Metrics:       reg,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: fleet: %w", err)
-		}
-		s.fleet = fl
-		s.iter.Store(int64(fl.Iteration()))
-		s.ver.Store(fl.Version())
-		for i := 0; i < fl.Window(); i++ {
-			s.backends = append(s.backends, &backend{id: i, classify: fl.ClassifyBatchCtx, version: fl.Version})
-		}
-		return s, nil
-	}
-
-	// Sharded serving: explicit Options.Shards, or ShardAuto when even
-	// one whole-model replica would blow past the host's remaining EPC
-	// headroom — the regime where a monolithic pool would drag every
-	// co-located enclave over the paging knee.
-	sharded := opts.Shards > 0
-	if opts.Shards == ShardAuto {
-		fp := replicaFootprint(f, opts)
-		sharded = fp > 0 && fp > f.Host.Headroom()
-	}
-	if sharded {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("serve: cancelled building shard group: %w", err)
-		}
-		so := core.ShardOptions{
-			Batch:         opts.MaxBatch,
-			Seed:          opts.Seed,
-			OverheadBytes: opts.ShardOverheadBytes,
-			Metrics:       reg,
-		}
-		if opts.Shards > 0 {
-			so.Shards = opts.Shards
-		}
-		g, err := f.NewShardGroup(so)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard group: %w", err)
-		}
-		s.group = g
-		s.iter.Store(int64(g.Iteration()))
-		s.ver.Store(g.Version())
-		for i := 0; i < g.Window(); i++ {
-			s.backends = append(s.backends, &backend{id: i, classify: g.ClassifyBatchCtx, version: g.Version})
-		}
-		return s, nil
-	}
-
-	if opts.Workers == WorkersAuto {
-		opts.Workers = autoWorkers(f, replicaFootprint(f, opts))
-		s.opts.Workers = opts.Workers
-	}
-	var repOpts []core.ReplicaOption
-	if opts.Quantized {
-		repOpts = append(repOpts, core.WithQuantizedReplica())
-	}
-	for i := 0; i < opts.Workers; i++ {
-		if err := ctx.Err(); err != nil {
-			for _, r := range s.replicas {
-				_ = r.Close()
-			}
-			return nil, fmt.Errorf("serve: cancelled building replica %d: %w", i, err)
-		}
-		rep, err := f.NewReplica(opts.Seed+int64(i)+1, repOpts...)
-		if err != nil {
-			for _, r := range s.replicas {
-				_ = r.Close()
-			}
-			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
-		}
-		s.replicas = append(s.replicas, rep)
-		s.backends = append(s.backends, &backend{id: i, classify: rep.ClassifyBatchCtx, version: rep.Version, rep: rep})
-	}
-	s.iter.Store(int64(s.replicas[0].Iteration()))
-	s.ver.Store(ver)
 	return s, nil
 }
 
-// start launches one worker per backend.
+// add makes b one of the server's backends, with one slot — and so one
+// worker — per batch its window admits.
+func (s *Server) add(b core.Backend) {
+	s.backends = append(s.backends, b)
+	for i := 0; i < b.Window(); i++ {
+		s.slots = append(s.slots, &slot{id: len(s.slots), b: b})
+	}
+}
+
+// start launches one worker per slot.
 func (s *Server) start() {
 	s.pool.cond.L = &s.pool.mu
-	s.pool.free = append(s.pool.free, s.backends...)
-	s.wg.Add(len(s.backends))
-	for i := range s.backends {
+	s.pool.free = append(s.pool.free, s.slots...)
+	s.wg.Add(len(s.slots))
+	for i := range s.slots {
 		go s.worker(i)
 	}
 }
@@ -730,15 +751,15 @@ func (s *Server) serveBatch(ctx context.Context, batch []*request, buf []float32
 		return spans
 	}
 	live := batch[:n]
-	b := s.pool.get(nil)
+	sl := s.pool.get()
 	dispatch := time.Now()
-	classes, err := b.classify(ctx, buf[:n*s.inputSize])
+	classes, err := sl.b.ClassifyBatchCtx(ctx, buf[:n*s.inputSize])
 	now := time.Now()
 	var ver uint64
 	if err == nil {
-		ver = b.version()
+		ver = sl.b.Version()
 	}
-	s.pool.put(b)
+	s.pool.put(sl)
 	spans = bt.Drain(spans)
 	// Per request, so that large batches, whose fixed cost is already
 	// shared, do not argue for waiting longer and growing larger still.
@@ -763,7 +784,7 @@ func (s *Server) serveBatch(ctx context.Context, batch []*request, buf []float32
 			Class:        classes[i],
 			Latency:      now.Sub(req.enq),
 			BatchSize:    n,
-			Worker:       b.id,
+			Worker:       sl.id,
 			ModelVersion: ver,
 		}
 		s.stats.record(pred)
@@ -776,9 +797,8 @@ func (s *Server) serveBatch(ctx context.Context, batch []*request, buf []float32
 }
 
 // Close stops accepting requests, serves everything already queued or
-// in flight, tears down the replicas (or the shard group, or the
-// fleet) and returns. Subsequent Classify and Close calls return
-// ErrClosed.
+// in flight, tears down the backends and returns. Subsequent Classify
+// and Close calls return ErrClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -790,220 +810,150 @@ func (s *Server) Close() error {
 
 	close(s.reqCh)
 	s.wg.Wait()
-	if s.fleet != nil {
-		return s.fleet.Close()
-	}
-	if s.group != nil {
-		return s.group.Close()
-	}
+	return s.closeBackends()
+}
+
+// closeBackends closes every backend and returns the first error.
+func (s *Server) closeBackends() error {
 	var firstErr error
-	for _, r := range s.replicas {
-		if err := r.Close(); err != nil && firstErr == nil {
+	for _, b := range s.backends {
+		if err := b.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// Workers returns the number of serving workers: enclave replicas, or
-// in shard mode the pipeline's residency window.
-func (s *Server) Workers() int { return len(s.backends) }
+// Workers returns the number of serving workers: one per replica, or
+// one per batch the shard pipeline or fleet admits at once.
+func (s *Server) Workers() int { return len(s.slots) }
+
+// report sums the backends' reports.
+func (s *Server) report() core.BackendReport {
+	var r core.BackendReport
+	for _, b := range s.backends {
+		r.Add(b.Report())
+	}
+	return r
+}
 
 // Shards returns the number of shard enclaves the model is pipelined
-// across (per replica group in fleet mode), 0 when serving whole-model
+// across (per replica group in a fleet), 0 when serving whole-model
 // replicas.
-func (s *Server) Shards() int {
-	switch {
-	case s.fleet != nil:
-		return s.fleet.Shards()
-	case s.group != nil:
-		return s.group.Shards()
-	}
-	return 0
-}
+func (s *Server) Shards() int { return s.report().Shards }
 
 // ShardsStreaming reports whether the shard pipeline streams parked
 // layer ranges from PM per batch (the over-headroom regime). Always
 // false when serving whole-model replicas.
-func (s *Server) ShardsStreaming() bool {
-	if s.fleet != nil {
-		return s.fleet.Streaming()
-	}
-	return s.group != nil && s.group.Streaming()
-}
+func (s *Server) ShardsStreaming() bool { return s.report().Streaming }
 
-// ShardRestores counts layer-range restores from PM by the shard
-// pipeline — the streaming mode's alternative currency to page faults.
-// For a coherent multi-counter snapshot (restores, stalls, prefetch
-// waits, prefetched) use Stats instead.
-func (s *Server) ShardRestores() uint64 {
-	switch {
-	case s.fleet != nil:
-		return s.fleet.Restores()
-	case s.group != nil:
-		return s.group.Restores()
-	}
-	return 0
-}
-
-// FleetSize returns the number of hosts in the serving fleet, 0 when
-// not in fleet mode.
-func (s *Server) FleetSize() int {
-	if s.fleet == nil {
-		return 0
-	}
-	return s.fleet.Hosts()
-}
-
-// FleetGroups returns the number of replica groups in fleet mode, 0
-// otherwise.
-func (s *Server) FleetGroups() int {
-	if s.fleet == nil {
-		return 0
-	}
-	return s.fleet.Groups()
+// servingFleet returns the fleet the server serves through, nil when
+// it serves replicas or a single shard group.
+func (s *Server) servingFleet() *fleet.Fleet {
+	fl, _ := s.backends[0].(*fleet.Fleet)
+	return fl
 }
 
 // FleetHostReports returns the per-host fleet view (EPC budget, load,
-// paging, placed shard ranges), nil when not in fleet mode.
+// paging, placed shard ranges), nil when not serving through a fleet.
 func (s *Server) FleetHostReports() []fleet.HostReport {
-	if s.fleet == nil {
-		return nil
+	if fl := s.servingFleet(); fl != nil {
+		return fl.HostReports()
 	}
-	return s.fleet.HostReports()
-}
-
-// FleetDegraded reports whether the serving fleet fell back to
-// degraded streaming after host failures; always false outside fleet
-// mode.
-func (s *Server) FleetDegraded() bool {
-	return s.fleet != nil && s.fleet.Degraded()
-}
-
-// FleetHostsDown returns how many fleet hosts are marked down, 0
-// outside fleet mode.
-func (s *Server) FleetHostsDown() int {
-	if s.fleet == nil {
-		return 0
-	}
-	return s.fleet.HostsDown()
+	return nil
 }
 
 // FleetRejoin re-admits fleet hosts that have come back and promotes
 // the fleet to the best placement the live hosts hold (fleet.Rejoin).
-// No-op outside fleet mode.
+// No-op when not serving through a fleet.
 func (s *Server) FleetRejoin() error {
-	if s.fleet == nil {
-		return nil
+	if fl := s.servingFleet(); fl != nil {
+		return fl.Rejoin()
 	}
-	return s.fleet.Rejoin()
+	return nil
 }
 
-// Precision returns the parameter precision the pool serves: Int8 when
-// Options.Quantized selected the quantized snapshot variant (whole-
-// model replica pool only), FP32 otherwise — shard and fleet pipelines
-// always serve fp32.
-func (s *Server) Precision() darknet.Precision {
-	if s.opts.Quantized && s.fleet == nil && s.group == nil {
-		return darknet.Int8
-	}
-	return darknet.FP32
-}
+// Precision returns the parameter precision the server serves: Int8
+// for a replica pool built with Options.Quantized, FP32 otherwise.
+func (s *Server) Precision() darknet.Precision { return s.report().Precision }
 
 // Iteration returns the training iteration of the served model.
 func (s *Server) Iteration() int { return int(s.iter.Load()) }
 
-// Version returns the published model version the pool serves (the
-// lowest across replicas mid-refresh; all replicas converge once a
-// Refresh or RotateKey completes).
+// Version returns the published model version the server serves (the
+// lowest across replicas mid-refresh; all converge once a Refresh or
+// RotateKey completes).
 func (s *Server) Version() uint64 { return s.ver.Load() }
 
-// eachReplica returns the control operation that runs op — Refresh or
-// Rotate — on every replica, one at a time, each borrowed from the pool
-// for the call: the replica being updated serves nothing, the rest of
-// the pool keeps serving, so there is never a serving gap. ctx cancels
-// between replicas (never mid-replica); every replica is attempted even
-// if one fails.
-func (s *Server) eachReplica(ctx context.Context, op func(*core.Replica) (int, error)) func() (int, error) {
-	return func() (iter int, firstErr error) {
-		for _, b := range s.backends {
-			if err := ctx.Err(); err != nil {
-				return 0, fmt.Errorf("serve: cancelled before replica %d: %w", b.id, err)
-			}
-			s.pool.get(b)
-			it, err := op(b.rep)
-			s.pool.put(b)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			iter = it
-		}
-		return iter, firstErr
-	}
-}
-
-// Refresh rolls every replica forward to the latest published model
-// version, one replica at a time, and returns the restored iteration.
-// It is zero-downtime (the pool keeps serving throughout) and safe
-// against concurrent training: each replica pins the version it
-// restores, and published snapshots are immutable, so no torn model
-// can ever be observed.
+// Refresh rolls every backend forward to the latest published model
+// version and returns the restored iteration. A replica pool rolls one
+// replica at a time while the others keep serving; a shard group or
+// fleet drains and flips at once (queued requests wait, none fail).
+// Either way it is safe against concurrent training: every backend
+// pins the version it restores, and published snapshots are immutable,
+// so no torn model can ever be observed.
 //
-// Every replica is attempted even if one fails; on error the pool may
-// be serving mixed versions (Iteration and Version keep the old
+// Every backend is attempted even if one fails; on error the server
+// may be serving mixed versions (Iteration and Version keep the old
 // values) — retry Refresh or Close the server.
 func (s *Server) Refresh(ctx context.Context) (int, error) {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
-	switch {
-	case s.fleet != nil:
-		return s.control(ctx, s.fleet.Refresh)
-	case s.group != nil:
-		return s.control(ctx, s.group.Refresh)
-	}
-	return s.control(ctx, s.eachReplica(ctx, (*core.Replica).Refresh))
+	return s.control(ctx, core.Backend.Refresh)
 }
 
-// control runs one control operation — Refresh or Rotate — under the
-// server's closed check and publishes the iteration and version it
-// left the pool on. A shard group or fleet quiesces its own pipeline(s)
-// — queued requests wait, none are dropped — because the shards of one
-// model must change version together: a half-refreshed pipeline would
-// mix two versions inside a single forward pass. In fleet mode the
-// drain-and-flip covers every replica group on every host at once.
-func (s *Server) control(ctx context.Context, op func() (int, error)) (int, error) {
+// control runs one control operation — Refresh or Rotate — on each
+// backend in turn, every slot of that backend borrowed from the pool
+// for the call, so no batch runs on a backend while it changes
+// version. With one slot per replica that is a one-at-a-time rollout
+// the rest of the pool serves through; a shard group or fleet, whose
+// shards must change version together, also quiesces internally. ctx
+// cancels between backends, never mid-backend. On success control
+// publishes the iteration and version it left the server on.
+func (s *Server) control(ctx context.Context, op func(core.Backend) (int, error)) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
+	var (
+		iter     int
+		firstErr error
+	)
+	for i, b := range s.backends {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("serve: cancelled before backend %d: %w", i, err)
+		}
+		n := 0
+		for _, sl := range s.slots {
+			if sl.b == b {
+				n++
+			}
+		}
+		held := s.pool.drain(b, n)
+		it, err := op(b)
+		s.pool.release(held)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		iter = it
 	}
-	iter, err := op()
-	if err != nil {
-		return 0, err
+	if firstErr != nil {
+		return 0, firstErr
 	}
 	s.iter.Store(int64(iter))
-	// Control calls are serialized and every replica just restored the
+	// Control calls are serialized and every backend just restored the
 	// same version, so one can be read outside the pool.
-	s.ver.Store(s.backends[0].version())
+	s.ver.Store(s.backends[0].Version())
 	return iter, nil
 }
-
-// RefreshSync re-reads the published model on every replica.
-//
-// Deprecated: RefreshSync is the v1 Refresh() signature kept as a thin
-// shim; use Refresh(ctx), which adds cancellation between replicas.
-func (s *Server) RefreshSync() (int, error) { return s.Refresh(context.Background()) }
 
 // RotateKey rotates the data key end to end without a serving gap:
 // the framework generates a fresh key, re-seals the training data
 // matrix and PM mirror, and publishes a new snapshot under the new
-// key; then every replica, one at a time, receives the key over a
-// fresh attestation channel and restores the new snapshot while the
-// rest of the pool keeps serving. It returns the published version
-// now being served.
+// key; then every backend, as in Refresh, receives the key over fresh
+// attestation channels and restores the new snapshot. It returns the
+// published version now being served.
 func (s *Server) RotateKey(ctx context.Context) (uint64, error) {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
@@ -1013,48 +963,20 @@ func (s *Server) RotateKey(ctx context.Context) (uint64, error) {
 	if _, err := s.f.RotateKey(); err != nil {
 		return 0, err
 	}
-	op := s.eachReplica(ctx, (*core.Replica).Rotate)
-	switch {
-	case s.fleet != nil:
-		op = s.fleet.Rotate
-	case s.group != nil:
-		op = s.group.Rotate
-	}
-	if _, err := s.control(ctx, op); err != nil {
+	if _, err := s.control(ctx, core.Backend.Rotate); err != nil {
 		return 0, err
 	}
 	return s.ver.Load(), nil
 }
 
 // Stats returns a snapshot of the serving counters, including the
-// host-level EPC pressure at the moment of the call and — in shard
-// mode — the pipeline's restore/stall/prefetch counters.
+// host-level EPC pressure at the moment of the call and the backends'
+// summed report (precision, pipeline shape, shard and fleet counters).
 func (s *Server) Stats() Stats {
 	st := s.stats.snapshot()
-	st.Precision = s.Precision().String()
 	st.EPCPressure = s.host.Overcommit()
 	st.HostResidentBytes = s.host.Resident()
-	switch {
-	case s.fleet != nil:
-		st.ShardRestores = s.fleet.Restores()
-		st.ShardStalls = s.fleet.Stalls()
-		st.ShardPrefetchWaits = s.fleet.PrefetchWaits()
-		st.ShardPrefetched = s.fleet.PrefetchedRestores()
-		st.FleetHosts = s.fleet.Hosts()
-		st.FleetGroups = s.fleet.Groups()
-		st.FleetHandoffs = s.fleet.HandoffTransfers()
-		st.FleetHandoffBytes = s.fleet.HandoffBytes()
-		st.FleetHostsDown = s.fleet.HostsDown()
-		st.FleetDegraded = s.fleet.Degraded()
-		st.FleetReplans = s.fleet.Replans()
-		st.FleetEvictedGroups = s.fleet.EvictedGroups()
-		st.FleetHandoffRetries = s.fleet.HandoffRetries()
-	case s.group != nil:
-		st.ShardRestores = s.group.Restores()
-		st.ShardStalls = s.group.Stalls()
-		st.ShardPrefetchWaits = s.group.PrefetchWaits()
-		st.ShardPrefetched = s.group.PrefetchedRestores()
-	}
+	st.BackendReport = s.report()
 	return st
 }
 

@@ -269,7 +269,7 @@ func TestRefreshPicksUpNewModel(t *testing.T) {
 		t.Fatalf("served iteration %d, want 4", got)
 	}
 
-	if err := f.TrainIters(8, nil); err != nil {
+	if err := f.Train(context.Background(), core.StopAt(8)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"plinius/internal/core"
 )
 
 // TestShardedServingMatchesSequential: explicit Options.Shards serves
@@ -64,8 +66,8 @@ func TestShardedServingMatchesSequential(t *testing.T) {
 	}
 
 	// Refresh and rotation go through the group, no request dropped.
-	if err := f.TrainIters(4, nil); err != nil {
-		t.Fatalf("TrainIters: %v", err)
+	if err := f.Train(context.Background(), core.StopAt(4)); err != nil {
+		t.Fatalf("Train: %v", err)
 	}
 	if _, err := f.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)

@@ -3,14 +3,17 @@ package serve
 import (
 	"time"
 
+	"plinius/internal/core"
 	"plinius/internal/obs"
 )
 
 // Stats is a snapshot of a Server's serving counters.
 type Stats struct {
-	// Precision is the active serving parameter precision: "int8" when
-	// the pool serves the quantized snapshot variant, "fp32" otherwise.
-	Precision string
+	// BackendReport is the backends' summed report: the serving
+	// precision, the shard pipeline's shape and restore counters, and
+	// the fleet's fabric and failure-domain state — zero where a
+	// backend has none of them.
+	core.BackendReport
 	// Requests is the number of requests served successfully.
 	Requests uint64
 	// Rejected counts admission-control rejections: requests that
@@ -51,34 +54,6 @@ type Stats struct {
 	Throughput float64
 	// Uptime is the time since the server started.
 	Uptime time.Duration
-	// Shard-pipeline counters, nonzero only in shard mode:
-	// ShardRestores counts layer-range restores from PM, ShardStalls
-	// batches that paid a full restore on the compute path,
-	// ShardPrefetchWaits batches that paid only the unfinished
-	// remainder of an in-flight prefetch, and ShardPrefetched restores
-	// overlapped with compute by the double-buffering prefetcher.
-	ShardRestores      uint64
-	ShardStalls        uint64
-	ShardPrefetchWaits uint64
-	ShardPrefetched    uint64
-	// Fleet counters, nonzero only in fleet mode: FleetHosts and
-	// FleetGroups describe the fabric (hosts, replica groups);
-	// FleetHandoffs and FleetHandoffBytes count the sealed activation
-	// hand-offs carried across attested inter-host channels.
-	FleetHosts        int
-	FleetGroups       int
-	FleetHandoffs     uint64
-	FleetHandoffBytes uint64
-	// Fleet failure-domain state: FleetHostsDown is the number of hosts
-	// currently marked dead, FleetDegraded whether the fleet fell back
-	// to streaming on survivors (the fleet.ErrDegraded state),
-	// FleetReplans / FleetEvictedGroups / FleetHandoffRetries the
-	// recovery counters behind fleet_replans_total and friends.
-	FleetHostsDown      int
-	FleetDegraded       bool
-	FleetReplans        uint64
-	FleetEvictedGroups  uint64
-	FleetHandoffRetries uint64
 }
 
 // statsCollector is the server's view onto its metrics registry. The

@@ -24,11 +24,11 @@ func TestPublicAPITrainAndRecover(t *testing.T) {
 	if err := f.LoadDataset(plinius.SyntheticDataset(100, 1)); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(5, nil); err != nil {
+	if err := f.Train(context.Background(), plinius.StopAt(5)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	f.Crash()
-	if err := f.TrainIters(6, nil); !errors.Is(err, plinius.ErrCrashedDown) {
+	if err := f.Train(context.Background(), plinius.StopAt(6)); !errors.Is(err, plinius.ErrCrashedDown) {
 		t.Fatalf("Train crashed = %v, want ErrCrashedDown", err)
 	}
 	if err := f.Recover(true); err != nil {
@@ -121,7 +121,7 @@ func TestPublicAPIMissingDataset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := f.TrainIters(1, nil); !errors.Is(err, plinius.ErrNoDataset) {
+	if err := f.Train(context.Background(), plinius.StopAt(1)); !errors.Is(err, plinius.ErrNoDataset) {
 		t.Fatalf("Train = %v, want ErrNoDataset", err)
 	}
 }
@@ -202,7 +202,7 @@ func TestPublicAPIServe(t *testing.T) {
 	if err := f.LoadDataset(ds); err != nil {
 		t.Fatalf("LoadDataset: %v", err)
 	}
-	if err := f.TrainIters(4, nil); err != nil {
+	if err := f.Train(context.Background(), plinius.StopAt(4)); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	srv, err := plinius.Serve(context.Background(), f, plinius.ServerOptions{Workers: 2, MaxBatch: 8})
