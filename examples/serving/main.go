@@ -163,7 +163,7 @@ func shardedServing(ctx context.Context) error {
 		return err
 	}
 	fmt.Printf("replica footprint %.1f MB vs %.1f MB headroom: a whole replica cannot fit\n",
-		float64(f.ReplicaFootprint())/(1<<20), float64(host.Headroom())/(1<<20))
+		float64(f.ReplicaFootprint(8))/(1<<20), float64(host.Headroom())/(1<<20))
 
 	srv, err := plinius.Serve(ctx, f, plinius.ServerOptions{
 		Shards:             plinius.ShardAuto,

@@ -7,10 +7,10 @@ import (
 )
 
 // Backend is one serving backend: what a model server forms
-// micro-batches for. A Replica serves one batch at a time (Window 1); a
-// ShardGroup, and a fleet of them, pipeline up to Window batches at
-// once. Refresh, Rotate and Close may run only while no batch is in
-// flight on the backend.
+// micro-batches for. A replica — a one-range ShardGroup — serves one
+// batch at a time (Window 1); a multi-range ShardGroup, and a fleet of
+// them, pipeline up to Window batches at once. Refresh, Rotate and
+// Close may run only while no batch is in flight on the backend.
 type Backend interface {
 	// ClassifyBatchCtx classifies images laid out contiguously, one
 	// class per image. Up to Window calls may run concurrently.
@@ -35,18 +35,15 @@ type Backend interface {
 	Report() BackendReport
 }
 
-var (
-	_ Backend = (*Replica)(nil)
-	_ Backend = (*ShardGroup)(nil)
-)
+var _ Backend = (*ShardGroup)(nil)
 
 // BackendReport is a serving backend's shape and counters at one
 // moment. What does not apply to a backend stays zero: a replica
 // reports only its precision, a shard group its pipeline, and a fleet
 // its replica groups' pipelines summed plus the fabric's state.
 type BackendReport struct {
-	// Precision is the parameter precision served: Int8 for a quantized
-	// replica, FP32 otherwise.
+	// Precision is the parameter precision served: Int8 for a group
+	// built with ShardOptions.Precision Int8, FP32 otherwise.
 	Precision darknet.Precision
 	// Shards is the number of pipeline stages (per replica group in a
 	// fleet), 0 for whole-model replicas; Streaming reports whether

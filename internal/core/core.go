@@ -109,6 +109,9 @@ var (
 	ErrNotCrashed   = errors.New("core: recover called on a live framework")
 	ErrCrashedDown  = errors.New("core: framework is crashed; call Recover")
 	ErrMirroringOff = errors.New("core: mirroring is disabled (MirrorFreq < 0)")
+	// ErrNoServableModel: nothing to serve — no dataset to train on and
+	// nothing published or mirrored in PM.
+	ErrNoServableModel = errors.New("core: no servable model; load a dataset and train, or recover a framework whose PM holds one")
 )
 
 // Framework is a live Plinius instance.
@@ -516,27 +519,21 @@ func (f *Framework) Classify(image []float32) (int, error) {
 }
 
 // ClassifyBatch classifies the images laid out contiguously in one
-// network forward (the serving micro-batch path) and returns one class
-// per image.
+// network forward inside the training enclave and returns one class
+// per image: validate the layout, charge EPC for the staged batch, one
+// ecall, one forward.
 func (f *Framework) ClassifyBatch(images []float32) ([]int, error) {
 	if f.crashed {
 		return nil, ErrCrashedDown
 	}
-	return classifyBatch(f.Enclave, f.Net, images)
-}
-
-// classifyBatch is the shared enclave micro-batch forward used by both
-// the Framework and its serving Replicas: validate the layout, charge
-// EPC for the staged batch, one ecall, one forward.
-func classifyBatch(encl *enclave.Enclave, net *darknet.Network, images []float32) ([]int, error) {
-	in := net.InputSize()
+	in := f.Net.InputSize()
 	if len(images) == 0 || len(images)%in != 0 {
 		return nil, fmt.Errorf("core: classify: %d floats is not a positive multiple of the %d-float input", len(images), in)
 	}
 	var classes []int
-	err := encl.Ecall(func() error {
-		encl.Touch(4 * len(images))
-		cs, err := net.ClassifyBatch(images, len(images)/in)
+	err := f.Enclave.Ecall(func() error {
+		f.Enclave.Touch(4 * len(images))
+		cs, err := f.Net.ClassifyBatch(images, len(images)/in)
 		classes = cs
 		return err
 	})
@@ -547,26 +544,33 @@ func classifyBatch(encl *enclave.Enclave, net *darknet.Network, images []float32
 }
 
 // ReplicaFootprint returns the EPC working set one serving replica of
-// this framework's model will claim on the host: the model parameters
-// plus the per-enclave overhead (activation/encryption buffers, code).
-// Serving uses it to size replica pools against Host.Headroom.
-func (f *Framework) ReplicaFootprint() int {
-	return f.ReplicaFootprintAt(darknet.FP32)
+// this framework's model claims on its host when it serves batches of
+// up to batch images (0: the model's configured batch size): the
+// training-enclave overhead plus the model's ShardFootprint — its
+// parameters and activation buffers — exactly what the replica's
+// one-range ShardGroup reserves. Serving uses it to size replica pools
+// against Host.Headroom.
+func (f *Framework) ReplicaFootprint(batch int) int {
+	return f.ReplicaFootprintAt(batch, darknet.FP32)
 }
 
 // ReplicaFootprintAt is ReplicaFootprint at an explicit serving
 // precision: an int8 replica holds the quantized parameters (~4x
 // smaller), so more replicas fit the same EPC headroom.
-func (f *Framework) ReplicaFootprintAt(prec darknet.Precision) int {
+func (f *Framework) ReplicaFootprintAt(batch int, prec darknet.Precision) int {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
 	if f.Net == nil {
 		return 0
 	}
-	if prec == darknet.Int8 {
-		return darknet.QuantParamBytes(f.Net) + f.cfg.TrainOverheadBytes
+	if batch <= 0 {
+		batch = f.Net.Config.Batch
 	}
-	return f.Net.ParamBytes() + f.cfg.TrainOverheadBytes
+	fp, err := f.Net.ShardFootprintAt(darknet.ShardRange{From: 0, To: len(f.Net.Layers)}, batch, prec)
+	if err != nil {
+		return 0
+	}
+	return f.cfg.TrainOverheadBytes + fp
 }
 
 // Iteration returns the model's completed iteration count.

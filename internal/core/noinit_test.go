@@ -26,8 +26,8 @@ func paramHash(net *darknet.Network) uint64 {
 }
 
 // TestRestoredBuildsSkipInitBitIdentical: the models built only to be
-// overwritten from PM — Recover(true), a serving replica, a one-shard
-// group — are parsed without the random weight init, and must hold
+// overwritten from PM — Recover(true), a serving replica (a one-range
+// group) — are parsed without the random weight init, and must hold
 // exactly the trained model's parameters, as they did when the init ran
 // first: the restore overwrites every parameter buffer.
 func TestRestoredBuildsSkipInitBitIdentical(t *testing.T) {
@@ -40,20 +40,11 @@ func TestRestoredBuildsSkipInitBitIdentical(t *testing.T) {
 		t.Fatalf("NewReplica: %v", err)
 	}
 	defer rep.Close()
-	if got := paramHash(rep.net); got != want {
+	if len(rep.shards) != 1 {
+		t.Fatalf("replica has %d ranges, want 1", len(rep.shards))
+	}
+	if got := paramHash(rep.shards[0].net); got != want {
 		t.Fatalf("replica parameters %x differ from the published model %x", got, want)
-	}
-
-	g, err := f.NewShardGroup(ShardOptions{Shards: 1, Batch: 8, Seed: 5})
-	if err != nil {
-		t.Fatalf("NewShardGroup: %v", err)
-	}
-	defer g.Close()
-	if len(g.shards) != 1 {
-		t.Fatalf("group has %d shards, want 1", len(g.shards))
-	}
-	if got := paramHash(g.shards[0].net); got != want {
-		t.Fatalf("1-shard group parameters %x differ from the published model %x", got, want)
 	}
 
 	f.Crash()

@@ -38,8 +38,8 @@ func TestParallelMirrorOutConcurrentWithClassify(t *testing.T) {
 		t.Fatalf("NewReplica: %v", err)
 	}
 	defer rep.Close()
-	// A second replica takes the refreshes: Replica methods are
-	// single-goroutine, so rep classifies while rep2 restores.
+	// A second replica takes the refreshes, so rep classifies while
+	// rep2 restores.
 	rep2, err := f.NewReplica(4)
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)

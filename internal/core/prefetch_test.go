@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"plinius/internal/enclave"
@@ -134,5 +137,93 @@ func TestShardGroupPrefetchQuiescesOnRefresh(t *testing.T) {
 	wg.Wait()
 	if g.Iteration() != f.Iteration() {
 		t.Fatalf("group iter %d, framework %d", g.Iteration(), f.Iteration())
+	}
+}
+
+// errCarry is the fault faultyHandoff injects.
+var errCarry = errors.New("injected hand-off fault")
+
+// faultyHandoff is an in-process Handoff whose Carry fails when the
+// failBatch-th batch crosses the boundary failFrom -> failFrom+1.
+type faultyHandoff struct {
+	failFrom  int
+	failBatch int64
+	crossings atomic.Int64
+}
+
+func (h *faultyHandoff) Bind(from, to int, src, dst *enclave.Enclave) error { return nil }
+
+func (h *faultyHandoff) Carry(from, to int, sealed []byte) error {
+	if from == h.failFrom && h.crossings.Add(1) == h.failBatch {
+		return errCarry
+	}
+	return nil
+}
+
+// TestShardGroupFailedHandoffParksEverything: a streaming batch whose
+// sealed activations cannot cross a stage boundary fails there without
+// leaking the range that stage prefetched downstream for it — when the
+// batch returns, every host holds only its parked shards' overhead —
+// and the next batch serves. The stages alternate between two hosts,
+// so every prefetch is admitted and the failed batch always leaves one
+// in flight or landed. Run with -race.
+func TestShardGroupFailedHandoffParksEverything(t *testing.T) {
+	f, test := trainedShardFramework(t, 4)
+	probe, _ := streamingGroup(t, f, 192<<10, false, 5)
+	plan := probe.Plan()
+	if err := probe.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	const overhead = 8 << 10
+	in := f.Net.InputSize()
+	for from := 0; from+1 < len(plan); from++ {
+		hosts := []*enclave.Host{
+			enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10)),
+			enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10)),
+		}
+		placed := make([]*enclave.Host, len(plan))
+		parked := make(map[*enclave.Host]int)
+		for i := range plan {
+			placed[i] = hosts[i%2]
+			parked[placed[i]] += overhead
+		}
+		h := &faultyHandoff{failFrom: from, failBatch: 2}
+		g, err := f.NewShardGroup(ShardOptions{
+			Plan: plan, Hosts: placed, Batch: 2, OverheadBytes: overhead, Seed: 5, Handoff: h,
+		})
+		if err != nil {
+			t.Fatalf("NewShardGroup: %v", err)
+		}
+		if !g.Report().Streaming {
+			t.Fatalf("group over %v does not stream", plan)
+		}
+		checkParked := func(when string) {
+			t.Helper()
+			for i, host := range hosts {
+				if got := host.Resident(); got != parked[host] {
+					t.Fatalf("fail at %d->%d, %s: host %d holds %d bytes, want the parked %d", from, from+1, when, i, got, parked[host])
+				}
+			}
+		}
+		for b := 1; b <= 3; b++ {
+			before := g.Report().ShardPrefetched
+			_, err := g.ClassifyBatch(test.Images[b*2*in : (b+1)*2*in])
+			switch {
+			case b == int(h.failBatch) && !errors.Is(err, errCarry):
+				t.Fatalf("fail at %d->%d: batch %d = %v, want the injected fault", from, from+1, b, err)
+			case b == int(h.failBatch):
+				// Stages 0..from each prefetched their successor, the
+				// last of them for a stage the batch never reached.
+				if got := g.Report().ShardPrefetched - before; got != uint64(from+1) {
+					t.Fatalf("fail at %d->%d: failed batch prefetched %d ranges, want %d", from, from+1, got, from+1)
+				}
+			case err != nil:
+				t.Fatalf("fail at %d->%d: batch %d: %v", from, from+1, b, err)
+			}
+			checkParked(fmt.Sprintf("after batch %d", b))
+		}
+		if err := g.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 }

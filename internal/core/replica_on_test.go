@@ -43,7 +43,7 @@ func TestNewReplicaOnChargesTargetHost(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewReplicaOn: %v", err)
 			}
-			fp := f.ReplicaFootprint()
+			fp := f.ReplicaFootprint(0)
 			if fp <= 0 {
 				t.Fatalf("ReplicaFootprint = %d", fp)
 			}
@@ -54,7 +54,7 @@ func TestNewReplicaOnChargesTargetHost(t *testing.T) {
 				t.Fatalf("training host resident moved %d -> %d; a serve-elsewhere replica must not touch it",
 					trainBefore, f.Host.Resident())
 			}
-			if rep.Enclave.Host() != target {
+			if len(rep.shards) != 1 || rep.shards[0].encl.Host() != target {
 				t.Fatal("replica enclave not placed on the target host")
 			}
 

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,15 +17,19 @@ import (
 	"plinius/internal/obs"
 )
 
-// Model sharding (the serving answer to the Fig. 7 paging knee): a
-// ShardGroup serves one model that exceeds the usable EPC by splitting
-// it into contiguous layer ranges, each hosted in its own small shard
-// enclave, and pipelining micro-batches through them — shard k
-// processes batch i+1 while shard k+1 processes batch i, activations
-// crossing between enclaves only in sealed form.
+// Serving enclaves. A ShardGroup serves one model from a chain of
+// enclaves, each owning one contiguous layer range that it restores —
+// sealed, from an immutable published snapshot in PM — exactly like
+// crash recovery (Algorithm 3, mirror_in). A serving replica is the
+// one-range group: the whole model in one enclave. A model over the
+// usable EPC (the Fig. 7 paging knee) splits into several ranges and
+// micro-batches pipeline through them — stage k processes batch i+1
+// while stage k+1 processes batch i, activations crossing between
+// enclaves only in sealed form. No goroutine runs a stage: every caller
+// walks its own batch through the stages, holding one at a time.
 //
-// The point is EPC residency. A monolithic replica of an over-EPC
-// model keeps the whole parameter set resident, so the host is
+// The point of splitting is EPC residency. A monolithic replica of an
+// over-EPC model keeps the whole parameter set resident, so the host is
 // permanently over the paging knee and every restore and every staged
 // batch pays the all-miss fault stream. A ShardGroup instead bounds
 // what is resident: a shard holds only a small fixed overhead while
@@ -40,9 +44,11 @@ import (
 // the monolithic replica pays all-miss.
 //
 // When the whole plan fits the headroom the group runs resident: every
-// shard restores once and stays hot, nothing is re-read per batch, and
-// a single-shard plan is exactly the Replica path — same restore, same
-// forward, bit-identical classes.
+// shard restores once and stays hot, and nothing is re-read per batch.
+// A one-range plan runs resident whatever the headroom — streaming it
+// would re-restore the whole model for every batch — so a replica too
+// big for its host is the over-knee monolithic baseline that sharding
+// is measured against.
 
 // DefaultShardOverheadBytes is the EPC working set a parked shard
 // enclave keeps resident (code, stack, sealing buffers). It is far
@@ -54,6 +60,9 @@ const DefaultShardOverheadBytes = 1 << 20
 var (
 	ErrShardGroupClosed = errors.New("core: shard group is closed")
 	ErrShardBatch       = errors.New("core: batch exceeds the shard plan's micro-batch size")
+	// ErrQuantShards: int8 snapshots restore whole models only, so an
+	// int8 group needs a one-range plan.
+	ErrQuantShards = errors.New("core: int8 serving needs a one-range plan")
 )
 
 // Handoff is the seam between adjacent pipeline stages that the
@@ -65,8 +74,7 @@ var (
 // implementation attests both endpoint enclaves and provisions the
 // channel there — and Carry once per micro-batch crossing that
 // boundary, with the sealed activation payload. A Carry error fails
-// the batch (it still rides the pipeline to completion, like any
-// stage error).
+// the batch.
 type Handoff interface {
 	Bind(from, to int, src, dst *enclave.Enclave) error
 	Carry(from, to int, sealed []byte) error
@@ -89,9 +97,16 @@ type ShardOptions struct {
 	Batch int
 	// Host places the shard enclaves; nil uses the framework's host.
 	Host *enclave.Host
-	// OverheadBytes is the parked per-shard-enclave working set
-	// (default DefaultShardOverheadBytes).
+	// OverheadBytes is the parked per-shard-enclave working set. Zero
+	// defaults to DefaultShardOverheadBytes, or — for a one-range plan,
+	// whose enclave holds the whole model as the training enclave does
+	// — to the framework's TrainOverheadBytes.
 	OverheadBytes int
+	// Precision is the parameter precision served (default FP32). Int8
+	// restores the published snapshot's quantized variant, turning the
+	// framework's quantized publication on; it needs a one-range plan
+	// (ErrQuantShards otherwise).
+	Precision darknet.Precision
 	// Seed differentiates the shard enclaves' RNGs.
 	Seed int64
 	// DisablePrefetch turns off double-buffered restores: in streaming
@@ -125,6 +140,11 @@ type ShardOptions struct {
 	Labels []obs.Label
 }
 
+// restorer installs one stage's layer range from a handle on a pinned
+// snapshot into the stage's network and returns the snapshot's
+// iteration.
+type restorer func(net *darknet.Network) (int, error)
+
 // shard is one pipeline stage: an enclave owning one contiguous layer
 // range of the model.
 type shard struct {
@@ -139,7 +159,12 @@ type shard struct {
 	nodeFrom int
 	// footprint is the hot working set: parameters + activations.
 	footprint int
-	model     *mirror.Model
+	// restore reads the range from the pinned snapshot the group serves.
+	restore restorer
+
+	// busy is held by the batch running this stage, from its restore
+	// through the hand-off of its sealed activations downstream.
+	busy sync.Mutex
 
 	// mu guards the residency state below: the compute path and the
 	// background prefetcher both drive restores.
@@ -163,37 +188,44 @@ type shard struct {
 	spanWait, spanRestore, spanOpen, spanCompute, spanSeal string
 }
 
-// shardJob is one micro-batch travelling the pipeline.
+// shardJob is one micro-batch on its way through the stages.
 type shardJob struct {
 	n       int
-	plain   []float32 // stage-0 input (caller-owned, valid until done)
+	plain   []float32 // stage-0 input (caller-owned)
 	sealed  []byte    // sealed activations between stages
 	classes []int
-	err     error
-	done    chan *shardJob
 
 	// tr, when non-nil, accumulates per-stage spans for the request(s)
-	// riding this batch; handoff is stamped at every stage boundary so
-	// inter-stage queueing shows up as wait/<k> spans.
-	tr      *obs.Trace
-	handoff time.Time
+	// riding this batch; mark is when the last span ended (see lap).
+	tr   *obs.Trace
+	mark time.Time
 }
 
-// ShardGroup is a pipelined pool of shard enclaves serving one model.
+// lap records the time since the last span ended as a span of stage
+// and starts the next one, so a batch's spans tile its time in the
+// group with no gaps — preemption anywhere, an enclave crossing or a
+// hand-off included, lands in some span. Untraced batches skip it.
+func (j *shardJob) lap(stage string) {
+	if j.tr == nil {
+		return
+	}
+	now := time.Now()
+	j.tr.Add(stage, now.Sub(j.mark))
+	j.mark = now
+}
+
+// ShardGroup is a pipelined chain of shard enclaves serving one model.
 // ClassifyBatch is safe for concurrent use; concurrent batches pipeline
-// through the stages.
+// through the stages, up to Window at once.
 type ShardGroup struct {
 	f         *Framework
-	host      *enclave.Host
 	batch     int
 	inputSize int
-	overhead  int
+	prec      darknet.Precision
 	streaming bool
 	window    int
 	shards    []*shard
-	stages    []chan *shardJob
 	slots     chan struct{} // in-flight window tokens
-	wg        sync.WaitGroup
 
 	submitMu sync.Mutex // serializes intake; held across quiesce for control ops
 	closed   bool
@@ -230,43 +262,19 @@ type ShardGroup struct {
 // framework's host by default): each shard is attested and provisioned
 // with the data key over its own channel, and restores only its range
 // from the latest published snapshot (publishing the current model
-// first if nothing is published). The plan's layer ranges are recorded
-// as a shard manifest alongside the publication slots, durably; auto
-// planning reads it back, so a group re-created after a crash restores
-// the same split.
+// first if nothing is published). Every shard enclave reserves its
+// overhead plus its range's ShardFootprintAt. A multi-range plan is
+// recorded as a shard manifest alongside the publication slots,
+// durably; auto planning reads it back, so a group re-created after a
+// crash restores the same split.
 func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if f.Crashed() {
 		return nil, ErrCrashedDown
-	}
-	latest, err := f.LatestPublished()
-	if err != nil {
-		return nil, err
-	}
-	if latest == 0 {
-		if _, err := f.Publish(); err != nil {
-			return nil, err
-		}
 	}
 	host := opts.Host
 	if host == nil {
 		host = f.Host
 	}
-	overhead := opts.OverheadBytes
-	if overhead <= 0 {
-		overhead = DefaultShardOverheadBytes
-	}
-	batch := opts.Batch
-	if batch <= 0 {
-		f.modelMu.Lock()
-		if f.Net != nil {
-			batch = f.Net.Config.Batch
-		}
-		f.modelMu.Unlock()
-	}
-	if batch <= 0 {
-		batch = 1
-	}
-
 	// One parsed copy serves every shard: the ranges are disjoint, so
 	// each shard's layers (and their buffers) are private to its
 	// enclave. Weights stay zero until each range's first restore.
@@ -274,9 +282,33 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: shard model config: %w", err)
 	}
+	batch := opts.Batch
+	if batch <= 0 {
+		batch = max(full.Config.Batch, 1)
+	}
 	plan, err := f.planShards(full, opts, batch, host.Headroom())
 	if err != nil {
 		return nil, err
+	}
+	prec := opts.Precision
+	if prec == darknet.Int8 {
+		if len(plan) != 1 {
+			return nil, fmt.Errorf("%w: %d ranges", ErrQuantShards, len(plan))
+		}
+		// Only the quantized parameters are ever resident.
+		if full, err = darknet.QuantizeNetwork(full); err != nil {
+			return nil, fmt.Errorf("core: quantize: %w", err)
+		}
+	}
+	if err := f.ensurePublished(prec); err != nil {
+		return nil, err
+	}
+	overhead := opts.OverheadBytes
+	if overhead <= 0 {
+		overhead = DefaultShardOverheadBytes
+		if len(plan) == 1 {
+			overhead = f.cfg.TrainOverheadBytes
+		}
 	}
 	hosts := make([]*enclave.Host, len(plan))
 	for i := range hosts {
@@ -308,10 +340,9 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	g := &ShardGroup{
 		f:          f,
-		host:       host,
 		batch:      batch,
 		inputSize:  full.InputSize(),
-		overhead:   overhead,
+		prec:       prec,
 		noPrefetch: opts.DisablePrefetch,
 		reg:        reg,
 		handoff:    opts.Handoff,
@@ -322,8 +353,12 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		}
 		return nil, err
 	}
+	role := "shard"
+	if len(plan) == 1 {
+		role = "replica"
+	}
 	for i, r := range plan {
-		encl := hosts[i].NewEnclave(enclave.WithSeed(opts.Seed+int64(i)+1), enclave.WithName("shard"))
+		encl := hosts[i].NewEnclave(enclave.WithSeed(opts.Seed+int64(i)+1), enclave.WithName(role))
 		k := strconv.Itoa(i)
 		labels := append([]obs.Label{{Key: "shard", Value: k}}, opts.Labels...)
 		g.shards = append(g.shards, &shard{ // tracked for cleanup
@@ -339,7 +374,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 			spanCompute:    "compute/" + k,
 			spanSeal:       "seal/" + k,
 		})
-		key, err := f.provisionReplicaKey(encl)
+		key, err := f.provisionEnclaveKey(encl)
 		if err != nil {
 			return fail(fmt.Errorf("core: shard %d: %w", i, err))
 		}
@@ -351,7 +386,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		if err != nil {
 			return fail(fmt.Errorf("core: shard %d: %w", i, err))
 		}
-		footprint, err := full.ShardFootprint(r, batch)
+		footprint, err := full.ShardFootprintAt(r, batch, prec)
 		if err != nil {
 			return fail(fmt.Errorf("core: shard %d: %w", i, err))
 		}
@@ -377,17 +412,17 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 
 	// Residency mode, judged per host: the whole plan resident when
 	// every host can hold its placed shards within what it had to
-	// offer, else stream ranges from PM with a pipeline window sized so
-	// each host's hot set stays within its budget (the window is the
-	// most constrained host's). With double-buffered restore each
-	// in-flight batch may transiently hold TWO ranges — its stage hot
-	// while the next stage prefetches — so the window halves and the
-	// freed budget pays for the overlap; that keeps the residency bound
-	// exact (window x per-batch demand <= budget) and the zero-fault
-	// regime intact. A window of at least 1 always serves — an
-	// oversized single shard overcommits its host while hot and pays
-	// (bounded) pressure, mirroring the one-replica floor of
-	// WorkersAuto. A single-host plan reduces to the pre-fleet
+	// offer (or the plan is one range), else stream ranges from PM
+	// with a pipeline window sized so each host's hot set stays within
+	// its budget (the window is the most constrained host's). With
+	// double-buffered restore each in-flight batch may transiently hold
+	// TWO ranges — its stage hot while the next stage prefetches — so
+	// the window halves and the freed budget pays for the overlap; that
+	// keeps the residency bound exact (window x per-batch demand <=
+	// budget) and the zero-fault regime intact. A window of at least 1
+	// always serves — an oversized single shard overcommits its host
+	// while hot and pays (bounded) pressure, mirroring the one-replica
+	// floor of WorkersAuto. A single-host plan reduces to the pre-fleet
 	// arithmetic exactly.
 	type hostDemand struct{ total, maxFP, count int }
 	demand := make(map[*enclave.Host]*hostDemand)
@@ -406,7 +441,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	g.window = len(plan)
 	for h, d := range demand {
 		budget := headrooms[h] - overhead*d.count
-		if d.total <= budget {
+		if len(plan) == 1 || d.total <= budget {
 			continue
 		}
 		g.streaming = true
@@ -433,13 +468,13 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if err != nil {
 		return fail(fmt.Errorf("core: shard pin: %w", err))
 	}
-	models, iter, err := g.openModels(pin)
+	restores, iter, err := g.openModels(pin)
 	if err != nil {
 		pin.Release()
 		return fail(fmt.Errorf("core: shard snapshot: %w", err))
 	}
 	for i, s := range g.shards {
-		s.model = models[i]
+		s.restore = restores[i]
 	}
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
 	if err := f.recordShardManifest(g.manifest()); err != nil {
@@ -448,22 +483,115 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	if !g.streaming {
 		for _, s := range g.shards {
-			if err := g.ensureHot(s); err != nil {
+			if err := s.encl.Ecall(func() error { return g.ensureHot(s) }); err != nil {
 				pin.Release()
 				return fail(fmt.Errorf("core: shard %d restore: %w", s.idx, err))
 			}
 		}
 	}
-
-	g.stages = make([]chan *shardJob, len(g.shards))
-	for i := range g.stages {
-		g.stages[i] = make(chan *shardJob, 1)
-	}
-	g.wg.Add(len(g.shards))
-	for _, s := range g.shards {
-		go g.run(s)
-	}
 	return g, nil
+}
+
+// NewReplica builds a serving replica on the framework's host: a
+// one-range ShardGroup, whose one enclave is attested, provisioned with
+// the data key over the attestation channel (Fig. 5 steps 2-3), and
+// restores the whole model from the latest published snapshot
+// (publishing the current model first if nothing has been published
+// yet). It serves batches up to the model's configured batch size;
+// seed differentiates the replica's enclave RNG.
+//
+// On real SGX all co-located enclaves share one EPC, so every
+// replica's working set counts against the same 93.5 MB and a pool
+// sized past the budget pays the shared paging knee.
+func (f *Framework) NewReplica(seed int64) (*ShardGroup, error) {
+	return f.NewReplicaOn(f.Host, seed)
+}
+
+// NewReplicaOn is NewReplica with an explicit host for the replica
+// enclave — the train-here-serve-there shape, where inference replicas
+// run on a machine whose EPC the training enclave does not occupy. The
+// model still travels only through PM, sealed.
+func (f *Framework) NewReplicaOn(host *enclave.Host, seed int64) (*ShardGroup, error) {
+	return f.NewShardGroup(ShardOptions{Shards: 1, Host: host, Seed: seed})
+}
+
+// ensurePublished makes sure the latest published version can be
+// served at prec: it publishes the current model when nothing is
+// published and, at Int8, turns quantized publication on (a sticky
+// switch) and republishes a latest version that predates it.
+func (f *Framework) ensurePublished(prec darknet.Precision) error {
+	if prec == darknet.Int8 {
+		f.SetPublishQuantized(true)
+	}
+	latest, err := f.LatestPublished()
+	if err != nil {
+		return err
+	}
+	switch {
+	case latest == 0:
+	case prec != darknet.Int8:
+		return nil
+	default:
+		pin, err := f.PinPublished(0)
+		if err != nil {
+			return err
+		}
+		hasQuant := pin.HasQuant()
+		pin.Release()
+		if hasQuant {
+			return nil
+		}
+		// Republishing overwrites the latest version with the enclave's
+		// current weights; refuse when the enclave holds nothing (e.g. a
+		// dataset-less restart serving an old publication) — superseding
+		// a real snapshot with random weights would be worse than failing.
+		if f.Iteration() == 0 {
+			return fmt.Errorf("core: int8 serving: latest published version predates quantized publication and the enclave holds no trained model to republish: %w", mirror.ErrNoQuant)
+		}
+	}
+	_, err = f.Publish()
+	return err
+}
+
+// provisionEnclaveKey runs the Fig. 5 steps 2-3 flow against a serving
+// enclave: attest it, have the owner verify the quote, wrap the
+// framework's current data key for the attestation channel, and unwrap
+// it inside the enclave. It returns the provisioned key as held by the
+// enclave.
+func (f *Framework) provisionEnclaveKey(encl *enclave.Enclave) ([]byte, error) {
+	f.modelMu.Lock()
+	dataKey := append([]byte(nil), f.key...)
+	f.modelMu.Unlock()
+
+	sess, quote, err := encl.BeginAttestation()
+	if err != nil {
+		return nil, fmt.Errorf("core: serving enclave attestation: %w", err)
+	}
+	owner, err := enclave.NewOwner(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("core: serving enclave owner: %w", err)
+	}
+	ownerChannel, err := owner.VerifyQuote(quote, enclave.PliniusMeasurement())
+	if err != nil {
+		return nil, fmt.Errorf("core: serving enclave quote: %w", err)
+	}
+	wrapped, err := engine.WrapKey(ownerChannel, dataKey, rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("core: serving enclave wrap key: %w", err)
+	}
+	var key []byte
+	err = encl.Ecall(func() error {
+		ch, err := sess.CompleteAttestation(owner.PublicKey())
+		if err != nil {
+			return err
+		}
+		key, err = engine.UnwrapKey(ch, wrapped)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: serving enclave key provisioning: %w", err)
+	}
+	return key, nil
 }
 
 // planShards picks the contiguous layer-range plan for the options.
@@ -555,8 +683,12 @@ func (g *ShardGroup) manifest() []mirror.ShardManifestEntry {
 
 // recordShardManifest persists the shard plan alongside the
 // publication slots, skipping the write when the recorded plan already
-// matches.
+// matches. A one-range plan splits nothing and is not recorded: it
+// would override the split a re-created auto-planned group restores.
 func (f *Framework) recordShardManifest(entries []mirror.ShardManifestEntry) error {
+	if len(entries) < 2 {
+		return nil
+	}
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
 	if err := f.attachPublication(); err != nil {
@@ -578,36 +710,48 @@ func (f *Framework) recordShardManifest(entries []mirror.ShardManifestEntry) err
 	return f.pub.RecordShardManifest(entries)
 }
 
-// openModels opens one handle per shard on the pinned snapshot and
+// openModels opens one restore handle per shard on the pinned snapshot
+// — its fp32 layer ranges, or at Int8 its quantized variant — and
 // returns them with the snapshot's iteration. The handles are NOT
 // installed on the shards — callers swap them in only once every
 // fallible step of their control operation has succeeded, so a failed
 // Refresh/Rotate never leaves a shard reading an unpinned slot.
-func (g *ShardGroup) openModels(pin *mirror.Pin) ([]*mirror.Model, int, error) {
+func (g *ShardGroup) openModels(pin *mirror.Pin) ([]restorer, int, error) {
 	g.f.pmMu.Lock()
 	defer g.f.pmMu.Unlock()
-	models := make([]*mirror.Model, len(g.shards))
+	restores := make([]restorer, len(g.shards))
+	var iteration func() (int, error)
 	for i, s := range g.shards {
+		if g.prec == darknet.Int8 {
+			qm, err := pin.OpenQuant(s.eng, mirror.WithEnclave(s.encl))
+			if err != nil {
+				return nil, 0, err
+			}
+			restores[i], iteration = qm.RestoreInto, qm.Iteration
+			continue
+		}
 		m, err := pin.Open(s.eng, mirror.WithEnclave(s.encl))
 		if err != nil {
 			return nil, 0, err
 		}
-		models[i] = m
+		from := s.nodeFrom
+		restores[i] = func(net *darknet.Network) (int, error) { return m.MirrorInRange(net, from) }
+		iteration = m.Iteration
 	}
-	iter, err := models[0].Iteration()
+	iter, err := iteration()
 	if err != nil {
 		return nil, 0, err
 	}
-	return models, iter, nil
+	return restores, iter, nil
 }
 
-// restoreShard restores one shard's layer range from the given
-// snapshot handle inside its enclave.
-func (g *ShardGroup) restoreShard(s *shard, m *mirror.Model) error {
+// restoreShard restores one shard's layer range with the given handle
+// inside its enclave.
+func (g *ShardGroup) restoreShard(s *shard, restore restorer) error {
 	return s.encl.Ecall(func() error {
 		g.f.pmMu.Lock()
 		defer g.f.pmMu.Unlock()
-		_, err := m.MirrorInRange(s.net, s.nodeFrom)
+		_, err := restore(s.net)
 		return err
 	})
 }
@@ -625,7 +769,7 @@ func (g *ShardGroup) restoreRange(s *shard, reserved bool) error {
 		}
 	}
 	g.f.pmMu.Lock()
-	_, err := s.model.MirrorInRange(s.net, s.nodeFrom)
+	_, err := s.restore(s.net)
 	g.f.pmMu.Unlock()
 	if err != nil {
 		_ = s.encl.Free(s.footprint)
@@ -750,8 +894,8 @@ func (g *ShardGroup) park(s *shard) {
 }
 
 // parkSettled waits out any in-flight restore on s, then parks it —
-// the errored-job cleanup, where no batch is left to consume (and
-// later park) a range that may have been prefetched for the job.
+// the cleanup after a failed batch, which will not consume (and later
+// park) a range prefetched on its behalf.
 func (g *ShardGroup) parkSettled(s *shard) {
 	for {
 		s.mu.Lock()
@@ -769,81 +913,64 @@ func (g *ShardGroup) parkSettled(s *shard) {
 	}
 }
 
-// run is one shard's stage loop: restore the range if parked, open the
-// incoming sealed activations (or stage the batch images at stage 0),
-// forward through the range, seal the result for the next shard — or
-// classify at the last — then park in streaming mode so the next stage
-// window fits the budget. Errors skip processing but ride the job to
-// completion so ordering and delivery hold.
+// step runs the batch through one stage: it waits until the batch
+// ahead has left the stage, processes the batch there in one Ecall and
+// — still holding the stage, so batches leave it in the order they ran
+// it — carries the sealed activations on to the next stage.
 //
-// Double-buffering: the moment a job lands on this stage, the next
-// stage's range starts restoring in the background, so by the time the
-// job has been computed and sealed the downstream shard is (ideally)
-// already hot — restore overlaps compute instead of stalling the
-// pipeline between every pair of stages.
-func (g *ShardGroup) run(s *shard) {
-	defer g.wg.Done()
-	// Label the stage goroutine so CPU profiles attribute shard compute
-	// to its pipeline stage.
-	pprof.Do(context.Background(), pprof.Labels("shard", strconv.Itoa(s.idx)), func(context.Context) {
-		g.runStage(s)
-	})
-}
-
-// runStage is run's stage loop body.
-func (g *ShardGroup) runStage(s *shard) {
+// In streaming mode a failed batch goes no further, so the range this
+// stage may have prefetched downstream on its behalf is returned to
+// the budget here, under the next stage's lock so no batch is using
+// it: the host's residency falls back to the parked level.
+func (g *ShardGroup) step(s *shard, job *shardJob) error {
 	last := s.idx == len(g.shards)-1
-	if !last {
-		defer close(g.stages[s.idx+1])
-	}
-	for job := range g.stages[s.idx] {
-		job.tr.Add(s.spanWait, time.Since(job.handoff))
-		if job.err == nil {
-			job.err = g.process(s, job, last)
-			// The sealed activations leave this stage: on a multi-host
-			// pipeline they cross the fleet's attested inter-host
-			// channel before the downstream stage can open them.
-			if job.err == nil && !last && g.handoff != nil {
-				if err := g.handoff.Carry(s.idx, s.idx+1, job.sealed); err != nil {
-					job.err = fmt.Errorf("core: shard %d->%d hand-off: %w", s.idx, s.idx+1, err)
-				}
-			}
-		} else if g.streaming {
-			// The job errored upstream, possibly after prefetching this
-			// stage on its behalf; nothing will process (and park) here,
-			// so return any prefetched range to the budget instead of
-			// leaking it hot against the host headroom. Waits out an
-			// in-flight prefetch first — parking mid-restore would
-			// no-op and orphan the reservation when the restore lands.
-			g.parkSettled(s)
-		}
-		job.handoff = time.Now()
-		if last {
-			job.done <- job
-		} else {
-			g.stages[s.idx+1] <- job
+	s.busy.Lock()
+	defer s.busy.Unlock()
+	job.lap(s.spanWait)
+	err := g.process(s, job, last)
+	if err == nil && !last && g.handoff != nil {
+		// The sealed activations leave this stage: on a multi-host
+		// pipeline they cross the fleet's attested inter-host channel
+		// before the downstream stage can open them.
+		if err = g.handoff.Carry(s.idx, s.idx+1, job.sealed); err != nil {
+			err = fmt.Errorf("core: shard %d->%d hand-off: %w", s.idx, s.idx+1, err)
 		}
 	}
+	if err != nil && !last && g.streaming {
+		next := g.shards[s.idx+1]
+		next.busy.Lock()
+		g.parkSettled(next)
+		next.busy.Unlock()
+	}
+	return err
 }
 
-// process runs one micro-batch through one shard inside its enclave,
-// recording per-stage spans (restore, open, compute, seal) on the
-// job's trace so slow requests attribute their time.
+// process runs one micro-batch through one shard inside its enclave:
+// restore the range if parked, open the incoming sealed activations
+// (or stage the batch images at stage 0), forward through the range,
+// seal the result for the next shard — or classify at the last — then
+// park in streaming mode so the next stage window fits the budget. It
+// records per-stage spans (restore — the enclave crossing included —
+// open, compute, seal) on the job's trace so slow requests attribute
+// their time.
+//
+// Double-buffering: with this stage hot, the next stage's range starts
+// restoring in the background, so by the time the job has been
+// computed and sealed the downstream shard is (ideally) already hot —
+// restore overlaps compute instead of stalling the pipeline between
+// every pair of stages.
 func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 	return s.encl.Ecall(func() error {
-		restoreStart := time.Now()
 		if err := g.ensureHot(s); err != nil {
 			return fmt.Errorf("core: shard %d restore: %w", s.idx, err)
 		}
-		job.tr.Add(s.spanRestore, time.Since(restoreStart))
+		job.lap(s.spanRestore)
 		if g.streaming {
 			defer g.park(s)
 		}
 		// Double-buffer: with this stage hot (its reservation charged,
 		// so the headroom gate sees the true residual budget), start
-		// restoring the next stage's range in the background — the
-		// restore overlaps this stage's compute instead of stalling the
-		// batch when it arrives downstream.
+		// restoring the next stage's range in the background.
 		if !last {
 			g.tryPrefetch(g.shards[s.idx+1])
 		}
@@ -852,20 +979,18 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 			s.encl.Touch(4 * len(job.plain))
 			in = job.plain
 		} else {
-			openStart := time.Now()
 			s.encl.CopyAcross(len(job.sealed))
 			var err error
 			in, err = s.eng.OpenFloats(job.sealed)
-			job.tr.Add(s.spanOpen, time.Since(openStart))
+			job.lap(s.spanOpen)
 			if err != nil {
 				return fmt.Errorf("core: shard %d activations: %w", s.idx, err)
 			}
 			job.sealed = nil
 		}
-		computeStart := time.Now()
 		if last {
 			classes, err := s.net.ClassifyBatch(in, job.n)
-			job.tr.Add(s.spanCompute, time.Since(computeStart))
+			job.lap(s.spanCompute)
 			if err != nil {
 				return fmt.Errorf("core: shard %d: %w", s.idx, err)
 			}
@@ -873,13 +998,12 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 			return nil
 		}
 		out, err := s.net.Forward(in, job.n, false)
-		job.tr.Add(s.spanCompute, time.Since(computeStart))
+		job.lap(s.spanCompute)
 		if err != nil {
 			return fmt.Errorf("core: shard %d: %w", s.idx, err)
 		}
-		sealStart := time.Now()
 		sealed, err := s.eng.SealFloats(out)
-		job.tr.Add(s.spanSeal, time.Since(sealStart))
+		job.lap(s.spanSeal)
 		if err != nil {
 			return fmt.Errorf("core: shard %d seal: %w", s.idx, err)
 		}
@@ -888,20 +1012,22 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 	})
 }
 
-// ClassifyBatch pipelines the images (laid out contiguously, at most
-// the plan's micro-batch size) through the shard stages and returns
-// one class per image. Safe for concurrent use; concurrent calls keep
-// the pipeline full, up to the residency window. The images slice must
+// ClassifyBatch runs the images (laid out contiguously, at most the
+// plan's micro-batch size) through the shard stages and returns one
+// class per image. Safe for concurrent use; concurrent calls keep the
+// pipeline full, up to the residency window. The images slice must
 // stay unmodified until the call returns.
 func (g *ShardGroup) ClassifyBatch(images []float32) ([]int, error) {
 	return g.ClassifyBatchCtx(context.Background(), images)
 }
 
 // ClassifyBatchCtx is ClassifyBatch with a context: when ctx carries an
-// obs.Trace the batch records per-stage spans (window admission wait,
-// then wait/restore/open/compute/seal per shard) onto it. The context
-// does not cancel an admitted batch — every accepted job rides the
-// pipeline to completion so ordering and delivery hold.
+// obs.Trace the batch records spans that tile its time in the group
+// (window admission wait, then wait/restore/open/compute/seal per
+// shard, the wait covering the hand-off from upstream) onto it. The
+// context does not cancel an admitted batch. The calling goroutine
+// walks the batch through every stage itself (see step), so a
+// one-range group runs it entirely on the caller.
 func (g *ShardGroup) ClassifyBatchCtx(ctx context.Context, images []float32) ([]int, error) {
 	if len(images) == 0 || len(images)%g.inputSize != 0 {
 		return nil, fmt.Errorf("core: shard classify: %d floats is not a positive multiple of the %d-float input", len(images), g.inputSize)
@@ -910,22 +1036,20 @@ func (g *ShardGroup) ClassifyBatchCtx(ctx context.Context, images []float32) ([]
 	if n > g.batch {
 		return nil, fmt.Errorf("%w: %d > %d", ErrShardBatch, n, g.batch)
 	}
-	job := &shardJob{n: n, plain: images, tr: obs.TraceFrom(ctx), done: make(chan *shardJob, 1)}
-	admit := time.Now()
+	job := shardJob{n: n, plain: images, tr: obs.TraceFrom(ctx), mark: time.Now()}
 	g.submitMu.Lock()
 	if g.closed {
 		g.submitMu.Unlock()
 		return nil, ErrShardGroupClosed
 	}
 	g.slots <- struct{}{}
-	job.tr.Add("window", time.Since(admit))
-	job.handoff = time.Now()
-	g.stages[0] <- job
 	g.submitMu.Unlock()
-	<-job.done
-	<-g.slots
-	if job.err != nil {
-		return nil, job.err
+	defer func() { <-g.slots }()
+	job.lap("window")
+	for _, s := range g.shards {
+		if err := g.step(s, &job); err != nil {
+			return nil, err
+		}
 	}
 	return job.classes, nil
 }
@@ -957,9 +1081,9 @@ func (g *ShardGroup) resume() {
 // Refresh rolls the group to the latest published version: the
 // pipeline is quiesced (queued callers wait, none fail), every shard
 // re-pins and — in resident mode — restores its range, and the old pin
-// is released. Unlike a replica pool, the shards of one model must
-// change version together: a half-refreshed pipeline would mix weights
-// from two versions inside one forward pass.
+// is released. The shards of one model must change version together: a
+// half-refreshed pipeline would mix weights from two versions inside
+// one forward pass.
 func (g *ShardGroup) Refresh() (int, error) {
 	g.submitMu.Lock()
 	defer g.submitMu.Unlock()
@@ -982,7 +1106,7 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	models, iter, err := g.openModels(pin)
+	restores, iter, err := g.openModels(pin)
 	if err != nil {
 		pin.Release()
 		return 0, err
@@ -999,13 +1123,13 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		}
 	} else {
 		for i, s := range g.shards {
-			if err := g.restoreShard(s, models[i]); err != nil {
+			if err := g.restoreShard(s, restores[i]); err != nil {
 				// Roll the already-restored shards back to the old
 				// (still pinned) snapshot so no forward pass can ever
 				// mix weights from two versions.
 				var rollbackErr error
-				for j := 0; j < i; j++ {
-					if rerr := g.restoreShard(g.shards[j], g.shards[j].model); rerr != nil && rollbackErr == nil {
+				for _, prev := range g.shards[:i] {
+					if rerr := g.restoreShard(prev, prev.restore); rerr != nil && rollbackErr == nil {
 						rollbackErr = rerr
 					}
 				}
@@ -1018,7 +1142,7 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		}
 	}
 	for i, s := range g.shards {
-		s.model = models[i]
+		s.restore = restores[i]
 	}
 	g.mu.Lock()
 	old := g.pin
@@ -1049,7 +1173,7 @@ func (g *ShardGroup) Rotate() (int, error) {
 	// coherently under the old key.
 	engs := make([]*engine.Engine, len(g.shards))
 	for i, s := range g.shards {
-		key, err := g.f.provisionReplicaKey(s.encl)
+		key, err := g.f.provisionEnclaveKey(s.encl)
 		if err != nil {
 			return 0, fmt.Errorf("core: shard %d rotate: %w", s.idx, err)
 		}
@@ -1064,9 +1188,9 @@ func (g *ShardGroup) Rotate() (int, error) {
 	return g.refreshLocked()
 }
 
-// Close quiesces the pipeline (every accepted batch is answered),
-// stops the stage goroutines and tears down the shard enclaves,
-// returning their entire footprint to the host.
+// Close quiesces the pipeline (every accepted batch is answered) and
+// tears down the shard enclaves, returning their entire footprint to
+// the host.
 func (g *ShardGroup) Close() error {
 	g.submitMu.Lock()
 	defer g.submitMu.Unlock()
@@ -1075,8 +1199,6 @@ func (g *ShardGroup) Close() error {
 	}
 	g.quiesce()
 	g.closed = true
-	close(g.stages[0])
-	g.wg.Wait()
 	var firstErr error
 	for _, s := range g.shards {
 		if err := s.encl.Close(); err != nil && firstErr == nil {
@@ -1126,14 +1248,20 @@ func (g *ShardGroup) Iteration() int {
 	return g.iter
 }
 
-// Report returns the pipeline's shape and its restore counters summed
-// over the shards. In streaming mode restores are the price paid per
-// batch per parked shard instead of the paging knee; with
-// double-buffered restore most batches find their stage hot or
-// mid-restore, so stalls stay near the per-batch stage-0 floor, and
-// with DisablePrefetch they approach batches x shards.
+// Report returns the serving precision and, for a multi-range plan,
+// the pipeline's shape and its restore counters summed over the
+// shards; a one-range group reports as the whole-model replica it is.
+// In streaming mode restores are the price paid per batch per parked
+// shard instead of the paging knee; with double-buffered restore most
+// batches find their stage hot or mid-restore, so stalls stay near the
+// per-batch stage-0 floor, and with DisablePrefetch they approach
+// batches x shards.
 func (g *ShardGroup) Report() BackendReport {
-	r := BackendReport{Shards: len(g.shards), Streaming: g.streaming}
+	r := BackendReport{Precision: g.prec}
+	if len(g.shards) == 1 {
+		return r
+	}
+	r.Shards, r.Streaming = len(g.shards), g.streaming
 	for _, s := range g.shards {
 		r.ShardRestores += uint64(s.mRestores.Value())
 		r.ShardStalls += uint64(s.mStalls.Value())

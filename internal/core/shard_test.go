@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"plinius/internal/darknet"
@@ -54,23 +55,205 @@ func groupClassifyAll(t *testing.T, g *ShardGroup, test *mnist.Dataset, batch in
 	return out
 }
 
+// classifyConcurrently classifies every test image with 2 x Window
+// callers at once, caller c taking every (2 x Window)-th batch of
+// g.Batch() images, and returns the classes in image order.
+func classifyConcurrently(t *testing.T, g *ShardGroup, test *mnist.Dataset) []int {
+	t.Helper()
+	in, batch, callers := g.InputSize(), g.Batch(), 2*g.Window()
+	out := make([]int, test.N)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for start := c * batch; start < test.N; start += callers * batch {
+				end := min(start+batch, test.N)
+				classes, err := g.ClassifyBatch(test.Images[start*in : end*in])
+				if err != nil {
+					t.Errorf("ClassifyBatch [%d,%d): %v", start, end, err)
+					return
+				}
+				copy(out[start:end], classes)
+			}
+		}(c)
+	}
+	wg.Wait()
+	return out
+}
+
+// TestShardGroupEquivalence: a replica, a resident pipeline and a
+// streaming pipeline are one design at three settings. Every row
+// classifies the test set bit-identically to its reference — the
+// training enclave's own forward, or at int8 the quantized clone of
+// the trained model, which is what an int8 replica serves — with
+// 2 x Window callers at once (run with -race), and charges the host it
+// serves on exactly its reservation on build, holds it across the
+// batches, and returns it on Close without touching any other host.
+func TestShardGroupEquivalence(t *testing.T) {
+	f, test := trainedShardFramework(t, 6)
+	fp32Ref, err := f.ClassifyBatch(test.Images)
+	if err != nil {
+		t.Fatalf("framework ClassifyBatch: %v", err)
+	}
+	qnet, err := darknet.QuantizeNetwork(f.Net)
+	if err != nil {
+		t.Fatalf("QuantizeNetwork: %v", err)
+	}
+	int8Ref, err := qnet.ClassifyBatch(test.Images, test.N)
+	if err != nil {
+		t.Fatalf("int8 reference ClassifyBatch: %v", err)
+	}
+	own := func() *enclave.Host { return f.Host }
+	dedicated := func(budget int) func() *enclave.Host {
+		return func() *enclave.Host { return enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(budget)) }
+	}
+	// pipeline is a multi-range group's reservation: its overhead per
+	// stage, plus every range's footprint while resident.
+	pipeline := func(overhead int, resident bool) func(*ShardGroup) int {
+		return func(g *ShardGroup) int {
+			total := 0
+			for _, r := range g.Plan() {
+				fp, err := f.Net.ShardFootprint(r, g.Batch())
+				if err != nil {
+					t.Fatalf("ShardFootprint(%v): %v", r, err)
+				}
+				total += overhead
+				if resident {
+					total += fp
+				}
+			}
+			return total
+		}
+	}
+	rows := []struct {
+		name      string
+		host      func() *enclave.Host
+		build     func(*enclave.Host) (*ShardGroup, error)
+		prec      darknet.Precision
+		want      []int
+		multi     bool
+		streaming bool
+		charge    func(*ShardGroup) int
+	}{
+		{
+			name:   "one-range fp32",
+			host:   dedicated(enclave.UsableEPC),
+			build:  func(h *enclave.Host) (*ShardGroup, error) { return f.NewReplicaOn(h, 9) },
+			want:   fp32Ref,
+			charge: func(*ShardGroup) int { return f.ReplicaFootprint(0) },
+		},
+		{
+			name: "one-range int8",
+			host: own,
+			build: func(h *enclave.Host) (*ShardGroup, error) {
+				return f.NewShardGroup(ShardOptions{Shards: 1, Host: h, Precision: darknet.Int8, Seed: 9})
+			},
+			prec:   darknet.Int8,
+			want:   int8Ref,
+			charge: func(*ShardGroup) int { return f.ReplicaFootprintAt(0, darknet.Int8) },
+		},
+		{
+			name: "multi-range fp32",
+			host: dedicated(enclave.UsableEPC),
+			build: func(h *enclave.Host) (*ShardGroup, error) {
+				return f.NewShardGroup(ShardOptions{Shards: 3, Host: h, Batch: 8, Seed: 5})
+			},
+			want:   fp32Ref,
+			multi:  true,
+			charge: pipeline(DefaultShardOverheadBytes, true),
+		},
+		{
+			name: "streaming fp32",
+			host: dedicated(192 << 10),
+			build: func(h *enclave.Host) (*ShardGroup, error) {
+				return f.NewShardGroup(ShardOptions{Host: h, Batch: 2, OverheadBytes: 8 << 10, Seed: 5})
+			},
+			want:      fp32Ref,
+			multi:     true,
+			streaming: true,
+			charge:    pipeline(8<<10, false),
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			host := row.host()
+			hostBefore, trainBefore := host.Resident(), f.Host.Resident()
+			g, err := row.build(host)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			charge := row.charge(g)
+			if got := host.Resident() - hostBefore; got != charge {
+				t.Fatalf("host charged %d bytes on build, want %d", got, charge)
+			}
+			if host != f.Host && f.Host.Resident() != trainBefore {
+				t.Fatalf("training host resident moved %d -> %d; serving elsewhere must not touch it", trainBefore, f.Host.Resident())
+			}
+			for _, s := range g.shards {
+				if s.encl.Host() != host {
+					t.Fatalf("shard %d enclave not placed on the target host", s.idx)
+				}
+			}
+			r := g.Report()
+			if multi := len(g.Plan()) > 1; multi != row.multi || (r.Shards > 0) != multi || r.Streaming != row.streaming || r.Precision != row.prec {
+				t.Fatalf("plan %v reports %+v; want multi-range %v, streaming %v at %v", g.Plan(), r, row.multi, row.streaming, row.prec)
+			}
+			if g.Iteration() != f.Iteration() {
+				t.Fatalf("serves iteration %d, want %d", g.Iteration(), f.Iteration())
+			}
+
+			got := classifyConcurrently(t, g, test)
+			for i := range row.want {
+				if got[i] != row.want[i] {
+					t.Fatalf("class[%d] = %d, want %d", i, got[i], row.want[i])
+				}
+			}
+			if got := host.Resident() - hostBefore; got != charge {
+				t.Fatalf("host holds %d bytes after serving, want %d", got, charge)
+			}
+
+			if err := g.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if host.Resident() != hostBefore || f.Host.Resident() != trainBefore {
+				t.Fatalf("after Close: host resident %d, want %d; training host %d, want %d",
+					host.Resident(), hostBefore, f.Host.Resident(), trainBefore)
+			}
+			if _, err := g.ClassifyBatch(test.Images[:g.InputSize()]); !errors.Is(err, ErrShardGroupClosed) {
+				t.Fatalf("ClassifyBatch after Close = %v, want ErrShardGroupClosed", err)
+			}
+		})
+	}
+}
+
 // TestShardGroupSingleShardMatchesReplica: a one-shard plan is the
-// Replica path — same snapshot, same forward, bit-identical classes.
+// replica — same snapshot, same forward, bit-identical classes, the
+// same whole-model report, and a reservation by the same rule at its
+// own batch bound.
 func TestShardGroupSingleShardMatchesReplica(t *testing.T) {
 	f, test := trainedShardFramework(t, 6)
+	before := f.Host.Resident()
 	rep, err := f.NewReplica(3)
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)
 	}
 	defer rep.Close()
+	if got, want := f.Host.Resident()-before, f.ReplicaFootprint(0); got != want {
+		t.Fatalf("replica reserved %d bytes, want %d", got, want)
+	}
 
+	before = f.Host.Resident()
 	g, err := f.NewShardGroup(ShardOptions{Shards: 1, Batch: 8, Seed: 5})
 	if err != nil {
 		t.Fatalf("NewShardGroup: %v", err)
 	}
 	defer g.Close()
-	if r := g.Report(); r.Shards != 1 || r.Streaming {
-		t.Fatalf("Shards=%d Streaming=%v, want a resident single shard", r.Shards, r.Streaming)
+	if got, want := f.Host.Resident()-before, f.ReplicaFootprint(8); got != want {
+		t.Fatalf("one-shard group reserved %d bytes, want %d", got, want)
+	}
+	if gr, rr := g.Report(), rep.Report(); gr != rr || gr.Shards != 0 || gr.Streaming {
+		t.Fatalf("group reports %+v, replica %+v; want the same resident whole-model report", gr, rr)
 	}
 	if g.Version() != rep.Version() || g.Iteration() != rep.Iteration() {
 		t.Fatalf("group serves v%d iter %d, replica v%d iter %d",
@@ -92,43 +275,6 @@ func TestShardGroupSingleShardMatchesReplica(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("batch at %d: class[%d] = %d, want %d", start, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestShardGroupPipelineMatchesSequential: a multi-shard pipeline
-// classifies exactly like the sequential enclave model, for every plan
-// size, including concurrent pipelined submissions.
-func TestShardGroupPipelineMatchesSequential(t *testing.T) {
-	f, test := trainedShardFramework(t, 6)
-	want := make([]int, test.N)
-	for i := 0; i < test.N; i++ {
-		cls, err := f.Classify(test.Image(i))
-		if err != nil {
-			t.Fatalf("sequential classify %d: %v", i, err)
-		}
-		want[i] = cls
-	}
-
-	for _, shards := range []int{2, 4} {
-		g, err := f.NewShardGroup(ShardOptions{Shards: shards, Batch: 8, Seed: 5})
-		if err != nil {
-			t.Fatalf("NewShardGroup(%d): %v", shards, err)
-		}
-		if g.Report().Shards < 2 {
-			t.Fatalf("plan %v produced %d shards, want >= 2", g.Plan(), g.Report().Shards)
-		}
-		got := groupClassifyAll(t, g, test, 8)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%d shards: class[%d] = %d, want %d", shards, i, got[i], want[i])
-			}
-		}
-		if err := g.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if _, err := g.ClassifyBatch(test.Images[:g.InputSize()]); !errors.Is(err, ErrShardGroupClosed) {
-			t.Fatalf("ClassifyBatch after Close = %v, want ErrShardGroupClosed", err)
 		}
 	}
 }
@@ -327,8 +473,8 @@ func TestShardGroupReusesPersistedPlan(t *testing.T) {
 		t.Fatalf("NewShardGroup explicit: %v", err)
 	}
 	defer g3.Close()
-	if g3.Report().Shards != 1 {
-		t.Fatalf("explicit single-shard plan got %d shards", g3.Report().Shards)
+	if len(g3.Plan()) != 1 {
+		t.Fatalf("explicit single-shard plan got %v", g3.Plan())
 	}
 }
 

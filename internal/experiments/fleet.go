@@ -175,9 +175,10 @@ func RunFleet(server core.ServerProfile, sizeMB, epcMB, numHosts, batches, batch
 		return nil
 	}
 
-	// Monolithic: one whole-model replica on a single over-committed host.
+	// Monolithic: one whole-model replica (a one-range group) on a
+	// single over-committed host.
 	monoHost := enclave.NewHost(server.Enclave, enclave.WithHostEPC(epcBytes))
-	rep, err := f.NewReplicaOn(monoHost, seed+1)
+	rep, err := f.NewShardGroup(core.ShardOptions{Shards: 1, Host: monoHost, Batch: batch, Seed: seed})
 	if err != nil {
 		return FleetResult{}, fmt.Errorf("monolithic replica: %w", err)
 	}

@@ -122,9 +122,10 @@ func RunShard(server core.ServerProfile, sizeMB, epcMB, batches, batch int, seed
 	in := f.Net.InputSize()
 	pageCost := server.Enclave.PageSwapCost
 
-	// Monolithic: one whole-model replica on its own serving host.
+	// Monolithic: one whole-model replica (a one-range group, resident
+	// over the knee) on its own serving host.
 	monoHost := enclave.NewHost(server.Enclave, enclave.WithHostEPC(epcBytes))
-	rep, err := f.NewReplicaOn(monoHost, seed+1)
+	rep, err := f.NewShardGroup(core.ShardOptions{Shards: 1, Host: monoHost, Batch: batch, Seed: seed})
 	if err != nil {
 		return ShardResult{}, fmt.Errorf("monolithic replica: %w", err)
 	}

@@ -43,7 +43,7 @@ var untrustedPackages = map[string]bool{
 	"experiments": true,
 	// The serving front end (request queueing and micro-batch
 	// marshalling) is untrusted-runtime plumbing; classification
-	// itself runs in the replica enclaves (core.Replica).
+	// itself runs in the serving enclaves (core.ShardGroup).
 	"serve": true,
 	// The fleet fabric (placement planning, routing, channel
 	// bookkeeping) is untrusted orchestration: activations cross hosts

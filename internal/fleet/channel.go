@@ -21,7 +21,7 @@ import (
 // AES-GCM sealed, and the channel merely charges the transfer's
 // modeled cost and accounts its traffic.
 //
-// Establishment mirrors core.Replica key provisioning (Fig. 5 steps
+// Establishment mirrors core's serving-enclave key provisioning (Fig. 5 steps
 // 2-3), run once per endpoint: both enclaves are attested, a fleet
 // owner verifies each quote against the Plinius measurement, and a
 // fresh transport key is wrapped to each attestation channel and

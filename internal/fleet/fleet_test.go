@@ -55,9 +55,9 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 		batches = 4
 	)
 	f := newOverEPCFramework(t, 6<<20, 11)
-	if f.ReplicaFootprint() <= hostEPC {
+	if f.ReplicaFootprint(batch) <= hostEPC {
 		t.Fatalf("replica footprint %d fits a %d-byte host; test needs the over-EPC regime",
-			f.ReplicaFootprint(), hostEPC)
+			f.ReplicaFootprint(batch), hostEPC)
 	}
 	hosts := newFleetHosts(f, 3, hostEPC)
 	fl, err := New(f, Options{
@@ -73,7 +73,7 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 
 	if fl.Report().Streaming {
 		t.Fatalf("fleet streams with aggregate capacity %d for a %d-byte model; want resident",
-			3*hostEPC, f.ReplicaFootprint())
+			3*hostEPC, f.ReplicaFootprint(batch))
 	}
 	if fl.Report().Shards < 2 {
 		t.Fatalf("Shards = %d, want a real split", fl.Report().Shards)

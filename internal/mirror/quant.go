@@ -185,6 +185,10 @@ func (q *QuantModel) SealedBytes() int { return q.m.SealedBytes() }
 // NumLayers returns the number of persistent layer nodes.
 func (q *QuantModel) NumLayers() int { return q.m.NumLayers() }
 
+// Iteration reads the persisted iteration counter without touching the
+// parameters.
+func (q *QuantModel) Iteration() (int, error) { return q.m.Iteration() }
+
 // RestoreInto decrypts the quantized snapshot and installs it into
 // net, which must be the int8 inference clone of the published
 // architecture (darknet.QuantizeNetwork): int8 weights and scale go to

@@ -37,9 +37,10 @@ type Trace struct {
 	err   string
 	spans []SpanRec
 	// first backs spans until a request outgrows it, so a request on
-	// the whole-model replica path (queue, batch, compute, deliver)
-	// costs one allocation for its trace and none for its spans.
-	first [4]SpanRec
+	// the whole-model replica path (queue, batch, window, wait/0,
+	// restore/0, compute/0, deliver) costs one allocation for its trace
+	// and none for its spans.
+	first [8]SpanRec
 }
 
 // NewTrace returns a free-standing trace not owned by any Tracer —

@@ -150,7 +150,7 @@ func TestWorkersAutoSizesFromHeadroom(t *testing.T) {
 	// Framework claims ~30 MB; headroom ~63 MB fits 2 more replicas of
 	// ~30 MB each.
 	f, test := newTrainedFrameworkOverhead(t, 4, 30<<20)
-	per := f.ReplicaFootprint()
+	per := f.ReplicaFootprint(8)
 	wantWorkers := f.Host.Headroom() / per
 	if max := runtime.GOMAXPROCS(0); wantWorkers > max {
 		wantWorkers = max

@@ -182,9 +182,10 @@ func TestEPCShedClosesTrace(t *testing.T) {
 }
 
 // TestTraceSpansTileLatency serves requests and checks each retained
-// trace's spans (queue, batch, compute, deliver) sum to its end-to-end
-// latency within 5% plus a small absolute slack for the instants
-// between stamps.
+// trace's spans (queue, batch, then the replica's one-range pipeline —
+// window, wait/0, restore/0, compute/0 — and deliver) sum to its
+// end-to-end latency within 5% plus a small absolute slack for the
+// instants between stamps.
 func TestTraceSpansTileLatency(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
 	s, err := New(context.Background(), f, Options{Workers: 2, MaxBatch: 8, MaxQueueLatency: time.Millisecond})
@@ -219,7 +220,7 @@ func TestTraceSpansTileLatency(t *testing.T) {
 		for _, sp := range tr.Spans {
 			stages[sp.Stage] = true
 		}
-		for _, want := range []string{"queue", "batch", "compute"} {
+		for _, want := range []string{"queue", "batch", "window", "wait/0", "restore/0", "compute/0", "deliver"} {
 			if !stages[want] {
 				t.Errorf("trace %d missing %q span: %v", tr.ID, want, tr.Spans)
 			}

@@ -95,7 +95,7 @@ func TestQuantizedReplicaRefusesUntrainedRepublish(t *testing.T) {
 	if err := f.Recover(false); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if _, err := f.NewReplica(1, core.WithQuantizedReplica()); err == nil {
+	if _, err := f.NewShardGroup(core.ShardOptions{Shards: 1, Precision: darknet.Int8, Seed: 1}); err == nil {
 		t.Fatal("quantized replica on an untrained restart succeeded; it must refuse to republish over the real snapshot")
 	}
 }

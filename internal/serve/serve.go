@@ -14,23 +14,25 @@
 // at all when that is too short to time (see Server.form).
 //
 // The batches run on core.Backend values, one contract at three
-// settings: a pool of whole-model enclave replicas (core.Replica, one
-// batch at a time each), one pipelined shard group (core.ShardGroup)
-// for a model over the EPC headroom, or a multi-host fleet of shard
-// groups (fleet.Fleet). Every backend restores its model, sealed, from
-// an immutable published snapshot in PM, so parameters and inputs stay
-// inside enclave memory exactly as in the single-enclave experiment.
-// The server runs one worker per unit of backend window — per replica,
-// or per batch a pipeline admits at once — and past construction never
-// asks which kind it serves.
+// settings: a pool of whole-model enclave replicas (each a one-range
+// core.ShardGroup, one batch at a time), one pipelined multi-range
+// shard group for a model over the EPC headroom, or a multi-host fleet
+// of shard groups (fleet.Fleet). Every backend restores its model,
+// sealed, from an immutable published snapshot in PM, so parameters
+// and inputs stay inside enclave memory exactly as in the
+// single-enclave experiment. The server runs one worker per unit of
+// backend window — per replica, or per batch a pipeline admits at once
+// — and past construction never asks which kind it serves.
 //
 // Replicas join their framework's EPC host: on real SGX all enclaves
 // on one machine share a single enclave page cache, so the pool's
 // aggregate working set — training enclave plus every replica — is
 // what decides whether serving runs on the fast side of the paging
 // knee. Options.Workers = WorkersAuto sizes the pool from the host's
-// remaining EPC headroom (one replica footprint per replica, at least
-// 1, at most GOMAXPROCS); Stats.EPCPressure reports the host's
+// remaining EPC headroom (one replica footprint per replica — its
+// parameters, activation buffers for MaxBatch images and the
+// per-enclave overhead — at least 1, at most GOMAXPROCS);
+// Stats.EPCPressure reports the host's
 // overcommit fraction, nonzero exactly when co-located enclaves have
 // jointly outgrown the usable EPC.
 //
@@ -87,7 +89,8 @@ const (
 // WorkersAuto sizes the replica pool from the EPC headroom left on the
 // framework's host: as many replicas as fit the remaining usable EPC
 // without pushing the host over the paging knee (each replica claims
-// Framework.ReplicaFootprint bytes), at least 1, at most GOMAXPROCS.
+// Framework.ReplicaFootprintAt(MaxBatch, precision) bytes), at least
+// 1, at most GOMAXPROCS.
 // A model so large that even one replica overcommits the host still
 // gets its one replica — it serves, but pays paging and reports
 // EPCPressure.
@@ -163,12 +166,14 @@ type Options struct {
 	FleetReplicas int
 	// Quantized serves the int8-quantized snapshot variant instead of
 	// fp32: publication switches to quantized mode (every snapshot
-	// carries the int8 variant alongside fp32), and each replica
-	// restores the variant — ~4x smaller sealed payloads and EPC
-	// footprints, so more replicas fit the same headroom, at a small
-	// documented accuracy cost. Applies to the whole-model replica
-	// pool; a shard group or fleet serves fp32 and leaves publication
-	// fp32-only.
+	// carries the int8 variant alongside fp32), and each replica is
+	// built with core.ShardOptions.Precision Int8 and restores the
+	// variant — ~4x smaller sealed payloads and parameter footprints, so
+	// more replicas fit the same headroom, at a small documented
+	// accuracy cost. Applies to the whole-model replica pool only (int8
+	// restores whole models, so an int8 group is one-range); a
+	// multi-range shard group or fleet serves fp32 and leaves
+	// publication fp32-only.
 	Quantized bool
 	// Metrics is the registry the server's metrics (and, in shard
 	// mode, the shard pipeline's) register into. Nil gets the server a
@@ -192,6 +197,11 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = DefaultQueueDepth
+	}
+	// Explicit, so a shard plan that comes out one range keeps the
+	// small shard overhead rather than a replica's.
+	if o.ShardOverheadBytes <= 0 {
+		o.ShardOverheadBytes = core.DefaultShardOverheadBytes
 	}
 	return o
 }
@@ -466,16 +476,19 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 		if workers == WorkersAuto {
 			workers = autoWorkers(f, fp)
 		}
-		var repOpts []core.ReplicaOption
-		if opts.Quantized {
-			repOpts = append(repOpts, core.WithQuantizedReplica())
-		}
 		for i := 0; i < workers; i++ {
 			if err := ctx.Err(); err != nil {
 				_ = s.closeBackends()
 				return nil, fmt.Errorf("serve: cancelled building replica %d: %w", i, err)
 			}
-			rep, err := f.NewReplica(opts.Seed+int64(i)+1, repOpts...)
+			// A replica is a one-range group; its private registry keeps
+			// the pool's per-range series off the server's /metrics.
+			rep, err := f.NewShardGroup(core.ShardOptions{
+				Shards:    1,
+				Batch:     opts.MaxBatch,
+				Precision: precision(opts),
+				Seed:      opts.Seed + int64(i),
+			})
 			if err != nil {
 				_ = s.closeBackends()
 				return nil, fmt.Errorf("serve: replica %d: %w", i, err)
@@ -524,15 +537,21 @@ func (s *Server) start() {
 	}
 }
 
-// replicaFootprint is the per-replica EPC claim at the configured
-// serving precision: a quantized pool restores the int8 snapshot
-// variant, so auto worker sizing and the ShardAuto/FleetAuto gates see
-// the ~4x smaller footprint and fit more replicas per host.
-func replicaFootprint(f *core.Framework, opts Options) int {
+// precision is the parameter precision a replica pool serves.
+func precision(opts Options) darknet.Precision {
 	if opts.Quantized {
-		return f.ReplicaFootprintAt(darknet.Int8)
+		return darknet.Int8
 	}
-	return f.ReplicaFootprint()
+	return darknet.FP32
+}
+
+// replicaFootprint is what one replica of the pool reserves: at the
+// configured serving precision — a quantized pool restores the int8
+// snapshot variant, so auto worker sizing and the ShardAuto/FleetAuto
+// gates see the ~4x smaller parameters and fit more replicas per host —
+// with activation buffers for MaxBatch images.
+func replicaFootprint(f *core.Framework, opts Options) int {
+	return f.ReplicaFootprintAt(opts.MaxBatch, precision(opts))
 }
 
 // autoWorkers implements WorkersAuto: fit the replica pool into the
@@ -711,8 +730,8 @@ func (s *Server) worker(id int) {
 		spans []obs.SpanRec
 		timer = time.NewTimer(time.Hour)
 		// One scratch trace collects each batch's pipeline spans
-		// (window, per-shard wait/restore/open/compute/seal, or the
-		// replica's compute), folded into every rider's trace.
+		// (window, then wait/restore/open/compute/seal per range),
+		// folded into every rider's trace.
 		bt = obs.NewTrace()
 	)
 	timer.Stop()

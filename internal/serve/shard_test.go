@@ -131,10 +131,11 @@ func TestShardAutoShardsWhenReplicaOverHeadroom(t *testing.T) {
 	// footprint, so ShardAuto must shard. The shard enclaves reserve
 	// only the forward-pass working set, so the host stays under EPC.
 	f, test := newTrainedFrameworkOverhead(t, 4, 50<<20)
-	if f.ReplicaFootprint() <= f.Host.Headroom() {
+	if f.ReplicaFootprint(8) <= f.Host.Headroom() {
 		t.Fatalf("replica footprint %d fits headroom %d; test needs the over-headroom regime",
-			f.ReplicaFootprint(), f.Host.Headroom())
+			f.ReplicaFootprint(8), f.Host.Headroom())
 	}
+	trainResident := f.Host.Resident()
 	s, err := New(context.Background(), f, Options{
 		Shards:          ShardAuto,
 		MaxBatch:        8,
@@ -144,8 +145,10 @@ func TestShardAutoShardsWhenReplicaOverHeadroom(t *testing.T) {
 		t.Fatalf("New server: %v", err)
 	}
 	defer s.Close()
-	if s.Shards() < 1 {
-		t.Fatal("ShardAuto did not shard past the headroom")
+	// The model fits one range here, which serves whole like a replica
+	// but reserves only the shard overhead beside it.
+	if got := f.Host.Resident() - trainResident; got >= f.ReplicaFootprint(8) {
+		t.Fatalf("ShardAuto reserved %d bytes, not under one replica's %d: it did not shard past the headroom", got, f.ReplicaFootprint(8))
 	}
 	for i := 0; i < 16; i++ {
 		pred, err := s.Classify(context.Background(), test.Image(i))

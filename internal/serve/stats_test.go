@@ -72,10 +72,10 @@ func TestLatencyPercentilesEmpty(t *testing.T) {
 func TestAutoWorkersFootprintZeroGuard(t *testing.T) {
 	f, _ := newTrainedFramework(t, 2)
 	f.Crash()
-	if fp := f.ReplicaFootprint(); fp != 0 {
+	if fp := f.ReplicaFootprint(0); fp != 0 {
 		t.Fatalf("ReplicaFootprint after crash = %d, want 0", fp)
 	}
-	if got := autoWorkers(f, f.ReplicaFootprint()); got != 1 {
+	if got := autoWorkers(f, f.ReplicaFootprint(0)); got != 1 {
 		t.Fatalf("autoWorkers with zero footprint = %d, want 1", got)
 	}
 }
@@ -87,7 +87,7 @@ func TestAutoWorkersZeroHeadroomFloor(t *testing.T) {
 	if h := f.Host.Headroom(); h != 0 {
 		t.Fatalf("Headroom = %d, test needs an exhausted host", h)
 	}
-	if got := autoWorkers(f, f.ReplicaFootprint()); got != 1 {
+	if got := autoWorkers(f, f.ReplicaFootprint(0)); got != 1 {
 		t.Fatalf("autoWorkers with zero headroom = %d, want 1", got)
 	}
 }
@@ -96,13 +96,13 @@ func TestAutoWorkersZeroHeadroomFloor(t *testing.T) {
 // replicas than cores; the pool is clamped to GOMAXPROCS.
 func TestAutoWorkersGOMAXPROCSClamp(t *testing.T) {
 	f, _ := newTrainedFrameworkOverhead(t, 2, 1<<20)
-	per := f.ReplicaFootprint()
+	per := f.ReplicaFootprint(0)
 	max := runtime.GOMAXPROCS(0)
 	if f.Host.Headroom()/per <= max {
 		t.Fatalf("headroom %d / footprint %d does not exceed GOMAXPROCS %d; test needs the clamp regime",
 			f.Host.Headroom(), per, max)
 	}
-	if got := autoWorkers(f, f.ReplicaFootprint()); got != max {
+	if got := autoWorkers(f, f.ReplicaFootprint(0)); got != max {
 		t.Fatalf("autoWorkers = %d, want GOMAXPROCS %d", got, max)
 	}
 }

@@ -227,10 +227,9 @@ type (
 	Prediction = serve.Prediction
 	// ServerStats is a snapshot of a Server's counters.
 	ServerStats = serve.Stats
-	// Replica is a single enclave inference worker.
-	Replica = core.Replica
-	// ShardGroup pipelines one model across several shard enclaves,
-	// each owning a contiguous layer range (Framework.NewShardGroup).
+	// ShardGroup pipelines one model across shard enclaves, each owning
+	// a contiguous layer range (Framework.NewShardGroup); a serving
+	// replica (Framework.NewReplica) is the one-range group.
 	ShardGroup = core.ShardGroup
 	// ShardOptions parameterises Framework.NewShardGroup.
 	ShardOptions = core.ShardOptions
