@@ -8,24 +8,17 @@
 //	plinius-bench -exp fig7 -quick    # scaled-down fast run
 //
 // Experiments: fig2, fig6, fig7, table1a, table1b, fig8, fig9, fig10,
-// inference, tcb, freq, coloc, shard, fleet, chaos, perf, all.
-//
-// -exp fleet writes its comparison (multi-host fleet vs single-host
-// sharded vs monolithic serving of an over-EPC model) to -out as well
-// (default BENCH_fleet.json), under the same rules as -exp perf below.
+// inference, tcb, freq, coloc, chaos, all.
 //
 // -exp chaos kills one of three fleet hosts under sustained load,
-// rejoins it, and writes the outcome (dropped requests — expected 0 —
-// recovery time, per-phase P95, degraded/promoted state) to -out
-// (default BENCH_chaos.json) under the same rules.
+// rejoins it, and additionally writes the outcome (dropped requests —
+// expected 0 — recovery time, per-phase P95, degraded/promoted state)
+// as JSON to the file named by -out (default BENCH_chaos.json). It is
+// the only experiment that writes a file; -exp all writes it only when
+// -out is given explicitly.
 //
-// -exp perf additionally writes a machine-readable snapshot of the
-// parallel hot-path metrics (training iterations/s, seal GB/s, sharded
-// P95) plus a flattened dump of the process metrics registry to the
-// file named by -out (default BENCH_<exp>.json, i.e. BENCH_perf.json),
-// so the perf trajectory is tracked across PRs. Only the explicit
-// -exp perf run writes the file; -exp all prints the table without the
-// side effect unless -out is given explicitly.
+// Serving, checkpoint and kernel performance is measured by the
+// repository benchmark (benchmark/, BENCHMARK.json), not here.
 package main
 
 import (
@@ -38,19 +31,18 @@ import (
 	"plinius/internal/experiments"
 )
 
-// outPath is the -out flag: where -exp perf and -exp fleet write
-// their snapshots.
-// Empty with no explicit -out defaults to BENCH_<exp>.json, except
-// under -exp all where it stays empty so the figure sweep has no file
-// side effects by default.
+// outPath is the -out flag: where -exp chaos writes its JSON outcome.
+// With no explicit -out it is BENCH_chaos.json under -exp chaos and
+// empty under -exp all, so the figure sweep has no file side effects by
+// default.
 var outPath string
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig2|fig6|fig7|table1a|table1b|fig8|fig9|fig10|inference|tcb|freq|coloc|shard|fleet|chaos|perf|all)")
+	exp := flag.String("exp", "all", "experiment to run (fig2|fig6|fig7|table1a|table1b|fig8|fig9|fig10|inference|tcb|freq|coloc|chaos|all)")
 	quick := flag.Bool("quick", false, "scaled-down parameters for a fast run")
 	seed := flag.Int64("seed", 42, "random seed")
 	root := flag.String("root", ".", "repository root (for -exp tcb)")
-	flag.StringVar(&outPath, "out", "", "output file for the -exp perf machine-readable snapshot (default BENCH_<exp>.json)")
+	flag.StringVar(&outPath, "out", "", "output file for the -exp chaos JSON outcome (default BENCH_chaos.json)")
 	flag.Parse()
 
 	outExplicit := false
@@ -59,8 +51,8 @@ func main() {
 			outExplicit = true
 		}
 	})
-	if !outExplicit && *exp != "all" {
-		outPath = fmt.Sprintf("BENCH_%s.json", *exp)
+	if !outExplicit && *exp == "chaos" {
+		outPath = "BENCH_chaos.json"
 	}
 
 	if err := run(*exp, *quick, *seed, *root); err != nil {
@@ -83,13 +75,10 @@ func run(exp string, quick bool, seed int64, root string) error {
 		"tcb":       runTCB,
 		"freq":      runFreq,
 		"coloc":     runColoc,
-		"shard":     runShard,
-		"fleet":     runFleet,
 		"chaos":     runChaos,
-		"perf":      runPerf,
 	}
 	if exp == "all" {
-		order := []string{"fig2", "fig6", "fig7", "table1a", "table1b", "fig8", "fig9", "fig10", "inference", "tcb", "freq", "coloc", "shard", "fleet", "chaos", "perf"}
+		order := []string{"fig2", "fig6", "fig7", "table1a", "table1b", "fig8", "fig9", "fig10", "inference", "tcb", "freq", "coloc", "chaos"}
 		for _, name := range order {
 			fmt.Printf("==== %s ====\n", name)
 			if err := runners[name](quick, seed, root); err != nil {
@@ -276,50 +265,6 @@ func runColoc(quick bool, seed int64, _ string) error {
 	return nil
 }
 
-func runShard(quick bool, seed int64, _ string) error {
-	// A model ~2x the serving hosts' usable EPC: monolithic all-misses
-	// its restore, the shard pipeline streams within the budget. Quick
-	// mode scales the same geometry down (6 MB model, 3 MB hosts).
-	sizeMB, epcMB, batches, batch := 187, 0, 2, 1
-	if quick {
-		sizeMB, epcMB = 6, 3
-	}
-	res, err := experiments.RunShard(core.SGXEmlPM(), sizeMB, epcMB, batches, batch, seed)
-	if err != nil {
-		return err
-	}
-	res.Print(os.Stdout)
-	return nil
-}
-
-func runFleet(quick bool, seed int64, _ string) error {
-	// A model over any single host's EPC, served monolithic (the knee),
-	// sharded on one host (streams PM), and across a 3-host fleet
-	// (resident, zero faults). Quick mode scales the geometry down to a
-	// 6 MB model on 5 MB hosts.
-	sizeMB, epcMB, hosts, batches, batch := 187, 0, 3, 4, 1
-	if quick {
-		sizeMB, epcMB = 6, 5
-	}
-	res, err := experiments.RunFleet(core.SGXEmlPM(), sizeMB, epcMB, hosts, batches, batch, seed)
-	if err != nil {
-		return err
-	}
-	res.Print(os.Stdout)
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
 func runChaos(quick bool, seed int64, _ string) error {
 	// Kill 1 of 3 hosts under sustained load, rejoin it later. The host
 	// budget is chosen so the two survivors cannot hold the model
@@ -331,26 +276,6 @@ func runChaos(quick bool, seed int64, _ string) error {
 		sizeMB, epcMB, batches = 6, 4, 18
 	}
 	res, err := experiments.RunChaos(core.SGXEmlPM(), sizeMB, epcMB, hosts, batches, batch, seed)
-	if err != nil {
-		return err
-	}
-	res.Print(os.Stdout)
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
-func runPerf(quick bool, seed int64, _ string) error {
-	res, err := experiments.RunPerf(experiments.PerfConfig{Quick: quick, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -231,7 +231,9 @@ func TestInferAccuracyOnTrainedModel(t *testing.T) {
 
 func TestCheckpointTimingsPMFasterThanSSD(t *testing.T) {
 	// The Fig. 7 headline: mirroring beats SSD checkpointing for both
-	// saves and restores.
+	// saves and restores. Compared on the modeled device parts only:
+	// Encrypt and Decrypt are wall-clock AES on both sides, so a Total
+	// comparison would depend on scheduler noise.
 	cfgText, err := SyntheticModelConfig(4 << 20)
 	if err != nil {
 		t.Fatalf("SyntheticModelConfig: %v", err)
@@ -255,11 +257,11 @@ func TestCheckpointTimingsPMFasterThanSSD(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SSDRestore: %v", err)
 	}
-	if save.Total() >= ssdSave.Total() {
-		t.Fatalf("mirror save %v not faster than SSD save %v", save.Total(), ssdSave.Total())
+	if save.Write >= ssdSave.Write {
+		t.Fatalf("mirror save write %v not faster than SSD save write %v", save.Write, ssdSave.Write)
 	}
-	if restore.Total() >= ssdRestore.Total() {
-		t.Fatalf("mirror restore %v not faster than SSD restore %v", restore.Total(), ssdRestore.Total())
+	if restore.Read >= ssdRestore.Read {
+		t.Fatalf("mirror restore read %v not faster than SSD restore read %v", restore.Read, ssdRestore.Read)
 	}
 	// Breakdown sanity: saves split into encrypt+write, restores into
 	// read+decrypt.

@@ -83,8 +83,8 @@ func KernelParallelism() int {
 
 // SetScalarKernels toggles the scalar reference kernels. The blocked
 // parallel kernels are bit-identical, so this only changes speed; it
-// exists for before/after benchmarking (BenchmarkTrainIteration,
-// plinius-bench -exp perf).
+// exists for before/after benchmarking (BenchmarkTrainIteration) and
+// for the tests that compare the two.
 func SetScalarKernels(on bool) { scalarKernels.Store(on) }
 
 // gemmParallelFlops is the multiply-add count a parallel chunk must

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"plinius/internal/mnist"
 )
 
 // TestQuantizeWeightsRoundTripBound checks the symmetric-int8 scheme's
@@ -110,8 +112,9 @@ func trainQuantTestNet(t *testing.T, net *Network, seed int64, iters int) {
 
 // TestQuantizeNetworkForwardClose quantizes a trained net and checks
 // the int8 clone's outputs stay close to fp32 (each weight is within
-// scale/2 of the original, so layer outputs drift by a bounded amount)
-// and that the predicted classes almost always agree.
+// scale/2 of the original, so layer outputs drift by a bounded amount),
+// that the predicted classes almost always agree, and that on labelled
+// digits int8 test accuracy is within one point of fp32.
 func TestQuantizeNetworkForwardClose(t *testing.T) {
 	net := buildQuantTestNet(t, 31)
 	trainQuantTestNet(t, net, 32, 6)
@@ -170,6 +173,50 @@ func TestQuantizeNetworkForwardClose(t *testing.T) {
 	}
 	if agree < total*9/10 {
 		t.Fatalf("class agreement %d/%d, want >= 90%%", agree, total)
+	}
+
+	// On labelled digits, the int8 clone of the repo benchmark's CNN,
+	// trained well above chance, keeps its test accuracy within one point.
+	digits, _, _ := mnistTrainNet(t)
+	batch, in = digits.Config.Batch, digits.InputSize()
+	const iters = 20
+	train, test, err := mnist.Synthetic(batch*iters+256, 49).Split(batch * iters)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	y := make([]float32, batch*mnist.Classes)
+	for i := 0; i < iters; i++ {
+		clear(y)
+		for b := 0; b < batch; b++ {
+			y[b*mnist.Classes+train.Labels[i*batch+b]] = 1
+		}
+		if _, err := digits.TrainBatch(train.Images[i*batch*in:(i+1)*batch*in], y, batch); err != nil {
+			t.Fatalf("train digits: %v", err)
+		}
+	}
+	qdigits, err := QuantizeNetwork(digits)
+	if err != nil {
+		t.Fatalf("quantize digits: %v", err)
+	}
+	correct := func(n *Network) int {
+		classes, err := n.ClassifyBatch(test.Images, test.N)
+		if err != nil {
+			t.Fatalf("classify digits: %v", err)
+		}
+		c := 0
+		for i, cls := range classes {
+			if cls == test.Labels[i] {
+				c++
+			}
+		}
+		return c
+	}
+	fp32Hits, int8Hits := correct(digits), correct(qdigits)
+	if 2*fp32Hits < test.N {
+		t.Fatalf("fp32 digit accuracy %d/%d; the check needs a model trained well above chance", fp32Hits, test.N)
+	}
+	if d := fp32Hits - int8Hits; 100*d > test.N || -100*d > test.N {
+		t.Fatalf("int8 digit accuracy %d/%d vs fp32 %d/%d: delta over 1 point", int8Hits, test.N, fp32Hits, test.N)
 	}
 }
 

@@ -77,9 +77,6 @@ type Options struct {
 	ChannelBandwidth float64
 	// Seed differentiates the shard enclaves' RNGs across groups.
 	Seed int64
-	// DisablePrefetch turns off double-buffered restores in every
-	// group's pipeline.
-	DisablePrefetch bool
 	// ChannelFaults, when non-nil, supplies a fault injector for each
 	// inter-host channel as it is provisioned (keyed by the endpoint
 	// host indices). Nil injectors are fine; the channel runs clean.
@@ -181,10 +178,9 @@ type Fleet struct {
 	inputSize int
 	overhead  int
 
-	seed            int64
-	epoch           int64 // bumped per group rebuild, differentiates enclave RNGs
-	replicasOpt     int
-	disablePrefetch bool
+	seed        int64
+	epoch       int64 // bumped per group rebuild, differentiates enclave RNGs
+	replicasOpt int
 
 	latency   time.Duration
 	bandwidth float64
@@ -315,7 +311,6 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		overhead:         overhead,
 		seed:             opts.Seed,
 		replicasOpt:      opts.Replicas,
-		disablePrefetch:  opts.DisablePrefetch,
 		latency:          opts.ChannelLatency,
 		bandwidth:        opts.ChannelBandwidth,
 		channelFaults:    opts.ChannelFaults,
@@ -397,16 +392,15 @@ func (fl *Fleet) buildGroups(plan []darknet.ShardRange, assignments [][]int, lab
 		}
 		hd := &handoff{fl: fl, hosts: assignment, chans: make(map[int]*Channel)}
 		sg, err := fl.f.NewShardGroup(core.ShardOptions{
-			Plan:            plan,
-			Hosts:           shardHosts,
-			Host:            shardHosts[0],
-			Handoff:         hd,
-			Batch:           fl.batch,
-			OverheadBytes:   fl.overhead,
-			Seed:            fl.seed + epoch*65536 + int64(gi)*1024,
-			DisablePrefetch: fl.disablePrefetch,
-			Metrics:         fl.reg,
-			Labels:          []obs.Label{{Key: "group", Value: strconv.Itoa(labelBase + gi)}},
+			Plan:          plan,
+			Hosts:         shardHosts,
+			Host:          shardHosts[0],
+			Handoff:       hd,
+			Batch:         fl.batch,
+			OverheadBytes: fl.overhead,
+			Seed:          fl.seed + epoch*65536 + int64(gi)*1024,
+			Metrics:       fl.reg,
+			Labels:        []obs.Label{{Key: "group", Value: strconv.Itoa(labelBase + gi)}},
 		})
 		if err != nil {
 			return fail(fmt.Errorf("fleet: group %d: %w", labelBase+gi, err))

@@ -86,6 +86,7 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 	for i, h := range hosts {
 		setupFaults[i] = h.Stats().PageSwaps
 	}
+	setupRestores := fl.Report().ShardRestores
 	ds := mnist.Synthetic(batch*batches, 11)
 	in := fl.InputSize()
 	for b := 0; b < batches; b++ {
@@ -111,6 +112,22 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 		if h.OverEPC() {
 			t.Fatalf("host %d overcommitted: resident %d of %d", i, h.Resident(), h.UsableEPC())
 		}
+	}
+	// Resident means no stage re-restores its range from PM per batch.
+	if restores := fl.Report().ShardRestores - setupRestores; restores != 0 {
+		t.Fatalf("fleet paid %d PM range restores serving; want 0 (resident)", restores)
+	}
+	// One host report per host, and one placed range per (group, stage).
+	reports := fl.HostReports()
+	if len(reports) != len(hosts) {
+		t.Fatalf("%d host reports, want %d", len(reports), len(hosts))
+	}
+	placed := 0
+	for _, hr := range reports {
+		placed += len(hr.Shards)
+	}
+	if r := fl.Report(); placed != r.FleetGroups*r.Shards {
+		t.Fatalf("host reports place %d ranges, want %d groups x %d shards", placed, r.FleetGroups, r.Shards)
 	}
 	if fl.Report().FleetHandoffs == 0 || fl.Report().FleetHandoffBytes == 0 {
 		t.Fatalf("hand-off accounting empty (%d transfers, %d bytes) although stages span hosts",
