@@ -1,14 +1,15 @@
 // Package pm emulates byte-addressable persistent memory (Intel Optane DC
 // PM in app-direct mode) for the Plinius reproduction.
 //
-// The device keeps two images of the region: the volatile view that loads
-// and stores observe (CPU caches + memory), and the persisted image that
-// survives a power failure. Stores dirty 64-byte cache lines in the
-// volatile view; a persistent write-back (Flush) copies dirty lines to the
-// persisted image, mirroring CLFLUSH/CLFLUSHOPT/CLWB + ADR semantics; a
-// Fence orders write-backs. Crash discards everything that was never
-// flushed, which is exactly the failure model the Romulus twin-copy
-// algorithm must survive.
+// Loads and stores observe the volatile view of the region (CPU caches +
+// memory). Stores dirty 64-byte cache lines; a persistent write-back
+// (Flush) makes lines durable, mirroring CLFLUSH/CLFLUSHOPT/CLWB + ADR
+// semantics; a Fence orders write-backs. Crash discards everything that
+// was never flushed, which is exactly the failure model the Romulus
+// twin-copy algorithm must survive. A clean line is durable as it
+// stands; the durable bytes of a dirty line sit in a backup image, saved
+// by the store that dirtied it. So a write-back moves no memory, as on
+// real hardware, and StoreFlush / CopyFlush cost one memmove per byte.
 //
 // Performance is accounted on a simclock.Clock using a latency Profile
 // calibrated from the paper's Fig. 2 characterisation; see DESIGN.md.
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"time"
 
@@ -111,8 +113,8 @@ func RamdiskProfile() Profile {
 	}
 }
 
-// flushCost returns the per-line cost of a write-back of the given kind.
-func (p Profile) flushCost(kind FlushKind) time.Duration {
+// FlushCost returns the per-line cost of a write-back of the given kind.
+func (p Profile) FlushCost(kind FlushKind) time.Duration {
 	switch kind {
 	case FlushClflush:
 		return p.Clflush
@@ -145,15 +147,28 @@ var (
 // use; Plinius itself is single-threaded per the paper, but the SPS
 // benchmark and tests exercise concurrency.
 type Device struct {
-	mu        sync.Mutex
-	size      int
-	volatile  []byte
-	persisted []byte
-	dirty     []uint64 // bitset, one bit per cache line
-	dirtyN    int
-	clock     *simclock.Clock
-	prof      Profile
-	stats     Stats
+	mu       sync.Mutex
+	size     int
+	volatile []byte
+	backup   []byte   // durable bytes of the dirty lines; stale elsewhere
+	dirty    []uint64 // bitset, one bit per cache line
+	dirtyN   int
+	copyWG   sync.WaitGroup // CopyFlush chunks out on copy workers
+	clock    *simclock.Clock
+	prof     Profile
+	stats    Stats
+}
+
+// eachRun calls fn with the byte range of every run of set bits in word
+// w of a line bitset.
+func eachRun(w int, word uint64, fn func(start, end int)) {
+	for word != 0 {
+		lo := bits.TrailingZeros64(word)
+		run := bits.TrailingZeros64(^(word >> uint(lo)))
+		start := (w<<6 + lo) * CacheLineSize
+		fn(start, start+run*CacheLineSize)
+		word &^= (uint64(1)<<uint(run) - 1) << uint(lo)
+	}
 }
 
 // rangeMask returns the bits of dirty-bitset word w that fall inside
@@ -170,21 +185,14 @@ func rangeMask(w, first, last int) uint64 {
 }
 
 // setDirtyRange marks lines [first, last] dirty a bitset word at a
-// time, keeping dirtyN exact by popcount.
+// time, keeping dirtyN exact by popcount. It must run before the store
+// that dirties them: each line that was clean is backed up first.
 func (d *Device) setDirtyRange(first, last int) {
 	for w := first >> 6; w <= last>>6; w++ {
-		mask := rangeMask(w, first, last)
-		d.dirtyN += bits.OnesCount64(mask &^ d.dirty[w])
-		d.dirty[w] |= mask
-	}
-}
-
-// clearDirtyRange marks lines [first, last] clean.
-func (d *Device) clearDirtyRange(first, last int) {
-	for w := first >> 6; w <= last>>6; w++ {
-		mask := rangeMask(w, first, last)
-		d.dirtyN -= bits.OnesCount64(mask & d.dirty[w])
-		d.dirty[w] &^= mask
+		fresh := rangeMask(w, first, last) &^ d.dirty[w]
+		eachRun(w, fresh, func(start, end int) { copy(d.backup[start:end], d.volatile[start:end]) })
+		d.dirtyN += bits.OnesCount64(fresh)
+		d.dirty[w] |= fresh
 	}
 }
 
@@ -210,11 +218,11 @@ func New(size int, opts ...Option) (*Device, error) {
 	}
 	lines := size / CacheLineSize
 	d := &Device{
-		size:      size,
-		volatile:  make([]byte, size),
-		persisted: make([]byte, size),
-		dirty:     make([]uint64, (lines+63)/64),
-		prof:      OptaneProfile(),
+		size:     size,
+		volatile: make([]byte, size),
+		backup:   make([]byte, size),
+		dirty:    make([]uint64, (lines+63)/64),
+		prof:     OptaneProfile(),
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -255,21 +263,34 @@ func lineRange(off, n int) (first, last int) {
 func (d *Device) Store(off int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkRange(off, len(data)); err != nil {
+	if err := d.checkRange(off, len(data)); err != nil || len(data) == 0 {
 		return err
 	}
+	d.setDirtyRange(lineRange(off, len(data)))
 	copy(d.volatile[off:], data)
-	if len(data) > 0 {
-		d.noteStore(off, len(data))
-	}
+	d.noteStore(off, len(data))
 	return nil
 }
 
-// noteStore accounts an n-byte store at off (n > 0): dirty lines,
-// counters and modeled time. Callers hold d.mu.
+// StoreFlush is a Store then a Flush of the same range in one step: same
+// counters, dirty lines and modeled time, but one memmove, since lines
+// that end clean need no backup.
+func (d *Device) StoreFlush(off int, data []byte, kind FlushKind) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.checkRange(off, len(data)); err != nil || len(data) == 0 {
+		return err
+	}
+	copy(d.volatile[off:], data)
+	d.noteStore(off, len(data))
+	d.noteFlush(off, len(data), kind)
+	return nil
+}
+
+// noteStore accounts an n-byte store at off (n > 0): counters and
+// modeled time. Callers hold d.mu.
 func (d *Device) noteStore(off, n int) {
 	first, last := lineRange(off, n)
-	d.setDirtyRange(first, last)
 	d.stats.Stores++
 	d.stats.BytesStored += uint64(n)
 	mStores.Inc()
@@ -287,6 +308,23 @@ func (d *Device) noteLoad(off, n int) {
 	d.clock.Advance(time.Duration(last-first+1) * d.prof.Load)
 }
 
+// noteFlush cleans the lines overlapping [off, off+n) (n > 0) and
+// accounts the write-back. Callers hold d.mu.
+func (d *Device) noteFlush(off, n int, kind FlushKind) {
+	first, last := lineRange(off, n)
+	for w := first >> 6; w <= last>>6; w++ {
+		mask := rangeMask(w, first, last)
+		d.dirtyN -= bits.OnesCount64(mask & d.dirty[w])
+		d.dirty[w] &^= mask
+	}
+	lines := last - first + 1
+	d.stats.Flushes++
+	d.stats.FlushedLines += uint64(lines)
+	mFlushes.Inc()
+	mFlushedLines.Add(float64(lines))
+	d.clock.Advance(time.Duration(lines) * d.prof.FlushCost(kind))
+}
+
 // Load reads len(buf) bytes at off from the volatile view.
 func (d *Device) Load(off int, buf []byte) error {
 	d.mu.Lock()
@@ -301,52 +339,127 @@ func (d *Device) Load(off int, buf []byte) error {
 	return nil
 }
 
-// Copy moves n bytes from src to dst inside the volatile view. It is
-// exactly a Load of [src, src+n) followed by a Store to [dst, dst+n) —
-// same counters, stats, dirty lines and modeled time — but one memmove
-// with no bounce buffer (the Romulus main<->back propagation).
-func (d *Device) Copy(dst, src, n int) error {
+// Extent is the byte range [Off, Off+N) of a region.
+type Extent struct{ Off, N int }
+
+// CopyFlush copies each extent of the region at src over the same extent
+// of the region at dst: exactly a Load, Store and Flush per extent in
+// order (same counters, dirty lines and modeled time), but one memmove
+// per byte. Any extent out of range rejects the whole call. From
+// parallelCopyBytes up, if the extents ascend without overlap and the
+// two spans are disjoint, the memmove is split into contiguous chunks on
+// up to min(GOMAXPROCS, NumCPU) goroutines, under the device lock.
+func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkRange(src, n); err != nil {
-		return err
+	total, end, ordered := 0, 0, true
+	for i, e := range ext {
+		if err := d.checkRange(src+e.Off, e.N); err != nil {
+			return err
+		}
+		if err := d.checkRange(dst+e.Off, e.N); err != nil {
+			return err
+		}
+		ordered = ordered && (i == 0 || e.Off >= end)
+		total, end = total+e.N, e.Off+e.N
 	}
-	if err := d.checkRange(dst, n); err != nil {
-		return err
+	job := copyJob{d, dst, src, ext, 0, total}
+	if w := copyWorkers(total); w > 1 && total > 0 && ordered && max(dst-src, src-dst) >= end-ext[0].Off {
+		job.runChunked(w)
+	} else {
+		job.run()
 	}
-	if n > 0 {
-		copy(d.volatile[dst:dst+n], d.volatile[src:src+n])
-		d.noteLoad(src, n)
-		d.noteStore(dst, n)
+	for _, e := range ext {
+		if e.N > 0 {
+			d.noteLoad(src+e.Off, e.N)
+			d.noteStore(dst+e.Off, e.N)
+			d.noteFlush(dst+e.Off, e.N, kind)
+		}
 	}
 	return nil
 }
 
+// CopyFlush fans out from parallelCopyBytes: below it the hand-off costs
+// more than it saves, so small models' commits stay on the caller.
+// forceCopyWorkers overrides the fan-out in tests (0 = off).
+const parallelCopyBytes, maxCopyFanout = 256 << 10, 8
+
+var forceCopyWorkers int
+
+func copyWorkers(total int) int {
+	switch {
+	case forceCopyWorkers > 0:
+		return forceCopyWorkers
+	case total < parallelCopyBytes:
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU(), maxCopyFanout)
+}
+
+// copyJob copies bytes [from, to) of the concatenated extents from the
+// region at src to the region at dst.
+type copyJob struct {
+	d        *Device
+	dst, src int
+	ext      []Extent
+	from, to int
+}
+
+func (j copyJob) run() {
+	pos := 0
+	for _, e := range j.ext {
+		if lo, hi := max(j.from-pos, 0), min(j.to-pos, e.N); lo < hi {
+			copy(j.d.volatile[j.dst+e.Off+lo:j.dst+e.Off+hi], j.d.volatile[j.src+e.Off+lo:])
+		}
+		pos += e.N
+	}
+}
+
+// The copy workers are persistent goroutines, started on first use, so
+// a chunked CopyFlush allocates nothing.
+var (
+	copyJobs  = make(chan copyJob)
+	copyStart sync.Once
+)
+
+// runChunked splits j into w contiguous chunks, hands w-1 of them to
+// copy workers and runs the first itself. The caller holds d.mu across
+// the sends; workers take no lock, so they always drain.
+func (j copyJob) runChunked(w int) {
+	copyStart.Do(func() {
+		for i := 1; i < maxCopyFanout; i++ {
+			go func() {
+				for c := range copyJobs {
+					c.run()
+					c.d.copyWG.Done()
+				}
+			}()
+		}
+	})
+	chunk := (j.to + w - 1) / w
+	j.d.copyWG.Add(w - 1)
+	for g := 1; g < w; g++ {
+		c := j
+		c.from, c.to = min(g*chunk, j.to), min((g+1)*chunk, j.to)
+		copyJobs <- c
+	}
+	j.to = chunk
+	j.run()
+	j.d.copyWG.Wait()
+}
+
 // Flush issues persistent write-backs of the given kind for every cache
 // line overlapping [off, off+n). Clean lines still pay the write-back
-// cost (the instruction is issued regardless); with ADR the flushed data
-// is durable once accepted by the memory controller, so the persisted
-// image is updated immediately.
+// cost (the instruction is issued regardless); with ADR the data is
+// durable once accepted by the memory controller, so the lines turn
+// clean at once and nothing is copied.
 func (d *Device) Flush(off, n int, kind FlushKind) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkRange(off, n); err != nil {
+	if err := d.checkRange(off, n); err != nil || n == 0 {
 		return err
 	}
-	if n == 0 {
-		return nil
-	}
-	first, last := lineRange(off, n)
-	start := first * CacheLineSize
-	end := (last + 1) * CacheLineSize
-	copy(d.persisted[start:end], d.volatile[start:end])
-	d.clearDirtyRange(first, last)
-	lines := last - first + 1
-	d.stats.Flushes++
-	d.stats.FlushedLines += uint64(lines)
-	mFlushes.Inc()
-	mFlushedLines.Add(float64(lines))
-	d.clock.Advance(time.Duration(lines) * d.prof.flushCost(kind))
+	d.noteFlush(off, n, kind)
 	return nil
 }
 
@@ -361,23 +474,15 @@ func (d *Device) Fence() {
 }
 
 // Crash simulates a power failure: every store that was never flushed is
-// lost, and the volatile view is re-initialised from the persisted image,
-// as it would be after reboot and DAX re-mapping. Only stores dirty a
-// line and only a flush cleans it, so a clean line is already equal in
-// both images: reverting the runs of dirty lines is the whole crash, at
-// O(bitset + dirty bytes) instead of O(device).
+// lost, and the volatile view comes back as the durable image, as it
+// would after reboot and DAX re-mapping. A clean line is already
+// durable, so restoring the runs of dirty lines from their backups is
+// the whole crash, at O(bitset + dirty bytes) instead of O(device).
 func (d *Device) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for w, word := range d.dirty {
-		for word != 0 {
-			lo := bits.TrailingZeros64(word)
-			run := bits.TrailingZeros64(^(word >> uint(lo)))
-			start := (w<<6 + lo) * CacheLineSize
-			end := start + run*CacheLineSize
-			copy(d.volatile[start:end], d.persisted[start:end])
-			word &^= (uint64(1)<<uint(run) - 1) << uint(lo)
-		}
+		eachRun(w, word, func(start, end int) { copy(d.volatile[start:end], d.backup[start:end]) })
 		d.dirty[w] = 0
 	}
 	d.dirtyN = 0
@@ -406,12 +511,16 @@ func (d *Device) StatsReset() {
 	d.mu.Unlock()
 }
 
-// PersistedSnapshot returns a copy of the persisted image, for tests that
-// verify crash consistency without triggering a crash.
+// PersistedSnapshot returns a copy of the durable image, the volatile
+// view with each dirty line's backup laid over it, for tests that verify
+// crash consistency without triggering a crash.
 func (d *Device) PersistedSnapshot() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]byte, d.size)
-	copy(out, d.persisted)
+	copy(out, d.volatile)
+	for w, word := range d.dirty {
+		eachRun(w, word, func(start, end int) { copy(out[start:end], d.backup[start:end]) })
+	}
 	return out
 }

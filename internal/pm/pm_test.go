@@ -299,6 +299,50 @@ func TestPropertyPersistedMatchesVolatileAfterFullFlush(t *testing.T) {
 	}
 }
 
+// TestConcurrentChunkedCopies runs chunked CopyFlush calls on several
+// devices at once, all sharing the process's copy workers, and checks
+// every destination byte.
+func TestConcurrentChunkedCopies(t *testing.T) {
+	forceCopyWorkers = 3
+	t.Cleanup(func() { forceCopyWorkers = 0 })
+	const half = 64 * CacheLineSize
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			d, err := New(2 * half)
+			if err != nil {
+				t.Errorf("New: %v", err)
+				return
+			}
+			src := bytes.Repeat([]byte{byte(g + 1)}, half)
+			if err := d.StoreFlush(0, src, FlushCLWB); err != nil {
+				t.Errorf("StoreFlush: %v", err)
+				return
+			}
+			ext := []Extent{{0, 100}, {130, 2000}, {2200, half - 2300}}
+			for i := 0; i < 50; i++ {
+				if err := d.CopyFlush(half, 0, ext, FlushClflushOpt); err != nil {
+					t.Errorf("CopyFlush: %v", err)
+					return
+				}
+			}
+			got := d.PersistedSnapshot()[half:]
+			for _, e := range ext {
+				if !bytes.Equal(got[e.Off:e.Off+e.N], src[e.Off:e.Off+e.N]) {
+					t.Errorf("device %d: extent %+v not copied", g, e)
+				}
+			}
+			if !bytes.Equal(got[100:130], make([]byte, 30)) {
+				t.Errorf("device %d: gap between extents written", g)
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+}
+
 func TestConcurrentStoresDoNotRace(t *testing.T) {
 	d := newTestDevice(t, 64*64)
 	done := make(chan struct{})

@@ -3,6 +3,7 @@ package pm
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -56,14 +57,6 @@ func (r *refDevice) store(off int, data []byte) {
 	r.modeled += time.Duration(last-first+1) * r.prof.Store
 }
 
-// copyRange is the Load into a bounce buffer followed by a Store that
-// Device.Copy must be indistinguishable from.
-func (r *refDevice) copyRange(dst, src, n int) {
-	buf := append([]byte(nil), r.volatile[src:src+n]...)
-	r.load(src, n)
-	r.store(dst, buf)
-}
-
 func (r *refDevice) flush(off, n int, kind FlushKind) {
 	if n == 0 {
 		return
@@ -75,7 +68,18 @@ func (r *refDevice) flush(off, n int, kind FlushKind) {
 	}
 	r.stats.Flushes++
 	r.stats.FlushedLines += uint64(last - first + 1)
-	r.modeled += time.Duration(last-first+1) * r.prof.flushCost(kind)
+	r.modeled += time.Duration(last-first+1) * r.prof.FlushCost(kind)
+}
+
+// copyFlush is the per-extent Load into a bounce buffer, Store and Flush
+// that Device.CopyFlush must be indistinguishable from.
+func (r *refDevice) copyFlush(dst, src int, ext []Extent, kind FlushKind) {
+	for _, e := range ext {
+		buf := append([]byte(nil), r.volatile[src+e.Off:src+e.Off+e.N]...)
+		r.load(src+e.Off, e.N)
+		r.store(dst+e.Off, buf)
+		r.flush(dst+e.Off, e.N, kind)
+	}
 }
 
 func (r *refDevice) fence() {
@@ -101,16 +105,21 @@ func (r *refDevice) dirtyLines() int {
 	return n
 }
 
-// TestDeviceMatchesNaiveReference drives seeded random Store / Copy /
-// Flush / Fence / Crash sequences through the Device and the naive
-// reference and compares every observable after every step. The device
-// has a line count that is not a multiple of 64 and the range picker
-// favours bitset-word boundaries and the last line, where the
-// word-at-a-time dirty tracking and the dirty-run crash can go wrong.
+// TestDeviceMatchesNaiveReference drives seeded random Store /
+// StoreFlush / CopyFlush / Flush / Fence / Crash sequences through the
+// Device and the naive reference and compares every observable after
+// every step. The device has a line count that is not a multiple of 64
+// and the range picker favours bitset-word boundaries and the last line,
+// where the word-at-a-time dirty tracking, the backups and the dirty-run
+// crash can go wrong. Half the CopyFlush calls are ascending extents
+// between disjoint spans, which the forced copy workers split into
+// chunks on any core count; the rest overlap and take the serial path.
 func TestDeviceMatchesNaiveReference(t *testing.T) {
 	const lines = 3*64 + 17
 	const size = lines * CacheLineSize
+	t.Cleanup(func() { forceCopyWorkers = 0 })
 	for seed := int64(1); seed <= 8; seed++ {
+		forceCopyWorkers = []int{0, 2, 3, 8}[seed%4]
 		rng := rand.New(rand.NewSource(seed))
 		dev := newTestDevice(t, size)
 		ref := newRefDevice(size)
@@ -136,10 +145,40 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 			}
 			return off, n
 		}
+		// pickExtents returns up to six extents for a CopyFlush: either
+		// ascending and gapped inside a span of up to half the device,
+		// with src and dst in opposite halves, or anywhere, overlapping.
+		pickExtents := func() (dst, src int, ext []Extent) {
+			k := 1 + rng.Intn(6)
+			if rng.Intn(2) == 0 {
+				span := rng.Intn(size / 2)
+				src = rng.Intn(size/2 - span + 1)
+				dst = size/2 + rng.Intn(size/2-span+1)
+				if rng.Intn(2) == 0 {
+					src, dst = dst, src
+				}
+				cuts := make([]int, 2*k)
+				for i := range cuts {
+					cuts[i] = rng.Intn(span + 1)
+				}
+				sort.Ints(cuts)
+				for i := 0; i < k; i++ {
+					ext = append(ext, Extent{Off: cuts[2*i], N: cuts[2*i+1] - cuts[2*i]})
+				}
+				return dst, src, ext
+			}
+			src, dst = rng.Intn(size), rng.Intn(size)
+			limit := size - max(src, dst)
+			for i := 0; i < k; i++ {
+				off := rng.Intn(limit + 1)
+				ext = append(ext, Extent{Off: off, N: rng.Intn(min(limit-off, 40*CacheLineSize) + 1)})
+			}
+			return dst, src, ext
+		}
 
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
-			case op < 4:
+			case op < 3:
 				off, n := pickRange()
 				data := make([]byte, n)
 				rng.Read(data)
@@ -147,13 +186,23 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: Store: %v", seed, step, err)
 				}
 				ref.store(off, data)
-			case op < 6:
-				src, n := pickRange()
-				dst := rng.Intn(size - n + 1)
-				if err := dev.Copy(dst, src, n); err != nil {
-					t.Fatalf("seed %d step %d: Copy: %v", seed, step, err)
+			case op < 4:
+				off, n := pickRange()
+				data := make([]byte, n)
+				rng.Read(data)
+				kind := FlushKind(1 + rng.Intn(3))
+				if err := dev.StoreFlush(off, data, kind); err != nil {
+					t.Fatalf("seed %d step %d: StoreFlush: %v", seed, step, err)
 				}
-				ref.copyRange(dst, src, n)
+				ref.store(off, data)
+				ref.flush(off, n, kind)
+			case op < 6:
+				dst, src, ext := pickExtents()
+				kind := FlushKind(1 + rng.Intn(3))
+				if err := dev.CopyFlush(dst, src, ext, kind); err != nil {
+					t.Fatalf("seed %d step %d: CopyFlush: %v", seed, step, err)
+				}
+				ref.copyFlush(dst, src, ext, kind)
 			case op < 8:
 				off, n := pickRange()
 				kind := FlushKind(1 + rng.Intn(3))
@@ -187,19 +236,41 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-func TestCopyOutOfRange(t *testing.T) {
-	dev := newTestDevice(t, 4*CacheLineSize)
-	for _, c := range []struct{ dst, src, n int }{
-		{0, 3 * CacheLineSize, 2 * CacheLineSize},
-		{3 * CacheLineSize, 0, 2 * CacheLineSize},
-		{-1, 0, 8},
-		{0, 0, -1},
+// TestCopyFlushOutOfRange checks that a CopyFlush with any extent out of
+// range is rejected whole: nothing is copied, dirtied or accounted.
+func TestCopyFlushOutOfRange(t *testing.T) {
+	const size = 4 * CacheLineSize
+	dev := newTestDevice(t, size)
+	if err := dev.Store(0, bytes.Repeat([]byte{7}, CacheLineSize)); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	dev.StatsReset()
+	before := dev.Clock().Modeled()
+	for _, c := range []struct {
+		dst, src int
+		ext      []Extent
+	}{
+		{0, 3 * CacheLineSize, []Extent{{0, 2 * CacheLineSize}}},
+		{3 * CacheLineSize, 0, []Extent{{0, 2 * CacheLineSize}}},
+		{-1, 0, []Extent{{0, 8}}},
+		{0, 0, []Extent{{0, -1}}},
+		{2 * CacheLineSize, 0, []Extent{{-1, 8}}},
+		{2 * CacheLineSize, 0, []Extent{{0, 8}, {CacheLineSize, 2 * CacheLineSize}}},
 	} {
-		if err := dev.Copy(c.dst, c.src, c.n); err == nil {
-			t.Fatalf("Copy(%d, %d, %d) succeeded", c.dst, c.src, c.n)
+		if err := dev.CopyFlush(c.dst, c.src, c.ext, FlushClflushOpt); err == nil {
+			t.Fatalf("CopyFlush(%d, %d, %v) succeeded", c.dst, c.src, c.ext)
 		}
 	}
 	if st := dev.Stats(); st != (Stats{}) {
 		t.Fatalf("rejected copies were accounted: %+v", st)
+	}
+	if got := dev.Clock().Modeled(); got != before {
+		t.Fatalf("rejected copies advanced the clock by %v", got-before)
+	}
+	if got := dev.DirtyLines(); got != 1 {
+		t.Fatalf("DirtyLines = %d after rejected copies, want 1", got)
+	}
+	if !bytes.Equal(dev.volatile[2*CacheLineSize:], make([]byte, 2*CacheLineSize)) {
+		t.Fatal("a rejected copy wrote to the volatile view")
 	}
 }

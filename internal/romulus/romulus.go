@@ -70,11 +70,6 @@ var (
 	ErrAllocNonPositive = errors.New("romulus: allocation size must be positive")
 )
 
-type logEntry struct {
-	off int // main-region-relative offset
-	n   int
-}
-
 // Romulus manages twin-copy durable transactions on one PM device. It is
 // single-goroutine per the paper's single-threaded training loop; the
 // underlying device is still race-safe.
@@ -85,7 +80,7 @@ type Romulus struct {
 	regionSize int // size of each of main/back
 	mainStart  int
 	backStart  int
-	log        []logEntry
+	log        []pm.Extent // main-region-relative ranges stored this tx
 	inTx       bool
 	used       int // cached allocator offset (authoritative copy in PM)
 
@@ -150,27 +145,20 @@ func (r *Romulus) format() error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(reservedBytes))
 	// used = reservedBytes in both main and back; roots zero already.
-	if err := r.dev.Store(r.mainStart+usedOffset, buf[:]); err != nil {
-		return err
-	}
-	if err := r.dev.Store(r.backStart+usedOffset, buf[:]); err != nil {
-		return err
-	}
-	if err := r.dev.Flush(r.mainStart, reservedBytes, r.flushKind); err != nil {
-		return err
-	}
-	if err := r.dev.Flush(r.backStart, reservedBytes, r.flushKind); err != nil {
-		return err
+	for _, region := range [2]int{r.mainStart, r.backStart} {
+		if err := r.dev.Store(region+usedOffset, buf[:]); err != nil {
+			return err
+		}
+		if err := r.dev.Flush(region, reservedBytes, r.flushKind); err != nil {
+			return err
+		}
 	}
 	if err := r.writeState(stateIdle); err != nil {
 		return err
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], magic)
-	if err := r.dev.Store(0, hdr[:]); err != nil {
-		return err
-	}
-	if err := r.dev.Flush(0, 8, r.flushKind); err != nil {
+	if err := r.dev.StoreFlush(0, hdr[:], r.flushKind); err != nil {
 		return err
 	}
 	r.fence()
@@ -200,14 +188,19 @@ func (r *Romulus) loadUsed() error {
 	return nil
 }
 
-// propagate copies [off, off+n) of the region at src over the region
-// at dst and issues its write-back: one in-device memmove, accounted
-// as the load + store + flush it models.
-func (r *Romulus) propagate(dst, src, off, n int) error {
-	if err := r.dev.Copy(dst+off, src+off, n); err != nil {
+// propagate copies the extents of the region at src over the region at
+// dst and writes them back, in one device CopyFlush accounted as the
+// load + store + flush of each extent. No crash point falls between a
+// store and its write-back, so the lines end clean and the device moves
+// each byte once, across cores for a large log.
+func (r *Romulus) propagate(dst, src int, ext []pm.Extent) error {
+	if err := r.dev.CopyFlush(dst, src, ext, r.flushKind); err != nil {
 		return err
 	}
-	return r.flush(dst+off, n)
+	for _, e := range ext {
+		r.chargeFlushExtra(e.N)
+	}
+	return nil
 }
 
 // state helpers -------------------------------------------------------
@@ -215,10 +208,11 @@ func (r *Romulus) propagate(dst, src, off, n int) error {
 func (r *Romulus) writeState(s uint64) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], s)
-	if err := r.dev.Store(8, buf[:]); err != nil {
+	if err := r.dev.StoreFlush(8, buf[:], r.flushKind); err != nil {
 		return err
 	}
-	return r.flush(8, 8)
+	r.chargeFlushExtra(8)
+	return nil
 }
 
 func (r *Romulus) readState() (uint64, error) {
@@ -231,14 +225,6 @@ func (r *Romulus) readState() (uint64, error) {
 
 // cost-model wrappers --------------------------------------------------
 
-func (r *Romulus) flush(off, n int) error {
-	if err := r.dev.Flush(off, n, r.flushKind); err != nil {
-		return err
-	}
-	r.chargeFlushExtra(n)
-	return nil
-}
-
 func (r *Romulus) fence() {
 	r.dev.Fence()
 	r.chargeFenceExtra()
@@ -249,16 +235,7 @@ func (r *Romulus) chargeFlushExtra(n int) {
 		return
 	}
 	lines := (n + pm.CacheLineSize - 1) / pm.CacheLineSize
-	base := r.dev.Profile()
-	var per time.Duration
-	switch r.flushKind {
-	case pm.FlushClflush:
-		per = base.Clflush
-	case pm.FlushCLWB:
-		per = base.CLWB
-	default:
-		per = base.ClflushOpt
-	}
+	per := r.dev.Profile().FlushCost(r.flushKind)
 	r.dev.Clock().Advance(time.Duration(float64(lines) * float64(per) * (r.env.FlushMult - 1)))
 }
 
@@ -329,14 +306,12 @@ func (r *Romulus) Store(off int, data []byte) error {
 	if err := r.maybeCrash(); err != nil {
 		return err
 	}
-	if err := r.dev.Store(r.mainStart+off, data); err != nil {
+	if err := r.dev.StoreFlush(r.mainStart+off, data, r.flushKind); err != nil {
 		return err
 	}
 	r.env.chargeStoreExtra(r.dev, len(data))
-	if err := r.flush(r.mainStart+off, len(data)); err != nil {
-		return err
-	}
-	r.log = append(r.log, logEntry{off: off, n: len(data)})
+	r.chargeFlushExtra(len(data))
+	r.log = append(r.log, pm.Extent{Off: off, N: len(data)})
 	r.env.chargeLogAppend(r.dev, len(r.log))
 	return r.maybeCrash()
 }
@@ -367,11 +342,16 @@ func (r *Romulus) Commit() error {
 	if err := r.maybeCrash(); err != nil {
 		return err
 	}
-	// Propagate logged ranges main -> back.
-	for _, ent := range r.log {
-		if err := r.propagate(r.backStart, r.mainStart, ent.off, ent.n); err != nil {
-			return err
-		}
+	// Propagate the log main -> back in one batch. Each entry is still a
+	// crash step: a crash point among them propagates up to it, then fires.
+	ents := r.log
+	if k := r.crashAt - r.crashStep; k >= 1 && k < len(ents) {
+		ents = ents[:k]
+	}
+	if err := r.propagate(r.backStart, r.mainStart, ents); err != nil {
+		return err
+	}
+	for range ents {
 		if err := r.maybeCrash(); err != nil {
 			return err
 		}
@@ -395,10 +375,8 @@ func (r *Romulus) Abort() error {
 	if !r.inTx {
 		return ErrNoTransaction
 	}
-	for _, ent := range r.log {
-		if err := r.propagate(r.mainStart, r.backStart, ent.off, ent.n); err != nil {
-			return err
-		}
+	if err := r.propagate(r.mainStart, r.backStart, r.log); err != nil {
+		return err
 	}
 	r.fence()
 	if err := r.writeState(stateIdle); err != nil {
@@ -473,7 +451,7 @@ func (r *Romulus) copyRegion(src, dst int) error {
 	if err != nil {
 		return err
 	}
-	return r.propagate(dst, src, 0, used)
+	return r.propagate(dst, src, []pm.Extent{{Off: 0, N: used}})
 }
 
 // allocator and roots ---------------------------------------------------
@@ -562,6 +540,3 @@ func (r *Romulus) Device() *pm.Device { return r.dev }
 
 // InTx reports whether a transaction is open.
 func (r *Romulus) InTx() bool { return r.inTx }
-
-// Env returns the environment cost model.
-func (r *Romulus) EnvModel() Env { return r.env }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-
-	"plinius/internal/pm"
 )
 
 // SPS (swaps per second) is the micro-benchmark the paper uses to
@@ -97,31 +95,4 @@ func RunSPS(r *Romulus, cfg SPSConfig) (SPSResult, error) {
 		res.SwapsPerUs = float64(swaps) / us
 	}
 	return res, nil
-}
-
-// SPSSweep runs Fig. 6's grid for one environment and flush kind,
-// returning one result per transaction size.
-func SPSSweep(env Env, kind pm.FlushKind, swapsPerTx []int, txPerPoint int) ([]SPSResult, error) {
-	out := make([]SPSResult, 0, len(swapsPerTx))
-	for _, sw := range swapsPerTx {
-		dev, err := pm.New(32 << 20)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Open(dev, WithEnv(env), WithFlushKind(kind))
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunSPS(r, SPSConfig{
-			ArrayBytes:   10 << 20,
-			SwapsPerTx:   sw,
-			Transactions: txPerPoint,
-			Seed:         42,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -95,12 +95,9 @@ func TestSPSClflushSlowerThanClflushopt(t *testing.T) {
 }
 
 func TestSPSSweepShape(t *testing.T) {
-	res, err := SPSSweep(NativeEnv(), pm.FlushClflushOpt, []int{2, 8, 32}, 5)
-	if err != nil {
-		t.Fatalf("SPSSweep: %v", err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("got %d points, want 3", len(res))
+	var res []SPSResult
+	for _, swaps := range []int{2, 8, 32} {
+		res = append(res, runSPSPoint(t, NativeEnv(), pm.FlushClflushOpt, swaps))
 	}
 	// Throughput should rise with transaction size: fixed per-tx fences
 	// amortise over more swaps.
