@@ -143,7 +143,8 @@ type Layer interface {
 	// rate and momentum, then zeroes them.
 	Update(lr, momentum, decay float32)
 	// Params returns the layer's parameter buffers in a stable order.
-	// Mirroring encrypts each buffer separately (28 B metadata each).
+	// Mirroring encrypts each buffer separately (28 B metadata per
+	// sealed segment; a buffer over 1 MiB is several segments).
 	Params() [][]float32
 	// Grads returns the gradient buffers matching Params.
 	Grads() [][]float32

@@ -3,12 +3,13 @@
 // mirrored to persistent memory and of training-data batches read from
 // PM.
 //
-// Buffer layout matches the paper: every sealed buffer carries a random
+// Buffer layout matches the paper: every sealed frame carries a random
 // 12-byte initialisation vector and a 16-byte message authentication
-// code, 28 bytes of metadata per encrypted parameter buffer
-// (IV ‖ ciphertext ‖ MAC). Keys are 128-bit and are provisioned via the
-// remote-attestation secure channel (WrapKey/UnwrapKey) or generated in
-// the enclave.
+// code, 28 bytes of metadata per sealed segment (IV ‖ ciphertext ‖ MAC).
+// A parameter buffer is one segment, except that the mirror seals an
+// fp32 buffer over 1 MiB as several. Keys are 128-bit and are
+// provisioned via the remote-attestation secure channel
+// (WrapKey/UnwrapKey) or generated in the enclave.
 package engine
 
 import (
@@ -42,7 +43,7 @@ const (
 	KeySize  = 16
 	IVSize   = 12
 	TagSize  = 16
-	Overhead = IVSize + TagSize // 28 B per sealed buffer (§VI CPU/memory overhead)
+	Overhead = IVSize + TagSize // 28 B per sealed segment (§VI CPU/memory overhead)
 )
 
 // Errors returned by the engine.
@@ -54,14 +55,16 @@ var (
 
 // Engine seals and opens buffers under one 128-bit data key.
 //
-// SealFloatsScratch reuses an internal buffer to avoid garbage on the
-// hot mirroring path; like the Plinius training loop itself (§VI: "a
-// fairly intensive single-threaded application"), it is not safe for
-// concurrent use. Everything else is: Seal/Open allocate their output,
-// OpenFloatsInto/OpenFloatsWith decrypt into the caller's floats, and
-// SealFloatsWith stages through the caller's Scratch (AcquireScratch)
-// while the AEAD and the IV source are shared safely — the concurrent
-// mode the parallel mirroring path fans out over.
+// SealFloatsScratch reuses an internal buffer to avoid garbage on
+// single-goroutine save paths (tensor stores, SSD checkpoints); like
+// the Plinius training loop itself (§VI: "a fairly intensive
+// single-threaded application"), it is not safe for concurrent use.
+// Everything else is: Seal/Open allocate their output,
+// OpenFloatsInto/OpenFloatsWith/OpenFloatsAAD decrypt into the
+// caller's floats, and SealFloatsWith/SealFloatsAAD stage through the
+// caller's Scratch (AcquireScratch) while the AEAD and the IV source
+// are shared safely — the concurrent mode the mirroring path fans out
+// over.
 type Engine struct {
 	aead cipher.AEAD
 	rng  io.Reader
@@ -259,11 +262,19 @@ func floatBytes(v []float32) []byte {
 // Scratch instead of the engine's internal buffers: safe for any
 // number of goroutines each holding its own Scratch. The returned
 // slice aliases sc and is valid until sc's next use or release.
+func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
+	return e.SealFloatsAAD(sc, v, nil)
+}
+
+// SealFloatsAAD is SealFloatsWith with additional authenticated data:
+// the MAC also covers aad, which is not stored in the frame, so the
+// frame opens only through OpenFloatsAAD with the same aad. A nil aad
+// gives exactly SealFloatsWith's frame.
 //
 // AES-GCM reads the plaintext straight from v's memory. On a
 // big-endian host the floats are first encoded into the ciphertext
 // area and sealed in place.
-func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
+func (e *Engine) SealFloatsAAD(sc *Scratch, v []float32, aad []byte) ([]byte, error) {
 	n := 4 * len(v)
 	out := sc.SealedBuf(SealedLen(n))
 	if err := e.readIV(out[:IVSize]); err != nil {
@@ -279,19 +290,25 @@ func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
 		plain = out[IVSize : IVSize+n]
 		encodeLE(plain, v)
 	}
-	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, nil), nil
+	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, aad), nil
 }
 
 // OpenFloatsWith opens sealed into dst without allocating or staging,
 // from any number of goroutines. The Scratch is not used by the open
 // itself; callers pass the one whose SealedBuf holds sealed.
+func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error {
+	return e.OpenFloatsAAD(dst, sealed, nil)
+}
+
+// OpenFloatsAAD opens a frame produced by SealFloatsAAD under the same
+// aad; any other aad fails with ErrAuth.
 //
 // AES-GCM authenticates and decrypts straight into dst's memory. A
 // sealed buffer of the wrong length for dst is rejected before dst is
 // written; on ErrAuth dst has been CLOBBERED (Go's GCM zeroes its
 // output on a failed tag check), so callers must treat dst as garbage
 // after any error.
-func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error {
+func (e *Engine) OpenFloatsAAD(dst []float32, sealed, aad []byte) error {
 	if len(sealed) < Overhead {
 		return fmt.Errorf("%w: %d bytes", ErrTooShort, len(sealed))
 	}
@@ -304,7 +321,7 @@ func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error 
 	mOpenOps.Inc()
 	mOpenBytes.Add(float64(len(sealed)))
 	plain := floatBytes(dst)
-	if _, err := e.aead.Open(plain[:0], sealed[:IVSize], sealed[IVSize:], nil); err != nil {
+	if _, err := e.aead.Open(plain[:0], sealed[:IVSize], sealed[IVSize:], aad); err != nil {
 		return ErrAuth
 	}
 	if !hostLittleEndian {
@@ -316,7 +333,7 @@ func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error 
 // OpenFloatsInto is OpenFloatsWith for callers that hold no Scratch;
 // the same dst-on-failure contract applies.
 func (e *Engine) OpenFloatsInto(dst []float32, sealed []byte) error {
-	return e.OpenFloatsWith(nil, dst, sealed)
+	return e.OpenFloatsAAD(dst, sealed, nil)
 }
 
 // encodeLE writes v into dst (len 4*len(v)) little-endian, one float at

@@ -129,6 +129,52 @@ func TestOpenFloatsWithFailureContract(t *testing.T) {
 	}
 }
 
+// TestFloatsAADBindsAdditionalData: a nil aad is exactly the
+// SealFloatsWith frame, and a frame sealed under some aad opens under
+// that aad only — another aad, or none, is ErrAuth.
+func TestFloatsAADBindsAdditionalData(t *testing.T) {
+	e := fixedIVEngine(t)
+	sc := e.AcquireScratch()
+	defer e.ReleaseScratch(sc)
+	v := []float32{1, -2, 3.5, float32(math.Inf(1))}
+	plain, err := e.SealFloatsWith(sc, v)
+	if err != nil {
+		t.Fatalf("SealFloatsWith: %v", err)
+	}
+	plain = append([]byte(nil), plain...)
+	same, err := e.SealFloatsAAD(sc, v, nil)
+	if err != nil {
+		t.Fatalf("SealFloatsAAD(nil): %v", err)
+	}
+	if !bytes.Equal(same, plain) {
+		t.Fatal("SealFloatsAAD with nil aad differs from SealFloatsWith")
+	}
+	aad := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	bound, err := e.SealFloatsAAD(sc, v, aad)
+	if err != nil {
+		t.Fatalf("SealFloatsAAD: %v", err)
+	}
+	bound = append([]byte(nil), bound...)
+	if len(bound) != len(plain) {
+		t.Fatalf("aad changed the frame length: %d vs %d", len(bound), len(plain))
+	}
+	dst := make([]float32, len(v))
+	if err := e.OpenFloatsAAD(dst, bound, aad); err != nil || !sameBits(dst, v) {
+		t.Fatalf("open under the sealing aad: err %v, equal %v", err, sameBits(dst, v))
+	}
+	other := append([]byte(nil), aad...)
+	other[15] ^= 1
+	for name, c := range map[string]struct{ frame, aad []byte }{
+		"other aad":          {bound, other},
+		"no aad":             {bound, nil},
+		"aad on a nil frame": {plain, aad},
+	} {
+		if err := e.OpenFloatsAAD(make([]float32, len(v)), c.frame, c.aad); !errors.Is(err, ErrAuth) {
+			t.Fatalf("%s: err = %v, want ErrAuth", name, err)
+		}
+	}
+}
+
 func TestDecodeFloatsMatchesBytesToFloats(t *testing.T) {
 	for name, v := range floatCases() {
 		raw := FloatsToBytes(v)
@@ -171,5 +217,21 @@ func TestFloatSealOpenAllocateNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("OpenFloatsWith allocates %.0f times per call", n)
+	}
+	aad := make([]byte, 16)
+	bound, err := e.SealFloatsAAD(sc, v, aad)
+	if err != nil {
+		t.Fatalf("SealFloatsAAD: %v", err)
+	}
+	bound = append([]byte(nil), bound...)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := e.SealFloatsAAD(sc, v, aad); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.OpenFloatsAAD(dst, bound, aad); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SealFloatsAAD + OpenFloatsAAD allocate %.0f times per pair", n)
 	}
 }

@@ -5,14 +5,16 @@
 //
 // The persistent model is a linked list of layer nodes, each holding the
 // sealed (AES-GCM: IV ‖ ciphertext ‖ MAC) image of every parameter
-// buffer of the corresponding enclave layer — five buffers per
+// buffer of the corresponding enclave layer, with 28 bytes of metadata
+// per sealed segment. A buffer of up to 1 MiB is one segment — five per
 // convolutional layer, hence the paper's 140 B/layer encryption
-// metadata. All updates run inside SGX-Romulus durable transactions, so
-// a crash at any point leaves either the previous or the new mirror
-// intact.
+// metadata — and a larger one is sealed as several (see segmentBytes).
+// All updates run inside SGX-Romulus durable transactions, so a crash
+// at any point leaves either the previous or the new mirror intact.
 package mirror
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -52,6 +54,7 @@ const (
 //
 //	model header: iter | numLayers | headOff
 //	layer node  : nextOff | numBufs | (bufOff, sealedLen) x numBufs
+//	fp32 buffer : segment 0 | ... | segment k-1, each IV ‖ ciphertext ‖ MAC
 const (
 	modelHdrIter = 0
 	modelHdrNumL = 8
@@ -153,27 +156,97 @@ func mirrorWorkersAt(tasks, totalBytes, threshold int) int {
 	return w
 }
 
-// bufTask is one sealed parameter buffer of a mirror operation.
-type bufTask struct {
-	li, bi    int
-	p         []float32
-	off       int
-	sealedLen int
+// Segmented sealing. An fp32 parameter buffer of n floats is sealed as
+// k = ceil(4n / segmentBytes) segments (at least one): its floats split
+// evenly into k parts, each sealed as its own IV ‖ ciphertext ‖ MAC and
+// laid out back to back at the buffer's offset, so the layer table
+// records 4n + 28k bytes. Each segment is one task on the seal/open
+// pool, so one large layer seals and opens on every core. k is not
+// stored: the recorded length strictly increases with n, so it names
+// one n and one k (segmentsIn).
+//
+// A one-segment buffer binds no additional data. For k > 1 each
+// segment's MAC also binds (node index, buffer index, segment index,
+// k), so a segment swapped within its buffer, moved to another buffer
+// or node, or cut from a buffer of a different k fails authentication.
+//
+// The int8 quantized variant, tensor stores, data rows and the SSD
+// checkpoint keep one segment per buffer.
+const segmentBytes = 1 << 20
+
+// segmentsFor returns the segment count MirrorOut writes for an fp32
+// buffer of n floats.
+func segmentsFor(n int) int {
+	return max(1, (4*n+segmentBytes-1)/segmentBytes)
 }
 
-// collectTasks flattens the (layer, buffer) pairs of a restore or
-// mirror-out into a task list, one entry per sealed buffer.
+// segmentedLen returns the sealed length of n floats in k segments.
+func segmentedLen(n, k int) int { return 4*n + k*engine.Overhead }
+
+// sealedLenOf returns the sealed length MirrorOut writes for an fp32
+// buffer of n floats. A layer-table entry comes from untrusted PM, so
+// its length must equal this before anything is sized from it.
+func sealedLenOf(n int) int { return segmentedLen(n, segmentsFor(n)) }
+
+// segmentsIn inverts sealedLenOf for the segment count: k segments
+// record lengths in ((k-1)(segmentBytes+28), k(segmentBytes+28)].
+func segmentsIn(sealedLen int) int {
+	const per = segmentBytes + engine.Overhead
+	return max(1, (sealedLen+per-1)/per)
+}
+
+// bufTask is one sealed segment of a mirror operation: segment seg of
+// the k that hold buffer bi of layer node li.
+type bufTask struct {
+	li, bi, seg, k int
+	p              []float32
+	off            int
+	sealedLen      int
+	aad            [16]byte // li, bi, seg, k as little-endian uint32s
+}
+
+// additionalData returns what the segment's MAC binds besides its
+// ciphertext: nothing for a one-segment buffer. It points into the
+// task, so callers hold the task by pointer.
+func (t *bufTask) additionalData() []byte {
+	if t.k == 1 {
+		return nil
+	}
+	return t.aad[:]
+}
+
+// errorf wraps a seal or open failure with the segment's place.
+func (t *bufTask) errorf(op string, err error) error {
+	return fmt.Errorf("%s layer %d buffer %d segment %d/%d: %w", op, t.li, t.bi, t.seg, t.k, err)
+}
+
+// collectTasks flattens the (layer, buffer, segment) triples of a
+// restore or mirror-out into a task list, and returns it with the
+// sealed bytes it covers. The shape has been checked (matchesFrom), so
+// every recorded length is sealedLenOf its buffer.
 func (m *Model) collectTasks(paramLayers [][][]float32, from int) ([]bufTask, int) {
-	var tasks []bufTask
+	count := 0
+	for _, params := range paramLayers {
+		for _, p := range params {
+			count += segmentsFor(len(p))
+		}
+	}
+	tasks := make([]bufTask, 0, count)
 	total := 0
 	for li, params := range paramLayers {
 		node := m.layers[from+li]
 		for bi, p := range params {
-			tasks = append(tasks, bufTask{
-				li: from + li, bi: bi, p: p,
-				off:       node.bufs[bi].off,
-				sealedLen: node.bufs[bi].sealedLen,
-			})
+			k := segmentsFor(len(p))
+			off := node.bufs[bi].off
+			for s := 0; s < k; s++ {
+				seg := p[s*len(p)/k : (s+1)*len(p)/k]
+				t := bufTask{li: from + li, bi: bi, seg: s, k: k, p: seg, off: off, sealedLen: segmentedLen(len(seg), 1)}
+				for i, v := range [...]int{from + li, bi, s, k} {
+					binary.LittleEndian.PutUint32(t.aad[4*i:], uint32(v))
+				}
+				tasks = append(tasks, t)
+				off += t.sealedLen
+			}
 			total += node.bufs[bi].sealedLen
 		}
 	}
@@ -233,15 +306,15 @@ func regionAlign(n int) int {
 	return (n + romulus.AllocAlign - 1) / romulus.AllocAlign * romulus.AllocAlign
 }
 
-// paramPlainLens maps fp32 parameter layers to their per-buffer
-// plaintext byte lengths — the shape vocabulary the region allocator
-// actually works in, shared by the fp32 and quantized codecs.
-func paramPlainLens(paramLayers [][][]float32) [][]int {
+// paramSealedLens maps fp32 parameter layers to the per-buffer sealed
+// byte lengths MirrorOut writes — the shape vocabulary the region
+// allocator works in, shared by the fp32 and quantized codecs.
+func paramSealedLens(paramLayers [][][]float32) [][]int {
 	lens := make([][]int, len(paramLayers))
 	for li, params := range paramLayers {
 		bl := make([]int, len(params))
 		for bi, p := range params {
-			bl[bi] = 4 * len(p)
+			bl[bi] = sealedLenOf(len(p))
 		}
 		lens[li] = bl
 	}
@@ -249,14 +322,14 @@ func paramPlainLens(paramLayers [][][]float32) [][]int {
 }
 
 // regionSizeFor returns the exact heap consumption of a model region
-// holding one sealed buffer per plaintext length — the sum of its
-// aligned allocations.
-func regionSizeFor(plainLens [][]int) int {
+// holding one sealed buffer per length — the sum of its aligned
+// allocations.
+func regionSizeFor(sealedLens [][]int) int {
 	total := regionAlign(modelHdrSize)
-	for _, bufs := range plainLens {
+	for _, bufs := range sealedLens {
 		total += regionAlign(nodeBufTable + nodeBufEntry*len(bufs))
 		for _, n := range bufs {
-			total += regionAlign(engine.SealedLen(n))
+			total += regionAlign(n)
 		}
 	}
 	return total
@@ -265,7 +338,7 @@ func regionSizeFor(plainLens [][]int) int {
 // modelRegionSize returns the exact heap consumption of an fp32 model
 // region for the given parameter shape.
 func modelRegionSize(paramLayers [][][]float32) int {
-	return regionSizeFor(paramPlainLens(paramLayers))
+	return regionSizeFor(paramSealedLens(paramLayers))
 }
 
 // regionAllocator bump-allocates inside an existing PM region [base,
@@ -290,15 +363,15 @@ func regionAllocator(base, size int) func(int) (int, error) {
 // the Romulus heap for fresh regions, an in-region bump allocator for
 // recycled ones.
 func allocModelRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), paramLayers [][][]float32) (int, []layerNode, error) {
-	return allocRegionWith(rom, alloc, paramPlainLens(paramLayers))
+	return allocRegionWith(rom, alloc, paramSealedLens(paramLayers))
 }
 
 // allocRegionWith lays out one persistent layer-list region — header,
-// layer nodes and one sealed buffer per plaintext length — over an
-// arbitrary allocator. The fp32 mirror and the quantized snapshot share
-// this layout; only the plaintext lengths (and the codec that fills the
+// layer nodes and one sealed buffer per length — over an arbitrary
+// allocator. The fp32 mirror and the quantized snapshot share this
+// layout; only the sealed lengths (and the codec that fills the
 // buffers) differ.
-func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), plainLens [][]int) (int, []layerNode, error) {
+func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), sealedLens [][]int) (int, []layerNode, error) {
 	hdr, err := alloc(modelHdrSize)
 	if err != nil {
 		return 0, nil, err
@@ -306,15 +379,14 @@ func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), plainLe
 	var layers []layerNode
 	var prevNodeOff = -1
 	var firstNodeOff int
-	for _, params := range plainLens {
+	for _, params := range sealedLens {
 		nodeSize := nodeBufTable + nodeBufEntry*len(params)
 		nodeOff, err := alloc(nodeSize)
 		if err != nil {
 			return 0, nil, err
 		}
 		node := layerNode{off: nodeOff}
-		for bi, p := range params {
-			sealedLen := engine.SealedLen(p)
+		for bi, sealedLen := range params {
 			bufOff, err := alloc(sealedLen)
 			if err != nil {
 				return 0, nil, err
@@ -347,7 +419,7 @@ func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), plainLe
 	if err := rom.StoreUint64(hdr+modelHdrIter, 0); err != nil {
 		return 0, nil, err
 	}
-	if err := rom.StoreUint64(hdr+modelHdrNumL, uint64(len(plainLens))); err != nil {
+	if err := rom.StoreUint64(hdr+modelHdrNumL, uint64(len(sealedLens))); err != nil {
 		return 0, nil, err
 	}
 	if err := rom.StoreUint64(hdr+modelHdrHead, uint64(firstNodeOff)); err != nil {
@@ -370,7 +442,11 @@ func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model
 }
 
 // openModelAt attaches to the persistent model whose header is at hdr,
-// walking its layer list and validating the node structure.
+// walking its layer list and validating the node structure. The walk
+// is bounded by what PM holds: every layer writer allocates node after
+// node upward, so a next pointer must lie past its node's table, and no
+// list can name more nodes than the region has room for. Nothing is
+// sized from the untrusted layer count; nodes are kept as they are read.
 func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Option) (*Model, error) {
 	m := &Model{rom: rom, eng: eng, headOff: hdr}
 	for _, opt := range opts {
@@ -384,6 +460,9 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 	if err != nil {
 		return nil, err
 	}
+	if numL > uint64(rom.RegionSize()/(nodeBufTable+nodeBufEntry)) {
+		return nil, fmt.Errorf("%w: %d layers", ErrCorrupt, numL)
+	}
 	for i := uint64(0); i < numL; i++ {
 		if next == 0 {
 			return nil, fmt.Errorf("%w: list ends at layer %d of %d", ErrCorrupt, i, numL)
@@ -396,7 +475,7 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 		if numBufs == 0 || numBufs > 64 {
 			return nil, fmt.Errorf("%w: layer %d has %d buffers", ErrCorrupt, i, numBufs)
 		}
-		node := layerNode{off: nodeOff}
+		node := layerNode{off: nodeOff, bufs: make([]bufRef, 0, numBufs)}
 		for b := uint64(0); b < numBufs; b++ {
 			entry := nodeOff + nodeBufTable + nodeBufEntry*int(b)
 			bufOff, err := rom.LoadUint64(entry)
@@ -412,6 +491,9 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 		m.layers = append(m.layers, node)
 		if next, err = rom.LoadUint64(nodeOff + nodeNext); err != nil {
 			return nil, err
+		}
+		if next != 0 && next < uint64(nodeOff+nodeBufTable+nodeBufEntry*int(numBufs)) {
+			return nil, fmt.Errorf("%w: layer %d links back to %d", ErrCorrupt, i, next)
 		}
 	}
 	return m, nil
@@ -458,9 +540,9 @@ func (m *Model) matchesFrom(paramLayers [][][]float32, from int) error {
 				ErrShapeMismatch, from+li, len(params), len(node.bufs))
 		}
 		for bi, p := range params {
-			if engine.SealedLen(4*len(p)) != node.bufs[bi].sealedLen {
-				return fmt.Errorf("%w: layer %d buffer %d sealed size %d vs %d",
-					ErrShapeMismatch, from+li, bi, engine.SealedLen(4*len(p)), node.bufs[bi].sealedLen)
+			if node.bufs[bi].sealedLen != sealedLenOf(len(p)) {
+				return fmt.Errorf("%w: layer %d buffer %d of %d floats recorded as %d sealed bytes",
+					ErrShapeMismatch, from+li, bi, len(p), node.bufs[bi].sealedLen)
 			}
 		}
 	}
@@ -471,13 +553,14 @@ func (m *Model) matchesFrom(paramLayers [][][]float32, from int) error {
 // the persistent mirror in one durable transaction, recording the
 // iteration counter (Algorithm 3, mirror_out).
 //
-// Sealing fans out across a bounded worker pool (mirrorWorkers), each
-// worker staging through its own engine Scratch; the PM stores stay on
-// the calling goroutine, in buffer order, inside the single Romulus
-// transaction — so the durable-transaction semantics and the enclave
-// paging accounting are exactly those of the sequential path, while
-// the AES-GCM work (the dominant save cost, Table Ia) overlaps the PM
-// writes and uses all cores.
+// Sealing fans out across a bounded worker pool (mirrorWorkers), one
+// segment per task, each worker staging through its own engine
+// Scratch; the PM stores stay on the calling goroutine, in segment
+// order, inside the single Romulus transaction — so the
+// durable-transaction semantics and the enclave paging accounting are
+// exactly those of the sequential path, while the AES-GCM work (the
+// dominant save cost, Table Ia) overlaps the PM writes and uses all
+// cores.
 func (m *Model) MirrorOut(net *darknet.Network) error {
 	paramLayers := collectParamLayers(net)
 	if err := m.matches(paramLayers); err != nil {
@@ -491,12 +574,15 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 			return err
 		}
 		if workers <= 1 {
-			for _, t := range tasks {
+			sc := m.eng.AcquireScratch()
+			defer m.eng.ReleaseScratch(sc)
+			for i := range tasks {
+				t := &tasks[i]
 				sealStart := time.Now()
-				sealed, err := m.eng.SealFloatsScratch(t.p)
+				sealed, err := m.eng.SealFloatsAAD(sc, t.p, t.additionalData())
 				m.lastSeal.Add(int64(time.Since(sealStart)))
 				if err != nil {
-					return fmt.Errorf("seal layer %d buffer %d: %w", t.li, t.bi, err)
+					return t.errorf("seal", err)
 				}
 				if err := m.rom.Store(t.off, sealed); err != nil {
 					return err
@@ -539,7 +625,7 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 					}
 					sc := m.eng.AcquireScratch()
 					sealStart := time.Now()
-					sealed, err := m.eng.SealFloatsWith(sc, tasks[ti].p)
+					sealed, err := m.eng.SealFloatsAAD(sc, tasks[ti].p, tasks[ti].additionalData())
 					m.lastSeal.Add(int64(time.Since(sealStart)))
 					ring[ti%len(ring)] <- sealResult{sc, sealed, err}
 				}
@@ -548,13 +634,13 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 		// Store each sealed buffer as it becomes ready, in task order;
 		// after a failure keep draining so every worker exits.
 		var firstErr error
-		for ti, t := range tasks {
+		for ti := range tasks {
 			r := <-ring[ti%len(ring)]
 			if firstErr == nil && r.err != nil {
-				firstErr = fmt.Errorf("seal layer %d buffer %d: %w", t.li, t.bi, r.err)
+				firstErr = tasks[ti].errorf("seal", r.err)
 			}
 			if firstErr == nil {
-				firstErr = m.rom.Store(t.off, r.sealed)
+				firstErr = m.rom.Store(tasks[ti].off, r.sealed)
 			}
 			m.eng.ReleaseScratch(r.sc)
 			<-inflight
@@ -598,10 +684,10 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // mirrorInFrom is the shared restore loop of MirrorIn and
 // MirrorInRange; the shape has already been checked.
 //
-// The per-buffer work — sealed PM read, boundary copy, in-enclave
+// The per-segment work — sealed PM read, boundary copy, in-enclave
 // AES-GCM open — fans out across mirrorWorkers goroutines, each with
 // its own read buffer and engine Scratch, so no restore worker can
-// alias another's staging memory. Buffers decrypt into disjoint
+// alias another's staging memory. Segments decrypt into disjoint
 // parameter slices, PM loads are device-locked, and the enclave
 // CopyAcross/Touch accounting is mutex-protected, so the parallel
 // restore charges exactly what the sequential one does.
@@ -634,7 +720,7 @@ func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, fr
 	// open uses only its plain side), so steady-state restores — the
 	// streaming shard group's per-batch path — allocate nothing: the
 	// scratch pool keeps the buffers alive across calls.
-	restore := func(sc *engine.Scratch, t bufTask) {
+	restore := func(sc *engine.Scratch, t *bufTask) {
 		sealed := sc.SealedBuf(t.sealedLen)
 		if err := m.rom.Load(t.off, sealed); err != nil {
 			fail(err)
@@ -644,17 +730,17 @@ func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, fr
 			m.encl.CopyAcross(len(sealed))
 		}
 		openStart := time.Now()
-		err := m.eng.OpenFloatsWith(sc, t.p, sealed)
+		err := m.eng.OpenFloatsAAD(t.p, sealed, t.additionalData())
 		m.lastOpen.Add(int64(time.Since(openStart)))
 		if err != nil {
-			fail(fmt.Errorf("open layer %d buffer %d: %w", t.li, t.bi, err))
+			fail(t.errorf("open", err))
 		}
 	}
 
 	if workers <= 1 {
 		sc := m.eng.AcquireScratch()
-		for _, t := range tasks {
-			restore(sc, t)
+		for i := range tasks {
+			restore(sc, &tasks[i])
 			if failed() {
 				break
 			}
@@ -677,7 +763,7 @@ func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, fr
 					if failed() {
 						return
 					}
-					restore(sc, tasks[ti])
+					restore(sc, &tasks[ti])
 				}
 			}()
 		}
@@ -704,11 +790,15 @@ func (m *Model) Iteration() (int, error) {
 }
 
 // MetadataBytes returns the encryption metadata footprint of the mirror:
-// engine.Overhead (28 B) per sealed buffer, e.g. 140 B per conv layer.
+// engine.Overhead (28 B) per sealed segment, i.e. SealedBytes minus the
+// plaintext parameter bytes — 140 B per conv layer whose buffers are
+// each at most 1 MiB.
 func (m *Model) MetadataBytes() int {
 	total := 0
 	for _, node := range m.layers {
-		total += engine.Overhead * len(node.bufs)
+		for _, b := range node.bufs {
+			total += engine.Overhead * segmentsIn(b.sealedLen)
+		}
 	}
 	return total
 }

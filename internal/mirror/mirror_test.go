@@ -272,23 +272,41 @@ func TestMirrorDetectsPMTampering(t *testing.T) {
 
 func TestMetadataBytesMatchesPaperAccounting(t *testing.T) {
 	// Paper §VI: 28 B per encrypted buffer, 5 buffers per conv layer
-	// -> 140 B per layer.
-	_, rom := testHeap(t, 8<<20)
-	eng := testEngine(t)
-	net := testNet(t, 8) // 2 conv layers + 1 connected
-	m, err := AllocModel(rom, eng, net)
-	if err != nil {
-		t.Fatalf("AllocModel: %v", err)
+	// -> 140 B per layer. A buffer over 1 MiB is sealed as several
+	// segments, each carrying its own 28 B.
+	cases := []struct {
+		name    string
+		filters int
+		want    int
+	}{
+		// 2 conv layers + 1 connected, every buffer one segment.
+		{"small", 4, 2*5*engine.Overhead + 1*2*engine.Overhead},
+		// The paper's 160-filter conv layers (160*160*9 floats =
+		// 900 KiB) stay at 140 B/layer; the connected layer's weights
+		// (14*14*160*10 floats = 1.2 MiB) are two segments.
+		{"160-filters", 160, 2*5*engine.Overhead + (2+1)*engine.Overhead},
 	}
-	want := 2*5*engine.Overhead + 1*2*engine.Overhead
-	if got := m.MetadataBytes(); got != want {
-		t.Fatalf("MetadataBytes = %d, want %d", got, want)
-	}
-	if m.NumLayers() != 3 {
-		t.Fatalf("NumLayers = %d, want 3", m.NumLayers())
-	}
-	if m.SealedBytes() <= net.ParamBytes() {
-		t.Fatalf("SealedBytes %d not larger than plain %d", m.SealedBytes(), net.ParamBytes())
+	for _, c := range cases {
+		_, rom := testHeap(t, 16<<20)
+		eng := testEngine(t)
+		net, err := darknet.ParseConfig(strings.NewReader(darknet.MNISTConfig(2, c.filters, 1)),
+			mrand.New(mrand.NewSource(8)))
+		if err != nil {
+			t.Fatalf("%s: ParseConfig: %v", c.name, err)
+		}
+		m, err := AllocModel(rom, eng, net)
+		if err != nil {
+			t.Fatalf("%s: AllocModel: %v", c.name, err)
+		}
+		if got := m.MetadataBytes(); got != c.want {
+			t.Fatalf("%s: MetadataBytes = %d, want %d", c.name, got, c.want)
+		}
+		if m.NumLayers() != 3 {
+			t.Fatalf("%s: NumLayers = %d, want 3", c.name, m.NumLayers())
+		}
+		if m.SealedBytes() != net.ParamBytes()+c.want {
+			t.Fatalf("%s: SealedBytes %d, want plain %d + metadata %d", c.name, m.SealedBytes(), net.ParamBytes(), c.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"plinius/internal/darknet"
+	"plinius/internal/obs"
 )
 
 // bigTestNet builds a network whose mirror payload crosses the
@@ -49,48 +50,80 @@ func forceWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { forceMirrorWorkers = 0 })
 }
 
-// TestParallelMirrorRoundTrip drives the fan-out MirrorOut/MirrorIn
-// path over a model large enough to parallelize and checks the restore
-// is exact.
+// fourMiBTestNet has a 1024x1024 connected layer: one 4 MiB weight
+// buffer, which MirrorOut seals as four segments.
+func fourMiBTestNet(t *testing.T, seed int64) *darknet.Network {
+	t.Helper()
+	cfg := "[net]\nbatch=1\nchannels=1\nheight=32\nwidth=32\n\n" +
+		"[connected]\noutput=1024\nactivation=relu\n\n" +
+		"[connected]\noutput=10\nactivation=linear\n\n[softmax]\n"
+	n, err := darknet.ParseConfig(strings.NewReader(cfg), mrand.New(mrand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("ParseConfig: %v", err)
+	}
+	return n
+}
+
+// TestParallelMirrorRoundTrip drives MirrorOut and the restores at
+// forced worker counts 1, 2, 3 and 8, so the fan-out runs on any
+// machine: a model of many one-segment buffers restored whole by
+// MirrorIn, and one 4 MiB buffer restored on its own by MirrorInRange.
+// Every restore is bit-exact, and each sealed segment costs exactly
+// one AES-GCM open — the 4 MiB buffer's four segments are what spread
+// its restore across workers.
 func TestParallelMirrorRoundTrip(t *testing.T) {
-	forceWorkers(t, 4)
-	_, rom := testHeap(t, 16<<20)
-	eng := testEngine(t)
-	net := bigTestNet(t, 1)
-	if tasks, total := 0, 0; true {
-		for _, l := range net.Layers {
-			for _, p := range l.Params() {
-				tasks++
-				total += 4 * len(p)
+	opens := obs.Default().Counter("engine_open_ops_total", "")
+	cases := []struct {
+		name  string
+		build func(*testing.T, int64) *darknet.Network
+		shard *darknet.ShardRange // restored by MirrorInRange; nil = MirrorIn
+		opens int
+	}{
+		{"many-buffers", bigTestNet, nil, 6},
+		{"one-4MiB-buffer", fourMiBTestNet, &darknet.ShardRange{From: 0, To: 1}, 4 + 1}, // + its bias buffer
+	}
+	for _, c := range cases {
+		net := c.build(t, 1)
+		net.Iteration = 7
+		want := net
+		if c.shard != nil {
+			want, _ = net.Shard(*c.shard)
+		}
+		if want.ParamBytes() < mirrorParallelBytes {
+			t.Fatalf("%s: %d bytes, too small to exercise the parallel path", c.name, want.ParamBytes())
+		}
+		_, rom := testHeap(t, 32<<20)
+		m, err := AllocModel(rom, testEngine(t), net)
+		if err != nil {
+			t.Fatalf("%s: AllocModel: %v", c.name, err)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			forceWorkers(t, workers)
+			if err := m.MirrorOut(net); err != nil {
+				t.Fatalf("%s workers=%d: MirrorOut: %v", c.name, workers, err)
+			}
+			other := c.build(t, 99)
+			got := other
+			before := opens.Value()
+			var iter int
+			if c.shard != nil {
+				if got, err = other.Shard(*c.shard); err != nil {
+					t.Fatalf("Shard: %v", err)
+				}
+				iter, err = m.MirrorInRange(got, other.ParamLayersBefore(c.shard.From))
+			} else {
+				iter, err = m.MirrorIn(got)
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: restore: %v", c.name, workers, err)
+			}
+			if n := int(opens.Value() - before); n != c.opens {
+				t.Fatalf("%s workers=%d: %d AES-GCM opens, want %d", c.name, workers, n, c.opens)
+			}
+			if iter != 7 || !netsEqual(want, got) {
+				t.Fatalf("%s workers=%d: restore mismatch: iter=%d equal=%v", c.name, workers, iter, netsEqual(want, got))
 			}
 		}
-		if total < mirrorParallelBytes {
-			t.Fatalf("test model too small to exercise the parallel path: %d bytes", total)
-		}
-		if w := mirrorWorkers(tasks, total); w < 1 {
-			t.Fatalf("mirrorWorkers = %d", w)
-		}
-	}
-	net.Iteration = 7
-
-	m, err := AllocModel(rom, eng, net)
-	if err != nil {
-		t.Fatalf("AllocModel: %v", err)
-	}
-	if err := m.MirrorOut(net); err != nil {
-		t.Fatalf("MirrorOut: %v", err)
-	}
-
-	other := bigTestNet(t, 99)
-	if netsEqual(net, other) {
-		t.Fatal("test nets unexpectedly equal before restore")
-	}
-	iter, err := m.MirrorIn(other)
-	if err != nil {
-		t.Fatalf("MirrorIn: %v", err)
-	}
-	if iter != 7 || !netsEqual(net, other) {
-		t.Fatalf("parallel restore mismatch: iter=%d equal=%v", iter, netsEqual(net, other))
 	}
 }
 

@@ -435,7 +435,7 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 // the bump allocator. Called with p.mu held; qValid is NOT set here —
 // the caller flips it with the version.
 func (p *Publication) writeQuantVariant(eng *engine.Engine, slot *pubSlot, paramLayers [][][]float32, iteration int) error {
-	qLens := quantPlainLens(paramLayers)
+	qLens := quantSealedLens(paramLayers)
 	if slot.qOff == 0 || nodesMatchLens(slot.qLayers, qLens) != nil {
 		need := regionSizeFor(qLens)
 		if slot.qOff != 0 && need <= slot.qSize {

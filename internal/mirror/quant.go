@@ -33,19 +33,20 @@ var (
 		"Sealed payload bytes read back by quantized (int8) snapshot restores.")
 )
 
-// quantPlainLens returns the per-buffer plaintext byte lengths of the
-// quantized snapshot of the given fp32 parameter layers: buffer 0
-// (the weight matrix) quantizes to one byte per element plus the
-// scale/zero-point header; the rest stay four bytes per element.
-func quantPlainLens(paramLayers [][][]float32) [][]int {
+// quantSealedLens returns the per-buffer sealed byte lengths of the
+// quantized snapshot of the given fp32 parameter layers, each buffer
+// one segment: buffer 0 (the weight matrix) quantizes to one byte per
+// element plus the scale/zero-point header; the rest stay four bytes
+// per element.
+func quantSealedLens(paramLayers [][][]float32) [][]int {
 	lens := make([][]int, len(paramLayers))
 	for li, params := range paramLayers {
 		bl := make([]int, len(params))
 		for bi, p := range params {
 			if bi == 0 {
-				bl[bi] = darknet.QuantHeaderBytes + len(p)
+				bl[bi] = engine.SealedLen(darknet.QuantHeaderBytes + len(p))
 			} else {
-				bl[bi] = 4 * len(p)
+				bl[bi] = engine.SealedLen(4 * len(p))
 			}
 		}
 		lens[li] = bl
@@ -53,29 +54,24 @@ func quantPlainLens(paramLayers [][][]float32) [][]int {
 	return lens
 }
 
-// quantRegionSize returns the exact heap consumption of a quantized
-// snapshot region for the given fp32 parameter shape.
-func quantRegionSize(paramLayers [][][]float32) int {
-	return regionSizeFor(quantPlainLens(paramLayers))
-}
-
 // nodesMatchLens checks a cached persistent layout against expected
-// per-buffer plaintext lengths — the quant twin of Model.matches.
-func nodesMatchLens(layers []layerNode, plainLens [][]int) error {
-	if len(plainLens) != len(layers) {
+// per-buffer sealed lengths — the quant twin of Model.matches. Quant
+// buffers are never segmented, so a length matches only exactly.
+func nodesMatchLens(layers []layerNode, sealedLens [][]int) error {
+	if len(sealedLens) != len(layers) {
 		return fmt.Errorf("%w: %d persistent layers, %d expected",
-			ErrShapeMismatch, len(layers), len(plainLens))
+			ErrShapeMismatch, len(layers), len(sealedLens))
 	}
-	for li, bufs := range plainLens {
+	for li, bufs := range sealedLens {
 		node := layers[li]
 		if len(bufs) != len(node.bufs) {
 			return fmt.Errorf("%w: layer %d has %d buffers, persistent %d",
 				ErrShapeMismatch, li, len(bufs), len(node.bufs))
 		}
 		for bi, n := range bufs {
-			if engine.SealedLen(n) != node.bufs[bi].sealedLen {
+			if n != node.bufs[bi].sealedLen {
 				return fmt.Errorf("%w: layer %d buffer %d sealed size %d vs %d",
-					ErrShapeMismatch, li, bi, engine.SealedLen(n), node.bufs[bi].sealedLen)
+					ErrShapeMismatch, li, bi, n, node.bufs[bi].sealedLen)
 			}
 		}
 	}

@@ -1,0 +1,175 @@
+package mirror
+
+import (
+	"errors"
+	mrand "math/rand"
+	"strings"
+	"testing"
+
+	"plinius/internal/darknet"
+	"plinius/internal/engine"
+	"plinius/internal/romulus"
+)
+
+// segNet is a 784-520-520-520-10 MLP: the weights of its first three
+// layer nodes are over 1 MiB, so each is sealed as two equal segments,
+// and nodes 1 and 2 hold the same number of floats.
+func segNet(t *testing.T, seed int64) *darknet.Network {
+	t.Helper()
+	var cfg strings.Builder
+	cfg.WriteString("[net]\nbatch=1\nchannels=1\nheight=28\nwidth=28\n\n")
+	for i := 0; i < 3; i++ {
+		cfg.WriteString("[connected]\noutput=520\nactivation=relu\n\n")
+	}
+	cfg.WriteString("[connected]\noutput=10\nactivation=linear\n\n[softmax]\n")
+	n, err := darknet.ParseConfig(strings.NewReader(cfg.String()), mrand.New(mrand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("ParseConfig: %v", err)
+	}
+	return n
+}
+
+// segRef names segment seg of buffer bi of layer node li in m.
+type segRef struct {
+	m           *Model
+	li, bi, seg int
+}
+
+// bytes returns the segment's sealed bytes as laid out for net's shape,
+// and its PM offset.
+func (r segRef) bytes(t *testing.T, net *darknet.Network) ([]byte, int) {
+	t.Helper()
+	tasks, _ := r.m.collectTasks(collectParamLayers(net), 0)
+	for _, tk := range tasks {
+		if tk.li == r.li && tk.bi == r.bi && tk.seg == r.seg {
+			b := make([]byte, tk.sealedLen)
+			if err := r.m.rom.Load(tk.off, b); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			return b, tk.off
+		}
+	}
+	t.Fatalf("no segment %d of layer %d buffer %d", r.seg, r.li, r.bi)
+	return nil, 0
+}
+
+// overwrite stores each sealed byte slice at its PM offset, as an
+// adversary with PM access could.
+func overwrite(t *testing.T, rom *romulus.Romulus, at map[int][]byte) {
+	t.Helper()
+	err := rom.Update(func() error {
+		for off, b := range at {
+			if err := rom.Store(off, b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+}
+
+// moveSegment overwrites segment to with the bytes of segment from.
+func moveSegment(t *testing.T, rom *romulus.Romulus, net *darknet.Network, from, to segRef) {
+	t.Helper()
+	b, _ := from.bytes(t, net)
+	old, off := to.bytes(t, net)
+	if len(b) != len(old) {
+		t.Fatalf("segments of %d and %d bytes", len(b), len(old))
+	}
+	overwrite(t, rom, map[int][]byte{off: b})
+}
+
+// TestSegmentTamperingFailsAuth: a segment opens only at the node,
+// buffer and segment index it was sealed for. Swapping two segments of
+// one buffer, moving one into another buffer of the same size, or
+// reusing a training-mirror segment at another node index of a
+// publication slot all fail with ErrAuth; the control — the same
+// segment copied to its own place in the slot, which seals the same
+// parameters — still restores.
+func TestSegmentTamperingFailsAuth(t *testing.T) {
+	cases := []struct {
+		name    string
+		tamper  func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model)
+		slot    bool // restore the publication slot instead of the training mirror
+		wantErr error
+	}{
+		{"swap segments of one buffer", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, _ *Model) {
+			a, offA := segRef{train, 1, 0, 0}.bytes(t, net)
+			b, offB := segRef{train, 1, 0, 1}.bytes(t, net)
+			overwrite(t, rom, map[int][]byte{offA: b, offB: a})
+		}, false, engine.ErrAuth},
+		{"segment moved to a same-size buffer", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, _ *Model) {
+			moveSegment(t, rom, net, segRef{train, 1, 0, 0}, segRef{train, 2, 0, 0})
+		}, false, engine.ErrAuth},
+		{"training segment at another node index", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model) {
+			moveSegment(t, rom, net, segRef{train, 1, 0, 1}, segRef{slot, 2, 0, 1})
+		}, true, engine.ErrAuth},
+		{"training segment at its own index", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model) {
+			moveSegment(t, rom, net, segRef{train, 2, 0, 1}, segRef{slot, 2, 0, 1})
+		}, true, nil},
+	}
+	for _, c := range cases {
+		_, rom := testHeap(t, 32<<20)
+		eng := testEngine(t)
+		net := segNet(t, 1)
+		train, err := AllocModel(rom, eng, net)
+		if err != nil {
+			t.Fatalf("AllocModel: %v", err)
+		}
+		if err := train.MirrorOut(net); err != nil {
+			t.Fatalf("MirrorOut: %v", err)
+		}
+		if got, want := train.layers[1].bufs[0].sealedLen, segmentedLen(520*520, 2); got != want {
+			t.Fatalf("520x520 weights recorded as %d sealed bytes, want two segments (%d)", got, want)
+		}
+		p, err := OpenPublication(rom)
+		if err != nil {
+			t.Fatalf("OpenPublication: %v", err)
+		}
+		publishNet(t, p, eng, net)
+		pin, err := p.Pin(0)
+		if err != nil {
+			t.Fatalf("Pin: %v", err)
+		}
+		slot, err := pin.Open(eng)
+		if err != nil {
+			t.Fatalf("pin.Open: %v", err)
+		}
+
+		c.tamper(t, rom, net, train, slot)
+		m := train
+		if c.slot {
+			m = slot
+		}
+		restored := segNet(t, 99)
+		_, err = m.MirrorIn(restored)
+		if !errors.Is(err, c.wantErr) || (err == nil) != (c.wantErr == nil) {
+			t.Fatalf("%s: MirrorIn = %v, want %v", c.name, err, c.wantErr)
+		}
+		if err == nil && !netsEqual(net, restored) {
+			t.Fatalf("%s: restored parameters differ", c.name)
+		}
+		pin.Release()
+	}
+}
+
+// TestSealedLenNamesOneLayout: the recorded length of an fp32 buffer
+// strictly increases with its float count, so a forged or mismatched
+// length never passes for another shape, and segmentsIn recovers the
+// segment count from the length alone.
+func TestSealedLenNamesOneLayout(t *testing.T) {
+	const per = segmentBytes / 4
+	for _, base := range []int{0, per, 2 * per, 3 * per, 64 * per} {
+		for n := max(0, base-16); n <= base+16; n++ {
+			l := sealedLenOf(n)
+			if n > 0 && l <= sealedLenOf(n-1) {
+				t.Fatalf("sealedLenOf(%d) = %d, not above sealedLenOf(%d) = %d", n, l, n-1, sealedLenOf(n-1))
+			}
+			if got, want := segmentsIn(l), segmentsFor(n); got != want {
+				t.Fatalf("segmentsIn(sealedLenOf(%d) = %d) = %d, want %d", n, l, got, want)
+			}
+		}
+	}
+}

@@ -243,7 +243,7 @@ func (d *Device) Clock() *simclock.Clock { return d.clock }
 func (d *Device) Profile() Profile { return d.prof }
 
 func (d *Device) checkRange(off, n int) error {
-	if off < 0 || n < 0 || off+n > d.size {
+	if off < 0 || n < 0 || n > d.size-off {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, d.size)
 	}
 	return nil

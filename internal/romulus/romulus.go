@@ -300,7 +300,7 @@ func (r *Romulus) Store(off int, data []byte) error {
 	if !r.inTx {
 		return ErrNoTransaction
 	}
-	if off < 0 || off+len(data) > r.regionSize {
+	if off < 0 || len(data) > r.regionSize-off {
 		return fmt.Errorf("%w: off=%d len=%d region=%d", ErrBadOffset, off, len(data), r.regionSize)
 	}
 	if err := r.maybeCrash(); err != nil {
@@ -319,7 +319,7 @@ func (r *Romulus) Store(off int, data []byte) error {
 // Load reads from a main-region offset. Valid inside or outside a
 // transaction (reads see in-place mutations).
 func (r *Romulus) Load(off int, buf []byte) error {
-	if off < 0 || off+len(buf) > r.regionSize {
+	if off < 0 || len(buf) > r.regionSize-off {
 		return fmt.Errorf("%w: off=%d len=%d region=%d", ErrBadOffset, off, len(buf), r.regionSize)
 	}
 	return r.dev.Load(r.mainStart+off, buf)
