@@ -109,12 +109,6 @@ type ShardOptions struct {
 	Precision darknet.Precision
 	// Seed differentiates the shard enclaves' RNGs.
 	Seed int64
-	// DisablePrefetch turns off double-buffered restores: in streaming
-	// mode, parked shards then re-restore their range only on the
-	// compute path (a pipeline stall per batch per shard), the pre-
-	// prefetch behaviour. For benchmarking the prefetch win; leave
-	// false in production.
-	DisablePrefetch bool
 	// Metrics is the registry the group's per-shard counters register
 	// into (shard_restores_total{shard=...} and friends). Nil gives the
 	// group a private registry, so concurrently built groups — every
@@ -251,7 +245,6 @@ type ShardGroup struct {
 	// headroom-gated — it reserves the range only when the host has
 	// spare usable EPC, so the residency bound (window hot shards) is
 	// never exceeded and the zero-fault regime is preserved.
-	noPrefetch  bool
 	prefetchMu  sync.Mutex // guards prefetchOff and WaitGroup adds
 	prefetchOff bool       // true while quiesced or closed
 	prefetchWG  sync.WaitGroup
@@ -339,13 +332,12 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		reg = obs.NewRegistry()
 	}
 	g := &ShardGroup{
-		f:          f,
-		batch:      batch,
-		inputSize:  full.InputSize(),
-		prec:       prec,
-		noPrefetch: opts.DisablePrefetch,
-		reg:        reg,
-		handoff:    opts.Handoff,
+		f:         f,
+		batch:     batch,
+		inputSize: full.InputSize(),
+		prec:      prec,
+		reg:       reg,
+		handoff:   opts.Handoff,
 	}
 	fail := func(err error) (*ShardGroup, error) {
 		for _, s := range g.shards {
@@ -445,10 +437,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 			continue
 		}
 		g.streaming = true
-		perBatch := d.maxFP
-		if !g.noPrefetch {
-			perBatch = 2 * d.maxFP
-		}
+		perBatch := 2 * d.maxFP // a hot range and its successor's prefetch
 		w := 0
 		if perBatch > 0 {
 			w = budget / perBatch
@@ -836,7 +825,7 @@ func (g *ShardGroup) ensureHot(s *shard) error {
 // budget simply skips the prefetch (the compute path restores as
 // before).
 func (g *ShardGroup) tryPrefetch(s *shard) {
-	if g.noPrefetch || !g.streaming {
+	if !g.streaming {
 		return
 	}
 	g.prefetchMu.Lock()
@@ -1254,8 +1243,7 @@ func (g *ShardGroup) Iteration() int {
 // In streaming mode restores are the price paid per batch per parked
 // shard instead of the paging knee; with double-buffered restore most
 // batches find their stage hot or mid-restore, so stalls stay near the
-// per-batch stage-0 floor, and with DisablePrefetch they approach
-// batches x shards.
+// per-batch stage-0 floor.
 func (g *ShardGroup) Report() BackendReport {
 	r := BackendReport{Precision: g.prec}
 	if len(g.shards) == 1 {

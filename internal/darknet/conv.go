@@ -3,6 +3,8 @@ package darknet
 import (
 	"fmt"
 	"math/rand"
+
+	"plinius/internal/par"
 )
 
 // ConvConfig parameterises a convolutional layer.
@@ -220,10 +222,10 @@ func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	}
 	c.lastCols = growF32(&c.lastCols, batch*c.kcols()*c.out.H*c.out.W)
 	out := growF32(&c.outBuf, batch*c.out.Size())
-	if chunk := minChunk(c.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+	if chunk := minChunk(c.sampleFlops()); serial(batch, chunk) {
 		c.forwardSamples(x, out, 0, batch, true)
 	} else {
-		parallelFor(batch, chunk, func(lo, hi int) { c.forwardSamples(x, out, lo, hi, false) })
+		par.For(batch, chunk, func(lo, hi int) { c.forwardSamples(x, out, lo, hi, false) })
 	}
 	c.lastBatch = batch
 	if c.cfg.BatchNorm {
@@ -320,6 +322,8 @@ func (c *Conv) forwardBatchNorm(out []float32, batch int, train bool) {
 // Each sample's weight and bias gradients land in its own partial and
 // are reduced in ascending sample order — the serial accumulation
 // order, so the gradients are bit-identical however samples shard.
+// It consumes the columns its Forward saved, so a second Backward
+// without a Forward in between is refused.
 func (c *Conv) Backward(delta []float32) ([]float32, error) {
 	if c.lastBatch == 0 || len(delta) != c.lastBatch*c.out.Size() {
 		return nil, ErrBatchMismatch
@@ -334,16 +338,17 @@ func (c *Conv) Backward(delta []float32) ([]float32, error) {
 		}
 		c.backwardBatchNorm(delta, batch)
 	}
-	if chunk := minChunk(2 * c.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+	if chunk := minChunk(2 * c.sampleFlops()); serial(batch, chunk) {
 		c.backwardSamples(delta, dx, parts, 0, batch, true)
 	} else {
-		parallelFor(batch, chunk, func(lo, hi int) { c.backwardSamples(delta, dx, parts, lo, hi, false) })
+		par.For(batch, chunk, func(lo, hi int) { c.backwardSamples(delta, dx, parts, lo, hi, false) })
 	}
 	for b := 0; b < batch; b++ {
 		dW, db := c.gradPart(parts, b)
 		axpy(1, dW, c.gWeights)
 		axpy(1, db, c.gBiases)
 	}
+	c.lastBatch = 0
 	return dx, nil
 }
 
@@ -370,12 +375,12 @@ func (c *Conv) backwardActivation(delta, parts []float32, b int) {
 }
 
 // backwardSamples computes, for samples [lo, hi), the weight-gradient
-// partial dout x colsᵀ and the input gradient col2im(Wᵀ x dout).
+// partial dout x colsᵀ and the input gradient col2im(Wᵀ x dout). Once
+// the partial is taken, a sample's columns are dead, so Wᵀ x dout is
+// built in their place.
 func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool) {
 	k, filters, outHW := c.kcols(), c.cfg.Filters, c.out.H*c.out.W
 	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
-	bp := scratchPool.Get().(*[]float32)
-	dcols := growF32(bp, colSize)
 	for b := lo; b < hi; b++ {
 		if !c.cfg.BatchNorm {
 			c.backwardActivation(delta, parts, b)
@@ -383,14 +388,14 @@ func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool
 		dout := delta[b*outSize : (b+1)*outSize]
 		dW, _ := c.gradPart(parts, b)
 		clear(dW)
-		shapeTB.run(fork, filters, outHW, k, dout, c.lastCols[b*colSize:(b+1)*colSize], dW)
-		clear(dcols)
-		shapeTA.run(fork, k, filters, outHW, c.weights, dout, dcols)
+		cols := c.lastCols[b*colSize : (b+1)*colSize]
+		shapeTB.run(fork, filters, outHW, k, dout, cols, dW)
+		clear(cols)
+		shapeTA.run(fork, k, filters, outHW, c.weights, dout, cols)
 		dxb := dx[b*inSize : (b+1)*inSize]
 		clear(dxb)
-		c.col2im(dcols, dxb)
+		c.col2im(cols, dxb)
 	}
-	scratchPool.Put(bp)
 }
 
 // backwardBatchNorm rewrites delta (d loss / d BN output) into

@@ -147,8 +147,9 @@ func TestCol2imRowwiseMatchesPerPixel(t *testing.T) {
 // TestConvForwardBackwardBitIdenticalScalarVsParallel runs a
 // multi-channel conv layer end to end — forward then backward — under
 // the scalar reference and the parallel kernels (which also flips the
-// parallel im2col/col2im paths) and requires bit-identical outputs,
-// input gradients and weight gradients.
+// parallel im2col/col2im paths), the latter at several GOMAXPROCS
+// values, and requires bit-identical outputs, input gradients and
+// weight gradients.
 func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 	for _, g := range convTestGeoms {
 		run := func(scalar bool) (out, dx, gw []float32) {
@@ -177,21 +178,23 @@ func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 				append([]float32(nil), c.gWeights...)
 		}
 		outS, dxS, gwS := run(true)
-		outP, dxP, gwP := run(false)
-		for i := range outS {
-			if outS[i] != outP[i] {
-				t.Fatalf("geom %+v out[%d]: scalar %v parallel %v", g, i, outS[i], outP[i])
+		withKernelConfigs(t, func(t *testing.T) {
+			outP, dxP, gwP := run(false)
+			for i := range outS {
+				if outS[i] != outP[i] {
+					t.Fatalf("geom %+v out[%d]: scalar %v parallel %v", g, i, outS[i], outP[i])
+				}
 			}
-		}
-		for i := range dxS {
-			if dxS[i] != dxP[i] {
-				t.Fatalf("geom %+v dx[%d]: scalar %v parallel %v", g, i, dxS[i], dxP[i])
+			for i := range dxS {
+				if dxS[i] != dxP[i] {
+					t.Fatalf("geom %+v dx[%d]: scalar %v parallel %v", g, i, dxS[i], dxP[i])
+				}
 			}
-		}
-		for i := range gwS {
-			if gwS[i] != gwP[i] {
-				t.Fatalf("geom %+v gW[%d]: scalar %v parallel %v", g, i, gwS[i], gwP[i])
+			for i := range gwS {
+				if gwS[i] != gwP[i] {
+					t.Fatalf("geom %+v gW[%d]: scalar %v parallel %v", g, i, gwS[i], gwP[i])
+				}
 			}
-		}
+		})
 	}
 }

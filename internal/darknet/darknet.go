@@ -211,7 +211,7 @@ func sgdStep(w, g, v []float32, lr, momentum, decay float32) {
 }
 
 // gemm computes C += A * B for row-major A (m x k), B (k x n), C (m x n).
-// Large multiplies shard output rows across the bounded worker pool
+// Large multiplies shard output rows across the par.For worker pool
 // (parallel.go); the result is bit-identical to gemmScalar either way.
 func gemm(m, k, n int, a, b, c []float32) { shapeAB.run(true, m, k, n, a, b, c) }
 

@@ -321,6 +321,16 @@ func TestLayerInputValidation(t *testing.T) {
 	if _, err := conv.Backward(make([]float32, 16)); err == nil {
 		t.Fatal("Backward without Forward accepted")
 	}
+	// Backward consumes the columns its Forward saved.
+	if _, err := conv.Forward(make([]float32, 16), 1, true); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	if _, err := conv.Backward(make([]float32, 16)); err != nil {
+		t.Fatalf("Backward: %v", err)
+	}
+	if _, err := conv.Backward(make([]float32, 16)); err == nil {
+		t.Fatal("second Backward after one Forward accepted")
+	}
 }
 
 func TestLayerConstructorValidation(t *testing.T) {

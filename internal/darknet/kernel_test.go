@@ -213,8 +213,8 @@ func FuzzGEMMKernels(f *testing.F) {
 
 // TestGEMMDispatchShardsMatchScalar drives the forking dispatchers at
 // shapes above the parallel threshold — row shards, gemmTB panel
-// shards, and the column shards a few-row gemmTB takes — under several
-// worker counts.
+// shards, and the column shards a few-row gemmTB takes — at several
+// GOMAXPROCS values.
 func TestGEMMDispatchShardsMatchScalar(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{64, 100, 300},  // row shards; gemmTB panel shards
@@ -242,8 +242,8 @@ func TestGEMMDispatchShardsMatchScalar(t *testing.T) {
 				sh.kernel(s.m, s.k, s.n, a, b, got)
 				for j := range want {
 					if !sameFloat(want[j], got[j]) {
-						t.Fatalf("%s %dx%dx%d at %d workers: C[%d] = %v, scalar %v", sh.name, s.m, s.k, s.n,
-							KernelParallelism(), j, got[j], want[j])
+						t.Fatalf("%s %dx%dx%d at GOMAXPROCS %d: C[%d] = %v, scalar %v", sh.name, s.m, s.k, s.n,
+							runtime.GOMAXPROCS(0), j, got[j], want[j])
 					}
 				}
 			}

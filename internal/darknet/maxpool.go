@@ -3,6 +3,8 @@ package darknet
 import (
 	"fmt"
 	"math"
+
+	"plinius/internal/par"
 )
 
 // MaxPool is a 2-D max-pooling layer.
@@ -66,10 +68,10 @@ func (m *MaxPool) Forward(x []float32, batch int, train bool) ([]float32, error)
 	m.lastIdx = m.lastIdx[:len(out)]
 	// A compare costs what ~8 vector multiply-adds do.
 	chunk := minChunk(8 * m.size * m.size * m.out.Size())
-	if kernelChunks(batch, chunk) == 1 {
+	if serial(batch, chunk) {
 		m.forwardSamples(x, out, 0, batch)
 	} else {
-		parallelFor(batch, chunk, func(lo, hi int) { m.forwardSamples(x, out, lo, hi) })
+		par.For(batch, chunk, func(lo, hi int) { m.forwardSamples(x, out, lo, hi) })
 	}
 	m.lastBatch = batch
 	return out, nil

@@ -7,8 +7,8 @@ package darknet
 // a CPUID probe) that keep a C row segment — or a panel of eight dot
 // products — in vector registers across the whole inner-product sweep,
 // and the portable register-blocked Go kernels below, which every
-// other platform and -tags purego run. parallelFor shards output rows
-// (for a gemmTB with few rows, output columns) across a bounded worker
+// other platform and -tags purego run. par.For shards output rows (for
+// a gemmTB with few rows, output columns) across the process's worker
 // pool; the layer passes use the same pool to fork once over the
 // samples of a batch instead of once per GEMM.
 //
@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"plinius/internal/obs"
+	"plinius/internal/par"
 )
 
 // mGemmBlocked counts dispatches onto the register-blocked kernels
@@ -49,37 +50,9 @@ func KernelISA() string {
 	return "go"
 }
 
-// kernelWorkers is the configured kernel parallelism; 0 means "use
-// GOMAXPROCS at call time". It is always clamped to GOMAXPROCS, since
-// compute-bound GEMM shards beyond the CPU count only add scheduling
-// overhead.
-var kernelWorkers atomic.Int32
-
 // scalarKernels forces the single-threaded scalar reference kernels,
 // for benchmarks that measure the parallel speedup and for debugging.
 var scalarKernels atomic.Bool
-
-// SetKernelParallelism bounds the GEMM worker pool to n goroutines
-// (clamped to [1, GOMAXPROCS] at call time); n <= 0 restores the
-// default, GOMAXPROCS. Safe to call concurrently with running kernels;
-// in-flight calls keep their pool size.
-func SetKernelParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	kernelWorkers.Store(int32(n))
-}
-
-// KernelParallelism returns the effective worker bound for the next
-// kernel dispatch.
-func KernelParallelism() int {
-	w := int(kernelWorkers.Load())
-	max := runtime.GOMAXPROCS(0)
-	if w <= 0 || w > max {
-		return max
-	}
-	return w
-}
 
 // SetScalarKernels toggles the scalar reference kernels. The blocked
 // parallel kernels are bit-identical, so this only changes speed; it
@@ -98,51 +71,17 @@ const gemmParallelFlops = 1 << 18
 // B streams past.
 const gemmBlockJ = 256
 
-// minChunk returns the fewest items, at flopsPerItem multiply-adds
-// each, that carry gemmParallelFlops.
+// minChunk returns the par.For grain for items of flopsPerItem
+// multiply-adds each: the fewest that carry gemmParallelFlops.
 func minChunk(flopsPerItem int) int { return max(1, gemmParallelFlops/max(1, flopsPerItem)) }
 
-// kernelChunks returns how many chunks parallelFor(n, minChunk, ·)
-// runs: one under the scalar reference kernels, which are
-// single-threaded by definition. Callers test it for 1 to run inline —
-// a func literal handed to parallelFor escapes, so it would be
-// allocated even when nothing forks.
-func kernelChunks(n, minChunk int) int {
-	if n <= 0 {
-		return 0
-	}
-	if scalarKernels.Load() {
-		return 1
-	}
-	return min(KernelParallelism(), (n+max(minChunk, 1)-1)/max(minChunk, 1))
-}
-
-// parallelFor shards [0, n) into contiguous chunks and runs body on up
-// to KernelParallelism goroutines, blocking until all chunks finish.
-// minChunk bounds the smallest chunk, so tiny trailing shards don't pay
-// a goroutine each. body must not panic across chunks it does not own.
-// The last chunk runs on the caller, so with one worker (or
-// n <= minChunk) nothing is spawned.
-func parallelFor(n, minChunk int, body func(lo, hi int)) {
-	w := kernelChunks(n, minChunk)
-	if w <= 1 {
-		if w == 1 {
-			body(0, n)
-		}
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, lo+chunk)
-	}
-	body(lo, n)
-	wg.Wait()
+// serial reports whether a loop of n items, grain to a range, runs on
+// the caller alone: under the scalar reference kernels (single-threaded
+// by definition), on one core, or when n fits in one range. Callers
+// test it to run inline, because a func literal handed to par.For
+// escapes and would be allocated even when nothing forks.
+func serial(n, grain int) bool {
+	return scalarKernels.Load() || n <= grain || runtime.GOMAXPROCS(0) == 1
 }
 
 // scratchPool recycles per-worker kernel scratch (packed A panels, a
@@ -183,18 +122,18 @@ func (s gemmShape) run(fork bool, m, k, n int, a, b, c []float32) {
 	}
 	mGemmBlocked.Inc()
 	switch {
-	case !fork || m*k*n < 2*gemmParallelFlops || KernelParallelism() == 1:
+	case !fork || m*k*n < 2*gemmParallelFlops || runtime.GOMAXPROCS(0) == 1:
 		s.tile(m, k, n, a, b, c, 0, m, 0, n)
 	case s != shapeTB:
-		parallelFor(m, minChunk(k*n), func(lo, hi int) {
+		par.For(m, minChunk(k*n), func(lo, hi int) {
 			s.tile(m, k, n, a, b, c, lo, hi, 0, n)
 		})
 	case m >= 2*tbPanel:
-		parallelFor((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), func(lo, hi int) {
+		par.For((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), func(lo, hi int) {
 			s.tile(m, k, n, a, b, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
 		})
 	default: // too few rows for a panel per worker (serving batches): shard columns
-		parallelFor((n+tbPanel-1)/tbPanel, minChunk(tbPanel*m*k), func(lo, hi int) {
+		par.For((n+tbPanel-1)/tbPanel, minChunk(tbPanel*m*k), func(lo, hi int) {
 			s.tile(m, k, n, a, b, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
 		})
 	}

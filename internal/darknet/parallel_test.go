@@ -36,13 +36,13 @@ var gemmShapes = []struct{ m, k, n int }{
 	{4, 4, 0},      // zero columns
 }
 
-// withKernelConfigs runs body under 1, 2, 3 and GOMAXPROCS workers so
-// both the inline and the sharded dispatch paths are covered.
+// withKernelConfigs runs body at GOMAXPROCS 1, 2, 3 and 8 so both the
+// inline and the sharded dispatch paths are covered on any machine.
 func withKernelConfigs(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	defer SetKernelParallelism(0)
-	for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
-		SetKernelParallelism(w)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
 		body(t)
 	}
 }
@@ -125,8 +125,8 @@ func TestGEMMTBBitIdenticalToScalar(t *testing.T) {
 
 // TestTrainingBitIdenticalScalarVsParallel trains two identically
 // seeded networks — one on the scalar reference kernels, one on the
-// blocked parallel kernels — and requires bit-identical losses and
-// parameters after several iterations.
+// blocked parallel kernels at several GOMAXPROCS values — and requires
+// bit-identical losses and parameters after several iterations.
 func TestTrainingBitIdenticalScalarVsParallel(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(21))
@@ -170,47 +170,25 @@ func TestTrainingBitIdenticalScalarVsParallel(t *testing.T) {
 		return net, losses
 	}
 	netS, lossS := run(true)
-	netP, lossP := run(false)
-	for i := range lossS {
-		if lossS[i] != lossP[i] {
-			t.Fatalf("iteration %d loss: scalar %v parallel %v", i, lossS[i], lossP[i])
-		}
-	}
-	for li := range netS.Layers {
-		ps, pp := netS.Layers[li].Params(), netP.Layers[li].Params()
-		for bi := range ps {
-			for i := range ps[bi] {
-				if ps[bi][i] != pp[bi][i] {
-					t.Fatalf("layer %d buffer %d param %d: scalar %v parallel %v",
-						li, bi, i, ps[bi][i], pp[bi][i])
-				}
+	withKernelConfigs(t, func(t *testing.T) {
+		netP, lossP := run(false)
+		for i := range lossS {
+			if lossS[i] != lossP[i] {
+				t.Fatalf("iteration %d loss: scalar %v parallel %v", i, lossS[i], lossP[i])
 			}
 		}
-	}
-}
-
-// TestParallelForCoversRange asserts every index is visited exactly
-// once whatever the worker count and chunking.
-func TestParallelForCoversRange(t *testing.T) {
-	defer SetKernelParallelism(0)
-	for _, w := range []int{1, 2, 5} {
-		SetKernelParallelism(w)
-		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-			for _, minChunk := range []int{1, 3, 1000} {
-				hits := make([]int32, n)
-				parallelFor(n, minChunk, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						hits[i]++
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("w=%d n=%d minChunk=%d: index %d visited %d times", w, n, minChunk, i, h)
+		for li := range netS.Layers {
+			ps, pp := netS.Layers[li].Params(), netP.Layers[li].Params()
+			for bi := range ps {
+				for i := range ps[bi] {
+					if ps[bi][i] != pp[bi][i] {
+						t.Fatalf("layer %d buffer %d param %d: scalar %v parallel %v",
+							li, bi, i, ps[bi][i], pp[bi][i])
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestScratchReuseStableResults drives the same forward pass twice

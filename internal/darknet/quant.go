@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"plinius/internal/par"
 )
 
 // ErrQuantTrain is returned when a quantized (inference-only) layer is
@@ -110,13 +112,13 @@ func gemmQRows(k, n int, qa []int8, scale float32, b, c []float32, lo, hi int) {
 	}
 }
 
-// gemmQ dispatches gemmQRows over the kernel worker pool.
+// gemmQ dispatches gemmQRows over par.For.
 func gemmQ(m, k, n int, qa []int8, scale float32, b, c []float32) {
-	if kernelChunks(m, minChunk(k*n)) == 1 {
+	if serial(m, minChunk(k*n)) {
 		gemmQRows(k, n, qa, scale, b, c, 0, m)
 		return
 	}
-	parallelFor(m, minChunk(k*n), func(lo, hi int) {
+	par.For(m, minChunk(k*n), func(lo, hi int) {
 		gemmQRows(k, n, qa, scale, b, c, lo, hi)
 	})
 }
@@ -140,13 +142,13 @@ func gemmTBQRows(k, n int, a []float32, qb []int8, scale float32, c []float32, l
 	}
 }
 
-// gemmTBQ dispatches gemmTBQRows over the kernel worker pool.
+// gemmTBQ dispatches gemmTBQRows over par.For.
 func gemmTBQ(m, k, n int, a []float32, qb []int8, scale float32, c []float32) {
-	if kernelChunks(m, minChunk(k*n)) == 1 {
+	if serial(m, minChunk(k*n)) {
 		gemmTBQRows(k, n, a, qb, scale, c, 0, m)
 		return
 	}
-	parallelFor(m, minChunk(k*n), func(lo, hi int) {
+	par.For(m, minChunk(k*n), func(lo, hi int) {
 		gemmTBQRows(k, n, a, qb, scale, c, lo, hi)
 	})
 }
@@ -215,10 +217,10 @@ func (q *QuantConv) Forward(x []float32, batch int, train bool) ([]float32, erro
 	}
 	cols := growF32(&q.colsBuf, batch*q.kcols()*q.out.H*q.out.W)
 	out := growF32(&q.outBuf, batch*q.out.Size())
-	if chunk := minChunk(q.sampleFlops()); kernelChunks(batch, chunk) == 1 {
+	if chunk := minChunk(q.sampleFlops()); serial(batch, chunk) {
 		q.forwardSamples(x, cols, out, 0, batch, true)
 	} else {
-		parallelFor(batch, chunk, func(lo, hi int) { q.forwardSamples(x, cols, out, lo, hi, false) })
+		par.For(batch, chunk, func(lo, hi int) { q.forwardSamples(x, cols, out, lo, hi, false) })
 	}
 	return out, nil
 }

@@ -96,9 +96,11 @@ func TestFig7BelowEPCShape(t *testing.T) {
 				row.TargetMB, row.MirrorRestore.Read, row.SSDRestore.Read)
 		}
 	}
-	// Latency grows with model size.
-	if res.Rows[1].MirrorSave.Total() <= res.Rows[0].MirrorSave.Total() {
-		t.Fatal("save latency did not grow with model size")
+	// Latency grows with model size: on the modeled PM write, like the
+	// per-row checks, since the total adds wall-clock AES.
+	if res.Rows[1].MirrorSave.Write <= res.Rows[0].MirrorSave.Write {
+		t.Fatalf("save write did not grow with model size: %v at %dMB, %v at %dMB",
+			res.Rows[0].MirrorSave.Write, res.Rows[0].TargetMB, res.Rows[1].MirrorSave.Write, res.Rows[1].TargetMB)
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

@@ -30,6 +30,9 @@ var trustedPackages = map[string]bool{
 	// The distributed coordinator averages plaintext parameters, so it
 	// runs enclave-side over attested channels.
 	"distributed": true,
+	// The worker pool runs the kernels' and the mirror's loop bodies in
+	// the enclave (the PM device's copy shares it from outside).
+	"par": true,
 }
 
 // untrustedPackages run in the untrusted runtime: device emulation,

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"plinius/internal/enclave"
 	"plinius/internal/engine"
 	"plinius/internal/mnist"
 	"plinius/internal/obs"
+	"plinius/internal/par"
 	"plinius/internal/romulus"
 )
 
@@ -315,9 +315,9 @@ func (d *DataMatrix) ResealFrom(newEng *engine.Engine, start int, mark func(next
 	return nil
 }
 
-// batchParallelBytes is the stored-batch size below which Batch stays
-// sequential: rows are small, so the fan-out pays off earlier than
-// model mirroring's threshold.
+// batchParallelBytes is the stored rows Batch hands to one par.For
+// range: rows are small, so the fan-out pays off earlier than model
+// mirroring's threshold.
 const batchParallelBytes = 32 << 10
 
 // Batch samples a training batch, decrypting rows from PM into enclave
@@ -326,9 +326,8 @@ const batchParallelBytes = 32 << 10
 // All row indices are drawn from rng on the calling goroutine first,
 // so the sampled batch is identical to the sequential path no matter
 // how the work is then distributed; the per-row load → decrypt →
-// decode (fetchRow) fans out across a bounded worker pool, each worker
-// staging through its own PM read buffer and row buffer, writing
-// disjoint row slices of x and y.
+// decode (fetchRow) runs on par.For, each range staging through its own
+// PM read buffer and row buffer, writing disjoint row slices of x and y.
 func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error) {
 	if size <= 0 {
 		return nil, nil, fmt.Errorf("%w: batch size %d", mnist.ErrBadBatch, size)
@@ -341,47 +340,26 @@ func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error)
 		idxs[b] = rng.Intn(d.n)
 	}
 
-	// fetch runs batch positions from next through buffers it owns,
-	// until they run out; a failing worker exhausts next to stop the
-	// others.
 	var (
-		next     atomic.Int64
 		errMu    sync.Mutex
 		firstErr error
 	)
-	fetch := func() {
+	par.For(size, max(1, batchParallelBytes/d.storedRow), func(lo, hi int) {
 		stored := make([]byte, d.storedRow)
 		rowBuf := make([]float32, d.plainRow/4)
-		for {
-			b := int(next.Add(1)) - 1
-			if b >= size {
-				return
-			}
+		for b := lo; b < hi; b++ {
 			if err := d.fetchRow(idxs[b], stored, rowBuf); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				errMu.Unlock()
-				next.Store(int64(size))
 				return
 			}
 			copy(x[b*imgLen:(b+1)*imgLen], rowBuf[:imgLen])
 			copy(y[b*mnist.Classes:(b+1)*mnist.Classes], rowBuf[imgLen:])
 		}
-	}
-
-	workers := mirrorWorkersAt(size, size*d.storedRow, batchParallelBytes)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fetch()
-		}()
-	}
-	fetch()
-	wg.Wait()
+	})
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}

@@ -9,12 +9,11 @@ import (
 	"plinius/internal/mnist"
 )
 
-// TestBatchParallelWhileTraining races Batch's forced row fan-out
-// against the darknet kernel pool running TrainBatch on the previous
-// batch — the two worker pools that overlap in a pipelined training
-// iteration. They must share no mutable state (engine scratches are
-// per-worker, parallelFor pools are per-call); the -race CI shard
-// enforces it.
+// TestBatchParallelWhileTraining races Batch's row fan-out against
+// the darknet kernels running TrainBatch on the previous batch — the
+// two loops that share the worker pool in a pipelined training
+// iteration. They must share no mutable state (every range stages
+// through buffers of its own); the -race CI shard enforces it.
 func TestBatchParallelWhileTraining(t *testing.T) {
 	_, rom := testHeap(t, 16<<20)
 	eng := testEngine(t)
@@ -23,7 +22,7 @@ func TestBatchParallelWhileTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadData: %v", err)
 	}
-	forceWorkers(t, 4)
+	withProcs(t, 4)
 	net := testNet(t, 5)
 	batch := net.Config.Batch
 
@@ -88,9 +87,9 @@ func expectedBatch(t *testing.T, dm *DataMatrix, seed int64, size int) (x, y []f
 // TestBatchParallelMatchesSerial: the sampled batch is identical no
 // matter how many workers decrypt it — indices are pre-drawn on the
 // caller, so fan-out must not change what is sampled, only who loads
-// it. Runs sealed and plaintext matrices across worker counts (the
-// batch is large enough to clear batchParallelBytes, and
-// forceMirrorWorkers drives real fan-out even on single-core machines).
+// it. Runs sealed and plaintext matrices at several GOMAXPROCS values
+// (the batch is large enough to span several batchParallelBytes
+// ranges).
 func TestBatchParallelMatchesSerial(t *testing.T) {
 	for _, enc := range []bool{true, false} {
 		_, rom := testHeap(t, 16<<20)
@@ -105,25 +104,25 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("LoadData: %v", err)
 		}
 		const seed, size = 31, 32
-		if size*dm.storedRow < batchParallelBytes {
-			t.Fatalf("batch too small to exercise fan-out: %d < %d",
+		if size*dm.storedRow <= batchParallelBytes {
+			t.Fatalf("batch too small to exercise fan-out: %d <= %d",
 				size*dm.storedRow, batchParallelBytes)
 		}
 		wantX, wantY := expectedBatch(t, dm, seed, size)
-		for _, workers := range []int{1, 2, 3, 8} {
-			forceWorkers(t, workers)
+		for _, procs := range []int{1, 2, 3, 8} {
+			withProcs(t, procs)
 			x, y, err := dm.Batch(mrand.New(mrand.NewSource(seed)), size)
 			if err != nil {
-				t.Fatalf("enc=%v workers=%d Batch: %v", enc, workers, err)
+				t.Fatalf("enc=%v GOMAXPROCS=%d Batch: %v", enc, procs, err)
 			}
 			for i := range wantX {
 				if x[i] != wantX[i] {
-					t.Fatalf("enc=%v workers=%d x[%d]: %v, want %v", enc, workers, i, x[i], wantX[i])
+					t.Fatalf("enc=%v GOMAXPROCS=%d x[%d]: %v, want %v", enc, procs, i, x[i], wantX[i])
 				}
 			}
 			for i := range wantY {
 				if y[i] != wantY[i] {
-					t.Fatalf("enc=%v workers=%d y[%d]: %v, want %v", enc, workers, i, y[i], wantY[i])
+					t.Fatalf("enc=%v GOMAXPROCS=%d y[%d]: %v, want %v", enc, procs, i, y[i], wantY[i])
 				}
 			}
 		}
@@ -142,7 +141,7 @@ func TestBatchConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadData: %v", err)
 	}
-	forceWorkers(t, 4)
+	withProcs(t, 4)
 	const goroutines, size = 4, 32
 	// Per-goroutine reference for the first draw, computed serially up
 	// front; later draws advance each goroutine's private rng.

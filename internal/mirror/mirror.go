@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +25,7 @@ import (
 	"plinius/internal/enclave"
 	"plinius/internal/engine"
 	"plinius/internal/obs"
+	"plinius/internal/par"
 	"plinius/internal/romulus"
 )
 
@@ -103,65 +103,22 @@ type Model struct {
 	lastOpen atomic.Int64
 }
 
-// Mirroring fan-out: sealed buffers are AES-processed by a bounded
-// worker pool — GOMAXPROCS-clamped and capped — while PM stores stay
-// ordered on the calling goroutine (the Romulus redo log is
-// single-writer). Small mirrors stay sequential: below the byte
-// threshold the goroutine handoff costs more than the AES saved.
-const (
-	maxMirrorFanout     = 8
-	mirrorParallelBytes = 256 << 10
-)
+// mirrorParallelBytes is the sealed bytes a mirror operation hands to
+// one par.For range: a smaller mirror stays on the caller, where the
+// hand-off would cost more than the AES it spreads.
+const mirrorParallelBytes = 256 << 10
 
-// forceMirrorWorkers overrides the GOMAXPROCS/NumCPU clamp in tests
-// (0 = off), so the fan-out paths are exercised on any machine.
-var forceMirrorWorkers int
-
-// mirrorWorkers picks the seal/open fan-out for a mirror operation of
-// the given task count and total sealed bytes. The pool is clamped to
-// the PHYSICAL core count as well as GOMAXPROCS: AES sealing is pure
-// CPU work, so oversubscribing cores gains nothing — and because
-// lastSeal/lastOpen sum per-worker wall time, time-shared workers
-// would count descheduled time and inflate the Table Ia attribution.
-func mirrorWorkers(tasks, totalBytes int) int {
-	return mirrorWorkersAt(tasks, totalBytes, mirrorParallelBytes)
-}
-
-// mirrorWorkersAt is mirrorWorkers with an explicit byte threshold —
-// the batch loader fans out at smaller payloads than model mirroring,
-// since its per-task overhead (one row) is far smaller than a
-// parameter buffer's.
-func mirrorWorkersAt(tasks, totalBytes, threshold int) int {
-	if totalBytes < threshold {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); w > c {
-		w = c
-	}
-	if forceMirrorWorkers > 0 {
-		// Test hook: single-core machines would otherwise never drive
-		// the fan-out branch.
-		w = forceMirrorWorkers
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w > maxMirrorFanout {
-		w = maxMirrorFanout
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// taskGrain returns the par.For grain of a mirror operation over tasks
+// segments holding total sealed bytes: the segments that carry
+// mirrorParallelBytes, on average.
+func taskGrain(tasks, total int) int { return max(1, tasks*mirrorParallelBytes/max(total, 1)) }
 
 // Segmented sealing. An fp32 parameter buffer of n floats is sealed as
 // k = ceil(4n / segmentBytes) segments (at least one): its floats split
 // evenly into k parts, each sealed as its own IV ‖ ciphertext ‖ MAC and
 // laid out back to back at the buffer's offset, so the layer table
-// records 4n + 28k bytes. Each segment is one task on the seal/open
-// pool, so one large layer seals and opens on every core. k is not
+// records 4n + 28k bytes. Each segment is one task of the seal/open
+// fan-out, so one large layer seals and opens on every core. k is not
 // stored: the recorded length strictly increases with n, so it names
 // one n and one k (segmentsIn).
 //
@@ -507,7 +464,7 @@ func (m *Model) SetEngine(eng *engine.Engine) { m.eng = eng }
 // collectParamLayers returns the parameter buffers of every layer that
 // has any (conv: 5 buffers, connected: 2; pooling/softmax: none).
 func collectParamLayers(net *darknet.Network) [][][]float32 {
-	var out [][][]float32
+	out := make([][][]float32, 0, len(net.Layers))
 	for _, l := range net.Layers {
 		if params := l.Params(); len(params) > 0 {
 			out = append(out, params)
@@ -553,14 +510,13 @@ func (m *Model) matchesFrom(paramLayers [][][]float32, from int) error {
 // the persistent mirror in one durable transaction, recording the
 // iteration counter (Algorithm 3, mirror_out).
 //
-// Sealing fans out across a bounded worker pool (mirrorWorkers), one
-// segment per task, each worker staging through its own engine
-// Scratch; the PM stores stay on the calling goroutine, in segment
-// order, inside the single Romulus transaction — so the
-// durable-transaction semantics and the enclave paging accounting are
-// exactly those of the sequential path, while the AES-GCM work (the
-// dominant save cost, Table Ia) overlaps the PM writes and uses all
-// cores.
+// Segments are sealed on par.For, each range through its own engine
+// Scratch, and stored in segment order inside the single Romulus
+// transaction: a sealed segment waits for its predecessor's store. So
+// the durable-transaction semantics, the ascending redo log the chunked
+// commit copy needs, and the enclave paging accounting are exactly those
+// of the sequential path, while the AES-GCM work (the dominant save
+// cost, Table Ia) overlaps the PM writes and uses all cores.
 func (m *Model) MirrorOut(net *darknet.Network) error {
 	paramLayers := collectParamLayers(net)
 	if err := m.matches(paramLayers); err != nil {
@@ -568,85 +524,46 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 	}
 	m.lastSeal.Store(0)
 	tasks, total := m.collectTasks(paramLayers, 0)
-	workers := mirrorWorkers(len(tasks), total)
 	err := m.rom.Update(func() error {
 		if err := m.rom.StoreUint64(m.headOff+modelHdrIter, uint64(net.Iteration)); err != nil {
 			return err
 		}
-		if workers <= 1 {
+		// A segment waits only for segments claimed before its own,
+		// which running ranges hold, so the wait always ends.
+		var order struct {
+			sync.Mutex
+			turn   sync.Cond
+			stored int // segments [0, stored) are stored
+			err    error
+			failed atomic.Bool
+		}
+		order.turn.L = &order
+		par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
 			sc := m.eng.AcquireScratch()
 			defer m.eng.ReleaseScratch(sc)
-			for i := range tasks {
+			for i := lo; i < hi && !order.failed.Load(); i++ {
 				t := &tasks[i]
 				sealStart := time.Now()
 				sealed, err := m.eng.SealFloatsAAD(sc, t.p, t.additionalData())
 				m.lastSeal.Add(int64(time.Since(sealStart)))
-				if err != nil {
-					return t.errorf("seal", err)
+				order.Lock()
+				for order.stored < i && order.err == nil {
+					order.turn.Wait()
 				}
-				if err := m.rom.Store(t.off, sealed); err != nil {
-					return err
+				switch {
+				case order.err != nil:
+				case err != nil:
+					order.err = t.errorf("seal", err)
+				default:
+					order.err = m.rom.Store(t.off, sealed)
 				}
+				order.stored = i + 1
+				order.failed.Store(order.err != nil)
+				order.Unlock()
+				order.turn.Broadcast()
 			}
-			return nil
-		}
-
-		// Workers claim tasks in order and hand each sealed buffer to
-		// the ordered store loop through a ring of one-deep slots, task
-		// ti in slot ti%len(ring). A worker takes an inflight token
-		// BEFORE claiming and the store loop returns it after storing,
-		// so claimed-but-unstored tasks are at most len(ring)
-		// consecutive indices: every one owns its slot, live scratch
-		// buffers are bounded at 2x workers instead of one per buffer,
-		// and the store loop's next task is always claimed or claimable
-		// — no deadlock.
-		type sealResult struct {
-			sc     *engine.Scratch
-			sealed []byte
-			err    error
-		}
-		ring := make([]chan sealResult, 2*workers)
-		for i := range ring {
-			ring[i] = make(chan sealResult, 1)
-		}
-		inflight := make(chan struct{}, len(ring))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					inflight <- struct{}{}
-					ti := int(next.Add(1)) - 1
-					if ti >= len(tasks) {
-						<-inflight
-						return
-					}
-					sc := m.eng.AcquireScratch()
-					sealStart := time.Now()
-					sealed, err := m.eng.SealFloatsAAD(sc, tasks[ti].p, tasks[ti].additionalData())
-					m.lastSeal.Add(int64(time.Since(sealStart)))
-					ring[ti%len(ring)] <- sealResult{sc, sealed, err}
-				}
-			}()
-		}
-		// Store each sealed buffer as it becomes ready, in task order;
-		// after a failure keep draining so every worker exits.
-		var firstErr error
-		for ti := range tasks {
-			r := <-ring[ti%len(ring)]
-			if firstErr == nil && r.err != nil {
-				firstErr = tasks[ti].errorf("seal", r.err)
-			}
-			if firstErr == nil {
-				firstErr = m.rom.Store(tasks[ti].off, r.sealed)
-			}
-			m.eng.ReleaseScratch(r.sc)
-			<-inflight
-		}
-		wg.Wait()
-		return firstErr
+		})
+		return order.err
 	})
 	if err == nil {
 		mMirrorOut.Inc()
@@ -685,12 +602,11 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // MirrorInRange; the shape has already been checked.
 //
 // The per-segment work — sealed PM read, boundary copy, in-enclave
-// AES-GCM open — fans out across mirrorWorkers goroutines, each with
-// its own read buffer and engine Scratch, so no restore worker can
-// alias another's staging memory. Segments decrypt into disjoint
-// parameter slices, PM loads are device-locked, and the enclave
-// CopyAcross/Touch accounting is mutex-protected, so the parallel
-// restore charges exactly what the sequential one does.
+// AES-GCM open — runs on par.For, each range through its own engine
+// Scratch, so no range can alias another's staging memory. Segments
+// decrypt into disjoint parameter slices, PM loads are device-locked,
+// and the enclave CopyAcross/Touch accounting is mutex-protected, so
+// the parallel restore charges exactly what the sequential one does.
 func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, from int) (int, error) {
 	iter, err := m.rom.LoadUint64(m.headOff + modelHdrIter)
 	if err != nil {
@@ -698,85 +614,56 @@ func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, fr
 	}
 	m.lastOpen.Store(0)
 	tasks, total := m.collectTasks(paramLayers, from)
-	workers := mirrorWorkers(len(tasks), total)
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	var first struct {
+		sync.Mutex
+		err error
 	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	// The sealed bytes stage through the scratch's sealed side (the
-	// open uses only its plain side), so steady-state restores — the
-	// streaming shard group's per-batch path — allocate nothing: the
-	// scratch pool keeps the buffers alive across calls.
-	restore := func(sc *engine.Scratch, t *bufTask) {
-		sealed := sc.SealedBuf(t.sealedLen)
-		if err := m.rom.Load(t.off, sealed); err != nil {
-			fail(err)
-			return
-		}
-		if m.encl != nil {
-			m.encl.CopyAcross(len(sealed))
-		}
-		openStart := time.Now()
-		err := m.eng.OpenFloatsAAD(t.p, sealed, t.additionalData())
-		m.lastOpen.Add(int64(time.Since(openStart)))
-		if err != nil {
-			fail(t.errorf("open", err))
-		}
-	}
-
-	if workers <= 1 {
+	par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
 		sc := m.eng.AcquireScratch()
-		for i := range tasks {
-			restore(sc, &tasks[i])
-			if failed() {
-				break
+		defer m.eng.ReleaseScratch(sc)
+		for i := lo; i < hi; i++ {
+			err := m.restore(sc, &tasks[i])
+			first.Lock()
+			if first.err == nil {
+				first.err = err
+			}
+			failed := first.err != nil
+			first.Unlock()
+			if failed {
+				return
 			}
 		}
-		m.eng.ReleaseScratch(sc)
-	} else {
-		idx := make(chan int, len(tasks))
-		for i := range tasks {
-			idx <- i
-		}
-		close(idx)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := m.eng.AcquireScratch()
-				defer m.eng.ReleaseScratch(sc)
-				for ti := range idx {
-					if failed() {
-						return
-					}
-					restore(sc, &tasks[ti])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return 0, firstErr
+	})
+	if first.err != nil {
+		return 0, first.err
 	}
 	net.Iteration = int(iter)
 	mMirrorIn.Inc()
 	mOpenSeconds.Add(time.Duration(m.lastOpen.Load()).Seconds())
 	mRestoredBytes.Add(float64(total))
 	return int(iter), nil
+}
+
+// restore loads segment t from PM and opens it into its parameters.
+// The sealed bytes stage through sc's sealed side (the open uses only
+// its plain side), so steady-state restores — the streaming shard
+// group's per-batch path — allocate nothing: the scratch pool keeps the
+// buffers alive across calls.
+func (m *Model) restore(sc *engine.Scratch, t *bufTask) error {
+	sealed := sc.SealedBuf(t.sealedLen)
+	if err := m.rom.Load(t.off, sealed); err != nil {
+		return err
+	}
+	if m.encl != nil {
+		m.encl.CopyAcross(len(sealed))
+	}
+	openStart := time.Now()
+	err := m.eng.OpenFloatsAAD(t.p, sealed, t.additionalData())
+	m.lastOpen.Add(int64(time.Since(openStart)))
+	if err != nil {
+		return t.errorf("open", err)
+	}
+	return nil
 }
 
 // Iteration reads the persisted iteration counter without touching the

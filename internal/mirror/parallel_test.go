@@ -2,6 +2,7 @@ package mirror
 
 import (
 	mrand "math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -42,12 +43,12 @@ activation=linear
 	return n
 }
 
-// forceWorkers pins the mirror fan-out for the duration of a test so
-// the parallel branches run even on single-core machines.
-func forceWorkers(t *testing.T, n int) {
+// withProcs runs the rest of the test at GOMAXPROCS n, so the mirror's
+// fan-out runs on several pool workers even on single-core machines.
+func withProcs(t *testing.T, n int) {
 	t.Helper()
-	forceMirrorWorkers = n
-	t.Cleanup(func() { forceMirrorWorkers = 0 })
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // fourMiBTestNet has a 1024x1024 connected layer: one 4 MiB weight
@@ -65,8 +66,7 @@ func fourMiBTestNet(t *testing.T, seed int64) *darknet.Network {
 }
 
 // TestParallelMirrorRoundTrip drives MirrorOut and the restores at
-// forced worker counts 1, 2, 3 and 8, so the fan-out runs on any
-// machine: a model of many one-segment buffers restored whole by
+// GOMAXPROCS 1, 2, 3 and 8, so the fan-out runs on any machine: a model of many one-segment buffers restored whole by
 // MirrorIn, and one 4 MiB buffer restored on its own by MirrorInRange.
 // Every restore is bit-exact, and each sealed segment costs exactly
 // one AES-GCM open — the 4 MiB buffer's four segments are what spread
@@ -97,10 +97,10 @@ func TestParallelMirrorRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: AllocModel: %v", c.name, err)
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			forceWorkers(t, workers)
+		for _, procs := range []int{1, 2, 3, 8} {
+			withProcs(t, procs)
 			if err := m.MirrorOut(net); err != nil {
-				t.Fatalf("%s workers=%d: MirrorOut: %v", c.name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: MirrorOut: %v", c.name, procs, err)
 			}
 			other := c.build(t, 99)
 			got := other
@@ -115,24 +115,24 @@ func TestParallelMirrorRoundTrip(t *testing.T) {
 				iter, err = m.MirrorIn(got)
 			}
 			if err != nil {
-				t.Fatalf("%s workers=%d: restore: %v", c.name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: restore: %v", c.name, procs, err)
 			}
 			if n := int(opens.Value() - before); n != c.opens {
-				t.Fatalf("%s workers=%d: %d AES-GCM opens, want %d", c.name, workers, n, c.opens)
+				t.Fatalf("%s GOMAXPROCS=%d: %d AES-GCM opens, want %d", c.name, procs, n, c.opens)
 			}
 			if iter != 7 || !netsEqual(want, got) {
-				t.Fatalf("%s workers=%d: restore mismatch: iter=%d equal=%v", c.name, workers, iter, netsEqual(want, got))
+				t.Fatalf("%s GOMAXPROCS=%d: restore mismatch: iter=%d equal=%v", c.name, procs, iter, netsEqual(want, got))
 			}
 		}
 	}
 }
 
 // TestParallelMirrorManyBuffers pushes many more sealed buffers than
-// the in-flight token window through the fan-out MirrorOut — the
-// regression case for the store/seal pipeline deadlock (tokens must be
-// acquired before pulling a task index) — and checks the roundtrip.
+// there are cores through the fan-out MirrorOut, whose ranges each
+// wait for the one before to store — the case a wait on an unstarted
+// range would deadlock — and checks the roundtrip.
 func TestParallelMirrorManyBuffers(t *testing.T) {
-	forceWorkers(t, 2) // 4 tokens against 24+ tasks
+	withProcs(t, 2)
 	var cfg strings.Builder
 	cfg.WriteString("[net]\nbatch=2\nchannels=1\nheight=32\nwidth=32\n\n")
 	for i := 0; i < 12; i++ {
@@ -152,7 +152,7 @@ func TestParallelMirrorManyBuffers(t *testing.T) {
 			tasks += len(l.Params())
 		}
 		if tasks <= 8 {
-			t.Fatalf("want > 2x tokens tasks, got %d", tasks)
+			t.Fatalf("want many more tasks than cores, got %d", tasks)
 		}
 	}
 	_, rom := testHeap(t, 16<<20)
@@ -177,7 +177,7 @@ func TestParallelMirrorManyBuffers(t *testing.T) {
 // LastOpenDuration while mirror operations run — the satellite fix for
 // the formerly racy plain-field accessors. Run with -race.
 func TestMirrorDurationAccessorsRaceSafe(t *testing.T) {
-	forceWorkers(t, 4)
+	withProcs(t, 4)
 	_, rom := testHeap(t, 16<<20)
 	eng := testEngine(t)
 	net := bigTestNet(t, 1)

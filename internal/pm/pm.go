@@ -19,11 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"time"
 
 	"plinius/internal/obs"
+	"plinius/internal/par"
 	"plinius/internal/simclock"
 )
 
@@ -153,10 +153,16 @@ type Device struct {
 	backup   []byte   // durable bytes of the dirty lines; stale elsewhere
 	dirty    []uint64 // bitset, one bit per cache line
 	dirtyN   int
-	copyWG   sync.WaitGroup // CopyFlush chunks out on copy workers
 	clock    *simclock.Clock
 	prof     Profile
 	stats    Stats
+
+	// The CopyFlush in progress, under mu: its operands, and copyRange,
+	// copyExtents bound once in New so that handing it to par.For
+	// allocates nothing.
+	copyDst, copySrc int
+	copyExt          []Extent
+	copyRange        func(from, to int)
 }
 
 // eachRun calls fn with the byte range of every run of set bits in word
@@ -230,6 +236,7 @@ func New(size int, opts ...Option) (*Device, error) {
 	if d.clock == nil {
 		d.clock = simclock.New()
 	}
+	d.copyRange = d.copyExtents
 	return d, nil
 }
 
@@ -345,10 +352,10 @@ type Extent struct{ Off, N int }
 // CopyFlush copies each extent of the region at src over the same extent
 // of the region at dst: exactly a Load, Store and Flush per extent in
 // order (same counters, dirty lines and modeled time), but one memmove
-// per byte. Any extent out of range rejects the whole call. From
-// parallelCopyBytes up, if the extents ascend without overlap and the
-// two spans are disjoint, the memmove is split into contiguous chunks on
-// up to min(GOMAXPROCS, NumCPU) goroutines, under the device lock.
+// per byte. Any extent out of range rejects the whole call. If the
+// extents ascend without overlap and the two spans are disjoint, the
+// memmove runs on par.For in parallelCopyBytes ranges, under the device
+// lock.
 func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -363,11 +370,11 @@ func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
 		ordered = ordered && (i == 0 || e.Off >= end)
 		total, end = total+e.N, e.Off+e.N
 	}
-	job := copyJob{d, dst, src, ext, 0, total}
-	if w := copyWorkers(total); w > 1 && total > 0 && ordered && max(dst-src, src-dst) >= end-ext[0].Off {
-		job.runChunked(w)
+	d.copyDst, d.copySrc, d.copyExt = dst, src, ext
+	if total > 0 && ordered && max(dst-src, src-dst) >= end-ext[0].Off {
+		par.For(total, parallelCopyBytes, d.copyRange)
 	} else {
-		job.run()
+		d.copyExtents(0, total)
 	}
 	for _, e := range ext {
 		if e.N > 0 {
@@ -379,73 +386,24 @@ func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
 	return nil
 }
 
-// CopyFlush fans out from parallelCopyBytes: below it the hand-off costs
-// more than it saves, so small models' commits stay on the caller.
-// forceCopyWorkers overrides the fan-out in tests (0 = off).
-const parallelCopyBytes, maxCopyFanout = 256 << 10, 8
+// parallelCopyBytes is CopyFlush's range size: a smaller commit stays on
+// the caller, where the hand-off would cost more than it saves.
+const parallelCopyBytes = 256 << 10
 
-var forceCopyWorkers int
-
-func copyWorkers(total int) int {
-	switch {
-	case forceCopyWorkers > 0:
-		return forceCopyWorkers
-	case total < parallelCopyBytes:
-		return 1
-	}
-	return min(runtime.GOMAXPROCS(0), runtime.NumCPU(), maxCopyFanout)
-}
-
-// copyJob copies bytes [from, to) of the concatenated extents from the
-// region at src to the region at dst.
-type copyJob struct {
-	d        *Device
-	dst, src int
-	ext      []Extent
-	from, to int
-}
-
-func (j copyJob) run() {
+// copyExtents copies bytes [from, to) of the concatenated extents of the
+// CopyFlush in progress. Callers hold d.mu; par.For's workers run it on
+// the caller's behalf.
+func (d *Device) copyExtents(from, to int) {
 	pos := 0
-	for _, e := range j.ext {
-		if lo, hi := max(j.from-pos, 0), min(j.to-pos, e.N); lo < hi {
-			copy(j.d.volatile[j.dst+e.Off+lo:j.dst+e.Off+hi], j.d.volatile[j.src+e.Off+lo:])
+	for _, e := range d.copyExt {
+		if pos >= to {
+			return
+		}
+		if lo, hi := max(from-pos, 0), min(to-pos, e.N); lo < hi {
+			copy(d.volatile[d.copyDst+e.Off+lo:d.copyDst+e.Off+hi], d.volatile[d.copySrc+e.Off+lo:])
 		}
 		pos += e.N
 	}
-}
-
-// The copy workers are persistent goroutines, started on first use, so
-// a chunked CopyFlush allocates nothing.
-var (
-	copyJobs  = make(chan copyJob)
-	copyStart sync.Once
-)
-
-// runChunked splits j into w contiguous chunks, hands w-1 of them to
-// copy workers and runs the first itself. The caller holds d.mu across
-// the sends; workers take no lock, so they always drain.
-func (j copyJob) runChunked(w int) {
-	copyStart.Do(func() {
-		for i := 1; i < maxCopyFanout; i++ {
-			go func() {
-				for c := range copyJobs {
-					c.run()
-					c.d.copyWG.Done()
-				}
-			}()
-		}
-	})
-	chunk := (j.to + w - 1) / w
-	j.d.copyWG.Add(w - 1)
-	for g := 1; g < w; g++ {
-		c := j
-		c.from, c.to = min(g*chunk, j.to), min((g+1)*chunk, j.to)
-		copyJobs <- c
-	}
-	j.to = chunk
-	j.run()
-	j.d.copyWG.Wait()
 }
 
 // Flush issues persistent write-backs of the given kind for every cache

@@ -3,12 +3,21 @@ package pm
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"plinius/internal/simclock"
 )
+
+// withProcs runs the rest of the test at GOMAXPROCS n, so CopyFlush's
+// chunked copy runs on several pool workers on any machine.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func newTestDevice(t *testing.T, size int) *Device {
 	t.Helper()
@@ -300,12 +309,11 @@ func TestPropertyPersistedMatchesVolatileAfterFullFlush(t *testing.T) {
 }
 
 // TestConcurrentChunkedCopies runs chunked CopyFlush calls on several
-// devices at once, all sharing the process's copy workers, and checks
+// devices at once, all sharing the process's worker pool, and checks
 // every destination byte.
 func TestConcurrentChunkedCopies(t *testing.T) {
-	forceCopyWorkers = 3
-	t.Cleanup(func() { forceCopyWorkers = 0 })
-	const half = 64 * CacheLineSize
+	withProcs(t, 3)
+	const half = 2*parallelCopyBytes + 64*CacheLineSize
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -321,7 +329,7 @@ func TestConcurrentChunkedCopies(t *testing.T) {
 				return
 			}
 			ext := []Extent{{0, 100}, {130, 2000}, {2200, half - 2300}}
-			for i := 0; i < 50; i++ {
+			for i := 0; i < 20; i++ {
 				if err := d.CopyFlush(half, 0, ext, FlushClflushOpt); err != nil {
 					t.Errorf("CopyFlush: %v", err)
 					return
@@ -340,6 +348,25 @@ func TestConcurrentChunkedCopies(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// TestChunkedCopyFlushAllocatesNothing: a CopyFlush big enough to run
+// on several pool workers allocates nothing. AllocsPerRun pins
+// GOMAXPROCS to 1 and restores it after, so the measured call raises it
+// again, which after the first call changes nothing.
+func TestChunkedCopyFlushAllocatesNothing(t *testing.T) {
+	const half = 4 * parallelCopyBytes
+	d := newTestDevice(t, 2*half)
+	ext := []Extent{{0, half / 2}, {half/2 + 100, half/2 - 100}}
+	copyFlush := func() {
+		runtime.GOMAXPROCS(4)
+		if err := d.CopyFlush(half, 0, ext, FlushCLWB); err != nil {
+			t.Fatalf("CopyFlush: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, copyFlush); allocs != 0 {
+		t.Fatalf("chunked CopyFlush: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -112,14 +112,17 @@ func (r *refDevice) dirtyLines() int {
 // and the range picker favours bitset-word boundaries and the last line,
 // where the word-at-a-time dirty tracking, the backups and the dirty-run
 // crash can go wrong. Half the CopyFlush calls are ascending extents
-// between disjoint spans, which the forced copy workers split into
-// chunks on any core count; the rest overlap and take the serial path.
+// between disjoint spans of up to half the device, about half of them
+// over parallelCopyBytes, which split into ranges on the worker pool at
+// GOMAXPROCS above 1; the rest overlap and take the serial path.
 func TestDeviceMatchesNaiveReference(t *testing.T) {
-	const lines = 3*64 + 17
+	const lines = 16<<10 + 17
 	const size = lines * CacheLineSize
-	t.Cleanup(func() { forceCopyWorkers = 0 })
+	if size/2 < 2*parallelCopyBytes {
+		t.Fatalf("%d-byte device: no copy spans two ranges", size)
+	}
 	for seed := int64(1); seed <= 8; seed++ {
-		forceCopyWorkers = []int{0, 2, 3, 8}[seed%4]
+		withProcs(t, []int{1, 2, 3, 8}[seed%4])
 		rng := rand.New(rand.NewSource(seed))
 		dev := newTestDevice(t, size)
 		ref := newRefDevice(size)
@@ -146,8 +149,9 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 			return off, n
 		}
 		// pickExtents returns up to six extents for a CopyFlush: either
-		// ascending and gapped inside a span of up to half the device,
-		// with src and dst in opposite halves, or anywhere, overlapping.
+		// ascending inside a span of up to half the device, each after a
+		// gap of up to two lines, with src and dst in opposite halves, or
+		// anywhere, overlapping.
 		pickExtents := func() (dst, src int, ext []Extent) {
 			k := 1 + rng.Intn(6)
 			if rng.Intn(2) == 0 {
@@ -157,13 +161,14 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					src, dst = dst, src
 				}
-				cuts := make([]int, 2*k)
+				cuts := make([]int, k+1)
 				for i := range cuts {
 					cuts[i] = rng.Intn(span + 1)
 				}
 				sort.Ints(cuts)
 				for i := 0; i < k; i++ {
-					ext = append(ext, Extent{Off: cuts[2*i], N: cuts[2*i+1] - cuts[2*i]})
+					gap := min(rng.Intn(2*CacheLineSize), cuts[i+1]-cuts[i])
+					ext = append(ext, Extent{Off: cuts[i] + gap, N: cuts[i+1] - cuts[i] - gap})
 				}
 				return dst, src, ext
 			}
@@ -176,7 +181,7 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 			return dst, src, ext
 		}
 
-		for step := 0; step < 400; step++ {
+		for step := 0; step < 250; step++ {
 			switch op := rng.Intn(10); {
 			case op < 3:
 				off, n := pickRange()

@@ -113,19 +113,10 @@ var (
 // construction.
 func New(cfg Config) (*Framework, error) { return core.New(cfg) }
 
-// Kernel-parallelism knobs. Training and inference GEMM kernels shard
-// output rows across a bounded worker pool; the parallel results are
-// bit-identical to the scalar reference, so these only trade speed.
-var (
-	// SetKernelParallelism bounds the GEMM worker pool (clamped to
-	// GOMAXPROCS); n <= 0 restores the default, GOMAXPROCS.
-	SetKernelParallelism = darknet.SetKernelParallelism
-	// KernelParallelism returns the effective worker bound.
-	KernelParallelism = darknet.KernelParallelism
-	// SetScalarKernels forces the single-threaded reference kernels,
-	// for before/after benchmarking.
-	SetScalarKernels = darknet.SetScalarKernels
-)
+// SetScalarKernels forces the single-threaded reference kernels, for
+// before/after benchmarking; the parallel kernels are bit-identical to
+// them, so it only trades speed.
+var SetScalarKernels = darknet.SetScalarKernels
 
 // HostOption configures a Host built with NewHost.
 type HostOption = enclave.HostOption
