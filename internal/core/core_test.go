@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"plinius/internal/darknet"
@@ -115,6 +117,14 @@ func TestCrashRecoveryResumesWhereItLeftOff(t *testing.T) {
 	if got := f.Iteration(); got != 20 {
 		t.Fatalf("iteration after recovery = %d, want 20", got)
 	}
+	// The rebuilt model holds its parameters once until it trains.
+	for li, l := range f.Net.Layers {
+		for bi, g := range l.Grads() {
+			if g != nil {
+				t.Fatalf("recovered layer %d (%s) holds gradient slot %d before training", li, l.Kind(), bi)
+			}
+		}
+	}
 	var lossAfter float32
 	if err := f.Train(context.Background(), StopAt(21), WithProgress(func(_ int, l float32) { lossAfter = l })); err != nil {
 		t.Fatalf("Train after recovery: %v", err)
@@ -123,6 +133,36 @@ func TestCrashRecoveryResumesWhereItLeftOff(t *testing.T) {
 	// below the ~2.3 random-weights starting loss.
 	if lossAfter > lossBefore*2+0.5 {
 		t.Fatalf("loss jumped after recovery: before=%.4f after=%.4f", lossBefore, lossAfter)
+	}
+}
+
+// TestParsedModelHoldsParametersOnce: building the 64 MiB size-sweep
+// model, as Recover and every serving enclave do, allocates its
+// parameters and little else: no gradient or velocity copies. Other
+// goroutines only add to the process-wide count, so the least of three
+// builds is the build's own.
+func TestParsedModelHoldsParametersOnce(t *testing.T) {
+	text, err := SyntheticModelConfig(64 << 20)
+	if err != nil {
+		t.Fatalf("SyntheticModelConfig: %v", err)
+	}
+	var least uint64
+	var params int
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net, err := darknet.ParseConfig(strings.NewReader(text), nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("ParseConfig: %v", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; try == 0 || got < least {
+			least = got
+		}
+		params = net.ParamBytes()
+	}
+	if limit := uint64(params + params/100); least > limit {
+		t.Fatalf("building a %d-byte model allocated %d bytes, want at most %d", params, least, limit)
 	}
 }
 

@@ -351,6 +351,41 @@ func TestShardGroupStreamingStaysUnderKnee(t *testing.T) {
 	}
 }
 
+// TestShardGroupHoldsParametersOnce: a serving group never trains, so
+// after serving batches no layer of any shard holds a gradient, and the
+// parameter bytes its layers hold are exactly the parameter term of the
+// footprint its shard enclave reserves.
+func TestShardGroupHoldsParametersOnce(t *testing.T) {
+	f, test := trainedShardFramework(t, 2)
+	g, err := f.NewShardGroup(ShardOptions{Shards: 3, Batch: 8, Seed: 5})
+	if err != nil {
+		t.Fatalf("NewShardGroup: %v", err)
+	}
+	defer g.Close()
+	groupClassifyAll(t, g, test, g.Batch())
+	for _, s := range g.shards {
+		held, act := 0, 4*g.Batch()*s.net.Layers[0].InShape().Size()
+		for li, l := range s.net.Layers {
+			for _, p := range l.Params() {
+				held += 4 * len(p)
+			}
+			for bi, gr := range l.Grads() {
+				if gr != nil {
+					t.Fatalf("shard %d layer %d (%s) holds gradient slot %d after serving", s.idx, li, l.Kind(), bi)
+				}
+			}
+			act += 4 * g.Batch() * l.OutShape().Size()
+		}
+		fp, err := s.net.ShardFootprintAt(darknet.ShardRange{From: 0, To: len(s.net.Layers)}, g.Batch(), darknet.FP32)
+		if err != nil {
+			t.Fatalf("ShardFootprintAt: %v", err)
+		}
+		if held != fp-act {
+			t.Fatalf("shard %d holds %d parameter bytes; its footprint's parameter term is %d", s.idx, held, fp-act)
+		}
+	}
+}
+
 // TestShardGroupRefreshAndRotate: the group follows publication
 // versions and key rotation, both while resident and while streaming.
 func TestShardGroupRefreshAndRotate(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 )
 
 // Connected is a fully-connected layer: out = activation(x Wᵀ + b).
+// Gradients appear on the first Backward or Update and velocity on the
+// first Update at momentum ≠ 0; velocity is not mirrored.
 type Connected struct {
 	in, out Shape
 
@@ -40,10 +42,6 @@ func NewConnected(in Shape, outputs int, act Activation, rng *rand.Rand) (*Conne
 		out:        Shape{C: outputs, H: 1, W: 1},
 		weights:    make([]float32, outputs*inSize),
 		biases:     make([]float32, outputs),
-		gWeights:   make([]float32, outputs*inSize),
-		gBiases:    make([]float32, outputs),
-		vWeights:   make([]float32, outputs*inSize),
-		vBiases:    make([]float32, outputs),
 		activation: act,
 	}
 	initScaled(rng, c.weights, inSize)
@@ -62,8 +60,17 @@ func (c *Connected) OutShape() Shape { return c.out }
 // Params implements Layer.
 func (c *Connected) Params() [][]float32 { return [][]float32{c.weights, c.biases} }
 
-// Grads implements Layer.
+// Grads implements Layer. Both slots are nil before the first Backward
+// or Update.
 func (c *Connected) Grads() [][]float32 { return [][]float32{c.gWeights, c.gBiases} }
+
+// allocGrads gives the layer its gradient buffers on first use.
+func (c *Connected) allocGrads() {
+	if c.gWeights == nil {
+		c.gWeights = make([]float32, len(c.weights))
+		c.gBiases = make([]float32, len(c.biases))
+	}
+}
 
 // Forward implements Layer.
 func (c *Connected) Forward(x []float32, batch int, train bool) ([]float32, error) {
@@ -91,6 +98,7 @@ func (c *Connected) Backward(delta []float32) ([]float32, error) {
 		return nil, ErrBatchMismatch
 	}
 	batch := c.lastBatch
+	c.allocGrads()
 	gradActivate(c.activation, c.lastOut, delta)
 	inSize := c.in.Size()
 	outs := c.out.C
@@ -107,6 +115,7 @@ func (c *Connected) Backward(delta []float32) ([]float32, error) {
 
 // Update implements Layer.
 func (c *Connected) Update(lr, momentum, decay float32) {
-	sgdStep(c.weights, c.gWeights, c.vWeights, lr, momentum, decay)
-	sgdStep(c.biases, c.gBiases, c.vBiases, lr, momentum, 0)
+	c.allocGrads()
+	sgdStep(c.weights, c.gWeights, &c.vWeights, lr, momentum, decay)
+	sgdStep(c.biases, c.gBiases, &c.vBiases, lr, momentum, 0)
 }

@@ -17,11 +17,6 @@ type ConvConfig struct {
 	BatchNorm  bool
 }
 
-// Conv is a 2-D convolutional layer with optional batch normalisation.
-// As in Darknet, the layer always carries five parameter buffers —
-// weights, biases, scales, rolling mean, rolling variance — so the
-// mirroring module's per-layer encryption metadata matches the paper's
-// 140 B/layer accounting even when batch norm is disabled.
 // convGeom is the shared geometry of a convolutional layer — input
 // and output volumes plus kernel configuration — factored out so the
 // fp32 Conv and the int8 QuantConv share the im2col/col2im machinery.
@@ -30,6 +25,14 @@ type convGeom struct {
 	cfg     ConvConfig
 }
 
+// Conv is a 2-D convolutional layer with optional batch normalisation.
+// As in Darknet, the layer always carries five parameter buffers —
+// weights, biases, scales, rolling mean, rolling variance — so the
+// mirroring module's per-layer encryption metadata matches the paper's
+// 140 B/layer accounting even when batch norm is disabled. Gradients
+// appear on the first Backward or Update (the scale gradient only with
+// batch norm), and velocity on the first Update at momentum ≠ 0;
+// velocity is not mirrored.
 type Conv struct {
 	convGeom
 
@@ -38,7 +41,6 @@ type Conv struct {
 	gWeights, gBiases, gScales []float32
 	vWeights, vBiases, vScales []float32
 	batchMean, batchVar        []float32
-	gMean, gVar                []float32
 	lastCols, lastOut          []float32
 	preBN, xhat                []float32
 	lastBatch                  int
@@ -74,12 +76,6 @@ func NewConv(in Shape, cfg ConvConfig, rng *rand.Rand) (*Conv, error) {
 		scales:   make([]float32, cfg.Filters),
 		rollMean: make([]float32, cfg.Filters),
 		rollVar:  make([]float32, cfg.Filters),
-		gWeights: make([]float32, cfg.Filters*k),
-		gBiases:  make([]float32, cfg.Filters),
-		gScales:  make([]float32, cfg.Filters),
-		vWeights: make([]float32, cfg.Filters*k),
-		vBiases:  make([]float32, cfg.Filters),
-		vScales:  make([]float32, cfg.Filters),
 	}
 	initScaled(rng, c.weights, k)
 	for i := range c.scales {
@@ -104,9 +100,23 @@ func (c *Conv) Params() [][]float32 {
 }
 
 // Grads implements Layer. Rolling statistics have no gradients; they
-// are updated by forward passes, so their slots are nil.
+// are updated by forward passes, so their slots are nil. Every slot is
+// nil before the first Backward or Update, and the scale slot stays nil
+// without batch norm.
 func (c *Conv) Grads() [][]float32 {
 	return [][]float32{c.gWeights, c.gBiases, c.gScales, nil, nil}
+}
+
+// allocGrads gives the layer its gradient buffers on first use.
+func (c *Conv) allocGrads() {
+	if c.gWeights != nil {
+		return
+	}
+	c.gWeights = make([]float32, len(c.weights))
+	c.gBiases = make([]float32, len(c.biases))
+	if c.cfg.BatchNorm {
+		c.gScales = make([]float32, len(c.scales))
+	}
 }
 
 func (c *convGeom) kcols() int { return c.in.C * c.cfg.Size * c.cfg.Size }
@@ -329,6 +339,7 @@ func (c *Conv) Backward(delta []float32) ([]float32, error) {
 		return nil, ErrBatchMismatch
 	}
 	batch := c.lastBatch
+	c.allocGrads()
 	parts := growF32(&c.gradParts, batch*(len(c.gWeights)+len(c.gBiases)))
 	dx := growF32(&c.dxBuf, batch*c.in.Size())
 	if c.cfg.BatchNorm {
@@ -430,13 +441,10 @@ func (c *Conv) backwardBatchNorm(delta []float32, batch int) {
 
 // Update implements Layer.
 func (c *Conv) Update(lr, momentum, decay float32) {
-	sgdStep(c.weights, c.gWeights, c.vWeights, lr, momentum, decay)
-	sgdStep(c.biases, c.gBiases, c.vBiases, lr, momentum, 0)
+	c.allocGrads()
+	sgdStep(c.weights, c.gWeights, &c.vWeights, lr, momentum, decay)
+	sgdStep(c.biases, c.gBiases, &c.vBiases, lr, momentum, 0)
 	if c.cfg.BatchNorm {
-		sgdStep(c.scales, c.gScales, c.vScales, lr, momentum, 0)
-	} else {
-		for i := range c.gScales {
-			c.gScales[i] = 0
-		}
+		sgdStep(c.scales, c.gScales, &c.vScales, lr, momentum, 0)
 	}
 }

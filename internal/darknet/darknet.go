@@ -13,6 +13,11 @@
 // output with cross-entropy loss, SGD with momentum, a Darknet-style
 // .cfg parser, and binary weight (de)serialisation for the SSD
 // checkpointing baseline.
+//
+// Layers allocate gradients on their first backward pass and velocity
+// on their first update at momentum ≠ 0, so a network that only runs
+// forward passes holds its parameters once. Velocity is not mirrored:
+// a resume at momentum ≠ 0 restarts it at zero.
 package darknet
 
 import (
@@ -200,12 +205,29 @@ func axpy(a float32, x, y []float32) {
 	}
 }
 
-// sgdStep applies v = momentum*v - lr*(g + decay*w); w += v and zeroes g.
-func sgdStep(w, g, v []float32, lr, momentum, decay float32) {
+// sgdStep applies v = momentum*v - lr*(g + decay*w); w += v and zeroes
+// g. The velocity *v is made on the first step at momentum ≠ 0. While
+// it is nil the step is w += -(lr*grad): for every finite value but the
+// sign of a zero weight, the same arithmetic as v = 0*0 - lr*grad;
+// w += v. The conversion rounds lr*grad, so the step cannot fuse into
+// a multiply-add that the velocity form never computes.
+func sgdStep(w, g []float32, v *[]float32, lr, momentum, decay float32) {
+	if momentum != 0 && *v == nil {
+		*v = make([]float32, len(w))
+	}
+	vel := *v
+	if vel == nil {
+		for i := range w {
+			grad := g[i] + decay*w[i]
+			w[i] += -float32(lr * grad)
+			g[i] = 0
+		}
+		return
+	}
 	for i := range w {
 		grad := g[i] + decay*w[i]
-		v[i] = momentum*v[i] - lr*grad
-		w[i] += v[i]
+		vel[i] = momentum*vel[i] - lr*grad
+		w[i] += vel[i]
 		g[i] = 0
 	}
 }

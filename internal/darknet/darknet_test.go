@@ -1,6 +1,8 @@
 package darknet
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -406,6 +408,182 @@ func TestMomentumAcceleratesDescent(t *testing.T) {
 	fast := run(0.9)
 	if fast >= plain {
 		t.Fatalf("momentum run (%.5f) not faster than plain SGD (%.5f)", fast, plain)
+	}
+}
+
+// velocitySGDStep is the SGD step every layer took when it always
+// carried velocity: v = momentum*v - lr*(g + decay*w); w += v, at any
+// momentum, 0 included.
+func velocitySGDStep(w, g, v []float32, lr, momentum, decay float32) {
+	for i := range w {
+		grad := g[i] + decay*w[i]
+		v[i] = momentum*v[i] - lr*grad
+		w[i] += v[i]
+		g[i] = 0
+	}
+}
+
+// trainWithVelocity is one TrainBatch whose updates run velocitySGDStep
+// on velocity held in vel (one buffer per gradient slot, made on first
+// use): weights take the decay, every other buffer with a gradient
+// does not, as in the layers' Update.
+func trainWithVelocity(t *testing.T, n *Network, vel [][][]float32, x, y []float32, batch int) {
+	t.Helper()
+	backwardOf(t, n, x, y, batch)
+	cfg := n.Config
+	for li, l := range n.Layers {
+		for bi, g := range l.Grads() {
+			if g == nil {
+				continue
+			}
+			p := l.Params()[bi]
+			if vel[li][bi] == nil {
+				vel[li][bi] = make([]float32, len(p))
+			}
+			decay := float32(0)
+			if bi == 0 {
+				decay = cfg.Decay
+			}
+			velocitySGDStep(p, g, vel[li][bi], cfg.LearningRate, cfg.Momentum, decay)
+		}
+	}
+	n.Iteration++
+}
+
+// paramHash hashes the bits of every parameter of n.
+func paramHash(n *Network) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, l := range n.Layers {
+		for _, p := range l.Params() {
+			for _, v := range p {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// optimizerNet builds a small network with every trainable buffer kind:
+// a batch-norm conv (scale gradients), a plain conv, and a connected
+// layer, trained with weight decay.
+func optimizerNet(t *testing.T, momentum float32) *Network {
+	t.Helper()
+	n, err := NewBuilder(NetConfig{
+		Batch: 4, LearningRate: 0.05, Momentum: momentum, Decay: 0.0005,
+		Channels: 1, Height: 8, Width: 8,
+	}, rand.New(rand.NewSource(31))).
+		Conv(ConvConfig{Filters: 3, Size: 3, Stride: 1, Pad: 1, BatchNorm: true}).
+		Conv(ConvConfig{Filters: 4, Size: 3, Stride: 1, Pad: 1}).
+		MaxPool(2, 2).
+		Connected(5, Linear).
+		Softmax().
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return n
+}
+
+// velocityBuffers returns a trainable layer's velocity slots.
+func velocityBuffers(l Layer) [][]float32 {
+	switch l := l.(type) {
+	case *Conv:
+		return [][]float32{l.vWeights, l.vBiases, l.vScales}
+	case *Connected:
+		return [][]float32{l.vWeights, l.vBiases}
+	}
+	return nil
+}
+
+// TestGradsNilBeforeFirstBackward: a fresh network, through train and
+// inference forward passes, holds no gradient buffer; its first
+// backward pass gives every trainable buffer one.
+func TestGradsNilBeforeFirstBackward(t *testing.T) {
+	n := optimizerNet(t, 0)
+	x, y := smallBatch(rand.New(rand.NewSource(32)), n, 4)
+	for _, train := range []bool{true, false} {
+		if _, err := n.Forward(x, 4, train); err != nil {
+			t.Fatalf("Forward: %v", err)
+		}
+	}
+	for li, l := range n.Layers {
+		for bi, g := range l.Grads() {
+			if g != nil {
+				t.Fatalf("layer %d (%s) gradient slot %d allocated before any backward pass", li, l.Kind(), bi)
+			}
+		}
+	}
+	backwardOf(t, n, x, y, 4)
+	for li, l := range n.Layers {
+		gs := l.Grads()
+		for bi, p := range l.Params() {
+			trainable := bi < 2 || (bi == 2 && li == 0) // weights, biases; scales with batch norm
+			if got := gs[bi] != nil; got != trainable {
+				t.Fatalf("layer %d (%s) gradient slot %d allocated = %v after backward, want %v", li, l.Kind(), bi, got, trainable)
+			}
+			if trainable && len(gs[bi]) != len(p) {
+				t.Fatalf("layer %d gradient slot %d has %d elements for %d parameters", li, bi, len(gs[bi]), len(p))
+			}
+		}
+	}
+}
+
+// TestLazyOptimizerStateMatchesVelocitySGD: training with gradients made
+// on first use, and velocity only at momentum ≠ 0, is bit-identical to
+// training in which every layer always carried velocity. At momentum 0
+// no velocity buffer ever appears; at 0.9 each appears on the first
+// update, not before.
+func TestLazyOptimizerStateMatchesVelocitySGD(t *testing.T) {
+	for _, momentum := range []float32{0, 0.9} {
+		lazy, ref := optimizerNet(t, momentum), optimizerNet(t, momentum)
+		vel := make([][][]float32, len(ref.Layers))
+		for li, l := range ref.Layers {
+			vel[li] = make([][]float32, len(l.Params()))
+		}
+		data := rand.New(rand.NewSource(33))
+		for step := 0; step < 6; step++ {
+			x, y := smallBatch(data, lazy, 4)
+			if _, err := lazy.TrainBatch(x, y, 4); err != nil {
+				t.Fatalf("TrainBatch: %v", err)
+			}
+			trainWithVelocity(t, ref, vel, x, y, 4)
+			if got, want := paramHash(lazy), paramHash(ref); got != want {
+				t.Fatalf("momentum %v step %d: parameter hash %x, velocity SGD %x", momentum, step, got, want)
+			}
+			for li, l := range lazy.Layers {
+				for bi, v := range velocityBuffers(l) {
+					hasGrad := l.Grads()[bi] != nil
+					if got, want := v != nil, momentum != 0 && hasGrad; got != want {
+						t.Fatalf("momentum %v step %d: layer %d velocity slot %d allocated = %v, want %v", momentum, step, li, bi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVelocityAppearsOnFirstUpdate: at momentum ≠ 0 a backward pass
+// alone leaves a layer without velocity; the update makes it.
+func TestVelocityAppearsOnFirstUpdate(t *testing.T) {
+	n := optimizerNet(t, 0.9)
+	x, y := smallBatch(rand.New(rand.NewSource(34)), n, 4)
+	backwardOf(t, n, x, y, 4)
+	for li, l := range n.Layers {
+		for bi, v := range velocityBuffers(l) {
+			if v != nil {
+				t.Fatalf("layer %d velocity slot %d allocated before any update", li, bi)
+			}
+		}
+	}
+	for _, l := range n.Layers {
+		l.Update(n.Config.LearningRate, n.Config.Momentum, n.Config.Decay)
+	}
+	for li, l := range n.Layers {
+		if v := velocityBuffers(l); v != nil && v[0] == nil {
+			t.Fatalf("layer %d has no weight velocity after an update at momentum 0.9", li)
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func TestPropertySGDStepBehaviour(t *testing.T) {
 		orig := append([]float32(nil), w...)
 
 		// Zero LR: no movement, gradients cleared.
-		sgdStep(w, g, v, 0, 0, 0)
+		sgdStep(w, g, &v, 0, 0, 0)
 		for i := range w {
 			if w[i] != orig[i] || g[i] != 0 {
 				return false
@@ -120,7 +120,7 @@ func TestPropertySGDStepBehaviour(t *testing.T) {
 		for i := range g {
 			g[i] = 1
 		}
-		sgdStep(w, g, v, 0.1, 0, 0)
+		sgdStep(w, g, &v, 0.1, 0, 0)
 		moved := false
 		for i := range w {
 			if w[i] != orig[i] {

@@ -38,6 +38,17 @@ type Fig8Row struct {
 	// difference between them.
 	EncryptedOpenedBytes int
 	PlainOpenedBytes     int
+
+	// encModeled and plainModeled are the modeled shares (PM and
+	// enclave clocks) of EncryptedIter and PlainIter: the accounted
+	// cost of an iteration, exact where the wall-clock share is noisy.
+	encModeled, plainModeled time.Duration
+}
+
+// fig8Point is one run of a batch size, encrypted or plaintext.
+type fig8Point struct {
+	iter, iterModeled, fetch time.Duration
+	opened                   int // AES bytes opened per fetched batch
 }
 
 // Fig8Result holds one server's sweep.
@@ -84,28 +95,30 @@ func RunFig8(cfg Fig8Config) (Fig8Result, error) {
 	res := Fig8Result{Server: cfg.Server.Name}
 	ds := mnist.Synthetic(cfg.DatasetSize, cfg.Seed)
 	for _, batch := range cfg.BatchSizes {
-		encIter, encFetch, encOpened, err := runFig8Point(cfg, ds, batch, false)
+		enc, err := runFig8Point(cfg, ds, batch, false)
 		if err != nil {
 			return Fig8Result{}, fmt.Errorf("fig8 batch %d encrypted: %w", batch, err)
 		}
-		plainIter, plainFetch, plainOpened, err := runFig8Point(cfg, ds, batch, true)
+		plain, err := runFig8Point(cfg, ds, batch, true)
 		if err != nil {
 			return Fig8Result{}, fmt.Errorf("fig8 batch %d plain: %w", batch, err)
 		}
 		row := Fig8Row{
 			BatchSize:            batch,
-			EncryptedIter:        encIter,
-			PlainIter:            plainIter,
-			EncryptedFetch:       encFetch,
-			PlainFetch:           plainFetch,
-			EncryptedOpenedBytes: encOpened,
-			PlainOpenedBytes:     plainOpened,
+			EncryptedIter:        enc.iter,
+			PlainIter:            plain.iter,
+			EncryptedFetch:       enc.fetch,
+			PlainFetch:           plain.fetch,
+			EncryptedOpenedBytes: enc.opened,
+			PlainOpenedBytes:     plain.opened,
+			encModeled:           enc.iterModeled,
+			plainModeled:         plain.iterModeled,
 		}
-		if plainIter > 0 {
-			row.Overhead = float64(encIter) / float64(plainIter)
+		if plain.iter > 0 {
+			row.Overhead = float64(enc.iter) / float64(plain.iter)
 		}
-		if plainFetch > 0 {
-			row.FetchOverhead = float64(encFetch) / float64(plainFetch)
+		if plain.fetch > 0 {
+			row.FetchOverhead = float64(enc.fetch) / float64(plain.fetch)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -118,7 +131,7 @@ func openedBytes() float64 {
 	return obs.Flatten(obs.Default())["engine_opened_bytes_total"]
 }
 
-func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) (iter, fetch time.Duration, opened int, err error) {
+func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) (fig8Point, error) {
 	f, err := core.New(core.Config{
 		ModelConfig:   darknet.MNISTConfig(cfg.ConvLayers, cfg.Filters, batch),
 		Server:        cfg.Server,
@@ -127,24 +140,27 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		PlaintextData: plaintext,
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return fig8Point{}, err
 	}
 	if err := f.LoadDataset(ds); err != nil {
-		return 0, 0, 0, err
+		return fig8Point{}, err
 	}
 	// Warm-up iteration (allocates layer workspaces).
 	if err := f.Train(context.Background(), core.StopAt(1)); err != nil {
-		return 0, 0, 0, err
+		return fig8Point{}, err
 	}
 	pm0 := f.PM.Clock().Modeled()
 	encl0 := f.Enclave.Clock().Modeled()
 	start := time.Now()
 	if err := f.Train(context.Background(), core.StopAt(1+cfg.Iters)); err != nil {
-		return 0, 0, 0, err
+		return fig8Point{}, err
 	}
 	wall := time.Since(start)
 	modeled := (f.PM.Clock().Modeled() - pm0) + (f.Enclave.Clock().Modeled() - encl0)
-	iter = (wall + modeled) / time.Duration(cfg.Iters)
+	p := fig8Point{
+		iter:        (wall + modeled) / time.Duration(cfg.Iters),
+		iterModeled: modeled / time.Duration(cfg.Iters),
+	}
 
 	// Fetch-only measurement: read+decrypt batches without training.
 	// Repetitions scale inversely with batch size, and the minimum of
@@ -156,7 +172,7 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		fetchReps = 32
 	}
 	if _, _, err := f.Data.Batch(rng, batch); err != nil { // warm-up
-		return 0, 0, 0, err
+		return fig8Point{}, err
 	}
 	const trials = 3
 	opened0 := openedBytes()
@@ -166,18 +182,18 @@ func runFig8Point(cfg Fig8Config, ds *mnist.Dataset, batch int, plaintext bool) 
 		fstart := time.Now()
 		for i := 0; i < fetchReps; i++ {
 			if _, _, err := f.Data.Batch(rng, batch); err != nil {
-				return 0, 0, 0, err
+				return fig8Point{}, err
 			}
 		}
 		fwall := time.Since(fstart)
 		fmodeled := (f.PM.Clock().Modeled() - pm1) + (f.Enclave.Clock().Modeled() - encl1)
 		got := (fwall + fmodeled) / time.Duration(fetchReps)
-		if trial == 0 || got < fetch {
-			fetch = got
+		if trial == 0 || got < p.fetch {
+			p.fetch = got
 		}
 	}
-	opened = int(openedBytes()-opened0) / (trials * fetchReps)
-	return iter, fetch, opened, nil
+	p.opened = int(openedBytes()-opened0) / (trials * fetchReps)
+	return p, nil
 }
 
 // Print renders the Fig. 8 series.

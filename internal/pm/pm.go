@@ -150,7 +150,7 @@ type Device struct {
 	mu       sync.Mutex
 	size     int
 	volatile []byte
-	backup   []byte   // durable bytes of the dirty lines; stale elsewhere
+	backup   [][]byte // durable bytes of the dirty lines, by backupChunk
 	dirty    []uint64 // bitset, one bit per cache line
 	dirtyN   int
 	clock    *simclock.Clock
@@ -190,13 +190,31 @@ func rangeMask(w, first, last int) uint64 {
 	return mask
 }
 
+// backupChunk is the granule of the backup image. A chunk is allocated
+// the first time a line inside it is dirtied, so a device written
+// through StoreFlush and CopyFlush, as a Romulus commit is, holds no
+// second image of the lines it never leaves dirty. A chunk is a whole
+// number of bitset words, so every run eachRun reports lies in one.
+const backupChunk = 64 << 10
+
+// backupOf returns the backup bytes of the run [start, end), allocating
+// its chunk on first use.
+func (d *Device) backupOf(start, end int) []byte {
+	c := start / backupChunk
+	base := c * backupChunk
+	if d.backup[c] == nil {
+		d.backup[c] = make([]byte, min(backupChunk, d.size-base))
+	}
+	return d.backup[c][start-base : end-base]
+}
+
 // setDirtyRange marks lines [first, last] dirty a bitset word at a
 // time, keeping dirtyN exact by popcount. It must run before the store
 // that dirties them: each line that was clean is backed up first.
 func (d *Device) setDirtyRange(first, last int) {
 	for w := first >> 6; w <= last>>6; w++ {
 		fresh := rangeMask(w, first, last) &^ d.dirty[w]
-		eachRun(w, fresh, func(start, end int) { copy(d.backup[start:end], d.volatile[start:end]) })
+		eachRun(w, fresh, func(start, end int) { copy(d.backupOf(start, end), d.volatile[start:end]) })
 		d.dirtyN += bits.OnesCount64(fresh)
 		d.dirty[w] |= fresh
 	}
@@ -226,7 +244,7 @@ func New(size int, opts ...Option) (*Device, error) {
 	d := &Device{
 		size:     size,
 		volatile: make([]byte, size),
-		backup:   make([]byte, size),
+		backup:   make([][]byte, (size+backupChunk-1)/backupChunk),
 		dirty:    make([]uint64, (lines+63)/64),
 		prof:     OptaneProfile(),
 	}
@@ -440,7 +458,7 @@ func (d *Device) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for w, word := range d.dirty {
-		eachRun(w, word, func(start, end int) { copy(d.volatile[start:end], d.backup[start:end]) })
+		eachRun(w, word, func(start, end int) { copy(d.volatile[start:end], d.backupOf(start, end)) })
 		d.dirty[w] = 0
 	}
 	d.dirtyN = 0
@@ -478,7 +496,7 @@ func (d *Device) PersistedSnapshot() []byte {
 	out := make([]byte, d.size)
 	copy(out, d.volatile)
 	for w, word := range d.dirty {
-		eachRun(w, word, func(start, end int) { copy(out[start:end], d.backup[start:end]) })
+		eachRun(w, word, func(start, end int) { copy(out[start:end], d.backupOf(start, end)) })
 	}
 	return out
 }

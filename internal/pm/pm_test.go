@@ -370,6 +370,51 @@ func TestChunkedCopyFlushAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBackupAllocatedByChunkOnFirstDirty: the backup image is made a
+// chunk at a time, by the first store that dirties a line in it. A
+// write-through (StoreFlush) makes none, and a later store that dirties
+// another line of a backed chunk allocates nothing.
+func TestBackupAllocatedByChunkOnFirstDirty(t *testing.T) {
+	d := newTestDevice(t, 4*backupChunk)
+	line := make([]byte, CacheLineSize)
+	backed := func() (n int) {
+		for _, c := range d.backup {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if err := d.StoreFlush(0, line, FlushCLWB); err != nil {
+		t.Fatalf("StoreFlush: %v", err)
+	}
+	if n := backed(); n != 0 {
+		t.Fatalf("%d backup chunks after a write-through, want 0", n)
+	}
+	if err := d.Store(backupChunk+CacheLineSize, line); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	if n := backed(); n != 1 || d.backup[1] == nil {
+		t.Fatalf("%d backup chunks after dirtying one line of chunk 1, want chunk 1 alone", n)
+	}
+	off := backupChunk
+	store := func() {
+		off = backupChunk + (off+CacheLineSize)%backupChunk
+		if err := d.Store(off, line); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+		if err := d.Flush(off, len(line), FlushCLWB); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, store); allocs != 0 {
+		t.Fatalf("Store into a backed chunk: %v allocs/op, want 0", allocs)
+	}
+	if n := backed(); n != 1 {
+		t.Fatalf("%d backup chunks after storing into chunk 1 only, want 1", n)
+	}
+}
+
 func TestConcurrentStoresDoNotRace(t *testing.T) {
 	d := newTestDevice(t, 64*64)
 	done := make(chan struct{})
