@@ -8,21 +8,13 @@
 //	plinius-bench -exp fig7 -quick    # scaled-down fast run
 //
 // Experiments: fig2, fig6, fig7, table1a, table1b, fig8, fig9, fig10,
-// inference, tcb, freq, coloc, chaos, all.
-//
-// -exp chaos kills one of three fleet hosts under sustained load,
-// rejoins it, and additionally writes the outcome (dropped requests —
-// expected 0 — recovery time, per-phase P95, degraded/promoted state)
-// as JSON to the file named by -out (default BENCH_chaos.json). It is
-// the only experiment that writes a file; -exp all writes it only when
-// -out is given explicitly.
+// inference, tcb, freq, coloc, all.
 //
 // Serving, checkpoint and kernel performance is measured by the
 // repository benchmark (benchmark/, BENCHMARK.json), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,29 +23,12 @@ import (
 	"plinius/internal/experiments"
 )
 
-// outPath is the -out flag: where -exp chaos writes its JSON outcome.
-// With no explicit -out it is BENCH_chaos.json under -exp chaos and
-// empty under -exp all, so the figure sweep has no file side effects by
-// default.
-var outPath string
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig2|fig6|fig7|table1a|table1b|fig8|fig9|fig10|inference|tcb|freq|coloc|chaos|all)")
+	exp := flag.String("exp", "all", "experiment to run (fig2|fig6|fig7|table1a|table1b|fig8|fig9|fig10|inference|tcb|freq|coloc|all)")
 	quick := flag.Bool("quick", false, "scaled-down parameters for a fast run")
 	seed := flag.Int64("seed", 42, "random seed")
 	root := flag.String("root", ".", "repository root (for -exp tcb)")
-	flag.StringVar(&outPath, "out", "", "output file for the -exp chaos JSON outcome (default BENCH_chaos.json)")
 	flag.Parse()
-
-	outExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outExplicit = true
-		}
-	})
-	if !outExplicit && *exp == "chaos" {
-		outPath = "BENCH_chaos.json"
-	}
 
 	if err := run(*exp, *quick, *seed, *root); err != nil {
 		fmt.Fprintln(os.Stderr, "plinius-bench:", err)
@@ -75,10 +50,9 @@ func run(exp string, quick bool, seed int64, root string) error {
 		"tcb":       runTCB,
 		"freq":      runFreq,
 		"coloc":     runColoc,
-		"chaos":     runChaos,
 	}
 	if exp == "all" {
-		order := []string{"fig2", "fig6", "fig7", "table1a", "table1b", "fig8", "fig9", "fig10", "inference", "tcb", "freq", "coloc", "chaos"}
+		order := []string{"fig2", "fig6", "fig7", "table1a", "table1b", "fig8", "fig9", "fig10", "inference", "tcb", "freq", "coloc"}
 		for _, name := range order {
 			fmt.Printf("==== %s ====\n", name)
 			if err := runners[name](quick, seed, root); err != nil {
@@ -262,35 +236,6 @@ func runColoc(quick bool, seed int64, _ string) error {
 		return err
 	}
 	res.Print(os.Stdout)
-	return nil
-}
-
-func runChaos(quick bool, seed int64, _ string) error {
-	// Kill 1 of 3 hosts under sustained load, rejoin it later. The host
-	// budget is chosen so the two survivors cannot hold the model
-	// resident — the outage exercises the degraded-streaming rung, and
-	// the rejoin the promotion back. Quick mode scales the geometry down
-	// to a 6 MB model on 4 MB hosts.
-	sizeMB, epcMB, hosts, batches, batch := 187, 0, 3, 24, 1
-	if quick {
-		sizeMB, epcMB, batches = 6, 4, 18
-	}
-	res, err := experiments.RunChaos(core.SGXEmlPM(), sizeMB, epcMB, hosts, batches, batch, seed)
-	if err != nil {
-		return err
-	}
-	res.Print(os.Stdout)
-	if outPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", outPath, err)
-	}
-	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +350,15 @@ func TestTCBAccounting(t *testing.T) {
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "trusted (enclave)") {
 		t.Fatal("print output incomplete")
+	}
+	// The reverse of RunTCB's unclassified-package check: every
+	// classified name must still be a package under internal/.
+	for _, table := range []map[string]bool{trustedPackages, untrustedPackages} {
+		for pkg := range table {
+			if fi, err := os.Stat(filepath.Join("../..", "internal", pkg)); err != nil || !fi.IsDir() {
+				t.Fatalf("TCB table names %q, which is no directory under internal/", pkg)
+			}
+		}
 	}
 }
 

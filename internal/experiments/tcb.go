@@ -27,9 +27,6 @@ var trustedPackages = map[string]bool{
 	"engine":  true,
 	"enclave": true,
 	"core":    true,
-	// The distributed coordinator averages plaintext parameters, so it
-	// runs enclave-side over attested channels.
-	"distributed": true,
 	// The worker pool runs the kernels' and the mirror's loop bodies in
 	// the enclave (the PM device's copy shares it from outside).
 	"par": true,

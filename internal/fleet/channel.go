@@ -36,16 +36,12 @@ type Channel struct {
 	latency   time.Duration
 	bandwidth float64 // bytes per second; <= 0 means unbounded
 
-	// Fault handling: a Carry whose modeled wire time exceeds deadline
-	// (or that an injector drops outright) is treated as lost and
-	// re-sent after exponential backoff, up to retries re-sends. Sealed
+	// Fault handling: a Carry that the injector drops is re-sent after
+	// exponential backoff, up to defaultHandoffRetries re-sends. Sealed
 	// per-batch payloads make the re-send idempotent — a duplicate
 	// delivery decrypts to the same activations — so retry is always
 	// safe.
-	deadline time.Duration
-	retries  int
-	backoff  time.Duration
-	faults   *chaos.Injector
+	faults *chaos.Injector
 
 	key []byte // provisioned transport key (both endpoints verified equal)
 
@@ -59,14 +55,11 @@ type Channel struct {
 	mRetries *obs.Counter
 }
 
-// chanConfig carries the per-channel wire model and fault policy from
-// the fleet to newChannel.
+// chanConfig carries the per-channel wire model and fault injector
+// from the fleet to newChannel.
 type chanConfig struct {
 	latency   time.Duration
 	bandwidth float64
-	deadline  time.Duration
-	retries   int
-	backoff   time.Duration
 	faults    *chaos.Injector
 	mBytes    *obs.Counter
 	mSeconds  *obs.Counter
@@ -126,7 +119,6 @@ func newChannel(from, to int, src, dst *enclave.Enclave, cfg chanConfig) (*Chann
 		From: from, To: to,
 		src: src, dst: dst,
 		latency: cfg.latency, bandwidth: cfg.bandwidth,
-		deadline: cfg.deadline, retries: cfg.retries, backoff: cfg.backoff,
 		faults: cfg.faults,
 		key:    kSrc,
 		mBytes: cfg.mBytes, mSeconds: cfg.mSeconds, mRetries: cfg.mRetries,
@@ -137,19 +129,16 @@ func newChannel(from, to int, src, dst *enclave.Enclave, cfg chanConfig) (*Chann
 // modeled wire time (latency plus size over bandwidth) to the
 // destination host's clock and accounting the traffic.
 //
-// Transient faults — an injected drop, or a delay pushing the wire time
-// past the channel deadline — cost the sender the detection wait (the
-// deadline, or the full wire time when no deadline is set) plus an
-// exponential backoff, then the sealed blob is re-sent. After retries
-// re-sends the Carry fails with ErrHandoffFault, which the fleet treats
-// as retryable at the routing layer. A dead endpoint host fails
+// An injected drop costs the sender the full wire time (the detection
+// wait) plus an exponential backoff from defaultHandoffBackoff, both on
+// the modeled clock, then the sealed blob is re-sent; an injected delay
+// is simply charged as wire time. After defaultHandoffRetries re-sends
+// the Carry fails with ErrHandoffFault, which the fleet treats as
+// retryable at the routing layer. A dead endpoint host fails
 // immediately with enclave.ErrHostDown: no amount of re-sending reaches
 // a machine that is gone, so the fleet must evict and replan instead.
 func (c *Channel) Carry(sealed []byte) error {
-	attempts := c.retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
+	const attempts = defaultHandoffRetries + 1
 	for attempt := 0; attempt < attempts; attempt++ {
 		if c.src.Host().Down() || c.dst.Host().Down() {
 			return fmt.Errorf("fleet: channel %d->%d: %w", c.From, c.To, enclave.ErrHostDown)
@@ -160,23 +149,10 @@ func (c *Channel) Carry(sealed []byte) error {
 		}
 		dec := c.faults.Next()
 		d += dec.Extra
-		if dec.Kind == chaos.Drop || (c.deadline > 0 && d > c.deadline) {
-			// Lost or too late. The sender detects the loss at the
-			// deadline (or after the full wire time when no deadline is
-			// set), backs off exponentially, and re-sends.
-			wait := d
-			if c.deadline > 0 {
-				wait = c.deadline
-			}
-			bo := c.backoff
-			if bo > 0 {
-				shift := attempt
-				if shift > 10 {
-					shift = 10
-				}
-				bo <<= uint(shift)
-			}
-			c.dst.Clock().Advance(wait + bo)
+		if dec.Kind == chaos.Drop {
+			// Lost. The sender detects the loss after the full wire
+			// time, backs off exponentially, and re-sends.
+			c.dst.Clock().Advance(d + defaultHandoffBackoff<<attempt)
 			c.retried.Add(1)
 			if c.mRetries != nil {
 				c.mRetries.Inc()

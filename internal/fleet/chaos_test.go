@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"plinius/internal/chaos"
 	"plinius/internal/core"
@@ -40,53 +39,83 @@ func chaosFleet(t *testing.T, opts Options) (*core.Framework, []*enclave.Host, *
 // killing a placed host under concurrent load drops zero accepted
 // batches — every batch in flight on the dead host is re-routed and
 // retried on the survivors, which (two 4 MB hosts against a 6 MB
-// model) serve degraded-streaming.
+// model) serve degraded-streaming. The drops row runs the same kill
+// with every seventh hand-off on every channel dropped, so channel
+// retry and host-failure recovery overlap.
 func TestKillHostUnderLoadZeroDrops(t *testing.T) {
-	f, hosts, fl := chaosFleet(t, Options{})
-	if fl.Report().Streaming {
-		t.Fatalf("fleet starts streaming; want resident before the kill")
-	}
-	victim := hosts[fl.Placement().Groups[0][0]]
-
-	// 6 concurrent batches: a third before the kill, the rest riding
-	// across it — enough to exercise in-flight re-routing while keeping
-	// the degraded-streaming tail affordable under -race.
-	const batches = 6
-	batch := fl.Batch()
-	images := mnist.Synthetic(batch*batches, 1).Images
-	in := f.Net.InputSize()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, batches)
-	for b := 0; b < batches; b++ {
-		if b == batches/3 {
-			victim.Kill()
-		}
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			if _, err := fl.ClassifyBatchCtx(context.Background(), images[b*batch*in:(b+1)*batch*in]); err != nil {
-				errCh <- err
+	for _, tc := range []struct {
+		name   string
+		faults func(fromHost, toHost int) *chaos.Injector
+		// warm batches are served one at a time before the load, so
+		// each channel's attempt counter passes the drop period before
+		// the kill.
+		warm int
+	}{
+		{name: "clean"},
+		{
+			name:   "periodic drops",
+			faults: func(fromHost, toHost int) *chaos.Injector { return chaos.DropEvery(7) },
+			warm:   7,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, hosts, fl := chaosFleet(t, Options{ChannelFaults: tc.faults})
+			if fl.Report().Streaming {
+				t.Fatalf("fleet starts streaming; want resident before the kill")
 			}
-		}(b)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("batch dropped across host kill: %v", err)
-	}
-	if got := fl.Report().FleetHostsDown; got != 1 {
-		t.Fatalf("HostsDown = %d, want 1", got)
-	}
-	if fl.Report().FleetEvictedGroups < 1 {
-		t.Fatalf("EvictedGroups = %d, want >= 1", fl.Report().FleetEvictedGroups)
-	}
-	if fl.Report().FleetReplans < 1 {
-		t.Fatalf("Replans = %d, want >= 1", fl.Report().FleetReplans)
-	}
-	if !fl.Report().FleetDegraded || !fl.Report().Streaming {
-		t.Fatalf("after kill: degraded=%v streaming=%v, want degraded streaming on the survivors",
-			fl.Report().FleetDegraded, fl.Report().Streaming)
+			victim := hosts[fl.Placement().Groups[0][0]]
+
+			// 6 concurrent batches: a third before the kill, the rest
+			// riding across it — enough to exercise in-flight
+			// re-routing while keeping the degraded-streaming tail
+			// affordable under -race.
+			const batches = 6
+			batch := fl.Batch()
+			images := mnist.Synthetic(batch*batches, 1).Images
+			in := f.Net.InputSize()
+
+			for i := 0; i < tc.warm; i++ {
+				if _, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*in]); err != nil {
+					t.Fatalf("warm-up batch %d: %v", i, err)
+				}
+			}
+			var wg sync.WaitGroup
+			errCh := make(chan error, batches)
+			for b := 0; b < batches; b++ {
+				if b == batches/3 {
+					victim.Kill()
+				}
+				wg.Add(1)
+				go func(b int) {
+					defer wg.Done()
+					if _, err := fl.ClassifyBatchCtx(context.Background(), images[b*batch*in:(b+1)*batch*in]); err != nil {
+						errCh <- err
+					}
+				}(b)
+			}
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatalf("batch dropped across host kill: %v", err)
+			}
+			rep := fl.Report()
+			if rep.FleetHostsDown != 1 {
+				t.Fatalf("HostsDown = %d, want 1", rep.FleetHostsDown)
+			}
+			if rep.FleetEvictedGroups < 1 {
+				t.Fatalf("EvictedGroups = %d, want >= 1", rep.FleetEvictedGroups)
+			}
+			if rep.FleetReplans < 1 {
+				t.Fatalf("Replans = %d, want >= 1", rep.FleetReplans)
+			}
+			if !rep.FleetDegraded || !rep.Streaming {
+				t.Fatalf("after kill: degraded=%v streaming=%v, want degraded streaming on the survivors",
+					rep.FleetDegraded, rep.Streaming)
+			}
+			if tc.faults != nil && rep.FleetHandoffRetries < 1 {
+				t.Fatalf("periodic channel drops recorded no hand-off retries")
+			}
+		})
 	}
 }
 
@@ -138,7 +167,6 @@ func TestHandoffRetriesThroughTransientDrops(t *testing.T) {
 		ChannelFaults: func(fromHost, toHost int) *chaos.Injector {
 			return chaos.DropFirst(3)
 		},
-		HandoffBackoff: 10 * time.Microsecond,
 	})
 	if fl.Channels() == 0 {
 		t.Fatalf("geometry has no inter-host channel; the fault path is untested")
@@ -153,30 +181,54 @@ func TestHandoffRetriesThroughTransientDrops(t *testing.T) {
 	}
 }
 
-// TestHandoffExhaustionIsTypedUnavailable: when faults outlast both the
-// channel retry budget and the router's recovery retries, the batch
-// fails with the typed ErrUnavailable wrapping ErrHandoffFault — the
-// 503 + Retry-After path, not a generic 500.
+// TestHandoffExhaustionIsTypedUnavailable: when faults outlast the
+// channel retry budget, the batch fails with the typed ErrUnavailable
+// wrapping ErrHandoffFault — the 503 + Retry-After path, not a generic
+// 500. With a live ctx the router first retries the batch
+// maxBatchRetries times; a cancelled ctx is the caller's dispatch
+// deadline, so the batch fails after its first attempt with no
+// recovery pass.
 func TestHandoffExhaustionIsTypedUnavailable(t *testing.T) {
-	f, _, fl := chaosFleet(t, Options{
-		ChannelFaults: func(fromHost, toHost int) *chaos.Injector {
-			// Effectively infinite drops: no retry budget survives this.
-			return chaos.DropFirst(1 << 20)
-		},
-		HandoffRetries: 2,
-		HandoffBackoff: time.Microsecond,
-	})
-	batch := fl.Batch()
-	images := mnist.Synthetic(batch, 1).Images
-	_, err := fl.ClassifyBatchCtx(context.Background(), images[:batch*f.Net.InputSize()])
-	if err == nil {
-		t.Fatalf("batch succeeded through unbounded drops")
-	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if !errors.Is(err, ErrHandoffFault) {
-		t.Fatalf("err = %v, want it to wrap ErrHandoffFault", err)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name     string
+		ctx      context.Context
+		attempts int // routed attempts of the batch
+	}{
+		{name: "live ctx", ctx: context.Background(), attempts: maxBatchRetries + 1},
+		{name: "cancelled ctx", ctx: cancelled, attempts: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _, fl := chaosFleet(t, Options{
+				ChannelFaults: func(fromHost, toHost int) *chaos.Injector {
+					// Effectively infinite drops: no retry budget survives this.
+					return chaos.DropFirst(1 << 20)
+				},
+			})
+			replans := fl.Report().FleetReplans
+			batch := fl.Batch()
+			images := mnist.Synthetic(batch, 1).Images
+			_, err := fl.ClassifyBatchCtx(tc.ctx, images[:batch*f.Net.InputSize()])
+			if err == nil {
+				t.Fatalf("batch succeeded through unbounded drops")
+			}
+			if !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("err = %v, want ErrUnavailable", err)
+			}
+			if !errors.Is(err, ErrHandoffFault) {
+				t.Fatalf("err = %v, want it to wrap ErrHandoffFault", err)
+			}
+			rep := fl.Report()
+			if rep.FleetReplans != replans {
+				t.Fatalf("Replans %d -> %d on a channel fault; want no replan", replans, rep.FleetReplans)
+			}
+			// Each attempt exhausts the first cross-host channel it meets.
+			if want := uint64(tc.attempts * (defaultHandoffRetries + 1)); rep.FleetHandoffRetries != want {
+				t.Fatalf("HandoffRetries = %d, want %d (%d attempts x %d sends)",
+					rep.FleetHandoffRetries, want, tc.attempts, defaultHandoffRetries+1)
+			}
+		})
 	}
 }
 

@@ -41,9 +41,9 @@ var (
 	ErrHandoffFault = errors.New("fleet: hand-off failed after retries")
 )
 
-// Default hand-off fault policy: a transient channel fault is re-sent
-// up to defaultHandoffRetries times with exponential backoff starting
-// at defaultHandoffBackoff.
+// Hand-off fault policy: a dropped transfer is re-sent up to
+// defaultHandoffRetries times with exponential backoff starting at
+// defaultHandoffBackoff, charged to the destination's modeled clock.
 const (
 	defaultHandoffRetries = 5
 	defaultHandoffBackoff = 200 * time.Microsecond
@@ -81,20 +81,6 @@ type Options struct {
 	// inter-host channel as it is provisioned (keyed by the endpoint
 	// host indices). Nil injectors are fine; the channel runs clean.
 	ChannelFaults func(fromHost, toHost int) *chaos.Injector
-	// HandoffDeadline bounds one hand-off transfer's modeled wire time:
-	// a transfer delayed past it is treated as lost and re-sent. Zero
-	// disables the deadline (a transfer is only re-sent when dropped).
-	HandoffDeadline time.Duration
-	// HandoffRetries caps re-sends of one hand-off after transient
-	// faults (default defaultHandoffRetries). Negative disables retry.
-	HandoffRetries int
-	// HandoffBackoff is the base of the exponential backoff between
-	// hand-off re-sends (default defaultHandoffBackoff).
-	HandoffBackoff time.Duration
-	// DispatchDeadline bounds one micro-batch's total dispatch time
-	// across router-level retries and recoveries, in wall-clock time.
-	// Zero means no deadline.
-	DispatchDeadline time.Duration
 	// Metrics is the registry the fabric series register into
 	// (fleet_handoff_bytes_total and friends, plus every group's
 	// shard counters labeled group=g). Nil gives the fleet a private
@@ -132,9 +118,6 @@ func (h *handoff) Bind(from, to int, src, dst *enclave.Enclave) error {
 	ch, err := newChannel(from, to, src, dst, chanConfig{
 		latency:   h.fl.latency,
 		bandwidth: h.fl.bandwidth,
-		deadline:  h.fl.handoffDeadline,
-		retries:   h.fl.handoffRetries,
-		backoff:   h.fl.handoffBackoff,
 		faults:    faults,
 		mBytes:    h.fl.mBytes,
 		mSeconds:  h.fl.mSeconds,
@@ -185,11 +168,7 @@ type Fleet struct {
 	latency   time.Duration
 	bandwidth float64
 
-	channelFaults    func(fromHost, toHost int) *chaos.Injector
-	handoffDeadline  time.Duration
-	handoffRetries   int
-	handoffBackoff   time.Duration
-	dispatchDeadline time.Duration
+	channelFaults func(fromHost, toHost int) *chaos.Injector
 
 	// mu gates intake against control operations (see type doc). The
 	// recovery path (eviction + replan) is a control operation: it runs
@@ -290,36 +269,21 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	handoffRetries := opts.HandoffRetries
-	switch {
-	case handoffRetries == 0:
-		handoffRetries = defaultHandoffRetries
-	case handoffRetries < 0:
-		handoffRetries = 0
-	}
-	handoffBackoff := opts.HandoffBackoff
-	if handoffBackoff <= 0 {
-		handoffBackoff = defaultHandoffBackoff
-	}
 	fl := &Fleet{
-		f:                f,
-		net:              net,
-		hosts:            opts.Hosts,
-		placement:        placement,
-		batch:            batch,
-		inputSize:        net.InputSize(),
-		overhead:         overhead,
-		seed:             opts.Seed,
-		replicasOpt:      opts.Replicas,
-		latency:          opts.ChannelLatency,
-		bandwidth:        opts.ChannelBandwidth,
-		channelFaults:    opts.ChannelFaults,
-		handoffDeadline:  opts.HandoffDeadline,
-		handoffRetries:   handoffRetries,
-		handoffBackoff:   handoffBackoff,
-		dispatchDeadline: opts.DispatchDeadline,
-		down:             make([]bool, len(opts.Hosts)),
-		reg:              reg,
+		f:             f,
+		net:           net,
+		hosts:         opts.Hosts,
+		placement:     placement,
+		batch:         batch,
+		inputSize:     net.InputSize(),
+		overhead:      overhead,
+		seed:          opts.Seed,
+		replicasOpt:   opts.Replicas,
+		latency:       opts.ChannelLatency,
+		bandwidth:     opts.ChannelBandwidth,
+		channelFaults: opts.ChannelFaults,
+		down:          make([]bool, len(opts.Hosts)),
+		reg:           reg,
 	}
 	// Fabric series register up front, so the families exist (at zero)
 	// even for a single-host fleet with no cross-host channel — the
@@ -544,20 +508,16 @@ func (fl *Fleet) ClassifyBatch(images []float32) ([]int, error) {
 // replan on the survivors — and is then re-routed to a surviving
 // group. Sealed per-batch hand-offs make the re-route idempotent, so
 // an accepted batch survives a host kill with no drop; only when the
-// whole fleet is gone (or DispatchDeadline expires) does the batch
-// fail, typed ErrUnavailable.
+// whole fleet is gone, the retries run out or ctx is done does the
+// batch fail, typed ErrUnavailable: ctx is the caller's dispatch
+// deadline.
 func (fl *Fleet) ClassifyBatchCtx(ctx context.Context, images []float32) ([]int, error) {
-	var deadline time.Time
-	if fl.dispatchDeadline > 0 {
-		deadline = time.Now().Add(fl.dispatchDeadline)
-	}
 	for attempt := 0; ; attempt++ {
 		classes, err := fl.classifyOnce(ctx, images)
 		if err == nil || !retryableFault(err) {
 			return classes, err
 		}
-		if attempt >= maxBatchRetries || ctx.Err() != nil ||
-			(!deadline.IsZero() && time.Now().After(deadline)) {
+		if attempt >= maxBatchRetries || ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: %w", ErrUnavailable, err)
 		}
 		if rerr := fl.recoverHostFailure(); rerr != nil {

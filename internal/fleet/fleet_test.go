@@ -134,7 +134,8 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 			fl.Report().FleetHandoffs, fl.Report().FleetHandoffBytes)
 	}
 
-	// The fabric series are registered and live.
+	// The fabric series are registered and live, the recovery families
+	// included (at zero on a healthy fleet).
 	flat := map[string]bool{}
 	for _, fam := range fl.Metrics().Snapshot() {
 		flat[fam.Name] = true
@@ -142,6 +143,9 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 	for _, name := range []string{
 		"fleet_handoff_bytes_total", "fleet_handoff_seconds_total",
 		"fleet_router_queue_depth", "fleet_host_headroom_bytes",
+		"fleet_host_down_total", "fleet_replans_total",
+		"fleet_handoff_retries_total", "fleet_evicted_groups_total",
+		"fleet_degraded",
 	} {
 		if !flat[name] {
 			t.Fatalf("metric family %q not registered", name)

@@ -47,7 +47,6 @@ import (
 
 	"plinius/internal/core"
 	"plinius/internal/darknet"
-	"plinius/internal/distributed"
 	"plinius/internal/enclave"
 	"plinius/internal/fleet"
 	"plinius/internal/mnist"
@@ -336,19 +335,3 @@ type (
 // Per-server serving metrics live on Server.Metrics (pass
 // ServerOptions.Metrics to aggregate them elsewhere).
 func Metrics() *MetricsRegistry { return obs.Default() }
-
-// Distributed training (the paper's §VIII future-work direction):
-// synchronous data-parallel training across multiple secure nodes with
-// model averaging, each node with its own enclave, PM device and
-// crash-durable mirror.
-type (
-	// Cluster coordinates data-parallel Plinius workers.
-	Cluster = distributed.Cluster
-	// ClusterConfig parameterises a cluster.
-	ClusterConfig = distributed.Config
-)
-
-// NewCluster builds a worker per node and shards the dataset.
-func NewCluster(cfg ClusterConfig, ds *Dataset) (*Cluster, error) {
-	return distributed.NewCluster(cfg, ds)
-}
