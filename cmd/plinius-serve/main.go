@@ -82,7 +82,7 @@ func main() {
 		fleetHosts = flag.Int("fleet-hosts", 0, "serve across a fleet of this many hosts: the model's shard plan is bin-packed over their EPC headrooms, with attested inter-host hand-off channels (0 disables)")
 		fleetEPC   = flag.Int("fleet-epc", 0, "per-fleet-host usable EPC in MiB (0 uses the paper's 93.5 MiB budget)")
 		maxEPC     = flag.Float64("max-epc-pressure", 0, "shed requests while the host EPC is overcommitted past this fraction (0 disables)")
-		quantized  = flag.Bool("quantized", false, "serve the int8-quantized snapshot variant: ~4x smaller sealed payloads and replica EPC footprints (whole-model replica pool only)")
+		quantized  = flag.Bool("quantized", false, "serve the int8-quantized snapshot variant: ~4x smaller sealed payloads and EPC footprints (replica pool or shard group; a fleet serves fp32)")
 		maxBatch   = flag.Int("max-batch", 32, "micro-batch size cap")
 		maxLatency = flag.Duration("max-latency", 2*time.Millisecond, "upper bound on the wait for batch company; an idle worker dispatches immediately")
 		queueDepth = flag.Int("queue-depth", 1024, "request queue bound; beyond it requests are rejected (ErrOverloaded)")
@@ -175,8 +175,8 @@ func run(ctx context.Context, iters, layers, filters, batch, dataset int, seed i
 				hr.Host, hr.ResidentBytes, hr.UsableEPC, hr.Shards)
 		}
 	case st.Shards > 0:
-		fmt.Printf("serving model version %d (iteration %d) pipelined across %d shard enclaves (window %d, streaming=%v, max batch %d, queue depth %d)\n",
-			srv.Version(), srv.Iteration(), st.Shards, srv.Workers(), st.Streaming, maxBatch, queueDepth)
+		fmt.Printf("serving model version %d (iteration %d) pipelined across %d shard enclaves (%s, window %d, streaming=%v, max batch %d, queue depth %d)\n",
+			srv.Version(), srv.Iteration(), st.Shards, st.Precision, srv.Workers(), st.Streaming, maxBatch, queueDepth)
 	default:
 		fmt.Printf("serving model version %d (iteration %d) on %d enclave replicas (%s, max batch %d, max queue latency %v, queue depth %d, EPC pressure %.2f)\n",
 			srv.Version(), srv.Iteration(), srv.Workers(), st.Precision, maxBatch, maxLatency, queueDepth, st.EPCPressure)

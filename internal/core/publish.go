@@ -82,7 +82,7 @@ func (f *Framework) EnsureModelCurrent() error {
 // SetPublishQuantized toggles quantized publication: when on, every
 // subsequent Publish (and the snapshot RotateKey publishes) seals an
 // int8-quantized variant alongside the fp32 snapshot, restorable by
-// quantized replicas via Pin.OpenQuant. The flag is sticky so refresh
+// int8 replicas and shard groups via Pin.Open at darknet.Int8. The flag is sticky so refresh
 // and rotation keep working end-to-end once a deployment serves int8.
 func (f *Framework) SetPublishQuantized(on bool) {
 	f.pmMu.Lock()

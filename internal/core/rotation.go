@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"plinius/internal/darknet"
 	"plinius/internal/engine"
 	"plinius/internal/mirror"
 )
@@ -109,7 +110,7 @@ func (f *Framework) maybeFinishRotation() error {
 				if err != nil {
 					return fmt.Errorf("core: pin published mid-rotation: %w", err)
 				}
-				m, err := pin.Open(f.Engine, mirror.WithEnclave(f.Enclave))
+				m, err := pin.Open(f.Engine, darknet.FP32, mirror.WithEnclave(f.Enclave))
 				if err != nil {
 					pin.Release()
 					return fmt.Errorf("core: open published mid-rotation: %w", err)

@@ -60,9 +60,6 @@ const DefaultShardOverheadBytes = 1 << 20
 var (
 	ErrShardGroupClosed = errors.New("core: shard group is closed")
 	ErrShardBatch       = errors.New("core: batch exceeds the shard plan's micro-batch size")
-	// ErrQuantShards: int8 snapshots restore whole models only, so an
-	// int8 group needs a one-range plan.
-	ErrQuantShards = errors.New("core: int8 serving needs a one-range plan")
 )
 
 // Handoff is the seam between adjacent pipeline stages that the
@@ -103,9 +100,11 @@ type ShardOptions struct {
 	// — to the framework's TrainOverheadBytes.
 	OverheadBytes int
 	// Precision is the parameter precision served (default FP32). Int8
-	// restores the published snapshot's quantized variant, turning the
-	// framework's quantized publication on; it needs a one-range plan
-	// (ErrQuantShards otherwise).
+	// plans on the int8 footprints and restores each range of the
+	// published snapshot's quantized variant, turning the framework's
+	// quantized publication on. The shard manifest records fp32 plans
+	// only: an int8 group neither adopts nor records it, so it never
+	// changes the split a later fp32 group restores.
 	Precision darknet.Precision
 	// Seed differentiates the shard enclaves' RNGs.
 	Seed int64
@@ -279,19 +278,18 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if batch <= 0 {
 		batch = max(full.Config.Batch, 1)
 	}
-	plan, err := f.planShards(full, opts, batch, host.Headroom())
-	if err != nil {
-		return nil, err
-	}
 	prec := opts.Precision
 	if prec == darknet.Int8 {
-		if len(plan) != 1 {
-			return nil, fmt.Errorf("%w: %d ranges", ErrQuantShards, len(plan))
-		}
-		// Only the quantized parameters are ever resident.
+		// Only the quantized parameters are ever resident, and the plan
+		// packs their footprints: every planner sees the clone's int8
+		// layers, which is PlanShardsAt(…, Int8) on the fp32 model.
 		if full, err = darknet.QuantizeNetwork(full); err != nil {
 			return nil, fmt.Errorf("core: quantize: %w", err)
 		}
+	}
+	plan, err := f.planShards(full, opts, batch, host.Headroom())
+	if err != nil {
+		return nil, err
 	}
 	if err := f.ensurePublished(prec); err != nil {
 		return nil, err
@@ -466,7 +464,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		s.restore = restores[i]
 	}
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
-	if err := f.recordShardManifest(g.manifest()); err != nil {
+	if err := g.recordManifest(); err != nil {
 		pin.Release()
 		return fail(fmt.Errorf("core: shard manifest: %w", err))
 	}
@@ -584,8 +582,8 @@ func (f *Framework) provisionEnclaveKey(encl *enclave.Enclave) ([]byte, error) {
 }
 
 // planShards picks the contiguous layer-range plan for the options.
-// Explicit options (a shard count or a byte bound) always replan; auto
-// planning first honours a shard manifest persisted by a previous
+// Explicit options (a shard count or a byte bound) always replan; fp32
+// auto planning first honours a shard manifest persisted by a previous
 // group, so a group re-created after a crash or restart restores
 // exactly the split whose manifest is on record.
 func (f *Framework) planShards(full *darknet.Network, opts ShardOptions, batch, headroom int) ([]darknet.ShardRange, error) {
@@ -600,8 +598,10 @@ func (f *Framework) planShards(full *darknet.Network, opts ShardOptions, batch, 
 	case opts.Shards > 0:
 		return full.PlanShardCount(opts.Shards, batch)
 	default:
-		if plan := f.persistedShardPlan(len(full.Layers)); plan != nil {
-			return plan, nil
+		if opts.Precision == darknet.FP32 {
+			if plan := f.persistedShardPlan(len(full.Layers)); plan != nil {
+				return plan, nil
+			}
 		}
 		// Headroom-driven: aim for a pipeline window of a few hot
 		// shards inside the budget. A host with no headroom still gets
@@ -670,14 +670,16 @@ func (g *ShardGroup) manifest() []mirror.ShardManifestEntry {
 	return entries
 }
 
-// recordShardManifest persists the shard plan alongside the
-// publication slots, skipping the write when the recorded plan already
-// matches. A one-range plan splits nothing and is not recorded: it
-// would override the split a re-created auto-planned group restores.
-func (f *Framework) recordShardManifest(entries []mirror.ShardManifestEntry) error {
-	if len(entries) < 2 {
+// recordManifest persists the group's plan as the shard manifest,
+// skipping the write when the recorded plan already matches. A
+// one-range plan splits nothing and an int8 plan packs int8 footprints;
+// neither is recorded, since either would override the split a
+// re-created auto-planned fp32 group restores.
+func (g *ShardGroup) recordManifest() error {
+	if len(g.shards) < 2 || g.prec != darknet.FP32 {
 		return nil
 	}
+	f, entries := g.f, g.manifest()
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
 	if err := f.attachPublication(); err != nil {
@@ -700,26 +702,19 @@ func (f *Framework) recordShardManifest(entries []mirror.ShardManifestEntry) err
 }
 
 // openModels opens one restore handle per shard on the pinned snapshot
-// — its fp32 layer ranges, or at Int8 its quantized variant — and
-// returns them with the snapshot's iteration. The handles are NOT
-// installed on the shards — callers swap them in only once every
-// fallible step of their control operation has succeeded, so a failed
-// Refresh/Rotate never leaves a shard reading an unpinned slot.
+// — its layer range of the fp32 snapshot, or at Int8 of its quantized
+// variant — and returns them with the snapshot's iteration. The
+// handles are NOT installed on the shards — callers swap them in only
+// once every fallible step of their control operation has succeeded,
+// so a failed Refresh/Rotate never leaves a shard reading an unpinned
+// slot.
 func (g *ShardGroup) openModels(pin *mirror.Pin) ([]restorer, int, error) {
 	g.f.pmMu.Lock()
 	defer g.f.pmMu.Unlock()
 	restores := make([]restorer, len(g.shards))
 	var iteration func() (int, error)
 	for i, s := range g.shards {
-		if g.prec == darknet.Int8 {
-			qm, err := pin.OpenQuant(s.eng, mirror.WithEnclave(s.encl))
-			if err != nil {
-				return nil, 0, err
-			}
-			restores[i], iteration = qm.RestoreInto, qm.Iteration
-			continue
-		}
-		m, err := pin.Open(s.eng, mirror.WithEnclave(s.encl))
+		m, err := pin.Open(s.eng, g.prec, mirror.WithEnclave(s.encl))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1100,7 +1095,7 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		pin.Release()
 		return 0, err
 	}
-	if err := g.f.recordShardManifest(g.manifest()); err != nil {
+	if err := g.recordManifest(); err != nil {
 		pin.Release()
 		return 0, err
 	}

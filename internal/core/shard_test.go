@@ -3,6 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,7 +87,8 @@ func classifyConcurrently(t *testing.T, g *ShardGroup, test *mnist.Dataset) []in
 }
 
 // TestShardGroupEquivalence: a replica, a resident pipeline and a
-// streaming pipeline are one design at three settings. Every row
+// streaming pipeline are one design at three settings, at either
+// precision. Every row
 // classifies the test set bit-identically to its reference — the
 // training enclave's own forward, or at int8 the quantized clone of
 // the trained model, which is what an int8 replica serves — with
@@ -109,12 +114,13 @@ func TestShardGroupEquivalence(t *testing.T) {
 		return func() *enclave.Host { return enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(budget)) }
 	}
 	// pipeline is a multi-range group's reservation: its overhead per
-	// stage, plus every range's footprint while resident.
+	// stage, plus every range's footprint at its precision while
+	// resident.
 	pipeline := func(overhead int, resident bool) func(*ShardGroup) int {
 		return func(g *ShardGroup) int {
 			total := 0
 			for _, r := range g.Plan() {
-				fp, err := f.Net.ShardFootprint(r, g.Batch())
+				fp, err := f.Net.ShardFootprintAt(r, g.Batch(), g.Report().Precision)
 				if err != nil {
 					t.Fatalf("ShardFootprint(%v): %v", r, err)
 				}
@@ -160,6 +166,17 @@ func TestShardGroupEquivalence(t *testing.T) {
 				return f.NewShardGroup(ShardOptions{Shards: 3, Host: h, Batch: 8, Seed: 5})
 			},
 			want:   fp32Ref,
+			multi:  true,
+			charge: pipeline(DefaultShardOverheadBytes, true),
+		},
+		{
+			name: "multi-range int8",
+			host: dedicated(enclave.UsableEPC),
+			build: func(h *enclave.Host) (*ShardGroup, error) {
+				return f.NewShardGroup(ShardOptions{Shards: 3, Host: h, Batch: 8, Precision: darknet.Int8, Seed: 5})
+			},
+			prec:   darknet.Int8,
+			want:   int8Ref,
 			multi:  true,
 			charge: pipeline(DefaultShardOverheadBytes, true),
 		},
@@ -527,5 +544,92 @@ func TestShardGroupRejectsOversizedBatch(t *testing.T) {
 	}
 	if _, err := g.ClassifyBatch(test.Images[:in/2]); err == nil {
 		t.Fatal("ragged batch accepted")
+	}
+}
+
+// TestInt8ShardGroupMatchesReplica: an explicit three-shard int8 group
+// restores each range of the int8 variant and serves exactly what the
+// int8 one-range replica serves — the same class for every test image,
+// and bit-identical output probabilities — at GOMAXPROCS 1, 2 and 8.
+func TestInt8ShardGroupMatchesReplica(t *testing.T) {
+	f, test := trainedShardFramework(t, 6)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rep, err := f.NewShardGroup(ShardOptions{Shards: 1, Precision: darknet.Int8, Seed: 3})
+			if err != nil {
+				t.Fatalf("int8 replica: %v", err)
+			}
+			defer rep.Close()
+			g, err := f.NewShardGroup(ShardOptions{Shards: 3, Precision: darknet.Int8, Seed: 5})
+			if err != nil {
+				t.Fatalf("int8 shard group: %v", err)
+			}
+			defer g.Close()
+			if len(g.Plan()) != 3 || g.Report().Precision != darknet.Int8 || g.Version() != rep.Version() {
+				t.Fatalf("group plan %v at %v serving v%d, want 3 int8 ranges of v%d",
+					g.Plan(), g.Report().Precision, g.Version(), rep.Version())
+			}
+
+			if got, want := groupClassifyAll(t, g, test, g.Batch()), groupClassifyAll(t, rep, test, g.Batch()); !slices.Equal(got, want) {
+				t.Fatalf("int8 group classes %v, replica %v", got, want)
+			}
+			in := g.InputSize()
+			for start := 0; start < test.N; start += g.Batch() {
+				n := min(g.Batch(), test.N-start)
+				x := test.Images[start*in : (start+n)*in]
+				want, err := rep.shards[0].net.Forward(x, n, false)
+				if err != nil {
+					t.Fatalf("replica Forward: %v", err)
+				}
+				got := x
+				for _, s := range g.shards {
+					out, err := s.net.Forward(got, n, false)
+					if err != nil {
+						t.Fatalf("shard %d Forward: %v", s.idx, err)
+					}
+					got = slices.Clone(out)
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("image %d output %d: group %v, replica %v", start+i/10, i%10, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestInt8GroupLeavesShardManifest: the shard manifest records fp32
+// plans only. An int8 group plans afresh on int8 footprints — it
+// neither adopts the recorded split nor records its own — so an fp32
+// group auto-planned afterwards restores the split on record.
+func TestInt8GroupLeavesShardManifest(t *testing.T) {
+	f, _ := trainedShardFramework(t, 4)
+	small := enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10))
+	build := func(opts ShardOptions) []darknet.ShardRange {
+		t.Helper()
+		g, err := f.NewShardGroup(opts)
+		if err != nil {
+			t.Fatalf("NewShardGroup(%+v): %v", opts, err)
+		}
+		defer g.Close()
+		return g.Plan()
+	}
+	recorded := build(ShardOptions{Host: small, Batch: 2, OverheadBytes: 8 << 10, Seed: 5})
+	if len(recorded) < 2 {
+		t.Fatalf("fp32 plan %v too coarse for the manifest test", recorded)
+	}
+	int8Auto := build(ShardOptions{Host: small, Batch: 2, OverheadBytes: 8 << 10, Precision: darknet.Int8, Seed: 6})
+	if slices.Equal(int8Auto, recorded) {
+		t.Fatalf("int8 auto plan %v is the recorded fp32 split; it must plan on int8 footprints", int8Auto)
+	}
+	if int8Count := build(ShardOptions{Shards: 3, Batch: 2, Precision: darknet.Int8, Seed: 7}); len(int8Count) != 3 {
+		t.Fatalf("explicit int8 plan %v, want 3 ranges", int8Count)
+	}
+	// Auto-planned on the roomy training host, which alone would give a
+	// coarser split: the recorded fp32 plan wins.
+	if got := build(ShardOptions{Batch: 2, OverheadBytes: 8 << 10, Seed: 8}); !slices.Equal(got, recorded) {
+		t.Fatalf("fp32 auto plan after int8 groups %v, want the recorded %v", got, recorded)
 	}
 }

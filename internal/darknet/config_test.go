@@ -1,8 +1,6 @@
 package darknet
 
 import (
-	"bytes"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -167,78 +165,5 @@ func TestBatchNormFromConfig(t *testing.T) {
 	}
 	if !conv.cfg.BatchNorm {
 		t.Fatal("batch_normalize=1 not applied")
-	}
-}
-
-func TestSaveLoadWeightsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	n, err := ParseConfig(strings.NewReader(sampleCfg), rng)
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	n.Iteration = 137
-	var buf bytes.Buffer
-	if err := n.SaveWeights(&buf); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-	// Fresh network with different initial weights.
-	n2, err := ParseConfig(strings.NewReader(sampleCfg), rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	if err := n2.LoadWeights(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("LoadWeights: %v", err)
-	}
-	if n2.Iteration != 137 {
-		t.Fatalf("Iteration = %d, want 137", n2.Iteration)
-	}
-	for li := range n.Layers {
-		p1 := n.Layers[li].Params()
-		p2 := n2.Layers[li].Params()
-		for pi := range p1 {
-			for i := range p1[pi] {
-				if p1[pi][i] != p2[pi][i] {
-					t.Fatalf("layer %d buffer %d idx %d differs", li, pi, i)
-				}
-			}
-		}
-	}
-}
-
-func TestLoadWeightsRejectsCorruptData(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n, err := ParseConfig(strings.NewReader(sampleCfg), rng)
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	if err := n.LoadWeights(bytes.NewReader([]byte("garbage"))); !errors.Is(err, ErrBadWeights) {
-		t.Fatalf("garbage LoadWeights = %v, want ErrBadWeights", err)
-	}
-	var buf bytes.Buffer
-	if err := n.SaveWeights(&buf); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-	truncated := buf.Bytes()[:buf.Len()/2]
-	if err := n.LoadWeights(bytes.NewReader(truncated)); err == nil {
-		t.Fatal("truncated weights accepted")
-	}
-}
-
-func TestLoadWeightsRejectsArchitectureMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	n, err := ParseConfig(strings.NewReader(sampleCfg), rng)
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := n.SaveWeights(&buf); err != nil {
-		t.Fatalf("SaveWeights: %v", err)
-	}
-	other, err := ParseConfig(strings.NewReader(MNISTConfig(2, 4, 8)), rng)
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	if err := other.LoadWeights(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrWeightsMismatch) {
-		t.Fatalf("mismatched LoadWeights = %v, want ErrWeightsMismatch", err)
 	}
 }

@@ -1,67 +1,10 @@
 package darknet
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-// Property: any randomly shaped network's weights survive a
-// save/load round trip bit-exactly, including the iteration counter.
-func TestPropertyWeightsRoundTripAnyArchitecture(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		layers := 1 + rng.Intn(3)
-		filters := 2 + rng.Intn(6)
-		batch := 1 + rng.Intn(8)
-		cfg := MNISTConfig(layers, filters, batch)
-		n, err := ParseConfig(strings.NewReader(cfg), rng)
-		if err != nil {
-			return false
-		}
-		// Randomise every parameter so defaults don't mask bugs.
-		for _, l := range n.Layers {
-			for _, p := range l.Params() {
-				for i := range p {
-					p[i] = float32(rng.NormFloat64())
-				}
-			}
-		}
-		n.Iteration = rng.Intn(10000)
-
-		var buf bytes.Buffer
-		if err := n.SaveWeights(&buf); err != nil {
-			return false
-		}
-		m, err := ParseConfig(strings.NewReader(cfg), rand.New(rand.NewSource(seed+1)))
-		if err != nil {
-			return false
-		}
-		if err := m.LoadWeights(bytes.NewReader(buf.Bytes())); err != nil {
-			return false
-		}
-		if m.Iteration != n.Iteration {
-			return false
-		}
-		for li := range n.Layers {
-			pn := n.Layers[li].Params()
-			pm := m.Layers[li].Params()
-			for pi := range pn {
-				for i := range pn[pi] {
-					if pn[pi][i] != pm[pi][i] {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Property: softmax output is always a probability distribution for
 // any finite logits.

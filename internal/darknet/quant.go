@@ -44,16 +44,15 @@ func (p Precision) String() string {
 }
 
 // QuantWeightLayer is implemented by layers whose weight matrix is
-// stored int8-quantized; the restore codec uses it to install sealed
-// snapshot bytes without materialising fp32 weights.
+// stored int8-quantized. A snapshot restore opens sealed bytes straight
+// into both buffers, so no fp32 weight matrix is ever materialised.
 type QuantWeightLayer interface {
 	Layer
 	// QuantWeights returns the mutable int8 weight storage.
 	QuantWeights() []int8
-	// WeightScale returns the symmetric dequantization scale.
-	WeightScale() float32
-	// SetWeightScale installs the scale during snapshot restore.
-	SetWeightScale(s float32)
+	// WeightScale returns the mutable one-element buffer holding the
+	// symmetric dequantization scale.
+	WeightScale() []float32
 }
 
 // QuantizeWeights quantizes w symmetrically to int8: scale = max|w|/127
@@ -158,7 +157,7 @@ func gemmTBQ(m, k, n int, a []float32, qb []int8, scale float32, c []float32) {
 type QuantConv struct {
 	convGeom
 	qWeights []int8
-	wScale   float32
+	wScale   [1]float32
 
 	biases, scales, rollMean, rollVar []float32
 
@@ -175,7 +174,7 @@ func newQuantConv(c *Conv) *QuantConv {
 		rollMean: append([]float32(nil), c.rollMean...),
 		rollVar:  append([]float32(nil), c.rollVar...),
 	}
-	q.qWeights, q.wScale = QuantizeWeights(c.weights)
+	q.qWeights, q.wScale[0] = QuantizeWeights(c.weights)
 	return q
 }
 
@@ -202,10 +201,7 @@ func (q *QuantConv) Grads() [][]float32 { return nil }
 func (q *QuantConv) QuantWeights() []int8 { return q.qWeights }
 
 // WeightScale implements QuantWeightLayer.
-func (q *QuantConv) WeightScale() float32 { return q.wScale }
-
-// SetWeightScale implements QuantWeightLayer.
-func (q *QuantConv) SetWeightScale(s float32) { q.wScale = s }
+func (q *QuantConv) WeightScale() []float32 { return q.wScale[:] }
 
 // Forward implements Layer (inference only).
 func (q *QuantConv) Forward(x []float32, batch int, train bool) ([]float32, error) {
@@ -237,9 +233,9 @@ func (q *QuantConv) forwardSamples(x, cols, out []float32, lo, hi int, fork bool
 		q.im2col(x[b*inSize:(b+1)*inSize], cb)
 		clear(o)
 		if fork {
-			gemmQ(q.cfg.Filters, k, outHW, q.qWeights, q.wScale, cb, o)
+			gemmQ(q.cfg.Filters, k, outHW, q.qWeights, q.wScale[0], cb, o)
 		} else {
-			gemmQRows(k, outHW, q.qWeights, q.wScale, cb, o, 0, q.cfg.Filters)
+			gemmQRows(k, outHW, q.qWeights, q.wScale[0], cb, o, 0, q.cfg.Filters)
 		}
 		if q.cfg.BatchNorm {
 			for f := 0; f < q.cfg.Filters; f++ {
@@ -267,7 +263,7 @@ func (q *QuantConv) Update(lr, momentum, decay float32) {}
 type QuantConnected struct {
 	in, out  Shape
 	qWeights []int8
-	wScale   float32
+	wScale   [1]float32
 
 	biases     []float32
 	activation Activation
@@ -284,7 +280,7 @@ func newQuantConnected(c *Connected) *QuantConnected {
 		biases:     append([]float32(nil), c.biases...),
 		activation: c.activation,
 	}
-	q.qWeights, q.wScale = QuantizeWeights(c.weights)
+	q.qWeights, q.wScale[0] = QuantizeWeights(c.weights)
 	return q
 }
 
@@ -307,10 +303,7 @@ func (q *QuantConnected) Grads() [][]float32 { return nil }
 func (q *QuantConnected) QuantWeights() []int8 { return q.qWeights }
 
 // WeightScale implements QuantWeightLayer.
-func (q *QuantConnected) WeightScale() float32 { return q.wScale }
-
-// SetWeightScale implements QuantWeightLayer.
-func (q *QuantConnected) SetWeightScale(s float32) { q.wScale = s }
+func (q *QuantConnected) WeightScale() []float32 { return q.wScale[:] }
 
 // Forward implements Layer (inference only).
 func (q *QuantConnected) Forward(x []float32, batch int, train bool) ([]float32, error) {
@@ -323,7 +316,7 @@ func (q *QuantConnected) Forward(x []float32, batch int, train bool) ([]float32,
 	inSize := q.in.Size()
 	outs := q.out.C
 	out := growF32(&q.outBuf, batch*outs)
-	gemmTBQ(batch, inSize, outs, x, q.qWeights, q.wScale, out)
+	gemmTBQ(batch, inSize, outs, x, q.qWeights, q.wScale[0], out)
 	for b := 0; b < batch; b++ {
 		axpy(1, q.biases, out[b*outs:(b+1)*outs])
 	}
@@ -386,35 +379,20 @@ func IsQuantized(net *Network) bool {
 	return false
 }
 
-// QuantHeaderBytes is the per-buffer plaintext prefix of a quantized
-// weights buffer in a sealed snapshot: scale (float32 LE) followed by
-// the zero-point (int32 LE, always 0 for symmetric quantization —
-// stored so the codec generalises to asymmetric schemes).
-const QuantHeaderBytes = 8
+// QuantScaleBytes is what a quantized weight matrix carries besides its
+// int8 codes: the fp32 scale, stored as its own one-float buffer.
+const QuantScaleBytes = 4
 
 // QuantParamBytes returns the parameter footprint in bytes of the
 // int8-quantized variant of net: one byte per weight plus the
-// QuantHeaderBytes scale/zero-point header per quantized buffer, and
-// four bytes per remaining fp32 parameter. It accepts either a trained
-// fp32 network (predicting its quantized size) or an already-quantized
-// one (reporting its actual size).
+// QuantScaleBytes scale per quantized matrix, and four bytes per
+// remaining fp32 parameter. It accepts either a trained fp32 network
+// (predicting its quantized size) or an already-quantized one
+// (reporting its actual size).
 func QuantParamBytes(net *Network) int {
 	total := 0
 	for _, l := range net.Layers {
-		if ql, ok := l.(QuantWeightLayer); ok {
-			total += len(ql.QuantWeights()) + QuantHeaderBytes
-			for _, p := range l.Params() {
-				total += 4 * len(p)
-			}
-			continue
-		}
-		for bi, p := range l.Params() {
-			if bi == 0 {
-				total += len(p) + QuantHeaderBytes
-			} else {
-				total += 4 * len(p)
-			}
-		}
+		total += layerParamBytes(l, Int8)
 	}
 	return total
 }

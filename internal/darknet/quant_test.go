@@ -241,7 +241,7 @@ func TestQuantizedNetworkRejectsTraining(t *testing.T) {
 }
 
 // TestQuantParamBytesRatio: the quantized parameter footprint must be
-// well under the fp32 one — int8 weights plus 8 header bytes per
+// well under the fp32 one — int8 weights plus a 4-byte scale per
 // weight buffer, fp32 for everything else — and identical whether
 // computed on the fp32 net or its quantized clone.
 func TestQuantParamBytesRatio(t *testing.T) {
@@ -259,7 +259,7 @@ func TestQuantParamBytesRatio(t *testing.T) {
 	for _, l := range net.Layers {
 		for bi, p := range l.Params() {
 			if bi == 0 {
-				want += len(p) + QuantHeaderBytes
+				want += len(p) + QuantScaleBytes
 			} else {
 				want += 4 * len(p)
 			}

@@ -70,13 +70,13 @@ func (n *Network) ForwardRange(x []float32, batch int, r ShardRange, train bool)
 // layerParamBytes returns one layer's parameter footprint in bytes at
 // the given serving precision. At Int8 the weight matrix (buffer 0 of
 // a trainable layer, or the QuantWeights of an already-quantized one)
-// counts one byte per element plus the scale/zero-point header; the
+// counts one byte per element plus its fp32 scale; the
 // small fp32 vectors keep four bytes per element. Layers without
 // parameters are free at either precision.
 func layerParamBytes(l Layer, prec Precision) int {
 	total := 0
 	if ql, ok := l.(QuantWeightLayer); ok {
-		total = len(ql.QuantWeights()) + QuantHeaderBytes
+		total = len(ql.QuantWeights()) + QuantScaleBytes
 		for _, p := range l.Params() {
 			total += 4 * len(p)
 		}
@@ -84,7 +84,7 @@ func layerParamBytes(l Layer, prec Precision) int {
 	}
 	for bi, p := range l.Params() {
 		if prec == Int8 && bi == 0 {
-			total += len(p) + QuantHeaderBytes
+			total += len(p) + QuantScaleBytes
 		} else {
 			total += 4 * len(p)
 		}

@@ -6,8 +6,8 @@
 // Buffer layout matches the paper: every sealed frame carries a random
 // 12-byte initialisation vector and a 16-byte message authentication
 // code, 28 bytes of metadata per sealed segment (IV ‖ ciphertext ‖ MAC).
-// A parameter buffer is one segment, except that the mirror seals an
-// fp32 buffer over 1 MiB as several. Keys are 128-bit and are
+// A parameter buffer is one segment, except that the mirror seals a
+// buffer over 1 MiB, fp32 or int8, as several. Keys are 128-bit and are
 // provisioned via the remote-attestation secure channel
 // (WrapKey/UnwrapKey) or generated in the enclave.
 package engine
@@ -56,15 +56,14 @@ var (
 // Engine seals and opens buffers under one 128-bit data key.
 //
 // SealFloatsScratch reuses an internal buffer to avoid garbage on
-// single-goroutine save paths (tensor stores, SSD checkpoints); like
+// single-goroutine save paths (SSD checkpoints); like
 // the Plinius training loop itself (§VI: "a fairly intensive
 // single-threaded application"), it is not safe for concurrent use.
-// Everything else is: Seal/Open allocate their output,
-// OpenFloatsInto/OpenFloatsWith/OpenFloatsAAD decrypt into the
-// caller's floats, and SealFloatsWith/SealFloatsAAD stage through the
-// caller's Scratch (AcquireScratch) while the AEAD and the IV source
-// are shared safely — the concurrent mode the mirroring path fans out
-// over.
+// Everything else is: Seal/Open allocate their output, OpenAAD and
+// its float views decrypt into the caller's memory, and SealAAD and
+// its float views stage through the caller's Scratch (AcquireScratch)
+// while the AEAD and the IV source are shared safely — the concurrent
+// mode the mirroring path fans out over.
 type Engine struct {
 	aead cipher.AEAD
 	rng  io.Reader
@@ -183,33 +182,68 @@ func (e *Engine) readIV(dst []byte) error {
 // Seal encrypts plaintext into IV ‖ ciphertext ‖ MAC with a fresh random
 // IV, charging EPC paging for the touched bytes when enclave-bound.
 func (e *Engine) Seal(plaintext []byte) ([]byte, error) {
-	out := make([]byte, IVSize, SealedLen(len(plaintext)))
-	if err := e.readIV(out[:IVSize]); err != nil {
-		return nil, err
-	}
-	if e.encl != nil {
-		e.encl.Touch(len(plaintext) + SealedLen(len(plaintext)))
-	}
-	mSealOps.Inc()
-	mSealBytes.Add(float64(len(plaintext)))
-	return e.aead.Seal(out, out[:IVSize], plaintext, nil), nil
+	return e.SealAAD(&Scratch{}, plaintext, nil)
 }
 
 // Open authenticates and decrypts a buffer produced by Seal.
 func (e *Engine) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < Overhead {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooShort, len(sealed))
+	n, err := PlainLen(len(sealed))
+	if err != nil {
+		return nil, err
+	}
+	pt := make([]byte, n)
+	if err := e.OpenAAD(pt, sealed, nil); err != nil {
+		return nil, err
+	}
+	return pt, nil
+}
+
+// SealAAD seals plain as IV ‖ ciphertext ‖ MAC into sc's staging area,
+// the MAC also covering aad, which is not stored in the frame: the
+// frame opens only through OpenAAD with the same aad, and a nil aad
+// gives exactly Seal's frame. AES-GCM reads plain where it lies; plain
+// may also be the frame's own ciphertext area (the bytes
+// sc.SealedBuf(SealedLen(len(plain))) holds from IVSize on), which is
+// then sealed in place. The returned slice aliases sc and is valid
+// until sc's next use or release.
+func (e *Engine) SealAAD(sc *Scratch, plain, aad []byte) ([]byte, error) {
+	n := len(plain)
+	out := sc.SealedBuf(SealedLen(n))
+	if err := e.readIV(out[:IVSize]); err != nil {
+		return nil, err
+	}
+	if e.encl != nil {
+		e.encl.Touch(n + SealedLen(n))
+	}
+	mSealOps.Inc()
+	mSealBytes.Add(float64(n))
+	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, aad), nil
+}
+
+// OpenAAD authenticates a frame produced by SealAAD under the same aad
+// and decrypts it straight into dst, which must be exactly as long as
+// the plaintext; any other aad fails with ErrAuth. A sealed buffer of
+// the wrong length for dst is rejected before dst is written; on
+// ErrAuth dst has been CLOBBERED (Go's GCM zeroes its output on a
+// failed tag check), so callers must treat dst as garbage after any
+// error.
+func (e *Engine) OpenAAD(dst, sealed, aad []byte) error {
+	n, err := PlainLen(len(sealed))
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("engine: sealed buffer holds %d plaintext bytes for a %d-byte destination", n, len(dst))
 	}
 	if e.encl != nil {
 		e.encl.Touch(2*len(sealed) - Overhead)
 	}
 	mOpenOps.Inc()
 	mOpenBytes.Add(float64(len(sealed)))
-	pt, err := e.aead.Open(nil, sealed[:IVSize], sealed[IVSize:], nil)
-	if err != nil {
-		return nil, ErrAuth
+	if _, err := e.aead.Open(dst[:0], sealed[:IVSize], sealed[IVSize:], aad); err != nil {
+		return ErrAuth
 	}
-	return pt, nil
+	return nil
 }
 
 // SealFloats encrypts a float32 vector (model weights/biases) in
@@ -266,31 +300,17 @@ func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
 	return e.SealFloatsAAD(sc, v, nil)
 }
 
-// SealFloatsAAD is SealFloatsWith with additional authenticated data:
-// the MAC also covers aad, which is not stored in the frame, so the
-// frame opens only through OpenFloatsAAD with the same aad. A nil aad
-// gives exactly SealFloatsWith's frame.
-//
-// AES-GCM reads the plaintext straight from v's memory. On a
-// big-endian host the floats are first encoded into the ciphertext
-// area and sealed in place.
+// SealFloatsAAD is SealAAD over v's little-endian encoding. On a
+// little-endian host that is v's own memory; on a big-endian host the
+// floats are first encoded into the ciphertext area and sealed in
+// place.
 func (e *Engine) SealFloatsAAD(sc *Scratch, v []float32, aad []byte) ([]byte, error) {
-	n := 4 * len(v)
-	out := sc.SealedBuf(SealedLen(n))
-	if err := e.readIV(out[:IVSize]); err != nil {
-		return nil, err
-	}
-	if e.encl != nil {
-		e.encl.Touch(n + SealedLen(n))
-	}
-	mSealOps.Inc()
-	mSealBytes.Add(float64(n))
 	plain := floatBytes(v)
 	if !hostLittleEndian {
-		plain = out[IVSize : IVSize+n]
+		plain = sc.SealedBuf(SealedLen(len(plain)))[IVSize:][:len(plain)]
 		encodeLE(plain, v)
 	}
-	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, aad), nil
+	return e.SealAAD(sc, plain, aad)
 }
 
 // OpenFloatsWith opens sealed into dst without allocating or staging,
@@ -300,29 +320,13 @@ func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error 
 	return e.OpenFloatsAAD(dst, sealed, nil)
 }
 
-// OpenFloatsAAD opens a frame produced by SealFloatsAAD under the same
-// aad; any other aad fails with ErrAuth.
-//
-// AES-GCM authenticates and decrypts straight into dst's memory. A
-// sealed buffer of the wrong length for dst is rejected before dst is
-// written; on ErrAuth dst has been CLOBBERED (Go's GCM zeroes its
-// output on a failed tag check), so callers must treat dst as garbage
-// after any error.
+// OpenFloatsAAD is OpenAAD into dst's little-endian encoding, with the
+// same length and dst-on-failure contract: it decrypts straight into
+// dst's memory and, on a big-endian host, decodes it in place.
 func (e *Engine) OpenFloatsAAD(dst []float32, sealed, aad []byte) error {
-	if len(sealed) < Overhead {
-		return fmt.Errorf("%w: %d bytes", ErrTooShort, len(sealed))
-	}
-	if len(sealed)-Overhead != 4*len(dst) {
-		return fmt.Errorf("engine: sealed buffer holds %d plaintext bytes for %d floats", len(sealed)-Overhead, len(dst))
-	}
-	if e.encl != nil {
-		e.encl.Touch(2*len(sealed) - Overhead)
-	}
-	mOpenOps.Inc()
-	mOpenBytes.Add(float64(len(sealed)))
 	plain := floatBytes(dst)
-	if _, err := e.aead.Open(plain[:0], sealed[:IVSize], sealed[IVSize:], aad); err != nil {
-		return ErrAuth
+	if err := e.OpenAAD(plain, sealed, aad); err != nil {
+		return err
 	}
 	if !hostLittleEndian {
 		decodeLE(dst, plain)

@@ -11,15 +11,24 @@
 // metadata — and a larger one is sealed as several (see segmentBytes).
 // All updates run inside SGX-Romulus durable transactions, so a crash
 // at any point leaves either the previous or the new mirror intact.
+//
+// The same layout and codec carry the int8 serving variant of a
+// published snapshot (publish.go): mirrored from a quantized network
+// (darknet.QuantizeNetwork), a layer node holds the int8 weight codes,
+// their fp32 scale as a one-float buffer, and the layer's remaining
+// fp32 vectors — about a quarter of the fp32 payload for a
+// weight-dominated model.
 package mirror
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"plinius/internal/darknet"
 	"plinius/internal/enclave"
@@ -40,6 +49,13 @@ var (
 	mOpenSeconds   = obs.Default().Counter("mirror_open_seconds_total", "Seconds of AES-GCM opening inside mirror_in (summed across workers).")
 	mMirroredBytes = obs.Default().Counter("mirror_sealed_payload_bytes_total", "Sealed payload bytes written by mirror_out.")
 	mRestoredBytes = obs.Default().Counter("mirror_restored_payload_bytes_total", "Sealed payload bytes read back by mirror_in.")
+
+	// The int8 twins of the payload counters: a mirror_out or mirror_in
+	// of a quantized snapshot counts its bytes here instead.
+	mQuantSealedBytes = obs.Default().Counter("mirror_quant_sealed_payload_bytes_total",
+		"Sealed payload bytes written for quantized (int8) snapshot variants.")
+	mQuantRestoredBytes = obs.Default().Counter("mirror_quant_restored_payload_bytes_total",
+		"Sealed payload bytes read back by quantized (int8) snapshot restores.")
 )
 
 // Root slots used by Plinius in the Romulus root table.
@@ -54,7 +70,7 @@ const (
 //
 //	model header: iter | numLayers | headOff
 //	layer node  : nextOff | numBufs | (bufOff, sealedLen) x numBufs
-//	fp32 buffer : segment 0 | ... | segment k-1, each IV ‖ ciphertext ‖ MAC
+//	buffer      : segment 0 | ... | segment k-1, each IV ‖ ciphertext ‖ MAC
 const (
 	modelHdrIter = 0
 	modelHdrNumL = 8
@@ -72,6 +88,30 @@ var (
 	ErrShapeMismatch = errors.New("mirror: persistent model does not match network architecture")
 	ErrCorrupt       = errors.New("mirror: persistent model is corrupt")
 )
+
+// buffer is one persistent parameter buffer: a run of fp32 elements
+// (f), or the int8 weight codes (q) of a quantized layer.
+type buffer struct {
+	f []float32
+	q []int8
+}
+
+// size returns the buffer's plaintext bytes: four per fp32 element, one
+// per int8 code.
+func (b buffer) size() int { return 4*len(b.f) + len(b.q) }
+
+// part returns part s of the k equal element ranges b splits into.
+func (b buffer) part(s, k int) buffer {
+	if b.q != nil {
+		return buffer{q: b.q[s*len(b.q)/k : (s+1)*len(b.q)/k]}
+	}
+	return buffer{f: b.f[s*len(b.f)/k : (s+1)*len(b.f)/k]}
+}
+
+// codes views the int8 codes as the bytes they are sealed as.
+func (b buffer) codes() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.q))), len(b.q))
+}
 
 type bufRef struct {
 	off       int
@@ -113,35 +153,39 @@ const mirrorParallelBytes = 256 << 10
 // mirrorParallelBytes, on average.
 func taskGrain(tasks, total int) int { return max(1, tasks*mirrorParallelBytes/max(total, 1)) }
 
-// Segmented sealing. An fp32 parameter buffer of n floats is sealed as
-// k = ceil(4n / segmentBytes) segments (at least one): its floats split
-// evenly into k parts, each sealed as its own IV ‖ ciphertext ‖ MAC and
-// laid out back to back at the buffer's offset, so the layer table
-// records 4n + 28k bytes. Each segment is one task of the seal/open
-// fan-out, so one large layer seals and opens on every core. k is not
-// stored: the recorded length strictly increases with n, so it names
-// one n and one k (segmentsIn).
+// Segmented sealing. A parameter buffer of n plaintext bytes — four per
+// fp32 element, one per int8 code — is sealed as k = ceil(n /
+// segmentBytes) segments (at least one): its elements split evenly into
+// k parts, each sealed as its own IV ‖ ciphertext ‖ MAC and laid out
+// back to back at the buffer's offset, so the layer table records
+// n + 28k bytes. Each segment is one task of the seal/open fan-out, so
+// one large layer — fp32 or int8 — seals and opens on every core. k is
+// not stored: the recorded length strictly increases with n, so it
+// names one n and one k (segmentsIn).
 //
-// A one-segment buffer binds no additional data. For k > 1 each
-// segment's MAC also binds (node index, buffer index, segment index,
-// k), so a segment swapped within its buffer, moved to another buffer
-// or node, or cut from a buffer of a different k fails authentication.
+// A one-segment fp32 buffer binds no additional data (the paper's
+// frame). Every other segment — of a buffer with k > 1, or of any
+// buffer of an int8 layer — also binds (node index, buffer index,
+// segment index, k) in its MAC, so a segment swapped within its buffer,
+// moved to another buffer or node, or cut from a buffer of a different
+// k fails authentication. In an int8 snapshot that covers the one-float
+// scales, which every quantized layer has.
 //
-// The int8 quantized variant, tensor stores, data rows and the SSD
-// checkpoint keep one segment per buffer.
+// Data rows and the SSD checkpoint keep one segment per buffer.
 const segmentBytes = 1 << 20
 
-// segmentsFor returns the segment count MirrorOut writes for an fp32
-// buffer of n floats.
+// segmentsFor returns the segment count MirrorOut writes for a buffer
+// of n plaintext bytes.
 func segmentsFor(n int) int {
-	return max(1, (4*n+segmentBytes-1)/segmentBytes)
+	return max(1, (n+segmentBytes-1)/segmentBytes)
 }
 
-// segmentedLen returns the sealed length of n floats in k segments.
-func segmentedLen(n, k int) int { return 4*n + k*engine.Overhead }
+// segmentedLen returns the sealed length of n plaintext bytes in k
+// segments.
+func segmentedLen(n, k int) int { return n + k*engine.Overhead }
 
-// sealedLenOf returns the sealed length MirrorOut writes for an fp32
-// buffer of n floats. A layer-table entry comes from untrusted PM, so
+// sealedLenOf returns the sealed length MirrorOut writes for a buffer
+// of n plaintext bytes. A layer-table entry comes from untrusted PM, so
 // its length must equal this before anything is sized from it.
 func sealedLenOf(n int) int { return segmentedLen(n, segmentsFor(n)) }
 
@@ -156,20 +200,37 @@ func segmentsIn(sealedLen int) int {
 // the k that hold buffer bi of layer node li.
 type bufTask struct {
 	li, bi, seg, k int
-	p              []float32
+	b              buffer
 	off            int
 	sealedLen      int
+	bind           bool     // the MAC binds aad
 	aad            [16]byte // li, bi, seg, k as little-endian uint32s
 }
 
 // additionalData returns what the segment's MAC binds besides its
-// ciphertext: nothing for a one-segment buffer. It points into the
+// ciphertext: nothing for a one-segment fp32 buffer. It points into the
 // task, so callers hold the task by pointer.
 func (t *bufTask) additionalData() []byte {
-	if t.k == 1 {
+	if !t.bind {
 		return nil
 	}
 	return t.aad[:]
+}
+
+// seal seals the segment through sc.
+func (t *bufTask) seal(eng *engine.Engine, sc *engine.Scratch) ([]byte, error) {
+	if t.b.q != nil {
+		return eng.SealAAD(sc, t.b.codes(), t.additionalData())
+	}
+	return eng.SealFloatsAAD(sc, t.b.f, t.additionalData())
+}
+
+// open opens sealed into the segment's elements.
+func (t *bufTask) open(eng *engine.Engine, sealed []byte) error {
+	if t.b.q != nil {
+		return eng.OpenAAD(t.b.codes(), sealed, t.additionalData())
+	}
+	return eng.OpenFloatsAAD(t.b.f, sealed, t.additionalData())
 }
 
 // errorf wraps a seal or open failure with the segment's place.
@@ -181,23 +242,25 @@ func (t *bufTask) errorf(op string, err error) error {
 // restore or mirror-out into a task list, and returns it with the
 // sealed bytes it covers. The shape has been checked (matchesFrom), so
 // every recorded length is sealedLenOf its buffer.
-func (m *Model) collectTasks(paramLayers [][][]float32, from int) ([]bufTask, int) {
+func (m *Model) collectTasks(bufLayers [][]buffer, from int) ([]bufTask, int) {
 	count := 0
-	for _, params := range paramLayers {
-		for _, p := range params {
-			count += segmentsFor(len(p))
+	for _, bufs := range bufLayers {
+		for _, b := range bufs {
+			count += segmentsFor(b.size())
 		}
 	}
 	tasks := make([]bufTask, 0, count)
 	total := 0
-	for li, params := range paramLayers {
+	for li, bufs := range bufLayers {
 		node := m.layers[from+li]
-		for bi, p := range params {
-			k := segmentsFor(len(p))
+		int8Layer := bufs[0].q != nil
+		for bi, b := range bufs {
+			k := segmentsFor(b.size())
 			off := node.bufs[bi].off
 			for s := 0; s < k; s++ {
-				seg := p[s*len(p)/k : (s+1)*len(p)/k]
-				t := bufTask{li: from + li, bi: bi, seg: s, k: k, p: seg, off: off, sealedLen: segmentedLen(len(seg), 1)}
+				seg := b.part(s, k)
+				t := bufTask{li: from + li, bi: bi, seg: s, k: k, b: seg, off: off,
+					sealedLen: segmentedLen(seg.size(), 1), bind: k > 1 || int8Layer}
 				for i, v := range [...]int{from + li, bi, s, k} {
 					binary.LittleEndian.PutUint32(t.aad[4*i:], uint32(v))
 				}
@@ -232,9 +295,9 @@ func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, 
 	for _, opt := range opts {
 		opt(m)
 	}
-	paramLayers := collectParamLayers(net)
+	bufLayers := collectBuffers(net)
 	err := rom.Update(func() error {
-		hdr, layers, err := allocModelRegion(rom, paramLayers)
+		hdr, layers, err := allocRegionWith(rom, rom.Alloc, bufLayers)
 		if err != nil {
 			return err
 		}
@@ -247,62 +310,31 @@ func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, 
 	return m, nil
 }
 
-// allocModelRegion lays out one persistent model region — header, layer
-// nodes and sealed buffers — inside an already-open transaction. It does
-// not root the region; callers decide where the header is referenced
-// from (the RootModel slot for the training mirror, a publication slot
-// for published snapshots).
-func allocModelRegion(rom *romulus.Romulus, paramLayers [][][]float32) (int, []layerNode, error) {
-	return allocModelRegionWith(rom, rom.Alloc, paramLayers)
-}
-
 // regionAlign applies the Romulus bump allocator's alignment, so
-// modelRegionSize predicts exactly what a fresh allocModelRegion
-// consumes and an in-region bump allocator lays out identically.
+// regionSize predicts exactly what a fresh allocRegionWith consumes and
+// an in-region bump allocator lays out identically.
 func regionAlign(n int) int {
 	return (n + romulus.AllocAlign - 1) / romulus.AllocAlign * romulus.AllocAlign
 }
 
-// paramSealedLens maps fp32 parameter layers to the per-buffer sealed
-// byte lengths MirrorOut writes — the shape vocabulary the region
-// allocator works in, shared by the fp32 and quantized codecs.
-func paramSealedLens(paramLayers [][][]float32) [][]int {
-	lens := make([][]int, len(paramLayers))
-	for li, params := range paramLayers {
-		bl := make([]int, len(params))
-		for bi, p := range params {
-			bl[bi] = sealedLenOf(len(p))
-		}
-		lens[li] = bl
-	}
-	return lens
-}
-
-// regionSizeFor returns the exact heap consumption of a model region
-// holding one sealed buffer per length — the sum of its aligned
-// allocations.
-func regionSizeFor(sealedLens [][]int) int {
+// regionSize returns the exact heap consumption of a model region for
+// the given buffers — the sum of its aligned allocations.
+func regionSize(bufLayers [][]buffer) int {
 	total := regionAlign(modelHdrSize)
-	for _, bufs := range sealedLens {
+	for _, bufs := range bufLayers {
 		total += regionAlign(nodeBufTable + nodeBufEntry*len(bufs))
-		for _, n := range bufs {
-			total += regionAlign(n)
+		for _, b := range bufs {
+			total += regionAlign(sealedLenOf(b.size()))
 		}
 	}
 	return total
-}
-
-// modelRegionSize returns the exact heap consumption of an fp32 model
-// region for the given parameter shape.
-func modelRegionSize(paramLayers [][][]float32) int {
-	return regionSizeFor(paramSealedLens(paramLayers))
 }
 
 // regionAllocator bump-allocates inside an existing PM region [base,
 // base+size) — the publication slot GC path, which re-lays out a
 // recycled region for a new shape instead of leaking it. Allocation
 // order and alignment match the Romulus heap allocator, so any shape
-// whose modelRegionSize fits the region lays out in place.
+// whose regionSize fits the region lays out in place.
 func regionAllocator(base, size int) func(int) (int, error) {
 	bump := base
 	return func(n int) (int, error) {
@@ -316,19 +348,14 @@ func regionAllocator(base, size int) func(int) (int, error) {
 	}
 }
 
-// allocModelRegionWith is allocModelRegion over an arbitrary allocator:
-// the Romulus heap for fresh regions, an in-region bump allocator for
-// recycled ones.
-func allocModelRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), paramLayers [][][]float32) (int, []layerNode, error) {
-	return allocRegionWith(rom, alloc, paramSealedLens(paramLayers))
-}
-
-// allocRegionWith lays out one persistent layer-list region — header,
-// layer nodes and one sealed buffer per length — over an arbitrary
-// allocator. The fp32 mirror and the quantized snapshot share this
-// layout; only the sealed lengths (and the codec that fills the
-// buffers) differ.
-func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), sealedLens [][]int) (int, []layerNode, error) {
+// allocRegionWith lays out one persistent model region — header, layer
+// nodes and one sealed buffer per parameter buffer — inside an
+// already-open transaction, over an arbitrary allocator: the Romulus
+// heap for fresh regions, an in-region bump allocator for recycled
+// ones. It does not root the region; callers decide where the header is
+// referenced from (the RootModel slot for the training mirror, a
+// publication slot for published snapshots).
+func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), bufLayers [][]buffer) (int, []layerNode, error) {
 	hdr, err := alloc(modelHdrSize)
 	if err != nil {
 		return 0, nil, err
@@ -336,14 +363,15 @@ func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), sealedL
 	var layers []layerNode
 	var prevNodeOff = -1
 	var firstNodeOff int
-	for _, params := range sealedLens {
-		nodeSize := nodeBufTable + nodeBufEntry*len(params)
+	for _, bufs := range bufLayers {
+		nodeSize := nodeBufTable + nodeBufEntry*len(bufs)
 		nodeOff, err := alloc(nodeSize)
 		if err != nil {
 			return 0, nil, err
 		}
 		node := layerNode{off: nodeOff}
-		for bi, sealedLen := range params {
+		for bi, b := range bufs {
+			sealedLen := sealedLenOf(b.size())
 			bufOff, err := alloc(sealedLen)
 			if err != nil {
 				return 0, nil, err
@@ -360,7 +388,7 @@ func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), sealedL
 		if err := rom.StoreUint64(nodeOff+nodeNext, 0); err != nil {
 			return 0, nil, err
 		}
-		if err := rom.StoreUint64(nodeOff+nodeNumBufs, uint64(len(params))); err != nil {
+		if err := rom.StoreUint64(nodeOff+nodeNumBufs, uint64(len(bufs))); err != nil {
 			return 0, nil, err
 		}
 		if prevNodeOff >= 0 {
@@ -376,7 +404,7 @@ func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), sealedL
 	if err := rom.StoreUint64(hdr+modelHdrIter, 0); err != nil {
 		return 0, nil, err
 	}
-	if err := rom.StoreUint64(hdr+modelHdrNumL, uint64(len(sealedLens))); err != nil {
+	if err := rom.StoreUint64(hdr+modelHdrNumL, uint64(len(bufLayers))); err != nil {
 		return 0, nil, err
 	}
 	if err := rom.StoreUint64(hdr+modelHdrHead, uint64(firstNodeOff)); err != nil {
@@ -461,46 +489,86 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 // data key, the next MirrorOut re-seals the parameters under it.
 func (m *Model) SetEngine(eng *engine.Engine) { m.eng = eng }
 
-// collectParamLayers returns the parameter buffers of every layer that
-// has any (conv: 5 buffers, connected: 2; pooling/softmax: none).
-func collectParamLayers(net *darknet.Network) [][][]float32 {
-	out := make([][][]float32, 0, len(net.Layers))
+// collectBuffers returns the persistent buffers of every layer that
+// has parameters: its fp32 parameter buffers (conv: 5, connected: 2;
+// pooling/softmax: none), or for a quantized layer its int8 weight
+// codes, their one-float scale and its fp32 vectors.
+//
+// Every layer's list is a view into one flat slice with room for six
+// buffers per layer (a quantized conv's count), so a save or restore
+// allocates no list per layer; a view taken before the slice regrows
+// still holds its buffers.
+func collectBuffers(net *darknet.Network) [][]buffer {
+	out := make([][]buffer, 0, len(net.Layers))
+	flat := make([]buffer, 0, 6*len(net.Layers))
 	for _, l := range net.Layers {
-		if params := l.Params(); len(params) > 0 {
-			out = append(out, params)
+		params := l.Params()
+		if len(params) == 0 {
+			continue
 		}
+		start := len(flat)
+		if ql, ok := l.(darknet.QuantWeightLayer); ok {
+			flat = append(flat, buffer{q: ql.QuantWeights()}, buffer{f: ql.WeightScale()})
+		}
+		for _, p := range params {
+			flat = append(flat, buffer{f: p})
+		}
+		out = append(out, flat[start:len(flat):len(flat)])
 	}
 	return out
 }
 
 // matches checks the persistent layout against the network architecture.
-func (m *Model) matches(paramLayers [][][]float32) error {
-	if len(paramLayers) != len(m.layers) {
+func (m *Model) matches(bufLayers [][]buffer) error {
+	if len(bufLayers) != len(m.layers) {
 		return fmt.Errorf("%w: %d persistent layers, %d network layers",
-			ErrShapeMismatch, len(m.layers), len(paramLayers))
+			ErrShapeMismatch, len(m.layers), len(bufLayers))
 	}
-	return m.matchesFrom(paramLayers, 0)
+	return m.matchesFrom(bufLayers, 0)
 }
 
-// matchesFrom checks paramLayers against the persistent layer nodes
+// matchesFrom checks bufLayers against the persistent layer nodes
 // starting at node index from — the shard-restore shape check, where
-// paramLayers is one contiguous slice of the full model's layers.
-func (m *Model) matchesFrom(paramLayers [][][]float32, from int) error {
-	if from < 0 || from+len(paramLayers) > len(m.layers) {
+// bufLayers is one contiguous slice of the full model's layers.
+func (m *Model) matchesFrom(bufLayers [][]buffer, from int) error {
+	if from < 0 || from+len(bufLayers) > len(m.layers) {
 		return fmt.Errorf("%w: layers [%d,%d) of %d persistent",
-			ErrShapeMismatch, from, from+len(paramLayers), len(m.layers))
+			ErrShapeMismatch, from, from+len(bufLayers), len(m.layers))
 	}
-	for li, params := range paramLayers {
+	for li, bufs := range bufLayers {
 		node := m.layers[from+li]
-		if len(params) != len(node.bufs) {
+		if len(bufs) != len(node.bufs) {
 			return fmt.Errorf("%w: layer %d has %d buffers, persistent %d",
-				ErrShapeMismatch, from+li, len(params), len(node.bufs))
+				ErrShapeMismatch, from+li, len(bufs), len(node.bufs))
 		}
-		for bi, p := range params {
-			if node.bufs[bi].sealedLen != sealedLenOf(len(p)) {
-				return fmt.Errorf("%w: layer %d buffer %d of %d floats recorded as %d sealed bytes",
-					ErrShapeMismatch, from+li, bi, len(p), node.bufs[bi].sealedLen)
+		for bi, b := range bufs {
+			if node.bufs[bi].sealedLen != sealedLenOf(b.size()) {
+				return fmt.Errorf("%w: layer %d buffer %d of %d bytes recorded as %d sealed bytes",
+					ErrShapeMismatch, from+li, bi, b.size(), node.bufs[bi].sealedLen)
 			}
+		}
+	}
+	return nil
+}
+
+// payloadCounters returns the payload byte counters an operation on net
+// adds to: the int8 twins for a quantized snapshot.
+func payloadCounters(net *darknet.Network) (sealed, restored *obs.Counter) {
+	if darknet.IsQuantized(net) {
+		return mQuantSealedBytes, mQuantRestoredBytes
+	}
+	return mMirroredBytes, mRestoredBytes
+}
+
+// checkScales rejects a restored int8 scale that is not finite and
+// positive: every later forward pass multiplies by it.
+func checkScales(bufLayers [][]buffer, from int) error {
+	for li, bufs := range bufLayers {
+		if bufs[0].q == nil {
+			continue
+		}
+		if s := bufs[1].f[0]; !(s > 0) || math.IsInf(float64(s), 0) {
+			return fmt.Errorf("%w: layer %d int8 scale %v", ErrCorrupt, from+li, s)
 		}
 	}
 	return nil
@@ -518,12 +586,12 @@ func (m *Model) matchesFrom(paramLayers [][][]float32, from int) error {
 // of the sequential path, while the AES-GCM work (the dominant save
 // cost, Table Ia) overlaps the PM writes and uses all cores.
 func (m *Model) MirrorOut(net *darknet.Network) error {
-	paramLayers := collectParamLayers(net)
-	if err := m.matches(paramLayers); err != nil {
+	bufLayers := collectBuffers(net)
+	if err := m.matches(bufLayers); err != nil {
 		return err
 	}
 	m.lastSeal.Store(0)
-	tasks, total := m.collectTasks(paramLayers, 0)
+	tasks, total := m.collectTasks(bufLayers, 0)
 	err := m.rom.Update(func() error {
 		if err := m.rom.StoreUint64(m.headOff+modelHdrIter, uint64(net.Iteration)); err != nil {
 			return err
@@ -544,7 +612,7 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 			for i := lo; i < hi && !order.failed.Load(); i++ {
 				t := &tasks[i]
 				sealStart := time.Now()
-				sealed, err := m.eng.SealFloatsAAD(sc, t.p, t.additionalData())
+				sealed, err := t.seal(m.eng, sc)
 				m.lastSeal.Add(int64(time.Since(sealStart)))
 				order.Lock()
 				for order.stored < i && order.err == nil {
@@ -568,7 +636,8 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 	if err == nil {
 		mMirrorOut.Inc()
 		mSealSeconds.Add(time.Duration(m.lastSeal.Load()).Seconds())
-		mMirroredBytes.Add(float64(total))
+		sealedBytes, _ := payloadCounters(net)
+		sealedBytes.Add(float64(total))
 	}
 	return err
 }
@@ -577,11 +646,11 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 // and installs the parameters and iteration counter into net
 // (Algorithm 3, mirror_in). It returns the restored iteration.
 func (m *Model) MirrorIn(net *darknet.Network) (int, error) {
-	paramLayers := collectParamLayers(net)
-	if err := m.matches(paramLayers); err != nil {
+	bufLayers := collectBuffers(net)
+	if err := m.matches(bufLayers); err != nil {
 		return 0, err
 	}
-	return m.mirrorInFrom(net, paramLayers, 0)
+	return m.mirrorInFrom(net, bufLayers, 0)
 }
 
 // MirrorInRange restores only the slice of the persistent model whose
@@ -589,17 +658,19 @@ func (m *Model) MirrorIn(net *darknet.Network) (int, error) {
 // shard sub-network whose parameter layers correspond to persistent
 // nodes [from, from+n), and only that range's sealed buffers are read,
 // decrypted and installed. The persisted iteration counter (shared by
-// the whole snapshot) is installed into net and returned.
+// the whole snapshot) is installed into net and returned. An int8 shard
+// restores its range of the int8 variant the same way.
 func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
-	paramLayers := collectParamLayers(net)
-	if err := m.matchesFrom(paramLayers, from); err != nil {
+	bufLayers := collectBuffers(net)
+	if err := m.matchesFrom(bufLayers, from); err != nil {
 		return 0, err
 	}
-	return m.mirrorInFrom(net, paramLayers, from)
+	return m.mirrorInFrom(net, bufLayers, from)
 }
 
 // mirrorInFrom is the shared restore loop of MirrorIn and
-// MirrorInRange; the shape has already been checked.
+// MirrorInRange; the shape has already been checked. The int8 scales
+// are checked once every segment has opened.
 //
 // The per-segment work — sealed PM read, boundary copy, in-enclave
 // AES-GCM open — runs on par.For, each range through its own engine
@@ -607,13 +678,13 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // decrypt into disjoint parameter slices, PM loads are device-locked,
 // and the enclave CopyAcross/Touch accounting is mutex-protected, so
 // the parallel restore charges exactly what the sequential one does.
-func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, from int) (int, error) {
+func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from int) (int, error) {
 	iter, err := m.rom.LoadUint64(m.headOff + modelHdrIter)
 	if err != nil {
 		return 0, err
 	}
 	m.lastOpen.Store(0)
-	tasks, total := m.collectTasks(paramLayers, from)
+	tasks, total := m.collectTasks(bufLayers, from)
 	var first struct {
 		sync.Mutex
 		err error
@@ -637,14 +708,18 @@ func (m *Model) mirrorInFrom(net *darknet.Network, paramLayers [][][]float32, fr
 	if first.err != nil {
 		return 0, first.err
 	}
+	if err := checkScales(bufLayers, from); err != nil {
+		return 0, err
+	}
 	net.Iteration = int(iter)
 	mMirrorIn.Inc()
 	mOpenSeconds.Add(time.Duration(m.lastOpen.Load()).Seconds())
-	mRestoredBytes.Add(float64(total))
+	_, restoredBytes := payloadCounters(net)
+	restoredBytes.Add(float64(total))
 	return int(iter), nil
 }
 
-// restore loads segment t from PM and opens it into its parameters.
+// restore loads segment t from PM and opens it into its buffer.
 // The sealed bytes stage through sc's sealed side (the open uses only
 // its plain side), so steady-state restores — the streaming shard
 // group's per-batch path — allocate nothing: the scratch pool keeps the
@@ -658,7 +733,7 @@ func (m *Model) restore(sc *engine.Scratch, t *bufTask) error {
 		m.encl.CopyAcross(len(sealed))
 	}
 	openStart := time.Now()
-	err := m.eng.OpenFloatsAAD(t.p, sealed, t.additionalData())
+	err := t.open(m.eng, sealed)
 	m.lastOpen.Add(int64(time.Since(openStart)))
 	if err != nil {
 		return t.errorf("open", err)

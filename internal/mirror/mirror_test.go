@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	mrand "math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,14 +47,15 @@ func testNet(t *testing.T, seed int64) *darknet.Network {
 	return n
 }
 
+// netsEqual reports whether two networks of one shape hold the same
+// persistent buffers: fp32 parameters, or int8 codes and scales.
 func netsEqual(a, b *darknet.Network) bool {
-	for li := range a.Layers {
-		pa, pb := a.Layers[li].Params(), b.Layers[li].Params()
-		for pi := range pa {
-			for i := range pa[pi] {
-				if pa[pi][i] != pb[pi][i] {
-					return false
-				}
+	ba, bb := collectBuffers(a), collectBuffers(b)
+	for li := range ba {
+		for bi, x := range ba[li] {
+			y := bb[li][bi]
+			if !slices.Equal(x.f, y.f) || !slices.Equal(x.q, y.q) {
+				return false
 			}
 		}
 	}

@@ -17,20 +17,19 @@
 //
 //	pub header: latestVersion | numSlots | maxPubSlots x {version, modelOff, regionSize, qOff, qSize, qValid} | manifestOff | manifestCap
 //
-// Slot model regions reuse the mirror's layer-list layout. A slot may
-// additionally carry a quantized (int8) snapshot variant of the same
-// version in a second region (qOff/qSize): PublishOut writes it when
-// asked (WithQuantized), and qValid — flipped in the same durable
-// transaction as the version — records whether the variant is present,
-// so a crash mid-publish can never expose a torn quant region. qOff
-// and qSize persist across retirements for the same in-place reuse
-// discipline as the fp32 region. The
-// recorded regionSize makes slot recycling shape-proof: Romulus has no
-// free, so v2 leaked a slot's old region whenever the model shape
-// changed; with the size known, a recycled slot whose new payload fits
-// is re-laid out in place (regionAllocator) and only a genuinely
-// outgrown region is abandoned to the bump allocator — counted in
-// LeakedBytes, with in-place reuse counted in ReusedBytes. Pin counts
+// Slot model regions are mirror model regions. A slot may additionally
+// carry the quantized (int8) variant of the same version in a second
+// region (qOff/qSize), mirrored from darknet.QuantizeNetwork's clone by
+// the same MirrorOut: PublishOut writes it when asked (WithQuantized),
+// and qValid — flipped in the same durable transaction as the version —
+// records whether the variant is present, so a crash mid-publish can
+// never expose a torn int8 region. Both regions follow one discipline
+// (Publication.layout): the recorded size makes slot recycling
+// shape-proof, since Romulus has no free. A recycled region whose new
+// payload fits is re-laid out in place (regionAllocator) and only a
+// genuinely outgrown region is abandoned to the bump allocator —
+// counted in LeakedBytes, with in-place reuse counted in ReusedBytes.
+// Offsets and sizes persist across retirements. Pin counts
 // are volatile (a restart drops all pins, as the readers died with the
 // process). The Publication handle itself serializes its in-memory
 // bookkeeping; callers must still serialize the PM device access of
@@ -93,23 +92,33 @@ var (
 	errSlotSuperseded = errors.New("mirror: publication slot superseded mid-pin") // internal consistency check
 )
 
+// region is one model region of a publication slot: the fp32 snapshot
+// or its int8 variant.
+type region struct {
+	off    int         // header offset; 0 = never allocated
+	size   int         // heap bytes the region spans
+	layers []layerNode // cached layout
+}
+
+// Offsets within a slot table entry: each region's (offset, size) pair,
+// and the int8 validity flag.
+const (
+	slotFP32Region = 8
+	slotInt8Region = 24
+	slotInt8Valid  = 40
+)
+
 // pubSlot is one entry of the publication table.
 type pubSlot struct {
-	idx        int
-	version    uint64 // 0 = unpublished / retired
-	modelOff   int
-	regionSize int         // heap bytes of the slot's model region
-	layers     []layerNode // cached layout of the slot's model region
-	pins       int
-
-	// Quantized variant region: allocated lazily on the first
-	// WithQuantized publish into this slot, reused in place across
-	// versions like the fp32 region. qValid marks whether the slot's
-	// CURRENT version carries a quant snapshot.
-	qOff    int
-	qSize   int
-	qLayers []layerNode
-	qValid  bool
+	idx     int
+	version uint64 // 0 = unpublished / retired
+	fp32    region
+	// int8 is allocated on the first WithQuantized publish into the
+	// slot; int8Valid marks whether the slot's CURRENT version carries
+	// it.
+	int8      region
+	int8Valid bool
+	pins      int
 }
 
 // Publication is a handle to the versioned publication table in PM.
@@ -186,52 +195,47 @@ func OpenPublication(rom *romulus.Romulus) (*Publication, error) {
 	}
 	p.latest = latest
 	for i := 0; i < int(numSlots); i++ {
-		entry := hdr + pubHdrSlots + i*pubSlotEntry
+		entry := p.slotEntryOff(i)
 		version, err := rom.LoadUint64(entry)
 		if err != nil {
 			return nil, err
 		}
-		modelOff, err := rom.LoadUint64(entry + 8)
+		int8Valid, err := rom.LoadUint64(entry + slotInt8Valid)
 		if err != nil {
 			return nil, err
 		}
-		regionSize, err := rom.LoadUint64(entry + 16)
-		if err != nil {
-			return nil, err
+		s := &pubSlot{idx: i, version: version, int8Valid: int8Valid != 0}
+		if s.fp32, err = loadRegion(rom, entry+slotFP32Region); err != nil {
+			return nil, fmt.Errorf("publication slot %d: %w", i, err)
 		}
-		qOff, err := rom.LoadUint64(entry + 24)
-		if err != nil {
-			return nil, err
-		}
-		qSize, err := rom.LoadUint64(entry + 32)
-		if err != nil {
-			return nil, err
-		}
-		qValid, err := rom.LoadUint64(entry + 40)
-		if err != nil {
-			return nil, err
-		}
-		s := &pubSlot{
-			idx: i, version: version, modelOff: int(modelOff), regionSize: int(regionSize),
-			qOff: int(qOff), qSize: int(qSize), qValid: qValid != 0,
-		}
-		if s.modelOff != 0 {
-			m, err := openModelAt(rom, nil, s.modelOff)
-			if err != nil {
-				return nil, fmt.Errorf("publication slot %d: %w", i, err)
-			}
-			s.layers = m.layers
-		}
-		if s.qOff != 0 {
-			qm, err := openModelAt(rom, nil, s.qOff)
-			if err != nil {
-				return nil, fmt.Errorf("publication slot %d quant region: %w", i, err)
-			}
-			s.qLayers = qm.layers
+		if s.int8, err = loadRegion(rom, entry+slotInt8Region); err != nil {
+			return nil, fmt.Errorf("publication slot %d int8 region: %w", i, err)
 		}
 		p.slots = append(p.slots, s)
 	}
 	return p, nil
+}
+
+// loadRegion reads the region whose (offset, size) pair is at PM offset
+// at, walking its layer list when it has been allocated.
+func loadRegion(rom *romulus.Romulus, at int) (region, error) {
+	off, err := rom.LoadUint64(at)
+	if err != nil {
+		return region{}, err
+	}
+	size, err := rom.LoadUint64(at + 8)
+	if err != nil {
+		return region{}, err
+	}
+	r := region{off: int(off), size: int(size)}
+	if r.off != 0 {
+		m, err := openModelAt(rom, nil, r.off)
+		if err != nil {
+			return region{}, err
+		}
+		r.layers = m.layers
+	}
+	return r, nil
 }
 
 // LatestVersion returns the most recently published version, 0 if none.
@@ -253,17 +257,17 @@ func (p *Publication) slotEntryOff(i int) int {
 // (re-laid out in place by PublishOut — no heap growth), then a fresh
 // table slot, and only last a recyclable slot whose region must be
 // abandoned. Called with p.mu held.
-func (p *Publication) pickSlot(paramLayers [][][]float32) (*pubSlot, error) {
-	need := modelRegionSize(paramLayers)
+func (p *Publication) pickSlot(bufLayers [][]buffer) (*pubSlot, error) {
+	need := regionSize(bufLayers)
 	var fallback, fitting *pubSlot
 	for _, s := range p.slots {
 		if s.pins > 0 || (s.version == p.latest && p.latest != 0) {
 			continue
 		}
-		if s.modelOff != 0 && layersMatch(s.layers, paramLayers) == nil {
+		if s.fp32.off != 0 && layersMatch(s.fp32.layers, bufLayers) == nil {
 			return s, nil
 		}
-		if fitting == nil && s.modelOff != 0 && need <= s.regionSize {
+		if fitting == nil && s.fp32.off != 0 && need <= s.fp32.size {
 			fitting = s
 		}
 		fallback = s
@@ -290,10 +294,67 @@ func (p *Publication) pickSlot(paramLayers [][][]float32) (*pubSlot, error) {
 }
 
 // layersMatch checks a cached persistent layout against the network's
-// parameter shape, mirroring Model.matches without a Model handle.
-func layersMatch(layers []layerNode, paramLayers [][][]float32) error {
+// buffers, mirroring Model.matches without a Model handle.
+func layersMatch(layers []layerNode, bufLayers [][]buffer) error {
 	m := &Model{layers: layers}
-	return m.matches(paramLayers)
+	return m.matches(bufLayers)
+}
+
+// layout makes r — whose (offset, size) pair is at PM offset at in the
+// slot table — hold a region laid out for bufLayers. A region that
+// already matches is kept. A retired region big enough for the new
+// shape is re-laid out in place (Romulus has no free, so this is the
+// only reclamation); an outgrown one is abandoned to the bump allocator
+// and a fresh one allocated. Called with p.mu held.
+func (p *Publication) layout(r *region, at int, bufLayers [][]buffer) error {
+	if r.off != 0 && layersMatch(r.layers, bufLayers) == nil {
+		return nil
+	}
+	need := regionSize(bufLayers)
+	if r.off != 0 && need <= r.size {
+		err := p.rom.Update(func() error {
+			hdr, layers, err := allocRegionWith(p.rom, regionAllocator(r.off, r.size), bufLayers)
+			if err != nil {
+				return err
+			}
+			// The header is the region's first allocation, so its offset
+			// and size are unchanged.
+			if hdr != r.off {
+				return fmt.Errorf("%w: reused region header moved %d -> %d", ErrPubCorrupt, r.off, hdr)
+			}
+			r.layers = layers
+			return nil
+		})
+		if err == nil {
+			p.reused += need
+		}
+		return err
+	}
+	abandoned := r.size
+	err := p.rom.Update(func() error {
+		hdr, layers, err := allocRegionWith(p.rom, p.rom.Alloc, bufLayers)
+		if err != nil {
+			return err
+		}
+		*r = region{off: hdr, size: need, layers: layers}
+		if err := p.rom.StoreUint64(at, uint64(hdr)); err != nil {
+			return err
+		}
+		return p.rom.StoreUint64(at+8, uint64(need))
+	})
+	if err == nil {
+		p.leaked += abandoned
+	}
+	return err
+}
+
+// write lays r out for net (see layout) and mirrors net into it.
+func (p *Publication) write(eng *engine.Engine, r *region, at int, net *darknet.Network) error {
+	if err := p.layout(r, at, collectBuffers(net)); err != nil {
+		return err
+	}
+	m := &Model{rom: p.rom, eng: eng, headOff: r.off, layers: r.layers}
+	return m.MirrorOut(net)
 }
 
 // PublishOption configures one PublishOut call.
@@ -304,8 +365,8 @@ type publishConfig struct {
 }
 
 // WithQuantized makes PublishOut additionally seal an int8-quantized
-// variant of the snapshot into the slot's quant region, restorable via
-// Pin.OpenQuant with ~4x smaller sealed payload.
+// variant of the snapshot into the slot's int8 region, restorable via
+// Pin.Open at darknet.Int8 with ~4x smaller sealed payload.
 func WithQuantized() PublishOption {
 	return func(c *publishConfig) { c.quantized = true }
 }
@@ -325,95 +386,54 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	paramLayers := collectParamLayers(net)
+	var qnet *darknet.Network
+	if cfg.quantized {
+		var err error
+		if qnet, err = darknet.QuantizeNetwork(net); err != nil {
+			return 0, fmt.Errorf("publish quantize: %w", err)
+		}
+	}
+	bufLayers := collectBuffers(net)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	slot, err := p.pickSlot(paramLayers)
+	slot, err := p.pickSlot(bufLayers)
 	if err != nil {
 		return 0, err
 	}
+	entry := p.slotEntryOff(slot.idx)
 	// Retire the slot before overwriting its bytes so a crash mid-write
 	// cannot leave a stale version number pointing at torn content. The
-	// quant validity bit is cleared in the same transaction: whatever
-	// the quant region holds is now unowned bytes.
-	if slot.version != 0 || slot.qValid {
+	// int8 validity bit is cleared in the same transaction: whatever the
+	// int8 region holds is now unowned bytes.
+	if slot.version != 0 || slot.int8Valid {
 		err := p.rom.Update(func() error {
-			if err := p.rom.StoreUint64(p.slotEntryOff(slot.idx), 0); err != nil {
+			if err := p.rom.StoreUint64(entry, 0); err != nil {
 				return err
 			}
-			return p.rom.StoreUint64(p.slotEntryOff(slot.idx)+40, 0)
+			return p.rom.StoreUint64(entry+slotInt8Valid, 0)
 		})
 		if err != nil {
 			return 0, err
 		}
 		slot.version = 0
-		slot.qValid = false
+		slot.int8Valid = false
 	}
-	// (Re)lay out the slot's model region if the shape changed. A
-	// recycled region big enough for the new payload is rewritten in
-	// place (Romulus has no free, so this is the only reclamation);
-	// only when the shape outgrew the region is a fresh one allocated
-	// and the old region abandoned in the bump allocator.
-	if slot.modelOff == 0 || layersMatch(slot.layers, paramLayers) != nil {
-		need := modelRegionSize(paramLayers)
-		if slot.modelOff != 0 && need <= slot.regionSize {
-			// Same-or-smaller shape: reuse the retired slot's region.
-			err := p.rom.Update(func() error {
-				hdr, layers, err := allocModelRegionWith(p.rom,
-					regionAllocator(slot.modelOff, slot.regionSize), paramLayers)
-				if err != nil {
-					return err
-				}
-				slot.layers = layers
-				// The header is the region's first allocation, so
-				// modelOff and regionSize are unchanged.
-				if hdr != slot.modelOff {
-					return fmt.Errorf("%w: reused region header moved %d -> %d",
-						ErrPubCorrupt, slot.modelOff, hdr)
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, err
-			}
-			p.reused += need
-		} else {
-			abandoned := slot.regionSize
-			err := p.rom.Update(func() error {
-				hdr, layers, err := allocModelRegion(p.rom, paramLayers)
-				if err != nil {
-					return err
-				}
-				slot.modelOff, slot.layers, slot.regionSize = hdr, layers, need
-				entry := p.slotEntryOff(slot.idx)
-				if err := p.rom.StoreUint64(entry+8, uint64(hdr)); err != nil {
-					return err
-				}
-				return p.rom.StoreUint64(entry+16, uint64(need))
-			})
-			if err != nil {
-				return 0, err
-			}
-			p.leaked += abandoned
-		}
-	}
-	m := &Model{rom: p.rom, eng: eng, headOff: slot.modelOff, layers: slot.layers}
-	if err := m.MirrorOut(net); err != nil {
+	if err := p.write(eng, &slot.fp32, entry+slotFP32Region, net); err != nil {
 		return 0, fmt.Errorf("publish seal: %w", err)
 	}
-	if cfg.quantized {
-		if err := p.writeQuantVariant(eng, slot, paramLayers, net.Iteration); err != nil {
-			return 0, fmt.Errorf("publish quant seal: %w", err)
+	if qnet != nil {
+		if err := p.write(eng, &slot.int8, entry+slotInt8Region, qnet); err != nil {
+			return 0, fmt.Errorf("publish int8 seal: %w", err)
 		}
 	}
 	newVer := p.latest + 1
 	err = p.rom.Update(func() error {
-		if err := p.rom.StoreUint64(p.slotEntryOff(slot.idx), newVer); err != nil {
+		if err := p.rom.StoreUint64(entry, newVer); err != nil {
 			return err
 		}
-		if cfg.quantized {
-			if err := p.rom.StoreUint64(p.slotEntryOff(slot.idx)+40, 1); err != nil {
+		if qnet != nil {
+			if err := p.rom.StoreUint64(entry+slotInt8Valid, 1); err != nil {
 				return err
 			}
 		}
@@ -423,61 +443,9 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 		return 0, err
 	}
 	slot.version = newVer
-	slot.qValid = cfg.quantized
+	slot.int8Valid = qnet != nil
 	p.latest = newVer
 	return newVer, nil
-}
-
-// writeQuantVariant lays out (or reuses) the slot's quant region and
-// seals the int8 snapshot into it. The same in-place reuse discipline
-// as the fp32 region applies: a retired quant region big enough for
-// the new shape is rewritten in place, an outgrown one is abandoned to
-// the bump allocator. Called with p.mu held; qValid is NOT set here —
-// the caller flips it with the version.
-func (p *Publication) writeQuantVariant(eng *engine.Engine, slot *pubSlot, paramLayers [][][]float32, iteration int) error {
-	qLens := quantSealedLens(paramLayers)
-	if slot.qOff == 0 || nodesMatchLens(slot.qLayers, qLens) != nil {
-		need := regionSizeFor(qLens)
-		if slot.qOff != 0 && need <= slot.qSize {
-			err := p.rom.Update(func() error {
-				hdr, layers, err := allocRegionWith(p.rom,
-					regionAllocator(slot.qOff, slot.qSize), qLens)
-				if err != nil {
-					return err
-				}
-				slot.qLayers = layers
-				if hdr != slot.qOff {
-					return fmt.Errorf("%w: reused quant region header moved %d -> %d",
-						ErrPubCorrupt, slot.qOff, hdr)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			p.reused += need
-		} else {
-			abandoned := slot.qSize
-			err := p.rom.Update(func() error {
-				hdr, layers, err := allocRegionWith(p.rom, p.rom.Alloc, qLens)
-				if err != nil {
-					return err
-				}
-				slot.qOff, slot.qLayers, slot.qSize = hdr, layers, need
-				entry := p.slotEntryOff(slot.idx)
-				if err := p.rom.StoreUint64(entry+24, uint64(hdr)); err != nil {
-					return err
-				}
-				return p.rom.StoreUint64(entry+32, uint64(need))
-			})
-			if err != nil {
-				return err
-			}
-			p.leaked += abandoned
-		}
-	}
-	_, err := writeQuantSnapshot(p.rom, eng, slot.qOff, slot.qLayers, paramLayers, iteration)
-	return err
 }
 
 // Pin is a reader's hold on one published version: while held, the
@@ -513,11 +481,18 @@ func (p *Publication) Pin(version uint64) (*Pin, error) {
 // Version returns the pinned version number.
 func (pin *Pin) Version() uint64 { return pin.version }
 
-// Open returns a Model handle over the pinned snapshot, decrypting with
-// the reader's own engine (each replica enclave holds its own engine
-// instance over the provisioned data key). PM access through the handle
-// must be serialized by the caller like any other romulus use.
-func (pin *Pin) Open(eng *engine.Engine, opts ...Option) (*Model, error) {
+// ErrNoQuant is returned by Pin.Open at darknet.Int8 when the pinned
+// version was published without a quantized variant.
+var ErrNoQuant = errors.New("mirror: published version has no quantized variant")
+
+// Open returns a Model handle over the pinned snapshot at prec — the
+// fp32 snapshot, or at darknet.Int8 its quantized variant, which
+// MirrorIn and MirrorInRange restore into a darknet.QuantizeNetwork
+// clone — decrypting with the reader's own engine (each replica enclave
+// holds its own engine instance over the provisioned data key). PM
+// access through the handle must be serialized by the caller like any
+// other romulus use.
+func (pin *Pin) Open(eng *engine.Engine, prec darknet.Precision, opts ...Option) (*Model, error) {
 	pin.mu.Lock()
 	released := pin.released
 	pin.mu.Unlock()
@@ -525,7 +500,10 @@ func (pin *Pin) Open(eng *engine.Engine, opts ...Option) (*Model, error) {
 		return nil, ErrPinReleased
 	}
 	pin.pub.mu.Lock()
-	off := pin.slot.modelOff
+	r, present := pin.slot.fp32, true
+	if prec == darknet.Int8 {
+		r, present = pin.slot.int8, pin.slot.int8Valid
+	}
 	ok := pin.slot.version == pin.version
 	pin.pub.mu.Unlock()
 	if !ok {
@@ -533,7 +511,10 @@ func (pin *Pin) Open(eng *engine.Engine, opts ...Option) (*Model, error) {
 		// recycled); kept as a hard consistency check.
 		return nil, errSlotSuperseded
 	}
-	return openModelAt(pin.pub.rom, eng, off, opts...)
+	if !present {
+		return nil, ErrNoQuant
+	}
+	return openModelAt(pin.pub.rom, eng, r.off, opts...)
 }
 
 // HasQuant reports whether the pinned version carries a quantized
@@ -547,36 +528,7 @@ func (pin *Pin) HasQuant() bool {
 	}
 	pin.pub.mu.Lock()
 	defer pin.pub.mu.Unlock()
-	return pin.slot.version == pin.version && pin.slot.qValid
-}
-
-// ErrNoQuant is returned by OpenQuant when the pinned version was
-// published without a quantized variant.
-var ErrNoQuant = errors.New("mirror: published version has no quantized variant")
-
-// OpenQuant returns a QuantModel handle over the pinned version's int8
-// snapshot variant, decrypting with the reader's own engine. PM access
-// through the handle must be serialized by the caller like any other
-// romulus use.
-func (pin *Pin) OpenQuant(eng *engine.Engine, opts ...Option) (*QuantModel, error) {
-	pin.mu.Lock()
-	released := pin.released
-	pin.mu.Unlock()
-	if released {
-		return nil, ErrPinReleased
-	}
-	pin.pub.mu.Lock()
-	off := pin.slot.qOff
-	valid := pin.slot.qValid
-	ok := pin.slot.version == pin.version
-	pin.pub.mu.Unlock()
-	if !ok {
-		return nil, errSlotSuperseded
-	}
-	if !valid || off == 0 {
-		return nil, ErrNoQuant
-	}
-	return openQuantAt(pin.pub.rom, eng, off, opts...)
+	return pin.slot.version == pin.version && pin.slot.int8Valid
 }
 
 // ShardManifestEntry records one shard of a serving plan: the

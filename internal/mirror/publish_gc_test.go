@@ -22,60 +22,59 @@ func testNetShape(t *testing.T, convLayers, filters int) *darknet.Network {
 }
 
 // TestSlotGCReusesRegionOnShapeChange: republishing a same-or-smaller
-// shape into a recycled slot must rewrite its region in place — no
-// heap growth, bytes counted in ReusedBytes, nothing leaked.
+// shape into a recycled slot must rewrite its regions — fp32 and, when
+// published, int8 — in place: no heap growth, bytes counted in
+// ReusedBytes, nothing leaked, and the rewritten regions restore the
+// new shape.
 func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
-	_, rom := testHeap(t, 64<<20)
-	eng := testEngine(t)
-	big := testNetShape(t, 2, 16)
-	small := testNetShape(t, 1, 4)
-	if modelRegionSize(collectParamLayers(small)) >= modelRegionSize(collectParamLayers(big)) {
-		t.Fatal("test shapes inverted: small must need less region than big")
-	}
+	for _, prec := range precisions {
+		t.Run(prec.name, func(t *testing.T) {
+			_, rom := testHeap(t, 64<<20)
+			eng := testEngine(t)
+			big := testNetShape(t, 2, 16)
+			small := testNetShape(t, 1, 4)
+			if regionSize(collectBuffers(small)) >= regionSize(collectBuffers(big)) {
+				t.Fatal("test shapes inverted: small must need less region than big")
+			}
 
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	// Two big publishes materialize two big-shaped slots (the latest
-	// slot is never recycled, so alternation needs both).
-	publishNet(t, p, eng, big)
-	publishNet(t, p, eng, big)
-	used0 := rom.Used()
+			p, err := OpenPublication(rom)
+			if err != nil {
+				t.Fatalf("OpenPublication: %v", err)
+			}
+			publish := func(net *darknet.Network) {
+				t.Helper()
+				if _, err := p.PublishOut(eng, net, prec.opts...); err != nil {
+					t.Fatalf("PublishOut: %v", err)
+				}
+			}
+			// Two big publishes materialize two big-shaped slots (the
+			// latest slot is never recycled, so alternation needs both).
+			publish(big)
+			publish(big)
+			used0 := rom.Used()
 
-	// Repeated same-or-smaller republish: every shape change lands in
-	// a recycled big region and must fit in place.
-	for i := 0; i < 6; i++ {
-		publishNet(t, p, eng, small)
-		publishNet(t, p, eng, big)
-	}
-	if got := rom.Used(); got != used0 {
-		t.Fatalf("heap grew %d bytes across same-or-smaller republishes", got-used0)
-	}
-	if p.ReusedBytes() == 0 {
-		t.Fatal("ReusedBytes = 0; shape changes should have reused regions")
-	}
-	if p.LeakedBytes() != 0 {
-		t.Fatalf("LeakedBytes = %d, want 0 (every new shape fit)", p.LeakedBytes())
-	}
+			// Repeated same-or-smaller republish: every shape change
+			// lands in a recycled big region and must fit in place.
+			for i := 0; i < 6; i++ {
+				publish(small)
+				publish(big)
+			}
+			if got := rom.Used(); got != used0 {
+				t.Fatalf("heap grew %d bytes across same-or-smaller republishes", got-used0)
+			}
+			if p.ReusedBytes() == 0 {
+				t.Fatal("ReusedBytes = 0; shape changes should have reused regions")
+			}
+			if p.LeakedBytes() != 0 {
+				t.Fatalf("LeakedBytes = %d, want 0 (every new shape fit)", p.LeakedBytes())
+			}
 
-	// The recycled regions must still restore correctly.
-	ver := publishNet(t, p, eng, small)
-	pin, err := p.Pin(ver)
-	if err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	defer pin.Release()
-	m, err := pin.Open(eng)
-	if err != nil {
-		t.Fatalf("pin.Open: %v", err)
-	}
-	restored := testNetShape(t, 1, 4)
-	if _, err := m.MirrorIn(restored); err != nil {
-		t.Fatalf("MirrorIn from reused region: %v", err)
-	}
-	if !netsEqual(small, restored) {
-		t.Fatal("restored model differs after region reuse")
+			// The recycled regions must still restore correctly.
+			perturb(small, 1)
+			small.Iteration = 100
+			publish(small)
+			checkLatest(t, p, eng, small, func() *darknet.Network { return testNetShape(t, 1, 4) }, len(prec.opts) > 0)
+		})
 	}
 }
 
@@ -120,7 +119,7 @@ func TestSlotGCLeaksOnlyOutgrownRegions(t *testing.T) {
 	eng := testEngine(t)
 	small := testNetShape(t, 1, 4)
 	big := testNetShape(t, 2, 16)
-	smallSize := modelRegionSize(collectParamLayers(small))
+	smallSize := regionSize(collectBuffers(small))
 
 	p, err := OpenPublication(rom)
 	if err != nil {

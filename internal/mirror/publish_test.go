@@ -72,7 +72,7 @@ func TestPinRestoresExactVersionDespiteLaterPublishes(t *testing.T) {
 		publishNet(t, p, eng, net)
 	}
 
-	m, err := pin.Open(eng)
+	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}
@@ -92,74 +92,129 @@ func TestPinRestoresExactVersionDespiteLaterPublishes(t *testing.T) {
 	}
 }
 
-func TestReleaseAllowsSlotRecycling(t *testing.T) {
-	_, rom := testHeap(t, 32<<20)
-	eng := testEngine(t)
-	net := testNet(t, 1)
+// precisions names the two publication modes the publish tests run
+// as rows: fp32 only, and with the int8 variant.
+var precisions = []struct {
+	name string
+	opts []PublishOption
+}{
+	{"fp32", nil},
+	{"int8", []PublishOption{WithQuantized()}},
+}
 
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	v1 := publishNet(t, p, eng, net)
-	pin, err := p.Pin(v1)
-	if err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	pin.Release()
-	pin.Release() // idempotent
-	if _, err := pin.Open(eng); !errors.Is(err, ErrPinReleased) {
-		t.Fatalf("Open after Release = %v, want ErrPinReleased", err)
-	}
-	// With the pin released, many further publishes must keep cycling
-	// through the bounded slot table without error.
-	for i := 0; i < 3*maxPubSlots; i++ {
-		publishNet(t, p, eng, net)
-	}
-	if got := len(p.slots); got > maxPubSlots {
-		t.Fatalf("slot table grew to %d, cap %d", got, maxPubSlots)
+// TestReleaseAllowsSlotRecycling: a released pin lets its slot recycle,
+// and same-shape republishes keep cycling through the bounded slot
+// table without abandoning any region — the int8 regions included —
+// while the latest version restores its own weights.
+func TestReleaseAllowsSlotRecycling(t *testing.T) {
+	for _, prec := range precisions {
+		t.Run(prec.name, func(t *testing.T) {
+			_, rom := testHeap(t, 32<<20)
+			eng := testEngine(t)
+			net := testNet(t, 1)
+
+			p, err := OpenPublication(rom)
+			if err != nil {
+				t.Fatalf("OpenPublication: %v", err)
+			}
+			v1 := publishNet(t, p, eng, net)
+			pin, err := p.Pin(v1)
+			if err != nil {
+				t.Fatalf("Pin: %v", err)
+			}
+			pin.Release()
+			pin.Release() // idempotent
+			if _, err := pin.Open(eng, darknet.FP32); !errors.Is(err, ErrPinReleased) {
+				t.Fatalf("Open after Release = %v, want ErrPinReleased", err)
+			}
+			// With the pin released, many further publishes must keep
+			// cycling through the bounded slot table without error.
+			for i := 0; i < 3*maxPubSlots; i++ {
+				perturb(net, float32(i+1))
+				net.Iteration = i + 1
+				if _, err := p.PublishOut(eng, net, prec.opts...); err != nil {
+					t.Fatalf("PublishOut %d: %v", i, err)
+				}
+			}
+			if got := len(p.slots); got > maxPubSlots {
+				t.Fatalf("slot table grew to %d, cap %d", got, maxPubSlots)
+			}
+			if p.LeakedBytes() != 0 {
+				t.Fatalf("LeakedBytes = %d after same-shape republishes, want 0", p.LeakedBytes())
+			}
+			checkLatest(t, p, eng, net, func() *darknet.Network { return testNet(t, 7) }, len(prec.opts) > 0)
+		})
 	}
 }
 
-func TestPublicationSurvivesReopen(t *testing.T) {
-	_, rom := testHeap(t, 32<<20)
-	eng := testEngine(t)
-	net := testNet(t, 1)
-
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	net.Iteration = 42
-	ver := publishNet(t, p, eng, net)
-
-	// Re-attach (as Recover does) and restore the published version.
-	p2, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("re-OpenPublication: %v", err)
-	}
-	if p2.LatestVersion() != ver {
-		t.Fatalf("reopened latest %d, want %d", p2.LatestVersion(), ver)
-	}
-	pin, err := p2.Pin(0)
+// checkLatest restores the latest published version into a fresh()
+// network and checks it holds net — and, when withInt8 is set, that its
+// int8 variant holds net's quantization, while without it the variant
+// is absent (ErrNoQuant).
+func checkLatest(t *testing.T, p *Publication, eng *engine.Engine, net *darknet.Network, fresh func() *darknet.Network, withInt8 bool) {
+	t.Helper()
+	pin, err := p.Pin(0)
 	if err != nil {
 		t.Fatalf("Pin latest: %v", err)
 	}
 	defer pin.Release()
-	m, err := pin.Open(eng)
+	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}
-	restored := testNet(t, 3)
+	restored := fresh()
 	iter, err := m.MirrorIn(restored)
 	if err != nil {
 		t.Fatalf("MirrorIn: %v", err)
 	}
-	if iter != 42 {
-		t.Fatalf("restored iteration %d, want 42", iter)
+	if iter != net.Iteration || !netsEqual(net, restored) {
+		t.Fatalf("latest restores iteration %d (want %d), equal parameters %v", iter, net.Iteration, netsEqual(net, restored))
 	}
-	if !netsEqual(net, restored) {
-		t.Fatal("reopened publication restored different parameters")
+	if pin.HasQuant() != withInt8 {
+		t.Fatalf("HasQuant = %v, want %v", pin.HasQuant(), withInt8)
+	}
+	if !withInt8 {
+		if _, err := pin.Open(eng, darknet.Int8); !errors.Is(err, ErrNoQuant) {
+			t.Fatalf("int8 Open of an fp32-only version = %v, want ErrNoQuant", err)
+		}
+		return
+	}
+	qnet, iter := restoreInt8(t, pin, eng, fresh())
+	if iter != net.Iteration || !netsEqual(quantized(t, net), qnet) {
+		t.Fatalf("latest int8 variant restores iteration %d (want %d), equal buffers %v",
+			iter, net.Iteration, netsEqual(quantized(t, net), qnet))
+	}
+}
+
+// TestPublicationSurvivesReopen: a publication re-attached as Recover
+// does restores the published version — and its int8 variant exactly
+// when one was published.
+func TestPublicationSurvivesReopen(t *testing.T) {
+	for _, prec := range precisions {
+		t.Run(prec.name, func(t *testing.T) {
+			_, rom := testHeap(t, 32<<20)
+			eng := testEngine(t)
+			net := testNet(t, 1)
+
+			p, err := OpenPublication(rom)
+			if err != nil {
+				t.Fatalf("OpenPublication: %v", err)
+			}
+			net.Iteration = 42
+			ver, err := p.PublishOut(eng, net, prec.opts...)
+			if err != nil {
+				t.Fatalf("PublishOut: %v", err)
+			}
+
+			p2, err := OpenPublication(rom)
+			if err != nil {
+				t.Fatalf("re-OpenPublication: %v", err)
+			}
+			if p2.LatestVersion() != ver {
+				t.Fatalf("reopened latest %d, want %d", p2.LatestVersion(), ver)
+			}
+			checkLatest(t, p2, eng, net, func() *darknet.Network { return testNet(t, 3) }, len(prec.opts) > 0)
+		})
 	}
 }
 

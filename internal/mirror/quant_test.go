@@ -6,13 +6,42 @@ import (
 	"testing"
 
 	"plinius/internal/darknet"
+	"plinius/internal/engine"
+	"plinius/internal/romulus"
 )
 
+// quantized returns net's int8 clone.
+func quantized(t *testing.T, net *darknet.Network) *darknet.Network {
+	t.Helper()
+	qnet, err := darknet.QuantizeNetwork(net)
+	if err != nil {
+		t.Fatalf("QuantizeNetwork: %v", err)
+	}
+	return qnet
+}
+
+// restoreInt8 restores the pinned version's int8 variant into the
+// quantized clone of into and returns the clone with the restored
+// iteration.
+func restoreInt8(t *testing.T, pin *Pin, eng *engine.Engine, into *darknet.Network) (*darknet.Network, int) {
+	t.Helper()
+	m, err := pin.Open(eng, darknet.Int8)
+	if err != nil {
+		t.Fatalf("pin.Open int8: %v", err)
+	}
+	qnet := quantized(t, into)
+	iter, err := m.MirrorIn(qnet)
+	if err != nil {
+		t.Fatalf("int8 MirrorIn: %v", err)
+	}
+	return qnet, iter
+}
+
 // TestQuantPublishRestoreRoundTrip publishes a model with the int8
-// variant, restores the variant into a quantized clone, and checks the
-// restored weights are exactly the symmetric quantization of the
-// published fp32 parameters, the fp32 side buffers are bit-exact, and
-// the sealed payload is well under the 30%-of-fp32 budget.
+// variant and restores the variant into a quantized clone: the codes
+// and scales are exactly the symmetric quantization of the published
+// fp32 weights, the fp32 side buffers are bit-exact, and the sealed
+// payload is well under the 30%-of-fp32 budget.
 func TestQuantPublishRestoreRoundTrip(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
 	eng := testEngine(t)
@@ -34,219 +63,32 @@ func TestQuantPublishRestoreRoundTrip(t *testing.T) {
 	if !pin.HasQuant() {
 		t.Fatal("HasQuant = false after quantized publish")
 	}
-	m, err := pin.Open(eng)
+	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}
-	qm, err := pin.OpenQuant(eng)
+	qm, err := pin.Open(eng, darknet.Int8)
 	if err != nil {
-		t.Fatalf("pin.OpenQuant: %v", err)
+		t.Fatalf("pin.Open int8: %v", err)
 	}
 	if ratio := float64(qm.SealedBytes()) / float64(m.SealedBytes()); ratio > 0.30 {
-		t.Fatalf("quant sealed payload is %.1f%% of fp32 (%d / %d), want <= 30%%",
+		t.Fatalf("int8 sealed payload is %.1f%% of fp32 (%d / %d), want <= 30%%",
 			100*ratio, qm.SealedBytes(), m.SealedBytes())
 	}
 
-	qnet, err := darknet.QuantizeNetwork(testNet(t, 99)) // different seed: every byte must come from PM
-	if err != nil {
-		t.Fatalf("QuantizeNetwork: %v", err)
-	}
-	iter, err := qm.RestoreInto(qnet)
-	if err != nil {
-		t.Fatalf("RestoreInto: %v", err)
-	}
+	// A different seed: every restored byte must come from PM.
+	qnet, iter := restoreInt8(t, pin, eng, testNet(t, 99))
 	if iter != 42 || qnet.Iteration != 42 {
 		t.Fatalf("restored iteration %d/%d, want 42", iter, qnet.Iteration)
 	}
-	for li, l := range net.Layers {
-		params := l.Params()
-		if len(params) == 0 {
-			continue
-		}
-		ql, ok := qnet.Layers[li].(darknet.QuantWeightLayer)
-		if !ok {
-			t.Fatalf("layer %d: restored clone is not a QuantWeightLayer", li)
-		}
-		wantQ, wantScale := darknet.QuantizeWeights(params[0])
-		if got := ql.WeightScale(); got != wantScale {
-			t.Fatalf("layer %d scale: %v, want %v", li, got, wantScale)
-		}
-		gotQ := ql.QuantWeights()
-		if len(gotQ) != len(wantQ) {
-			t.Fatalf("layer %d: %d codes, want %d", li, len(gotQ), len(wantQ))
-		}
-		for i := range wantQ {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("layer %d code[%d]: %d, want %d", li, i, gotQ[i], wantQ[i])
-			}
-		}
-		qparams := qnet.Layers[li].Params()
-		for bi := 1; bi < len(params); bi++ {
-			for i := range params[bi] {
-				if qparams[bi-1][i] != params[bi][i] {
-					t.Fatalf("layer %d fp32 buffer %d[%d]: %v, want %v",
-						li, bi, i, qparams[bi-1][i], params[bi][i])
-				}
-			}
-		}
-	}
-}
-
-// TestQuantVariantAbsentWithoutOption: a plain publish carries no
-// quantized variant; OpenQuant fails with ErrNoQuant and HasQuant is
-// false, while the fp32 snapshot opens normally.
-func TestQuantVariantAbsentWithoutOption(t *testing.T) {
-	_, rom := testHeap(t, 32<<20)
-	eng := testEngine(t)
-	net := testNet(t, 1)
-
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	publishNet(t, p, eng, net)
-	pin, err := p.Pin(0)
-	if err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	defer pin.Release()
-	if pin.HasQuant() {
-		t.Fatal("HasQuant = true after fp32-only publish")
-	}
-	if _, err := pin.OpenQuant(eng); !errors.Is(err, ErrNoQuant) {
-		t.Fatalf("OpenQuant = %v, want ErrNoQuant", err)
-	}
-	if _, err := pin.Open(eng); err != nil {
-		t.Fatalf("fp32 Open: %v", err)
-	}
-}
-
-// TestQuantRegionReusedAcrossVersions: same-shape quantized
-// republishes recycle slots without abandoning any region to the bump
-// allocator, and the latest version restores its own weights.
-func TestQuantRegionReusedAcrossVersions(t *testing.T) {
-	_, rom := testHeap(t, 32<<20)
-	eng := testEngine(t)
-	net := testNet(t, 1)
-
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	// Fill every slot with quantized versions, then keep publishing so
-	// slots (and their quant regions) recycle.
-	for i := 0; i < maxPubSlots+3; i++ {
-		perturb(net, float32(i+1))
-		net.Iteration = i + 1
-		if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
-			t.Fatalf("PublishOut %d: %v", i, err)
-		}
-	}
-	if p.LeakedBytes() != 0 {
-		t.Fatalf("LeakedBytes = %d after same-shape republishes, want 0", p.LeakedBytes())
-	}
-
-	pin, err := p.Pin(0)
-	if err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	defer pin.Release()
-	qm, err := pin.OpenQuant(eng)
-	if err != nil {
-		t.Fatalf("OpenQuant: %v", err)
-	}
-	qnet, err := darknet.QuantizeNetwork(testNet(t, 7))
-	if err != nil {
-		t.Fatalf("QuantizeNetwork: %v", err)
-	}
-	iter, err := qm.RestoreInto(qnet)
-	if err != nil {
-		t.Fatalf("RestoreInto: %v", err)
-	}
-	if iter != maxPubSlots+3 {
-		t.Fatalf("restored iteration %d, want %d", iter, maxPubSlots+3)
-	}
-	// Spot-check the restored weights against the final fp32 state.
-	l0 := net.Layers[0].Params()[0]
-	ql := qnet.Layers[0].(darknet.QuantWeightLayer)
-	wantQ, wantScale := darknet.QuantizeWeights(l0)
-	if ql.WeightScale() != wantScale {
-		t.Fatalf("scale %v, want %v", ql.WeightScale(), wantScale)
-	}
-	for i := range wantQ {
-		if ql.QuantWeights()[i] != wantQ[i] {
-			t.Fatalf("code[%d]: %d, want %d", i, ql.QuantWeights()[i], wantQ[i])
-		}
-	}
-}
-
-// TestQuantRegionReusedOnShapeShrink: recycling a slot for a smaller
-// network rewrites both the fp32 and quant regions in place (counted by
-// ReusedBytes) rather than abandoning them, and the restored variant
-// carries the new shape's weights.
-func TestQuantRegionReusedOnShapeShrink(t *testing.T) {
-	_, rom := testHeap(t, 64<<20)
-	eng := testEngine(t)
-
-	p, err := OpenPublication(rom)
-	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
-	}
-	big := testNetShape(t, 2, 8)
-	for i := 0; i < maxPubSlots; i++ {
-		perturb(big, float32(i+1))
-		big.Iteration = i + 1
-		if _, err := p.PublishOut(eng, big, WithQuantized()); err != nil {
-			t.Fatalf("PublishOut big %d: %v", i, err)
-		}
-	}
-	small := testNetShape(t, 1, 4)
-	small.Iteration = 100
-	if _, err := p.PublishOut(eng, small, WithQuantized()); err != nil {
-		t.Fatalf("PublishOut small: %v", err)
-	}
-	if p.LeakedBytes() != 0 {
-		t.Fatalf("LeakedBytes = %d after shrink republish, want 0", p.LeakedBytes())
-	}
-	if p.ReusedBytes() == 0 {
-		t.Fatal("ReusedBytes = 0: the shrunk regions were not rewritten in place")
-	}
-
-	pin, err := p.Pin(0)
-	if err != nil {
-		t.Fatalf("Pin: %v", err)
-	}
-	defer pin.Release()
-	qm, err := pin.OpenQuant(eng)
-	if err != nil {
-		t.Fatalf("OpenQuant: %v", err)
-	}
-	qnet, err := darknet.QuantizeNetwork(testNetShape(t, 1, 4))
-	if err != nil {
-		t.Fatalf("QuantizeNetwork: %v", err)
-	}
-	iter, err := qm.RestoreInto(qnet)
-	if err != nil {
-		t.Fatalf("RestoreInto: %v", err)
-	}
-	if iter != 100 {
-		t.Fatalf("restored iteration %d, want 100", iter)
-	}
-	wantQ, wantScale := darknet.QuantizeWeights(small.Layers[0].Params()[0])
-	ql := qnet.Layers[0].(darknet.QuantWeightLayer)
-	if ql.WeightScale() != wantScale {
-		t.Fatalf("scale %v, want %v", ql.WeightScale(), wantScale)
-	}
-	for i := range wantQ {
-		if ql.QuantWeights()[i] != wantQ[i] {
-			t.Fatalf("code[%d]: %d, want %d", i, ql.QuantWeights()[i], wantQ[i])
-		}
+	if !netsEqual(quantized(t, net), qnet) {
+		t.Fatal("restored int8 buffers differ from the quantization of the published weights")
 	}
 }
 
 // TestQuantRestoreBound: every dequantized weight restored from PM is
 // within half a quantization step of the published fp32 value — the
-// end-to-end form of the codec's round-trip bound, across seal, PM
+// end-to-end form of the quantizer's round-trip bound, across seal, PM
 // storage, and open.
 func TestQuantRestoreBound(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
@@ -265,29 +107,166 @@ func TestQuantRestoreBound(t *testing.T) {
 		t.Fatalf("Pin: %v", err)
 	}
 	defer pin.Release()
-	qm, err := pin.OpenQuant(eng)
-	if err != nil {
-		t.Fatalf("OpenQuant: %v", err)
-	}
-	qnet, err := darknet.QuantizeNetwork(testNet(t, 4))
-	if err != nil {
-		t.Fatalf("QuantizeNetwork: %v", err)
-	}
-	if _, err := qm.RestoreInto(qnet); err != nil {
-		t.Fatalf("RestoreInto: %v", err)
-	}
+	qnet, _ := restoreInt8(t, pin, eng, testNet(t, 4))
 	for li, l := range net.Layers {
 		params := l.Params()
 		if len(params) == 0 {
 			continue
 		}
 		ql := qnet.Layers[li].(darknet.QuantWeightLayer)
-		scale, codes := ql.WeightScale(), ql.QuantWeights()
+		scale, codes := ql.WeightScale()[0], ql.QuantWeights()
 		bound := float64(scale)/2 + float64(scale)*1e-6
 		for i, w := range params[0] {
 			if d := math.Abs(float64(w) - float64(scale)*float64(codes[i])); d > bound {
 				t.Fatalf("layer %d weight %d: |%v - %v*%d| = %v > %v", li, i, w, scale, codes[i], d, bound)
 			}
 		}
+	}
+}
+
+// TestInt8ScaleMovedFailsAuth: every buffer of an int8 layer binds its
+// place, so an adversary with PM access who copies one layer's sealed
+// scale over another's — both one-float, one-segment frames — gets
+// ErrAuth, not a silently rescaled layer.
+func TestInt8ScaleMovedFailsAuth(t *testing.T) {
+	_, rom := testHeap(t, 32<<20)
+	eng := testEngine(t)
+	net := testNet(t, 1)
+	p, err := OpenPublication(rom)
+	if err != nil {
+		t.Fatalf("OpenPublication: %v", err)
+	}
+	if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
+		t.Fatalf("PublishOut: %v", err)
+	}
+	pin, err := p.Pin(0)
+	if err != nil {
+		t.Fatalf("Pin: %v", err)
+	}
+	defer pin.Release()
+	qm, err := pin.Open(eng, darknet.Int8)
+	if err != nil {
+		t.Fatalf("pin.Open int8: %v", err)
+	}
+	qnet := quantized(t, net)
+	moveSegment(t, rom, qnet, segRef{qm, 0, 1, 0}, segRef{qm, 1, 1, 0})
+	if _, err := qm.MirrorIn(quantized(t, testNet(t, 2))); !errors.Is(err, engine.ErrAuth) {
+		t.Fatalf("MirrorIn with a moved scale = %v, want ErrAuth", err)
+	}
+}
+
+// TestQuantPublishCrashSweep: a quantized PublishOut crashed before any
+// one of its commit steps in turn — every store and every fence of
+// every transaction it runs (romulus.SetCrashPoint) — recovers to the
+// previous latest version or, once its flip committed, the new one.
+// Whichever is latest restores its fp32 snapshot and its int8 variant
+// bit for bit. The crashed publish is a smaller shape that recycles the
+// slot of the version before the latest, so the sweep also crosses the
+// slot's retirement and the in-place relayout of both its regions.
+func TestQuantPublishCrashSweep(t *testing.T) {
+	eng := testEngine(t)
+	shapes := []func(seed int64) *darknet.Network{
+		func(seed int64) *darknet.Network { return testNet(t, seed) },
+		func(seed int64) *darknet.Network { return testNet(t, seed) },
+		func(seed int64) *darknet.Network { return testNetShape(t, 1, 4) },
+	}
+	nets := make([]*darknet.Network, len(shapes))
+	for i, shape := range shapes {
+		nets[i] = shape(int64(i + 1))
+		perturb(nets[i], float32(i+1))
+		nets[i].Iteration = i + 1
+	}
+	completed := false
+	for point := 1; !completed; point++ {
+		if point > 4096 {
+			t.Fatal("sweep never reached a crash-free publish")
+		}
+		dev, rom := testHeap(t, 8<<20)
+		p, err := OpenPublication(rom)
+		if err != nil {
+			t.Fatalf("OpenPublication: %v", err)
+		}
+		for _, net := range nets[:2] {
+			if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
+				t.Fatalf("PublishOut v%d: %v", net.Iteration, err)
+			}
+		}
+		rom.SetCrashPoint(point)
+		_, err = p.PublishOut(eng, nets[2], WithQuantized())
+		if err == nil {
+			completed = true
+		} else if !errors.Is(err, romulus.ErrCrashInjected) {
+			t.Fatalf("crash point %d: %v", point, err)
+		}
+
+		dev.Crash()
+		rom2, err := romulus.Open(dev)
+		if err != nil {
+			t.Fatalf("crash point %d: romulus.Open: %v", point, err)
+		}
+		p2, err := OpenPublication(rom2)
+		if err != nil {
+			t.Fatalf("crash point %d: OpenPublication: %v", point, err)
+		}
+		latest := int(p2.LatestVersion())
+		if latest != 3 && (completed || latest != 2) {
+			t.Fatalf("crash point %d: latest version %d after recovery", point, latest)
+		}
+		pin, err := p2.Pin(0)
+		if err != nil {
+			t.Fatalf("crash point %d: Pin: %v", point, err)
+		}
+		want := nets[latest-1]
+		m, err := pin.Open(eng, darknet.FP32)
+		if err != nil {
+			t.Fatalf("crash point %d: pin.Open: %v", point, err)
+		}
+		restored := shapes[latest-1](99)
+		if iter, err := m.MirrorIn(restored); err != nil || iter != latest || !netsEqual(want, restored) {
+			t.Fatalf("crash point %d: fp32 v%d restores iteration %d, err %v, equal %v",
+				point, latest, iter, err, netsEqual(want, restored))
+		}
+		qnet, iter := restoreInt8(t, pin, eng, shapes[latest-1](98))
+		if iter != latest || !netsEqual(quantized(t, want), qnet) {
+			t.Fatalf("crash point %d: int8 v%d restores iteration %d, equal %v",
+				point, latest, iter, netsEqual(quantized(t, want), qnet))
+		}
+		pin.Release()
+	}
+}
+
+// TestInt8RestoreRejectsBadScale: a restored int8 scale must be finite
+// and positive — every forward pass multiplies by it — so a region
+// sealed with any other scale, MAC intact, fails with ErrCorrupt, while
+// the smallest positive scale still restores.
+func TestInt8RestoreRejectsBadScale(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float32
+		ok    bool
+	}{
+		{"zero", 0, false},
+		{"negative", -0.5, false},
+		{"nan", float32(math.NaN()), false},
+		{"inf", float32(math.Inf(1)), false},
+		{"denormal", math.SmallestNonzeroFloat32, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, rom := testHeap(t, 8<<20)
+			eng := testEngine(t)
+			src := quantized(t, testNet(t, 1))
+			src.Layers[0].(darknet.QuantWeightLayer).WeightScale()[0] = c.scale
+			m, err := AllocModel(rom, eng, src)
+			if err != nil {
+				t.Fatalf("AllocModel: %v", err)
+			}
+			if err := m.MirrorOut(src); err != nil {
+				t.Fatalf("MirrorOut: %v", err)
+			}
+			_, err = m.MirrorIn(quantized(t, testNet(t, 2)))
+			if c.ok != (err == nil) || !c.ok && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("MirrorIn with scale %v = %v, want accepted %v (else ErrCorrupt)", c.scale, err, c.ok)
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ type segRef struct {
 // and its PM offset.
 func (r segRef) bytes(t *testing.T, net *darknet.Network) ([]byte, int) {
 	t.Helper()
-	tasks, _ := r.m.collectTasks(collectParamLayers(net), 0)
+	tasks, _ := r.m.collectTasks(collectBuffers(net), 0)
 	for _, tk := range tasks {
 		if tk.li == r.li && tk.bi == r.bi && tk.seg == r.seg {
 			b := make([]byte, tk.sealedLen)
@@ -121,7 +121,7 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 		if err := train.MirrorOut(net); err != nil {
 			t.Fatalf("MirrorOut: %v", err)
 		}
-		if got, want := train.layers[1].bufs[0].sealedLen, segmentedLen(520*520, 2); got != want {
+		if got, want := train.layers[1].bufs[0].sealedLen, segmentedLen(4*520*520, 2); got != want {
 			t.Fatalf("520x520 weights recorded as %d sealed bytes, want two segments (%d)", got, want)
 		}
 		p, err := OpenPublication(rom)
@@ -133,7 +133,7 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Pin: %v", err)
 		}
-		slot, err := pin.Open(eng)
+		slot, err := pin.Open(eng, darknet.FP32)
 		if err != nil {
 			t.Fatalf("pin.Open: %v", err)
 		}
@@ -155,14 +155,14 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 	}
 }
 
-// TestSealedLenNamesOneLayout: the recorded length of an fp32 buffer
-// strictly increases with its float count, so a forged or mismatched
-// length never passes for another shape, and segmentsIn recovers the
-// segment count from the length alone.
+// TestSealedLenNamesOneLayout: the recorded length of a buffer
+// strictly increases with its plaintext bytes — at either element
+// width — so a forged or mismatched length never passes for another
+// shape, and segmentsIn recovers the segment count from the length
+// alone.
 func TestSealedLenNamesOneLayout(t *testing.T) {
-	const per = segmentBytes / 4
-	for _, base := range []int{0, per, 2 * per, 3 * per, 64 * per} {
-		for n := max(0, base-16); n <= base+16; n++ {
+	for _, base := range []int{0, segmentBytes, 2 * segmentBytes, 3 * segmentBytes, 64 * segmentBytes} {
+		for n := max(0, base-64); n <= base+64; n++ {
 			l := sealedLenOf(n)
 			if n > 0 && l <= sealedLenOf(n-1) {
 				t.Fatalf("sealedLenOf(%d) = %d, not above sealedLenOf(%d) = %d", n, l, n-1, sealedLenOf(n-1))

@@ -30,7 +30,7 @@ func TestMirrorInRangeRestoresExactSlice(t *testing.T) {
 		t.Fatalf("Pin: %v", err)
 	}
 	defer pin.Release()
-	m, err := pin.Open(eng)
+	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestMirrorInRangeShapeMismatch(t *testing.T) {
 		t.Fatalf("Pin: %v", err)
 	}
 	defer pin.Release()
-	m, err := pin.Open(eng)
+	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}

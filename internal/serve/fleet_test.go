@@ -108,34 +108,6 @@ func TestFleetServingMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFleetAutoKeepsReplicasWhenFits: with FleetAuto and a replica
-// that fits the framework host, the fleet hosts are ignored and the
-// server runs the plain replica pool.
-func TestFleetAutoKeepsReplicasWhenFits(t *testing.T) {
-	f, test := newTrainedFramework(t, 4)
-	hosts := newFleetHosts(f, 3, 32<<20)
-	s, err := New(context.Background(), f, Options{
-		Fleet:           hosts,
-		FleetAuto:       true,
-		Workers:         2,
-		MaxBatch:        8,
-		MaxQueueLatency: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("New server: %v", err)
-	}
-	defer s.Close()
-	if st := s.Stats(); st.FleetHosts != 0 {
-		t.Fatalf("FleetAuto engaged the fleet (%d hosts) although a replica fits", st.FleetHosts)
-	}
-	if s.Workers() != 2 {
-		t.Fatalf("Workers = %d, want 2", s.Workers())
-	}
-	if _, err := s.Classify(context.Background(), test.Image(0)); err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-}
-
 // TestFleetServingDropsNoRequestsDuringControl hammers the server with
 // concurrent requests while Refresh and RotateKey flip the fleet
 // mid-traffic: every request must succeed. Run under -race this is the

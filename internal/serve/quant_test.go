@@ -100,12 +100,13 @@ func TestQuantizedReplicaRefusesUntrainedRepublish(t *testing.T) {
 	}
 }
 
-// TestQuantizedShardServerPublishesNoInt8: Quantized asks for an int8
-// replica pool, but on a host too small even for one int8 replica the
-// server builds a shard group, which serves fp32 — so publication must
-// stay fp32-only rather than seal an int8 variant nobody restores.
-func TestQuantizedShardServerPublishesNoInt8(t *testing.T) {
-	f, _ := newStreamingFramework(t)
+// TestQuantizedShardServerServesInt8: on a host too small even for
+// one int8 replica, a Quantized ShardAuto server builds a shard group
+// that serves int8 — each range restored from the published int8
+// variant — and classifies every test image exactly as the int8 clone
+// of the trained model does.
+func TestQuantizedShardServerServesInt8(t *testing.T) {
+	f, test := newStreamingFramework(t)
 	s, err := New(context.Background(), f, Options{
 		Shards: ShardAuto, Quantized: true, MaxBatch: 4, ShardOverheadBytes: 8 << 10,
 	})
@@ -113,15 +114,33 @@ func TestQuantizedShardServerPublishesNoInt8(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	if st := s.Stats(); st.Shards == 0 || st.Precision != darknet.FP32 {
-		t.Fatalf("served %d shards at %v, want a shard group at fp32", st.Shards, st.Precision)
+	if st := s.Stats(); st.Shards < 2 || st.Precision != darknet.Int8 {
+		t.Fatalf("served %d shards at %v, want a shard group at int8", st.Shards, st.Precision)
 	}
 	pin, err := f.PinPublished(0)
 	if err != nil {
 		t.Fatalf("PinPublished: %v", err)
 	}
-	defer pin.Release()
-	if pin.HasQuant() {
-		t.Fatal("a shard-group server published an int8 variant")
+	hasQuant := pin.HasQuant()
+	pin.Release()
+	if !hasQuant {
+		t.Fatal("an int8 shard-group server published no int8 variant")
+	}
+	qnet, err := darknet.QuantizeNetwork(f.Net)
+	if err != nil {
+		t.Fatalf("QuantizeNetwork: %v", err)
+	}
+	for i := 0; i < test.N; i++ {
+		want, err := qnet.ClassifyBatch(test.Image(i), 1)
+		if err != nil {
+			t.Fatalf("int8 reference classify %d: %v", i, err)
+		}
+		pred, err := s.Classify(context.Background(), test.Image(i))
+		if err != nil {
+			t.Fatalf("served classify %d: %v", i, err)
+		}
+		if pred.Class != want[0] {
+			t.Fatalf("image %d: served class %d, int8 reference %d", i, pred.Class, want[0])
+		}
 	}
 }

@@ -156,24 +156,15 @@ type Options struct {
 	// with no feasible placement fails construction with an error
 	// matching fleet.ErrInfeasible.
 	Fleet []*enclave.Host
-	// FleetAuto gates the fleet the way ShardAuto gates sharding: the
-	// Fleet hosts are engaged only when a whole-model replica exceeds
-	// the framework host's EPC headroom; while a replica fits, the
-	// server ignores Fleet and serves the plain replica pool.
-	FleetAuto bool
-	// FleetReplicas is the number of replica groups in fleet mode;
-	// zero packs as many as the fleet's capacity admits.
-	FleetReplicas int
 	// Quantized serves the int8-quantized snapshot variant instead of
 	// fp32: publication switches to quantized mode (every snapshot
-	// carries the int8 variant alongside fp32), and each replica is
-	// built with core.ShardOptions.Precision Int8 and restores the
-	// variant — ~4x smaller sealed payloads and parameter footprints, so
-	// more replicas fit the same headroom, at a small documented
-	// accuracy cost. Applies to the whole-model replica pool only (int8
-	// restores whole models, so an int8 group is one-range); a
-	// multi-range shard group or fleet serves fp32 and leaves
-	// publication fp32-only.
+	// carries the int8 variant alongside fp32), and every replica — or
+	// the shard group, whose plan then packs int8 footprints — is built
+	// with core.ShardOptions.Precision Int8 and restores the variant:
+	// ~4x smaller sealed payloads and parameter footprints, so more
+	// replicas fit the same headroom and ShardAuto shards only models
+	// whose int8 replica does not fit, at a small documented accuracy
+	// cost. A fleet serves fp32 and leaves publication fp32-only.
 	Quantized bool
 	// Metrics is the registry the server's metrics (and, in shard
 	// mode, the shard pipeline's) register into. Nil gets the server a
@@ -397,19 +388,18 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 	}
 	// The backend kind: a fleet when Options.Fleet hosts are given, a
 	// shard group for explicit Options.Shards, else the replica pool —
-	// except that FleetAuto and ShardAuto engage a fleet or a shard
-	// group only when even one whole-model replica would blow past the
-	// host's remaining EPC headroom, the regime where a monolithic pool
-	// would drag every co-located enclave over the paging knee.
+	// except that ShardAuto engages a shard group only when even one
+	// whole-model replica would blow past the host's remaining EPC
+	// headroom, the regime where a monolithic pool would drag every
+	// co-located enclave over the paging knee.
+	fleeted := len(opts.Fleet) > 0
 	fp := replicaFootprint(f, opts)
-	overHeadroom := fp > 0 && fp > f.Host.Headroom()
-	fleeted := len(opts.Fleet) > 0 && (!opts.FleetAuto || overHeadroom)
-	sharded := !fleeted && (opts.Shards > 0 || opts.Shards == ShardAuto && overHeadroom)
-	// Only a quantized replica pool restores the int8 variant, so only
-	// it turns quantized publication on — a sticky switch — and does so
-	// before the snapshot below, so the first published version already
-	// carries the variant.
-	if opts.Quantized && !fleeted && !sharded {
+	sharded := !fleeted && (opts.Shards > 0 || opts.Shards == ShardAuto && fp > 0 && fp > f.Host.Headroom())
+	// Replicas and shard groups restore the int8 variant, so they turn
+	// quantized publication on — a sticky switch — before the snapshot
+	// below, so the first published version already carries the
+	// variant. A fleet serves fp32.
+	if opts.Quantized && !fleeted {
 		f.SetPublishQuantized(true)
 	}
 	ver, err := f.LatestPublished()
@@ -446,7 +436,6 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 	case fleeted:
 		fl, err := fleet.New(f, fleet.Options{
 			Hosts:         opts.Fleet,
-			Replicas:      opts.FleetReplicas,
 			Batch:         opts.MaxBatch,
 			OverheadBytes: opts.ShardOverheadBytes,
 			Seed:          opts.Seed,
@@ -459,6 +448,7 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 	case sharded:
 		so := core.ShardOptions{
 			Batch:         opts.MaxBatch,
+			Precision:     precision(opts),
 			Seed:          opts.Seed,
 			OverheadBytes: opts.ShardOverheadBytes,
 			Metrics:       reg,
@@ -537,7 +527,8 @@ func (s *Server) start() {
 	}
 }
 
-// precision is the parameter precision a replica pool serves.
+// precision is the parameter precision a replica pool or shard group
+// serves.
 func precision(opts Options) darknet.Precision {
 	if opts.Quantized {
 		return darknet.Int8
@@ -547,9 +538,9 @@ func precision(opts Options) darknet.Precision {
 
 // replicaFootprint is what one replica of the pool reserves: at the
 // configured serving precision — a quantized pool restores the int8
-// snapshot variant, so auto worker sizing and the ShardAuto/FleetAuto
-// gates see the ~4x smaller parameters and fit more replicas per host —
-// with activation buffers for MaxBatch images.
+// snapshot variant, so auto worker sizing and the ShardAuto gate see
+// the ~4x smaller parameters and fit more replicas per host — with
+// activation buffers for MaxBatch images.
 func replicaFootprint(f *core.Framework, opts Options) int {
 	return f.ReplicaFootprintAt(opts.MaxBatch, precision(opts))
 }
@@ -893,7 +884,8 @@ func (s *Server) FleetRejoin() error {
 }
 
 // Precision returns the parameter precision the server serves: Int8
-// for a replica pool built with Options.Quantized, FP32 otherwise.
+// for a replica pool or shard group built with Options.Quantized, FP32
+// otherwise.
 func (s *Server) Precision() darknet.Precision { return s.report().Precision }
 
 // Iteration returns the training iteration of the served model.

@@ -233,7 +233,9 @@ type (
 // Serving parameter precisions. Int8 is the quantized snapshot variant:
 // per-layer symmetric int8 weights published alongside the fp32
 // snapshot (Framework.SetPublishQuantized, ServerOptions.Quantized),
-// with ~4x smaller sealed payloads and replica EPC footprints.
+// with ~4x smaller sealed payloads and EPC footprints. Replica pools
+// and shard groups serve it (ShardOptions.Precision); fleets serve
+// fp32.
 const (
 	FP32 = darknet.FP32
 	Int8 = darknet.Int8
@@ -257,7 +259,7 @@ var (
 // sealed activations between shard stages on different hosts, and a
 // least-loaded micro-batch router spreads requests over replica
 // groups. Use it directly via NewFleet, or let a Server drive it via
-// ServerOptions.Fleet / ServerOptions.FleetAuto.
+// ServerOptions.Fleet. A fleet serves fp32.
 type (
 	// Fleet serves one model across many hosts (replica groups of
 	// pipelined shard enclaves joined by attested channels).
