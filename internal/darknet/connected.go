@@ -93,7 +93,12 @@ func (c *Connected) Forward(x []float32, batch int, train bool) ([]float32, erro
 }
 
 // Backward implements Layer.
-func (c *Connected) Backward(delta []float32) ([]float32, error) {
+func (c *Connected) Backward(delta []float32) ([]float32, error) { return c.backward(delta, true) }
+
+// backward is Backward that, unless wantDX is set, leaves out the input
+// gradient's GEMM and returns nil for it. The weight and bias gradients
+// are the same either way.
+func (c *Connected) backward(delta []float32, wantDX bool) ([]float32, error) {
 	if c.lastBatch == 0 || len(delta) != c.lastBatch*c.out.C {
 		return nil, ErrBatchMismatch
 	}
@@ -107,6 +112,9 @@ func (c *Connected) Backward(delta []float32) ([]float32, error) {
 	}
 	// dW += deltaᵀ (outs x batch) * x (batch x in)
 	gemmTA(outs, batch, inSize, delta, c.lastX, c.gWeights)
+	if !wantDX {
+		return nil, nil
+	}
 	// dx = delta (batch x outs) * W (outs x in)
 	dx := scratchF32(&c.dxBuf, batch*inSize)
 	gemm(batch, outs, inSize, delta, c.weights, dx)

@@ -2,6 +2,7 @@ package darknet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"plinius/internal/par"
@@ -51,7 +52,17 @@ type Conv struct {
 	// Forward's return value aliases outBuf and is valid until the
 	// layer's next Forward.
 	outBuf, dxBuf, gradParts []float32
+
+	// pass holds the operands of a forking pass for forwardRange and
+	// backwardRange, its par.For bodies. They are bound once, in
+	// NewConv: a func literal handed to par.For escapes, so one made per
+	// pass would be an allocation.
+	pass                        convPass
+	forwardRange, backwardRange func(lo, hi int)
 }
+
+// convPass is the operands of one forking Conv pass.
+type convPass struct{ x, out, delta, dx, parts []float32 }
 
 var _ Layer = (*Conv)(nil)
 
@@ -81,6 +92,10 @@ func NewConv(in Shape, cfg ConvConfig, rng *rand.Rand) (*Conv, error) {
 	for i := range c.scales {
 		c.scales[i] = 1
 		c.rollVar[i] = 1
+	}
+	c.forwardRange = func(lo, hi int) { c.forwardSamples(c.pass.x, c.pass.out, lo, hi, false) }
+	c.backwardRange = func(lo, hi int) {
+		c.backwardSamples(c.pass.delta, c.pass.dx, c.pass.parts, lo, hi, false)
 	}
 	return c, nil
 }
@@ -135,9 +150,59 @@ func (c *convGeom) validRange(off, inDim, outDim int) (lo, hi int) {
 	return min(lo, hi), hi
 }
 
+// sameWidth reports whether im2col and col2im take the per-tap path:
+// at stride 1 with out.W == in.W (size = 2·pad + 1, so out.H == in.H
+// too), column row (ch, ky, kx) is the input plane shifted by a
+// constant, cols[j] = plane[j + (ky−pad)·W + kx−pad], wherever the
+// window reads no padding (Anderson et al., "Low-memory GEMM-based
+// convolution algorithms for deep neural networks", 2017).
+func (c *convGeom) sameWidth() bool { return c.cfg.Stride == 1 && c.in.W == c.out.W }
+
+// tap returns, for kernel tap (ky, kx) of a same-width geometry, the
+// shift s of its column row against the input plane and the span
+// [lo, hi) of column positions whose output row reads no padding and
+// whose source j + s lies inside the plane (all zero when no position
+// qualifies). Every position that reads the input is inside the span;
+// inside it, the positions that read padding are the wrapped columns
+// ox < oxLo and ox >= oxHi.
+func (c *convGeom) tap(ky, kx int) (s, lo, hi, oxLo, oxHi int) {
+	w, hw := c.in.W, c.in.H*c.in.W
+	oyLo, oyHi := c.validRange(ky, c.in.H, c.out.H)
+	oxLo, oxHi = c.validRange(kx, w, w)
+	s = (ky-c.cfg.Pad)*w + kx - c.cfg.Pad
+	lo, hi = max(oyLo*w, -s), min(oyHi*w, hw-s)
+	if lo >= hi {
+		return 0, 0, 0, oxLo, oxHi
+	}
+	return s, lo, hi, oxLo, oxHi
+}
+
+// fillWrapped sets to v the wrapped columns (see tap) of span [lo, hi)
+// of a same-width column row: one strided pass per wrapped column.
+func (c *convGeom) fillWrapped(row []float32, lo, hi, oxLo, oxHi int, v float32) {
+	w := c.out.W
+	for ox := 0; ox < w; ox++ {
+		if ox == oxLo {
+			ox = max(ox, oxHi)
+			if ox == w {
+				return
+			}
+		}
+		j := lo - lo%w + ox
+		if j < lo {
+			j += w
+		}
+		for ; j < hi; j += w {
+			row[j] = v
+		}
+	}
+}
+
 // im2col expands one input volume into a (k x outH*outW) column
-// matrix a row segment at a time: padding is cleared, and the in-bounds
-// span [oxLo, oxHi) of each output row is one (strided) copy.
+// matrix. A same-width geometry takes one shifted copy per kernel tap
+// and clears what reads padding; any other does a row segment at a
+// time: padding is cleared, and the in-bounds span [oxLo, oxHi) of each
+// output row is one (strided) copy.
 func (c *convGeom) im2col(x []float32, cols []float32) {
 	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
 	inH, inW, outH, outW := c.in.H, c.in.W, c.out.H, c.out.W
@@ -147,9 +212,21 @@ func (c *convGeom) im2col(x []float32, cols []float32) {
 		for ky := 0; ky < size; ky++ {
 			oyLo, oyHi := c.validRange(ky, inH, outH)
 			for kx := 0; kx < size; kx++ {
-				oxLo, oxHi := c.validRange(kx, inW, outW)
 				dst := cols[row : row+outH*outW]
 				row += outH * outW
+				if c.sameWidth() {
+					s, lo, hi, oxLo, oxHi := c.tap(ky, kx)
+					copy(dst[lo:hi], plane[lo+s:hi+s])
+					clear(dst[:lo])
+					clear(dst[hi:])
+					c.fillWrapped(dst, lo, hi, oxLo, oxHi, 0)
+					continue
+				}
+				oxLo, oxHi := c.validRange(kx, inW, outW)
+				if oxLo == oxHi { // this kernel column reads only padding
+					clear(dst)
+					continue
+				}
 				clear(dst[:oyLo*outW])
 				clear(dst[oyHi*outW:])
 				for oy := oyLo; oy < oyHi; oy++ {
@@ -170,9 +247,16 @@ func (c *convGeom) im2col(x []float32, cols []float32) {
 	}
 }
 
+// negZero is the additive identity of round-to-nearest: x + (−0) is x
+// for every x, ±0, ±Inf and NaN included.
+var negZero = math.Float32frombits(1 << 31)
+
 // col2im scatters a column-matrix gradient back into an input-volume
-// gradient (accumulating) over im2col's row segments, in (channel, ky,
-// kx, oy, ox) order: the per-pixel order, for every dx element.
+// gradient (accumulating) in (channel, ky, kx, oy, ox) order: the
+// per-pixel order, for every dx element. A same-width geometry first
+// overwrites the wrapped columns of each tap's span in cols with −0 —
+// cols is dead after col2im — and then adds the whole span in one
+// contiguous row add; any other goes over im2col's row segments.
 func (c *convGeom) col2im(cols []float32, dx []float32) {
 	size, stride, pad := c.cfg.Size, c.cfg.Stride, c.cfg.Pad
 	inH, inW, outH, outW := c.in.H, c.in.W, c.out.H, c.out.W
@@ -182,8 +266,16 @@ func (c *convGeom) col2im(cols []float32, dx []float32) {
 		for ky := 0; ky < size; ky++ {
 			oyLo, oyHi := c.validRange(ky, inH, outH)
 			for kx := 0; kx < size; kx++ {
+				if c.sameWidth() {
+					s, lo, hi, oxLo, oxHi := c.tap(ky, kx)
+					src := cols[row : row+outH*outW]
+					c.fillWrapped(src, lo, hi, oxLo, oxHi, negZero)
+					addRow(plane[lo+s:hi+s], src[lo:hi])
+					row += outH * outW
+					continue
+				}
 				oxLo, oxHi := c.validRange(kx, inW, outW)
-				for oy := oyLo; oy < oyHi; oy++ {
+				for oy := oyLo; oy < oyHi && oxLo < oxHi; oy++ {
 					src := cols[row+oy*outW+oxLo : row+oy*outW+oxHi]
 					d := plane[(oy*stride+ky-pad)*inW+oxLo*stride+kx-pad:]
 					if stride == 1 {
@@ -204,18 +296,13 @@ func (c *convGeom) col2im(cols []float32, dx []float32) {
 }
 
 // biasActivate adds the per-filter biases to out (whole samples) and
-// applies the activation. Biases come after batch norm, as in Darknet,
-// where they act as the BN beta.
+// applies the activation, in one pass per plane. Biases come after
+// batch norm, as in Darknet, where they act as the BN beta.
 func (c *convGeom) biasActivate(biases, out []float32) {
 	outHW := c.out.H * c.out.W
 	for p := 0; p*outHW < len(out); p++ {
-		bias := biases[p%c.cfg.Filters]
-		plane := out[p*outHW : (p+1)*outHW]
-		for i := range plane {
-			plane[i] += bias
-		}
+		addBiasActivate(c.cfg.Activation, biases[p%c.cfg.Filters], out[p*outHW:(p+1)*outHW])
 	}
-	activate(c.cfg.Activation, out)
 }
 
 // sampleFlops is the multiply-add count of one sample's forward GEMM.
@@ -235,7 +322,9 @@ func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	if chunk := minChunk(c.sampleFlops()); serial(batch, chunk) {
 		c.forwardSamples(x, out, 0, batch, true)
 	} else {
-		par.For(batch, chunk, func(lo, hi int) { c.forwardSamples(x, out, lo, hi, false) })
+		c.pass = convPass{x: x, out: out}
+		par.For(batch, chunk, c.forwardRange)
+		c.pass = convPass{}
 	}
 	c.lastBatch = batch
 	if c.cfg.BatchNorm {
@@ -334,14 +423,24 @@ func (c *Conv) forwardBatchNorm(out []float32, batch int, train bool) {
 // order, so the gradients are bit-identical however samples shard.
 // It consumes the columns its Forward saved, so a second Backward
 // without a Forward in between is refused.
-func (c *Conv) Backward(delta []float32) ([]float32, error) {
+func (c *Conv) Backward(delta []float32) ([]float32, error) { return c.backward(delta, true) }
+
+// backward is Backward that, unless wantDX is set, leaves out the input
+// gradient — a GEMM, two clears and a col2im per sample — and returns
+// nil for it. The weight and bias gradients are the same either way.
+func (c *Conv) backward(delta []float32, wantDX bool) ([]float32, error) {
 	if c.lastBatch == 0 || len(delta) != c.lastBatch*c.out.Size() {
 		return nil, ErrBatchMismatch
 	}
 	batch := c.lastBatch
 	c.allocGrads()
 	parts := growF32(&c.gradParts, batch*(len(c.gWeights)+len(c.gBiases)))
-	dx := growF32(&c.dxBuf, batch*c.in.Size())
+	var dx []float32
+	flops := c.sampleFlops()
+	if wantDX {
+		dx = growF32(&c.dxBuf, batch*c.in.Size())
+		flops *= 2
+	}
 	if c.cfg.BatchNorm {
 		// Needs the whole batch's activation gradients first.
 		for b := 0; b < batch; b++ {
@@ -349,10 +448,12 @@ func (c *Conv) Backward(delta []float32) ([]float32, error) {
 		}
 		c.backwardBatchNorm(delta, batch)
 	}
-	if chunk := minChunk(2 * c.sampleFlops()); serial(batch, chunk) {
+	if chunk := minChunk(flops); serial(batch, chunk) {
 		c.backwardSamples(delta, dx, parts, 0, batch, true)
 	} else {
-		par.For(batch, chunk, func(lo, hi int) { c.backwardSamples(delta, dx, parts, lo, hi, false) })
+		c.pass = convPass{delta: delta, dx: dx, parts: parts}
+		par.For(batch, chunk, c.backwardRange)
+		c.pass = convPass{}
 	}
 	for b := 0; b < batch; b++ {
 		dW, db := c.gradPart(parts, b)
@@ -370,25 +471,18 @@ func (c *Conv) gradPart(parts []float32, b int) (dW, db []float32) {
 }
 
 // backwardActivation rewrites sample b's delta through the activation
-// derivative and sums it per filter into the sample's bias partial.
+// derivative and sums it per filter into the sample's bias partial, in
+// one pass.
 func (c *Conv) backwardActivation(delta, parts []float32, b int) {
-	outHW, outSize := c.out.H*c.out.W, c.out.Size()
-	d := delta[b*outSize : (b+1)*outSize]
-	gradActivate(c.cfg.Activation, c.lastOut[b*outSize:(b+1)*outSize], d)
+	outSize := c.out.Size()
 	_, db := c.gradPart(parts, b)
-	for f := range db {
-		var sum float32
-		for _, v := range d[f*outHW : (f+1)*outHW] {
-			sum += v
-		}
-		db[f] = sum
-	}
+	gradActivateSums(c.cfg.Activation, c.lastOut[b*outSize:(b+1)*outSize], delta[b*outSize:(b+1)*outSize], db)
 }
 
 // backwardSamples computes, for samples [lo, hi), the weight-gradient
-// partial dout x colsᵀ and the input gradient col2im(Wᵀ x dout). Once
-// the partial is taken, a sample's columns are dead, so Wᵀ x dout is
-// built in their place.
+// partial dout x colsᵀ and — when dx is not nil — the input gradient
+// col2im(Wᵀ x dout). Once the partial is taken, a sample's columns are
+// dead, so Wᵀ x dout is built in their place.
 func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool) {
 	k, filters, outHW := c.kcols(), c.cfg.Filters, c.out.H*c.out.W
 	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
@@ -401,6 +495,9 @@ func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool
 		clear(dW)
 		cols := c.lastCols[b*colSize : (b+1)*colSize]
 		shapeTB.run(fork, filters, outHW, k, dout, cols, dW)
+		if dx == nil {
+			continue
+		}
 		clear(cols)
 		shapeTA.run(fork, k, filters, outHW, c.weights, dout, cols)
 		dxb := dx[b*inSize : (b+1)*inSize]

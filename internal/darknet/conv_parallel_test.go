@@ -69,7 +69,8 @@ func col2imPerPixel(c *convGeom, cols, dx []float32) {
 // forEachConvGeom runs body over stride {1,2,3} x pad {0,1,2} x size
 // {1,3,5} on non-square multi-channel inputs (including ones narrower
 // than the kernel, where whole kernel columns read only padding), plus
-// convTestGeoms.
+// convTestGeoms, and requires both im2col / col2im paths among them:
+// the same-width per-tap path and the row-segment path.
 func forEachConvGeom(t *testing.T, body func(c *convGeom)) {
 	t.Helper()
 	geoms := convTestGeoms
@@ -85,28 +86,35 @@ func forEachConvGeom(t *testing.T, body func(c *convGeom)) {
 			}
 		}
 	}
-	ran := 0
+	ran, sameWidth := 0, 0
 	for _, g := range geoms {
 		c, err := NewConv(g.in, g.cfg, nil)
 		if err != nil {
 			continue // kernel larger than the padded input
 		}
 		ran++
+		if c.sameWidth() {
+			sameWidth++
+		}
 		body(&c.convGeom)
 	}
 	if ran < 60 {
 		t.Fatalf("only %d of %d geometries are valid", ran, len(geoms))
 	}
+	if sameWidth < 8 || ran-sameWidth < 8 {
+		t.Fatalf("%d same-width and %d row-segment geometries, want at least 8 of each", sameWidth, ran-sameWidth)
+	}
 }
 
-// TestIm2colRowwiseMatchesPerPixel requires the row-segment im2col to
-// write exactly the per-pixel reference's column matrix — every
-// element, padding included, over a buffer pre-filled with garbage.
+// TestIm2colRowwiseMatchesPerPixel requires im2col to write exactly
+// the per-pixel reference's column matrix — every element, padding
+// included, over a buffer pre-filled with garbage, from an input salted
+// with kernelSpecials.
 func TestIm2colRowwiseMatchesPerPixel(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	forEachConvGeom(t, func(c *convGeom) {
 		x := make([]float32, c.in.Size())
-		fillRandSparse(rng, x)
+		fillKernelOperand(rng, x, true)
 		n := c.kcols() * c.out.H * c.out.W
 		want := make([]float32, n)
 		got := make([]float32, n)
@@ -123,16 +131,18 @@ func TestIm2colRowwiseMatchesPerPixel(t *testing.T) {
 	})
 }
 
-// TestCol2imRowwiseMatchesPerPixel requires the row-segment col2im to
-// accumulate into dx exactly as the per-pixel reference does: same
-// contributions, same order, starting from a non-zero dx.
+// TestCol2imRowwiseMatchesPerPixel requires col2im to accumulate into
+// dx exactly as the per-pixel reference does: same contributions, same
+// order, starting from a non-zero dx. The columns and the starting dx
+// are salted with kernelSpecials: the −0 the same-width path adds in
+// place of padding must leave ±0, ±Inf, NaN and denormals as they are.
 func TestCol2imRowwiseMatchesPerPixel(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	forEachConvGeom(t, func(c *convGeom) {
 		cols := make([]float32, c.kcols()*c.out.H*c.out.W)
-		fillRandSparse(rng, cols)
+		fillKernelOperand(rng, cols, true)
 		want := make([]float32, c.in.Size())
-		fillRandSparse(rng, want)
+		fillKernelOperand(rng, want, true)
 		got := append([]float32(nil), want...)
 		col2imPerPixel(c, cols, want)
 		c.col2im(cols, got)

@@ -89,6 +89,34 @@ func activate(a Activation, v []float32) {
 	}
 }
 
+// addBiasActivate adds bias to every element of v and applies the
+// activation, in one pass: the same two roundings as an add pass then
+// an activation pass.
+func addBiasActivate(a Activation, bias float32, v []float32) {
+	switch a {
+	case ReLU:
+		for i, x := range v {
+			if x += bias; x < 0 {
+				x = 0
+			}
+			v[i] = x
+		}
+	case LeakyReLU:
+		if n := len(v) &^ 7; useAVX2 && n > 0 {
+			biasLeakyAVX2(&v[0], n, bias, leakyScale[1])
+			v = v[n:]
+		}
+		for i, x := range v {
+			x += bias
+			v[i] = x * leakyScale[math.Float32bits(x)>>31]
+		}
+	default:
+		for i := range v {
+			v[i] += bias
+		}
+	}
+}
+
 // gradActivate multiplies delta by the activation derivative evaluated
 // at the pre-activation output (using post-activation values, which is
 // valid for piecewise-linear activations).
@@ -102,13 +130,84 @@ func gradActivate(a Activation, out, delta []float32) {
 		}
 	case LeakyReLU:
 		for i, x := range out {
-			side := 0
-			if x <= 0 {
-				side = 1
-			}
-			delta[i] *= leakyScale[side&1]
+			delta[i] *= leakyGrad(x)
 		}
 	}
+}
+
+// gradActivateSums is gradActivate over consecutive planes of out and
+// delta, one per element of sums, that also sets sums[f] to the sum of
+// plane f's rewritten delta, added in ascending order from zero. Each
+// product is rounded before it is summed, so no multiply-add fuses. The
+// leaky pass runs four planes side by side, so four independent sums
+// share the add latency of one.
+func gradActivateSums(a Activation, out, delta, sums []float32) {
+	n := len(out) / max(1, len(sums))
+	if a == LeakyReLU {
+		for ; len(sums) >= 4; sums = sums[4:] {
+			leakyGradSum4(out[:4*n], delta[:4*n], n, sums[:4])
+			out, delta = out[4*n:], delta[4*n:]
+		}
+	}
+	for f := range sums {
+		o, d := out[f*n:(f+1)*n], delta[f*n:(f+1)*n]
+		var sum float32
+		switch a {
+		case ReLU:
+			for i, x := range o {
+				if x <= 0 {
+					d[i] = 0
+				}
+				sum += d[i]
+			}
+		case LeakyReLU:
+			for i, x := range o {
+				v := float32(d[i] * leakyGrad(x))
+				d[i] = v
+				sum += v
+			}
+		default:
+			for _, v := range d {
+				sum += v
+			}
+		}
+		sums[f] = sum
+	}
+}
+
+// leakyGradSum4 is gradActivateSums' leaky pass over four planes of n:
+// on AVX2 for the first n &^ 7 elements of each, then on in Go from the
+// sums so far.
+func leakyGradSum4(out, delta []float32, n int, sums []float32) {
+	o0, o1, o2, o3 := out[:n], out[n:2*n], out[2*n:3*n], out[3*n:4*n]
+	d0, d1, d2, d3 := delta[:n], delta[n:2*n], delta[2*n:3*n], delta[3*n:4*n]
+	var s0, s1, s2, s3 float32
+	start := 0
+	if n8 := n &^ 7; useAVX2 && n8 > 0 {
+		leakyGradSum4AVX2(&o0[0], &d0[0], n, n8, leakyScale[1], &sums[0])
+		s0, s1, s2, s3, start = sums[0], sums[1], sums[2], sums[3], n8
+	}
+	for i := start; i < n; i++ {
+		v0 := float32(d0[i] * leakyGrad(o0[i]))
+		v1 := float32(d1[i] * leakyGrad(o1[i]))
+		v2 := float32(d2[i] * leakyGrad(o2[i]))
+		v3 := float32(d3[i] * leakyGrad(o3[i]))
+		d0[i], d1[i], d2[i], d3[i] = v0, v1, v2, v3
+		s0 += v0
+		s1 += v1
+		s2 += v2
+		s3 += v3
+	}
+	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
+}
+
+// leakyGrad is the leaky-ReLU derivative at post-activation x.
+func leakyGrad(x float32) float32 {
+	side := 0
+	if x <= 0 {
+		side = 1
+	}
+	return leakyScale[side&1]
 }
 
 // Shape is a (channels, height, width) activation volume.
@@ -202,6 +301,18 @@ func sqrt32(v float32) float32 {
 func axpy(a float32, x, y []float32) {
 	for i, v := range x {
 		y[i] += a * v
+	}
+}
+
+// addRow adds src into dst element by element: dst[i] += src[i].
+func addRow(dst, src []float32) {
+	dst = dst[:len(src)]
+	if useAVX2 && len(src) > 0 {
+		addRowAVX2(dst, src)
+		return
+	}
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 

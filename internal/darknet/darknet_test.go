@@ -343,6 +343,9 @@ func TestLayerConstructorValidation(t *testing.T) {
 	if _, err := NewConv(Shape{C: 1, H: 2, W: 2}, ConvConfig{Filters: 1, Size: 5, Stride: 1}, rng); err == nil {
 		t.Fatal("kernel larger than input accepted")
 	}
+	if _, err := NewMaxPool(Shape{C: 1, H: 1, W: 4}, 2, 2); err == nil {
+		t.Fatal("pool window taller than input accepted")
+	}
 	if _, err := NewMaxPool(Shape{C: 1, H: 4, W: 4}, 0, 1); err == nil {
 		t.Fatal("zero pool size accepted")
 	}

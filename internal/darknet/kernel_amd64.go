@@ -32,6 +32,24 @@ func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int)
 //go:noescape
 func dotPanelAVX2(pk, b *float32, bStride, k int, out *float32)
 
+//go:noescape
+func biasLeakyAVX2(v *float32, n int, bias, slope float32)
+
+//go:noescape
+func leakyGradSum4AVX2(out, delta *float32, stride, n int, slope float32, sums *float32)
+
+//go:noescape
+func maxPool2AVX2(top, bot, dst *float32, idx *int32, n, base, inW int)
+
+// addRowAVX2 is addRow on the axpy micro-kernel at k = 1 with A = {1}:
+// multiplying by 1 is exact, so each element gets exactly dst + src.
+// src must not be empty.
+func addRowAVX2(dst, src []float32) {
+	axpyRowAVX2(&dst[0], &rowAddScale, 0, &src[0], 0, 1, len(src))
+}
+
+var rowAddScale = float32(1)
+
 // axpyPanelFloats bounds the B panel (k rows x block columns) a column
 // block sweeps, so it stays in L1 while every output row passes over it.
 const axpyPanelFloats = 6 << 10

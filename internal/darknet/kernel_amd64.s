@@ -2,10 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels under the three GEMM shapes. Neither uses FMA:
-// every product is rounded to float32 by VMULPS before VADDPS adds it,
-// in ascending p, so each output element sees exactly the scalar
-// reference's operations in the scalar reference's order.
+// AVX2 micro-kernels under the three GEMM shapes, and under the layer
+// passes' glue (bias + leaky activation, the leaky gradient with its
+// bias sums, the 2×2 max-pool). None uses FMA: every product is
+// rounded to float32 by VMULPS before VADDPS adds it, in ascending p,
+// so each output element sees exactly the scalar reference's
+// operations in the scalar reference's order.
 
 // tailMask<> + 4*(8-w) is a lane mask with the low w lanes set.
 DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
@@ -215,6 +217,197 @@ dotdone:
 	VMOVUPS Y5, 160(DI)
 	VMOVUPS Y6, 192(DI)
 	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+DATA one<>+0(SB)/4, $0x3f800000
+GLOBL one<>(SB), RODATA|NOPTR, $4
+
+// func biasLeakyAVX2(v *float32, n int, bias, slope float32)
+//
+// v[i] = t * (sign bit of t ? slope : 1) with t = v[i] + bias, for i in
+// [0, n), n a multiple of 8: addBiasActivate's leaky pass eight lanes at
+// a time. The sign bit picks the scale as it indexes leakyScale in the
+// Go loop, and each lane rounds the add, then the multiply.
+TEXT ·biasLeakyAVX2(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS bias+16(FP), Y1
+	VBROADCASTSS slope+20(FP), Y2
+	VBROADCASTSS one<>(SB), Y3
+	SHRQ $3, CX
+	JZ   leakydone
+
+leakyloop:
+	VMOVUPS   (DI), Y0
+	VADDPS    Y1, Y0, Y0
+	VBLENDVPS Y0, Y2, Y3, Y4
+	VMULPS    Y4, Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       leakyloop
+
+leakydone:
+	VZEROUPPER
+	RET
+
+// GRADQ rewrites eight delta floats of one plane through the leaky
+// derivative at the matching out floats: d *= (o <= 0 ? slope : 1),
+// with o <= 0 ordered, so NaN takes the 1.
+#define GRADQ(o, d) \
+	VMOVUPS   o, Y4; \
+	VCMPPS    $0x12, Y13, Y4, Y5; \
+	VBLENDVPS Y5, Y14, Y15, Y5; \
+	VMULPS    d, Y5, Y5; \
+	VMOVUPS   Y5, d
+
+// SUMQ adds float j of the eight just rewritten in each of the four
+// planes to that plane's sum.
+#define SUMQ(j) \
+	VADDSS j(DI), X0, X0; \
+	VADDSS j(DI)(R8*1), X1, X1; \
+	VADDSS j(DI)(R9*1), X2, X2; \
+	VADDSS j(DI)(R10*1), X3, X3
+
+// func leakyGradSum4AVX2(out, delta *float32, stride, n int, slope float32, sums *float32)
+//
+// For the four planes q at out+q*stride and delta+q*stride (floats) and
+// i in [0, n), n a multiple of 8: delta[i] *= (out[i] <= 0 ? slope : 1),
+// and sums[q] = the plane's products added in ascending i, from zero.
+// The products are vector lanes; each plane's sum stays one scalar
+// chain, and the four chains interleave.
+TEXT ·leakyGradSum4AVX2(SB), NOSPLIT, $0-48
+	MOVQ         out+0(FP), SI
+	MOVQ         delta+8(FP), DI
+	MOVQ         stride+16(FP), R8
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS slope+32(FP), Y14
+	MOVQ         sums+40(FP), DX
+	VBROADCASTSS one<>(SB), Y15
+	VXORPS       Y13, Y13, Y13
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+	SHLQ         $2, R8
+	LEAQ         (R8)(R8*1), R9
+	LEAQ         (R9)(R8*1), R10
+	SHRQ         $3, CX
+	JZ           graddone
+
+gradloop:
+	GRADQ((SI), (DI))
+	GRADQ((SI)(R8*1), (DI)(R8*1))
+	GRADQ((SI)(R9*1), (DI)(R9*1))
+	GRADQ((SI)(R10*1), (DI)(R10*1))
+	SUMQ(0)
+	SUMQ(4)
+	SUMQ(8)
+	SUMQ(12)
+	SUMQ(16)
+	SUMQ(20)
+	SUMQ(24)
+	SUMQ(28)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  gradloop
+
+graddone:
+	VMOVSS X0, 0(DX)
+	VMOVSS X1, 4(DX)
+	VMOVSS X2, 8(DX)
+	VMOVSS X3, 12(DX)
+	VZEROUPPER
+	RET
+
+DATA negInf<>+0(SB)/4, $0xff800000
+GLOBL negInf<>(SB), RODATA|NOPTR, $4
+
+// poolLanes<> is each lane's input offset after VSHUFPS splits sixteen
+// floats into window lefts (or rights): windows 0, 1, 4, 5 | 2, 3, 6, 7.
+DATA poolLanes<>+0(SB)/4, $0
+DATA poolLanes<>+4(SB)/4, $2
+DATA poolLanes<>+8(SB)/4, $8
+DATA poolLanes<>+12(SB)/4, $10
+DATA poolLanes<>+16(SB)/4, $4
+DATA poolLanes<>+20(SB)/4, $6
+DATA poolLanes<>+24(SB)/4, $12
+DATA poolLanes<>+28(SB)/4, $14
+GLOBL poolLanes<>(SB), RODATA|NOPTR, $32
+
+// POOLSTEP makes v (input index iv) the lanes' best where v > best:
+// ordered and strict, so NaN and ties never replace.
+#define POOLSTEP(v, iv) \
+	VCMPPS    $0x1e, Y8, v, Y7; \
+	VBLENDVPS Y7, v, Y8, Y8; \
+	VBLENDVPS Y7, iv, Y9, Y9
+
+// func maxPool2AVX2(top, bot, dst *float32, idx *int32, n, base, inW int)
+//
+// One output row of a 2×2 stride-2 max-pool, n >= 8 windows: window w
+// reads top[2w], top[2w+1], bot[2w], bot[2w+1] (input indices base+2w,
+// +1, +inW, +inW+1) and writes the first of them strictly greater than
+// all before it and than −Inf to dst[w], its index to idx[w] (−Inf and
+// −1 when none is). Eight windows per block; a last partial block is
+// redone as the eight windows ending the row, which rewrites some
+// windows with the same values.
+TEXT ·maxPool2AVX2(SB), NOSPLIT, $0-56
+	MOVQ top+0(FP), SI
+	MOVQ bot+8(FP), DX
+	MOVQ dst+16(FP), DI
+	MOVQ idx+24(FP), R8
+	MOVQ n+32(FP), CX
+	MOVQ base+40(FP), AX
+	MOVQ inW+48(FP), BX
+	VBROADCASTSS negInf<>(SB), Y14
+	VMOVDQU      poolLanes<>(SB), Y15
+	VMOVQ        BX, X13
+	VPBROADCASTD X13, Y13          // inW
+	VPCMPEQD     Y12, Y12, Y12     // −1
+
+poolblock:
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VSHUFPS      $0x88, Y1, Y0, Y2 // top lefts
+	VSHUFPS      $0xdd, Y1, Y0, Y3 // top rights
+	VMOVUPS      (DX), Y0
+	VMOVUPS      32(DX), Y1
+	VSHUFPS      $0x88, Y1, Y0, Y4 // bottom lefts
+	VSHUFPS      $0xdd, Y1, Y0, Y5 // bottom rights
+	VMOVQ        AX, X6
+	VPBROADCASTD X6, Y6
+	VPADDD       Y15, Y6, Y6       // top-left indices
+	VMOVAPS      Y14, Y8           // best = −Inf
+	VMOVAPS      Y12, Y9           // index = −1
+	POOLSTEP(Y2, Y6)
+	VPSUBD       Y12, Y6, Y10
+	POOLSTEP(Y3, Y10)
+	VPADDD       Y13, Y6, Y10
+	POOLSTEP(Y4, Y10)
+	VPSUBD       Y12, Y10, Y10
+	POOLSTEP(Y5, Y10)
+	VPERMPD      $0xd8, Y8, Y8     // lanes back to window order
+	VPERMPD      $0xd8, Y9, Y9
+	VMOVUPS      Y8, (DI)
+	VMOVDQU      Y9, (R8)
+	SUBQ         $8, CX
+	JZ           pooldone
+	MOVQ         $8, R9
+	CMPQ         CX, R9
+	CMOVQLT      CX, R9            // advance min(left, 8) windows
+	MOVQ         $8, R10
+	CMPQ         CX, R10
+	CMOVQLT      R10, CX           // left = max(left, 8)
+	LEAQ         (SI)(R9*8), SI
+	LEAQ         (DX)(R9*8), DX
+	LEAQ         (DI)(R9*4), DI
+	LEAQ         (R8)(R9*4), R8
+	LEAQ         (AX)(R9*2), AX
+	JMP          poolblock
+
+pooldone:
 	VZEROUPPER
 	RET
 

@@ -13,3 +13,19 @@ func axpyRowsAVX2(k, n int, a []float32, ai, ap int, b, c []float32, lo, hi int)
 func gemmTBRowsAVX2(k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
 	panic("darknet: AVX2 kernel on a build without assembly")
 }
+
+func addRowAVX2(dst, src []float32) {
+	panic("darknet: AVX2 kernel on a build without assembly")
+}
+
+func biasLeakyAVX2(v *float32, n int, bias, slope float32) {
+	panic("darknet: AVX2 kernel on a build without assembly")
+}
+
+func maxPool2AVX2(top, bot, dst *float32, idx *int32, n, base, inW int) {
+	panic("darknet: AVX2 kernel on a build without assembly")
+}
+
+func leakyGradSum4AVX2(out, delta *float32, stride, n int, slope float32, sums *float32) {
+	panic("darknet: AVX2 kernel on a build without assembly")
+}

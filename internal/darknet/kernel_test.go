@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -311,11 +312,12 @@ func mnistTrainNet(tb testing.TB) (net *Network, x, y []float32) {
 	return net, x, y
 }
 
-// TestTrainBatchAllocs bounds a training iteration's allocations: none
-// of the per-sample work allocates, so what is left is the fork-join
-// bookkeeping of one fan-out per layer pass (was 1,374 per iteration
-// with one per GEMM). AllocsPerRun pins GOMAXPROCS to 1, where nothing
-// forks; the MemStats pass counts the forking path.
+// TestTrainBatchAllocs: a warmed-up training iteration allocates
+// nothing — no per-sample work allocates, and every layer hands par.For
+// bodies it bound once. The MemStats pass counts the forking path at
+// the test's GOMAXPROCS; AllocsPerRun pins GOMAXPROCS to 1, where
+// nothing forks. Under -race, sync.Pool drops pooled scratch at random,
+// so there the bound is 64.
 func TestTrainBatchAllocs(t *testing.T) {
 	net, x, y := mnistTrainNet(t)
 	batch := net.Config.Batch
@@ -324,19 +326,34 @@ func TestTrainBatchAllocs(t *testing.T) {
 			t.Fatalf("train: %v", err)
 		}
 	}
+	limit := 0.0
+	if raceEnabled {
+		limit = 64
+	}
+	// A collection empties every sync.Pool, whose next use then
+	// allocates afresh, so none may start while allocations are
+	// counted. Until each P's pool share has filled, a fork may also
+	// find its P's share empty; an allocation made by the iteration
+	// itself shows in every window, so the quietest of a few windows
+	// counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	step() // grow the scratch buffers
-	if allocs := testing.AllocsPerRun(5, step); allocs > 64 {
-		t.Errorf("TrainBatch at GOMAXPROCS=1: %.0f allocs/op, want <= 64", allocs)
-	}
 	const iters = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		step()
+	perIter := math.Inf(1)
+	for round := 0; round < 10 && perIter > limit; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < iters; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		perIter = min(perIter, float64(after.Mallocs-before.Mallocs)/iters)
 	}
-	runtime.ReadMemStats(&after)
-	if perIter := float64(after.Mallocs-before.Mallocs) / iters; perIter > 64 {
-		t.Errorf("TrainBatch at GOMAXPROCS=%d: %.0f allocs/iteration, want <= 64", runtime.GOMAXPROCS(0), perIter)
+	if perIter > limit {
+		t.Errorf("TrainBatch at GOMAXPROCS=%d: %.1f allocs/iteration, want <= %.0f", runtime.GOMAXPROCS(0), perIter, limit)
+	}
+	if allocs := testing.AllocsPerRun(5, step); allocs > limit {
+		t.Errorf("TrainBatch at GOMAXPROCS=1: %.0f allocs/op, want <= %.0f", allocs, limit)
 	}
 }
 

@@ -18,6 +18,12 @@ type MaxPool struct {
 	// outBuf and dxBuf are reusable forward/backward scratch; Forward's
 	// return value aliases outBuf until the layer's next Forward.
 	outBuf, dxBuf []float32
+
+	// passX and passOut are the operands of a forking Forward for
+	// forwardRange, its par.For body, bound once in NewMaxPool (see
+	// Conv.pass).
+	passX, passOut []float32
+	forwardRange   func(lo, hi int)
 }
 
 var _ Layer = (*MaxPool)(nil)
@@ -29,15 +35,19 @@ func NewMaxPool(in Shape, size, stride int) (*MaxPool, error) {
 	}
 	outH := (in.H-size)/stride + 1
 	outW := (in.W-size)/stride + 1
-	if outH <= 0 || outW <= 0 {
+	// As in NewConv, the truncating division alone would accept a
+	// window larger than the input.
+	if in.H < size || in.W < size || outH <= 0 || outW <= 0 {
 		return nil, fmt.Errorf("%w: maxpool output %dx%d", ErrBadConfig, outH, outW)
 	}
-	return &MaxPool{
+	m := &MaxPool{
 		in:     in,
 		out:    Shape{C: in.C, H: outH, W: outW},
 		size:   size,
 		stride: stride,
-	}, nil
+	}
+	m.forwardRange = func(lo, hi int) { m.forwardSamples(m.passX, m.passOut, lo, hi) }
+	return m, nil
 }
 
 // Kind implements Layer.
@@ -71,16 +81,31 @@ func (m *MaxPool) Forward(x []float32, batch int, train bool) ([]float32, error)
 	if serial(batch, chunk) {
 		m.forwardSamples(x, out, 0, batch)
 	} else {
-		par.For(batch, chunk, func(lo, hi int) { m.forwardSamples(x, out, lo, hi) })
+		m.passX, m.passOut = x, out
+		par.For(batch, chunk, m.forwardRange)
+		m.passX, m.passOut = nil, nil
 	}
 	m.lastBatch = batch
 	return out, nil
 }
 
 // forwardSamples pools samples [lo, hi), recording each window's
-// argmax. The layer has no padding, so every window of a valid output
-// position lies inside the input plane and its rows are plain slices.
+// argmax: the first value in row-major window order that is strictly
+// greater than every one before it and than −Inf, so NaN never wins and
+// a window without a winner outputs −Inf with index −1. 2×2 windows at
+// stride 2 take forward2x2; other geometries the general loop.
 func (m *MaxPool) forwardSamples(x, out []float32, lo, hi int) {
+	if m.size == 2 && m.stride == 2 {
+		m.forward2x2(x, out, lo, hi)
+		return
+	}
+	m.forwardGeneral(x, out, lo, hi)
+}
+
+// forwardGeneral is forwardSamples for any window size and stride. The
+// layer has no padding, so every window of a valid output position lies
+// inside the input plane and its rows are plain slices.
+func (m *MaxPool) forwardGeneral(x, out []float32, lo, hi int) {
 	inW, planes := m.in.W, m.in.C
 	inHW, outHW := m.in.H*inW, m.out.H*m.out.W
 	for pl := lo * planes; pl < hi*planes; pl++ {
@@ -106,6 +131,68 @@ func (m *MaxPool) forwardSamples(x, out []float32, lo, hi int) {
 			}
 		}
 	}
+}
+
+// forward2x2 is forwardSamples for 2×2 windows at stride 2, without
+// branches, one output row at a time: eight windows per vector step on
+// AVX2 (rows of at least eight windows), else pool2x2Row.
+func (m *MaxPool) forward2x2(x, out []float32, lo, hi int) {
+	inW, outW := m.in.W, m.out.W
+	inHW, outHW := m.in.H*inW, m.out.H*outW
+	for pl := lo * m.in.C; pl < hi*m.in.C; pl++ {
+		for oy := 0; oy < m.out.H; oy++ {
+			p := pl*inHW + 2*oy*inW
+			o := pl*outHW + oy*outW
+			top := x[p : p+2*outW]
+			bot := x[p+inW : p+inW+2*outW]
+			dst := out[o : o+outW]
+			idx := m.lastIdx[o : o+outW]
+			if useAVX2 && outW >= 8 {
+				maxPool2AVX2(&top[0], &bot[0], &dst[0], &idx[0], outW, p, inW)
+				continue
+			}
+			pool2x2Row(top, bot, dst, idx, p, inW)
+		}
+	}
+}
+
+// pool2x2Row pools one output row of 2×2 stride-2 windows whose top
+// row starts at input index p: each of a window's four steps compares,
+// then selects the value's bits and its index with conditional moves
+// (maxStep).
+func pool2x2Row(top, bot, dst []float32, idx []int32, p, inW int) {
+	top, bot, idx = top[:2*len(dst)], bot[:2*len(dst)], idx[:len(dst)]
+	for ox := range dst {
+		j := 2 * ox
+		i := uint32(p + j)
+		bits, at := uint32(negInfBits), uint32(math.MaxUint32) // −Inf, index −1
+		bits, at = maxStep(bits, at, top[j], i)
+		bits, at = maxStep(bits, at, top[j+1], i+1)
+		bits, at = maxStep(bits, at, bot[j], i+uint32(inW))
+		bits, at = maxStep(bits, at, bot[j+1], i+uint32(inW)+1)
+		dst[ox] = math.Float32frombits(bits)
+		idx[ox] = int32(at)
+	}
+}
+
+// negInfBits is the bit pattern of float32 −Inf.
+const negInfBits = 0xff800000
+
+// maxStep is one step of a window's running maximum, held as the bits
+// of the best value so far and its index: v and i replace them when v
+// is strictly greater. Selecting integers, not floats, lets the
+// compiler use conditional moves.
+func maxStep(bits, at uint32, v float32, i uint32) (uint32, uint32) {
+	gt := v > math.Float32frombits(bits)
+	return sel(gt, math.Float32bits(v), bits), sel(gt, i, at)
+}
+
+// sel returns x if cond is set, else y; it compiles to a conditional move.
+func sel(cond bool, x, y uint32) uint32 {
+	if cond {
+		return x
+	}
+	return y
 }
 
 // Backward implements Layer: gradients route to each window's argmax.

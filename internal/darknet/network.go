@@ -172,6 +172,13 @@ func (n *Network) Forward(x []float32, batch int, train bool) ([]float32, error)
 	return cur, nil
 }
 
+// paramGradLayer is a layer whose backward pass can leave out the
+// input gradient (Conv, Connected). TrainBatch has no use for the first
+// layer's, so that layer computes only its parameter gradients.
+type paramGradLayer interface {
+	backward(delta []float32, wantDX bool) ([]float32, error)
+}
+
 // TrainBatch runs one SGD iteration on a batch of inputs x with one-hot
 // labels y and returns the batch loss. It increments Iteration.
 func (n *Network) TrainBatch(x, y []float32, batch int) (float32, error) {
@@ -188,7 +195,11 @@ func (n *Network) TrainBatch(x, y []float32, batch int) (float32, error) {
 		return 0, err
 	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		delta, err = n.Layers[i].Backward(delta)
+		if l, ok := n.Layers[i].(paramGradLayer); ok && i == 0 {
+			delta, err = l.backward(delta, false)
+		} else {
+			delta, err = n.Layers[i].Backward(delta)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("layer %d (%s) backward: %w", i, n.Layers[i].Kind(), err)
 		}
