@@ -124,11 +124,6 @@ func DropEvery(n int) *Injector {
 	return NewInjector(Rule{First: n, Last: -1, Kind: Drop, Every: n})
 }
 
-// DelayEvery scripts every n-th transfer attempt delayed by extra.
-func DelayEvery(n int, extra time.Duration) *Injector {
-	return NewInjector(Rule{First: n, Last: -1, Kind: Delay, Extra: extra, Every: n})
-}
-
 // DuplicateEvery scripts every n-th transfer attempt duplicated.
 func DuplicateEvery(n int) *Injector {
 	return NewInjector(Rule{First: n, Last: -1, Kind: Duplicate, Every: n})

@@ -427,9 +427,7 @@ func (f *Framework) Recover(restoreNow bool) error {
 	if err != nil {
 		return fmt.Errorf("core: recover romulus: %w", err)
 	}
-	// Restore whenever PM actually holds a mirror — it may exist even
-	// with config-level mirroring off (a run used the MirrorEvery
-	// override).
+	// Restore whenever PM actually holds a mirror.
 	restore := restoreNow && mirror.Exists(f.Rom)
 	if err := f.buildModel(!restore); err != nil {
 		return err

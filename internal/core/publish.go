@@ -90,13 +90,6 @@ func (f *Framework) SetPublishQuantized(on bool) {
 	f.pubQuant = on
 }
 
-// PublishQuantized reports whether quantized publication is on.
-func (f *Framework) PublishQuantized() bool {
-	f.pmMu.Lock()
-	defer f.pmMu.Unlock()
-	return f.pubQuant
-}
-
 // publishOptsLocked returns the PublishOut options for the current
 // publication mode. Caller holds pmMu.
 func (f *Framework) publishOptsLocked() []mirror.PublishOption {
@@ -221,9 +214,7 @@ func (f *Framework) RotateKey() (uint64, error) {
 	var ver uint64
 	err = f.Enclave.Ecall(func() error {
 		// Attach the training mirror with the old engine first, so a
-		// lazily-recovered model is restored before the key flips. The
-		// mirror may exist even with config-level mirroring off (the
-		// MirrorEvery override), and must be re-sealed regardless.
+		// lazily-recovered model is restored before the key flips.
 		if f.Mirror == nil && mirror.Exists(f.Rom) {
 			if err := f.attachMirror(); err != nil {
 				return err

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,14 +81,11 @@ type Handoff interface {
 // ShardOptions parameterises NewShardGroup.
 type ShardOptions struct {
 	// Shards, when > 0, asks the planner for at most this many
-	// contiguous layer-range shards. Zero lets MaxShardBytes (or the
-	// host headroom) drive the split.
-	Shards int
-	// MaxShardBytes bounds one shard's hot working set (parameters +
-	// activation buffers). Zero derives a bound from the serving
-	// host's EPC headroom so a pipeline window of a few hot shards
+	// contiguous layer-range shards. Zero lets the host headroom drive
+	// the split: each shard's hot working set (parameters + activation
+	// buffers) is bounded so a pipeline window of a few hot shards
 	// stays under the paging knee.
-	MaxShardBytes int
+	Shards int
 	// Batch is the micro-batch size the plan reserves activation
 	// buffers for; ClassifyBatch rejects larger batches. Zero uses the
 	// model's configured batch size.
@@ -102,7 +100,7 @@ type ShardOptions struct {
 	// Precision is the parameter precision served (default FP32). Int8
 	// plans on the int8 footprints and restores each range of the
 	// published snapshot's quantized variant, turning the framework's
-	// quantized publication on. The shard manifest records fp32 plans
+	// quantized publication on. The serving layout records fp32 plans
 	// only: an int8 group neither adopts nor records it, so it never
 	// changes the split a later fp32 group restores.
 	Precision darknet.Precision
@@ -117,7 +115,8 @@ type ShardOptions struct {
 	// Plan, when non-empty, is an explicit contiguous layer-range cover
 	// to shard by, bypassing the planner (the fleet placement planner
 	// hands groups their bin-packed ranges). It must cover every layer
-	// exactly once, in order.
+	// exactly once, in order. An explicit plan is its giver's to
+	// record: the group leaves the serving layout alone.
 	Plan []darknet.ShardRange
 	// Hosts, when non-empty, places shard i's enclave on Hosts[i] — the
 	// multi-host pipeline. Its length must equal the plan's; nil
@@ -220,6 +219,10 @@ type ShardGroup struct {
 	shards    []*shard
 	slots     chan struct{} // in-flight window tokens
 
+	// ownPlan marks a multi-range fp32 split the group planned itself,
+	// the one kind it records as the serving layout.
+	ownPlan bool
+
 	submitMu sync.Mutex // serializes intake; held across quiesce for control ops
 	closed   bool
 
@@ -255,10 +258,10 @@ type ShardGroup struct {
 // with the data key over its own channel, and restores only its range
 // from the latest published snapshot (publishing the current model
 // first if nothing is published). Every shard enclave reserves its
-// overhead plus its range's ShardFootprintAt. A multi-range plan is
-// recorded as a shard manifest alongside the publication slots,
-// durably; auto planning reads it back, so a group re-created after a
-// crash restores the same split.
+// overhead plus its range's ShardFootprintAt. A multi-range fp32 split
+// the group planned itself is recorded as the serving layout alongside
+// the publication slots, durably; auto planning reads it back, so a
+// group re-created after a crash restores the same split.
 func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if f.Crashed() {
 		return nil, ErrCrashedDown
@@ -334,6 +337,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		batch:     batch,
 		inputSize: full.InputSize(),
 		prec:      prec,
+		ownPlan:   len(opts.Plan) == 0 && prec == darknet.FP32 && len(plan) > 1,
 		reg:       reg,
 		handoff:   opts.Handoff,
 	}
@@ -450,7 +454,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	g.slots = make(chan struct{}, g.window)
 
 	// Pin the served version, open each shard's snapshot handle, and
-	// record the manifest.
+	// record the layout.
 	pin, err := f.PinPublished(0)
 	if err != nil {
 		return fail(fmt.Errorf("core: shard pin: %w", err))
@@ -464,9 +468,9 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		s.restore = restores[i]
 	}
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
-	if err := g.recordManifest(); err != nil {
+	if err := g.recordLayout(); err != nil {
 		pin.Release()
-		return fail(fmt.Errorf("core: shard manifest: %w", err))
+		return fail(fmt.Errorf("core: serving layout: %w", err))
 	}
 	if !g.streaming {
 		for _, s := range g.shards {
@@ -582,10 +586,10 @@ func (f *Framework) provisionEnclaveKey(encl *enclave.Enclave) ([]byte, error) {
 }
 
 // planShards picks the contiguous layer-range plan for the options.
-// Explicit options (a shard count or a byte bound) always replan; fp32
-// auto planning first honours a shard manifest persisted by a previous
-// group, so a group re-created after a crash or restart restores
-// exactly the split whose manifest is on record.
+// An explicit plan or shard count always replans; fp32 auto planning
+// first honours a multi-range split on record in the serving layout,
+// so a group re-created after a crash or restart restores exactly the
+// split recorded.
 func (f *Framework) planShards(full *darknet.Network, opts ShardOptions, batch, headroom int) ([]darknet.ShardRange, error) {
 	switch {
 	case len(opts.Plan) > 0:
@@ -593,13 +597,11 @@ func (f *Framework) planShards(full *darknet.Network, opts ShardOptions, batch, 
 			return nil, err
 		}
 		return opts.Plan, nil
-	case opts.MaxShardBytes > 0:
-		return full.PlanShards(opts.MaxShardBytes, batch)
 	case opts.Shards > 0:
 		return full.PlanShardCount(opts.Shards, batch)
 	default:
 		if opts.Precision == darknet.FP32 {
-			if plan := f.persistedShardPlan(len(full.Layers)); plan != nil {
+			if plan := f.ServingLayout(len(full.Layers)).Plan; len(plan) > 1 {
 				return plan, nil
 			}
 		}
@@ -615,90 +617,44 @@ func (f *Framework) planShards(full *darknet.Network, opts ShardOptions, batch, 
 	}
 }
 
-// validateShardPlan checks an explicit plan is an in-order contiguous
-// cover of the model's layers — anything else would drop or duplicate
-// a layer range.
+// validateShardPlan checks a plan — explicit or recorded — is an
+// in-order contiguous cover of the model's layers: anything else would
+// drop or duplicate a layer range.
 func validateShardPlan(plan []darknet.ShardRange, numLayers int) error {
 	next := 0
 	for _, r := range plan {
 		if r.From != next || r.To <= r.From || r.To > numLayers {
-			return fmt.Errorf("core: explicit shard plan %v is not a contiguous cover of %d layers", plan, numLayers)
+			return fmt.Errorf("core: shard plan %v is not a contiguous cover of %d layers", plan, numLayers)
 		}
 		next = r.To
 	}
 	if next != numLayers {
-		return fmt.Errorf("core: explicit shard plan %v is not a contiguous cover of %d layers", plan, numLayers)
+		return fmt.Errorf("core: shard plan %v is not a contiguous cover of %d layers", plan, numLayers)
 	}
 	return nil
 }
 
-// persistedShardPlan reads the shard manifest back as a plan, nil when
-// none is recorded or the recorded split no longer matches the model
-// (not a contiguous cover of its layers) — a shape change or a corrupt
-// table simply replans and re-records.
-func (f *Framework) persistedShardPlan(numLayers int) []darknet.ShardRange {
-	f.pmMu.Lock()
-	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+// recordLayout records a split the group planned itself as the serving
+// layout, with no hosts, unless the layout on record already holds
+// that plan: a fleet's placement survives only alongside the plan it
+// was placed for. A one-range plan splits nothing and an int8 plan
+// packs int8 footprints, so neither is recorded — either would override
+// the split a re-created auto-planned fp32 group restores — and an
+// explicit plan is recorded by whoever gave it.
+func (g *ShardGroup) recordLayout() error {
+	if !g.ownPlan {
 		return nil
 	}
-	entries, err := f.pub.ShardManifest()
-	if err != nil || len(entries) == 0 {
-		return nil
-	}
-	plan := make([]darknet.ShardRange, len(entries))
-	next := 0
-	for i, e := range entries {
-		if e.From != next || e.To <= e.From || e.To > numLayers {
-			return nil
-		}
-		plan[i] = darknet.ShardRange{From: e.From, To: e.To}
-		next = e.To
-	}
-	if next != numLayers {
-		return nil
-	}
-	return plan
-}
-
-// manifest returns the plan's layer ranges.
-func (g *ShardGroup) manifest() []mirror.ShardManifestEntry {
-	entries := make([]mirror.ShardManifestEntry, len(g.shards))
-	for i, s := range g.shards {
-		entries[i] = mirror.ShardManifestEntry{From: s.rng.From, To: s.rng.To}
-	}
-	return entries
-}
-
-// recordManifest persists the group's plan as the shard manifest,
-// skipping the write when the recorded plan already matches. A
-// one-range plan splits nothing and an int8 plan packs int8 footprints;
-// neither is recorded, since either would override the split a
-// re-created auto-planned fp32 group restores.
-func (g *ShardGroup) recordManifest() error {
-	if len(g.shards) < 2 || g.prec != darknet.FP32 {
-		return nil
-	}
-	f, entries := g.f, g.manifest()
+	f, plan := g.f, g.Plan()
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
 	if err := f.attachPublication(); err != nil {
 		return err
 	}
-	cur, err := f.pub.ShardManifest()
-	if err == nil && len(cur) == len(entries) {
-		same := true
-		for i := range cur {
-			if cur[i] != entries[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil
-		}
+	if cur, err := f.pub.Layout(); err == nil && slices.Equal(cur.Plan, plan) {
+		return nil
 	}
-	return f.pub.RecordShardManifest(entries)
+	return f.pub.RecordLayout(mirror.Layout{Plan: plan})
 }
 
 // openModels opens one restore handle per shard on the pinned snapshot
@@ -1095,7 +1051,7 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		pin.Release()
 		return 0, err
 	}
-	if err := g.recordManifest(); err != nil {
+	if err := g.recordLayout(); err != nil {
 		pin.Release()
 		return 0, err
 	}
@@ -1262,46 +1218,29 @@ func (g *ShardGroup) Metrics() *obs.Registry { return g.reg }
 // touching the enclave model.
 func (f *Framework) ModelConfigText() string { return f.cfg.ModelConfig }
 
-// PersistedShardPlan returns the durably recorded shard split when it
-// is a contiguous cover of a numLayers-layer model, nil otherwise —
-// the exported read the fleet layer uses to restore a recorded
-// placement.
-func (f *Framework) PersistedShardPlan(numLayers int) []darknet.ShardRange {
-	return f.persistedShardPlan(numLayers)
+// ServingLayout returns the recorded serving layout when its plan is a
+// contiguous cover of a numLayers-layer model, the zero Layout
+// otherwise: a shape change or a corrupt record simply replans.
+func (f *Framework) ServingLayout(numLayers int) mirror.Layout {
+	f.pmMu.Lock()
+	defer f.pmMu.Unlock()
+	if err := f.attachPublication(); err != nil {
+		return mirror.Layout{}
+	}
+	l, err := f.pub.Layout()
+	if err != nil || validateShardPlan(l.Plan, numLayers) != nil {
+		return mirror.Layout{}
+	}
+	return l
 }
 
-// RecordPlacement persists a fleet placement manifest alongside the
-// publication slots and shard manifest, skipping the write when the
-// recorded placement already matches.
-func (f *Framework) RecordPlacement(entries []mirror.PlacementEntry) error {
+// RecordServingLayout durably records l as the serving layout, in one
+// transaction (nothing is written when l is already on record).
+func (f *Framework) RecordServingLayout(l mirror.Layout) error {
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
 	if err := f.attachPublication(); err != nil {
 		return err
 	}
-	cur, err := f.pub.Placement()
-	if err == nil && len(cur) == len(entries) {
-		same := true
-		for i := range cur {
-			if cur[i] != entries[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil
-		}
-	}
-	return f.pub.RecordPlacement(entries)
-}
-
-// PersistedPlacement reads the fleet placement manifest back, nil when
-// none has been recorded.
-func (f *Framework) PersistedPlacement() ([]mirror.PlacementEntry, error) {
-	f.pmMu.Lock()
-	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
-		return nil, err
-	}
-	return f.pub.Placement()
+	return f.pub.RecordLayout(l)
 }

@@ -12,6 +12,7 @@ import (
 
 	"plinius/internal/darknet"
 	"plinius/internal/enclave"
+	"plinius/internal/mirror"
 	"plinius/internal/mnist"
 )
 
@@ -451,8 +452,10 @@ func TestShardGroupRefreshAndRotate(t *testing.T) {
 	}
 }
 
-// TestShardGroupRecordsManifest: the plan's node ranges are persisted
-// alongside the publication slots, durably and re-readably.
+// TestShardGroupRecordsManifest: a split the group planned itself is
+// recorded as the serving layout — its layer ranges and no hosts —
+// durably and re-readably; a group given an explicit plan records
+// nothing.
 func TestShardGroupRecordsManifest(t *testing.T) {
 	f, _ := trainedShardFramework(t, 4)
 	g, err := f.NewShardGroup(ShardOptions{Shards: 3, Batch: 8, Seed: 5})
@@ -460,26 +463,77 @@ func TestShardGroupRecordsManifest(t *testing.T) {
 		t.Fatalf("NewShardGroup: %v", err)
 	}
 	defer g.Close()
+	numLayers := g.Plan()[len(g.Plan())-1].To
+	if got := f.ServingLayout(numLayers); !slices.Equal(got.Plan, g.Plan()) || got.Hosts != nil {
+		t.Fatalf("serving layout %v, want the plan %v and no hosts", got, g.Plan())
+	}
 
-	f.pmMu.Lock()
-	entries, err := f.pub.ShardManifest()
-	f.pmMu.Unlock()
+	explicit := []darknet.ShardRange{{From: 0, To: 1}, {From: 1, To: numLayers}}
+	g2, err := f.NewShardGroup(ShardOptions{Plan: explicit, Batch: 8, Seed: 6})
 	if err != nil {
-		t.Fatalf("ShardManifest: %v", err)
+		t.Fatalf("NewShardGroup explicit: %v", err)
+	}
+	defer g2.Close()
+	if got := f.ServingLayout(numLayers); !slices.Equal(got.Plan, g.Plan()) {
+		t.Fatalf("an explicit plan replaced the recorded layout: %v", got)
+	}
+}
+
+// TestShardGroupResplitClearsFleetHosts: a fleet's placement survives
+// only alongside the plan it was placed for. A single-host group that
+// adopts the recorded plan keeps the hosts on record; one that splits
+// the model differently records its own plan with no hosts, so the
+// next fleet finds no placement and replans.
+func TestShardGroupResplitClearsFleetHosts(t *testing.T) {
+	f, _ := trainedShardFramework(t, 4)
+	g, err := f.NewShardGroup(ShardOptions{Shards: 3, Batch: 2, Seed: 5})
+	if err != nil {
+		t.Fatalf("NewShardGroup: %v", err)
 	}
 	plan := g.Plan()
-	if len(entries) != len(plan) {
-		t.Fatalf("manifest has %d entries for %d shards", len(entries), len(plan))
+	if err := g.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	for i, e := range entries {
-		if e.From != plan[i].From || e.To != plan[i].To {
-			t.Fatalf("manifest[%d] = %+v, want the plan range %v", i, e, plan[i])
-		}
+	numLayers := plan[len(plan)-1].To
+	hosts := make([]int, len(plan))
+	for i := range hosts {
+		hosts[i] = i % 2
+	}
+	fleet := mirror.Layout{Plan: plan, Hosts: [][]int{hosts}}
+	if err := f.RecordServingLayout(fleet); err != nil {
+		t.Fatalf("RecordServingLayout: %v", err)
+	}
+
+	same, err := f.NewShardGroup(ShardOptions{Batch: 2, Seed: 6})
+	if err != nil {
+		t.Fatalf("NewShardGroup on the recorded plan: %v", err)
+	}
+	if !slices.Equal(same.Plan(), plan) {
+		t.Fatalf("auto plan %v, want the recorded %v", same.Plan(), plan)
+	}
+	if _, err := same.Refresh(); err != nil {
+		t.Fatalf("Refresh: %v", err)
+	}
+	same.Close()
+	if got := f.ServingLayout(numLayers); len(got.Hosts) != 1 || !slices.Equal(got.Hosts[0], hosts) {
+		t.Fatalf("a group on the placed plan dropped the fleet hosts: %v", got)
+	}
+
+	resplit, err := f.NewShardGroup(ShardOptions{Shards: 2, Batch: 2, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewShardGroup re-split: %v", err)
+	}
+	defer resplit.Close()
+	if slices.Equal(resplit.Plan(), plan) {
+		t.Fatalf("re-split plan %v equals the placed one", plan)
+	}
+	if got := f.ServingLayout(numLayers); !slices.Equal(got.Plan, resplit.Plan()) || got.Hosts != nil {
+		t.Fatalf("after a re-split the layout is %v, want plan %v and no hosts", got, resplit.Plan())
 	}
 }
 
 // TestShardGroupReusesPersistedPlan: auto planning honours the
-// manifest a previous group recorded — across a framework crash and
+// layout a previous group recorded — across a framework crash and
 // recovery, and whatever the new host's headroom would have suggested.
 func TestShardGroupReusesPersistedPlan(t *testing.T) {
 	f, _ := trainedShardFramework(t, 4)
@@ -503,7 +557,7 @@ func TestShardGroupReusesPersistedPlan(t *testing.T) {
 	}
 
 	// Second group auto-plans on a roomy host, which alone would yield
-	// a coarser split; the persisted manifest wins.
+	// a coarser split; the recorded layout wins.
 	g2, err := f.NewShardGroup(ShardOptions{Batch: 2, OverheadBytes: 8 << 10, Seed: 6})
 	if err != nil {
 		t.Fatalf("NewShardGroup after recover: %v", err)
@@ -600,7 +654,7 @@ func TestInt8ShardGroupMatchesReplica(t *testing.T) {
 	}
 }
 
-// TestInt8GroupLeavesShardManifest: the shard manifest records fp32
+// TestInt8GroupLeavesShardManifest: the serving layout records fp32
 // plans only. An int8 group plans afresh on int8 footprints — it
 // neither adopts the recorded split nor records its own — so an fp32
 // group auto-planned afterwards restores the split on record.
@@ -618,7 +672,7 @@ func TestInt8GroupLeavesShardManifest(t *testing.T) {
 	}
 	recorded := build(ShardOptions{Host: small, Batch: 2, OverheadBytes: 8 << 10, Seed: 5})
 	if len(recorded) < 2 {
-		t.Fatalf("fp32 plan %v too coarse for the manifest test", recorded)
+		t.Fatalf("fp32 plan %v too coarse for the layout test", recorded)
 	}
 	int8Auto := build(ShardOptions{Host: small, Batch: 2, OverheadBytes: 8 << 10, Precision: darknet.Int8, Seed: 6})
 	if slices.Equal(int8Auto, recorded) {

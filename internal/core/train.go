@@ -9,10 +9,9 @@ import (
 type TrainOption func(*trainConfig)
 
 type trainConfig struct {
-	stopAt     int
-	stopSet    bool
-	progress   func(iter int, loss float32)
-	mirrorFreq int
+	stopAt   int
+	stopSet  bool
+	progress func(iter int, loss float32)
 }
 
 // StopAt stops the run once the model has completed iter iterations
@@ -27,18 +26,6 @@ func StopAt(iter int) TrainOption {
 // held, so it may call read-side Framework methods.
 func WithProgress(fn func(iter int, loss float32)) TrainOption {
 	return func(c *trainConfig) { c.progress = fn }
-}
-
-// MirrorEvery overrides Config.MirrorFreq for this run: mirror the
-// model to PM every freq iterations. freq < 0 disables mirroring for
-// the run (the non-crash-resilient baseline); 0 keeps the framework
-// default.
-func MirrorEvery(freq int) TrainOption {
-	return func(c *trainConfig) {
-		if freq != 0 {
-			c.mirrorFreq = freq
-		}
-	}
 }
 
 // Train runs Algorithm 2 — batch, iterate, mirror-out — until the
@@ -58,7 +45,7 @@ func MirrorEvery(freq int) TrainOption {
 // serialized internally, and published snapshots are separate immutable
 // regions, so training never tears a model being restored.
 func (f *Framework) Train(ctx context.Context, opts ...TrainOption) error {
-	tc := trainConfig{mirrorFreq: f.cfg.MirrorFreq}
+	var tc trainConfig
 	for _, opt := range opts {
 		opt(&tc)
 	}
@@ -68,7 +55,7 @@ func (f *Framework) Train(ctx context.Context, opts ...TrainOption) error {
 	if f.Data == nil {
 		return ErrNoDataset
 	}
-	freq := tc.mirrorFreq
+	freq := f.cfg.MirrorFreq
 	return f.Enclave.Ecall(func() error {
 		if freq > 0 {
 			f.modelMu.Lock()

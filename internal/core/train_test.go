@@ -107,56 +107,6 @@ func TestTrainPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestTrainMirrorEveryOverride checks the per-run frequency override:
-// a mirroring-disabled framework can mirror for one run, and a
-// mirroring-enabled one can skip it.
-func TestTrainMirrorEveryOverride(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MirrorFreq = -1 // disabled by config
-	f := loadedFramework(t, cfg)
-	if err := f.Train(context.Background(), StopAt(4), MirrorEvery(2)); err != nil {
-		t.Fatalf("Train with MirrorEvery: %v", err)
-	}
-	if f.Mirror == nil {
-		t.Fatal("MirrorEvery(2) did not attach the mirror")
-	}
-	iter, err := f.Mirror.Iteration()
-	if err != nil {
-		t.Fatalf("mirror iteration: %v", err)
-	}
-	if iter != 4 {
-		t.Fatalf("mirror holds iteration %d, want 4", iter)
-	}
-
-	// And the reverse: default-on mirroring disabled for one run.
-	f2 := loadedFramework(t, smallConfig())
-	if err := f2.Train(context.Background(), StopAt(3), MirrorEvery(-1)); err != nil {
-		t.Fatalf("Train with MirrorEvery(-1): %v", err)
-	}
-	if f2.Mirror != nil {
-		t.Fatal("MirrorEvery(-1) attached the mirror anyway")
-	}
-}
-
-// TestRecoverRestoresMirrorEveryMirror checks Recover honours a mirror
-// created by the per-run MirrorEvery override even when config-level
-// mirroring is off: PM holds a valid model, so restoreNow restores it.
-func TestRecoverRestoresMirrorEveryMirror(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MirrorFreq = -1
-	f := loadedFramework(t, cfg)
-	if err := f.Train(context.Background(), StopAt(10), MirrorEvery(2)); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	f.Crash()
-	if err := f.Recover(true); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if got := f.Iteration(); got != 10 {
-		t.Fatalf("recovered at iteration %d, want 10 from the MirrorEvery mirror", got)
-	}
-}
-
 // TestEnsureModelCurrentAfterLazyRecover checks the publish path never
 // snapshots the random post-Recover(false) weights: EnsureModelCurrent
 // pulls the mirror in first.

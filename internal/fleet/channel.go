@@ -47,8 +47,6 @@ type Channel struct {
 
 	transfers atomic.Uint64
 	bytes     atomic.Uint64
-	modeledNS atomic.Int64
-	retried   atomic.Uint64
 
 	mBytes   *obs.Counter
 	mSeconds *obs.Counter
@@ -153,7 +151,6 @@ func (c *Channel) Carry(sealed []byte) error {
 			// Lost. The sender detects the loss after the full wire
 			// time, backs off exponentially, and re-sends.
 			c.dst.Clock().Advance(d + defaultHandoffBackoff<<attempt)
-			c.retried.Add(1)
 			if c.mRetries != nil {
 				c.mRetries.Inc()
 			}
@@ -172,7 +169,6 @@ func (c *Channel) Carry(sealed []byte) error {
 			}
 			c.transfers.Add(1)
 			c.bytes.Add(uint64(len(sealed)))
-			c.modeledNS.Add(int64(d))
 			c.mBytes.AddUint(uint64(len(sealed)))
 			c.mSeconds.Add(d.Seconds())
 		}
@@ -181,15 +177,8 @@ func (c *Channel) Carry(sealed []byte) error {
 	return fmt.Errorf("fleet: channel %d->%d: %w after %d attempts", c.From, c.To, ErrHandoffFault, attempts)
 }
 
-// Retried returns how many transfer attempts were re-sent after a
-// transient fault.
-func (c *Channel) Retried() uint64 { return c.retried.Load() }
-
 // Transfers returns the number of hand-offs carried.
 func (c *Channel) Transfers() uint64 { return c.transfers.Load() }
 
 // Bytes returns the total sealed bytes carried.
 func (c *Channel) Bytes() uint64 { return c.bytes.Load() }
-
-// ModeledTime returns the accumulated modeled wire time.
-func (c *Channel) ModeledTime() time.Duration { return time.Duration(c.modeledNS.Load()) }

@@ -291,10 +291,10 @@ func TestKillDuringRefresh(t *testing.T) {
 }
 
 // TestRecreateAfterReplanRestoresConsistentPlacement: the replan
-// rewrites the durable placement manifest; a fleet re-created over the
+// rewrites the durable serving layout; a fleet re-created over the
 // same framework must restore a consistent placement — the recorded
 // one when it still fits, a fresh plan otherwise, never a torn mix
-// (manifest validation plus the Romulus transaction guarantee this).
+// (layout validation plus the Romulus transaction guarantee this).
 func TestRecreateAfterReplanRestoresConsistentPlacement(t *testing.T) {
 	f, hosts, fl := chaosFleet(t, Options{})
 	victim := hosts[fl.Placement().Groups[0][0]]
@@ -319,7 +319,7 @@ func TestRecreateAfterReplanRestoresConsistentPlacement(t *testing.T) {
 	defer fl2.Close()
 	restored := fl2.Placement()
 	// Consistency: every group covers every shard exactly once on valid
-	// hosts — i.e. the manifest round-tripped whole. It may equal the
+	// hosts — i.e. the layout round-tripped whole. It may equal the
 	// degraded placement (recorded last) or a fresh resident plan.
 	if len(restored.Groups) == 0 {
 		t.Fatalf("re-created fleet has no groups")

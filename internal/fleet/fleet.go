@@ -59,10 +59,6 @@ type Options struct {
 	// Hosts is the fleet, in placement order. At least one is required;
 	// the placement planner bin-packs shards across their headrooms.
 	Hosts []*enclave.Host
-	// Replicas is the number of replica groups (full copies of the
-	// shard plan). Zero or negative packs as many as the fleet's
-	// capacity admits, at least one and at most one per host.
-	Replicas int
 	// Batch is the micro-batch size every group's plan reserves
 	// activation buffers for. Zero uses the model's configured batch.
 	Batch int
@@ -161,9 +157,8 @@ type Fleet struct {
 	inputSize int
 	overhead  int
 
-	seed        int64
-	epoch       int64 // bumped per group rebuild, differentiates enclave RNGs
-	replicasOpt int
+	seed  int64
+	epoch int64 // bumped per group rebuild, differentiates enclave RNGs
 
 	latency   time.Duration
 	bandwidth float64
@@ -223,10 +218,12 @@ func (fl *Fleet) publishTopologyLocked() {
 }
 
 // New builds the fleet: the placement is restored from the durable
-// shard + placement manifests when the recorded split still fits the
-// current hosts, planned fresh otherwise, then recorded back; one
-// shard group per replica group is built on its placed hosts, with
-// attested channels provisioned across every host boundary.
+// serving layout when the recorded split and hosts still fit the
+// current hosts, planned fresh otherwise — as many replica groups as
+// the fleet's capacity admits, at least one and at most one per host —
+// then recorded back; one shard group per replica group is built on
+// its placed hosts, with attested channels provisioned across every
+// host boundary.
 func New(f *core.Framework, opts Options) (*Fleet, error) {
 	if len(opts.Hosts) == 0 {
 		return nil, fmt.Errorf("%w: no hosts", ErrInfeasible)
@@ -257,9 +254,9 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		headrooms[i] = h.Headroom()
 	}
 
-	placement, restored := persistedPlacement(f, net, headrooms, batch, overhead, opts.Replicas)
+	placement, restored := persistedPlacement(f, net, headrooms, batch, overhead)
 	if !restored {
-		placement, err = PlanPlacement(net, headrooms, batch, overhead, opts.Replicas)
+		placement, err = PlanPlacement(net, headrooms, batch, overhead, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +275,6 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		inputSize:     net.InputSize(),
 		overhead:      overhead,
 		seed:          opts.Seed,
-		replicasOpt:   opts.Replicas,
 		latency:       opts.ChannelLatency,
 		bandwidth:     opts.ChannelBandwidth,
 		channelFaults: opts.ChannelFaults,
@@ -324,11 +320,11 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		return nil, err
 	}
 	fl.groups = groups
-	if err := f.RecordPlacement(placementEntries(placement)); err != nil {
+	if err := fl.recordPlacementLocked(); err != nil {
 		for _, g := range fl.groups {
 			_ = g.sg.Close()
 		}
-		return nil, fmt.Errorf("fleet: record placement: %w", err)
+		return nil, err
 	}
 	fl.publishTopologyLocked()
 	return fl, nil
@@ -374,75 +370,36 @@ func (fl *Fleet) buildGroups(plan []darknet.ShardRange, assignments [][]int, lab
 	return groups, nil
 }
 
-// placementEntries flattens a placement for the durable manifest.
-func placementEntries(p Placement) []mirror.PlacementEntry {
-	var entries []mirror.PlacementEntry
-	for g, assignment := range p.Groups {
-		for s, h := range assignment {
-			entries = append(entries, mirror.PlacementEntry{Group: g, Shard: s, Host: h})
-		}
-	}
-	return entries
-}
-
-// persistedPlacement tries to restore the previously recorded
-// placement: the durable shard manifest gives the plan, the placement
-// manifest the host assignment. It is honoured only when it still
-// describes this fleet — dense groups each covering every shard exactly
-// once, host indices in range, and every host's recorded load fitting
-// its *current* headroom (hosts shrink, models change; a stale
-// placement replans rather than overcommitting a machine).
-func persistedPlacement(f *core.Framework, net *darknet.Network, headrooms []int, batch, overhead, replicas int) (Placement, bool) {
-	plan := f.PersistedShardPlan(len(net.Layers))
-	if plan == nil {
+// persistedPlacement tries to restore the placement recorded in the
+// serving layout. It is honoured only when it still describes this
+// fleet — at least one group, host indices in range, and every host's
+// recorded load fitting its *current* headroom (hosts shrink, models
+// change; a stale placement replans rather than overcommitting a
+// machine).
+func persistedPlacement(f *core.Framework, net *darknet.Network, headrooms []int, batch, overhead int) (Placement, bool) {
+	l := f.ServingLayout(len(net.Layers))
+	if len(l.Hosts) == 0 {
 		return Placement{}, false
 	}
-	entries, err := f.PersistedPlacement()
-	if err != nil || len(entries) == 0 {
-		return Placement{}, false
-	}
-	fps, err := footprints(net, plan, batch, darknet.FP32)
+	fps, err := footprints(net, l.Plan, batch, darknet.FP32)
 	if err != nil {
 		return Placement{}, false
 	}
-	numGroups := 0
-	for _, e := range entries {
-		if e.Group >= numGroups {
-			numGroups = e.Group + 1
-		}
-	}
-	if len(entries) != numGroups*len(plan) {
-		return Placement{}, false
-	}
-	if replicas > 0 && numGroups != replicas {
-		return Placement{}, false
-	}
-	groups := make([][]int, numGroups)
-	for g := range groups {
-		groups[g] = make([]int, len(plan))
-		for s := range groups[g] {
-			groups[g][s] = -1
-		}
-	}
-	for _, e := range entries {
-		if e.Group < 0 || e.Shard < 0 || e.Shard >= len(plan) ||
-			e.Host < 0 || e.Host >= len(headrooms) || groups[e.Group][e.Shard] != -1 {
-			return Placement{}, false
-		}
-		groups[e.Group][e.Shard] = e.Host
-	}
 	load := make([]int, len(headrooms))
-	for _, assignment := range groups {
+	for _, assignment := range l.Hosts {
 		for s, h := range assignment {
+			if h < 0 || h >= len(headrooms) {
+				return Placement{}, false
+			}
 			load[h] += fps[s] + overhead
 		}
 	}
-	for h, l := range load {
-		if l > headrooms[h] {
+	for h, used := range load {
+		if used > headrooms[h] {
 			return Placement{}, false
 		}
 	}
-	return Placement{Plan: plan, Footprints: fps, Groups: groups}, true
+	return Placement{Plan: l.Plan, Footprints: fps, Groups: l.Hosts}, true
 }
 
 // pick routes one micro-batch: least-loaded by in-flight count, ties
@@ -616,9 +573,10 @@ func (fl *Fleet) recoverHostFailure() error {
 // groups when it admits them. When no group survived and the survivors
 // cannot hold a full resident placement, the fleet degrades to a
 // single streaming shard group (resident → streaming → shed ladder)
-// rather than going dark. The final placement is recorded to the
-// durable manifest — a Romulus transaction, so a crash mid-rewrite
-// recovers either the old or the new placement, never a torn mix.
+// rather than going dark. The final plan and hosts are recorded as the
+// durable serving layout — one Romulus transaction, so a crash
+// mid-rewrite recovers either the old or the new layout, never a torn
+// mix.
 func (fl *Fleet) replanLocked() error {
 	fl.mReplans.Inc()
 	fl.degraded.Store(false)
@@ -642,20 +600,12 @@ func (fl *Fleet) replanLocked() error {
 		// Survivors keep serving on the shared plan; top up replica
 		// groups on the freed capacity when it admits full copies.
 		var extra [][]int
-		if fl.replicasOpt > 0 {
-			if want := fl.replicasOpt - len(fl.groups); want > 0 {
-				if a, ok := assign(fl.placement.Footprints, headrooms, fl.overhead, want); ok {
-					extra = remapHosts(a, live)
-				}
+		for n := 1; len(fl.groups)+n <= len(live); n++ {
+			a, ok := assign(fl.placement.Footprints, headrooms, fl.overhead, n)
+			if !ok {
+				break
 			}
-		} else {
-			for n := 1; len(fl.groups)+n <= len(live); n++ {
-				a, ok := assign(fl.placement.Footprints, headrooms, fl.overhead, n)
-				if !ok {
-					break
-				}
-				extra = remapHosts(a, live)
-			}
+			extra = remapHosts(a, live)
 		}
 		if len(extra) > 0 {
 			groups, err := fl.buildGroups(fl.placement.Plan, extra, len(fl.groups))
@@ -671,7 +621,7 @@ func (fl *Fleet) replanLocked() error {
 	// Nothing survived: plan fresh over the survivors. Resident first;
 	// when that is infeasible, degrade to one streaming group instead
 	// of shedding.
-	placement, err := PlanPlacement(fl.net, headrooms, fl.batch, fl.overhead, fl.replicasOpt)
+	placement, err := PlanPlacement(fl.net, headrooms, fl.batch, fl.overhead, 0)
 	if err == nil {
 		placement.Groups = remapHosts(placement.Groups, live)
 		groups, berr := fl.buildGroups(placement.Plan, placement.Groups, 0)
@@ -763,10 +713,12 @@ func (fl *Fleet) syncPlacementLocked() {
 	fl.placement.Groups = assignments
 }
 
-// recordPlacementLocked writes the current placement to the durable
-// manifest (one Romulus transaction: old or new, never torn).
+// recordPlacementLocked records the current plan and its hosts as the
+// durable serving layout (one Romulus transaction: old or new, never
+// torn); the caller holds the write lock, or is New.
 func (fl *Fleet) recordPlacementLocked() error {
-	if err := fl.f.RecordPlacement(placementEntries(fl.placement)); err != nil {
+	l := mirror.Layout{Plan: fl.placement.Plan, Hosts: fl.placement.Groups}
+	if err := fl.f.RecordServingLayout(l); err != nil {
 		return fmt.Errorf("fleet: record placement: %w", err)
 	}
 	return nil

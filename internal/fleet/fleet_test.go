@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"plinius/internal/core"
-	"plinius/internal/darknet"
 	"plinius/internal/enclave"
 	"plinius/internal/mnist"
 )
@@ -311,12 +310,13 @@ func TestFleetInfeasibleTyped(t *testing.T) {
 	}
 }
 
-// TestFleetRouterSpreadsLoad: with replica groups placed, concurrent
-// traffic reaches more than one group.
+// TestFleetRouterSpreadsLoad: with replica groups placed — auto
+// packing puts one on each of two roomy hosts — concurrent traffic
+// reaches more than one group.
 func TestFleetRouterSpreadsLoad(t *testing.T) {
 	f := newOverEPCFramework(t, 1<<20, 61)
 	hosts := newFleetHosts(f, 2, 8<<20)
-	fl, err := New(f, Options{Hosts: hosts, Batch: 1, OverheadBytes: 64 << 10, Seed: 62, Replicas: 2})
+	fl, err := New(f, Options{Hosts: hosts, Batch: 1, OverheadBytes: 64 << 10, Seed: 62})
 	if err != nil {
 		t.Fatalf("New fleet: %v", err)
 	}
@@ -360,25 +360,5 @@ func TestFleetRouterSpreadsLoad(t *testing.T) {
 	}
 	if !perGroup[0] || !perGroup[1] {
 		t.Logf("router concentration: group0=%v group1=%v (load-dependent, informational)", perGroup[0], perGroup[1])
-	}
-}
-
-// TestPlacementEntriesRoundTrip pins the manifest flattening used for
-// the durable placement record.
-func TestPlacementEntriesRoundTrip(t *testing.T) {
-	p := Placement{
-		Plan:   []darknet.ShardRange{{From: 0, To: 2}, {From: 2, To: 5}},
-		Groups: [][]int{{0, 1}, {2, 0}},
-	}
-	entries := placementEntries(p)
-	if len(entries) != 4 {
-		t.Fatalf("len(entries) = %d, want 4", len(entries))
-	}
-	want := []struct{ g, s, h int }{{0, 0, 0}, {0, 1, 1}, {1, 0, 2}, {1, 1, 0}}
-	for i, w := range want {
-		e := entries[i]
-		if e.Group != w.g || e.Shard != w.s || e.Host != w.h {
-			t.Fatalf("entries[%d] = %+v, want %+v", i, e, w)
-		}
 	}
 }

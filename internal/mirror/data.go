@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"plinius/internal/enclave"
 	"plinius/internal/engine"
 	"plinius/internal/mnist"
 	"plinius/internal/obs"
@@ -51,7 +50,6 @@ const (
 type DataMatrix struct {
 	rom       *romulus.Romulus
 	eng       *engine.Engine
-	encl      *enclave.Enclave
 	headOff   int
 	n         int
 	plainRow  int
@@ -68,12 +66,6 @@ var (
 
 // DataOption configures a DataMatrix.
 type DataOption func(*DataMatrix)
-
-// WithDataEnclave charges EPC paging for batch plaintext staged in
-// enclave memory.
-func WithDataEnclave(e *enclave.Enclave) DataOption {
-	return func(d *DataMatrix) { d.encl = e }
-}
 
 // WithPlaintextRows stores rows unencrypted. Only used by the Fig. 8
 // baseline that measures the overhead of batched decryption.
@@ -245,9 +237,6 @@ func (d *DataMatrix) fetchRow(i int, stored []byte, vals []float32) error {
 		}
 	} else if err := engine.DecodeFloats(vals, stored); err != nil {
 		return fmt.Errorf("%w: row %d: %v", ErrDataCorrupt, i, err)
-	}
-	if d.encl != nil {
-		d.encl.Touch(d.plainRow)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package mirror
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"math"
 	mrand "math/rand"
 	"runtime"
@@ -182,4 +183,68 @@ func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers 
 	if err == nil && !netsEqual(fx.src, fx.dst) {
 		t.Fatalf("%s: damaged layer table restored without error into different buffers", fx.name)
 	}
+}
+
+// FuzzServingLayout forges the serving layout on a small device: the
+// header's region offset (the offset of a scratch region plus a fuzzed
+// delta) and capacity, and the region's words, written into the
+// scratch region. The layout is untrusted PM: Layout must return an
+// error or a layout whose every host row has one entry per range, must
+// never panic, and may allocate only a small multiple of the capacity
+// the header names — never anything sized from a forged count.
+func FuzzServingLayout(f *testing.F) {
+	const scratchBytes = 4096
+	dev, err := pm.New(1 << 20)
+	if err != nil {
+		f.Fatalf("pm.New: %v", err)
+	}
+	rom, err := romulus.Open(dev)
+	if err != nil {
+		f.Fatalf("romulus.Open: %v", err)
+	}
+	p, err := OpenPublication(rom)
+	if err != nil {
+		f.Fatalf("OpenPublication: %v", err)
+	}
+	var scratch int
+	if err := rom.Update(func() (err error) { scratch, err = rom.Alloc(scratchBytes); return err }); err != nil {
+		f.Fatalf("Alloc: %v", err)
+	}
+	f.Fuzz(func(t *testing.T, dOff int64, capBytes uint64, region []byte) {
+		body := make([]byte, scratchBytes)
+		copy(body, region)
+		var hdr [16]byte
+		binary.LittleEndian.PutUint64(hdr[:8], uint64(scratch)+uint64(dOff))
+		binary.LittleEndian.PutUint64(hdr[8:], capBytes)
+		err := rom.Update(func() error {
+			if err := rom.Store(scratch, body); err != nil {
+				return err
+			}
+			return rom.Store(p.hdrOff+pubHdrLayout, hdr[:])
+		})
+		if err != nil {
+			t.Fatalf("forge layout: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l, err := p.Layout()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return
+		}
+		// Each region word costs at most four in the heap — its decoded
+		// value, a plan copy, and a row header per one-host row — plus
+		// size-class rounding.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4*capBytes+64<<10 {
+			t.Fatalf("Layout allocated %d bytes from a %d-byte region", n, capBytes)
+		}
+		if len(l.Plan) == 0 && (l.Hosts != nil || uint64(scratch)+uint64(dOff) != 0) {
+			t.Fatalf("recorded layout decoded without ranges: %v", l)
+		}
+		for g, row := range l.Hosts {
+			if len(row) != len(l.Plan) {
+				t.Fatalf("host row %d has %d entries for %d ranges", g, len(row), len(l.Plan))
+			}
+		}
+	})
 }

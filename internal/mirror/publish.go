@@ -15,7 +15,7 @@
 //
 // Persistent layout (root slot RootPublished, little-endian uint64):
 //
-//	pub header: latestVersion | numSlots | maxPubSlots x {version, modelOff, regionSize, qOff, qSize, qValid} | manifestOff | manifestCap
+//	pub header: latestVersion | numSlots | maxPubSlots x {version, modelOff, regionSize, qOff, qSize, qValid} | layoutOff | layoutCap
 //
 // Slot model regions are mirror model regions. A slot may additionally
 // carry the quantized (int8) variant of the same version in a second
@@ -24,7 +24,7 @@
 // and qValid — flipped in the same durable transaction as the version —
 // records whether the variant is present, so a crash mid-publish can
 // never expose a torn int8 region. Both regions follow one discipline
-// (Publication.layout): the recorded size makes slot recycling
+// (Publication.fitRegion): the recorded size makes slot recycling
 // shape-proof, since Romulus has no free. A recycled region whose new
 // payload fits is re-laid out in place (regionAllocator) and only a
 // genuinely outgrown region is abandoned to the bump allocator —
@@ -38,8 +38,10 @@
 package mirror
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"plinius/internal/darknet"
@@ -60,26 +62,16 @@ const (
 	// replicas.
 	maxPubSlots = 8
 
-	// Shard manifest pointer, stored alongside the slot table: the PM
-	// offset and entry capacity of the manifest region recording how a
-	// shard group splits published snapshots into per-shard layer-node
-	// ranges (manifest region: count | cap x {fromNode, toNode}).
-	pubHdrManifestOff = pubHdrSlots + maxPubSlots*pubSlotEntry
-	pubHdrManifestCap = pubHdrManifestOff + 8
+	// Serving layout pointer, stored alongside the slot table: the PM
+	// offset and byte capacity of the region recording the shard plan
+	// published snapshots split into and the fleet host serving each
+	// range (layout region: numRanges | numGroups | numRanges x {from,
+	// to} | numGroups x numRanges x host).
+	pubHdrLayout = pubHdrSlots + maxPubSlots*pubSlotEntry
 
-	// Placement manifest pointer: the PM offset and entry capacity of
-	// the region recording which host of a serving fleet each replica
-	// group placed each shard on (placement region: count | cap x
-	// {group, shard, host}). Together with the shard manifest it lets a
-	// re-created fleet restore the exact placement the previous
-	// incarnation served with.
-	pubHdrPlacementOff = pubHdrManifestCap + 8
-	pubHdrPlacementCap = pubHdrPlacementOff + 8
+	pubHdrSize = pubHdrLayout + 16
 
-	pubHdrSize = pubHdrPlacementCap + 8
-
-	manifestEntrySize  = 16 // fromNode(8) + toNode(8)
-	placementEntrySize = 24 // group(8) + shard(8) + host(8)
+	layoutCounts = 16 // numRanges(8) + numGroups(8)
 )
 
 // Publication errors.
@@ -300,13 +292,13 @@ func layersMatch(layers []layerNode, bufLayers [][]buffer) error {
 	return m.matches(bufLayers)
 }
 
-// layout makes r — whose (offset, size) pair is at PM offset at in the
+// fitRegion makes r — whose (offset, size) pair is at PM offset at in the
 // slot table — hold a region laid out for bufLayers. A region that
 // already matches is kept. A retired region big enough for the new
 // shape is re-laid out in place (Romulus has no free, so this is the
 // only reclamation); an outgrown one is abandoned to the bump allocator
 // and a fresh one allocated. Called with p.mu held.
-func (p *Publication) layout(r *region, at int, bufLayers [][]buffer) error {
+func (p *Publication) fitRegion(r *region, at int, bufLayers [][]buffer) error {
 	if r.off != 0 && layersMatch(r.layers, bufLayers) == nil {
 		return nil
 	}
@@ -348,9 +340,9 @@ func (p *Publication) layout(r *region, at int, bufLayers [][]buffer) error {
 	return err
 }
 
-// write lays r out for net (see layout) and mirrors net into it.
+// write lays r out for net (see fitRegion) and mirrors net into it.
 func (p *Publication) write(eng *engine.Engine, r *region, at int, net *darknet.Network) error {
-	if err := p.layout(r, at, collectBuffers(net)); err != nil {
+	if err := p.fitRegion(r, at, collectBuffers(net)); err != nil {
 		return err
 	}
 	m := &Model{rom: p.rom, eng: eng, headOff: r.off, layers: r.layers}
@@ -531,204 +523,144 @@ func (pin *Pin) HasQuant() bool {
 	return pin.slot.version == pin.version && pin.slot.int8Valid
 }
 
-// ShardManifestEntry records one shard of a serving plan: the
-// half-open range [From, To) of network layer indices the shard owns.
-// Layer ranges (not persistent-node ranges) are recorded because they
-// uniquely determine the split — parameter-less layers at a boundary
-// would make node ranges ambiguous — and the node offsets a restore
-// needs follow from them.
-type ShardManifestEntry struct {
-	From, To int
+// Layout is the serving layout of the published model: the shard plan
+// (the contiguous layer ranges [From, To) snapshots are split into)
+// and, for a fleet, the host serving each range in each replica group.
+// Hosts[g][s] is the position, in the fleet's host list at planning
+// time, of the host serving Plan[s] in group g; a shard group that
+// plans its own split records no hosts. Layer ranges (not persistent
+// node ranges) are recorded because they uniquely determine the split —
+// parameter-less layers at a boundary would make node ranges ambiguous.
+type Layout struct {
+	Plan  []darknet.ShardRange
+	Hosts [][]int
 }
 
-// RecordShardManifest persists the shard plan alongside the
-// publication slots in one durable transaction, so a shard group
-// re-created after a crash restores exactly the ranges the previous
-// incarnation used (core reads it back when auto-planning). An
-// existing manifest region is rewritten in place
-// when the new plan fits its capacity; a larger plan gets a fresh
-// region (the old one is abandoned to the bump allocator, like any
-// outgrown slot region). The caller serializes PM access, as with
-// every other romulus use.
-func (p *Publication) RecordShardManifest(entries []ShardManifestEntry) error {
-	if len(entries) == 0 {
-		return errors.New("mirror: empty shard manifest")
+func (l Layout) equal(o Layout) bool {
+	return slices.Equal(l.Plan, o.Plan) && slices.EqualFunc(l.Hosts, o.Hosts, slices.Equal[[]int])
+}
+
+// encode returns the layout region's bytes.
+func (l Layout) encode() []byte {
+	words := []int{len(l.Plan), len(l.Hosts)}
+	for _, r := range l.Plan {
+		words = append(words, r.From, r.To)
 	}
-	off, err := p.rom.LoadUint64(p.hdrOff + pubHdrManifestOff)
-	if err != nil {
-		return err
+	for _, row := range l.Hosts {
+		words = append(words, row...)
 	}
-	capEntries, err := p.rom.LoadUint64(p.hdrOff + pubHdrManifestCap)
-	if err != nil {
-		return err
+	buf := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+	}
+	return buf
+}
+
+// layoutRegion reads the layout region's (offset, capacity) pair from
+// the header, 0, 0 when no layout is recorded, and fails when the pair
+// names anything but a region inside the device.
+func (p *Publication) layoutRegion() (off, capBytes int, err error) {
+	var hdr [16]byte
+	if err := p.rom.Load(p.hdrOff+pubHdrLayout, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	o, c := binary.LittleEndian.Uint64(hdr[:8]), binary.LittleEndian.Uint64(hdr[8:])
+	if o == 0 {
+		return 0, 0, nil
+	}
+	region := uint64(p.rom.RegionSize())
+	if o > region || c < layoutCounts || c > region-o {
+		return 0, 0, fmt.Errorf("%w: layout region at %d, capacity %d", ErrPubCorrupt, o, c)
+	}
+	return int(o), int(c), nil
+}
+
+// RecordLayout persists the serving layout in one durable transaction,
+// so a shard group or fleet re-created after a crash restores exactly
+// the split and placement the previous incarnation served with — the
+// plan and its hosts always from the same write. The recorded region is
+// rewritten in place when the layout fits it; a larger layout takes a
+// fresh region (the old one is abandoned to the bump allocator, like
+// any outgrown slot region). Recording the layout already on record
+// writes nothing. The caller serializes PM access, as with every other
+// romulus use.
+func (p *Publication) RecordLayout(l Layout) error {
+	if len(l.Plan) == 0 {
+		return errors.New("mirror: empty serving layout")
+	}
+	for g, row := range l.Hosts {
+		if len(row) != len(l.Plan) {
+			return fmt.Errorf("mirror: layout group %d places %d of %d ranges", g, len(row), len(l.Plan))
+		}
+	}
+	if cur, err := p.Layout(); err == nil && cur.equal(l) {
+		return nil
+	}
+	buf := l.encode()
+	off, capBytes, err := p.layoutRegion()
+	if err != nil || len(buf) > capBytes {
+		off = 0 // corrupt or outgrown: take a fresh region
 	}
 	return p.rom.Update(func() error {
-		if off == 0 || int(capEntries) < len(entries) {
-			region, err := p.rom.Alloc(8 + manifestEntrySize*len(entries))
+		if off == 0 {
+			region, err := p.rom.Alloc(len(buf))
 			if err != nil {
 				return err
 			}
-			off = uint64(region)
-			capEntries = uint64(len(entries))
-			if err := p.rom.StoreUint64(p.hdrOff+pubHdrManifestOff, off); err != nil {
-				return err
-			}
-			if err := p.rom.StoreUint64(p.hdrOff+pubHdrManifestCap, capEntries); err != nil {
-				return err
-			}
-		}
-		if err := p.rom.StoreUint64(int(off), uint64(len(entries))); err != nil {
-			return err
-		}
-		for i, e := range entries {
-			entry := int(off) + 8 + manifestEntrySize*i
-			if err := p.rom.StoreUint64(entry, uint64(e.From)); err != nil {
-				return err
-			}
-			if err := p.rom.StoreUint64(entry+8, uint64(e.To)); err != nil {
+			off = region
+			var hdr [16]byte
+			binary.LittleEndian.PutUint64(hdr[:8], uint64(region))
+			binary.LittleEndian.PutUint64(hdr[8:], uint64(len(buf)))
+			if err := p.rom.Store(p.hdrOff+pubHdrLayout, hdr[:]); err != nil {
 				return err
 			}
 		}
-		return nil
+		return p.rom.Store(off, buf)
 	})
 }
 
-// ShardManifest reads the persisted shard plan, nil if none has been
-// recorded. The caller serializes PM access.
-func (p *Publication) ShardManifest() ([]ShardManifestEntry, error) {
-	off, err := p.rom.LoadUint64(p.hdrOff + pubHdrManifestOff)
-	if err != nil {
-		return nil, err
+// Layout reads the recorded serving layout, the zero Layout when none
+// has been recorded. The region is untrusted PM: every count is bounded
+// by what the recorded region can hold — itself bounded by the device —
+// before anything is allocated, and every host row has len(Plan)
+// entries. Range and host values are returned as recorded; callers
+// check them against the model and the fleet. The caller serializes PM
+// access.
+func (p *Publication) Layout() (Layout, error) {
+	off, capBytes, err := p.layoutRegion()
+	if err != nil || off == 0 {
+		return Layout{}, err
 	}
-	if off == 0 {
-		return nil, nil
+	var counts [layoutCounts]byte
+	if err := p.rom.Load(off, counts[:]); err != nil {
+		return Layout{}, err
 	}
-	count, err := p.rom.LoadUint64(int(off))
-	if err != nil {
-		return nil, err
+	ranges, groups := binary.LittleEndian.Uint64(counts[:8]), binary.LittleEndian.Uint64(counts[8:])
+	words := uint64(capBytes-layoutCounts) / 8
+	if ranges == 0 || ranges > words/2 || groups > (words-2*ranges)/ranges {
+		return Layout{}, fmt.Errorf("%w: layout of %d ranges x %d groups in a %d-byte region", ErrPubCorrupt, ranges, groups, capBytes)
 	}
-	capEntries, err := p.rom.LoadUint64(p.hdrOff + pubHdrManifestCap)
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 || count > capEntries {
-		return nil, fmt.Errorf("%w: manifest count %d, capacity %d", ErrPubCorrupt, count, capEntries)
-	}
-	entries := make([]ShardManifestEntry, count)
-	for i := range entries {
-		entry := int(off) + 8 + manifestEntrySize*i
-		from, err := p.rom.LoadUint64(entry)
+	n, g := int(ranges), int(groups)
+	vals := make([]int, 2*n+g*n)
+	for i := range vals {
+		v, err := p.rom.LoadUint64(off + layoutCounts + 8*i)
 		if err != nil {
-			return nil, err
+			return Layout{}, err
 		}
-		to, err := p.rom.LoadUint64(entry + 8)
-		if err != nil {
-			return nil, err
+		vals[i] = int(v)
+	}
+	l := Layout{Plan: make([]darknet.ShardRange, n)}
+	for i := range l.Plan {
+		l.Plan[i] = darknet.ShardRange{From: vals[2*i], To: vals[2*i+1]}
+	}
+	if g > 0 {
+		l.Hosts = make([][]int, g)
+		for i := range l.Hosts {
+			at := 2*n + i*n
+			l.Hosts[i] = vals[at : at+n : at+n]
 		}
-		entries[i] = ShardManifestEntry{From: int(from), To: int(to)}
 	}
-	return entries, nil
-}
-
-// PlacementEntry records one cell of a fleet placement: replica group
-// Group serves shard index Shard (of the shard manifest's plan) on
-// fleet host index Host. Host indices are positions in the fleet's
-// host list at planning time; a re-created fleet with a different host
-// count simply replans.
-type PlacementEntry struct {
-	Group, Shard, Host int
-}
-
-// RecordPlacement persists the fleet placement alongside the shard
-// manifest in one durable transaction. Like RecordShardManifest, an
-// existing region is rewritten in place when the new placement fits
-// its capacity and a larger one gets a fresh region. The caller
-// serializes PM access.
-func (p *Publication) RecordPlacement(entries []PlacementEntry) error {
-	if len(entries) == 0 {
-		return errors.New("mirror: empty placement manifest")
-	}
-	off, err := p.rom.LoadUint64(p.hdrOff + pubHdrPlacementOff)
-	if err != nil {
-		return err
-	}
-	capEntries, err := p.rom.LoadUint64(p.hdrOff + pubHdrPlacementCap)
-	if err != nil {
-		return err
-	}
-	return p.rom.Update(func() error {
-		if off == 0 || int(capEntries) < len(entries) {
-			region, err := p.rom.Alloc(8 + placementEntrySize*len(entries))
-			if err != nil {
-				return err
-			}
-			off = uint64(region)
-			capEntries = uint64(len(entries))
-			if err := p.rom.StoreUint64(p.hdrOff+pubHdrPlacementOff, off); err != nil {
-				return err
-			}
-			if err := p.rom.StoreUint64(p.hdrOff+pubHdrPlacementCap, capEntries); err != nil {
-				return err
-			}
-		}
-		if err := p.rom.StoreUint64(int(off), uint64(len(entries))); err != nil {
-			return err
-		}
-		for i, e := range entries {
-			entry := int(off) + 8 + placementEntrySize*i
-			if err := p.rom.StoreUint64(entry, uint64(e.Group)); err != nil {
-				return err
-			}
-			if err := p.rom.StoreUint64(entry+8, uint64(e.Shard)); err != nil {
-				return err
-			}
-			if err := p.rom.StoreUint64(entry+16, uint64(e.Host)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// Placement reads the persisted fleet placement, nil if none has been
-// recorded. The caller serializes PM access.
-func (p *Publication) Placement() ([]PlacementEntry, error) {
-	off, err := p.rom.LoadUint64(p.hdrOff + pubHdrPlacementOff)
-	if err != nil {
-		return nil, err
-	}
-	if off == 0 {
-		return nil, nil
-	}
-	count, err := p.rom.LoadUint64(int(off))
-	if err != nil {
-		return nil, err
-	}
-	capEntries, err := p.rom.LoadUint64(p.hdrOff + pubHdrPlacementCap)
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 || count > capEntries {
-		return nil, fmt.Errorf("%w: placement count %d, capacity %d", ErrPubCorrupt, count, capEntries)
-	}
-	entries := make([]PlacementEntry, count)
-	for i := range entries {
-		entry := int(off) + 8 + placementEntrySize*i
-		group, err := p.rom.LoadUint64(entry)
-		if err != nil {
-			return nil, err
-		}
-		shard, err := p.rom.LoadUint64(entry + 8)
-		if err != nil {
-			return nil, err
-		}
-		host, err := p.rom.LoadUint64(entry + 16)
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = PlacementEntry{Group: int(group), Shard: int(shard), Host: int(host)}
-	}
-	return entries, nil
+	return l, nil
 }
 
 // Release drops the hold, allowing the slot to be recycled once the

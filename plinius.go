@@ -62,8 +62,7 @@ type (
 	Config = core.Config
 	// Framework is a live Plinius instance.
 	Framework = core.Framework
-	// TrainOption configures one Train run (StopAt, WithProgress,
-	// MirrorEvery).
+	// TrainOption configures one Train run (StopAt, WithProgress).
 	TrainOption = core.TrainOption
 	// ServerProfile bundles one evaluation machine's cost models.
 	ServerProfile = core.ServerProfile
@@ -103,8 +102,6 @@ var (
 	StopAt = core.StopAt
 	// WithProgress installs a per-iteration loss hook.
 	WithProgress = core.WithProgress
-	// MirrorEvery overrides the mirror frequency for one run.
-	MirrorEvery = core.MirrorEvery
 )
 
 // New builds a Framework: enclave creation, remote attestation and key
