@@ -116,8 +116,8 @@ func (c *Connected) backward(delta []float32, wantDX bool) ([]float32, error) {
 		return nil, nil
 	}
 	// dx = delta (batch x outs) * W (outs x in)
-	dx := scratchF32(&c.dxBuf, batch*inSize)
-	gemm(batch, outs, inSize, delta, c.weights, dx)
+	dx := growF32(&c.dxBuf, batch*inSize)
+	shapeAB.run(true, true, batch, outs, inSize, delta, c.weights, dx)
 	return dx, nil
 }
 

@@ -344,8 +344,7 @@ func (c *Conv) forwardSamples(x, out []float32, lo, hi int, fork bool) {
 		cols := c.lastCols[b*colSize : (b+1)*colSize]
 		o := out[b*outSize : (b+1)*outSize]
 		c.im2col(x[b*inSize:(b+1)*inSize], cols)
-		clear(o)
-		shapeAB.run(fork, c.cfg.Filters, k, outHW, c.weights, cols, o)
+		shapeAB.run(fork, true, c.cfg.Filters, k, outHW, c.weights, cols, o)
 		if !c.cfg.BatchNorm {
 			c.biasActivate(c.biases, o)
 		}
@@ -426,7 +425,7 @@ func (c *Conv) forwardBatchNorm(out []float32, batch int, train bool) {
 func (c *Conv) Backward(delta []float32) ([]float32, error) { return c.backward(delta, true) }
 
 // backward is Backward that, unless wantDX is set, leaves out the input
-// gradient — a GEMM, two clears and a col2im per sample — and returns
+// gradient — a GEMM, a clear and a col2im per sample — and returns
 // nil for it. The weight and bias gradients are the same either way.
 func (c *Conv) backward(delta []float32, wantDX bool) ([]float32, error) {
 	if c.lastBatch == 0 || len(delta) != c.lastBatch*c.out.Size() {
@@ -492,14 +491,12 @@ func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool
 		}
 		dout := delta[b*outSize : (b+1)*outSize]
 		dW, _ := c.gradPart(parts, b)
-		clear(dW)
 		cols := c.lastCols[b*colSize : (b+1)*colSize]
-		shapeTB.run(fork, filters, outHW, k, dout, cols, dW)
+		shapeTB.run(fork, true, filters, outHW, k, dout, cols, dW)
 		if dx == nil {
 			continue
 		}
-		clear(cols)
-		shapeTA.run(fork, k, filters, outHW, c.weights, dout, cols)
+		shapeTA.run(fork, true, k, filters, outHW, c.weights, dout, cols)
 		dxb := dx[b*inSize : (b+1)*inSize]
 		clear(dxb)
 		c.col2im(cols, dxb)

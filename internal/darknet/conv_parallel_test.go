@@ -159,10 +159,12 @@ func TestCol2imRowwiseMatchesPerPixel(t *testing.T) {
 // the scalar reference and the parallel kernels (which also flips the
 // parallel im2col/col2im paths), the latter at several GOMAXPROCS
 // values, and requires bit-identical outputs, input gradients and
-// weight gradients.
+// weight gradients. The poisoned case runs the pass once to grow the
+// layer's buffers, fills them with NaN and runs it again: the GEMMs
+// that write their outputs must write every element.
 func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 	for _, g := range convTestGeoms {
-		run := func(scalar bool) (out, dx, gw []float32) {
+		run := func(scalar, poison bool) (out, dx, gw []float32) {
 			SetScalarKernels(scalar)
 			defer SetScalarKernels(false)
 			rng := rand.New(rand.NewSource(73))
@@ -174,35 +176,51 @@ func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 			data := rand.New(rand.NewSource(74))
 			x := make([]float32, batch*c.in.Size())
 			fillRandSparse(data, x)
-			o, err := c.Forward(x, batch, true)
-			if err != nil {
-				t.Fatalf("forward: %v", err)
-			}
 			delta := make([]float32, batch*c.out.Size())
 			fillRandSparse(data, delta)
-			d, err := c.Backward(delta)
-			if err != nil {
-				t.Fatalf("backward: %v", err)
+			pass := func() (o, d []float32) {
+				o, err := c.Forward(x, batch, true)
+				if err != nil {
+					t.Fatalf("forward: %v", err)
+				}
+				o = append([]float32(nil), o...)
+				d, err = c.Backward(append([]float32(nil), delta...))
+				if err != nil {
+					t.Fatalf("backward: %v", err)
+				}
+				return o, d
 			}
-			return append([]float32(nil), o...), append([]float32(nil), d...),
-				append([]float32(nil), c.gWeights...)
+			if poison {
+				pass()
+				clear(c.gWeights)
+				clear(c.gBiases)
+				for _, buf := range [][]float32{c.outBuf, c.dxBuf, c.lastCols} {
+					for i := range buf {
+						buf[i] = float32(math.NaN())
+					}
+				}
+			}
+			o, d := pass()
+			return o, append([]float32(nil), d...), append([]float32(nil), c.gWeights...)
 		}
-		outS, dxS, gwS := run(true)
+		outS, dxS, gwS := run(true, false)
 		withKernelConfigs(t, func(t *testing.T) {
-			outP, dxP, gwP := run(false)
-			for i := range outS {
-				if outS[i] != outP[i] {
-					t.Fatalf("geom %+v out[%d]: scalar %v parallel %v", g, i, outS[i], outP[i])
+			for _, poison := range []bool{false, true} {
+				outP, dxP, gwP := run(false, poison)
+				for i := range outS {
+					if outS[i] != outP[i] {
+						t.Fatalf("geom %+v poison %v out[%d]: scalar %v parallel %v", g, poison, i, outS[i], outP[i])
+					}
 				}
-			}
-			for i := range dxS {
-				if dxS[i] != dxP[i] {
-					t.Fatalf("geom %+v dx[%d]: scalar %v parallel %v", g, i, dxS[i], dxP[i])
+				for i := range dxS {
+					if dxS[i] != dxP[i] {
+						t.Fatalf("geom %+v poison %v dx[%d]: scalar %v parallel %v", g, poison, i, dxS[i], dxP[i])
+					}
 				}
-			}
-			for i := range gwS {
-				if gwS[i] != gwP[i] {
-					t.Fatalf("geom %+v gW[%d]: scalar %v parallel %v", g, i, gwS[i], gwP[i])
+				for i := range gwS {
+					if gwS[i] != gwP[i] {
+						t.Fatalf("geom %+v poison %v gW[%d]: scalar %v parallel %v", g, poison, i, gwS[i], gwP[i])
+					}
 				}
 			}
 		})

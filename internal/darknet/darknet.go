@@ -102,7 +102,7 @@ func addBiasActivate(a Activation, bias float32, v []float32) {
 			v[i] = x
 		}
 	case LeakyReLU:
-		if n := len(v) &^ 7; useAVX2 && n > 0 {
+		if n := len(v) &^ 7; live >= tierAVX2 && n > 0 {
 			biasLeakyAVX2(&v[0], n, bias, leakyScale[1])
 			v = v[n:]
 		}
@@ -183,7 +183,7 @@ func leakyGradSum4(out, delta []float32, n int, sums []float32) {
 	d0, d1, d2, d3 := delta[:n], delta[n:2*n], delta[2*n:3*n], delta[3*n:4*n]
 	var s0, s1, s2, s3 float32
 	start := 0
-	if n8 := n &^ 7; useAVX2 && n8 > 0 {
+	if n8 := n &^ 7; live >= tierAVX2 && n8 > 0 {
 		leakyGradSum4AVX2(&o0[0], &d0[0], n, n8, leakyScale[1], &sums[0])
 		s0, s1, s2, s3, start = sums[0], sums[1], sums[2], sums[3], n8
 	}
@@ -304,17 +304,21 @@ func axpy(a float32, x, y []float32) {
 	}
 }
 
-// addRow adds src into dst element by element: dst[i] += src[i].
+// addRow adds src into dst element by element: dst[i] += src[i]. On
+// the assembly tiers it is the axpy micro-kernel at k = 1 with A = {1}:
+// multiplying by 1 is exact, so each element gets exactly dst + src.
 func addRow(dst, src []float32) {
 	dst = dst[:len(src)]
-	if useAVX2 && len(src) > 0 {
-		addRowAVX2(dst, src)
+	if live >= tierAVX2 {
+		axpyRows(live, false, 1, len(src), rowAddScale[:], 0, 0, src, dst, 0, 1)
 		return
 	}
 	for i, v := range src {
 		dst[i] += v
 	}
 }
+
+var rowAddScale = [1]float32{1}
 
 // sgdStep applies v = momentum*v - lr*(g + decay*w); w += v and zeroes
 // g. The velocity *v is made on the first step at momentum ≠ 0. While
@@ -346,13 +350,13 @@ func sgdStep(w, g []float32, v *[]float32, lr, momentum, decay float32) {
 // gemm computes C += A * B for row-major A (m x k), B (k x n), C (m x n).
 // Large multiplies shard output rows across the par.For worker pool
 // (parallel.go); the result is bit-identical to gemmScalar either way.
-func gemm(m, k, n int, a, b, c []float32) { shapeAB.run(true, m, k, n, a, b, c) }
+func gemm(m, k, n int, a, b, c []float32) { shapeAB.run(true, false, m, k, n, a, b, c) }
 
 // gemmTA computes C += Aᵀ * B for A (k x m), B (k x n), C (m x n).
-func gemmTA(m, k, n int, a, b, c []float32) { shapeTA.run(true, m, k, n, a, b, c) }
+func gemmTA(m, k, n int, a, b, c []float32) { shapeTA.run(true, false, m, k, n, a, b, c) }
 
 // gemmTB computes C += A * Bᵀ for A (m x k), B (n x k), C (m x n).
-func gemmTB(m, k, n int, a, b, c []float32) { shapeTB.run(true, m, k, n, a, b, c) }
+func gemmTB(m, k, n int, a, b, c []float32) { shapeTB.run(true, false, m, k, n, a, b, c) }
 
 // gemmScalar is the single-threaded reference for gemm: the paper's
 // "fairly intensive single-threaded application" inner loop, kept as

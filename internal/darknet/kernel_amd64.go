@@ -2,9 +2,17 @@
 
 package darknet
 
-// useAVX2 selects the AVX2 micro-kernels (kernel_amd64.s) under
-// gemmShape.tile; probed once at init.
-var useAVX2 = cpuHasAVX2()
+// probeTier returns the fastest kernel tier (kernel_amd64.s) the CPU
+// and OS run.
+func probeTier() kernelTier {
+	switch {
+	case !cpuHasAVX2():
+		return tierGo
+	case !cpuHasAVX512():
+		return tierAVX2
+	}
+	return tierAVX512
+}
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
@@ -26,8 +34,23 @@ func cpuHasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
+// cpuHasAVX512 reports, on a CPU that passed cpuHasAVX2, whether it
+// implements AVX-512F and the OS saves the opmask and ZMM state across
+// context switches.
+func cpuHasAVX512() bool {
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // XCR0: SSE, AVX, opmask, ZMM0-15 high halves, ZMM16-31
+	if xgetbv0()&zmmState != zmmState {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
+}
+
 //go:noescape
-func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int)
+func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
+
+//go:noescape
+func axpyRowAVX512(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
 
 //go:noescape
 func dotPanelAVX2(pk, b *float32, bStride, k int, out *float32)
@@ -41,32 +64,38 @@ func leakyGradSum4AVX2(out, delta *float32, stride, n int, slope float32, sums *
 //go:noescape
 func maxPool2AVX2(top, bot, dst *float32, idx *int32, n, base, inW int)
 
-// addRowAVX2 is addRow on the axpy micro-kernel at k = 1 with A = {1}:
-// multiplying by 1 is exact, so each element gets exactly dst + src.
-// src must not be empty.
-func addRowAVX2(dst, src []float32) {
-	axpyRowAVX2(&dst[0], &rowAddScale, 0, &src[0], 0, 1, len(src))
-}
-
-var rowAddScale = float32(1)
-
 // axpyPanelFloats bounds the B panel (k rows x block columns) a column
 // block sweeps, so it stays in L1 while every output row passes over it.
 const axpyPanelFloats = 6 << 10
 
-// axpyRowsAVX2 computes rows [lo, hi) of C += A' * B for B (k x n) and
-// C (m x n), where A'[i][p] = a[i*ai+p*ap]: gemm is ai=k, ap=1 and
-// gemmTA is ai=1, ap=m. The micro-kernel holds one C row segment in
-// registers across the ascending-p sweep, with the reference zero-skip.
-func axpyRowsAVX2(k, n int, a []float32, ai, ap int, b, c []float32, lo, hi int) {
+// axpyRows computes rows [lo, hi) of C += A' * B — with write set,
+// C = A' * B — for B (k x n) and C (m x n), where A'[i][p] =
+// a[i*ai+p*ap]: gemm is ai=k, ap=1 and gemmTA is ai=1, ap=m. It runs
+// tier t's axpy micro-kernel, which holds one C row segment in
+// registers across the ascending-p sweep, with the reference
+// zero-skip; the column block is a multiple of the tier's widest step.
+func axpyRows(t kernelTier, write bool, k, n int, a []float32, ai, ap int, b, c []float32, lo, hi int) {
 	if k == 0 || n == 0 {
+		if write {
+			clear(c[lo*n : hi*n])
+		}
 		return
 	}
-	block := max(64, (axpyPanelFloats/k)&^63)
+	step := 64 // floats
+	if t == tierAVX512 {
+		// Past k = 48 the 128 floor outgrows axpyPanelFloats; at k = 72
+		// it still measured faster than a 64 block (README "Performance").
+		step = 128
+	}
+	block := max(step, (axpyPanelFloats/k)&^(step-1))
 	for jb := 0; jb < n; jb += block {
 		w := min(block, n-jb)
 		for i := lo; i < hi; i++ {
-			axpyRowAVX2(&c[i*n+jb], &a[i*ai], ap, &b[jb], n, k, w)
+			if t == tierAVX512 {
+				axpyRowAVX512(&c[i*n+jb], &a[i*ai], ap, &b[jb], n, k, w, write)
+			} else {
+				axpyRowAVX2(&c[i*n+jb], &a[i*ai], ap, &b[jb], n, k, w, write)
+			}
 		}
 	}
 }

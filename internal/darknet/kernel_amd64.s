@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels under the three GEMM shapes, and under the layer
-// passes' glue (bias + leaky activation, the leaky gradient with its
-// bias sums, the 2×2 max-pool). None uses FMA: every product is
+// AVX2 micro-kernels under the three GEMM shapes, an AVX-512 twin of
+// the axpy kernel under gemm, gemmTA and col2im's row adds, and AVX2
+// kernels under the layer passes' glue (bias + leaky activation, the
+// leaky gradient with its bias sums, the 2×2 max-pool). None uses FMA: every product is
 // rounded to float32 by VMULPS before VADDPS adds it, in ascending p,
 // so each output element sees exactly the scalar reference's
 // operations in the scalar reference's order.
@@ -26,14 +27,15 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VMULPS off(R12), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int)
+// func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
 //
 // c[0:w] += sum over p in [0,k) of a[p*aStride] * b[p*bStride : p*bStride+w],
 // skipping every p whose a element is +-0 (the reference zero-skip).
 // The C row segment lives in registers across the whole p sweep: 64
-// floats at a time, then 16, then a masked tail of up to 8. Requires
-// k >= 1.
-TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-56
+// floats at a time, then 16, then a masked tail of up to 8. With write
+// set the registers start at +0 instead of C's values, which is the
+// same sum C would get from being cleared first. Requires k >= 1.
+TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-57
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ aStride+16(FP), R8
@@ -47,6 +49,8 @@ TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-56
 w64:
 	CMPQ R10, $64
 	JLT  w16
+	CMPB write+56(FP), $0
+	JNE  zero64
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
@@ -55,6 +59,19 @@ w64:
 	VMOVUPS 160(DI), Y5
 	VMOVUPS 192(DI), Y6
 	VMOVUPS 224(DI), Y7
+	JMP  sweep64
+
+zero64:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+sweep64:
 	MOVQ SI, R11
 	MOVQ DX, R12
 	MOVQ CX, R13
@@ -94,8 +111,17 @@ skip64:
 w16:
 	CMPQ R10, $16
 	JLT  wtail
+	CMPB write+56(FP), $0
+	JNE  zero16
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
+	JMP  sweep16
+
+zero16:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+sweep16:
 	MOVQ SI, R11
 	MOVQ DX, R12
 	MOVQ CX, R13
@@ -130,7 +156,12 @@ wtail:
 	SUBQ  AX, BX
 	LEAQ  tailMask<>(SB), R13
 	VMOVDQU (R13)(BX*4), Y15
+	VXORPS  Y0, Y0, Y0
+	CMPB    write+56(FP), $0
+	JNE     sweeptail
 	VMASKMOVPS (DI), Y15, Y0
+
+sweeptail:
 	MOVQ SI, R11
 	MOVQ DX, R12
 	MOVQ CX, R13
@@ -156,6 +187,160 @@ skiptail:
 	JMP  wtail
 
 done:
+	VZEROUPPER
+	RET
+
+// MADD16 accumulates a[p] (broadcast in Z8) times sixteen B floats at
+// off(R12) into acc, through tmp.
+#define MADD16(off, acc, tmp) \
+	VMULPS off(R12), Z8, tmp; \
+	VADDPS tmp, acc, acc
+
+// MASKMADD16 is MADD16 on the lanes of mask k: the others load no B
+// float and are never stored.
+#define MASKMADD16(off, k, acc, tmp) \
+	VMOVUPS.Z off(R12), k, tmp; \
+	VMULPS    tmp, Z8, tmp; \
+	VADDPS    tmp, acc, acc
+
+// func axpyRowAVX512(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
+//
+// axpyRowAVX2 at sixteen lanes: the same sums, zero-skip and write
+// contract, with the C row segment held 128 floats at a time in eight
+// ZMM registers, then up to 64 in four, under K masks that cover the
+// lanes left. Requires k >= 1.
+TEXT ·axpyRowAVX512(SB), NOSPLIT, $0-57
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aStride+16(FP), R8
+	MOVQ b+24(FP), DX
+	MOVQ bStride+32(FP), R9
+	MOVQ w+48(FP), R10
+	SHLQ $2, R8
+	SHLQ $2, R9
+
+z128:
+	CMPQ R10, $128
+	JLT  z64
+	CMPB write+56(FP), $0
+	JNE  zero128
+	VMOVUPS 0(DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS 256(DI), Z4
+	VMOVUPS 320(DI), Z5
+	VMOVUPS 384(DI), Z6
+	VMOVUPS 448(DI), Z7
+	JMP  sweep128
+
+zero128:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+sweep128:
+	MOVQ SI, R11
+	MOVQ DX, R12
+	MOVQ k+40(FP), R13
+
+p128:
+	MOVL (R11), AX
+	SHLL $1, AX
+	JZ   skip128
+	VBROADCASTSS (R11), Z8
+	MADD16(0, Z0, Z16)
+	MADD16(64, Z1, Z17)
+	MADD16(128, Z2, Z18)
+	MADD16(192, Z3, Z19)
+	MADD16(256, Z4, Z20)
+	MADD16(320, Z5, Z21)
+	MADD16(384, Z6, Z22)
+	MADD16(448, Z7, Z23)
+
+skip128:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  p128
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $128, R10
+	JMP  z128
+
+z64:
+	TESTQ R10, R10
+	JZ    zdone
+	MOVQ  $-1, AX              // all 64 lanes
+	CMPQ  R10, $64
+	JGE   mask64
+	MOVQ  R10, CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX                   // the low w lanes
+
+mask64:
+	KMOVW AX, K1
+	SHRQ  $16, AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+	SHRQ  $16, AX
+	KMOVW AX, K4
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	CMPB   write+56(FP), $0
+	JNE    sweep64
+	VMOVUPS.Z 0(DI), K1, Z0
+	VMOVUPS.Z 64(DI), K2, Z1
+	VMOVUPS.Z 128(DI), K3, Z2
+	VMOVUPS.Z 192(DI), K4, Z3
+
+sweep64:
+	MOVQ SI, R11
+	MOVQ DX, R12
+	MOVQ k+40(FP), R13
+
+p64:
+	MOVL (R11), AX
+	SHLL $1, AX
+	JZ   skip64
+	VBROADCASTSS (R11), Z8
+	MASKMADD16(0, K1, Z0, Z16)
+	MASKMADD16(64, K2, Z1, Z17)
+	MASKMADD16(128, K3, Z2, Z18)
+	MASKMADD16(192, K4, Z3, Z19)
+
+skip64:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ R13
+	JNZ  p64
+	VMOVUPS Z0, K1, 0(DI)
+	VMOVUPS Z1, K2, 64(DI)
+	VMOVUPS Z2, K3, 128(DI)
+	VMOVUPS Z3, K4, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, R10
+	JG   z64
+
+zdone:
 	VZEROUPPER
 	RET
 

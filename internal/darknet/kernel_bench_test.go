@@ -66,13 +66,13 @@ func benchKernel(b *testing.B, shapes []struct{ m, k, n int }, run func(m, k, n 
 	}
 }
 
-// The un-suffixed benchmarks run the live micro-kernels (AVX2 where
-// the CPU has it), *Go the portable blocked kernels, *Scalar the
-// reference loops.
+// BenchmarkGEMM and BenchmarkGEMMTA run a sub-benchmark per assembly
+// tier the CPU has (avx2, avx512), so the 8- and 16-lane axpy kernels
+// compare on one machine; on a CPU without them, the portable kernels.
+// BenchmarkGEMMTB runs the live micro-kernels, *Go the portable blocked
+// kernels, *Scalar the reference loops.
 
-func BenchmarkGEMM(b *testing.B) {
-	benchKernel(b, benchShapesAB, func(m, k, n int, a, bb, c []float32) { shapeAB.tile(m, k, n, a, bb, c, 0, m, 0, n) })
-}
+func BenchmarkGEMM(b *testing.B) { benchTiers(b, shapeAB, benchShapesAB) }
 
 func BenchmarkGEMMGo(b *testing.B) {
 	benchKernel(b, benchShapesAB, func(m, k, n int, a, bb, c []float32) { gemmRowsGo(k, n, a, bb, c, 0, m) })
@@ -80,9 +80,7 @@ func BenchmarkGEMMGo(b *testing.B) {
 
 func BenchmarkGEMMScalar(b *testing.B) { benchKernel(b, benchShapesAB, gemmScalar) }
 
-func BenchmarkGEMMTA(b *testing.B) {
-	benchKernel(b, benchShapesTA, func(m, k, n int, a, bb, c []float32) { shapeTA.tile(m, k, n, a, bb, c, 0, m, 0, n) })
-}
+func BenchmarkGEMMTA(b *testing.B) { benchTiers(b, shapeTA, benchShapesTA) }
 
 func BenchmarkGEMMTAGo(b *testing.B) {
 	benchKernel(b, benchShapesTA, func(m, k, n int, a, bb, c []float32) { gemmTARowsGo(m, k, n, a, bb, c, 0, m) })
@@ -90,8 +88,18 @@ func BenchmarkGEMMTAGo(b *testing.B) {
 
 func BenchmarkGEMMTAScalar(b *testing.B) { benchKernel(b, benchShapesTA, gemmTAScalar) }
 
+// benchTiers runs shape s over shapes on each tier from AVX2 (or the
+// live tier, if lower) up to the live tier.
+func benchTiers(b *testing.B, s gemmShape, shapes []struct{ m, k, n int }) {
+	for t := min(tierAVX2, live); t <= live; t++ {
+		b.Run(t.String(), func(b *testing.B) {
+			benchKernel(b, shapes, func(m, k, n int, a, bb, c []float32) { s.tile(t, false, m, k, n, a, bb, c, 0, m, 0, n) })
+		})
+	}
+}
+
 func BenchmarkGEMMTB(b *testing.B) {
-	benchKernel(b, benchShapesTB, func(m, k, n int, a, bb, c []float32) { shapeTB.tile(m, k, n, a, bb, c, 0, m, 0, n) })
+	benchKernel(b, benchShapesTB, func(m, k, n int, a, bb, c []float32) { shapeTB.tile(live, false, m, k, n, a, bb, c, 0, m, 0, n) })
 }
 
 func BenchmarkGEMMTBGo(b *testing.B) {

@@ -4,17 +4,13 @@ package darknet
 
 // Without the assembly micro-kernels the row kernels in parallel.go
 // always take the portable blocked Go path.
-const useAVX2 = false
+func probeTier() kernelTier { return tierGo }
 
-func axpyRowsAVX2(k, n int, a []float32, ai, ap int, b, c []float32, lo, hi int) {
-	panic("darknet: AVX2 kernel on a build without assembly")
+func axpyRows(t kernelTier, write bool, k, n int, a []float32, ai, ap int, b, c []float32, lo, hi int) {
+	panic("darknet: axpy kernel on a build without assembly")
 }
 
 func gemmTBRowsAVX2(k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
-	panic("darknet: AVX2 kernel on a build without assembly")
-}
-
-func addRowAVX2(dst, src []float32) {
 	panic("darknet: AVX2 kernel on a build without assembly")
 }
 

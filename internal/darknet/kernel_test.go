@@ -54,10 +54,12 @@ func offsetSlice(n, off int) []float32 {
 
 // checkGEMMKernels runs all three shapes over the same operands (every
 // shape reads m*k floats of A, k*n of B and accumulates into m*n of C)
-// and requires the portable Go kernels and — where the CPU has them —
-// the AVX2 kernels to reproduce the scalar reference bit for bit, both
-// for the whole output and for a sub-tile, which must leave the rest of
-// C untouched.
+// and requires every kernel tier the CPU runs — the portable Go kernels
+// and, where the CPU has them, the AVX2 and AVX-512 ones — to reproduce
+// the scalar reference bit for bit: for the whole output, for a
+// sub-tile, which must leave the rest of C untouched, and writing into
+// a C poisoned with NaN and −0, which must come out as the reference
+// accumulating into a cleared C.
 func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Rand) {
 	t.Helper()
 	lo, jlo := 0, 0
@@ -70,52 +72,34 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 		jlo = rng.Intn(n)
 		jhi = jlo + 1 + rng.Intn(n-jlo)
 	}
-	type impl struct {
-		name string
-		tile func(s gemmShape, c []float32, lo, hi, jlo, jhi int)
-	}
-	impls := []impl{{"go", func(s gemmShape, c []float32, lo, hi, jlo, jhi int) {
-		switch s {
-		case shapeAB:
-			gemmRowsGo(k, n, a, b, c, lo, hi)
-		case shapeTA:
-			gemmTARowsGo(m, k, n, a, b, c, lo, hi)
-		default:
-			gemmTBRowsGo(k, n, a, b, c, lo, hi, jlo, jhi)
-		}
-	}}}
-	if useAVX2 {
-		impls = append(impls, impl{"avx2", func(s gemmShape, c []float32, lo, hi, jlo, jhi int) {
-			switch s {
-			case shapeAB:
-				axpyRowsAVX2(k, n, a, k, 1, b, c, lo, hi)
-			case shapeTA:
-				axpyRowsAVX2(k, n, a, 1, m, b, c, lo, hi)
-			default:
-				gemmTBRowsAVX2(k, n, a, b, c, lo, hi, jlo, jhi)
-			}
-		}})
+	poison := make([]float32, len(c))
+	for i := range poison {
+		poison[i] = [2]float32{float32(math.NaN()), negZero}[rng.Intn(2)]
 	}
 	names := [...]string{shapeAB: "gemm", shapeTA: "gemmTA", shapeTB: "gemmTB"}
+	scalar := [...]func(m, k, n int, a, b, c []float32){shapeAB: gemmScalar, shapeTA: gemmTAScalar, shapeTB: gemmTBScalar}
 	for s, name := range names {
 		s := gemmShape(s)
 		want := append([]float32(nil), c...)
-		switch s {
-		case shapeAB:
-			gemmScalar(m, k, n, a, b, want)
-		case shapeTA:
-			gemmTAScalar(m, k, n, a, b, want)
-		default:
-			gemmTBScalar(m, k, n, a, b, want)
-		}
-		for _, im := range impls {
+		scalar[s](m, k, n, a, b, want)
+		written := make([]float32, len(c))
+		scalar[s](m, k, n, a, b, written)
+		for tier := tierGo; tier <= live; tier++ {
 			got := offsetSlice(len(c), 3)
 			copy(got, c)
-			im.tile(s, got, 0, m, 0, n)
+			s.tile(tier, false, m, k, n, a, b, got, 0, m, 0, n)
 			for i := range want {
 				if !sameFloat(want[i], got[i]) {
-					t.Fatalf("%s/%s %dx%dx%d: C[%d] = %v (%#08x), scalar %v (%#08x)", name, im.name, m, k, n,
+					t.Fatalf("%s/%s %dx%dx%d: C[%d] = %v (%#08x), scalar %v (%#08x)", name, tier, m, k, n,
 						i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+			copy(got, poison)
+			s.tile(tier, true, m, k, n, a, b, got, 0, m, 0, n)
+			for i := range written {
+				if !sameFloat(written[i], got[i]) {
+					t.Fatalf("%s/%s %dx%dx%d written over NaN/-0: C[%d] = %v (%#08x), scalar into zeros %v (%#08x)",
+						name, tier, m, k, n, i, got[i], math.Float32bits(got[i]), written[i], math.Float32bits(written[i]))
 				}
 			}
 			// Sub-tile: rows [lo,hi), and for gemmTB columns [jlo,jhi).
@@ -123,16 +107,21 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 			if s == shapeTB {
 				tjlo, tjhi = jlo, jhi
 			}
-			copy(got, c)
-			im.tile(s, got, lo, hi, tjlo, tjhi)
-			for i := range want {
-				exp := c[i]
-				if n > 0 && i/n >= lo && i/n < hi && i%n >= tjlo && i%n < tjhi {
-					exp = want[i]
-				}
-				if !sameFloat(exp, got[i]) {
-					t.Fatalf("%s/%s %dx%dx%d tile rows [%d,%d) cols [%d,%d): C[%d] = %v, want %v", name, im.name,
-						m, k, n, lo, hi, tjlo, tjhi, i, got[i], exp)
+			for _, write := range []bool{false, true} {
+				copy(got, c)
+				s.tile(tier, write, m, k, n, a, b, got, lo, hi, tjlo, tjhi)
+				for i := range want {
+					exp := c[i]
+					if n > 0 && i/n >= lo && i/n < hi && i%n >= tjlo && i%n < tjhi {
+						exp = want[i]
+						if write {
+							exp = written[i]
+						}
+					}
+					if !sameFloat(exp, got[i]) {
+						t.Fatalf("%s/%s %dx%dx%d tile rows [%d,%d) cols [%d,%d), write %v: C[%d] = %v, want %v", name, tier,
+							m, k, n, lo, hi, tjlo, tjhi, write, i, got[i], exp)
+					}
 				}
 			}
 		}
@@ -155,7 +144,8 @@ func kernelCase(t testing.TB, m, k, n int, seed int64, specials bool) {
 
 // kernelEdgeShapes straddle the kernels' internal block edges: the
 // 64/16/8-float column steps and masked tail of the AVX2 axpy kernel,
-// its L1 panel width, the 8x8 dot panel, and the portable kernel's
+// the 128-float step and K-masked 64-float steps of the AVX-512 one,
+// their L1 panel width, the 8x8 dot panel, and the portable kernel's
 // 256-column block.
 var kernelEdgeShapes = []struct{ m, k, n int }{
 	{1, 255, 255}, {2, 256, 256}, {9, 257, 257},
@@ -164,6 +154,8 @@ var kernelEdgeShapes = []struct{ m, k, n int }{
 	{8, 9, 784}, {8, 72, 784}, {8, 784, 72}, {72, 8, 784},
 	{17, 100, 63}, {17, 100, 64}, {17, 100, 65}, {17, 100, 79}, {17, 100, 81},
 	{16, 33, 15}, {7, 33, 16}, {23, 33, 17},
+	{3, 60, 127}, {4, 61, 128}, {5, 62, 129},
+	{6, 9, 143}, {3, 10, 144}, {2, 11, 145},
 }
 
 // TestGEMMKernelsMatchScalar sweeps n, k over 0..40 at odd and even m,
@@ -264,15 +256,14 @@ func TestGEMMShortOperandPanics(t *testing.T) {
 	gemm(4, 4, 4, make([]float32, 16), make([]float32, 16), make([]float32, 15))
 }
 
-// TestKernelISAInfoSeries: exactly one darknet_kernel_isa series is
-// exported, it is 1, and its label is KernelISA().
+// TestKernelISAInfoSeries: KernelISA() names the tier the CPUID probes
+// pick, and exactly one darknet_kernel_isa series is exported, it is 1,
+// and its label is KernelISA().
 func TestKernelISAInfoSeries(t *testing.T) {
 	isa := KernelISA()
-	if isa != "avx2" && isa != "go" {
-		t.Fatalf("KernelISA() = %q", isa)
-	}
-	if (isa == "avx2") != useAVX2 {
-		t.Fatalf("KernelISA() = %q with useAVX2 = %v", isa, useAVX2)
+	t.Logf("live kernel ISA: %s", isa)
+	if want := probeTier().String(); isa != want {
+		t.Fatalf("KernelISA() = %q, CPUID probes give %q", isa, want)
 	}
 	var seen int
 	for name, v := range obs.Flatten(obs.Default()) {

@@ -147,7 +147,7 @@ func (m *MaxPool) forward2x2(x, out []float32, lo, hi int) {
 			bot := x[p+inW : p+inW+2*outW]
 			dst := out[o : o+outW]
 			idx := m.lastIdx[o : o+outW]
-			if useAVX2 && outW >= 8 {
+			if live >= tierAVX2 && outW >= 8 {
 				maxPool2AVX2(&top[0], &bot[0], &dst[0], &idx[0], outW, p, inW)
 				continue
 			}

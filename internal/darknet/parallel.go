@@ -2,12 +2,16 @@ package darknet
 
 // Multi-core GEMM kernels. The three matrix-multiply shapes behind
 // every Forward/Backward (gemm, gemmTA, gemmTB in darknet.go) dispatch
-// here. Under each shape sit two interchangeable single-threaded
-// kernels: AVX2 micro-kernels (kernel_amd64.s, selected once at init by
-// a CPUID probe) that keep a C row segment — or a panel of eight dot
+// here. Under each shape sit interchangeable single-threaded kernel
+// tiers: assembly micro-kernels (kernel_amd64.s, selected once at init
+// by CPUID probes) that keep a C row segment — or a panel of eight dot
 // products — in vector registers across the whole inner-product sweep,
-// and the portable register-blocked Go kernels below, which every
-// other platform and -tags purego run. par.For shards output rows (for
+// eight lanes wide on AVX2 and, for gemm and gemmTA, sixteen on
+// AVX-512; and the portable register-blocked Go kernels below, which
+// every other platform and -tags purego run. A caller whose C is to be
+// overwritten says so (write), and the axpy kernels then start their
+// sums at +0 instead of loading C — the value clearing C first would
+// give, without the clear. par.For shards output rows (for
 // a gemmTB with few rows, output columns) across the process's worker
 // pool; the layer passes use the same pool to fork once over the
 // samples of a batch instead of once per GEMM.
@@ -42,13 +46,24 @@ func init() {
 		obs.Label{Key: "isa", Value: KernelISA()}).Set(1)
 }
 
-// KernelISA names the live blocked kernels: "avx2" (assembly) or "go".
-func KernelISA() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "go"
-}
+// KernelISA names the live blocked kernels: "avx512" or "avx2"
+// (assembly), or "go".
+func KernelISA() string { return live.String() }
+
+// kernelTier is one set of blocked GEMM kernels. A CPU that runs a tier
+// runs every tier below it.
+type kernelTier int
+
+const (
+	tierGo     kernelTier = iota // the portable Go kernels
+	tierAVX2                     // the 8-lane axpy and dot-panel micro-kernels
+	tierAVX512                   // the axpy kernel at 16 lanes; gemmTB stays on AVX2
+)
+
+func (t kernelTier) String() string { return [...]string{"go", "avx2", "avx512"}[t] }
+
+// live is the fastest tier the CPU runs, probed once at init.
+var live = probeTier()
 
 // scalarKernels forces the single-threaded scalar reference kernels,
 // for benchmarks that measure the parallel speedup and for debugging.
@@ -105,11 +120,16 @@ const tbPanel = 8
 // reference when that is forced, otherwise on the blocked kernels,
 // sharded across the worker pool when fork is set and the multiply is
 // big enough. Layer passes that fan out over samples pass fork=false.
-func (s gemmShape) run(fork bool, m, k, n int, a, b, c []float32) {
+// With write set, C's old values are not read: every element becomes
+// exactly what it would be had C been cleared to +0 first.
+func (s gemmShape) run(fork, write bool, m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("darknet: gemm operand shorter than its shape")
 	}
 	if scalarKernels.Load() {
+		if write {
+			clear(c[:m*n])
+		}
 		switch s {
 		case shapeAB:
 			gemmScalar(m, k, n, a, b, c)
@@ -123,37 +143,47 @@ func (s gemmShape) run(fork bool, m, k, n int, a, b, c []float32) {
 	mGemmBlocked.Inc()
 	switch {
 	case !fork || m*k*n < 2*gemmParallelFlops || runtime.GOMAXPROCS(0) == 1:
-		s.tile(m, k, n, a, b, c, 0, m, 0, n)
+		s.tile(live, write, m, k, n, a, b, c, 0, m, 0, n)
 	case s != shapeTB:
 		par.For(m, minChunk(k*n), func(lo, hi int) {
-			s.tile(m, k, n, a, b, c, lo, hi, 0, n)
+			s.tile(live, write, m, k, n, a, b, c, lo, hi, 0, n)
 		})
 	case m >= 2*tbPanel:
 		par.For((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), func(lo, hi int) {
-			s.tile(m, k, n, a, b, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
+			s.tile(live, write, m, k, n, a, b, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
 		})
 	default: // too few rows for a panel per worker (serving batches): shard columns
 		par.For((n+tbPanel-1)/tbPanel, minChunk(tbPanel*m*k), func(lo, hi int) {
-			s.tile(m, k, n, a, b, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
+			s.tile(live, write, m, k, n, a, b, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
 		})
 	}
 }
 
 // tile computes output rows [lo, hi) — of gemmTB, only their columns
-// [jlo, jhi) — on the AVX2 micro-kernels when the CPU has them, else on
-// the portable Go kernels.
-func (s gemmShape) tile(m, k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
+// [jlo, jhi) — on tier t's kernels, overwriting them when write is set.
+// The axpy micro-kernels under gemm and gemmTA write by starting their
+// sums at +0; every other kernel clears its tile and accumulates.
+func (s gemmShape) tile(t kernelTier, write bool, m, k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
+	if s != shapeTB && t >= tierAVX2 {
+		ai, ap := k, 1 // gemm: A'[i][p] = a[i*k+p]
+		if s == shapeTA {
+			ai, ap = 1, m
+		}
+		axpyRows(t, write, k, n, a, ai, ap, b, c, lo, hi)
+		return
+	}
+	if write {
+		for i := lo; i < hi; i++ {
+			clear(c[i*n+jlo : i*n+jhi])
+		}
+	}
 	switch {
-	case s == shapeTB && useAVX2:
+	case s == shapeTB && t >= tierAVX2:
 		gemmTBRowsAVX2(k, n, a, b, c, lo, hi, jlo, jhi)
 	case s == shapeTB:
 		gemmTBRowsGo(k, n, a, b, c, lo, hi, jlo, jhi)
-	case s == shapeAB && useAVX2:
-		axpyRowsAVX2(k, n, a, k, 1, b, c, lo, hi)
 	case s == shapeAB:
 		gemmRowsGo(k, n, a, b, c, lo, hi)
-	case useAVX2:
-		axpyRowsAVX2(k, n, a, 1, m, b, c, lo, hi)
 	default:
 		gemmTARowsGo(m, k, n, a, b, c, lo, hi)
 	}
