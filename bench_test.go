@@ -1,8 +1,7 @@
-// Benchmarks regenerating every table and figure of the Plinius paper
-// (one benchmark per experiment; see EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison and cmd/plinius-bench for the full-size
-// sweeps). Custom metrics carry the paper's headline numbers: speed-ups
-// as "x", throughput as swaps/µs or GB/s, overheads as ratios.
+// Benchmarks of the mirroring, recovery, SPS, serving and training hot
+// paths. The paper's figures and tables are the ledger's job
+// (cmd/plinius-bench, TestPaperLedger in internal/experiments; see
+// EXPERIMENTS.md).
 package plinius_test
 
 import (
@@ -14,179 +13,11 @@ import (
 
 	"plinius/internal/core"
 	"plinius/internal/darknet"
-	"plinius/internal/experiments"
 	"plinius/internal/mnist"
 	"plinius/internal/pm"
 	"plinius/internal/romulus"
 	"plinius/internal/serve"
-	"plinius/internal/spot"
-	"plinius/internal/storage"
 )
-
-// BenchmarkFig2StorageThroughput characterises the three device classes
-// (paper Fig. 2). Metric: PM random-write throughput in GB/s and its
-// advantage over SSD.
-func BenchmarkFig2StorageThroughput(b *testing.B) {
-	var pmGBps, ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig2([]int{1, 2, 4, 8}, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := res.ByDevice["pm-ext4-dax"]
-		ssd := res.ByDevice["ssd-ext4"]
-		// Index 8..11 = random writes across thread counts (4 patterns
-		// x 4 thread counts, pattern-major).
-		pmGBps = rows[8].ThroughputGBps
-		ratio = rows[8].ThroughputGBps / ssd[8].ThroughputGBps
-	}
-	b.ReportMetric(pmGBps, "pm-randwrite-GB/s")
-	b.ReportMetric(ratio, "pm-vs-ssd-x")
-}
-
-// BenchmarkFig6SPS runs the swaps-per-second microbenchmark (paper
-// Fig. 6) for the three environments at a large transaction size.
-// Metrics: swaps/µs per environment.
-func BenchmarkFig6SPS(b *testing.B) {
-	run := func(env romulus.Env) float64 {
-		dev, err := pm.New(32<<20, pm.WithProfile(pm.RamdiskProfile()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := romulus.Open(dev, romulus.WithEnv(env))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := romulus.RunSPS(r, romulus.SPSConfig{
-			ArrayBytes: 10 << 20, SwapsPerTx: 512, Transactions: 10, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.SwapsPerUs
-	}
-	var native, sgx, scone float64
-	for i := 0; i < b.N; i++ {
-		native = run(romulus.NativeEnv())
-		sgx = run(romulus.SGXEnv())
-		scone = run(romulus.SconeEnv())
-	}
-	b.ReportMetric(native, "native-swaps/us")
-	b.ReportMetric(sgx, "sgx-swaps/us")
-	b.ReportMetric(scone, "scone-swaps/us")
-}
-
-// BenchmarkFig7SaveRestore compares PM mirroring against SSD
-// checkpointing on a mid-size model (paper Fig. 7). Metrics: the
-// Table Ib speed-ups.
-func BenchmarkFig7SaveRestore(b *testing.B) {
-	var saveX, restoreX float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(core.SGXEmlPM(), []int{10}, 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := res.Rows[0]
-		saveX = float64(row.SSDSave.Total()) / float64(row.MirrorSave.Total())
-		restoreX = float64(row.SSDRestore.Total()) / float64(row.MirrorRestore.Total())
-	}
-	b.ReportMetric(saveX, "save-speedup-x")
-	b.ReportMetric(restoreX, "restore-speedup-x")
-}
-
-// BenchmarkTable1Breakdown measures the mirroring step shares (paper
-// Table Ia, below-EPC column, sgx-emlPM).
-func BenchmarkTable1Breakdown(b *testing.B) {
-	var encryptPct, readPct float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(core.SGXEmlPM(), []int{10}, 1, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t1a := experiments.ComputeTable1a(res)
-		encryptPct = t1a.EncryptBelow
-		readPct = t1a.ReadBelow
-	}
-	b.ReportMetric(encryptPct, "save-encrypt-%")
-	b.ReportMetric(readPct, "restore-read-%")
-}
-
-// BenchmarkFig8BatchDecrypt measures the encrypted-data overhead (paper
-// Fig. 8). Metric: the fetch-path overhead ratio.
-func BenchmarkFig8BatchDecrypt(b *testing.B) {
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig8(experiments.Fig8Config{
-			BatchSizes: []int{64}, ConvLayers: 2, Filters: 4, Iters: 2,
-			DatasetSize: 256, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		overhead = res.Rows[0].FetchOverhead
-	}
-	b.ReportMetric(overhead, "fetch-overhead-x")
-}
-
-// BenchmarkFig9CrashResilience runs the crash/recover training loop
-// (paper Fig. 9). Metric: extra iterations the non-resilient baseline
-// needed.
-func BenchmarkFig9CrashResilience(b *testing.B) {
-	var extra float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9(experiments.Fig9Config{
-			Iters: 16, Crashes: 2, ConvLayers: 1, Filters: 4,
-			Batch: 16, Dataset: 128, Seed: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		extra = float64(res.NonResilientTotal - len(res.Resilient))
-	}
-	b.ReportMetric(extra, "non-resilient-extra-iters")
-}
-
-// BenchmarkFig10SpotTraining replays a spot trace (paper Fig. 10).
-// Metric: interruptions survived by the resilient run.
-func BenchmarkFig10SpotTraining(b *testing.B) {
-	var interruptions float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig10(experiments.Fig10Config{
-			// Two mid-run price spikes above the bid, as in the
-			// paper's trace.
-			Trace: spot.Trace{Prices: []float64{
-				0.05, 0.05, 0.12, 0.05, 0.05, 0.12, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05,
-			}},
-			TargetIters: 12, ItersPerInterval: 2, ConvLayers: 1,
-			Filters: 4, Batch: 16, Dataset: 128, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Resilient.Completed {
-			b.Fatal("resilient run did not complete")
-		}
-		interruptions = float64(res.Resilient.Interruptions)
-	}
-	b.ReportMetric(interruptions, "interruptions-survived")
-}
-
-// BenchmarkInferenceAccuracy trains and classifies in-enclave (paper
-// §VI secure inference). Metric: test accuracy in percent.
-func BenchmarkInferenceAccuracy(b *testing.B) {
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunInference(experiments.InferenceConfig{
-			ConvLayers: 2, Filters: 8, Batch: 64, Iters: 100,
-			Train: 800, Test: 200, Seed: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = 100 * res.Accuracy
-	}
-	b.ReportMetric(acc, "accuracy-%")
-}
 
 // BenchmarkMirrorSaveOnly isolates one mirror-out of a 10 MB model
 // (ablation: per-iteration mirroring cost).
@@ -372,15 +203,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.ReportMetric(st.Throughput, "req/s")
 			b.ReportMetric(st.AvgBatch, "avg-batch")
 		})
-	}
-}
-
-// BenchmarkFIOGrid exercises the FIO generator itself.
-func BenchmarkFIOGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storage.Fig2Sweep([]int{1, 8}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -352,6 +352,11 @@ func TestTrainBatchAllocs(t *testing.T) {
 // []int it returns.
 func TestClassifyBatchAllocs(t *testing.T) {
 	net, x, _ := mnistTrainNet(t)
+	// A -race build's sync.Pool drops a random share of Puts, and a
+	// collection empties every pool, so a window can find scratchPool
+	// empty and allocate afresh; an allocation ClassifyBatch itself
+	// makes shows in every window, so the quietest of a few counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, batch := range []int{1, 8} {
 		in := x[:batch*net.InputSize()]
 		classify := func() {
@@ -360,7 +365,11 @@ func TestClassifyBatchAllocs(t *testing.T) {
 			}
 		}
 		classify()
-		if allocs := testing.AllocsPerRun(20, classify); allocs != 1 {
+		allocs := math.Inf(1)
+		for round := 0; round < 10 && allocs > 1; round++ {
+			allocs = min(allocs, testing.AllocsPerRun(20, classify))
+		}
+		if allocs != 1 {
 			t.Errorf("ClassifyBatch(batch %d): %.0f allocs/op, want 1 (the returned classes)", batch, allocs)
 		}
 	}

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
+	"time"
 
 	"plinius/internal/core"
 	"plinius/internal/enclave"
@@ -13,131 +13,99 @@ import (
 // The paper measures the paging knee with one enclave owning the whole
 // 93.5 MB usable EPC; real SGX shares one EPC per host, so several
 // enclaves each comfortably under the budget hit the same knee once
-// their joint working set crosses it. The sweep places 1..N identical
-// Plinius frameworks on one host and measures tenant 0's mirror save:
-// with a model sized so a single tenant fits, the save is paging-free
-// alone and pays the full all-miss fault stream as soon as a second
-// tenant arrives — the knee moved from "my footprint > 93.5 MB" to
-// "our footprint > 93.5 MB".
+// their joint working set crosses it. 40 MB of parameters + 15 MB
+// default overhead = ~55 MB per tenant: one fits (55 < 93.5), two do
+// not (110 > 93.5). Tenant 0's mirror save is paging-free alone and
+// pays the full all-miss fault stream as soon as a second tenant
+// arrives — the knee moved from "my footprint > 93.5 MB" to "our
+// footprint > 93.5 MB".
+const colocSizeMB = 40
 
-// ColocRow is one tenant-count point of the sweep.
-type ColocRow struct {
-	// Tenants is the number of co-located frameworks on the host.
-	Tenants int
-	// PerEnclaveBytes is each tenant's enclave working set.
-	PerEnclaveBytes int
-	// HostResidentBytes is the host's aggregate working set.
-	HostResidentBytes int
-	// EachUnderEPC: every tenant alone fits the usable EPC.
-	EachUnderEPC bool
-	// HostOverEPC: the tenants jointly overcommit it.
-	HostOverEPC bool
-	// MirrorSave is tenant 0's mean save breakdown at this occupancy.
-	MirrorSave core.StepTiming
-	// SavePageSwaps is the mean page faults tenant 0 paid per save.
-	SavePageSwaps uint64
-	// ContentionSwaps is the subset of SavePageSwaps paid while tenant
-	// 0's own footprint was under the budget — co-location damage.
-	ContentionSwaps uint64
+// colocPoint is tenant 0's view of one host occupancy.
+type colocPoint struct {
+	// eachUnderEPC: every tenant alone fits the usable EPC.
+	eachUnderEPC bool
+	// hostOverEPC: the tenants jointly overcommit it.
+	hostOverEPC bool
+	// encrypt is the Encrypt step of tenant 0's save: AES wall time
+	// plus modeled paging.
+	encrypt time.Duration
+	// swaps is the page faults tenant 0 paid for the save, and
+	// contention the subset paid while its own footprint was under the
+	// budget — co-location damage.
+	swaps, contention uint64
 }
 
-// ColocResult holds one server's co-location sweep.
-type ColocResult struct {
-	Server    string
-	UsableEPC int
-	Rows      []ColocRow
-}
-
-// RunColoc sweeps host occupancy from 1 to maxTenants frameworks, each
-// training a sizeMB-parameter model, and measures tenant 0's mirror
-// save at every occupancy. Choose sizeMB so one tenant is under the
-// usable EPC and two are over (e.g. 56 with the default 15 MB
-// overhead) to see the shared knee appear at two tenants.
-func RunColoc(server core.ServerProfile, sizeMB, maxTenants, reps int, seed int64) (ColocResult, error) {
-	if sizeMB <= 0 {
-		sizeMB = 56
-	}
-	if maxTenants <= 0 {
-		maxTenants = 3
-	}
-	if reps <= 0 {
-		reps = 3
-	}
-	res := ColocResult{Server: server.Name, UsableEPC: enclave.UsableEPC}
-	for tenants := 1; tenants <= maxTenants; tenants++ {
-		row, err := runColocPoint(server, sizeMB, tenants, reps, seed)
-		if err != nil {
-			return ColocResult{}, fmt.Errorf("coloc %s x%d: %w", server.Name, tenants, err)
+// coloc places one and then two identical frameworks on one host and
+// measures tenant 0's mirror save at each occupancy, on sgx-emlPM and
+// in SGX simulation mode (emlSGX-PM), where co-location, like every
+// other SGX effect, costs nothing.
+func coloc() ([]Row, error) {
+	var hw, sim [2]colocPoint
+	for i := range hw {
+		var err error
+		if hw[i], err = runColocPoint(core.SGXEmlPM(), i+1); err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		if sim[i], err = runColocPoint(core.EmlSGXPM(), i+1); err != nil {
+			return nil, err
+		}
 	}
-	return res, nil
+	solo, shared := hw[0], hw[1]
+	under, knee := 0, 0
+	for i, p := range hw {
+		if p.eachUnderEPC {
+			under++
+		}
+		if p.hostOverEPC && knee == 0 {
+			knee = i + 1
+		}
+	}
+	return []Row{
+		{Figure: "Coloc", Quantity: "occupancies (1, 2 tenants) where each tenant fits the EPC", Paper: "extension", Value: float64(under), Unit: "occupancies", Clock: count, Lo: 2, Hi: 2},
+		{Figure: "Coloc", Quantity: "fewest tenants that overcommit the host", Paper: "extension", Value: float64(knee), Unit: "tenants", Clock: count, Lo: 2, Hi: 2},
+		{Figure: "Coloc", Quantity: "page swaps per save, 1 tenant", Paper: "extension", Value: float64(solo.swaps), Unit: "swaps", Clock: count, Lo: 0, Hi: 0},
+		{Figure: "Coloc", Quantity: "page swaps per save, 2 tenants", Paper: "extension", Value: float64(shared.swaps), Unit: "swaps", Clock: count, Lo: 0, Hi: inf, Open: true},
+		{Figure: "Coloc", Quantity: "share of those swaps paid to co-location", Paper: "extension", Value: float64(shared.contention) / float64(shared.swaps), Unit: "fraction", Clock: count, Lo: 1, Hi: 1},
+		{Figure: "Coloc", Quantity: "save Encrypt, 2 tenants ÷ 1 tenant", Paper: "extension", Value: float64(shared.encrypt) / float64(solo.encrypt), Unit: "×", Clock: wallModeled, Lo: 1, Hi: inf, Open: true},
+		{Figure: "Coloc", Quantity: "page swaps per save in simulation mode, 1 + 2 tenants", Paper: "extension", Value: float64(sim[0].swaps + sim[1].swaps), Unit: "swaps", Clock: count, Lo: 0, Hi: 0},
+	}, nil
 }
 
-func runColocPoint(server core.ServerProfile, sizeMB, tenants, reps int, seed int64) (ColocRow, error) {
-	cfgText, err := core.SyntheticModelConfig(sizeMB << 20)
+func runColocPoint(server core.ServerProfile, tenants int) (colocPoint, error) {
+	cfgText, err := core.SyntheticModelConfig(colocSizeMB << 20)
 	if err != nil {
-		return ColocRow{}, err
+		return colocPoint{}, err
 	}
 	host := enclave.NewHost(server.Enclave)
-	pmBytes := (sizeMB*5/2 + 48) << 20
 	fws := make([]*core.Framework, tenants)
 	for i := range fws {
 		f, err := core.New(core.Config{
 			ModelConfig: cfgText,
 			Server:      server,
 			Host:        host,
-			PMBytes:     pmBytes,
-			Seed:        seed + int64(i),
+			PMBytes:     (colocSizeMB*5/2 + 48) << 20,
+			Seed:        7 + int64(i),
 		})
 		if err != nil {
-			return ColocRow{}, fmt.Errorf("tenant %d: %w", i, err)
+			return colocPoint{}, fmt.Errorf("coloc %s tenant %d of %d: %w", server.Name, i, tenants, err)
 		}
 		fws[i] = f
 	}
 	f0 := fws[0]
-	per := f0.Enclave.Footprint()
-	row := ColocRow{
-		Tenants:           tenants,
-		PerEnclaveBytes:   per,
-		HostResidentBytes: host.Resident(),
-		EachUnderEPC:      per <= enclave.UsableEPC,
-		HostOverEPC:       host.OverEPC(),
+	p := colocPoint{
+		eachUnderEPC: f0.Enclave.Footprint() <= enclave.UsableEPC,
+		hostOverEPC:  host.OverEPC(),
 	}
 	s0 := f0.Enclave.Stats()
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		st, err := f0.MirrorSave()
-		if err != nil {
-			return ColocRow{}, fmt.Errorf("mirror save: %w", err)
-		}
-		row.MirrorSave = addTiming(row.MirrorSave, st)
+	runtime.GC()
+	st, err := f0.MirrorSave()
+	if err != nil {
+		return colocPoint{}, fmt.Errorf("coloc %s x%d mirror save: %w", server.Name, tenants, err)
 	}
+	p.encrypt = st.Encrypt
 	s1 := f0.Enclave.Stats()
-	row.MirrorSave = divTiming(row.MirrorSave, reps)
-	row.SavePageSwaps = (s1.PageSwaps - s0.PageSwaps) / uint64(reps)
-	row.ContentionSwaps = (s1.ContentionSwaps - s0.ContentionSwaps) / uint64(reps)
-	return row, nil
-}
-
-// Print renders the sweep: save latency and fault volume per occupancy.
-func (r ColocResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Co-located enclaves — %s: shared-EPC knee (usable %.1f MB)\n",
-		r.Server, mbOf(r.UsableEPC))
-	tw := newTable(w)
-	fmt.Fprintln(tw, "tenants\teach(MB)\thost(MB)\tEncrypt(ms)\tWrite(ms)\tswaps/save\tcontention\tregime")
-	for _, row := range r.Rows {
-		regime := "fits"
-		switch {
-		case row.HostOverEPC && row.EachUnderEPC:
-			regime = "shared knee"
-		case row.HostOverEPC:
-			regime = "private knee"
-		}
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%s\t%s\t%d\t%d\t%s\n",
-			row.Tenants, mbOf(row.PerEnclaveBytes), mbOf(row.HostResidentBytes),
-			ms(row.MirrorSave.Encrypt), ms(row.MirrorSave.Write),
-			row.SavePageSwaps, row.ContentionSwaps, regime)
-	}
-	tw.Flush()
+	p.swaps = s1.PageSwaps - s0.PageSwaps
+	p.contention = s1.ContentionSwaps - s0.ContentionSwaps
+	return p, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"plinius/internal/core"
 	"plinius/internal/darknet"
@@ -10,100 +9,26 @@ import (
 	"plinius/internal/spot"
 )
 
-// Fig10Result holds the spot-instance training experiment (paper
-// Fig. 10): crash-resilient and non-resilient training driven by a
-// spot price trace with a maximum bid.
-type Fig10Result struct {
-	MaxBid        float64
-	Resilient     spot.Result
-	NonResilient  spot.Result
-	TraceLen      int
-	Interruptions int
-	// Final model iterations: for the resilient run this equals the
-	// executed iterations; for the non-resilient run it only counts
-	// progress since the last restart (the paper's Fig. 10c effect).
-	ResilientFinalIter    int
-	NonResilientFinalIter int
-}
-
-// Fig10Config parameterises the simulation.
-type Fig10Config struct {
-	Server core.ServerProfile
-	// Trace is the price series; empty means a synthetic trace shaped
-	// like the paper's (two interruptions at the default bid).
-	Trace spot.Trace
-	// MaxBid is the user's bid (paper: 0.0955).
-	MaxBid float64
-	// TargetIters is the training length (paper: 500).
-	TargetIters int
-	// ItersPerInterval maps training speed onto trace time.
-	ItersPerInterval int
-	ConvLayers       int
-	Filters          int
-	Batch            int
-	Dataset          int
-	Seed             int64
-}
-
-func (c *Fig10Config) setDefaults() {
-	if c.Server.Name == "" {
-		c.Server = core.EmlSGXPM()
-	}
-	if c.MaxBid == 0 {
-		c.MaxBid = 0.0955
-	}
-	if c.TargetIters == 0 {
-		c.TargetIters = 40
-	}
-	if c.ItersPerInterval == 0 {
-		c.ItersPerInterval = 4
-	}
-	if c.ConvLayers == 0 {
-		c.ConvLayers = 3 // scaled down from the paper's 12 for pure-Go speed
-	}
-	if c.Filters == 0 {
-		c.Filters = 4
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.Dataset == 0 {
-		c.Dataset = 512
-	}
-	if len(c.Trace.Prices) == 0 {
-		// Synthetic price series with two forced spikes above the
-		// default bid at 1/3 and 2/3 of the training window — the two
-		// interruptions of the paper's Fig. 10(b).
-		intervals := 2 * c.TargetIters / c.ItersPerInterval
-		c.Trace = spot.Synthetic(intervals, 0.09, 0.002, c.Seed+5)
-		c.Trace.Prices[intervals/3] = c.MaxBid * 1.3
-		c.Trace.Prices[2*intervals/3] = c.MaxBid * 1.3
-	}
-}
-
-// RunFig10 simulates spot training with and without crash resilience.
-func RunFig10(cfg Fig10Config) (Fig10Result, error) {
-	cfg.setDefaults()
-	res := Fig10Result{
-		MaxBid:        cfg.MaxBid,
-		TraceLen:      len(cfg.Trace.Prices),
-		Interruptions: cfg.Trace.Interruptions(cfg.MaxBid),
-	}
-	ds := mnist.Synthetic(cfg.Dataset, cfg.Seed)
-	modelCfg := darknet.MNISTConfig(cfg.ConvLayers, cfg.Filters, cfg.Batch)
-	spotCfg := spot.Config{
-		MaxBid:           cfg.MaxBid,
-		TargetIters:      cfg.TargetIters,
-		ItersPerInterval: cfg.ItersPerInterval,
-	}
-
+// fig10 is the spot-instance experiment (paper Fig. 10, on emlSGX-PM):
+// training driven by a price trace at the paper's maximum bid, with and
+// without crash resilience. The trace is runnable, outbid, runnable,
+// outbid, then runnable to the end, so both runs hit two interruptions
+// mid-job, as in the paper's Fig. 10(b).
+func fig10() ([]Row, error) {
+	const target, seed = 12, 3
+	trace := spot.Trace{Prices: []float64{0.05, 0.05, 0.12, 0.05, 0.05, 0.12, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05}}
+	cfg := spot.Config{MaxBid: 0.0955, TargetIters: target, ItersPerInterval: 2}
+	ds := mnist.Synthetic(128, seed)
+	// run returns the spot result and the model's final iteration: for
+	// the resilient run the iterations executed, for the non-resilient
+	// run only the progress since its last restart (Fig. 10c).
 	run := func(mirrorFreq int) (spot.Result, int, error) {
 		f, err := core.New(core.Config{
-			ModelConfig: modelCfg,
-			Server:      cfg.Server,
+			ModelConfig: darknet.MNISTConfig(1, 4, 16),
+			Server:      core.EmlSGXPM(),
 			PMBytes:     64 << 20,
 			MirrorFreq:  mirrorFreq,
-			Seed:        cfg.Seed,
+			Seed:        seed,
 		})
 		if err != nil {
 			return spot.Result{}, 0, err
@@ -111,51 +36,25 @@ func RunFig10(cfg Fig10Config) (Fig10Result, error) {
 		if err := f.LoadDataset(ds); err != nil {
 			return spot.Result{}, 0, err
 		}
-		sr, err := spot.Run(cfg.Trace, spotCfg, &core.SpotTrainer{F: f})
+		sr, err := spot.Run(trace, cfg, &core.SpotTrainer{F: f})
 		return sr, f.Iteration(), err
 	}
-
-	var err error
-	if res.Resilient, res.ResilientFinalIter, err = run(1); err != nil {
-		return Fig10Result{}, fmt.Errorf("fig10 resilient: %w", err)
+	res, resIter, err := run(1)
+	if err != nil {
+		return nil, fmt.Errorf("fig10 resilient: %w", err)
 	}
-	if res.NonResilient, res.NonResilientFinalIter, err = run(-1); err != nil {
-		return Fig10Result{}, fmt.Errorf("fig10 non-resilient: %w", err)
+	non, nonIter, err := run(-1)
+	if err != nil {
+		return nil, fmt.Errorf("fig10 non-resilient: %w", err)
 	}
-	return res, nil
-}
-
-// Print renders the Fig. 10 summary: loss progress, state curves and
-// interruption counts.
-func (r Fig10Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Fig. 10 — spot-instance training (max bid %.4f, %d interruptions in trace)\n",
-		r.MaxBid, r.Interruptions)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "run\titers executed\tcompleted\tinterruptions\tfinal loss")
-	final := func(ls []float32) float32 {
-		if len(ls) == 0 {
-			return 0
-		}
-		return ls[len(ls)-1]
+	completed := 0.0
+	if res.Completed {
+		completed = 1
 	}
-	fmt.Fprintf(tw, "crash resilient\t%d\t%v\t%d\t%.3f\n",
-		r.Resilient.Iterations, r.Resilient.Completed, r.Resilient.Interruptions, final(r.Resilient.Losses))
-	fmt.Fprintf(tw, "non-resilient\t%d\t%v\t%d\t%.3f\n",
-		r.NonResilient.Iterations, r.NonResilient.Completed, r.NonResilient.Interruptions, final(r.NonResilient.Losses))
-	tw.Flush()
-	fmt.Fprint(w, "state curve (resilient): ")
-	printStates(w, r.Resilient.States)
-	fmt.Fprint(w, "state curve (non-res.) : ")
-	printStates(w, r.NonResilient.States)
-}
-
-func printStates(w io.Writer, states []spot.StatePoint) {
-	for _, s := range states {
-		if s.Running {
-			fmt.Fprint(w, "1")
-		} else {
-			fmt.Fprint(w, "0")
-		}
-	}
-	fmt.Fprintln(w)
+	return []Row{
+		{Figure: "Fig. 10", Quantity: "crash-resilient run completed the job", Paper: "yes", Value: completed, Unit: "bool", Clock: count, Lo: 1, Hi: 1},
+		{Figure: "Fig. 10", Quantity: "interruptions hit, min of both runs", Paper: "2", Value: float64(min(res.Interruptions, non.Interruptions)), Unit: "interruptions", Clock: count, Lo: 0, Hi: inf, Open: true},
+		{Figure: "Fig. 10", Quantity: "crash-resilient final model iteration (12-iteration job)", Paper: "= job (500)", Value: float64(resIter), Unit: "iterations", Clock: count, Lo: target, Hi: target},
+		{Figure: "Fig. 10", Quantity: "non-resilient final model iteration", Paper: "< job", Value: float64(nonIter), Unit: "iterations", Clock: count, Lo: -inf, Hi: target, Open: true},
+	}, nil
 }

@@ -2,64 +2,38 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"plinius/internal/storage"
 )
 
-// Fig2Result holds the storage characterisation grid (paper Fig. 2):
-// throughput for sequential/random reads/writes on SSD, PM(DAX) and
-// ramdisk at 1-8 threads.
-type Fig2Result struct {
-	ByDevice map[string][]storage.FIOResult
-	Threads  []int
-}
-
-// RunFig2 runs the FIO-style characterisation. The paper uses 512 MB
-// per thread and 4 KB blocks; fileMB scales the per-thread file for
-// faster runs without changing per-op costs.
-func RunFig2(threads []int, fileMB int) (Fig2Result, error) {
-	if len(threads) == 0 {
-		threads = []int{1, 2, 4, 8}
-	}
-	if fileMB <= 0 {
-		fileMB = 512
-	}
-	res := Fig2Result{ByDevice: make(map[string][]storage.FIOResult), Threads: threads}
+// fig2 characterises the three device classes (paper Fig. 2): random
+// and sequential reads and writes of 4 KB blocks, 512 MB per thread and
+// an fsync per written block, at 1-8 threads.
+func fig2() ([]Row, error) {
+	gbps := make(map[string][]float64)
 	for _, prof := range []storage.Profile{storage.SSDProfile(), storage.PMDaxProfile(), storage.RamdiskProfile()} {
 		for _, pat := range []storage.FIOPattern{storage.RandomRead, storage.SequentialRead, storage.RandomWrite, storage.SequentialWrite} {
-			for _, th := range threads {
-				cfg := storage.FIOConfig{Pattern: pat, Threads: th, BlockSize: 4096, FileSize: fileMB << 20}
-				r, err := storage.RunFIO(prof, cfg)
+			for _, th := range []int{1, 2, 4, 8} {
+				r, err := storage.RunFIO(prof, storage.DefaultFIOConfig(pat, th))
 				if err != nil {
-					return Fig2Result{}, fmt.Errorf("fig2 %s/%s: %w", prof.Name, pat, err)
+					return nil, fmt.Errorf("fig2 %s/%s/%d threads: %w", prof.Name, pat, th, err)
 				}
-				res.ByDevice[prof.Name] = append(res.ByDevice[prof.Name], r)
+				gbps[prof.Name] = append(gbps[prof.Name], r.ThroughputGBps)
 			}
 		}
 	}
-	return res, nil
-}
-
-// Print renders the Fig. 2 panels as throughput tables (GB/s).
-func (r Fig2Result) Print(w io.Writer) {
-	fmt.Fprintln(w, "Fig. 2 — storage throughput (GB/s), 4 KB blocks, fsync per written block")
-	tw := newTable(w)
-	fmt.Fprintf(tw, "device\tpattern")
-	for _, th := range r.Threads {
-		fmt.Fprintf(tw, "\t%d thr", th)
-	}
-	fmt.Fprintln(tw)
-	for _, dev := range []string{"ssd-ext4", "pm-ext4-dax", "ramdisk-tmpfs"} {
-		rows := r.ByDevice[dev]
-		perPattern := len(r.Threads)
-		for pi, pat := range []string{"rand-read", "seq-read", "rand-write", "seq-write"} {
-			fmt.Fprintf(tw, "%s\t%s", dev, pat)
-			for ti := range r.Threads {
-				fmt.Fprintf(tw, "\t%.3f", rows[pi*perPattern+ti].ThroughputGBps)
-			}
-			fmt.Fprintln(tw)
+	full := 0
+	for _, g := range gbps {
+		if len(g) == 16 {
+			full++
 		}
 	}
-	tw.Flush()
+	pmOverSSD := inf
+	for i, ssd := range gbps["ssd-ext4"] {
+		pmOverSSD = min(pmOverSSD, gbps["pm-ext4-dax"][i]/ssd)
+	}
+	return []Row{
+		{Figure: "Fig. 2", Quantity: "devices with all 4 patterns × 4 thread counts", Paper: "3", Value: float64(full), Unit: "devices", Clock: count, Lo: 3, Hi: 3},
+		{Figure: "Fig. 2", Quantity: "PM-DAX ÷ SSD throughput, min over the grid", Paper: "> 1", Value: pmOverSSD, Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+	}, nil
 }

@@ -2,107 +2,54 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"plinius/internal/pm"
 	"plinius/internal/romulus"
 )
 
-// Fig6Point is one SPS measurement.
-type Fig6Point struct {
-	Env        string
-	FlushKind  pm.FlushKind
-	SwapsPerTx int
-	SwapsPerUs float64
-}
-
-// Fig6Result holds the SPS benchmark grid (paper Fig. 6): native vs
-// SGX-Romulus vs Romulus-in-SCONE, for clflush+nop and
-// clflushopt+sfence, across transaction sizes.
-type Fig6Result struct {
-	Points []Fig6Point
-}
-
-// RunFig6 runs the SPS grid on the sgx-emlPM machine model (ramdisk PM,
-// the paper's Fig. 6 setup). txPerPoint transactions are executed per
-// grid point on a 10 MB persistent array.
-func RunFig6(swapsPerTx []int, txPerPoint int) (Fig6Result, error) {
-	if len(swapsPerTx) == 0 {
-		swapsPerTx = []int{2, 8, 32, 64, 128, 512, 1024, 2048}
+// fig6 runs the SPS benchmark (paper Fig. 6) on the sgx-emlPM machine
+// model (ramdisk PM): native vs SGX-Romulus vs Romulus-in-SCONE, for
+// clflush+nop and clflushopt+sfence, at a small and a large
+// transaction, 5 transactions each on a 10 MB persistent array.
+func fig6() ([]Row, error) {
+	type point struct {
+		env  string
+		kind pm.FlushKind
+		size int
 	}
-	if txPerPoint <= 0 {
-		txPerPoint = 10
-	}
-	envs := []romulus.Env{romulus.NativeEnv(), romulus.SGXEnv(), romulus.SconeEnv()}
 	kinds := []pm.FlushKind{pm.FlushClflush, pm.FlushClflushOpt}
-	var res Fig6Result
+	sps := make(map[point]float64)
 	for _, kind := range kinds {
-		for _, env := range envs {
-			for _, sw := range swapsPerTx {
+		for _, env := range []romulus.Env{romulus.NativeEnv(), romulus.SGXEnv(), romulus.SconeEnv()} {
+			for _, sw := range []int{8, 1024} {
 				dev, err := pm.New(32<<20, pm.WithProfile(pm.RamdiskProfile()))
 				if err != nil {
-					return Fig6Result{}, err
+					return nil, err
 				}
 				r, err := romulus.Open(dev, romulus.WithEnv(env), romulus.WithFlushKind(kind))
 				if err != nil {
-					return Fig6Result{}, err
+					return nil, err
 				}
-				sps, err := romulus.RunSPS(r, romulus.SPSConfig{
-					ArrayBytes:   10 << 20,
-					SwapsPerTx:   sw,
-					Transactions: txPerPoint,
-					Seed:         42,
-				})
+				res, err := romulus.RunSPS(r, romulus.SPSConfig{ArrayBytes: 10 << 20, SwapsPerTx: sw, Transactions: 5, Seed: 42})
 				if err != nil {
-					return Fig6Result{}, fmt.Errorf("fig6 %s/%s/%d: %w", env.Name, kind, sw, err)
+					return nil, fmt.Errorf("fig6 %s/%s/%d: %w", env.Name, kind, sw, err)
 				}
-				res.Points = append(res.Points, Fig6Point{
-					Env:        env.Name,
-					FlushKind:  kind,
-					SwapsPerTx: sw,
-					SwapsPerUs: sps.SwapsPerUs,
-				})
+				sps[point{env.Name, kind, sw}] = res.SwapsPerUs
 			}
 		}
 	}
-	return res, nil
-}
-
-// Print renders the two Fig. 6 panels.
-func (r Fig6Result) Print(w io.Writer) {
-	fmt.Fprintln(w, "Fig. 6 — SPS benchmark (swaps/µs), 10 MB persistent array")
-	for _, kind := range []pm.FlushKind{pm.FlushClflush, pm.FlushClflushOpt} {
-		fence := "NOP"
-		if kind != pm.FlushClflush {
-			fence = "SFENCE"
+	// faster is the smaller speed-up of env a over env b across the two
+	// flush kinds.
+	faster := func(a, b string, size int) float64 {
+		x := inf
+		for _, kind := range kinds {
+			x = min(x, sps[point{a, kind, size}]/sps[point{b, kind, size}])
 		}
-		fmt.Fprintf(w, "\n%s + %s\n", kind, fence)
-		tw := newTable(w)
-		fmt.Fprintln(tw, "swaps/tx\tnative\tsgx-romulus\tscone-romulus")
-		bySize := map[int][3]float64{}
-		order := []string{"native", "sgx-romulus", "scone-romulus"}
-		for _, p := range r.Points {
-			if p.FlushKind != kind {
-				continue
-			}
-			row := bySize[p.SwapsPerTx]
-			for i, name := range order {
-				if p.Env == name {
-					row[i] = p.SwapsPerUs
-				}
-			}
-			bySize[p.SwapsPerTx] = row
-		}
-		var sizes []int
-		for _, p := range r.Points {
-			if p.FlushKind == kind && p.Env == "native" {
-				sizes = append(sizes, p.SwapsPerTx)
-			}
-		}
-		for _, sw := range sizes {
-			row := bySize[sw]
-			fmt.Fprintf(tw, "%d\t%.3f\t%.3f\t%.3f\n", sw, row[0], row[1], row[2])
-		}
-		tw.Flush()
+		return x
 	}
+	return []Row{
+		{Figure: "Fig. 6", Quantity: "native ÷ SGX-Romulus swaps/µs at 8 swaps/tx, min over flush kinds", Paper: "> 1", Value: faster("native", "sgx-romulus", 8), Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+		{Figure: "Fig. 6", Quantity: "SCONE ÷ SGX-Romulus at 8 swaps/tx", Paper: "> 1", Value: faster("scone-romulus", "sgx-romulus", 8), Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+		{Figure: "Fig. 6", Quantity: "SGX-Romulus ÷ SCONE at 1024 swaps/tx", Paper: "> 1", Value: faster("sgx-romulus", "scone-romulus", 1024), Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+	}, nil
 }

@@ -2,143 +2,90 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
-	"time"
 
 	"plinius/internal/core"
 	"plinius/internal/enclave"
 )
 
-// Fig7Row is one model-size point of the Fig. 7 comparison: PM
-// mirroring vs SSD checkpointing, saves and restores, with per-step
-// breakdowns.
-type Fig7Row struct {
-	TargetMB      int
-	ActualBytes   int
-	BeyondEPC     bool
-	MirrorSave    core.StepTiming
-	MirrorRestore core.StepTiming
-	SSDSave       core.StepTiming
-	SSDRestore    core.StepTiming
+// fig7Point is one model size of the Fig. 7 comparison: PM mirroring vs
+// SSD checkpointing, one save and one restore each.
+type fig7Point struct {
+	beyondEPC     bool
+	mirrorSave    core.StepTiming
+	mirrorRestore core.StepTiming
+	ssdSave       core.StepTiming
+	ssdRestore    core.StepTiming
 }
 
-// Fig7Result holds one server's sweep.
-type Fig7Result struct {
-	Server string
-	Rows   []Fig7Row
-}
-
-// RunFig7 sweeps model sizes (in MB) on one server profile, measuring
-// each save/restore reps times and keeping the mean.
-func RunFig7(server core.ServerProfile, sizesMB []int, reps int, seed int64) (Fig7Result, error) {
-	if len(sizesMB) == 0 {
-		sizesMB = []int{10, 22, 33, 44, 56, 67, 78, 89, 100}
-	}
-	if reps <= 0 {
-		reps = 3
-	}
-	res := Fig7Result{Server: server.Name}
-	for _, mb := range sizesMB {
-		row, err := runFig7Point(server, mb, reps, seed)
+// fig7 sweeps model sizes on either side of the EPC knee on sgx-emlPM
+// (paper Fig. 7) and derives Table I from the same sweep. Encrypt and
+// Decrypt are wall-clock AES plus modeled paging; Write and Read are
+// modeled device, ocall and enclave-copy time.
+func fig7() ([]Row, error) {
+	var pts []fig7Point
+	for _, mb := range []int{2, 4, 40, 90} {
+		p, err := runFig7Point(mb)
 		if err != nil {
-			return Fig7Result{}, fmt.Errorf("fig7 %s %dMB: %w", server.Name, mb, err)
+			return nil, fmt.Errorf("fig7 %dMB: %w", mb, err)
 		}
-		res.Rows = append(res.Rows, row)
+		pts = append(pts, p)
 	}
-	return res, nil
+	beyond := 0
+	writeX, readX := inf, inf
+	for _, p := range pts {
+		if p.beyondEPC {
+			beyond++
+		}
+		writeX = min(writeX, float64(p.ssdSave.Write)/float64(p.mirrorSave.Write))
+		readX = min(readX, float64(p.ssdRestore.Read)/float64(p.mirrorRestore.Read))
+	}
+	encryptShare := func(p fig7Point) float64 {
+		return 100 * float64(p.mirrorSave.Encrypt) / float64(p.mirrorSave.Total())
+	}
+	rows := []Row{
+		{Figure: "Fig. 7", Quantity: "sweep sizes (2, 4, 40, 90 MB) past the EPC knee", Paper: "knee at 93.5 MB usable EPC", Value: float64(beyond), Unit: "sizes", Clock: count, Lo: 1, Hi: 1},
+		{Figure: "Fig. 7", Quantity: "save Write, SSD ÷ PM, min over sizes", Paper: "> 1", Value: writeX, Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+		{Figure: "Fig. 7", Quantity: "restore Read, SSD ÷ PM, min over sizes", Paper: "> 1", Value: readX, Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+		{Figure: "Fig. 7", Quantity: "PM save Write, 4 MB ÷ 2 MB", Paper: "grows with size", Value: float64(pts[1].mirrorSave.Write) / float64(pts[0].mirrorSave.Write), Unit: "×", Clock: modeled, Lo: 1, Hi: inf, Open: true},
+	}
+	rows = append(rows, table1aRows(computeTable1a(pts))...)
+	rows = append(rows, Row{Figure: "Table Ia", Quantity: "save Encrypt share, 90 MB − 40 MB", Paper: "+25.9 (92.3 − 66.4)", Value: encryptShare(pts[3]) - encryptShare(pts[2]), Unit: "pp", Clock: wallModeled, Lo: 0, Hi: inf, Open: true})
+	return append(rows, table1bRows(computeTable1b(pts))...), nil
 }
 
-func runFig7Point(server core.ServerProfile, sizeMB, reps int, seed int64) (Fig7Row, error) {
+// runFig7Point measures one save and one restore of a sizeMB model
+// each way.
+func runFig7Point(sizeMB int) (fig7Point, error) {
 	cfgText, err := core.SyntheticModelConfig(sizeMB << 20)
 	if err != nil {
-		return Fig7Row{}, err
+		return fig7Point{}, err
 	}
 	// PM must hold twin copies of the sealed model plus slack.
-	pmBytes := (sizeMB*5/2 + 48) << 20
 	f, err := core.New(core.Config{
 		ModelConfig: cfgText,
-		Server:      server,
-		PMBytes:     pmBytes,
-		Seed:        seed,
+		Server:      core.SGXEmlPM(),
+		PMBytes:     (sizeMB*5/2 + 48) << 20,
+		Seed:        1,
 	})
 	if err != nil {
-		return Fig7Row{}, err
+		return fig7Point{}, err
 	}
-	row := Fig7Row{
-		TargetMB:    sizeMB,
-		ActualBytes: f.Net.ParamBytes(),
+	p := fig7Point{beyondEPC: f.Net.ParamBytes()+15<<20 > enclave.UsableEPC}
+	// Collect garbage from framework construction so GC pauses do not
+	// land inside the timed AES sections.
+	runtime.GC()
+	if p.mirrorSave, err = f.MirrorSave(); err != nil {
+		return fig7Point{}, fmt.Errorf("mirror save: %w", err)
 	}
-	row.BeyondEPC = f.Net.ParamBytes()+15<<20 > enclave.UsableEPC
-
-	for i := 0; i < reps; i++ {
-		// Collect garbage from framework construction so GC pauses do
-		// not land inside the timed AES sections.
-		runtime.GC()
-		st, err := f.MirrorSave()
-		if err != nil {
-			return Fig7Row{}, fmt.Errorf("mirror save: %w", err)
-		}
-		row.MirrorSave = addTiming(row.MirrorSave, st)
-		rt, err := f.MirrorRestore()
-		if err != nil {
-			return Fig7Row{}, fmt.Errorf("mirror restore: %w", err)
-		}
-		row.MirrorRestore = addTiming(row.MirrorRestore, rt)
-		ss, err := f.SSDSave(fmt.Sprintf("ckpt-%d", i))
-		if err != nil {
-			return Fig7Row{}, fmt.Errorf("ssd save: %w", err)
-		}
-		row.SSDSave = addTiming(row.SSDSave, ss)
-		sr, err := f.SSDRestore(fmt.Sprintf("ckpt-%d", i))
-		if err != nil {
-			return Fig7Row{}, fmt.Errorf("ssd restore: %w", err)
-		}
-		row.SSDRestore = addTiming(row.SSDRestore, sr)
+	if p.mirrorRestore, err = f.MirrorRestore(); err != nil {
+		return fig7Point{}, fmt.Errorf("mirror restore: %w", err)
 	}
-	row.MirrorSave = divTiming(row.MirrorSave, reps)
-	row.MirrorRestore = divTiming(row.MirrorRestore, reps)
-	row.SSDSave = divTiming(row.SSDSave, reps)
-	row.SSDRestore = divTiming(row.SSDRestore, reps)
-	return row, nil
-}
-
-func addTiming(a, b core.StepTiming) core.StepTiming {
-	return core.StepTiming{
-		Encrypt: a.Encrypt + b.Encrypt,
-		Write:   a.Write + b.Write,
-		Read:    a.Read + b.Read,
-		Decrypt: a.Decrypt + b.Decrypt,
+	if p.ssdSave, err = f.SSDSave("ckpt"); err != nil {
+		return fig7Point{}, fmt.Errorf("ssd save: %w", err)
 	}
-}
-
-func divTiming(a core.StepTiming, n int) core.StepTiming {
-	d := int64(n)
-	return core.StepTiming{
-		Encrypt: a.Encrypt / time.Duration(d),
-		Write:   a.Write / time.Duration(d),
-		Read:    a.Read / time.Duration(d),
-		Decrypt: a.Decrypt / time.Duration(d),
+	if p.ssdRestore, err = f.SSDRestore("ckpt"); err != nil {
+		return fig7Point{}, fmt.Errorf("ssd restore: %w", err)
 	}
-}
-
-// Print renders the save and restore panels (latencies in ms).
-func (r Fig7Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Fig. 7 — %s: PM mirroring vs SSD checkpointing (ms)\n", r.Server)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "size(MB)\tEncrypt(SSD)\tWrite(SSD)\tEncrypt(PM)\tWrite(PM)\tRead(SSD)\tDecrypt(SSD)\tRead(PM)\tDecrypt(PM)\tEPC")
-	for _, row := range r.Rows {
-		epc := ""
-		if row.BeyondEPC {
-			epc = "beyond"
-		}
-		fmt.Fprintf(tw, "%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			mbOf(row.ActualBytes),
-			ms(row.SSDSave.Encrypt), ms(row.SSDSave.Write),
-			ms(row.MirrorSave.Encrypt), ms(row.MirrorSave.Write),
-			ms(row.SSDRestore.Read), ms(row.SSDRestore.Decrypt),
-			ms(row.MirrorRestore.Read), ms(row.MirrorRestore.Decrypt),
-			epc)
-	}
-	tw.Flush()
+	return p, nil
 }

@@ -1,178 +1,131 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
-
-	"plinius/internal/core"
 )
 
-// Table1a is the paper's Table Ia: percentage breakdown of the
-// mirroring steps, separated at the EPC limit.
-type Table1a struct {
-	Server string
-	// Save breakdown (% of save latency).
-	EncryptBelow, WriteBelow   float64
-	EncryptBeyond, WriteBeyond float64
-	// Restore breakdown (% of restore latency).
-	ReadBelow, DecryptBelow   float64
-	ReadBeyond, DecryptBeyond float64
-	HasBeyond                 bool
+// table1a is the paper's Table Ia: the share (%) of each mirroring step
+// in the save and restore latency, below and beyond the EPC limit.
+type table1a struct {
+	encryptBelow, writeBelow   float64
+	encryptBeyond, writeBeyond float64
+	readBelow, decryptBelow    float64
+	readBeyond, decryptBeyond  float64
 }
 
-// Table1b is the paper's Table Ib: mirroring speed-ups over SSD
-// checkpointing, separated at the EPC limit.
-type Table1b struct {
-	Server string
-	// Save speed-ups.
-	WriteBelow, SaveTotalBelow   float64
-	WriteBeyond, SaveTotalBeyond float64
-	// Restore speed-ups.
-	ReadBelow, RestoreTotalBelow   float64
-	ReadBeyond, RestoreTotalBeyond float64
-	HasBeyond                      bool
+// table1b is the paper's Table Ib: mirroring speed-ups over SSD
+// checkpointing, each the mean over the sweep's sizes on that side of
+// the EPC limit.
+type table1b struct {
+	writeBelow, saveTotalBelow     float64
+	writeBeyond, saveTotalBeyond   float64
+	readBelow, restoreTotalBelow   float64
+	readBeyond, restoreTotalBeyond float64
 }
 
-// ComputeTable1a derives Table Ia from a Fig. 7 sweep.
-func ComputeTable1a(fig7 Fig7Result) Table1a {
-	out := Table1a{Server: fig7.Server}
-	var below, beyond []Fig7Row
-	for _, r := range fig7.Rows {
-		if r.BeyondEPC {
-			beyond = append(beyond, r)
+// splitAtKnee separates a Fig. 7 sweep at the EPC limit.
+func splitAtKnee(pts []fig7Point) (below, beyond []fig7Point) {
+	for _, p := range pts {
+		if p.beyondEPC {
+			beyond = append(beyond, p)
 		} else {
-			below = append(below, r)
+			below = append(below, p)
 		}
 	}
-	out.EncryptBelow, out.WriteBelow = saveShares(below, func(r Fig7Row) core.StepTiming { return r.MirrorSave })
-	out.ReadBelow, out.DecryptBelow = restoreShares(below, func(r Fig7Row) core.StepTiming { return r.MirrorRestore })
-	if len(beyond) > 0 {
-		out.HasBeyond = true
-		out.EncryptBeyond, out.WriteBeyond = saveShares(beyond, func(r Fig7Row) core.StepTiming { return r.MirrorSave })
-		out.ReadBeyond, out.DecryptBeyond = restoreShares(beyond, func(r Fig7Row) core.StepTiming { return r.MirrorRestore })
-	}
-	return out
+	return below, beyond
 }
 
-func saveShares(rows []Fig7Row, get func(Fig7Row) core.StepTiming) (encryptPct, writePct float64) {
-	var enc, wr time.Duration
-	for _, r := range rows {
-		st := get(r)
-		enc += st.Encrypt
-		wr += st.Write
+func computeTable1a(pts []fig7Point) table1a {
+	var t table1a
+	below, beyond := splitAtKnee(pts)
+	save := func(p fig7Point) (time.Duration, time.Duration) { return p.mirrorSave.Encrypt, p.mirrorSave.Write }
+	restore := func(p fig7Point) (time.Duration, time.Duration) { return p.mirrorRestore.Read, p.mirrorRestore.Decrypt }
+	t.encryptBelow, t.writeBelow = shares(below, save)
+	t.readBelow, t.decryptBelow = shares(below, restore)
+	t.encryptBeyond, t.writeBeyond = shares(beyond, save)
+	t.readBeyond, t.decryptBeyond = shares(beyond, restore)
+	return t
+}
+
+// shares returns the percentage of the summed two steps that each
+// step takes across pts.
+func shares(pts []fig7Point, steps func(fig7Point) (time.Duration, time.Duration)) (first, second float64) {
+	var a, b time.Duration
+	for _, p := range pts {
+		x, y := steps(p)
+		a += x
+		b += y
 	}
-	total := enc + wr
-	if total == 0 {
+	if a+b == 0 {
 		return 0, 0
 	}
-	return 100 * float64(enc) / float64(total), 100 * float64(wr) / float64(total)
+	return 100 * float64(a) / float64(a+b), 100 * float64(b) / float64(a+b)
 }
 
-func restoreShares(rows []Fig7Row, get func(Fig7Row) core.StepTiming) (readPct, decryptPct float64) {
-	var rd, dec time.Duration
-	for _, r := range rows {
-		st := get(r)
-		rd += st.Read
-		dec += st.Decrypt
+func computeTable1b(pts []fig7Point) table1b {
+	var t table1b
+	below, beyond := splitAtKnee(pts)
+	write := func(p fig7Point) (time.Duration, time.Duration) { return p.ssdSave.Write, p.mirrorSave.Write }
+	save := func(p fig7Point) (time.Duration, time.Duration) { return p.ssdSave.Total(), p.mirrorSave.Total() }
+	read := func(p fig7Point) (time.Duration, time.Duration) { return p.ssdRestore.Read, p.mirrorRestore.Read }
+	restore := func(p fig7Point) (time.Duration, time.Duration) {
+		return p.ssdRestore.Total(), p.mirrorRestore.Total()
 	}
-	total := rd + dec
-	if total == 0 {
-		return 0, 0
-	}
-	return 100 * float64(rd) / float64(total), 100 * float64(dec) / float64(total)
+	t.writeBelow, t.saveTotalBelow = speedup(below, write), speedup(below, save)
+	t.readBelow, t.restoreTotalBelow = speedup(below, read), speedup(below, restore)
+	t.writeBeyond, t.saveTotalBeyond = speedup(beyond, write), speedup(beyond, save)
+	t.readBeyond, t.restoreTotalBeyond = speedup(beyond, read), speedup(beyond, restore)
+	return t
 }
 
-// ComputeTable1b derives Table Ib from a Fig. 7 sweep.
-func ComputeTable1b(fig7 Fig7Result) Table1b {
-	out := Table1b{Server: fig7.Server}
-	var below, beyond []Fig7Row
-	for _, r := range fig7.Rows {
-		if r.BeyondEPC {
-			beyond = append(beyond, r)
-		} else {
-			below = append(below, r)
-		}
-	}
-	out.WriteBelow = ratio(below, func(r Fig7Row) (time.Duration, time.Duration) {
-		return r.SSDSave.Write, r.MirrorSave.Write
-	})
-	out.SaveTotalBelow = ratio(below, func(r Fig7Row) (time.Duration, time.Duration) {
-		return r.SSDSave.Total(), r.MirrorSave.Total()
-	})
-	out.ReadBelow = ratio(below, func(r Fig7Row) (time.Duration, time.Duration) {
-		return r.SSDRestore.Read, r.MirrorRestore.Read
-	})
-	out.RestoreTotalBelow = ratio(below, func(r Fig7Row) (time.Duration, time.Duration) {
-		return r.SSDRestore.Total(), r.MirrorRestore.Total()
-	})
-	if len(beyond) > 0 {
-		out.HasBeyond = true
-		out.WriteBeyond = ratio(beyond, func(r Fig7Row) (time.Duration, time.Duration) {
-			return r.SSDSave.Write, r.MirrorSave.Write
-		})
-		out.SaveTotalBeyond = ratio(beyond, func(r Fig7Row) (time.Duration, time.Duration) {
-			return r.SSDSave.Total(), r.MirrorSave.Total()
-		})
-		out.ReadBeyond = ratio(beyond, func(r Fig7Row) (time.Duration, time.Duration) {
-			return r.SSDRestore.Read, r.MirrorRestore.Read
-		})
-		out.RestoreTotalBeyond = ratio(beyond, func(r Fig7Row) (time.Duration, time.Duration) {
-			return r.SSDRestore.Total(), r.MirrorRestore.Total()
-		})
-	}
-	return out
-}
-
-// ratio averages ssd/pm per row.
-func ratio(rows []Fig7Row, get func(Fig7Row) (ssd, mirror time.Duration)) float64 {
-	if len(rows) == 0 {
+// speedup averages ssd/mirror over pts.
+func speedup(pts []fig7Point, get func(fig7Point) (ssd, mirror time.Duration)) float64 {
+	if len(pts) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, r := range rows {
-		ssd, mir := get(r)
+	for _, p := range pts {
+		ssd, mir := get(p)
 		if mir > 0 {
 			sum += float64(ssd) / float64(mir)
 		}
 	}
-	return sum / float64(len(rows))
+	return sum / float64(len(pts))
 }
 
-// Print renders Table Ia.
-func (t Table1a) Print(w io.Writer) {
-	fmt.Fprintf(w, "Table Ia — %s: breakdown of mirroring steps (%%)\n", t.Server)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "step\tbelow EPC\tbeyond EPC")
-	fmt.Fprintf(tw, "save: Encrypt\t%.1f\t%s\n", t.EncryptBelow, pctOrDash(t.EncryptBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "save: Write\t%.1f\t%s\n", t.WriteBelow, pctOrDash(t.WriteBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "restore: Read\t%.1f\t%s\n", t.ReadBelow, pctOrDash(t.ReadBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "restore: Decrypt\t%.1f\t%s\n", t.DecryptBelow, pctOrDash(t.DecryptBeyond, t.HasBeyond))
-	tw.Flush()
-}
-
-// Print renders Table Ib.
-func (t Table1b) Print(w io.Writer) {
-	fmt.Fprintf(w, "Table Ib — %s: PLINIUS speed-ups over SSD checkpointing\n", t.Server)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "step\tbelow EPC\tbeyond EPC")
-	fmt.Fprintf(tw, "save: Write\t%.1fx\t%s\n", t.WriteBelow, xOrDash(t.WriteBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "save: Total\t%.1fx\t%s\n", t.SaveTotalBelow, xOrDash(t.SaveTotalBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "restore: Read\t%.1fx\t%s\n", t.ReadBelow, xOrDash(t.ReadBeyond, t.HasBeyond))
-	fmt.Fprintf(tw, "restore: Total\t%.1fx\t%s\n", t.RestoreTotalBelow, xOrDash(t.RestoreTotalBeyond, t.HasBeyond))
-	tw.Flush()
-}
-
-func pctOrDash(v float64, has bool) string {
-	if !has {
-		return "-"
+func table1aRows(t table1a) []Row {
+	row := func(q, paper string, v float64) Row {
+		return Row{Figure: "Table Ia", Quantity: q, Paper: paper, Value: v, Unit: "%", Clock: wallModeled, Lo: -inf, Hi: inf}
 	}
-	return fmt.Sprintf("%.1f", v)
+	return []Row{
+		row("save Encrypt share, below the knee", "66.4", t.encryptBelow),
+		row("save Write share, below the knee", "33.6", t.writeBelow),
+		row("save Encrypt share, beyond the knee", "92.3", t.encryptBeyond),
+		row("save Write share, beyond the knee", "7.7", t.writeBeyond),
+		row("restore Read share, below the knee", "—", t.readBelow),
+		row("restore Decrypt share, below the knee", "—", t.decryptBelow),
+		row("restore Read share, beyond the knee", "—", t.readBeyond),
+		row("restore Decrypt share, beyond the knee", "—", t.decryptBeyond),
+	}
 }
 
-func xOrDash(v float64, has bool) string {
-	if !has {
-		return "-"
+// table1bRows reports Table Ib. The save total past the knee carries
+// Fig. 7's "mirroring still wins beyond the limit" band; the modeled
+// Write and Read columns are banded per size in the Fig. 7 rows.
+func table1bRows(t table1b) []Row {
+	row := func(q, paper string, v float64, clock string) Row {
+		return Row{Figure: "Table Ib", Quantity: q, Paper: paper, Value: v, Unit: "×", Clock: clock, Lo: -inf, Hi: inf}
 	}
-	return fmt.Sprintf("%.1fx", v)
+	saveBeyond := row("save Total speed-up, beyond the knee", "—", t.saveTotalBeyond, wallModeled)
+	saveBeyond.Lo, saveBeyond.Open = 1, true
+	return []Row{
+		row("save Write speed-up, below the knee", "—", t.writeBelow, modeled),
+		row("save Total speed-up, below the knee", "3.2 (headline)", t.saveTotalBelow, wallModeled),
+		row("save Write speed-up, beyond the knee", "—", t.writeBeyond, modeled),
+		saveBeyond,
+		row("restore Read speed-up, below the knee", "—", t.readBelow, modeled),
+		row("restore Total speed-up, below the knee", "3.7 (headline)", t.restoreTotalBelow, wallModeled),
+		row("restore Read speed-up, beyond the knee", "—", t.readBeyond, modeled),
+		row("restore Total speed-up, beyond the knee", "—", t.restoreTotalBeyond, wallModeled),
+	}
 }

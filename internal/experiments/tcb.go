@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,7 +12,7 @@ import (
 // TCB accounting (paper §IV/§V): Plinius' manual trusted/untrusted
 // partitioning keeps the trusted computing base small — the paper's C
 // implementation is 28,450 LOC total with 15,900 trusted (a ~44%
-// reduction versus putting everything in the enclave). This experiment
+// reduction versus putting everything in the enclave). The ledger
 // computes the same split for the Go reproduction by classifying
 // packages.
 
@@ -59,30 +58,11 @@ var untrustedPackages = map[string]bool{
 	"chaos": true,
 }
 
-// TCBResult is the LOC split.
-type TCBResult struct {
-	TrustedLOC   int
-	UntrustedLOC int
-	PerPackage   map[string]int
-}
-
-// TotalLOC returns the combined count.
-func (r TCBResult) TotalLOC() int { return r.TrustedLOC + r.UntrustedLOC }
-
-// TrustedFraction returns trusted/total.
-func (r TCBResult) TrustedFraction() float64 {
-	if r.TotalLOC() == 0 {
-		return 0
-	}
-	return float64(r.TrustedLOC) / float64(r.TotalLOC())
-}
-
-// RunTCB counts non-blank, non-test Go lines under root/internal and
-// classifies them into the trusted and untrusted runtime.
-func RunTCB(root string) (TCBResult, error) {
-	res := TCBResult{PerPackage: make(map[string]int)}
-	base := filepath.Join(root, "internal")
-	err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
+// tcb counts non-blank, non-test Go lines under root/internal and
+// splits them between the trusted and the untrusted runtime.
+func tcb(root string) ([]Row, error) {
+	var trusted, untrusted int
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -94,21 +74,22 @@ func RunTCB(root string) (TCBResult, error) {
 		if err != nil {
 			return err
 		}
-		res.PerPackage[pkg] += loc
 		switch {
 		case trustedPackages[pkg]:
-			res.TrustedLOC += loc
+			trusted += loc
 		case untrustedPackages[pkg]:
-			res.UntrustedLOC += loc
+			untrusted += loc
 		default:
 			return fmt.Errorf("tcb: package %q not classified", pkg)
 		}
 		return nil
 	})
 	if err != nil {
-		return TCBResult{}, fmt.Errorf("tcb walk: %w", err)
+		return nil, fmt.Errorf("tcb walk: %w", err)
 	}
-	return res, nil
+	return []Row{
+		{Figure: "TCB", Quantity: "trusted share of non-blank, non-test Go lines", Paper: "extension", Value: float64(trusted) / float64(trusted+untrusted), Unit: "fraction", Clock: count, Lo: 0.3, Hi: 0.85},
+	}, nil
 }
 
 func countLOC(path string) (int, error) {
@@ -126,15 +107,4 @@ func countLOC(path string) (int, error) {
 		}
 	}
 	return n, sc.Err()
-}
-
-// Print renders the split.
-func (r TCBResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "§V TCB accounting (non-blank Go LOC, tests excluded)")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "runtime\tLOC\tshare")
-	fmt.Fprintf(tw, "trusted (enclave)\t%d\t%.1f%%\n", r.TrustedLOC, 100*r.TrustedFraction())
-	fmt.Fprintf(tw, "untrusted\t%d\t%.1f%%\n", r.UntrustedLOC, 100*(1-r.TrustedFraction()))
-	fmt.Fprintf(tw, "total\t%d\t\n", r.TotalLOC())
-	tw.Flush()
 }

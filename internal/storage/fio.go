@@ -120,22 +120,3 @@ func RunFIO(prof Profile, cfg FIOConfig) (FIOResult, error) {
 		ThroughputGBps: gbps,
 	}, nil
 }
-
-// Fig2Sweep runs the full Fig. 2 grid (4 patterns x thread counts x 3
-// device classes) and returns the results keyed by device name.
-func Fig2Sweep(threadCounts []int) (map[string][]FIOResult, error) {
-	profiles := []Profile{SSDProfile(), PMDaxProfile(), RamdiskProfile()}
-	out := make(map[string][]FIOResult, len(profiles))
-	for _, prof := range profiles {
-		for _, pat := range []FIOPattern{RandomRead, SequentialRead, RandomWrite, SequentialWrite} {
-			for _, th := range threadCounts {
-				res, err := RunFIO(prof, DefaultFIOConfig(pat, th))
-				if err != nil {
-					return nil, fmt.Errorf("fio %s/%s/%d threads: %w", prof.Name, pat, th, err)
-				}
-				out[prof.Name] = append(out[prof.Name], res)
-			}
-		}
-	}
-	return out, nil
-}

@@ -224,18 +224,3 @@ func TestFIOInvalidConfig(t *testing.T) {
 		t.Fatal("file smaller than block accepted")
 	}
 }
-
-func TestFig2SweepCoversGrid(t *testing.T) {
-	res, err := Fig2Sweep([]int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatalf("Fig2Sweep: %v", err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("got %d devices, want 3", len(res))
-	}
-	for name, rr := range res {
-		if len(rr) != 16 { // 4 patterns x 4 thread counts
-			t.Fatalf("%s: %d results, want 16", name, len(rr))
-		}
-	}
-}

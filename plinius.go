@@ -37,8 +37,9 @@
 //	iter, err := srv.Refresh(ctx)            // serve the newer model
 //	ver, err := srv.RotateKey(ctx)           // new data key, no gap
 //
-// See the examples directory and cmd/plinius-bench for the paper's full
-// evaluation.
+// See the examples directory, and cmd/plinius-bench for the paper
+// ledger: every number of the paper's evaluation, measured here and
+// asserted against a band.
 package plinius
 
 import (
