@@ -12,7 +12,7 @@ import (
 )
 
 // TestPaperLedger runs the ledger, logs it, and asserts every row's
-// band, one subtest per figure.
+// band: one subtest per figure, holding one subtest per row.
 func TestPaperLedger(t *testing.T) {
 	rows, err := Ledger("../..")
 	if err != nil {
@@ -30,23 +30,27 @@ func TestPaperLedger(t *testing.T) {
 		byFigure[r.Figure] = append(byFigure[r.Figure], r)
 	}
 	for _, fig := range figures {
-		name := strings.Map(func(r rune) rune {
-			if unicode.IsLetter(r) || unicode.IsDigit(r) {
-				return r
-			}
-			return -1
-		}, fig)
-		t.Run(name, func(t *testing.T) {
+		t.Run(subtestName(fig, ""), func(t *testing.T) {
 			for _, r := range byFigure[fig] {
-				if !r.inBand() {
-					t.Errorf("%s = %v %s (%s), outside %s", r.Quantity, r.Value, r.Unit, r.Clock, r.band())
-				}
+				t.Run(subtestName(r.Quantity, "_"), func(t *testing.T) {
+					if !r.inBand() {
+						t.Errorf("%s = %v %s (%s), outside %s", r.Quantity, r.Value, r.Unit, r.Clock, r.band())
+					}
+				})
 			}
 		})
 	}
 	if (werr != nil) != t.Failed() {
 		t.Errorf("WriteLedger returned %v; want an error exactly when a row is out of band", werr)
 	}
+}
+
+// subtestName joins the letter-and-digit runs of s with sep:
+// "Fig. 7" -> "Fig7", and a quantity -> its words joined by "_".
+func subtestName(s, sep string) string {
+	return strings.Join(strings.FieldsFunc(s, func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	}), sep)
 }
 
 func TestTable1FromFig7(t *testing.T) {
