@@ -158,7 +158,7 @@ func TestEnclaveFootprintTracksModel(t *testing.T) {
 	if foot < f.Net.ParamBytes() {
 		t.Fatalf("footprint %d below model size %d", foot, f.Net.ParamBytes())
 	}
-	if f.Enclave.OverEPC() {
+	if f.Enclave.Footprint() > f.Host.UsableEPC() {
 		t.Fatal("4MB model flagged over EPC")
 	}
 	// Crash releases the reservation; recover re-reserves.
@@ -208,7 +208,7 @@ func TestMirrorRestoreMatchesEPCModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if !f.Enclave.OverEPC() {
+	if f.Enclave.Footprint() <= f.Host.UsableEPC() {
 		t.Fatal("not over EPC despite forced overhead")
 	}
 	if _, err := f.MirrorSave(); err != nil {

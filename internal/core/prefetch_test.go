@@ -16,7 +16,7 @@ import (
 // (two hot ranges plus overheads).
 func streamingGroup(t *testing.T, f *Framework, budget int, seed int64) (*ShardGroup, *enclave.Host) {
 	t.Helper()
-	host := enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(budget))
+	host := enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(budget))
 	g, err := f.NewShardGroup(ShardOptions{
 		Host:          host,
 		Batch:         2,
@@ -163,8 +163,8 @@ func TestShardGroupFailedHandoffParksEverything(t *testing.T) {
 	in := f.Net.InputSize()
 	for from := 0; from+1 < len(plan); from++ {
 		hosts := []*enclave.Host{
-			enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10)),
-			enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10)),
+			enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(128<<10)),
+			enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(128<<10)),
 		}
 		placed := make([]*enclave.Host, len(plan))
 		parked := make(map[*enclave.Host]int)

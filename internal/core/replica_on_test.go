@@ -34,7 +34,7 @@ func TestNewReplicaOnChargesTargetHost(t *testing.T) {
 
 			target := f.Host
 			if tc.serveElsewhere {
-				target = enclave.NewHost(f.Host.Profile())
+				target = enclave.NewHost(f.Enclave.Profile())
 			}
 			trainBefore := f.Host.Resident()
 			targetBefore := target.Resident()

@@ -87,7 +87,7 @@ type ShardOptions struct {
 	// stays under the paging knee.
 	Shards int
 	// Batch is the micro-batch size the plan reserves activation
-	// buffers for; ClassifyBatch rejects larger batches. Zero uses the
+	// buffers for; ClassifyBatchCtx rejects larger batches. Zero uses the
 	// model's configured batch size.
 	Batch int
 	// Host places the shard enclaves; nil uses the framework's host.
@@ -207,7 +207,7 @@ func (j *shardJob) lap(stage string) {
 }
 
 // ShardGroup is a pipelined chain of shard enclaves serving one model.
-// ClassifyBatch is safe for concurrent use; concurrent batches pipeline
+// ClassifyBatchCtx is safe for concurrent use; concurrent batches pipeline
 // through the stages, up to Window at once.
 type ShardGroup struct {
 	f         *Framework
@@ -952,16 +952,11 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 	})
 }
 
-// ClassifyBatch runs the images (laid out contiguously, at most the
+// ClassifyBatchCtx runs the images (laid out contiguously, at most the
 // plan's micro-batch size) through the shard stages and returns one
 // class per image. Safe for concurrent use; concurrent calls keep the
 // pipeline full, up to the residency window. The images slice must
-// stay unmodified until the call returns.
-func (g *ShardGroup) ClassifyBatch(images []float32) ([]int, error) {
-	return g.ClassifyBatchCtx(context.Background(), images)
-}
-
-// ClassifyBatchCtx is ClassifyBatch with a context: when ctx carries an
+// stay unmodified until the call returns. When ctx carries an
 // obs.Trace the batch records spans that tile its time in the group
 // (window admission wait, then wait/restore/open/compute/seal per
 // shard, the wait covering the hand-off from upstream) onto it. The
@@ -1168,12 +1163,6 @@ func (g *ShardGroup) Plan() []darknet.ShardRange {
 	return plan
 }
 
-// InputSize returns the flattened per-image input size.
-func (g *ShardGroup) InputSize() int { return g.inputSize }
-
-// Batch returns the plan's micro-batch bound.
-func (g *ShardGroup) Batch() int { return g.batch }
-
 // Version returns the published model version the group serves.
 func (g *ShardGroup) Version() uint64 {
 	g.mu.Lock()
@@ -1209,9 +1198,6 @@ func (g *ShardGroup) Report() BackendReport {
 	}
 	return r
 }
-
-// Metrics returns the registry holding the group's per-shard counters.
-func (g *ShardGroup) Metrics() *obs.Registry { return g.reg }
 
 // ModelConfigText returns the framework's Darknet .cfg text — what the
 // fleet placement planner parses to compute shard footprints without

@@ -112,7 +112,7 @@ func TestShardGroupEquivalence(t *testing.T) {
 	}
 	own := func() *enclave.Host { return f.Host }
 	dedicated := func(budget int) func() *enclave.Host {
-		return func() *enclave.Host { return enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(budget)) }
+		return func() *enclave.Host { return enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(budget)) }
 	}
 	// pipeline is a multi-range group's reservation: its overhead per
 	// stage, plus every range's footprint at its precision while
@@ -308,7 +308,7 @@ func TestShardGroupStreamingStaysUnderKnee(t *testing.T) {
 	// the monolithic path must overcommit, while per-layer shards at
 	// batch 2 (largest hot range ~75 KB) stream within it.
 	budget := 128 << 10
-	prof := f.Host.Profile()
+	prof := f.Enclave.Profile()
 
 	mono := enclave.NewHost(prof, enclave.WithHostEPC(budget))
 	rep, err := f.NewReplicaOn(mono, 3)
@@ -538,7 +538,7 @@ func TestShardGroupResplitClearsFleetHosts(t *testing.T) {
 func TestShardGroupReusesPersistedPlan(t *testing.T) {
 	f, _ := trainedShardFramework(t, 4)
 	// First group: force a fine split on a small host and record it.
-	small := enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10))
+	small := enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(128<<10))
 	g1, err := f.NewShardGroup(ShardOptions{Host: small, Batch: 2, OverheadBytes: 8 << 10, Seed: 5})
 	if err != nil {
 		t.Fatalf("NewShardGroup: %v", err)
@@ -660,7 +660,7 @@ func TestInt8ShardGroupMatchesReplica(t *testing.T) {
 // group auto-planned afterwards restores the split on record.
 func TestInt8GroupLeavesShardManifest(t *testing.T) {
 	f, _ := trainedShardFramework(t, 4)
-	small := enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(128<<10))
+	small := enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(128<<10))
 	build := func(opts ShardOptions) []darknet.ShardRange {
 		t.Helper()
 		g, err := f.NewShardGroup(opts)

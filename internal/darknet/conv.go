@@ -68,7 +68,9 @@ var _ Layer = (*Conv)(nil)
 
 // NewConv builds a convolutional layer for the given input volume.
 func NewConv(in Shape, cfg ConvConfig, rng *rand.Rand) (*Conv, error) {
-	if cfg.Filters <= 0 || cfg.Size <= 0 || cfg.Stride <= 0 || cfg.Pad < 0 {
+	// A pad past maxElems could wrap in+2*pad around to a plausible
+	// output size.
+	if cfg.Filters <= 0 || cfg.Size <= 0 || cfg.Stride <= 0 || cfg.Pad < 0 || cfg.Pad > maxElems {
 		return nil, fmt.Errorf("%w: conv %+v", ErrBadConfig, cfg)
 	}
 	if cfg.Activation == 0 {

@@ -58,24 +58,76 @@ var (
 	ErrNoSoftmax    = errors.New("darknet: training requires a softmax output layer")
 )
 
+// MaxParamBytes bounds the parameters one network may hold: four times
+// the benchmark's 64 MiB model, and above every model the paper
+// evaluates. The Builder refuses a layer that would pass it, or whose
+// shape arithmetic would overflow, before allocating the layer.
+const MaxParamBytes = 256 << 20
+
+// maxElems is MaxParamBytes in float32s, also the bound on one
+// sample's activation volume.
+const maxElems = MaxParamBytes / 4
+
+// boundedProduct returns the product of dims, and false when a dim is
+// not positive or the product passes maxElems.
+func boundedProduct(dims ...int) (int, bool) {
+	p := 1
+	for _, d := range dims {
+		if d <= 0 || d > maxElems/p {
+			return 0, false
+		}
+		p *= d
+	}
+	return p, true
+}
+
 // Builder assembles a network layer by layer, tracking the activation
 // volume like Darknet's parser does.
 type Builder struct {
-	cfg  NetConfig
-	rng  *rand.Rand
-	cur  Shape
-	nets []Layer
-	err  error
+	cfg    NetConfig
+	rng    *rand.Rand
+	cur    Shape
+	params int // float32 parameters of the layers so far
+	nets   []Layer
+	err    error
 }
 
 // NewBuilder starts a network with the given config; rng seeds weight
 // initialisation deterministically.
 func NewBuilder(cfg NetConfig, rng *rand.Rand) *Builder {
-	return &Builder{
+	b := &Builder{
 		cfg: cfg,
 		rng: rng,
 		cur: Shape{C: cfg.Channels, H: cfg.Height, W: cfg.Width},
 	}
+	if _, ok := boundedProduct(b.cur.C, b.cur.H, b.cur.W); !ok {
+		b.err = fmt.Errorf("%w: input volume %v", ErrBadConfig, b.cur)
+	}
+	return b
+}
+
+// claim charges a layer's parameter count (the product of dims plus
+// extra, which is counted only once the dims are positive) against
+// MaxParamBytes before the layer allocates it.
+func (b *Builder) claim(extra int, dims ...int) bool {
+	n, ok := boundedProduct(dims...)
+	if ok && n+extra <= maxElems-b.params {
+		b.params += n + extra
+		return true
+	}
+	b.err = fmt.Errorf("%w: layer %d parameter dims %v not positive or past MaxParamBytes (%d bytes)", ErrBadConfig, len(b.nets), dims, MaxParamBytes)
+	return false
+}
+
+// add appends l, refusing an output volume past maxElems.
+func (b *Builder) add(l Layer) {
+	out := l.OutShape()
+	if _, ok := boundedProduct(out.C, out.H, out.W); !ok {
+		b.err = fmt.Errorf("%w: layer %d output volume %v", ErrBadConfig, len(b.nets), out)
+		return
+	}
+	b.nets = append(b.nets, l)
+	b.cur = out
 }
 
 // Conv appends a convolutional layer.
@@ -83,13 +135,16 @@ func (b *Builder) Conv(cfg ConvConfig) *Builder {
 	if b.err != nil {
 		return b
 	}
+	// Weights, then biases, scales and the two rolling statistics.
+	if !b.claim(4*cfg.Filters, cfg.Filters, b.cur.C, cfg.Size, cfg.Size) {
+		return b
+	}
 	l, err := NewConv(b.cur, cfg, b.rng)
 	if err != nil {
 		b.err = err
 		return b
 	}
-	b.nets = append(b.nets, l)
-	b.cur = l.OutShape()
+	b.add(l)
 	return b
 }
 
@@ -103,14 +158,13 @@ func (b *Builder) MaxPool(size, stride int) *Builder {
 		b.err = err
 		return b
 	}
-	b.nets = append(b.nets, l)
-	b.cur = l.OutShape()
+	b.add(l)
 	return b
 }
 
 // Connected appends a fully-connected layer.
 func (b *Builder) Connected(outputs int, act Activation) *Builder {
-	if b.err != nil {
+	if b.err != nil || !b.claim(outputs, outputs, b.cur.Size()) {
 		return b
 	}
 	l, err := NewConnected(b.cur, outputs, act, b.rng)
@@ -118,8 +172,7 @@ func (b *Builder) Connected(outputs int, act Activation) *Builder {
 		b.err = err
 		return b
 	}
-	b.nets = append(b.nets, l)
-	b.cur = l.OutShape()
+	b.add(l)
 	return b
 }
 
@@ -133,8 +186,7 @@ func (b *Builder) Softmax() *Builder {
 		b.err = err
 		return b
 	}
-	b.nets = append(b.nets, l)
-	b.cur = l.OutShape()
+	b.add(l)
 	return b
 }
 
@@ -210,22 +262,6 @@ func (n *Network) TrainBatch(x, y []float32, batch int) (float32, error) {
 	n.Iteration++
 	mTrainBatches.Inc()
 	return loss, nil
-}
-
-// Predict classifies a single sample and returns the class
-// probabilities. The returned slice is valid until the network's next
-// forward pass (see Forward).
-func (n *Network) Predict(x []float32) ([]float32, error) {
-	return n.Forward(x, 1, false)
-}
-
-// Classify returns the argmax class of a single sample.
-func (n *Network) Classify(x []float32) (int, error) {
-	probs, err := n.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	return argmax(probs), nil
 }
 
 // ClassifyBatch classifies batch samples laid out contiguously in x

@@ -382,17 +382,3 @@ func IsQuantized(net *Network) bool {
 // QuantScaleBytes is what a quantized weight matrix carries besides its
 // int8 codes: the fp32 scale, stored as its own one-float buffer.
 const QuantScaleBytes = 4
-
-// QuantParamBytes returns the parameter footprint in bytes of the
-// int8-quantized variant of net: one byte per weight plus the
-// QuantScaleBytes scale per quantized matrix, and four bytes per
-// remaining fp32 parameter. It accepts either a trained fp32 network
-// (predicting its quantized size) or an already-quantized one
-// (reporting its actual size).
-func QuantParamBytes(net *Network) int {
-	total := 0
-	for _, l := range net.Layers {
-		total += layerParamBytes(l, Int8)
-	}
-	return total
-}

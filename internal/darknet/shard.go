@@ -56,17 +56,6 @@ func (n *Network) Shard(r ShardRange) (*Network, error) {
 	}, nil
 }
 
-// ForwardRange runs a forward pass over just the layer range r —
-// exactly the segment a shard enclave executes — and returns the
-// range's output activations.
-func (n *Network) ForwardRange(x []float32, batch int, r ShardRange, train bool) ([]float32, error) {
-	sub, err := n.Shard(r)
-	if err != nil {
-		return nil, err
-	}
-	return sub.Forward(x, batch, train)
-}
-
 // layerParamBytes returns one layer's parameter footprint in bytes at
 // the given serving precision. At Int8 the weight matrix (buffer 0 of
 // a trainable layer, or the QuantWeights of an already-quantized one)

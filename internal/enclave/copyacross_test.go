@@ -1,15 +1,14 @@
 package enclave
 
 import (
+	"errors"
 	"testing"
 	"time"
-
-	"plinius/internal/simclock"
 )
 
 func TestCopyAcrossChargesPerLine(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	e.CopyAcross(256) // 4 cache lines
 	want := 4 * e.Profile().EPCCopyPerLine
 	if got := clk.Modeled(); got != want {
@@ -18,8 +17,8 @@ func TestCopyAcrossChargesPerLine(t *testing.T) {
 }
 
 func TestCopyAcrossRoundsUpPartialLines(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	e.CopyAcross(65) // 2 lines
 	want := 2 * e.Profile().EPCCopyPerLine
 	if got := clk.Modeled(); got != want {
@@ -28,8 +27,8 @@ func TestCopyAcrossRoundsUpPartialLines(t *testing.T) {
 }
 
 func TestCopyAcrossFreeWithoutHardwareSGX(t *testing.T) {
-	clk := simclock.New()
-	e := New(EmlSGXPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(EmlSGXPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	e.CopyAcross(1 << 20)
 	if got := clk.Modeled(); got != 0 {
 		t.Fatalf("simulation-mode CopyAcross charged %v", got)
@@ -37,8 +36,8 @@ func TestCopyAcrossFreeWithoutHardwareSGX(t *testing.T) {
 }
 
 func TestCopyAcrossIgnoresNonPositive(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	e.CopyAcross(0)
 	e.CopyAcross(-5)
 	if got := clk.Modeled(); got != 0 {
@@ -52,8 +51,8 @@ func TestTouchKneeAtEPCLimit(t *testing.T) {
 	// so the cost jumps from zero to pages*PageSwapCost at the limit
 	// and then scales with the bytes touched, not with the excess.
 	costAt := func(footprint, touch int) time.Duration {
-		clk := simclock.New()
-		e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+		e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+		clk := e.Clock()
 		if err := e.Reserve(footprint); err != nil {
 			t.Fatalf("Reserve: %v", err)
 		}
@@ -75,9 +74,9 @@ func TestTouchKneeAtEPCLimit(t *testing.T) {
 }
 
 func TestReserveRespectsHeapLimit(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(1), WithHeapLimit(1<<20))
-	if err := e.Reserve(1 << 21); err == nil {
-		t.Fatal("over-limit Reserve succeeded")
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	if err := e.Reserve(DefaultHeap + 1); !errors.Is(err, ErrHeapExhausted) {
+		t.Fatalf("over-limit Reserve = %v, want ErrHeapExhausted", err)
 	}
 	if err := e.Reserve(0); err == nil {
 		t.Fatal("zero Reserve succeeded")

@@ -14,17 +14,17 @@
 // is the unit of EPC ownership: real SGX reserves one EPC per machine,
 // shared by every resident enclave, so the paging knee is a property of
 // the host's aggregate working set, not of any single enclave. Enclaves
-// created on one host (Host.NewEnclave) charge their Alloc/Reserve
+// created on one host (Host.NewEnclave) charge their Reserve
 // footprint to the shared budget and fault on Touch whenever the host —
 // not merely the enclave — is over the knee. The encryption engine
 // (package engine) binds to one enclave and charges these costs on every
-// seal/open of data crossing the boundary. New keeps the single-enclave
-// constructor as a shim that places the enclave on a private host,
-// reproducing the paper's one-enclave-per-machine cost model exactly.
+// seal/open of data crossing the boundary. An enclave alone on its own
+// host (NewHost(prof).NewEnclave()) reproduces the paper's
+// one-enclave-per-machine cost model exactly.
 //
-// The package also provides SGX-style sealing and a remote-attestation
-// handshake (attest.go) used to provision the data-encryption key, as in
-// the paper's Fig. 5 workflow.
+// The package also provides a remote-attestation handshake (attest.go)
+// used to provision the data-encryption key, as in the paper's Fig. 5
+// workflow.
 package enclave
 
 import (
@@ -38,13 +38,12 @@ import (
 	"plinius/internal/simclock"
 )
 
-// EPC geometry from the paper (§II): 128 MB reserved, 93.5 MB usable.
+// EPC geometry from the paper (§II): of the 128 MB reserved, 93.5 MB
+// are usable.
 const (
-	EPCSize      = 128 << 20
-	UsableEPC    = 93*(1<<20) + 512<<10 // 93.5 MiB
-	PageSize     = 4096
-	DefaultHeap  = 8 << 30 // 8 GB max heap (§VI experimental setup)
-	DefaultStack = 8 << 20 // 8 MB stack
+	UsableEPC   = 93*(1<<20) + 512<<10 // 93.5 MiB
+	PageSize    = 4096
+	DefaultHeap = 8 << 30 // 8 GB max heap per enclave (§VI experimental setup)
 )
 
 // Profile models the SGX-related costs of a host machine.
@@ -136,7 +135,6 @@ type Enclave struct {
 	host      *Host
 	prof      Profile
 	clock     *simclock.Clock
-	heapLimit int
 	allocated int
 	closed    bool
 	name      string
@@ -156,16 +154,6 @@ type Enclave struct {
 // Option configures an Enclave.
 type Option func(*Enclave)
 
-// WithClock attaches a shared cost-accounting clock.
-func WithClock(c *simclock.Clock) Option {
-	return func(e *Enclave) { e.clock = c }
-}
-
-// WithHeapLimit overrides the maximum enclave heap (default 8 GB).
-func WithHeapLimit(n int) Option {
-	return func(e *Enclave) { e.heapLimit = n }
-}
-
 // WithSeed seeds the enclave RNG (sgx_read_rand) deterministically for
 // tests. Production callers omit it.
 func WithSeed(seed int64) Option {
@@ -179,29 +167,15 @@ func WithName(name string) Option {
 	return func(e *Enclave) { e.name = name }
 }
 
-// New creates an enclave on a private, freshly created host with the
-// given profile — the paper's one-enclave-per-machine setup.
-//
-// New is kept as a compatibility shim for single-enclave callers;
-// code that co-locates enclaves (serving replicas, multi-tenant hosts)
-// creates one Host and calls Host.NewEnclave so all residents share
-// the machine's EPC budget.
-func New(prof Profile, opts ...Option) *Enclave {
-	return NewHost(prof).NewEnclave(opts...)
-}
-
 // newEnclave builds an enclave resident on host (which registers it).
 func newEnclave(host *Host, opts ...Option) *Enclave {
 	e := &Enclave{
-		host:      host,
-		prof:      host.prof,
-		heapLimit: DefaultHeap,
+		host:  host,
+		prof:  host.prof,
+		clock: simclock.New(),
 	}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.clock == nil {
-		e.clock = simclock.New()
 	}
 	if e.rng == nil {
 		e.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -260,19 +234,10 @@ func (e *Enclave) Ocall(fn func() error) error {
 	return fn()
 }
 
-// Alloc registers n bytes of enclave heap and returns a zeroed buffer
-// representing EPC-backed memory. The bytes join the host's shared
-// working set. The buffer must be released with Free.
-func (e *Enclave) Alloc(n int) ([]byte, error) {
-	if err := e.claim(n); err != nil {
-		return nil, err
-	}
-	return make([]byte, n), nil
-}
-
-// Reserve registers n bytes of enclave heap without returning a buffer,
-// for callers whose data lives in typed slices (e.g. model weights) but
-// must still count toward the EPC working set. Release it with Free.
+// Reserve registers n bytes of enclave heap, for callers whose data
+// lives in typed slices (e.g. model weights) but must still count
+// toward the EPC working set. The bytes join the host's shared working
+// set. Release them with Free.
 func (e *Enclave) Reserve(n int) error {
 	return e.claim(n)
 }
@@ -291,8 +256,8 @@ func (e *Enclave) claim(n int) error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	if e.allocated+n > e.heapLimit {
-		err := fmt.Errorf("%w: %d + %d > %d", ErrHeapExhausted, e.allocated, n, e.heapLimit)
+	if e.allocated+n > DefaultHeap {
+		err := fmt.Errorf("%w: %d + %d > %d", ErrHeapExhausted, e.allocated, n, DefaultHeap)
 		e.mu.Unlock()
 		return err
 	}
@@ -305,7 +270,7 @@ func (e *Enclave) claim(n int) error {
 	return nil
 }
 
-// Free releases n bytes of enclave heap previously obtained with Alloc,
+// Free releases n bytes of enclave heap previously obtained with Reserve,
 // returning them to the host's shared budget.
 func (e *Enclave) Free(n int) error {
 	e.mu.Lock()
@@ -345,12 +310,6 @@ func (e *Enclave) Footprint() int {
 	defer e.mu.Unlock()
 	return e.allocated
 }
-
-// OverEPC reports whether this enclave's private working set alone
-// exceeds the host's usable-EPC budget. The paging knee itself is
-// host-global — see Host.OverEPC — so an enclave can page with OverEPC
-// false when co-located enclaves overcommit the host.
-func (e *Enclave) OverEPC() bool { return e.Footprint() > e.host.UsableEPC() }
 
 // Touch charges the EPC paging cost of accessing n bytes of enclave
 // memory. While the host's aggregate working set fits the usable EPC
@@ -416,11 +375,4 @@ func (e *Enclave) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
-}
-
-// StatsReset zeroes the activity counters (footprint is preserved).
-func (e *Enclave) StatsReset() {
-	e.mu.Lock()
-	e.stats = Stats{PeakBytes: e.allocated}
-	e.mu.Unlock()
 }

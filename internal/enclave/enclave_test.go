@@ -6,8 +6,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"plinius/internal/simclock"
 )
 
 func TestTransitionCost(t *testing.T) {
@@ -24,8 +22,8 @@ func TestTransitionCost(t *testing.T) {
 }
 
 func TestEcallOcallChargeClock(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	if err := e.Ecall(func() error { return nil }); err != nil {
 		t.Fatalf("Ecall: %v", err)
 	}
@@ -42,7 +40,7 @@ func TestEcallOcallChargeClock(t *testing.T) {
 }
 
 func TestEcallPropagatesError(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
 	wantErr := errors.New("boom")
 	if err := e.Ecall(func() error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("Ecall error = %v, want %v", err, wantErr)
@@ -50,7 +48,7 @@ func TestEcallPropagatesError(t *testing.T) {
 }
 
 func TestAllocFreeFootprint(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(1), WithHeapLimit(1<<20))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
 	buf, err := e.Alloc(1000)
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
@@ -61,8 +59,8 @@ func TestAllocFreeFootprint(t *testing.T) {
 	if got := e.Footprint(); got != 1000 {
 		t.Fatalf("Footprint = %d, want 1000", got)
 	}
-	if _, err := e.Alloc(1 << 20); !errors.Is(err, ErrHeapExhausted) {
-		t.Fatalf("over-limit Alloc = %v, want ErrHeapExhausted", err)
+	if err := e.Reserve(DefaultHeap - 999); !errors.Is(err, ErrHeapExhausted) {
+		t.Fatalf("over-limit Reserve = %v, want ErrHeapExhausted", err)
 	}
 	if err := e.Free(1000); err != nil {
 		t.Fatalf("Free: %v", err)
@@ -79,8 +77,8 @@ func TestAllocFreeFootprint(t *testing.T) {
 }
 
 func TestTouchFreeBelowEPCLimit(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	if _, err := e.Alloc(10 << 20); err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -94,8 +92,8 @@ func TestTouchFreeBelowEPCLimit(t *testing.T) {
 }
 
 func TestTouchChargesPagingBeyondEPC(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	if _, err := e.Alloc(150 << 20); err != nil { // > 93.5 MB usable
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -112,8 +110,8 @@ func TestTouchChargesPagingBeyondEPC(t *testing.T) {
 }
 
 func TestTouchFreeInSimulationMode(t *testing.T) {
-	clk := simclock.New()
-	e := New(EmlSGXPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(EmlSGXPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	if _, err := e.Alloc(200 << 20); err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -124,7 +122,7 @@ func TestTouchFreeInSimulationMode(t *testing.T) {
 }
 
 func TestPeakFootprintTracked(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
 	if _, err := e.Alloc(5 << 20); err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -137,8 +135,8 @@ func TestPeakFootprintTracked(t *testing.T) {
 }
 
 func TestReadRandDeterministicWithSeed(t *testing.T) {
-	a := New(SGXEmlPMProfile(), WithSeed(42))
-	b := New(SGXEmlPMProfile(), WithSeed(42))
+	a := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(42))
+	b := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(42))
 	ba := make([]byte, 16)
 	bb := make([]byte, 16)
 	a.ReadRand(ba)
@@ -149,7 +147,7 @@ func TestReadRandDeterministicWithSeed(t *testing.T) {
 }
 
 func TestSealUnsealRoundTrip(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(7))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(7))
 	want := []byte("the 128-bit data encryption key")
 	blob, err := e.Seal(want)
 	if err != nil {
@@ -165,7 +163,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 }
 
 func TestUnsealRejectsTampering(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(7))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(7))
 	blob, err := e.Seal([]byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -180,8 +178,8 @@ func TestUnsealRejectsTampering(t *testing.T) {
 }
 
 func TestSealBoundToEnclaveIdentity(t *testing.T) {
-	a := New(SGXEmlPMProfile(), WithSeed(1))
-	b := New(SGXEmlPMProfile(), WithSeed(2))
+	a := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	b := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(2))
 	blob, err := a.Seal([]byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -192,7 +190,7 @@ func TestSealBoundToEnclaveIdentity(t *testing.T) {
 }
 
 func TestAttestationHandshakeDerivesSameKey(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(9))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
 	sess, quote, err := e.BeginAttestation()
 	if err != nil {
 		t.Fatalf("BeginAttestation: %v", err)
@@ -215,7 +213,7 @@ func TestAttestationHandshakeDerivesSameKey(t *testing.T) {
 }
 
 func TestAttestationRejectsForgedQuote(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(9))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
 	_, quote, err := e.BeginAttestation()
 	if err != nil {
 		t.Fatalf("BeginAttestation: %v", err)
@@ -232,7 +230,7 @@ func TestAttestationRejectsForgedQuote(t *testing.T) {
 }
 
 func TestAttestationRejectsWrongMeasurement(t *testing.T) {
-	e := New(SGXEmlPMProfile(), WithSeed(9))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
 	_, quote, err := e.BeginAttestation()
 	if err != nil {
 		t.Fatalf("BeginAttestation: %v", err)

@@ -23,9 +23,8 @@ import (
 // host-global (W > U) while the fault volume stays proportional to
 // each enclave's own touches, which is the pro-rata split.
 //
-// A Host is cheap; callers that never co-locate enclaves can ignore it
-// entirely (New creates a private host per enclave and reproduces the
-// single-enclave cost model bit for bit).
+// A Host is cheap: an enclave alone on its own host reproduces the
+// single-enclave cost model bit for bit.
 type Host struct {
 	mu       sync.Mutex
 	prof     Profile
@@ -85,9 +84,6 @@ func (h *Host) NewEnclave(opts ...Option) *Enclave {
 	h.mu.Unlock()
 	return e
 }
-
-// Profile returns the host's machine cost profile.
-func (h *Host) Profile() Profile { return h.prof }
 
 // UsableEPC returns the host's usable-EPC budget in bytes.
 func (h *Host) UsableEPC() int {
@@ -170,20 +166,6 @@ func (h *Host) Down() bool {
 	return h.down
 }
 
-// Kills returns how many times the host has been killed.
-func (h *Host) Kills() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.kills
-}
-
-// Enclaves returns the number of live enclaves on the host.
-func (h *Host) Enclaves() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.enclaves
-}
-
 // Stats returns a copy of the host-level counters.
 func (h *Host) Stats() HostStats {
 	h.mu.Lock()
@@ -196,7 +178,7 @@ func (h *Host) Stats() HostStats {
 	}
 }
 
-// grow adds n bytes to the host working set (enclave Alloc/Reserve).
+// grow adds n bytes to the host working set (enclave Reserve).
 func (h *Host) grow(n int) {
 	h.mu.Lock()
 	h.resident += n

@@ -3,8 +3,6 @@ package enclave
 import (
 	"errors"
 	"testing"
-
-	"plinius/internal/simclock"
 )
 
 // TestSharedEPCAccounting is the shared-knee table: N enclaves, each
@@ -27,10 +25,9 @@ func TestSharedEPCAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := NewHost(SGXEmlPMProfile())
-			clk := simclock.New()
 			var encls []*Enclave
 			for i := 0; i < tc.enclaves; i++ {
-				e := h.NewEnclave(WithClock(clk), WithSeed(int64(i+1)))
+				e := h.NewEnclave(WithSeed(int64(i + 1)))
 				if err := e.Reserve(tc.each); err != nil {
 					t.Fatalf("Reserve enclave %d: %v", i, err)
 				}
@@ -40,6 +37,7 @@ func TestSharedEPCAccounting(t *testing.T) {
 				t.Fatalf("Resident = %d, want %d", got, tc.enclaves*tc.each)
 			}
 			encls[0].Touch(8 << 20)
+			clk := encls[0].Clock()
 			paged := clk.Modeled() > 0
 			if paged != tc.wantPaging {
 				t.Fatalf("paging = %v (modeled %v), want %v", paged, clk.Modeled(), tc.wantPaging)
@@ -69,9 +67,8 @@ func TestSharedEPCAccounting(t *testing.T) {
 // gives its pages back: the survivors drop below the knee again.
 func TestCloseReturnsFootprintToHost(t *testing.T) {
 	h := NewHost(SGXEmlPMProfile())
-	clk := simclock.New()
-	a := h.NewEnclave(WithClock(clk), WithSeed(1))
-	b := h.NewEnclave(WithClock(clk), WithSeed(2))
+	a := h.NewEnclave(WithSeed(1))
+	b := h.NewEnclave(WithSeed(2))
 	if err := a.Reserve(50 << 20); err != nil {
 		t.Fatalf("Reserve a: %v", err)
 	}
@@ -141,13 +138,13 @@ func TestHostHeadroomAndOvercommit(t *testing.T) {
 	}
 }
 
-// TestPrivateHostShimBitIdentical: New must reproduce the
-// single-enclave knee exactly (Fig. 7 depends on it).
+// TestPrivateHostShimBitIdentical: an enclave alone on a private host
+// must reproduce the single-enclave knee exactly (Fig. 7 depends on it).
 func TestPrivateHostShimBitIdentical(t *testing.T) {
-	clk := simclock.New()
-	e := New(SGXEmlPMProfile(), WithClock(clk), WithSeed(1))
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(1))
+	clk := e.Clock()
 	if e.Host() == nil {
-		t.Fatal("shim enclave has no host")
+		t.Fatal("private-host enclave has no host")
 	}
 	if err := e.Reserve(UsableEPC); err != nil {
 		t.Fatalf("Reserve: %v", err)

@@ -212,7 +212,7 @@ func TestPropertyFloatCodecIdentity(t *testing.T) {
 }
 
 func TestEnclaveBoundEngineUsesEnclaveRNG(t *testing.T) {
-	encl := enclave.New(enclave.SGXEmlPMProfile(), enclave.WithSeed(3))
+	encl := enclave.NewHost(enclave.SGXEmlPMProfile()).NewEnclave(enclave.WithSeed(3))
 	e, err := New(testKey(), WithEnclave(encl))
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -231,7 +231,7 @@ func TestEnclaveBoundEngineUsesEnclaveRNG(t *testing.T) {
 }
 
 func TestEnclaveBoundSealChargesPagingBeyondEPC(t *testing.T) {
-	encl := enclave.New(enclave.SGXEmlPMProfile(), enclave.WithSeed(3))
+	encl := enclave.NewHost(enclave.SGXEmlPMProfile()).NewEnclave(enclave.WithSeed(3))
 	if err := encl.Reserve(150 << 20); err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}

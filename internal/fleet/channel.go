@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"plinius/internal/chaos"
 	"plinius/internal/enclave"
@@ -18,8 +17,8 @@ import (
 // hosts. The payload crossing it is exactly the sealed blob
 // core.ShardGroup already passes between co-located stages, so the
 // wire adds no new trust: activations leave the source enclave only
-// AES-GCM sealed, and the channel merely charges the transfer's
-// modeled cost and accounts its traffic.
+// AES-GCM sealed, and the channel merely accounts its traffic and
+// charges the modeled cost of injected faults.
 //
 // Establishment mirrors core's serving-enclave key provisioning (Fig. 5 steps
 // 2-3), run once per endpoint: both enclaves are attested, a fleet
@@ -32,9 +31,6 @@ import (
 type Channel struct {
 	From, To int // shard stage indices
 	src, dst *enclave.Enclave
-
-	latency   time.Duration
-	bandwidth float64 // bytes per second; <= 0 means unbounded
 
 	// Fault handling: a Carry that the injector drops is re-sent after
 	// exponential backoff, up to defaultHandoffRetries re-sends. Sealed
@@ -53,15 +49,13 @@ type Channel struct {
 	mRetries *obs.Counter
 }
 
-// chanConfig carries the per-channel wire model and fault injector
-// from the fleet to newChannel.
+// chanConfig carries the per-channel fault injector and fabric
+// counters from the fleet to newChannel.
 type chanConfig struct {
-	latency   time.Duration
-	bandwidth float64
-	faults    *chaos.Injector
-	mBytes    *obs.Counter
-	mSeconds  *obs.Counter
-	mRetries  *obs.Counter
+	faults   *chaos.Injector
+	mBytes   *obs.Counter
+	mSeconds *obs.Counter
+	mRetries *obs.Counter
 }
 
 // newChannel attests both endpoint enclaves and provisions a shared
@@ -116,23 +110,21 @@ func newChannel(from, to int, src, dst *enclave.Enclave, cfg chanConfig) (*Chann
 	return &Channel{
 		From: from, To: to,
 		src: src, dst: dst,
-		latency: cfg.latency, bandwidth: cfg.bandwidth,
 		faults: cfg.faults,
 		key:    kSrc,
 		mBytes: cfg.mBytes, mSeconds: cfg.mSeconds, mRetries: cfg.mRetries,
 	}, nil
 }
 
-// Carry moves one sealed activation blob across the link, charging the
-// modeled wire time (latency plus size over bandwidth) to the
-// destination host's clock and accounting the traffic.
+// Carry moves one sealed activation blob across the link and accounts
+// the traffic. A clean transfer is free on the modeled clock; injected
+// faults are charged to the destination host's clock.
 //
-// An injected drop costs the sender the full wire time (the detection
-// wait) plus an exponential backoff from defaultHandoffBackoff, both on
-// the modeled clock, then the sealed blob is re-sent; an injected delay
-// is simply charged as wire time. After defaultHandoffRetries re-sends
-// the Carry fails with ErrHandoffFault, which the fleet treats as
-// retryable at the routing layer. A dead endpoint host fails
+// An injected drop costs the sender an exponential backoff from
+// defaultHandoffBackoff on the modeled clock, then the sealed blob is
+// re-sent; an injected delay is charged as wire time. After
+// defaultHandoffRetries re-sends the Carry fails with ErrHandoffFault,
+// which the fleet treats as retryable at the routing layer. A dead endpoint host fails
 // immediately with enclave.ErrHostDown: no amount of re-sending reaches
 // a machine that is gone, so the fleet must evict and replan instead.
 func (c *Channel) Carry(sealed []byte) error {
@@ -141,15 +133,11 @@ func (c *Channel) Carry(sealed []byte) error {
 		if c.src.Host().Down() || c.dst.Host().Down() {
 			return fmt.Errorf("fleet: channel %d->%d: %w", c.From, c.To, enclave.ErrHostDown)
 		}
-		d := c.latency
-		if c.bandwidth > 0 {
-			d += time.Duration(float64(len(sealed)) / c.bandwidth * float64(time.Second))
-		}
 		dec := c.faults.Next()
-		d += dec.Extra
+		d := dec.Extra
 		if dec.Kind == chaos.Drop {
-			// Lost. The sender detects the loss after the full wire
-			// time, backs off exponentially, and re-sends.
+			// Lost. The sender detects the loss, backs off
+			// exponentially, and re-sends.
 			c.dst.Clock().Advance(d + defaultHandoffBackoff<<attempt)
 			if c.mRetries != nil {
 				c.mRetries.Inc()

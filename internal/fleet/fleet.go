@@ -65,12 +65,6 @@ type Options struct {
 	// OverheadBytes is the parked per-shard-enclave working set
 	// (default core.DefaultShardOverheadBytes).
 	OverheadBytes int
-	// ChannelLatency is the modeled one-way latency of each inter-host
-	// hand-off channel.
-	ChannelLatency time.Duration
-	// ChannelBandwidth is the modeled channel bandwidth in bytes per
-	// second; zero or negative means unbounded.
-	ChannelBandwidth float64
 	// Seed differentiates the shard enclaves' RNGs across groups.
 	Seed int64
 	// ChannelFaults, when non-nil, supplies a fault injector for each
@@ -112,12 +106,10 @@ func (h *handoff) Bind(from, to int, src, dst *enclave.Enclave) error {
 		faults = h.fl.channelFaults(h.hosts[from], h.hosts[to])
 	}
 	ch, err := newChannel(from, to, src, dst, chanConfig{
-		latency:   h.fl.latency,
-		bandwidth: h.fl.bandwidth,
-		faults:    faults,
-		mBytes:    h.fl.mBytes,
-		mSeconds:  h.fl.mSeconds,
-		mRetries:  h.fl.mRetries,
+		faults:   faults,
+		mBytes:   h.fl.mBytes,
+		mSeconds: h.fl.mSeconds,
+		mRetries: h.fl.mRetries,
 	})
 	if err != nil {
 		return err
@@ -140,7 +132,7 @@ func (h *handoff) Carry(from, to int, sealed []byte) error {
 // Fleet serves one logical model across many hosts: replica groups of
 // pipelined shard enclaves, placed by the bin-packing planner, joined
 // by attested inter-host channels, fronted by a least-loaded
-// micro-batch router. ClassifyBatch is safe for concurrent use.
+// micro-batch router. ClassifyBatchCtx is safe for concurrent use.
 //
 // Control operations (Refresh, Rotate, Close) drain and flip the whole
 // fleet atomically: intake holds the read side of a lock for the full
@@ -159,9 +151,6 @@ type Fleet struct {
 
 	seed  int64
 	epoch int64 // bumped per group rebuild, differentiates enclave RNGs
-
-	latency   time.Duration
-	bandwidth float64
 
 	channelFaults func(fromHost, toHost int) *chaos.Injector
 
@@ -275,8 +264,6 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 		inputSize:     net.InputSize(),
 		overhead:      overhead,
 		seed:          opts.Seed,
-		latency:       opts.ChannelLatency,
-		bandwidth:     opts.ChannelBandwidth,
 		channelFaults: opts.ChannelFaults,
 		down:          make([]bool, len(opts.Hosts)),
 		reg:           reg,
@@ -447,14 +434,9 @@ func (fl *Fleet) pick(images []float32) *group {
 	return candidates[h.Sum64()%uint64(len(candidates))]
 }
 
-// ClassifyBatch routes the images to a replica group and pipelines
-// them through its shard stages. Safe for concurrent use.
-func (fl *Fleet) ClassifyBatch(images []float32) ([]int, error) {
-	return fl.ClassifyBatchCtx(context.Background(), images)
-}
-
-// ClassifyBatchCtx is ClassifyBatch with a context (obs.Trace spans
-// ride through to the shard pipeline). The read lock is held for the
+// ClassifyBatchCtx routes the images to a replica group and pipelines
+// them through its shard stages (obs.Trace spans on ctx ride through to
+// the shard pipeline). Safe for concurrent use. The read lock is held for the
 // whole batch, so a concurrent Refresh/Rotate/Close waits out every
 // admitted batch before flipping — no request is ever dropped by a
 // control operation.
@@ -844,12 +826,6 @@ func (fl *Fleet) Report() core.BackendReport {
 	return r
 }
 
-// Batch returns the plan's micro-batch bound.
-func (fl *Fleet) Batch() int { return fl.batch }
-
-// InputSize returns the flattened per-image input size.
-func (fl *Fleet) InputSize() int { return fl.inputSize }
-
 // Version returns the published model version the fleet serves (the
 // groups flip together, so any group's answer is the fleet's). Zero
 // while a total outage leaves the fleet with no groups.
@@ -873,44 +849,21 @@ func (fl *Fleet) Iteration() int {
 	return fl.groups[0].sg.Iteration()
 }
 
-// Placement returns the fleet's placement (shared plan, per-group host
-// assignment).
-func (fl *Fleet) Placement() Placement {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	p := Placement{
-		Plan:       append([]darknet.ShardRange(nil), fl.placement.Plan...),
-		Footprints: append([]int(nil), fl.placement.Footprints...),
-		Groups:     make([][]int, len(fl.placement.Groups)),
-	}
-	for g, a := range fl.placement.Groups {
-		p.Groups[g] = append([]int(nil), a...)
-	}
-	return p
-}
-
-// Metrics returns the registry holding the fleet's fabric series and
-// every group's shard counters.
-func (fl *Fleet) Metrics() *obs.Registry { return fl.reg }
-
-// InFlight returns the micro-batches currently inside the router.
-func (fl *Fleet) InFlight() int { return int(fl.inflight.Load()) }
-
-// Channels returns the number of attested inter-host channels.
-func (fl *Fleet) Channels() int { return len(fl.topo.Load().channels) }
-
 // HostReport is one host's view in the fleet: its EPC budget, load,
 // paging, and the shard ranges placed on it.
 type HostReport struct {
-	Host              int      `json:"host"`
-	Down              bool     `json:"down"`
-	UsableEPC         int      `json:"usable_epc_bytes"`
-	ResidentBytes     int      `json:"resident_bytes"`
-	PeakResidentBytes int      `json:"peak_resident_bytes"`
-	HeadroomBytes     int      `json:"headroom_bytes"`
-	EPCPressure       float64  `json:"epc_pressure"`
-	PageSwaps         uint64   `json:"page_swaps"`
-	Shards            []string `json:"shards"`
+	Host              int  `json:"host"`
+	Down              bool `json:"down"`
+	UsableEPC         int  `json:"usable_epc_bytes"`
+	ResidentBytes     int  `json:"resident_bytes"`
+	PeakResidentBytes int  `json:"peak_resident_bytes"`
+	HeadroomBytes     int  `json:"headroom_bytes"`
+	// EPCPressure is the host's EPC overcommit (enclave.Host.Overcommit):
+	// 0 while its working set fits the usable EPC, the same quantity a
+	// server reports as Stats.EPCPressure.
+	EPCPressure float64  `json:"epc_pressure"`
+	PageSwaps   uint64   `json:"page_swaps"`
+	Shards      []string `json:"shards"`
 }
 
 // HostReports returns one report per fleet host.
@@ -928,10 +881,8 @@ func (fl *Fleet) HostReports() []HostReport {
 			ResidentBytes:     st.ResidentBytes,
 			PeakResidentBytes: st.PeakResidentBytes,
 			HeadroomBytes:     h.Headroom(),
+			EPCPressure:       h.Overcommit(),
 			PageSwaps:         st.PageSwaps,
-		}
-		if usable > 0 {
-			r.EPCPressure = float64(st.ResidentBytes) / float64(usable)
 		}
 		for g, assignment := range fl.placement.Groups {
 			for s, host := range assignment {

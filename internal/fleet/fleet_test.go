@@ -36,7 +36,7 @@ func newOverEPCFramework(t *testing.T, modelBytes int, seed int64) *core.Framewo
 func newFleetHosts(f *core.Framework, n, epcBytes int) []*enclave.Host {
 	hosts := make([]*enclave.Host, n)
 	for i := range hosts {
-		hosts[i] = enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(epcBytes))
+		hosts[i] = enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(epcBytes))
 	}
 	return hosts
 }
@@ -360,5 +360,45 @@ func TestFleetRouterSpreadsLoad(t *testing.T) {
 	}
 	if !perGroup[0] || !perGroup[1] {
 		t.Logf("router concentration: group0=%v group1=%v (load-dependent, informational)", perGroup[0], perGroup[1])
+	}
+}
+
+// TestHostReportEPCPressureIsOvercommit: a host report's EPCPressure is
+// the host's overcommit, the quantity a server reports under the same
+// name — 0 on a host whose working set fits, Host.Overcommit() once a
+// co-tenant pushes it past its usable EPC.
+func TestHostReportEPCPressureIsOvercommit(t *testing.T) {
+	const hostEPC = 5 << 20
+	f := newOverEPCFramework(t, 6<<20, 11)
+	hosts := newFleetHosts(f, 3, hostEPC)
+	fl, err := New(f, Options{Hosts: hosts, Batch: 1, OverheadBytes: 64 << 10, Seed: 12})
+	if err != nil {
+		t.Fatalf("New fleet: %v", err)
+	}
+	defer fl.Close()
+	loaded := 0
+	for _, hr := range fl.HostReports() {
+		if hr.ResidentBytes > 0 {
+			loaded++
+		}
+		if hr.EPCPressure != 0 {
+			t.Fatalf("host %d fits (%d of %d bytes) but reports EPCPressure %v, want 0",
+				hr.Host, hr.ResidentBytes, hr.UsableEPC, hr.EPCPressure)
+		}
+	}
+	if loaded < 2 {
+		t.Fatalf("%d loaded hosts, want the model split across at least 2", loaded)
+	}
+	tenant := hosts[0].NewEnclave(enclave.WithSeed(1))
+	if err := tenant.Reserve(hostEPC); err != nil {
+		t.Fatalf("Reserve: %v", err)
+	}
+	defer tenant.Close()
+	want := hosts[0].Overcommit()
+	if want <= 0 {
+		t.Fatalf("host 0 not overcommitted (Overcommit %v)", want)
+	}
+	if got := fl.HostReports()[0].EPCPressure; got != want {
+		t.Fatalf("overcommitted host reports EPCPressure %v, want Overcommit() = %v", got, want)
 	}
 }

@@ -45,9 +45,6 @@ type Placement struct {
 	Groups [][]int
 }
 
-// Replicas returns the number of replica groups.
-func (p Placement) Replicas() int { return len(p.Groups) }
-
 // PlanPlacement bin-packs a shard split of net across hosts with the
 // given EPC headrooms. Each placed shard charges its hot footprint
 // plus the parked per-shard overhead against its host's remaining

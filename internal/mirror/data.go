@@ -205,9 +205,6 @@ func (d *DataMatrix) N() int { return d.n }
 // Encrypted reports whether rows are sealed.
 func (d *DataMatrix) Encrypted() bool { return d.encrypted }
 
-// StoredBytes returns the persistent footprint of the matrix.
-func (d *DataMatrix) StoredBytes() int { return d.n * d.storedRow }
-
 // Row decrypts (if sealed) row i into image and one-hot label vectors.
 func (d *DataMatrix) Row(i int) (img, label []float32, err error) {
 	if i < 0 || i >= d.n {
@@ -239,17 +236,6 @@ func (d *DataMatrix) fetchRow(i int, stored []byte, vals []float32) error {
 		return fmt.Errorf("%w: row %d: %v", ErrDataCorrupt, i, err)
 	}
 	return nil
-}
-
-// Reseal re-encrypts every row under newEng's data key and switches the
-// matrix to it — the data half of key rotation. Rows are rewritten in
-// chunked durable transactions (like LoadData), so each chunk flips
-// atomically. Callers that must survive a crash mid-rotation persist a
-// rotation marker first and use ResealFrom with the marker's Advance,
-// so the torn boundary is always recorded (see BeginRotation).
-// Plaintext matrices (the Fig. 8 baseline) have nothing to re-seal.
-func (d *DataMatrix) Reseal(newEng *engine.Engine) error {
-	return d.ResealFrom(newEng, 0, nil)
 }
 
 // ResealFrom re-encrypts rows [start, N) under newEng's key, calling

@@ -1,6 +1,7 @@
 package mirror
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"math"
@@ -245,6 +246,73 @@ func FuzzServingLayout(f *testing.F) {
 			if len(row) != len(l.Plan) {
 				t.Fatalf("host row %d has %d entries for %d ranges", g, len(row), len(l.Plan))
 			}
+		}
+	})
+}
+
+// FuzzRotationMarker forges the key-rotation marker region on a small
+// device: its state word, reseal cursor, wrapped-key length and wrapped
+// key, as a crash or an adversary could leave them in PM. OpenRotation,
+// NewKey and NextRow must return an error or a well-formed answer, never
+// panic, and may allocate only the bounded wrapped-key blob: NewKey
+// returns only the key BeginRotation wrapped (nothing else authenticates
+// under the old key), and NextRow never a negative cursor.
+func FuzzRotationMarker(f *testing.F) {
+	dev, err := pm.New(1 << 20)
+	if err != nil {
+		f.Fatalf("pm.New: %v", err)
+	}
+	rom, err := romulus.Open(dev)
+	if err != nil {
+		f.Fatalf("romulus.Open: %v", err)
+	}
+	oldKey := make([]byte, engine.KeySize)
+	newKey := make([]byte, engine.KeySize)
+	for i := range newKey {
+		oldKey[i], newKey[i] = byte(i), byte(0xA0+i)
+	}
+	oldEng, err := engine.New(oldKey, engine.WithRand(rand.Reader))
+	if err != nil {
+		f.Fatalf("engine.New: %v", err)
+	}
+	r, err := BeginRotation(rom, oldEng, newKey)
+	if err != nil {
+		f.Fatalf("BeginRotation: %v", err)
+	}
+	f.Fuzz(func(t *testing.T, region []byte) {
+		body := make([]byte, rotHdrSize)
+		copy(body, region)
+		if err := rom.Update(func() error { return rom.Store(r.off, body) }); err != nil {
+			t.Fatalf("forge marker: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rot, inProgress, err := OpenRotation(rom)
+		var key []byte
+		var keyErr, rowErr error
+		next := 0
+		if err == nil && rot != nil {
+			key, keyErr = rot.NewKey(oldEng)
+			next, rowErr = rot.NextRow()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Fatalf("reading the marker allocated %d bytes", n)
+		}
+		if err != nil {
+			return
+		}
+		if rot == nil {
+			t.Fatal("OpenRotation returned no marker for an allocated region")
+		}
+		if !inProgress && binary.LittleEndian.Uint64(body[rotHdrState:]) != rotStateIdle {
+			t.Fatalf("state %d read as idle", binary.LittleEndian.Uint64(body[rotHdrState:]))
+		}
+		if keyErr == nil && !bytes.Equal(key, newKey) {
+			t.Fatalf("NewKey returned %x, not the wrapped key", key)
+		}
+		if rowErr == nil && next < 0 {
+			t.Fatalf("NextRow returned negative cursor %d", next)
 		}
 	})
 }

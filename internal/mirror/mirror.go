@@ -752,25 +752,14 @@ func (m *Model) Iteration() (int, error) {
 }
 
 // MetadataBytes returns the encryption metadata footprint of the mirror:
-// engine.Overhead (28 B) per sealed segment, i.e. SealedBytes minus the
-// plaintext parameter bytes — 140 B per conv layer whose buffers are
+// engine.Overhead (28 B) per sealed segment, i.e. the sealed payload
+// bytes minus the plaintext parameter bytes — 140 B per conv layer whose buffers are
 // each at most 1 MiB.
 func (m *Model) MetadataBytes() int {
 	total := 0
 	for _, node := range m.layers {
 		for _, b := range node.bufs {
 			total += engine.Overhead * segmentsIn(b.sealedLen)
-		}
-	}
-	return total
-}
-
-// SealedBytes returns the total persistent size of the mirror payload.
-func (m *Model) SealedBytes() int {
-	total := 0
-	for _, node := range m.layers {
-		for _, b := range node.bufs {
-			total += b.sealedLen
 		}
 	}
 	return total

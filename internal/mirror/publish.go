@@ -27,8 +27,8 @@
 // (Publication.fitRegion): the recorded size makes slot recycling
 // shape-proof, since Romulus has no free. A recycled region whose new
 // payload fits is re-laid out in place (regionAllocator) and only a
-// genuinely outgrown region is abandoned to the bump allocator —
-// counted in LeakedBytes, with in-place reuse counted in ReusedBytes.
+// genuinely outgrown region is abandoned to the bump allocator (the
+// leaked bytes are counted, as are the bytes reused in place).
 // Offsets and sizes persist across retirements. Pin counts
 // are volatile (a restart drops all pins, as the readers died with the
 // process). The Publication handle itself serializes its in-memory
@@ -126,22 +126,6 @@ type Publication struct {
 	// re-laid out in place vs abandoned in the bump allocator.
 	reused int
 	leaked int
-}
-
-// ReusedBytes returns the total bytes of recycled slot regions rewritten
-// in place across shape changes — space the bump allocator never sees.
-func (p *Publication) ReusedBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reused
-}
-
-// LeakedBytes returns the total bytes abandoned in the bump allocator:
-// recycled regions too small for the new shape (Romulus has no free).
-func (p *Publication) LeakedBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.leaked
 }
 
 // PublicationExists reports whether a publication table is rooted.

@@ -3,6 +3,7 @@ package mirror
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"plinius/internal/engine"
 	"plinius/internal/romulus"
@@ -10,7 +11,7 @@ import (
 
 // Crash-safe key rotation marker (root slot RootRotation).
 //
-// DataMatrix.Reseal flips rows to the new key in chunked transactions,
+// DataMatrix.ResealFrom flips rows to the new key in chunked transactions,
 // so a crash mid-rotation leaves mixed key epochs: early rows decrypt
 // only under the new key, late rows only under the old. Without a
 // durable record that a rotation was underway, recovery reads the
@@ -161,6 +162,9 @@ func (r *Rotation) NextRow() (int, error) {
 	n, err := r.rom.LoadUint64(r.off + rotHdrNextRow)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: reseal cursor %d", ErrRotationCorrupt, n)
 	}
 	return int(n), nil
 }

@@ -52,14 +52,6 @@ func NewTrace() *Trace {
 	return t
 }
 
-// ID returns the trace's id (zero for free-standing traces).
-func (t *Trace) ID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.id
-}
-
 // Add records a span. Safe on a nil trace, so pipeline code can record
 // unconditionally whether or not the request is traced.
 func (t *Trace) Add(stage string, d time.Duration) {
@@ -101,16 +93,6 @@ func (t *Trace) Fail(err error) {
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of the spans recorded so far.
-func (t *Trace) Spans() []SpanRec {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRec(nil), t.spans...)
-}
-
 // Drain appends the spans recorded so far to dst and forgets them, so
 // one scratch trace serves batch after batch: a worker hands it to the
 // pipeline in a context, then drains it into a reused buffer.
@@ -149,16 +131,6 @@ type TraceSnapshot struct {
 	Total time.Duration `json:"total_ns"`
 	Err   string        `json:"err,omitempty"`
 	Spans []SpanRec     `json:"spans"`
-}
-
-// SpanSum returns the sum of the snapshot's span durations — for a
-// well-instrumented pipeline it lands within a few percent of Total.
-func (s TraceSnapshot) SpanSum() time.Duration {
-	var sum time.Duration
-	for _, sp := range s.Spans {
-		sum += sp.Dur
-	}
-	return sum
 }
 
 // Tracer hands out request traces and retains the N slowest finished
@@ -252,9 +224,4 @@ func TraceFrom(ctx context.Context) *Trace {
 	}
 	t, _ := ctx.Value(traceKey{}).(*Trace)
 	return t
-}
-
-// SpanInto records d against stage on the trace carried by ctx, if any.
-func SpanInto(ctx context.Context, stage string, d time.Duration) {
-	TraceFrom(ctx).Add(stage, d)
 }

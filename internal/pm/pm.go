@@ -125,7 +125,7 @@ func (p Profile) FlushCost(kind FlushKind) time.Duration {
 	}
 }
 
-// Stats counts device operations since creation or the last StatsReset.
+// Stats counts device operations since creation.
 type Stats struct {
 	Stores       uint64
 	Loads        uint64
@@ -228,12 +228,6 @@ func WithProfile(p Profile) Option {
 	return func(d *Device) { d.prof = p }
 }
 
-// WithClock attaches a shared clock for cost accounting. Without one the
-// device keeps its own clock, retrievable via Clock.
-func WithClock(c *simclock.Clock) Option {
-	return func(d *Device) { d.clock = c }
-}
-
 // New creates an in-memory emulated PM device of the given size in bytes.
 // Size must be a positive multiple of CacheLineSize.
 func New(size int, opts ...Option) (*Device, error) {
@@ -247,12 +241,10 @@ func New(size int, opts ...Option) (*Device, error) {
 		backup:   make([][]byte, (size+backupChunk-1)/backupChunk),
 		dirty:    make([]uint64, (lines+63)/64),
 		prof:     OptaneProfile(),
+		clock:    simclock.New(),
 	}
 	for _, opt := range opts {
 		opt(d)
-	}
-	if d.clock == nil {
-		d.clock = simclock.New()
 	}
 	d.copyRange = d.copyExtents
 	return d, nil
@@ -478,25 +470,4 @@ func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// StatsReset zeroes the operation counters.
-func (d *Device) StatsReset() {
-	d.mu.Lock()
-	d.stats = Stats{}
-	d.mu.Unlock()
-}
-
-// PersistedSnapshot returns a copy of the durable image, the volatile
-// view with each dirty line's backup laid over it, for tests that verify
-// crash consistency without triggering a crash.
-func (d *Device) PersistedSnapshot() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]byte, d.size)
-	copy(out, d.volatile)
-	for w, word := range d.dirty {
-		eachRun(w, word, func(start, end int) { copy(out[start:end], d.backupOf(start, end)) })
-	}
-	return out
 }

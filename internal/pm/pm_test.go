@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"plinius/internal/simclock"
 )
 
 // withProcs runs the rest of the test at GOMAXPROCS n, so CopyFlush's
@@ -183,11 +181,11 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestClockAdvances(t *testing.T) {
-	clk := simclock.New()
-	d, err := New(1024, WithClock(clk), WithProfile(OptaneProfile()))
+	d, err := New(1024, WithProfile(OptaneProfile()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	clk := d.Clock()
 	if err := d.Store(0, make([]byte, 256)); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
@@ -214,11 +212,11 @@ func TestFlushKindCosts(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.kind.String(), func(t *testing.T) {
-			clk := simclock.New()
-			d, err := New(64, WithClock(clk))
+			d, err := New(64)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
+			clk := d.Clock()
 			if err := d.Flush(0, 1, tt.kind); err != nil {
 				t.Fatalf("Flush: %v", err)
 			}

@@ -537,6 +537,3 @@ func (r *Romulus) Used() int { return r.used }
 
 // Device returns the backing PM device.
 func (r *Romulus) Device() *pm.Device { return r.dev }
-
-// InTx reports whether a transaction is open.
-func (r *Romulus) InTx() bool { return r.inTx }

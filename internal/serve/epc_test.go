@@ -67,7 +67,7 @@ func TestEPCPressureReportedWhenPoolOvercommits(t *testing.T) {
 	// 40 MB overhead each: framework + 2 replicas = ~120 MB > 93.5 MB,
 	// while every single enclave stays well under the budget.
 	f, test := newTrainedFrameworkOverhead(t, 4, 40<<20)
-	if f.Enclave.OverEPC() {
+	if f.Enclave.Footprint() > f.Host.UsableEPC() {
 		t.Fatal("training enclave privately over EPC; contention regime needs it under")
 	}
 	s, err := New(context.Background(), f, Options{Workers: 2, MaxBatch: 8, MaxQueueLatency: time.Millisecond})

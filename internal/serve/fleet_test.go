@@ -15,7 +15,7 @@ import (
 func newFleetHosts(f *core.Framework, n, epcBytes int) []*enclave.Host {
 	hosts := make([]*enclave.Host, n)
 	for i := range hosts {
-		hosts[i] = enclave.NewHost(f.Host.Profile(), enclave.WithHostEPC(epcBytes))
+		hosts[i] = enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(epcBytes))
 	}
 	return hosts
 }

@@ -166,11 +166,6 @@ type Options struct {
 	// whose int8 replica does not fit, at a small documented accuracy
 	// cost. A fleet serves fp32 and leaves publication fp32-only.
 	Quantized bool
-	// Metrics is the registry the server's metrics (and, in shard
-	// mode, the shard pipeline's) register into. Nil gets the server a
-	// private registry, retrievable via Server.Metrics — servers are
-	// built and torn down freely without colliding on series.
-	Metrics *obs.Registry
 	// TraceKeep is how many of the slowest request traces the server
 	// retains for Server.SlowTraces (default obs.DefaultTraceKeep).
 	TraceKeep int
@@ -415,10 +410,9 @@ func build(ctx context.Context, f *core.Framework, opts Options) (*Server, error
 			return nil, fmt.Errorf("serve: publish model to PM: %w", err)
 		}
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	// Each server registers into a private registry (Server.Metrics), so
+	// servers are built and torn down freely without colliding on series.
+	reg := obs.NewRegistry()
 	s := &Server{
 		opts:      opts,
 		f:         f,
@@ -873,16 +867,6 @@ func (s *Server) FleetHostReports() []fleet.HostReport {
 	return nil
 }
 
-// FleetRejoin re-admits fleet hosts that have come back and promotes
-// the fleet to the best placement the live hosts hold (fleet.Rejoin).
-// No-op when not serving through a fleet.
-func (s *Server) FleetRejoin() error {
-	if fl := s.servingFleet(); fl != nil {
-		return fl.Rejoin()
-	}
-	return nil
-}
-
 // Precision returns the parameter precision the server serves: Int8
 // for a replica pool or shard group built with Options.Quantized, FP32
 // otherwise.
@@ -997,14 +981,10 @@ func (s *Server) Stats() Stats {
 // the regime where every request pays the shared paging knee.
 func (s *Server) EPCPressure() float64 { return s.host.Overcommit() }
 
-// Metrics returns the server's metric registry (Options.Metrics, or
-// the private registry created when none was given): the serving
+// Metrics returns the server's private metric registry: the serving
 // counters, latency histogram, EPC gauges, and — in shard mode — the
 // shard pipeline's per-shard series.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Tracer returns the server's request tracer.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // SlowTraces returns the retained slowest-request traces, slowest
 // first: each carries the per-stage spans (queue, batch, and the

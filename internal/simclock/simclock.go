@@ -4,9 +4,9 @@
 // The reproduction executes real compute (AES-GCM, SGD training) and models
 // device/enclave costs (PM flushes, SSD fsyncs, SGX transitions, EPC
 // paging) that this environment cannot produce natively. A Clock
-// accumulates both: callers Advance it by modeled durations and may wrap
-// real work with Measure to fold wall-clock time in. Experiment harnesses
-// report Clock totals, keeping the real/modeled split visible.
+// accumulates the modeled part: callers Advance it by modeled durations,
+// and harnesses add the wall-clock time they measure themselves, keeping
+// the real/modeled split visible.
 package simclock
 
 import (
@@ -14,24 +14,19 @@ import (
 	"time"
 )
 
-// Clock accumulates simulated and real time. The zero value is ready to
-// use. Clock is safe for concurrent use.
+// Clock accumulates modeled time. The zero value is ready to use. Clock
+// is safe for concurrent use.
 type Clock struct {
 	mu      sync.Mutex
 	modeled time.Duration
-	real    time.Duration
-	now     func() time.Time
+	// real and now back the package tests' wall-clock accounting
+	// (export_test.go); nothing else reads them.
+	real time.Duration
+	now  func() time.Time
 }
 
-// New returns a Clock that uses the wall clock for Measure.
-func New() *Clock {
-	return &Clock{now: time.Now}
-}
-
-// NewWithNow returns a Clock with an injected time source, for tests.
-func NewWithNow(now func() time.Time) *Clock {
-	return &Clock{now: now}
-}
+// New returns a Clock at zero.
+func New() *Clock { return &Clock{} }
 
 // Advance adds a modeled duration. Negative durations are ignored so cost
 // models built from subtraction cannot rewind the clock.
@@ -44,69 +39,9 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Measure runs fn and adds its wall-clock duration to the real-time total.
-func (c *Clock) Measure(fn func()) time.Duration {
-	start := c.timeNow()
-	fn()
-	d := c.timeNow().Sub(start)
-	if d < 0 {
-		d = 0
-	}
-	c.mu.Lock()
-	c.real += d
-	c.mu.Unlock()
-	return d
-}
-
-// AddReal adds an externally measured real duration.
-func (c *Clock) AddReal(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.real += d
-	c.mu.Unlock()
-}
-
 // Modeled returns the accumulated modeled (device/enclave) time.
 func (c *Clock) Modeled() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.modeled
-}
-
-// Real returns the accumulated wall-clock compute time.
-func (c *Clock) Real() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.real
-}
-
-// Total returns modeled + real time.
-func (c *Clock) Total() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.modeled + c.real
-}
-
-// Reset zeroes both accumulators.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.modeled = 0
-	c.real = 0
-	c.mu.Unlock()
-}
-
-// Split returns (modeled, real) atomically, for breakdown reporting.
-func (c *Clock) Split() (modeled, real time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.modeled, c.real
-}
-
-func (c *Clock) timeNow() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
 }

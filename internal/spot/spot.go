@@ -14,12 +14,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 )
-
-// Interval is the spacing of trace points (the paper's traces carry
-// prices at 5-minute intervals).
-const Interval = 5 * time.Minute
 
 // Trace is a spot-price time series.
 type Trace struct {
@@ -86,17 +81,6 @@ func ParseCSV(r io.Reader) (Trace, error) {
 		return Trace{}, ErrEmptyTrace
 	}
 	return t, nil
-}
-
-// WriteCSV serialises a trace in the ParseCSV format.
-func WriteCSV(w io.Writer, t Trace) error {
-	bw := bufio.NewWriter(w)
-	for i, p := range t.Prices {
-		if _, err := fmt.Fprintf(bw, "%d,%.6f\n", i*int(Interval.Minutes()), p); err != nil {
-			return fmt.Errorf("spot: write trace: %w", err)
-		}
-	}
-	return bw.Flush()
 }
 
 // Availability returns, per interval, whether the instance runs under

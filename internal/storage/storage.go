@@ -110,7 +110,6 @@ func RamdiskProfile() Profile {
 // Errors returned by the device.
 var (
 	ErrNotExist = errors.New("storage: file does not exist")
-	ErrExist    = errors.New("storage: file already exists")
 	ErrClosed   = errors.New("storage: file is closed")
 )
 
@@ -143,25 +142,12 @@ type fileData struct {
 	data []byte
 }
 
-// Option configures a Device.
-type Option func(*Device)
-
-// WithClock attaches a shared cost-accounting clock.
-func WithClock(c *simclock.Clock) Option {
-	return func(d *Device) { d.clock = c }
-}
-
 // NewDevice creates a device with the given profile.
-func NewDevice(prof Profile, opts ...Option) *Device {
+func NewDevice(prof Profile) *Device {
 	d := &Device{
 		prof:  prof,
+		clock: simclock.New(),
 		files: make(map[string]*fileData),
-	}
-	for _, opt := range opts {
-		opt(d)
-	}
-	if d.clock == nil {
-		d.clock = simclock.New()
 	}
 	d.mReads, d.mWrites, d.mFsyncs, d.mBytesRead, d.mBytesWritten = deviceCounters(d.prof.Name)
 	return d
@@ -170,23 +156,13 @@ func NewDevice(prof Profile, opts ...Option) *Device {
 // Clock returns the clock charged by this device.
 func (d *Device) Clock() *simclock.Clock { return d.clock }
 
-// Profile returns the device profile.
-func (d *Device) Profile() Profile { return d.prof }
-
-// Stats returns a copy of the operation counters.
-func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
 // Create creates (or truncates) a file and returns a handle.
 func (d *Device) Create(name string) (*File, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fd := &fileData{}
 	d.files[name] = fd
-	return &File{dev: d, fd: fd, name: name}, nil
+	return &File{dev: d, fd: fd}, nil
 }
 
 // Open opens an existing file for reading and writing.
@@ -197,37 +173,7 @@ func (d *Device) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
-	return &File{dev: d, fd: fd, name: name}, nil
-}
-
-// Exists reports whether a file exists.
-func (d *Device) Exists(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.files[name]
-	return ok
-}
-
-// Remove deletes a file.
-func (d *Device) Remove(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.files[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotExist, name)
-	}
-	delete(d.files, name)
-	return nil
-}
-
-// Size returns the size of a file in bytes.
-func (d *Device) Size(name string) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fd, ok := d.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotExist, name)
-	}
-	return len(fd.data), nil
+	return &File{dev: d, fd: fd}, nil
 }
 
 // chargeRead advances the clock by the modeled cost of reading n bytes.
@@ -255,7 +201,6 @@ func (d *Device) chargeWrite(n int, sequential bool) {
 type File struct {
 	dev    *Device
 	fd     *fileData
-	name   string
 	off    int
 	closed bool
 }
@@ -264,9 +209,6 @@ var (
 	_ io.ReadWriteSeeker = (*File)(nil)
 	_ io.Closer          = (*File)(nil)
 )
-
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
 
 // Write appends/overwrites at the current offset, charging the modeled
 // write cost. Writes are sequential when they continue from the previous

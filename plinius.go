@@ -262,7 +262,11 @@ type (
 	// Fleet serves one model across many hosts (replica groups of
 	// pipelined shard enclaves joined by attested channels).
 	Fleet = fleet.Fleet
-	// FleetOptions parameterises NewFleet.
+	// FleetOptions parameterises NewFleet: the hosts, the micro-batch
+	// bound, the parked per-shard overhead, the enclave seed, optional
+	// per-channel fault injectors and the metrics registry. Inter-host
+	// hand-offs are free on the modeled clock unless a fault injector
+	// delays or drops them.
 	FleetOptions = fleet.Options
 	// FleetPlacement is a planned placement: the shared shard plan and
 	// each replica group's per-shard host assignment.
@@ -332,6 +336,7 @@ type (
 // reports into — enclave_ecalls_total and epc_page_swaps_total by
 // enclave role, engine_seal_ops_total, pm_bytes_stored_total,
 // mirror_seal_seconds_total, darknet_forward_passes_total, and so on.
-// Per-server serving metrics live on Server.Metrics (pass
-// ServerOptions.Metrics to aggregate them elsewhere).
+// Per-server serving metrics live on each server's private registry,
+// Server.Metrics; expose both (plinius-serve's /metrics writes this
+// registry, then the server's).
 func Metrics() *MetricsRegistry { return obs.Default() }
