@@ -14,7 +14,8 @@ import (
 // paper's breakdown — encrypt/write for saves, read/decrypt for
 // restores.
 //
-// Attribution rules (see DESIGN.md): AES wall-clock time goes to
+// Attribution rules, which the Fig. 7 and Table I rows of the paper
+// ledger (EXPERIMENTS.md) read: AES wall-clock time goes to
 // Encrypt/Decrypt, plus EPC paging (page-swap counter x cost) which the
 // paper attributes to the step doing the touching — encryption on
 // saves, reads on restores. Device time (PM or SSD) goes to Write/Read,

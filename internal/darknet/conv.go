@@ -1,9 +1,30 @@
 package darknet
 
+// Convolution as GEMM, without a batch-wide column matrix. A layer pass
+// forks once over the samples of a batch, and a worker takes one
+// sample at a time through every GEMM of the pass in per-sample scratch
+// (drawScratch: the worker's from scratchPool, or the layer's own when
+// the pass runs inline). A training Forward keeps only a reference to
+// its input; Backward reads the input again.
+//
+// On a same-width geometry (stride 1, size = 2·pad + 1) the forward and
+// weight-gradient GEMMs read a zero-padded copy of the sample's input
+// planes in place of its column matrix: each kernel tap's column row is
+// that copy at a fixed offset (convGeom.taps), so the GEMM kernels take
+// a table of B-row offsets (rowsB) instead of one stride. The forward
+// writes output rows 2·pad floats wider than the layer's and copies out
+// the real ones; the weight gradient reads each tap row in W-float
+// segments and skips the border floats between them. The input
+// gradient, every other geometry, QuantConv and the scalar reference
+// keep explicit columns: a per-sample tile built by im2col (Backward
+// rebuilds it) or written by gemmTA, and added back by col2im.
+
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"plinius/internal/par"
 )
@@ -21,9 +42,22 @@ type ConvConfig struct {
 // convGeom is the shared geometry of a convolutional layer — input
 // and output volumes plus kernel configuration — factored out so the
 // fp32 Conv and the int8 QuantConv share the im2col/col2im machinery.
+//
+// A same-width geometry (sameWidth) also has taps: the offset of each
+// kernel tap's column row in one sample's zero-padded input planes
+// (padInput), C planes of (H+2·pad) × (W+2·pad). Tap (ch, ky, kx) at
+// ch·(H+2·pad)·(W+2·pad) + ky·(W+2·pad) + kx reads, at output position
+// oy·(W+2·pad) + ox, exactly the column-matrix element (oy, ox) of
+// that row: the input where the window covers it, zero where it reads
+// padding. So the padded planes stand in for the column matrix in the
+// forward and weight-gradient GEMMs (the shifted GEMM of Anderson et
+// al., below, and the implicit GEMM of cuDNN, Chetlur et al., 2014),
+// with output rows W+2·pad floats apart. Layers of one geometry share
+// one taps table (tapTables).
 type convGeom struct {
 	in, out Shape
 	cfg     ConvConfig
+	taps    []int
 }
 
 // Conv is a 2-D convolutional layer with optional batch normalisation.
@@ -42,7 +76,7 @@ type Conv struct {
 	gWeights, gBiases, gScales []float32
 	vWeights, vBiases, vScales []float32
 	batchMean, batchVar        []float32
-	lastCols, lastOut          []float32
+	lastX, lastOut             []float32
 	preBN, xhat                []float32
 	lastBatch                  int
 
@@ -50,8 +84,11 @@ type Conv struct {
 	// reusable forward/backward scratch (grown to the largest batch
 	// seen), keeping the hot serve/train paths allocation-free.
 	// Forward's return value aliases outBuf and is valid until the
-	// layer's next Forward.
-	outBuf, dxBuf, gradParts []float32
+	// layer's next Forward. lastX is a training Forward's input, which
+	// Backward reads again. inlineBuf is the per-sample scratch of a
+	// pass that runs inline; worker ranges draw theirs from scratchPool.
+	// No column matrix outlives the sample a worker is on.
+	outBuf, dxBuf, gradParts, inlineBuf []float32
 
 	// pass holds the operands of a forking pass for forwardRange and
 	// backwardRange, its par.For bodies. They are bound once, in
@@ -94,6 +131,9 @@ func NewConv(in Shape, cfg ConvConfig, rng *rand.Rand) (*Conv, error) {
 	for i := range c.scales {
 		c.scales[i] = 1
 		c.rollVar[i] = 1
+	}
+	if c.sameWidth() {
+		c.taps = c.padTaps()
 	}
 	c.forwardRange = func(lo, hi int) { c.forwardSamples(c.pass.x, c.pass.out, lo, hi, false) }
 	c.backwardRange = func(lo, hi int) {
@@ -197,6 +237,111 @@ func (c *convGeom) fillWrapped(row []float32, lo, hi, oxLo, oxHi int, v float32)
 		for ; j < hi; j += w {
 			row[j] = v
 		}
+	}
+}
+
+// padW is the width of a zero-padded input plane.
+func (c *convGeom) padW() int { return c.in.W + 2*c.cfg.Pad }
+
+// padSize is the float count of one sample's zero-padded input planes.
+func (c *convGeom) padSize() int { return c.in.C * (c.in.H + 2*c.cfg.Pad) * c.padW() }
+
+// wideN is the span of one filter's output in the shifted GEMM: out.H
+// rows padW floats apart, the last ending after its out.W floats. The
+// 2·pad floats between rows read past the window and are dropped.
+func (c *convGeom) wideN() int { return (c.out.H-1)*c.padW() + c.out.W }
+
+// tapTables holds one taps table per same-width geometry (a tapKey),
+// shared read-only by every layer of that geometry: a deep stack of
+// equal layers, like the size-sweep model's, would otherwise hold a
+// table per layer, 2/filters of its weights' bytes.
+var tapTables sync.Map
+
+// tapKey is what a taps table depends on.
+type tapKey struct{ c, h, w, size, pad int }
+
+// padTaps returns the taps of a same-width geometry (see convGeom).
+func (c *convGeom) padTaps() []int {
+	key := tapKey{c.in.C, c.in.H, c.in.W, c.cfg.Size, c.cfg.Pad}
+	if taps, ok := tapTables.Load(key); ok {
+		return taps.([]int)
+	}
+	size, pw, pp := c.cfg.Size, c.padW(), c.padSize()/c.in.C
+	taps := make([]int, 0, c.kcols())
+	for ch := 0; ch < c.in.C; ch++ {
+		for ky := 0; ky < size; ky++ {
+			for kx := 0; kx < size; kx++ {
+				taps = append(taps, ch*pp+ky*pw+kx)
+			}
+		}
+	}
+	shared, _ := tapTables.LoadOrStore(key, taps)
+	return shared.([]int)
+}
+
+// padInput copies one input volume into dst as zero-padded planes
+// (see convGeom), writing every float of dst[:padSize()].
+func (c *convGeom) padInput(x, dst []float32) {
+	h, w, pad, pw := c.in.H, c.in.W, c.cfg.Pad, c.padW()
+	pp := c.padSize() / c.in.C
+	for ch := 0; ch < c.in.C; ch++ {
+		plane := dst[ch*pp : (ch+1)*pp]
+		at := pad*pw + pad // input row 0
+		clear(plane[:at])
+		copyRows(plane[at:], pw, x[ch*h*w:], w, h, w)
+		for y := 1; y < h; y++ { // row y-1's right border, row y's left
+			for i := at + y*pw - 2*pad; i < at+y*pw; i++ {
+				plane[i] = 0
+			}
+		}
+		clear(plane[at+(h-1)*pw+w:])
+	}
+}
+
+// copyRows copies rows runs of w floats, srcPitch floats apart in src,
+// to runs dstPitch floats apart in dst. On AVX2 it is one kernel call:
+// a conv plane's rows are too short to pay for a memmove call each.
+func copyRows(dst []float32, dstPitch int, src []float32, srcPitch, rows, w int) {
+	if rows == 0 || w == 0 {
+		return
+	}
+	_, _ = dst[(rows-1)*dstPitch+w-1], src[(rows-1)*srcPitch+w-1]
+	if live >= tierAVX2 {
+		copyRowsAVX2(&dst[0], &src[0], rows, w, dstPitch, srcPitch)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst[r*dstPitch:r*dstPitch+w], src[r*srcPitch:])
+	}
+}
+
+// poisonScratch makes drawScratch fill what it hands out with NaN, so
+// a test can tell a float a pass reads before writing it.
+var poisonScratch atomic.Bool
+
+// drawScratch returns n floats of scratch for a pass over samples (a
+// sample's padded input planes, shifted GEMM output, column tile),
+// holding whatever its last user left. A pass that runs inline (fork
+// set) grows and takes its layer's own buffer, *own; a worker's range
+// gets a buffer from scratchPool, which putScratch(bp) returns.
+func drawScratch(inline bool, own *[]float32, n int) (bp *[]float32, buf []float32) {
+	if !inline {
+		bp = scratchPool.Get().(*[]float32)
+		own = bp
+	}
+	buf = growF32(own, n)
+	if poisonScratch.Load() {
+		for i := range buf {
+			buf[i] = float32(math.NaN())
+		}
+	}
+	return bp, buf
+}
+
+// putScratch returns a drawScratch buffer to scratchPool.
+func putScratch(bp *[]float32) {
+	if bp != nil {
+		scratchPool.Put(bp)
 	}
 }
 
@@ -311,15 +456,16 @@ func (c *convGeom) biasActivate(biases, out []float32) {
 func (c *convGeom) sampleFlops() int { return c.cfg.Filters * c.kcols() * c.out.H * c.out.W }
 
 // Forward implements Layer. The pass forks once over the samples of
-// the batch: each worker takes a run of samples through im2col, GEMM,
-// bias and activation, so a sample stays in one core's cache. A batch
-// too small to shard runs inline and lets its GEMMs fork over output
-// rows instead.
+// the batch: each worker takes a run of samples through the GEMM, bias
+// and activation, so a sample stays in one core's cache. A batch too
+// small to shard runs inline and lets its GEMMs fork over output rows
+// instead. A training forward keeps x for Backward, which reads it
+// again: it must stay unmodified until then. An inference forward
+// keeps no reference to it.
 func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	if err := checkInput(x, batch, c.in); err != nil {
 		return nil, err
 	}
-	c.lastCols = growF32(&c.lastCols, batch*c.kcols()*c.out.H*c.out.W)
 	out := growF32(&c.outBuf, batch*c.out.Size())
 	if chunk := minChunk(c.sampleFlops()); serial(batch, chunk) {
 		c.forwardSamples(x, out, 0, batch, true)
@@ -328,7 +474,10 @@ func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 		par.For(batch, chunk, c.forwardRange)
 		c.pass = convPass{}
 	}
-	c.lastBatch = batch
+	c.lastX, c.lastBatch = nil, 0
+	if train {
+		c.lastX, c.lastBatch = x, batch
+	}
 	if c.cfg.BatchNorm {
 		c.forwardBatchNorm(out, batch, train)
 		c.biasActivate(c.biases, out)
@@ -337,20 +486,47 @@ func (c *Conv) Forward(x []float32, batch int, train bool) ([]float32, error) {
 	return out, nil
 }
 
-// forwardSamples takes samples [lo, hi) through im2col, GEMM and —
-// unless batch norm must see the whole batch first — bias, activation.
+// shifted reports whether the forward and weight-gradient GEMMs read
+// the zero-padded input planes (see convGeom) instead of a column
+// matrix: on a same-width geometry, unless the scalar reference —
+// explicit im2col and the gemm*Scalar loops — is forced.
+func (c *convGeom) shifted() bool { return c.taps != nil && !scalarKernels.Load() }
+
+// forwardSamples takes samples [lo, hi) through the GEMM and — unless
+// batch norm must see the whole batch first — bias, activation. The
+// shifted GEMM writes each filter's rows padW floats apart into a
+// scratch span and the out.W floats of each are copied out; any other
+// path builds the sample's column tile with im2col.
 func (c *Conv) forwardSamples(x, out []float32, lo, hi int, fork bool) {
-	k, outHW := c.kcols(), c.out.H*c.out.W
-	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
+	k, filters, outW, outHW := c.kcols(), c.cfg.Filters, c.out.W, c.out.H*c.out.W
+	inSize, outSize := c.in.Size(), c.out.Size()
+	shifted, padN, wideN, pw := c.shifted(), c.padSize(), c.wideN(), c.padW()
+	n := k * outHW // the column tile
+	if shifted {
+		// Padded planes, wide output, and the A panel gemm packs on the
+		// portable kernels.
+		n = padN + filters*wideN + 2*k
+	}
+	bp, buf := drawScratch(fork, &c.inlineBuf, n)
 	for b := lo; b < hi; b++ {
-		cols := c.lastCols[b*colSize : (b+1)*colSize]
-		o := out[b*outSize : (b+1)*outSize]
-		c.im2col(x[b*inSize:(b+1)*inSize], cols)
-		shapeAB.run(fork, true, c.cfg.Filters, k, outHW, c.weights, cols, o)
+		xb, o := x[b*inSize:(b+1)*inSize], out[b*outSize:(b+1)*outSize]
+		if shifted {
+			planes, wide := buf[:padN], buf[padN:padN+filters*wideN]
+			c.padInput(xb, planes)
+			rb := rowsB{off: c.taps, pack: buf[padN+filters*wideN:]}
+			shapeAB.runRows(fork, true, filters, k, wideN, c.weights, planes, rb, wide)
+			for f := 0; f < filters; f++ {
+				copyRows(o[f*outHW:], outW, wide[f*wideN:], pw, c.out.H, outW)
+			}
+		} else {
+			c.im2col(xb, buf)
+			shapeAB.run(fork, true, filters, k, outHW, c.weights, buf, o)
+		}
 		if !c.cfg.BatchNorm {
 			c.biasActivate(c.biases, o)
 		}
 	}
+	putScratch(bp)
 }
 
 const bnEps = 1e-5
@@ -422,8 +598,8 @@ func (c *Conv) forwardBatchNorm(out []float32, batch int, train bool) {
 // Each sample's weight and bias gradients land in its own partial and
 // are reduced in ascending sample order — the serial accumulation
 // order, so the gradients are bit-identical however samples shard.
-// It consumes the columns its Forward saved, so a second Backward
-// without a Forward in between is refused.
+// It reads the input of the training Forward before it, once: a
+// second Backward, or one after an inference Forward, is refused.
 func (c *Conv) Backward(delta []float32) ([]float32, error) { return c.backward(delta, true) }
 
 // backward is Backward that, unless wantDX is set, leaves out the input
@@ -461,7 +637,7 @@ func (c *Conv) backward(delta []float32, wantDX bool) ([]float32, error) {
 		axpy(1, dW, c.gWeights)
 		axpy(1, db, c.gBiases)
 	}
-	c.lastBatch = 0
+	c.lastX, c.lastBatch = nil, 0
 	return dx, nil
 }
 
@@ -482,19 +658,43 @@ func (c *Conv) backwardActivation(delta, parts []float32, b int) {
 
 // backwardSamples computes, for samples [lo, hi), the weight-gradient
 // partial dout x colsᵀ and — when dx is not nil — the input gradient
-// col2im(Wᵀ x dout). Once the partial is taken, a sample's columns are
-// dead, so Wᵀ x dout is built in their place.
+// col2im(Wᵀ x dout). The shifted path reads the columns from the
+// sample's padded input planes, each output row's W floats and then a
+// skip over the 2·pad floats no window position reads; Wᵀ x dout goes
+// to a column tile. Any other path rebuilds the sample's column tile
+// with im2col and, once the partial is taken, builds Wᵀ x dout in its
+// place.
 func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool) {
 	k, filters, outHW := c.kcols(), c.cfg.Filters, c.out.H*c.out.W
-	inSize, outSize, colSize := c.in.Size(), c.out.Size(), k*outHW
+	inSize, outSize := c.in.Size(), c.out.Size()
+	shifted, padN := c.shifted(), c.padSize()
+	tile := k * outHW // the column tile: im2col's, or Wᵀ x dout
+	if shifted && dx == nil {
+		tile = 0
+	}
+	n := tile
+	if shifted {
+		// Padded planes, and the dot panel's packed dout rows.
+		n += padN + tbPanel*outHW
+	}
+	bp, buf := drawScratch(fork, &c.inlineBuf, n)
+	cols := buf[:tile]
 	for b := lo; b < hi; b++ {
 		if !c.cfg.BatchNorm {
 			c.backwardActivation(delta, parts, b)
 		}
+		xb := c.lastX[b*inSize : (b+1)*inSize]
 		dout := delta[b*outSize : (b+1)*outSize]
 		dW, _ := c.gradPart(parts, b)
-		cols := c.lastCols[b*colSize : (b+1)*colSize]
-		shapeTB.run(fork, true, filters, outHW, k, dout, cols, dW)
+		if shifted {
+			planes := buf[tile : tile+padN]
+			c.padInput(xb, planes)
+			rb := rowsB{off: c.taps, seg: c.out.W, skip: 2 * c.cfg.Pad, pack: buf[tile+padN:]}
+			shapeTB.runRows(fork, true, filters, outHW, k, dout, planes, rb, dW)
+		} else {
+			c.im2col(xb, cols)
+			shapeTB.run(fork, true, filters, outHW, k, dout, cols, dW)
+		}
 		if dx == nil {
 			continue
 		}
@@ -503,6 +703,7 @@ func (c *Conv) backwardSamples(delta, dx, parts []float32, lo, hi int, fork bool
 		clear(dxb)
 		c.col2im(cols, dxb)
 	}
+	putScratch(bp)
 }
 
 // backwardBatchNorm rewrites delta (d loss / d BN output) into

@@ -6,16 +6,27 @@ import (
 	"testing"
 )
 
+// convGeomCase is a conv geometry and the batch a layer test runs it at.
+type convGeomCase struct {
+	in    Shape
+	cfg   ConvConfig
+	batch int
+}
+
 // convTestGeoms covers multi-channel inputs (the parallel gate), odd
-// sizes, stride > 1 and zero padding.
-var convTestGeoms = []struct {
-	in  Shape
-	cfg ConvConfig
-}{
-	{Shape{C: 1, H: 8, W: 8}, ConvConfig{Filters: 3, Size: 3, Stride: 1, Pad: 1}},
-	{Shape{C: 4, H: 9, W: 7}, ConvConfig{Filters: 5, Size: 3, Stride: 1, Pad: 1}},
-	{Shape{C: 8, H: 12, W: 12}, ConvConfig{Filters: 4, Size: 5, Stride: 2, Pad: 2}},
-	{Shape{C: 3, H: 6, W: 6}, ConvConfig{Filters: 2, Size: 2, Stride: 2, Pad: 0}},
+// sizes, stride > 1 and zero padding; a lone sample whose GEMMs are big
+// enough to fork over their rows; and the repository benchmark's two
+// layers (MNISTConfig(2, 8, 32)) at its batch of 32 and at 30, where
+// conv1's four-sample ranges end on a short one.
+var convTestGeoms = []convGeomCase{
+	{Shape{C: 1, H: 8, W: 8}, ConvConfig{Filters: 3, Size: 3, Stride: 1, Pad: 1}, 4},
+	{Shape{C: 4, H: 9, W: 7}, ConvConfig{Filters: 5, Size: 3, Stride: 1, Pad: 1}, 4},
+	{Shape{C: 8, H: 12, W: 12}, ConvConfig{Filters: 4, Size: 5, Stride: 2, Pad: 2}, 4},
+	{Shape{C: 3, H: 6, W: 6}, ConvConfig{Filters: 2, Size: 2, Stride: 2, Pad: 0}, 4},
+	{Shape{C: 16, H: 14, W: 14}, ConvConfig{Filters: 32, Size: 3, Stride: 1, Pad: 1}, 1},
+	{Shape{C: 1, H: 28, W: 28}, ConvConfig{Filters: 8, Size: 3, Stride: 1, Pad: 1}, 32},
+	{Shape{C: 1, H: 28, W: 28}, ConvConfig{Filters: 8, Size: 3, Stride: 1, Pad: 1}, 30},
+	{Shape{C: 8, H: 28, W: 28}, ConvConfig{Filters: 8, Size: 3, Stride: 1, Pad: 1}, 32},
 }
 
 // im2colPerPixel is the per-pixel reference the row-wise im2col is
@@ -73,15 +84,12 @@ func col2imPerPixel(c *convGeom, cols, dx []float32) {
 // the same-width per-tap path and the row-segment path.
 func forEachConvGeom(t *testing.T, body func(c *convGeom)) {
 	t.Helper()
-	geoms := convTestGeoms
+	geoms := append([]convGeomCase(nil), convTestGeoms...)
 	for _, in := range []Shape{{C: 2, H: 7, W: 10}, {C: 3, H: 9, W: 4}, {C: 1, H: 2, W: 3}} {
 		for _, stride := range []int{1, 2, 3} {
 			for _, pad := range []int{0, 1, 2} {
 				for _, size := range []int{1, 3, 5} {
-					geoms = append(geoms, struct {
-						in  Shape
-						cfg ConvConfig
-					}{in, ConvConfig{Filters: 2, Size: size, Stride: stride, Pad: pad}})
+					geoms = append(geoms, convGeomCase{in: in, cfg: ConvConfig{Filters: 2, Size: size, Stride: stride, Pad: pad}})
 				}
 			}
 		}
@@ -156,12 +164,14 @@ func TestCol2imRowwiseMatchesPerPixel(t *testing.T) {
 
 // TestConvForwardBackwardBitIdenticalScalarVsParallel runs a
 // multi-channel conv layer end to end — forward then backward — under
-// the scalar reference and the parallel kernels (which also flips the
-// parallel im2col/col2im paths), the latter at several GOMAXPROCS
-// values, and requires bit-identical outputs, input gradients and
-// weight gradients. The poisoned case runs the pass once to grow the
-// layer's buffers, fills them with NaN and runs it again: the GEMMs
-// that write their outputs must write every element.
+// the scalar reference (explicit im2col) and the parallel kernels
+// (the shifted GEMM on a same-width geometry), the latter at several
+// GOMAXPROCS values, and requires bit-identical outputs, input
+// gradients and weight gradients. The poisoned case runs the pass once
+// to grow the layer's buffers, fills them with NaN and runs it again
+// with every scratch buffer the conv draws — padded planes, shifted
+// GEMM output, column tile — NaN-filled too: each float the pass reads
+// must have been written by it.
 func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 	for _, g := range convTestGeoms {
 		run := func(scalar, poison bool) (out, dx, gw []float32) {
@@ -172,7 +182,7 @@ func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("conv %+v: %v", g, err)
 			}
-			batch := 4
+			batch := g.batch
 			data := rand.New(rand.NewSource(74))
 			x := make([]float32, batch*c.in.Size())
 			fillRandSparse(data, x)
@@ -194,11 +204,13 @@ func TestConvForwardBackwardBitIdenticalScalarVsParallel(t *testing.T) {
 				pass()
 				clear(c.gWeights)
 				clear(c.gBiases)
-				for _, buf := range [][]float32{c.outBuf, c.dxBuf, c.lastCols} {
+				for _, buf := range [][]float32{c.outBuf, c.dxBuf} {
 					for i := range buf {
 						buf[i] = float32(math.NaN())
 					}
 				}
+				setPoisonScratch(true)
+				defer setPoisonScratch(false)
 			}
 			o, d := pass()
 			return o, append([]float32(nil), d...), append([]float32(nil), c.gWeights...)

@@ -310,7 +310,7 @@ func axpy(a float32, x, y []float32) {
 func addRow(dst, src []float32) {
 	dst = dst[:len(src)]
 	if live >= tierAVX2 {
-		axpyRows(live, false, 1, len(src), rowAddScale[:], 0, 0, src, dst, 0, 1)
+		axpySweep(live, false, 1, len(src), rowAddScale[:], 0, 0, src, rowAddOff[:], dst, 0, 1)
 		return
 	}
 	for i, v := range src {
@@ -318,7 +318,10 @@ func addRow(dst, src []float32) {
 	}
 }
 
-var rowAddScale = [1]float32{1}
+var (
+	rowAddScale = [1]float32{1}
+	rowAddOff   = [1]int{0}
+)
 
 // sgdStep applies v = momentum*v - lr*(g + decay*w); w += v and zeroes
 // g. The velocity *v is made on the first step at momentum ≠ 0. While

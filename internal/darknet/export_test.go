@@ -40,3 +40,7 @@ func (n *Network) ForwardRange(x []float32, batch int, r ShardRange, train bool)
 func (n *Network) Predict(x []float32) ([]float32, error) {
 	return n.Forward(x, 1, false)
 }
+
+// setPoisonScratch makes every scratch buffer a conv pass draws
+// (padded input planes, shifted GEMM output, column tile) come NaN-filled.
+func setPoisonScratch(on bool) { poisonScratch.Store(on) }

@@ -11,36 +11,39 @@ import (
 // steps of the repository benchmark's model (mnistTrainNet) and of one
 // inference pass after them: FNV-1a-64, one 32-bit word per step, over
 // every parameter buffer in layer order and then every output. The
-// value was taken before the layer passes were vectorised; it holds at
-// any GOMAXPROCS, under -tags purego and under GOAMD64=v3.
+// value was taken before the layer passes were vectorised; it holds on
+// every kernel tier, at any GOMAXPROCS, under -tags purego and under
+// GOAMD64=v3.
 func TestTrainBatchMNISTMatchesParent(t *testing.T) {
 	const want = 0x08efdd0439e307c7
-	net, x, y := mnistTrainNet(t)
-	batch := net.Config.Batch
-	for i := 0; i < 20; i++ {
-		if _, err := net.TrainBatch(x, y, batch); err != nil {
-			t.Fatalf("train: %v", err)
+	withTiers(func(tier kernelTier) {
+		net, x, y := mnistTrainNet(t)
+		batch := net.Config.Batch
+		for i := 0; i < 20; i++ {
+			if _, err := net.TrainBatch(x, y, batch); err != nil {
+				t.Fatalf("%s: train: %v", tier, err)
+			}
 		}
-	}
-	out, err := net.Forward(x, batch, false)
-	if err != nil {
-		t.Fatalf("forward: %v", err)
-	}
-	h := uint64(14695981039346656037)
-	hash := func(v []float32) {
-		for _, f := range v {
-			h = (h ^ uint64(math.Float32bits(f))) * 1099511628211
+		out, err := net.Forward(x, batch, false)
+		if err != nil {
+			t.Fatalf("%s: forward: %v", tier, err)
 		}
-	}
-	for _, l := range net.Layers {
-		for _, p := range l.Params() {
-			hash(p)
+		h := uint64(14695981039346656037)
+		hash := func(v []float32) {
+			for _, f := range v {
+				h = (h ^ uint64(math.Float32bits(f))) * 1099511628211
+			}
 		}
-	}
-	hash(out)
-	if h != want {
-		t.Fatalf("parameters and outputs hash to %#016x, want %#016x", h, uint64(want))
-	}
+		for _, l := range net.Layers {
+			for _, p := range l.Params() {
+				hash(p)
+			}
+		}
+		hash(out)
+		if h != want {
+			t.Fatalf("%s: parameters and outputs hash to %#016x, want %#016x", tier, h, uint64(want))
+		}
+	})
 }
 
 // poolValues are what poolInput draws window elements from: few enough
@@ -239,33 +242,135 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	}
 }
 
-// FuzzConvGlue fuzzes geometry (C ≤ 4, H and W ≤ 12, size ≤ 5, stride
-// ≤ 3, pad ≤ 2) and operand bits through im2col, col2im and the 2×2
-// stride-2 max-pool against their per-pixel references, bit for bit.
+// checkConvSamples requires one sample's conv GEMMs — the forward, the
+// weight gradient and the input gradient, through forwardSamples and
+// backwardSamples on every kernel tier the CPU runs — to reproduce
+// gemmScalar, gemmTBScalar and gemmTAScalar over im2colPerPixel's column
+// matrix, with col2imPerPixel, bit for bit. On a same-width geometry
+// that is the shifted GEMM over the padded input planes. The layer has
+// batch norm, so the passes leave out bias and activation.
+func checkConvSamples(t testing.TB, conv *Conv, x, w, dout []float32) {
+	t.Helper()
+	g := &conv.convGeom
+	filters, k, hw := conv.cfg.Filters, conv.kcols(), conv.out.H*conv.out.W
+	cols := make([]float32, k*hw)
+	im2colPerPixel(g, x, cols)
+	wantOut := make([]float32, filters*hw)
+	gemmScalar(filters, k, hw, w, cols, wantOut)
+	wantDW := make([]float32, filters*k)
+	gemmTBScalar(filters, hw, k, dout, cols, wantDW)
+	dcols := make([]float32, k*hw)
+	gemmTAScalar(k, filters, hw, w, dout, dcols)
+	wantDX := make([]float32, conv.in.Size())
+	col2imPerPixel(g, dcols, wantDX)
+
+	copy(conv.weights, w)
+	conv.allocGrads()
+	withTiers(func(tier kernelTier) {
+		out := make([]float32, len(wantOut))
+		conv.forwardSamples(x, out, 0, 1, false)
+		conv.lastX = x
+		parts := make([]float32, len(conv.gWeights)+len(conv.gBiases))
+		dx := make([]float32, len(wantDX))
+		conv.backwardSamples(append([]float32(nil), dout...), dx, parts, 0, 1, false)
+		dW, _ := conv.gradPart(parts, 0)
+		for name, pair := range map[string][2][]float32{
+			"out": {out, wantOut}, "dW": {dW, wantDW}, "dx": {dx, wantDX},
+		} {
+			for i, v := range pair[0] {
+				if !sameFloat(v, pair[1][i]) {
+					t.Fatalf("%s in %v cfg %+v: %s[%d] = %v, scalar over im2col %v",
+						tier, conv.in, conv.cfg, name, i, v, pair[1][i])
+				}
+			}
+		}
+	})
+}
+
+// TestCopyRowsMatchesCopy requires copyRows, on every kernel tier the
+// CPU runs, to copy each row's w floats and write nothing else: widths
+// straddle the eight-float move and pitches leave gaps on both sides.
+func TestCopyRowsMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	withTiers(func(tier kernelTier) {
+		for _, w := range []int{1, 3, 7, 8, 9, 16, 28, 33} {
+			for _, rows := range []int{1, 2, 5} {
+				srcPitch, dstPitch := w+rng.Intn(3), w+rng.Intn(3)
+				src := make([]float32, rows*srcPitch)
+				fillKernelOperand(rng, src, true)
+				got := make([]float32, rows*dstPitch+1)
+				for i := range got {
+					got[i] = float32(math.NaN())
+				}
+				want := append([]float32(nil), got...)
+				for r := 0; r < rows; r++ {
+					copy(want[r*dstPitch:r*dstPitch+w], src[r*srcPitch:])
+				}
+				copyRows(got, dstPitch, src, srcPitch, rows, w)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s w=%d rows=%d pitches %d/%d: dst[%d] = %v, want %v", tier, w, rows, srcPitch, dstPitch, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestConvSamplesMatchIm2col runs checkConvSamples over every
+// geometry forEachConvGeom has, on operands salted with kernelSpecials.
+func TestConvSamplesMatchIm2col(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	forEachConvGeom(t, func(g *convGeom) {
+		cfg := g.cfg
+		cfg.BatchNorm = true
+		conv, err := NewConv(g.in, cfg, nil)
+		if err != nil {
+			t.Fatalf("conv %v %+v: %v", g.in, cfg, err)
+		}
+		x := make([]float32, g.in.Size())
+		w := make([]float32, len(conv.weights))
+		dout := make([]float32, conv.out.Size())
+		for _, v := range [][]float32{x, w, dout} {
+			fillKernelOperand(rng, v, true)
+		}
+		checkConvSamples(t, conv, x, w, dout)
+	})
+}
+
+// FuzzConvGlue fuzzes geometry (C ≤ 8, H and W ≤ 28, size ≤ 5, stride
+// ≤ 3, pad ≤ 2) and operand bits through im2col, col2im, one sample's
+// conv GEMMs (checkConvSamples: on a same-width geometry the shifted
+// GEMM) and the 2×2 stride-2 max-pool against their per-pixel and
+// scalar references, bit for bit.
 func FuzzConvGlue(f *testing.F) {
 	f.Add(uint8(0), uint8(27), uint8(27), uint8(2), uint8(0), uint8(1), int64(1), []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0x80})
 	f.Add(uint8(3), uint8(11), uint8(3), uint8(4), uint8(0), uint8(2), int64(2), []byte{0, 0, 0xc0, 0x7f})
 	f.Add(uint8(1), uint8(6), uint8(9), uint8(2), uint8(1), uint8(1), int64(3), []byte{})
 	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), uint8(2), uint8(0), int64(4), []byte{1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, c, h, w, size, stride, pad uint8, seed int64, raw []byte) {
-		in := Shape{C: 1 + int(c%4), H: 1 + int(h%12), W: 1 + int(w%12)}
-		cfg := ConvConfig{Filters: 2, Size: 1 + int(size%5), Stride: 1 + int(stride%3), Pad: int(pad % 3)}
+		in := Shape{C: 1 + int(c%8), H: 1 + int(h%28), W: 1 + int(w%28)}
+		cfg := ConvConfig{Filters: 2, Size: 1 + int(size%5), Stride: 1 + int(stride%3), Pad: int(pad % 3), BatchNorm: true}
 		rng := rand.New(rand.NewSource(seed))
 		x := make([]float32, in.Size())
 		fillKernelOperand(rng, x, true)
 		conv, err := NewConv(in, cfg, nil)
-		var cols, dx []float32
+		var cols, dx, wts, dout []float32
 		if err == nil {
 			cols = make([]float32, conv.kcols()*conv.out.H*conv.out.W)
 			dx = make([]float32, in.Size())
-			fillKernelOperand(rng, cols, true)
-			fillKernelOperand(rng, dx, true)
+			wts = make([]float32, len(conv.weights))
+			dout = make([]float32, conv.out.Size())
+			for _, v := range [][]float32{cols, dx, wts, dout} {
+				fillKernelOperand(rng, v, true)
+			}
 		}
 		// Raw bit patterns from the fuzzer, dealt round-robin over the
-		// input, the columns and the starting dx.
+		// input, the columns, the starting dx, the weights and the
+		// output gradient.
 		for i := 0; i+4 <= len(raw); i += 4 {
-			if dst := [][]float32{x, cols, dx}[i/4%3]; len(dst) > 0 {
-				dst[i/12%len(dst)] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
+			if dst := [][]float32{x, cols, dx, wts, dout}[i/4%5]; len(dst) > 0 {
+				dst[i/20%len(dst)] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
 			}
 		}
 		if err == nil {
@@ -287,6 +392,7 @@ func FuzzConvGlue(f *testing.F) {
 					t.Fatalf("col2im in %v cfg %+v dx[%d] = %v, per-pixel %v", in, cfg, i, dx[i], wantDX[i])
 				}
 			}
+			checkConvSamples(t, conv, x, wts, dout)
 		}
 		if in.H >= 2 && in.W >= 2 {
 			delta := make([]float32, in.C*(in.H/2)*(in.W/2))

@@ -8,7 +8,10 @@
 // leaky gradient with its bias sums, the 2×2 max-pool). None uses FMA: every product is
 // rounded to float32 by VMULPS before VADDPS adds it, in ascending p,
 // so each output element sees exactly the scalar reference's
-// operations in the scalar reference's order.
+// operations in the scalar reference's order. The GEMM kernels find
+// each B row through a table of offsets, so one kernel reads a
+// row-major B or a convolution's shifted rows of a zero-padded input
+// plane.
 
 // tailMask<> + 4*(8-w) is a lane mask with the low w lanes set.
 DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
@@ -27,10 +30,12 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VMULPS off(R12), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func axpyRowAVX2(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
+// func axpyRowAVX2(c, a *float32, aStride int, b *float32, boff *int, k, w int, write bool)
 //
-// c[0:w] += sum over p in [0,k) of a[p*aStride] * b[p*bStride : p*bStride+w],
+// c[0:w] += sum over p in [0,k) of a[p*aStride] * b[boff[p] : boff[p]+w],
 // skipping every p whose a element is +-0 (the reference zero-skip).
+// B row p starts boff[p] floats into b: p*n for a row-major B, a kernel
+// tap's shift into a zero-padded input plane for a convolution.
 // The C row segment lives in registers across the whole p sweep: 64
 // floats at a time, then 16, then a masked tail of up to 8. With write
 // set the registers start at +0 instead of C's values, which is the
@@ -40,11 +45,10 @@ TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-57
 	MOVQ a+8(FP), SI
 	MOVQ aStride+16(FP), R8
 	MOVQ b+24(FP), DX
-	MOVQ bStride+32(FP), R9
+	MOVQ boff+32(FP), R9
 	MOVQ k+40(FP), CX
 	MOVQ w+48(FP), R10
 	SHLQ $2, R8
-	SHLQ $2, R9
 
 w64:
 	CMPQ R10, $64
@@ -73,13 +77,15 @@ zero64:
 
 sweep64:
 	MOVQ SI, R11
-	MOVQ DX, R12
+	MOVQ R9, R14
 	MOVQ CX, R13
 
 p64:
 	MOVL (R11), AX
 	SHLL $1, AX
 	JZ   skip64
+	MOVQ (R14), R12
+	LEAQ (DX)(R12*4), R12
 	VBROADCASTSS (R11), Y8
 	MADD(0, Y0, Y9)
 	MADD(32, Y1, Y10)
@@ -92,7 +98,7 @@ p64:
 
 skip64:
 	ADDQ R8, R11
-	ADDQ R9, R12
+	ADDQ $8, R14
 	DECQ R13
 	JNZ  p64
 	VMOVUPS Y0, 0(DI)
@@ -123,20 +129,22 @@ zero16:
 
 sweep16:
 	MOVQ SI, R11
-	MOVQ DX, R12
+	MOVQ R9, R14
 	MOVQ CX, R13
 
 p16:
 	MOVL (R11), AX
 	SHLL $1, AX
 	JZ   skip16
+	MOVQ (R14), R12
+	LEAQ (DX)(R12*4), R12
 	VBROADCASTSS (R11), Y8
 	MADD(0, Y0, Y9)
 	MADD(32, Y1, Y10)
 
 skip16:
 	ADDQ R8, R11
-	ADDQ R9, R12
+	ADDQ $8, R14
 	DECQ R13
 	JNZ  p16
 	VMOVUPS Y0, 0(DI)
@@ -163,13 +171,15 @@ wtail:
 
 sweeptail:
 	MOVQ SI, R11
-	MOVQ DX, R12
+	MOVQ R9, R14
 	MOVQ CX, R13
 
 ptail:
 	MOVL (R11), BX
 	SHLL $1, BX
 	JZ   skiptail
+	MOVQ (R14), R12
+	LEAQ (DX)(R12*4), R12
 	VBROADCASTSS (R11), Y8
 	VMASKMOVPS (R12), Y15, Y9
 	VMULPS Y9, Y8, Y9
@@ -177,7 +187,7 @@ ptail:
 
 skiptail:
 	ADDQ R8, R11
-	ADDQ R9, R12
+	ADDQ $8, R14
 	DECQ R13
 	JNZ  ptail
 	VMASKMOVPS Y0, Y15, (DI)
@@ -203,7 +213,7 @@ done:
 	VMULPS    tmp, Z8, tmp; \
 	VADDPS    tmp, acc, acc
 
-// func axpyRowAVX512(c, a *float32, aStride int, b *float32, bStride, k, w int, write bool)
+// func axpyRowAVX512(c, a *float32, aStride int, b *float32, boff *int, k, w int, write bool)
 //
 // axpyRowAVX2 at sixteen lanes: the same sums, zero-skip and write
 // contract, with the C row segment held 128 floats at a time in eight
@@ -214,10 +224,9 @@ TEXT ·axpyRowAVX512(SB), NOSPLIT, $0-57
 	MOVQ a+8(FP), SI
 	MOVQ aStride+16(FP), R8
 	MOVQ b+24(FP), DX
-	MOVQ bStride+32(FP), R9
+	MOVQ boff+32(FP), R9
 	MOVQ w+48(FP), R10
 	SHLQ $2, R8
-	SHLQ $2, R9
 
 z128:
 	CMPQ R10, $128
@@ -246,13 +255,15 @@ zero128:
 
 sweep128:
 	MOVQ SI, R11
-	MOVQ DX, R12
+	MOVQ R9, R14
 	MOVQ k+40(FP), R13
 
 p128:
 	MOVL (R11), AX
 	SHLL $1, AX
 	JZ   skip128
+	MOVQ (R14), R12
+	LEAQ (DX)(R12*4), R12
 	VBROADCASTSS (R11), Z8
 	MADD16(0, Z0, Z16)
 	MADD16(64, Z1, Z17)
@@ -265,7 +276,7 @@ p128:
 
 skip128:
 	ADDQ R8, R11
-	ADDQ R9, R12
+	ADDQ $8, R14
 	DECQ R13
 	JNZ  p128
 	VMOVUPS Z0, 0(DI)
@@ -313,13 +324,15 @@ mask64:
 
 sweep64:
 	MOVQ SI, R11
-	MOVQ DX, R12
+	MOVQ R9, R14
 	MOVQ k+40(FP), R13
 
 p64:
 	MOVL (R11), AX
 	SHLL $1, AX
 	JZ   skip64
+	MOVQ (R14), R12
+	LEAQ (DX)(R12*4), R12
 	VBROADCASTSS (R11), Z8
 	MASKMADD16(0, K1, Z0, Z16)
 	MASKMADD16(64, K2, Z1, Z17)
@@ -328,7 +341,7 @@ p64:
 
 skip64:
 	ADDQ R8, R11
-	ADDQ R9, R12
+	ADDQ $8, R14
 	DECQ R13
 	JNZ  p64
 	VMOVUPS Z0, K1, 0(DI)
@@ -351,22 +364,41 @@ zdone:
 	VMULPS tmp, Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func dotPanelAVX2(pk, b *float32, bStride, k int, out *float32)
+// func dotPanelAVX2(pk, b *float32, boff *int, segs, seg, skip int, out *float32)
 //
 // Eight rows of A (packed lane-interleaved: pk[p*8+l] = A[l][p]) against
-// eight rows of B (row j at b[j*bStride:]): out[j*8+l] = sum over
-// ascending p of A[l][p]*B[j][p], each sum starting from zero. Lanes
-// are different output rows, so no dot product is ever split.
-TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-40
+// eight rows of B: out[j*8+l] = sum over ascending p of A[l][p]*B[j][p],
+// each sum starting from zero, for p in [0, segs*seg). B row j starts
+// boff[j] floats into b and runs in segs segments of seg floats, each
+// skip floats past the end of the one before: one segment for a
+// row-major B, one per output row for a convolution's shifted rows of
+// a zero-padded plane, whose border columns the skips step over. Lanes
+// are different output rows, so no dot product is ever split. Requires
+// seg >= 1.
+TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-56
 	MOVQ pk+0(FP), SI
 	MOVQ b+8(FP), DX
-	MOVQ bStride+16(FP), R8
-	MOVQ k+24(FP), CX
-	MOVQ out+32(FP), DI
-	SHLQ $2, R8
-	LEAQ (R8)(R8*2), R9        // 3 rows
-	LEAQ (R8)(R8*4), R10       // 5 rows
-	LEAQ (R9)(R8*4), R11       // 7 rows
+	MOVQ boff+16(FP), AX
+	MOVQ segs+24(FP), BX
+	MOVQ seg+32(FP), DI
+	MOVQ 0(AX), CX
+	LEAQ (DX)(CX*4), DX        // row 0; rows 1-7 at DX + 4*R8..R14
+	MOVQ 8(AX), R8
+	SUBQ CX, R8
+	MOVQ 16(AX), R9
+	SUBQ CX, R9
+	MOVQ 24(AX), R10
+	SUBQ CX, R10
+	MOVQ 32(AX), R11
+	SUBQ CX, R11
+	MOVQ 40(AX), R12
+	SUBQ CX, R12
+	MOVQ 48(AX), R13
+	SUBQ CX, R13
+	MOVQ 56(AX), R14
+	SUBQ CX, R14
+	MOVQ skip+40(FP), AX
+	SHLQ $2, AX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -375,25 +407,32 @@ TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-40
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	TESTQ CX, CX
+	TESTQ BX, BX
 	JZ    dotdone
+
+dotseg:
+	MOVQ DI, CX
 
 dotloop:
 	VMOVUPS (SI), Y8
 	DOT((DX), Y0, Y9)
-	DOT((DX)(R8*1), Y1, Y10)
-	DOT((DX)(R8*2), Y2, Y11)
-	DOT((DX)(R9*1), Y3, Y12)
-	DOT((DX)(R8*4), Y4, Y13)
-	DOT((DX)(R10*1), Y5, Y14)
-	DOT((DX)(R9*2), Y6, Y15)
-	DOT((DX)(R11*1), Y7, Y9)
+	DOT((DX)(R8*4), Y1, Y10)
+	DOT((DX)(R9*4), Y2, Y11)
+	DOT((DX)(R10*4), Y3, Y12)
+	DOT((DX)(R11*4), Y4, Y13)
+	DOT((DX)(R12*4), Y5, Y14)
+	DOT((DX)(R13*4), Y6, Y15)
+	DOT((DX)(R14*4), Y7, Y9)
 	ADDQ $32, SI
 	ADDQ $4, DX
 	DECQ CX
 	JNZ  dotloop
+	ADDQ AX, DX
+	DECQ BX
+	JNZ  dotseg
 
 dotdone:
+	MOVQ out+48(FP), DI
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -402,6 +441,134 @@ dotdone:
 	VMOVUPS Y5, 160(DI)
 	VMOVUPS Y6, 192(DI)
 	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func copyRowsAVX2(dst, src *float32, rows, w, dstPitch, srcPitch int)
+//
+// Copies rows runs of w >= 1 floats, srcPitch floats apart from src, to
+// runs dstPitch floats apart from dst, eight floats per move. A row of
+// w >= 8 floats ends with a move of its last eight, which may overlap
+// the move before it, and writes nothing past the row; a shorter row
+// takes one masked move. A conv plane's rows are too short to pay for
+// a memmove call each.
+TEXT ·copyRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ dstPitch+32(FP), R8
+	MOVQ srcPitch+40(FP), R9
+	SHLQ $2, R8
+	SHLQ $2, R9
+	TESTQ CX, CX
+	JZ    copydone
+	CMPQ  DX, $8
+	JGE   copywide
+	MOVQ  $8, BX
+	SUBQ  DX, BX
+	LEAQ  tailMask<>(SB), R10
+	VMOVDQU (R10)(BX*4), Y1    // low w lanes
+
+copynarrow:
+	VMASKMOVPS (SI), Y1, Y0
+	VMASKMOVPS Y0, Y1, (DI)
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  copynarrow
+	JMP  copydone
+
+copywide:
+	LEAQ -32(DX*4), AX         // byte offset of the last eight floats
+	SHRQ $3, DX                // whole moves before them
+
+copyrow:
+	XORQ R10, R10
+	MOVQ DX, R11
+
+copy8:
+	VMOVUPS (SI)(R10*1), Y0
+	VMOVUPS Y0, (DI)(R10*1)
+	ADDQ $32, R10
+	DECQ R11
+	JNZ  copy8
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  copyrow
+
+copydone:
+	VZEROUPPER
+	RET
+
+// func packPanel8AVX2(pk, a *float32, n, stride int)
+//
+// Interleaves eight rows of a, stride floats apart, into pk:
+// pk[p*8+l] = a[l*stride+p] for p in [0, n), n a multiple of 8. Each
+// 8x8 block is one transpose in registers: eight loads, 24 shuffles,
+// eight stores.
+TEXT ·packPanel8AVX2(SB), NOSPLIT, $0-32
+	MOVQ pk+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ stride+24(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9        // 3 rows
+	LEAQ (R8)(R8*4), R10       // 5 rows
+	LEAQ (R9)(R8*4), R11       // 7 rows
+	SHRQ $3, CX
+	JZ   packdone
+
+packblock:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R8*1), Y1
+	VMOVUPS (SI)(R8*2), Y2
+	VMOVUPS (SI)(R9*1), Y3
+	VMOVUPS (SI)(R8*4), Y4
+	VMOVUPS (SI)(R10*1), Y5
+	VMOVUPS (SI)(R9*2), Y6
+	VMOVUPS (SI)(R11*1), Y7
+	VUNPCKLPS Y1, Y0, Y8       // r0 r1 interleaved: columns 0 1 | 4 5
+	VUNPCKHPS Y1, Y0, Y9       // columns 2 3 | 6 7
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+	VSHUFPS $0x44, Y10, Y8, Y0 // rows 0-3 of column 0 | 4
+	VSHUFPS $0xee, Y10, Y8, Y1 // column 1 | 5
+	VSHUFPS $0x44, Y11, Y9, Y2 // column 2 | 6
+	VSHUFPS $0xee, Y11, Y9, Y3 // column 3 | 7
+	VSHUFPS $0x44, Y14, Y12, Y4 // rows 4-7 of column 0 | 4
+	VSHUFPS $0xee, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xee, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	VMOVUPS Y8, 0(DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	ADDQ $32, SI
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  packblock
+
+packdone:
 	VZEROUPPER
 	RET
 

@@ -48,22 +48,30 @@ func fillRandDense(rng *rand.Rand, v []float32) {
 	}
 }
 
-func benchKernel(b *testing.B, shapes []struct{ m, k, n int }, run func(m, k, n int, a, bb, c []float32)) {
+// benchKernel runs kernel run of shape s over shapes, handing it B's
+// row-major rowsB, built before the timer starts.
+func benchKernel(b *testing.B, s gemmShape, shapes []struct{ m, k, n int }, run func(m, k, n int, a, bb []float32, rb rowsB, c []float32)) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range shapes {
-		a := make([]float32, s.m*s.k)
-		bb := make([]float32, s.k*s.n)
-		c := make([]float32, s.m*s.n)
+	for _, sh := range shapes {
+		a := make([]float32, sh.m*sh.k)
+		bb := make([]float32, sh.k*sh.n)
+		c := make([]float32, sh.m*sh.n)
 		fillRandDense(rng, a)
 		fillRandDense(rng, bb)
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+		rb := plainB(s, sh.k, sh.n)
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(2 * s.m * s.k * s.n)) // multiply-adds as "bytes" => MB/s ~ Mflop/s
+			b.SetBytes(int64(2 * sh.m * sh.k * sh.n)) // multiply-adds as "bytes" => MB/s ~ Mflop/s
 			for i := 0; i < b.N; i++ {
-				run(s.m, s.k, s.n, a, bb, c)
+				run(sh.m, sh.k, sh.n, a, bb, rb, c)
 			}
 		})
 	}
+}
+
+// scalarBench adapts a scalar reference kernel to benchKernel.
+func scalarBench(kernel func(m, k, n int, a, b, c []float32)) func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+	return func(m, k, n int, a, bb []float32, _ rowsB, c []float32) { kernel(m, k, n, a, bb, c) }
 }
 
 // BenchmarkGEMM and BenchmarkGEMMTA run a sub-benchmark per assembly
@@ -75,38 +83,54 @@ func benchKernel(b *testing.B, shapes []struct{ m, k, n int }, run func(m, k, n 
 func BenchmarkGEMM(b *testing.B) { benchTiers(b, shapeAB, benchShapesAB) }
 
 func BenchmarkGEMMGo(b *testing.B) {
-	benchKernel(b, benchShapesAB, func(m, k, n int, a, bb, c []float32) { gemmRowsGo(k, n, a, bb, c, 0, m) })
+	benchKernel(b, shapeAB, benchShapesAB, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+		gemmRowsGo(k, n, a, bb, rb, c, 0, m)
+	})
 }
 
-func BenchmarkGEMMScalar(b *testing.B) { benchKernel(b, benchShapesAB, gemmScalar) }
+func BenchmarkGEMMScalar(b *testing.B) {
+	benchKernel(b, shapeAB, benchShapesAB, scalarBench(gemmScalar))
+}
 
 func BenchmarkGEMMTA(b *testing.B) { benchTiers(b, shapeTA, benchShapesTA) }
 
 func BenchmarkGEMMTAGo(b *testing.B) {
-	benchKernel(b, benchShapesTA, func(m, k, n int, a, bb, c []float32) { gemmTARowsGo(m, k, n, a, bb, c, 0, m) })
+	benchKernel(b, shapeTA, benchShapesTA, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+		gemmTARowsGo(m, k, n, a, bb, rb, c, 0, m)
+	})
 }
 
-func BenchmarkGEMMTAScalar(b *testing.B) { benchKernel(b, benchShapesTA, gemmTAScalar) }
+func BenchmarkGEMMTAScalar(b *testing.B) {
+	benchKernel(b, shapeTA, benchShapesTA, scalarBench(gemmTAScalar))
+}
 
 // benchTiers runs shape s over shapes on each tier from AVX2 (or the
 // live tier, if lower) up to the live tier.
 func benchTiers(b *testing.B, s gemmShape, shapes []struct{ m, k, n int }) {
 	for t := min(tierAVX2, live); t <= live; t++ {
 		b.Run(t.String(), func(b *testing.B) {
-			benchKernel(b, shapes, func(m, k, n int, a, bb, c []float32) { s.tile(t, false, m, k, n, a, bb, c, 0, m, 0, n) })
+			benchKernel(b, s, shapes, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+				s.tile(t, false, m, k, n, a, bb, rb, c, 0, m, 0, n)
+			})
 		})
 	}
 }
 
 func BenchmarkGEMMTB(b *testing.B) {
-	benchKernel(b, benchShapesTB, func(m, k, n int, a, bb, c []float32) { shapeTB.tile(live, false, m, k, n, a, bb, c, 0, m, 0, n) })
+	benchKernel(b, shapeTB, benchShapesTB, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+		shapeTB.tile(live, false, m, k, n, a, bb, rb, c, 0, m, 0, n)
+	})
 }
 
 func BenchmarkGEMMTBGo(b *testing.B) {
-	benchKernel(b, benchShapesTB, func(m, k, n int, a, bb, c []float32) { gemmTBRowsGo(k, n, a, bb, c, 0, m, 0, n) })
+	benchKernel(b, shapeTB, benchShapesTB, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
+		gemmTBRowsGo(k, n, a, bb, rb, c, 0, m, 0, n)
+	})
 }
 
-func BenchmarkGEMMTBScalar(b *testing.B) { benchKernel(b, benchShapesTB, gemmTBScalar) }
+func BenchmarkGEMMTBScalar(b *testing.B) {
+	benchKernel(b, shapeTB, benchShapesTB, scalarBench(gemmTBScalar))
+}
 
 // BenchmarkTrainBatchMNIST is one SGD iteration of the repo
 // benchmark's training model at the default kernel parallelism.
@@ -121,5 +145,53 @@ func BenchmarkTrainBatchMNIST(b *testing.B) {
 		if _, err := net.TrainBatch(x, y, net.Config.Batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkConvMNIST times the repository benchmark's two conv layers
+// (MNISTConfig(2, 8, 32)) at its batch of 32, one sub-benchmark per
+// layer and pass, so a profile of BenchmarkTrainBatchMNIST can be split
+// by layer. A backward iteration runs the training forward it reads
+// with the timer stopped; conv1's backward leaves out the input
+// gradient, as TrainBatch does for the first layer.
+func BenchmarkConvMNIST(b *testing.B) {
+	net, x, _ := mnistTrainNet(b)
+	batch := net.Config.Batch
+	rng := rand.New(rand.NewSource(12))
+	in := x
+	for i, name := range []string{"conv1", "conv2"} {
+		conv := net.Layers[i].(*Conv)
+		delta := make([]float32, batch*conv.out.Size())
+		fillRandDense(rng, delta)
+		grad := make([]float32, len(delta))
+		forward := func() {
+			if _, err := conv.Forward(in, batch, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		forward() // grow the layer's buffers
+		b.Run(name+"/forward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				forward()
+			}
+		})
+		b.Run(name+"/backward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				forward()
+				copy(grad, delta)
+				b.StartTimer()
+				if _, err := conv.backward(grad, name != "conv1"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		out, err := conv.Forward(in, batch, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in = append([]float32(nil), out...)
 	}
 }

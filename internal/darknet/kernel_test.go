@@ -46,6 +46,15 @@ func fillKernelOperand(rng *rand.Rand, v []float32, specials bool) {
 	}
 }
 
+// plainB returns the rowsB of shape s's row-major B operand for a GEMM
+// with inner dimension k and n output columns.
+func plainB(s gemmShape, k, n int) rowsB {
+	if s == shapeTB {
+		return rowMajor(k)
+	}
+	return rowMajor(n)
+}
+
 // offsetSlice returns a length-n slice starting off floats into its
 // backing array, so kernel operands are not 32-byte aligned.
 func offsetSlice(n, off int) []float32 {
@@ -87,7 +96,7 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 		for tier := tierGo; tier <= live; tier++ {
 			got := offsetSlice(len(c), 3)
 			copy(got, c)
-			s.tile(tier, false, m, k, n, a, b, got, 0, m, 0, n)
+			s.tile(tier, false, m, k, n, a, b, plainB(s, k, n), got, 0, m, 0, n)
 			for i := range want {
 				if !sameFloat(want[i], got[i]) {
 					t.Fatalf("%s/%s %dx%dx%d: C[%d] = %v (%#08x), scalar %v (%#08x)", name, tier, m, k, n,
@@ -95,7 +104,7 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 				}
 			}
 			copy(got, poison)
-			s.tile(tier, true, m, k, n, a, b, got, 0, m, 0, n)
+			s.tile(tier, true, m, k, n, a, b, plainB(s, k, n), got, 0, m, 0, n)
 			for i := range written {
 				if !sameFloat(written[i], got[i]) {
 					t.Fatalf("%s/%s %dx%dx%d written over NaN/-0: C[%d] = %v (%#08x), scalar into zeros %v (%#08x)",
@@ -109,7 +118,7 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 			}
 			for _, write := range []bool{false, true} {
 				copy(got, c)
-				s.tile(tier, write, m, k, n, a, b, got, lo, hi, tjlo, tjhi)
+				s.tile(tier, write, m, k, n, a, b, plainB(s, k, n), got, lo, hi, tjlo, tjhi)
 				for i := range want {
 					exp := c[i]
 					if n > 0 && i/n >= lo && i/n < hi && i%n >= tjlo && i%n < tjhi {
@@ -124,8 +133,64 @@ func checkGEMMKernels(t testing.TB, m, k, n int, a, b, c []float32, rng *rand.Ra
 					}
 				}
 			}
+			// B's rows through an offset table, as the shifted-GEMM
+			// convolution lays them out.
+			bs, rb := scatterB(rng, s, k, n, b)
+			for _, write := range []bool{false, true} {
+				exp := want
+				copy(got, c)
+				if write {
+					exp = written
+					copy(got, poison)
+				}
+				s.tile(tier, write, m, k, n, a, bs, rb, got, 0, m, 0, n)
+				for i := range exp {
+					if !sameFloat(exp[i], got[i]) {
+						t.Fatalf("%s/%s %dx%dx%d B rows at %v seg %d skip %d, write %v: C[%d] = %v, want %v", name, tier,
+							m, k, n, rb.off, rb.seg, rb.skip, write, i, got[i], exp[i])
+					}
+				}
+			}
 		}
 	}
+}
+
+// scatterB lays shape s's row-major B out as a rowsB with an offset
+// table can describe it: rows in shuffled order, with gaps between
+// them and, for gemmTB, each row in segments with gaps between those.
+// Every gap holds NaN, which a kernel reading it would carry into C.
+func scatterB(rng *rand.Rand, s gemmShape, k, n int, b []float32) ([]float32, rowsB) {
+	rows, length := k, n
+	rb := rowsB{off: make([]int, rows), seg: length}
+	if s == shapeTB {
+		rows, length = n, k
+		rb = rowsB{off: make([]int, rows), seg: length, skip: rng.Intn(3)}
+		for length > 0 {
+			if d := 1 + rng.Intn(length); length%d == 0 {
+				rb.seg = d
+				break
+			}
+		}
+	}
+	extent := length
+	if rb.seg > 0 {
+		extent += (length/rb.seg - 1) * rb.skip
+	}
+	pos := rng.Intn(3)
+	for _, r := range rng.Perm(rows) {
+		rb.off[r] = pos
+		pos += extent + rng.Intn(4)
+	}
+	bs := make([]float32, pos+1)
+	for i := range bs {
+		bs[i] = float32(math.NaN())
+	}
+	for r := 0; r < rows; r++ {
+		for q := 0; q < length; q++ {
+			bs[rb.off[r]+q/rb.seg*(rb.seg+rb.skip)+q%rb.seg] = b[r*length+q]
+		}
+	}
+	return bs, rb
 }
 
 // kernelCase builds operands for one shape from seed — unaligned, and
@@ -348,29 +413,62 @@ func TestTrainBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchAllocs: a warmed-up ClassifyBatch allocates only the
-// []int it returns.
+// TestClassifyBatchAllocs: a warmed-up ClassifyBatch, on the fp32
+// network and on its int8 quantization, allocates only the []int it
+// returns. As in TestTrainBatchAllocs, the MemStats pass counts the
+// forking path at the test's GOMAXPROCS, and AllocsPerRun, which pins
+// GOMAXPROCS to 1, the inline one.
 func TestClassifyBatchAllocs(t *testing.T) {
 	net, x, _ := mnistTrainNet(t)
+	qnet, err := QuantizeNetwork(net)
+	if err != nil {
+		t.Fatalf("quantize: %v", err)
+	}
 	// A -race build's sync.Pool drops a random share of Puts, and a
 	// collection empties every pool, so a window can find scratchPool
-	// empty and allocate afresh; an allocation ClassifyBatch itself
-	// makes shows in every window, so the quietest of a few counts.
+	// empty and allocate afresh; with more Ps than cores, a blocked fork
+	// can also allocate in the scheduler. An allocation ClassifyBatch
+	// itself makes shows in every window, however short, so the
+	// quietest of a few short windows counts. Under -race the forking
+	// path's bound is TestTrainBatchAllocs's.
+	limit, calls := 1.0, 5
+	if raceEnabled {
+		limit = 64
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, batch := range []int{1, 8} {
-		in := x[:batch*net.InputSize()]
-		classify := func() {
-			if _, err := net.ClassifyBatch(in, batch); err != nil {
-				t.Fatalf("classify: %v", err)
+	for _, n := range []struct {
+		name string
+		net  *Network
+	}{{"fp32", net}, {"int8", qnet}} {
+		for _, batch := range []int{1, 8, 32} {
+			in := x[:batch*n.net.InputSize()]
+			classify := func() {
+				if _, err := n.net.ClassifyBatch(in, batch); err != nil {
+					t.Fatalf("classify: %v", err)
+				}
 			}
-		}
-		classify()
-		allocs := math.Inf(1)
-		for round := 0; round < 10 && allocs > 1; round++ {
-			allocs = min(allocs, testing.AllocsPerRun(20, classify))
-		}
-		if allocs != 1 {
-			t.Errorf("ClassifyBatch(batch %d): %.0f allocs/op, want 1 (the returned classes)", batch, allocs)
+			classify()
+			perCall := math.Inf(1)
+			for round := 0; round < 10 && perCall > limit; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < calls; i++ {
+					classify()
+				}
+				runtime.ReadMemStats(&after)
+				perCall = min(perCall, float64(after.Mallocs-before.Mallocs)/float64(calls))
+			}
+			if perCall > limit {
+				t.Errorf("%s ClassifyBatch(batch %d) at GOMAXPROCS=%d: %.2f allocs/call, want %.0f (the returned classes)",
+					n.name, batch, runtime.GOMAXPROCS(0), perCall, limit)
+			}
+			allocs := math.Inf(1)
+			for round := 0; round < 10 && allocs > 1; round++ {
+				allocs = min(allocs, testing.AllocsPerRun(calls, classify))
+			}
+			if allocs != 1 {
+				t.Errorf("%s ClassifyBatch(batch %d) at GOMAXPROCS=1: %.0f allocs/op, want 1 (the returned classes)", n.name, batch, allocs)
+			}
 		}
 	}
 }

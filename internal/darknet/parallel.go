@@ -8,13 +8,18 @@ package darknet
 // products — in vector registers across the whole inner-product sweep,
 // eight lanes wide on AVX2 and, for gemm and gemmTA, sixteen on
 // AVX-512; and the portable register-blocked Go kernels below, which
-// every other platform and -tags purego run. A caller whose C is to be
+// every other platform and -tags purego run. Every kernel finds B's
+// rows through a rowsB: a row-major B, or — for the shifted-GEMM
+// convolution (conv.go) — rows at a table of offsets into a sample's
+// zero-padded input planes, read by gemmTB in segments that step over
+// the padding between output rows. A caller whose C is to be
 // overwritten says so (write), and the axpy kernels then start their
 // sums at +0 instead of loading C — the value clearing C first would
 // give, without the clear. par.For shards output rows (for
 // a gemmTB with few rows, output columns) across the process's worker
 // pool; the layer passes use the same pool to fork once over the
-// samples of a batch instead of once per GEMM.
+// samples of a batch instead of once per GEMM, each worker with its
+// own per-sample scratch from scratchPool.
 //
 // Every kernel is bit-identical to the scalar reference kernels: each
 // output element receives exactly the same additions in exactly the
@@ -100,7 +105,8 @@ func serial(n, grain int) bool {
 }
 
 // scratchPool recycles per-worker kernel scratch (packed A panels, a
-// column-gradient matrix) so the hot paths stay allocation-free.
+// convolution's padded input planes and column tiles) so the hot paths
+// stay allocation-free.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // gemmShape is one of the three matrix-multiply shapes.
@@ -115,6 +121,33 @@ const (
 // tbPanel is the granule of a gemmTB shard: the AVX2 kernel's lanes
 // are eight output rows against eight B rows.
 const tbPanel = 8
+
+// rowsB locates the rows of a GEMM's B operand in its backing slice b.
+// Each of gemm's and gemmTA's k rows (B is k x n) is read n floats on;
+// each of gemmTB's n rows (B is n x k) is read as k/seg segments of seg
+// floats, each skip floats past the end of the one before. A row-major
+// B has no off: row r starts at b[r·stride], in one segment. The
+// shifted-GEMM convolution (conv.go) sets off, and row r starts at
+// b[off[r]], inside a zero-padded input plane. It also lends the
+// kernels pack, its per-sample scratch, for their packed A panels; a
+// kernel that finds pack too short, or shared by a fork, draws its
+// own from scratchPool.
+type rowsB struct {
+	off               []int
+	stride, seg, skip int
+	pack              []float32
+}
+
+// rowMajor is the rowsB of a row-major B whose rows are length floats.
+func rowMajor(length int) rowsB { return rowsB{stride: length, seg: length} }
+
+// row returns where row r starts in b.
+func (rb rowsB) row(r int) int {
+	if rb.off == nil {
+		return r * rb.stride
+	}
+	return rb.off[r]
+}
 
 // run executes one m x n GEMM with inner dimension k: on the scalar
 // reference when that is forced, otherwise on the blocked kernels,
@@ -140,21 +173,60 @@ func (s gemmShape) run(fork, write bool, m, k, n int, a, b, c []float32) {
 		}
 		return
 	}
+	length := n
+	if s == shapeTB {
+		length = k
+	}
+	s.blocked(fork, write, m, k, n, a, b, rowMajor(length), c)
+}
+
+// runRows is run on the blocked kernels for a B whose rows rb locates.
+// It checks that every row lies inside b, since the assembly kernels
+// index without bounds checks. It has no scalar leg: the shifted-GEMM
+// convolution, its one caller, takes explicit columns and run when the
+// scalar reference is forced.
+func (s gemmShape) runRows(fork, write bool, m, k, n int, a, b []float32, rb rowsB, c []float32) {
+	rows, extent := k, n
+	if s == shapeTB {
+		rows, extent = n, 0
+		if k > 0 {
+			if rb.seg <= 0 || rb.skip < 0 || k%rb.seg != 0 {
+				panic("darknet: gemm B segments do not tile its rows")
+			}
+			extent = k + (k/rb.seg-1)*rb.skip
+		}
+	}
+	if len(a) < m*k || len(c) < m*n || rb.off == nil || len(rb.off) < rows {
+		panic("darknet: gemm operand shorter than its shape")
+	}
+	for _, o := range rb.off[:rows] {
+		if o < 0 || o > len(b)-extent {
+			panic("darknet: gemm B row outside its operand")
+		}
+	}
+	s.blocked(fork, write, m, k, n, a, b, rb, c)
+}
+
+// blocked is run's blocked-kernel leg.
+func (s gemmShape) blocked(fork, write bool, m, k, n int, a, b []float32, rb rowsB, c []float32) {
 	mGemmBlocked.Inc()
+	if !fork || m*k*n < 2*gemmParallelFlops || runtime.GOMAXPROCS(0) == 1 {
+		s.tile(live, write, m, k, n, a, b, rb, c, 0, m, 0, n)
+		return
+	}
+	rb.pack = nil
 	switch {
-	case !fork || m*k*n < 2*gemmParallelFlops || runtime.GOMAXPROCS(0) == 1:
-		s.tile(live, write, m, k, n, a, b, c, 0, m, 0, n)
 	case s != shapeTB:
 		par.For(m, minChunk(k*n), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, c, lo, hi, 0, n)
+			s.tile(live, write, m, k, n, a, b, rb, c, lo, hi, 0, n)
 		})
 	case m >= 2*tbPanel:
 		par.For((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
+			s.tile(live, write, m, k, n, a, b, rb, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
 		})
 	default: // too few rows for a panel per worker (serving batches): shard columns
 		par.For((n+tbPanel-1)/tbPanel, minChunk(tbPanel*m*k), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
+			s.tile(live, write, m, k, n, a, b, rb, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
 		})
 	}
 }
@@ -163,13 +235,13 @@ func (s gemmShape) run(fork, write bool, m, k, n int, a, b, c []float32) {
 // [jlo, jhi) — on tier t's kernels, overwriting them when write is set.
 // The axpy micro-kernels under gemm and gemmTA write by starting their
 // sums at +0; every other kernel clears its tile and accumulates.
-func (s gemmShape) tile(t kernelTier, write bool, m, k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
+func (s gemmShape) tile(t kernelTier, write bool, m, k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo, jhi int) {
 	if s != shapeTB && t >= tierAVX2 {
 		ai, ap := k, 1 // gemm: A'[i][p] = a[i*k+p]
 		if s == shapeTA {
 			ai, ap = 1, m
 		}
-		axpyRows(t, write, k, n, a, ai, ap, b, c, lo, hi)
+		axpyRows(t, write, k, n, a, ai, ap, b, rb, c, lo, hi)
 		return
 	}
 	if write {
@@ -179,14 +251,24 @@ func (s gemmShape) tile(t kernelTier, write bool, m, k, n int, a, b, c []float32
 	}
 	switch {
 	case s == shapeTB && t >= tierAVX2:
-		gemmTBRowsAVX2(k, n, a, b, c, lo, hi, jlo, jhi)
+		gemmTBRowsAVX2(k, n, a, b, rb, c, lo, hi, jlo, jhi)
 	case s == shapeTB:
-		gemmTBRowsGo(k, n, a, b, c, lo, hi, jlo, jhi)
+		gemmTBRowsGo(k, n, a, b, rb, c, lo, hi, jlo, jhi)
 	case s == shapeAB:
-		gemmRowsGo(k, n, a, b, c, lo, hi)
+		gemmRowsGo(k, n, a, b, rb, c, lo, hi)
 	default:
-		gemmTARowsGo(m, k, n, a, b, c, lo, hi)
+		gemmTARowsGo(m, k, n, a, b, rb, c, lo, hi)
 	}
+}
+
+// packScratch returns n floats for packed A panels: pack's own when it
+// is long enough (bp nil), else a scratchPool buffer for putScratch.
+func packScratch(pack []float32, n int) (bp *[]float32, pk []float32) {
+	if len(pack) >= n {
+		return nil, pack[:n]
+	}
+	bp = scratchPool.Get().(*[]float32)
+	return bp, growF32(bp, n)
 }
 
 // packPanel2 interleaves two consecutive A rows (row-major, stride k)
@@ -222,9 +304,8 @@ func packPanel2(k int, a []float32, i int, pk []float32) {
 // runs only when both rows are nonzero at p; otherwise the single
 // live row takes the reference loop) — fusing interleaves additions to
 // *different* elements only, which cannot change any element's value.
-func gemmRowsGo(k, n int, a, b, c []float32, lo, hi int) {
-	bp := scratchPool.Get().(*[]float32)
-	pk := growF32(bp, 2*k)
+func gemmRowsGo(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi int) {
+	bp, pk := packScratch(rb.pack, 2*k)
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		packPanel2(k, a, i, pk)
@@ -243,7 +324,7 @@ func gemmRowsGo(k, n int, a, b, c []float32, lo, hi int) {
 				if a0 == 0 && a1 == 0 {
 					continue
 				}
-				brow := b[p*n+jb : p*n+je]
+				brow := b[rb.row(p)+jb : rb.row(p)+je]
 				switch {
 				case a0 != 0 && a1 != 0:
 					for j, bv := range brow {
@@ -262,7 +343,7 @@ func gemmRowsGo(k, n int, a, b, c []float32, lo, hi int) {
 			}
 		}
 	}
-	scratchPool.Put(bp)
+	putScratch(bp)
 	// Row tail: the scalar reference loop.
 	for ; i < hi; i++ {
 		arow := a[i*k : i*k+k]
@@ -272,7 +353,7 @@ func gemmRowsGo(k, n int, a, b, c []float32, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			brow := b[p*n : p*n+n]
+			brow := b[rb.row(p) : rb.row(p)+n]
 			for j, bv := range brow {
 				crow[j] += av * bv
 			}
@@ -285,7 +366,7 @@ func gemmRowsGo(k, n int, a, b, c []float32, lo, hi int) {
 // like gemmRowsGo; no packing is needed because a[p*m+i..i+2] is already
 // contiguous at fixed p. Per output element the additions run in
 // ascending p with the scalar reference's zero-skip.
-func gemmTARowsGo(m, k, n int, a, b, c []float32, lo, hi int) {
+func gemmTARowsGo(m, k, n int, a, b []float32, rb rowsB, c []float32, lo, hi int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		cr0 := c[(i+0)*n : (i+0)*n+n]
@@ -296,7 +377,7 @@ func gemmTARowsGo(m, k, n int, a, b, c []float32, lo, hi int) {
 			if a0 == 0 && a1 == 0 {
 				continue
 			}
-			brow := b[p*n : p*n+n]
+			brow := b[rb.row(p) : rb.row(p)+n]
 			switch {
 			case a0 != 0 && a1 != 0:
 				for j, bv := range brow {
@@ -318,7 +399,7 @@ func gemmTARowsGo(m, k, n int, a, b, c []float32, lo, hi int) {
 	if i < hi {
 		for p := 0; p < k; p++ {
 			arow := a[p*m+i : p*m+hi]
-			brow := b[p*n : p*n+n]
+			brow := b[rb.row(p) : rb.row(p)+n]
 			for ii, av := range arow {
 				if av == 0 {
 					continue
@@ -333,37 +414,44 @@ func gemmTARowsGo(m, k, n int, a, b, c []float32, lo, hi int) {
 }
 
 // gemmTBRowsGo computes columns [jlo, jhi) of rows [lo, hi) of
-// C += A * Bᵀ (A m x k, B n x k, C m x n) with 2x4 register tiles of dot products: 8 accumulators
-// start at zero, sweep p in ascending order, and each is added to its
-// C element exactly once at the end — the scalar reference order per
-// element. Both operands are read as contiguous rows, so no packing is
-// needed.
-func gemmTBRowsGo(k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
+// C += A * Bᵀ (A m x k, B n x k, C m x n) with 2x4 register tiles of
+// dot products: 8 accumulators start at zero, sweep p in ascending
+// order — B's rows segment by segment (see rowsB) — and each is added
+// to its C element exactly once at the end: the scalar reference order
+// per element. Both operands are read as contiguous runs, so no packing
+// is needed.
+func gemmTBRowsGo(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo, jhi int) {
+	seg, pitch := rb.seg, rb.seg+rb.skip
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		ar0 := a[(i+0)*k : (i+0)*k+k]
 		ar1 := a[(i+1)*k : (i+1)*k+k]
 		j := jlo
 		for ; j+4 <= jhi; j += 4 {
-			br0 := b[(j+0)*k : (j+0)*k+k]
-			br1 := b[(j+1)*k : (j+1)*k+k]
-			br2 := b[(j+2)*k : (j+2)*k+k]
-			br3 := b[(j+3)*k : (j+3)*k+k]
+			o0, o1, o2, o3 := rb.row(j), rb.row(j+1), rb.row(j+2), rb.row(j+3)
 			var s00, s01, s02, s03 float32
 			var s10, s11, s12, s13 float32
-			for p := 0; p < k; p++ {
-				a0, a1 := ar0[p], ar1[p]
-				b0, b1, b2, b3 := br0[p], br1[p], br2[p], br3[p]
-				s00 += a0 * b0
-				s01 += a0 * b1
-				s02 += a0 * b2
-				s03 += a0 * b3
-				s10 += a1 * b0
-				s11 += a1 * b1
-				s12 += a1 * b2
-				s13 += a1 * b3
+			for q, pos := 0, 0; q < k; q, pos = q+seg, pos+pitch {
+				as0 := ar0[q : q+seg]
+				as1 := ar1[q : q+seg][:len(as0)]
+				br0 := b[o0+pos : o0+pos+seg][:len(as0)]
+				br1 := b[o1+pos : o1+pos+seg][:len(as0)]
+				br2 := b[o2+pos : o2+pos+seg][:len(as0)]
+				br3 := b[o3+pos : o3+pos+seg][:len(as0)]
+				for p, a0 := range as0 {
+					a1 := as1[p]
+					b0, b1, b2, b3 := br0[p], br1[p], br2[p], br3[p]
+					s00 += a0 * b0
+					s01 += a0 * b1
+					s02 += a0 * b2
+					s03 += a0 * b3
+					s10 += a1 * b0
+					s11 += a1 * b1
+					s12 += a1 * b2
+					s13 += a1 * b3
+				}
 			}
-			o0, o1 := (i+0)*n+j, (i+1)*n+j
+			o0, o1 = (i+0)*n+j, (i+1)*n+j
 			c[o0] += s00
 			c[o0+1] += s01
 			c[o0+2] += s02
@@ -374,12 +462,14 @@ func gemmTBRowsGo(k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
 			c[o1+3] += s13
 		}
 		for ; j < jhi; j++ {
-			brow := b[j*k : j*k+k]
 			var s0, s1 float32
-			for p := 0; p < k; p++ {
-				bv := brow[p]
-				s0 += ar0[p] * bv
-				s1 += ar1[p] * bv
+			for q, pos := 0, rb.row(j); q < k; q, pos = q+seg, pos+pitch {
+				as0 := ar0[q : q+seg]
+				as1 := ar1[q : q+seg][:len(as0)]
+				for p, bv := range b[pos : pos+seg][:len(as0)] {
+					s0 += as0[p] * bv
+					s1 += as1[p] * bv
+				}
 			}
 			c[(i+0)*n+j] += s0
 			c[(i+1)*n+j] += s1
@@ -390,10 +480,12 @@ func gemmTBRowsGo(k, n int, a, b, c []float32, lo, hi, jlo, jhi int) {
 		arow := a[i*k : i*k+k]
 		crow := c[i*n : i*n+n]
 		for j := jlo; j < jhi; j++ {
-			brow := b[j*k : j*k+k]
 			var sum float32
-			for p, av := range arow {
-				sum += av * brow[p]
+			for q, pos := 0, rb.row(j); q < k; q, pos = q+seg, pos+pitch {
+				as := arow[q : q+seg]
+				for p, bv := range b[pos : pos+seg][:len(as)] {
+					sum += as[p] * bv
+				}
 			}
 			crow[j] += sum
 		}

@@ -47,6 +47,16 @@ func withKernelConfigs(t *testing.T, body func(t *testing.T)) {
 	}
 }
 
+// withTiers runs body once on each kernel tier the CPU runs, from the
+// portable Go kernels up, with live set to that tier, and restores it.
+func withTiers(body func(tier kernelTier)) {
+	defer func(l kernelTier) { live = l }(live)
+	for tier := tierGo; tier <= probeTier(); tier++ {
+		live = tier
+		body(tier)
+	}
+}
+
 // TestGEMMBitIdenticalToScalar asserts the blocked parallel kernels
 // reproduce the scalar reference with tolerance zero: same additions,
 // same order, per output element.

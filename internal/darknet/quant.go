@@ -111,17 +111,6 @@ func gemmQRows(k, n int, qa []int8, scale float32, b, c []float32, lo, hi int) {
 	}
 }
 
-// gemmQ dispatches gemmQRows over par.For.
-func gemmQ(m, k, n int, qa []int8, scale float32, b, c []float32) {
-	if serial(m, minChunk(k*n)) {
-		gemmQRows(k, n, qa, scale, b, c, 0, m)
-		return
-	}
-	par.For(m, minChunk(k*n), func(lo, hi int) {
-		gemmQRows(k, n, qa, scale, b, c, lo, hi)
-	})
-}
-
 // gemmTBQRows computes rows [lo, hi) of C = scale * (A * QBᵀ) for fp32
 // A (m x k), int8 B (n x k) and fp32 C (m x n): each output element is
 // one dot product of an fp32 activation row with an int8 weight row,
@@ -141,17 +130,6 @@ func gemmTBQRows(k, n int, a []float32, qb []int8, scale float32, c []float32, l
 	}
 }
 
-// gemmTBQ dispatches gemmTBQRows over par.For.
-func gemmTBQ(m, k, n int, a []float32, qb []int8, scale float32, c []float32) {
-	if serial(m, minChunk(k*n)) {
-		gemmTBQRows(k, n, a, qb, scale, c, 0, m)
-		return
-	}
-	par.For(m, minChunk(k*n), func(lo, hi int) {
-		gemmTBQRows(k, n, a, qb, scale, c, lo, hi)
-	})
-}
-
 // QuantConv is the int8 inference variant of Conv: weights quantized,
 // batch-norm folded through the rolling statistics, no training state.
 type QuantConv struct {
@@ -161,8 +139,19 @@ type QuantConv struct {
 
 	biases, scales, rollMean, rollVar []float32
 
-	colsBuf, outBuf []float32
+	// outBuf is Forward's reusable output; inlineBuf the column tile of
+	// a pass that runs inline (see Conv).
+	outBuf, inlineBuf []float32
+
+	// pass holds the operands of a forking pass for forwardRange (over
+	// samples) and gemmRange (over the filters of one sample's GEMM),
+	// bound once in newQuantConv, as Conv's are.
+	pass                    quantPass
+	forwardRange, gemmRange func(lo, hi int)
 }
+
+// quantPass is the operands of one forking QuantConv pass.
+type quantPass struct{ x, out, cols, o []float32 }
 
 var _ QuantWeightLayer = (*QuantConv)(nil)
 
@@ -175,6 +164,10 @@ func newQuantConv(c *Conv) *QuantConv {
 		rollVar:  append([]float32(nil), c.rollVar...),
 	}
 	q.qWeights, q.wScale[0] = QuantizeWeights(c.weights)
+	q.forwardRange = func(lo, hi int) { q.forwardSamples(q.pass.x, q.pass.out, lo, hi, false) }
+	q.gemmRange = func(lo, hi int) {
+		gemmQRows(q.kcols(), q.out.H*q.out.W, q.qWeights, q.wScale[0], q.pass.cols, q.pass.o, lo, hi)
+	}
 	return q
 }
 
@@ -211,31 +204,35 @@ func (q *QuantConv) Forward(x []float32, batch int, train bool) ([]float32, erro
 	if err := checkInput(x, batch, q.in); err != nil {
 		return nil, err
 	}
-	cols := growF32(&q.colsBuf, batch*q.kcols()*q.out.H*q.out.W)
 	out := growF32(&q.outBuf, batch*q.out.Size())
 	if chunk := minChunk(q.sampleFlops()); serial(batch, chunk) {
-		q.forwardSamples(x, cols, out, 0, batch, true)
+		q.forwardSamples(x, out, 0, batch, true)
 	} else {
-		par.For(batch, chunk, func(lo, hi int) { q.forwardSamples(x, cols, out, lo, hi, false) })
+		q.pass = quantPass{x: x, out: out}
+		par.For(batch, chunk, q.forwardRange)
+		q.pass = quantPass{}
 	}
 	return out, nil
 }
 
-// forwardSamples takes samples [lo, hi) through im2col, the int8 GEMM,
-// inference batch norm over the rolling statistics, bias and
-// activation (see Conv.forwardSamples).
-func (q *QuantConv) forwardSamples(x, cols, out []float32, lo, hi int, fork bool) {
-	k, outHW := q.kcols(), q.out.H*q.out.W
-	inSize, outSize, colSize := q.in.Size(), q.out.Size(), k*outHW
+// forwardSamples takes samples [lo, hi) through im2col into the
+// worker's column tile, the int8 GEMM (forked over filters when fork
+// is set and it is big enough), inference batch norm over the rolling
+// statistics, bias and activation (see Conv.forwardSamples).
+func (q *QuantConv) forwardSamples(x, out []float32, lo, hi int, fork bool) {
+	filters, k, outHW := q.cfg.Filters, q.kcols(), q.out.H*q.out.W
+	inSize, outSize := q.in.Size(), q.out.Size()
+	bp, cols := drawScratch(fork, &q.inlineBuf, k*outHW)
 	for b := lo; b < hi; b++ {
-		cb := cols[b*colSize : (b+1)*colSize]
 		o := out[b*outSize : (b+1)*outSize]
-		q.im2col(x[b*inSize:(b+1)*inSize], cb)
+		q.im2col(x[b*inSize:(b+1)*inSize], cols)
 		clear(o)
-		if fork {
-			gemmQ(q.cfg.Filters, k, outHW, q.qWeights, q.wScale[0], cb, o)
+		if chunk := minChunk(k * outHW); !fork || serial(filters, chunk) {
+			gemmQRows(k, outHW, q.qWeights, q.wScale[0], cols, o, 0, filters)
 		} else {
-			gemmQRows(k, outHW, q.qWeights, q.wScale[0], cb, o, 0, q.cfg.Filters)
+			q.pass.cols, q.pass.o = cols, o
+			par.For(filters, chunk, q.gemmRange)
+			q.pass.cols, q.pass.o = nil, nil
 		}
 		if q.cfg.BatchNorm {
 			for f := 0; f < q.cfg.Filters; f++ {
@@ -249,6 +246,7 @@ func (q *QuantConv) forwardSamples(x, cols, out []float32, lo, hi int, fork bool
 		}
 		q.biasActivate(q.biases, o)
 	}
+	putScratch(bp)
 }
 
 // Backward implements Layer: quantized layers do not train.
@@ -269,6 +267,11 @@ type QuantConnected struct {
 	activation Activation
 
 	outBuf []float32
+
+	// pass holds the operands of a forking Forward for rowsRange, its
+	// par.For body over samples, bound once in newQuantConnected.
+	pass      struct{ x, out []float32 }
+	rowsRange func(lo, hi int)
 }
 
 var _ QuantWeightLayer = (*QuantConnected)(nil)
@@ -281,6 +284,9 @@ func newQuantConnected(c *Connected) *QuantConnected {
 		activation: c.activation,
 	}
 	q.qWeights, q.wScale[0] = QuantizeWeights(c.weights)
+	q.rowsRange = func(lo, hi int) {
+		gemmTBQRows(q.in.Size(), q.out.C, q.pass.x, q.qWeights, q.wScale[0], q.pass.out, lo, hi)
+	}
 	return q
 }
 
@@ -316,7 +322,13 @@ func (q *QuantConnected) Forward(x []float32, batch int, train bool) ([]float32,
 	inSize := q.in.Size()
 	outs := q.out.C
 	out := growF32(&q.outBuf, batch*outs)
-	gemmTBQ(batch, inSize, outs, x, q.qWeights, q.wScale[0], out)
+	if chunk := minChunk(inSize * outs); serial(batch, chunk) {
+		gemmTBQRows(inSize, outs, x, q.qWeights, q.wScale[0], out, 0, batch)
+	} else {
+		q.pass.x, q.pass.out = x, out
+		par.For(batch, chunk, q.rowsRange)
+		q.pass.x, q.pass.out = nil, nil
+	}
 	for b := 0; b < batch; b++ {
 		axpy(1, q.biases, out[b*outs:(b+1)*outs])
 	}

@@ -3,6 +3,7 @@ package darknet
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"plinius/internal/mnist"
@@ -274,60 +275,96 @@ func TestQuantParamBytesRatio(t *testing.T) {
 	}
 }
 
-// TestQuantizedGemmMatchesDequantized: gemmQ / gemmTBQ must compute
-// exactly scale * (integer dot) accumulated in fp32 — verified against
-// an explicit dequantize-then-multiply reference within float32
-// rounding, across the scalar and parallel dispatch paths.
-func TestQuantizedGemmMatchesDequantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	withKernelConfigs(t, func(t *testing.T) {
-		for _, s := range gemmShapes {
-			qa := make([]int8, s.m*s.k)
-			b := make([]float32, s.k*s.n)
-			for i := range qa {
-				qa[i] = int8(rng.Intn(255) - 127)
+// TestQuantForwardSameAtAnyProcs: the int8 forward of the benchmark's
+// CNN gives the same bits inline and forked — over samples, and at
+// batch 1 over a conv's filters — with every scratch buffer a conv
+// draws NaN-filled, so each column-tile float it reads was written.
+func TestQuantForwardSameAtAnyProcs(t *testing.T) {
+	net, x, _ := mnistTrainNet(t)
+	qnet, err := QuantizeNetwork(net)
+	if err != nil {
+		t.Fatalf("quantize: %v", err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer setPoisonScratch(false)
+	for _, batch := range []int{1, 8, 32} {
+		in := x[:batch*net.InputSize()]
+		forward := func() []float32 {
+			out, err := qnet.Forward(in, batch, false)
+			if err != nil {
+				t.Fatalf("int8 forward: %v", err)
 			}
-			fillRandSparse(rng, b)
-			scale := rng.Float32() + 0.01
-
-			got := make([]float32, s.m*s.n)
-			gemmQ(s.m, s.k, s.n, qa, scale, b, got)
-			for i := 0; i < s.m; i++ {
-				for j := 0; j < s.n; j++ {
-					var sum float32
-					for p := 0; p < s.k; p++ {
-						if qa[i*s.k+p] == 0 {
-							continue
-						}
-						sum += float32(qa[i*s.k+p]) * b[p*s.n+j]
-					}
-					want := scale * sum
-					if d := math.Abs(float64(got[i*s.n+j]) - float64(want)); d > 1e-4*(1+math.Abs(float64(want))) {
-						t.Fatalf("gemmQ %dx%dx%d C[%d,%d] = %v, want %v", s.m, s.k, s.n, i, j, got[i*s.n+j], want)
-					}
+			return append([]float32(nil), out...)
+		}
+		runtime.GOMAXPROCS(1)
+		want := forward()
+		setPoisonScratch(true)
+		withKernelConfigs(t, func(t *testing.T) {
+			for i, v := range forward() {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					t.Fatalf("batch %d GOMAXPROCS %d: out[%d] = %v, inline %v", batch, runtime.GOMAXPROCS(0), i, v, want[i])
 				}
 			}
+		})
+		setPoisonScratch(false)
+	}
+}
 
-			a := make([]float32, s.m*s.k)
-			qb := make([]int8, s.n*s.k)
-			fillRandSparse(rng, a)
-			for i := range qb {
-				qb[i] = int8(rng.Intn(255) - 127)
-			}
-			got2 := make([]float32, s.m*s.n)
-			gemmTBQ(s.m, s.k, s.n, a, qb, scale, got2)
-			for i := 0; i < s.m; i++ {
-				for j := 0; j < s.n; j++ {
-					var sum float32
-					for p := 0; p < s.k; p++ {
-						sum += a[i*s.k+p] * float32(qb[j*s.k+p])
+// TestQuantizedGemmMatchesDequantized: gemmQRows / gemmTBQRows must
+// compute exactly scale * (integer dot) accumulated in fp32 — verified
+// against an explicit dequantize-then-multiply reference within float32
+// rounding, with the output rows split in two ranges as a fork over
+// rows splits them.
+func TestQuantizedGemmMatchesDequantized(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, s := range gemmShapes {
+		qa := make([]int8, s.m*s.k)
+		b := make([]float32, s.k*s.n)
+		for i := range qa {
+			qa[i] = int8(rng.Intn(255) - 127)
+		}
+		fillRandSparse(rng, b)
+		scale := rng.Float32() + 0.01
+
+		got := make([]float32, s.m*s.n)
+		gemmQRows(s.k, s.n, qa, scale, b, got, 0, s.m/2)
+		gemmQRows(s.k, s.n, qa, scale, b, got, s.m/2, s.m)
+		for i := 0; i < s.m; i++ {
+			for j := 0; j < s.n; j++ {
+				var sum float32
+				for p := 0; p < s.k; p++ {
+					if qa[i*s.k+p] == 0 {
+						continue
 					}
-					want := scale * sum
-					if d := math.Abs(float64(got2[i*s.n+j]) - float64(want)); d > 1e-4*(1+math.Abs(float64(want))) {
-						t.Fatalf("gemmTBQ %dx%dx%d C[%d,%d] = %v, want %v", s.m, s.k, s.n, i, j, got2[i*s.n+j], want)
-					}
+					sum += float32(qa[i*s.k+p]) * b[p*s.n+j]
+				}
+				want := scale * sum
+				if d := math.Abs(float64(got[i*s.n+j]) - float64(want)); d > 1e-4*(1+math.Abs(float64(want))) {
+					t.Fatalf("gemmQRows %dx%dx%d C[%d,%d] = %v, want %v", s.m, s.k, s.n, i, j, got[i*s.n+j], want)
 				}
 			}
 		}
-	})
+
+		a := make([]float32, s.m*s.k)
+		qb := make([]int8, s.n*s.k)
+		fillRandSparse(rng, a)
+		for i := range qb {
+			qb[i] = int8(rng.Intn(255) - 127)
+		}
+		got2 := make([]float32, s.m*s.n)
+		gemmTBQRows(s.k, s.n, a, qb, scale, got2, 0, s.m/2)
+		gemmTBQRows(s.k, s.n, a, qb, scale, got2, s.m/2, s.m)
+		for i := 0; i < s.m; i++ {
+			for j := 0; j < s.n; j++ {
+				var sum float32
+				for p := 0; p < s.k; p++ {
+					sum += a[i*s.k+p] * float32(qb[j*s.k+p])
+				}
+				want := scale * sum
+				if d := math.Abs(float64(got2[i*s.n+j]) - float64(want)); d > 1e-4*(1+math.Abs(float64(want))) {
+					t.Fatalf("gemmTBQRows %dx%dx%d C[%d,%d] = %v, want %v", s.m, s.k, s.n, i, j, got2[i*s.n+j], want)
+				}
+			}
+		}
+	}
 }

@@ -1,8 +1,8 @@
 // Package mnist provides the training data substrate for the Plinius
 // reproduction: a reader/writer for the IDX file format used by the real
 // MNIST database, and a deterministic synthetic handwritten-digit
-// generator used because the reproduction environment is offline (see
-// DESIGN.md, substitution table). Synthetic digits are rendered from
+// generator that stands in for the MNIST files, which an offline
+// reproduction cannot fetch. Synthetic digits are rendered from
 // seven-segment glyph templates with random translation, thickness
 // jitter and pixel noise — a 10-class 28x28 grayscale problem the
 // paper's CNNs learn readily, exercising the same code paths as real

@@ -12,7 +12,9 @@
 // real hardware, and StoreFlush / CopyFlush cost one memmove per byte.
 //
 // Performance is accounted on a simclock.Clock using a latency Profile
-// calibrated from the paper's Fig. 2 characterisation; see DESIGN.md.
+// calibrated from the paper's Fig. 2 characterisation (OptaneProfile);
+// the Fig. 2 rows of the paper ledger (EXPERIMENTS.md) check the
+// resulting device throughputs against the SSD baseline.
 package pm
 
 import (
