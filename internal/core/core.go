@@ -151,11 +151,6 @@ type Framework struct {
 	crashed  bool
 	pub      *mirror.Publication
 	pubQuant bool // publish int8 variants alongside fp32 (guarded by pmMu)
-
-	// testAbortResealAfter > 0 makes the next RotateKey abort its data
-	// reseal after that many chunks — a deterministic stand-in for a
-	// crash mid-rotation (test hook; see rotation.go).
-	testAbortResealAfter int
 }
 
 // New builds a Framework: it creates the enclave, provisions the data
@@ -433,6 +428,16 @@ func (f *Framework) Recover(restoreNow bool) error {
 		return err
 	}
 	f.crashed = false
+	// A crash mid-key-rotation left PM with mixed key epochs, and the
+	// enclave with either epoch's key. Rewind the enclave to the
+	// pre-rotation key first, so the data matrix opens under the key its
+	// unresealed rows carry; finishRotation then completes the reseal
+	// from the marker's cursor before any mirror restore, which would
+	// otherwise hit state of the wrong epoch.
+	rot, newKey, err := f.rewindRotation()
+	if err != nil {
+		return err
+	}
 	if mirror.DataExists(f.Rom) {
 		var opts []mirror.DataOption
 		if f.cfg.PlaintextData {
@@ -444,13 +449,10 @@ func (f *Framework) Recover(restoreNow bool) error {
 		}
 		f.Data = dm
 	}
-	// A crash mid-key-rotation left PM with mixed key epochs; the
-	// rotation marker records exactly how far it got, and recovery
-	// finishes the reseal before anything tries to decrypt. Must run
-	// before any mirror restore, which would otherwise hit rows of the
-	// wrong epoch.
-	if err := f.maybeFinishRotation(); err != nil {
-		return err
+	if rot != nil {
+		if err := f.finishRotation(rot, newKey); err != nil {
+			return err
+		}
 	}
 	if restore {
 		return f.Enclave.Ecall(f.attachMirror)

@@ -9,12 +9,20 @@ import (
 )
 
 // paramHash fingerprints every parameter buffer of a network bit for
-// bit, in layer order.
+// bit, in layer order: of a quantized layer, its int8 codes and their
+// scale too.
 func paramHash(net *darknet.Network) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
 	for _, l := range net.Layers {
-		for _, p := range l.Params() {
+		params := l.Params()
+		if ql, ok := l.(darknet.QuantWeightLayer); ok {
+			params = append(params, ql.WeightScale())
+			for _, q := range ql.QuantWeights() {
+				h.Write([]byte{byte(q)})
+			}
+		}
+		for _, p := range params {
 			for _, v := range p {
 				u := math.Float32bits(v)
 				b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)

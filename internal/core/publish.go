@@ -225,15 +225,16 @@ func (f *Framework) RotateKey() (uint64, error) {
 			return fmt.Errorf("new engine: %w", err)
 		}
 		// Persist the rotation marker before the first row flips: a
-		// crash anywhere in the reseal is then detected by Recover,
-		// which unwraps the new key from the marker and finishes the
-		// job from the recorded row cursor (rotation.go).
-		rot, err := mirror.BeginRotation(f.Rom, f.Engine, newKey)
+		// crash anywhere until Finish commits is then detected by
+		// Recover, which unwraps the key of the other epoch from the
+		// marker and finishes the job from the recorded row cursor
+		// (rotation.go).
+		rot, err := mirror.BeginRotation(f.Rom, f.Engine, eng, f.key, newKey)
 		if err != nil {
 			return fmt.Errorf("begin rotation: %w", err)
 		}
 		if f.Data != nil {
-			if err := f.Data.ResealFrom(eng, 0, f.resealMark(rot)); err != nil {
+			if err := f.Data.ResealFrom(eng, 0, rot.Advance); err != nil {
 				return fmt.Errorf("reseal data matrix: %w", err)
 			}
 		}

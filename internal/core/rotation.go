@@ -12,52 +12,63 @@ import (
 // Crash-safe key rotation recovery: RotateKey persists a rotation
 // marker (mirror.BeginRotation) before the first row is resealed, so a
 // crash mid-rotation — which leaves the data matrix with mixed key
-// epochs and the mirror under either key — is detected by Recover and
-// finished instead of surfacing as an authentication failure on first
-// use. The recovering enclave holds the pre-rotation key (the one its
-// owner provisioned); the marker carries the new key sealed under it.
+// epochs and the mirror and publication under either key — is detected
+// by Recover and finished instead of surfacing as an authentication
+// failure on first use. RotateKey switches the enclave to the new key
+// before the marker clears, so the recovering enclave holds either key;
+// the marker carries each key sealed under the other.
 
-// errAbortReseal is the test hook's abort sentinel: it interrupts the
-// reseal between chunks the way a crash would, leaving a committed
-// marker cursor behind.
-var errAbortReseal = errors.New("core: reseal aborted by test hook")
-
-// resealMark wraps a rotation marker's Advance with the test-abort
-// hook (testAbortResealAfter > 0 aborts after that many chunks).
-func (f *Framework) resealMark(rot *mirror.Rotation) func(int) error {
-	if f.testAbortResealAfter <= 0 {
-		return rot.Advance
-	}
-	chunks := 0
-	return func(next int) error {
-		chunks++
-		if chunks > f.testAbortResealAfter {
-			return errAbortReseal
-		}
-		return rot.Advance(next)
-	}
-}
-
-// maybeFinishRotation checks the rotation marker and, when a crash
-// tore a rotation, completes it: reseal the remaining data rows from
-// the recorded cursor, bring the training mirror to the new key
-// (whichever epoch the crash left it in), republish, and clear the
-// marker. Called from Recover with modelMu and pmMu held, after the
-// data matrix is re-attached and before any mirror restore, so no
-// mixed-epoch state is ever decrypted with a single key.
-func (f *Framework) maybeFinishRotation() error {
+// rewindRotation reads the rotation marker and, when a crash tore a
+// rotation, sets the enclave's key and engine to the pre-rotation ones
+// and returns the marker and the new key for finishRotation. It
+// returns a nil marker when no rotation is in progress. Called from
+// Recover with modelMu and pmMu held, before the data matrix is
+// re-attached.
+func (f *Framework) rewindRotation() (*mirror.Rotation, []byte, error) {
 	rot, inProgress, err := mirror.OpenRotation(f.Rom)
 	if err != nil {
-		return fmt.Errorf("core: open rotation marker: %w", err)
+		return nil, nil, fmt.Errorf("core: open rotation marker: %w", err)
 	}
 	if !inProgress {
-		return nil
+		return nil, nil, nil
 	}
-	return f.Enclave.Ecall(func() error {
-		newKey, err := rot.NewKey(f.Engine)
-		if err != nil {
+	var newKey []byte
+	err = f.Enclave.Ecall(func() error {
+		key, err := rot.NewKey(f.Engine)
+		if err == nil {
+			newKey = key
+			return nil
+		}
+		if !errors.Is(err, engine.ErrAuth) {
 			return fmt.Errorf("core: recover rotation key: %w", err)
 		}
+		// The enclave already holds the new key: unwrap the old one.
+		oldKey, err := rot.OldKey(f.Engine)
+		if err != nil {
+			return fmt.Errorf("core: recover pre-rotation key: %w", err)
+		}
+		oldEng, err := engine.New(oldKey, engine.WithEnclave(f.Enclave))
+		if err != nil {
+			return fmt.Errorf("core: recover pre-rotation engine: %w", err)
+		}
+		newKey, f.key, f.Engine = f.key, oldKey, oldEng
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rot, newKey, nil
+}
+
+// finishRotation completes a torn rotation to newKey: reseal the
+// remaining data rows from the recorded cursor, bring the training
+// mirror to the new key (whichever epoch the crash left it in),
+// republish, and clear the marker. Called from Recover with modelMu and
+// pmMu held, after rewindRotation and the data matrix re-attach, and
+// before any mirror restore, so no mixed-epoch state is ever decrypted
+// with a single key.
+func (f *Framework) finishRotation(rot *mirror.Rotation, newKey []byte) error {
+	return f.Enclave.Ecall(func() error {
 		newEng, err := engine.New(newKey, engine.WithEnclave(f.Enclave))
 		if err != nil {
 			return fmt.Errorf("core: recover rotation engine: %w", err)

@@ -86,6 +86,10 @@ func rowPlainLen() int {
 
 // LoadData encrypts (unless WithPlaintextRows) and copies the dataset
 // into PM, chunking the copy across transactions to bound the redo log.
+// The matrix is rooted in the last chunk's transaction, so a load torn
+// by a crash leaves no new matrix (the previous one, if any, stays
+// rooted) and the caller loads again; the torn matrix's region stays
+// allocated, as Romulus has no free.
 func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts ...DataOption) (*DataMatrix, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -123,7 +127,7 @@ func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts 
 				return err
 			}
 		}
-		return rom.SetRoot(RootData, hdr)
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("data alloc: %w", err)
@@ -144,6 +148,9 @@ func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts 
 				if err := rom.Store(d.dataOff+i*d.storedRow, row); err != nil {
 					return err
 				}
+			}
+			if end == d.n {
+				return rom.SetRoot(RootData, d.headOff)
 			}
 			return nil
 		})

@@ -251,12 +251,13 @@ func FuzzServingLayout(f *testing.F) {
 }
 
 // FuzzRotationMarker forges the key-rotation marker region on a small
-// device: its state word, reseal cursor, wrapped-key length and wrapped
-// key, as a crash or an adversary could leave them in PM. OpenRotation,
-// NewKey and NextRow must return an error or a well-formed answer, never
-// panic, and may allocate only the bounded wrapped-key blob: NewKey
-// returns only the key BeginRotation wrapped (nothing else authenticates
-// under the old key), and NextRow never a negative cursor.
+// device: its state word, reseal cursor, and both wrapped keys with
+// their lengths, as a crash or an adversary could leave them in PM.
+// OpenRotation, NewKey, OldKey and NextRow must return an error or a
+// well-formed answer, never panic, and may allocate only the bounded
+// wrapped-key blobs: NewKey returns only the key BeginRotation wrapped
+// under the old key and OldKey only the one it wrapped under the new
+// (nothing else authenticates), and NextRow never a negative cursor.
 func FuzzRotationMarker(f *testing.F) {
 	dev, err := pm.New(1 << 20)
 	if err != nil {
@@ -275,7 +276,11 @@ func FuzzRotationMarker(f *testing.F) {
 	if err != nil {
 		f.Fatalf("engine.New: %v", err)
 	}
-	r, err := BeginRotation(rom, oldEng, newKey)
+	newEng, err := engine.New(newKey, engine.WithRand(rand.Reader))
+	if err != nil {
+		f.Fatalf("engine.New: %v", err)
+	}
+	r, err := BeginRotation(rom, oldEng, newEng, oldKey, newKey)
 	if err != nil {
 		f.Fatalf("BeginRotation: %v", err)
 	}
@@ -288,11 +293,12 @@ func FuzzRotationMarker(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rot, inProgress, err := OpenRotation(rom)
-		var key []byte
-		var keyErr, rowErr error
+		var key, old []byte
+		var keyErr, oldErr, rowErr error
 		next := 0
 		if err == nil && rot != nil {
 			key, keyErr = rot.NewKey(oldEng)
+			old, oldErr = rot.OldKey(newEng)
 			next, rowErr = rot.NextRow()
 		}
 		runtime.ReadMemStats(&after)
@@ -310,6 +316,9 @@ func FuzzRotationMarker(f *testing.F) {
 		}
 		if keyErr == nil && !bytes.Equal(key, newKey) {
 			t.Fatalf("NewKey returned %x, not the wrapped key", key)
+		}
+		if oldErr == nil && !bytes.Equal(old, oldKey) {
+			t.Fatalf("OldKey returned %x, not the wrapped key", old)
 		}
 		if rowErr == nil && next < 0 {
 			t.Fatalf("NextRow returned negative cursor %d", next)

@@ -185,65 +185,6 @@ func TestShardManifestIndependentOfPublishes(t *testing.T) {
 	}
 }
 
-// TestServingLayoutCrashSweep is the durability sweep of the one
-// layout writer: a degraded-replan-shaped rewrite (1 group over 3
-// ranges becomes 2 groups over 4, reallocating the region) is crashed
-// before every commit step in turn until it completes crash-free, and
-// every recovery must read back a plan and hosts that are both entirely
-// old or both entirely new — never a plan from one write and hosts
-// from the other. Re-recording the layout on record stores nothing.
-func TestServingLayoutCrashSweep(t *testing.T) {
-	completed := false
-	for crashPoint := 1; crashPoint < 128 && !completed; crashPoint++ {
-		_, rom := testHeap(t, 4<<20)
-		p, err := OpenPublication(rom)
-		if err != nil {
-			t.Fatalf("OpenPublication: %v", err)
-		}
-		if err := p.RecordLayout(oldFleetLayout); err != nil {
-			t.Fatalf("record old layout: %v", err)
-		}
-
-		rom.SetCrashPoint(crashPoint)
-		err = p.RecordLayout(newFleetLayout)
-		if err == nil {
-			// The rewrite has fewer commit steps than this crash point:
-			// the sweep has covered every step.
-			completed = true
-		} else if !errors.Is(err, romulus.ErrCrashInjected) {
-			t.Fatalf("crash point %d: unexpected error %v", crashPoint, err)
-		}
-
-		p = reopen(t, rom)
-		got, err := p.Layout()
-		if err != nil {
-			t.Fatalf("crash point %d: Layout: %v", crashPoint, err)
-		}
-		switch {
-		case completed:
-			if !got.equal(newFleetLayout) {
-				t.Fatalf("crash-free rewrite read back %v, want the new layout", got)
-			}
-			dev := p.rom.Device()
-			before := dev.Stats()
-			if err := p.RecordLayout(newFleetLayout); err != nil {
-				t.Fatalf("re-record equal layout: %v", err)
-			}
-			if st := dev.Stats(); st.BytesStored != before.BytesStored || st.Fences != before.Fences {
-				t.Fatalf("re-recording the recorded layout stored %d bytes, %d fences; want 0", st.BytesStored-before.BytesStored, st.Fences-before.Fences)
-			}
-		case got.equal(oldFleetLayout), got.equal(newFleetLayout):
-			// Either whole layout is legal mid-rewrite.
-		default:
-			t.Fatalf("crash point %d: torn layout %v (neither old %v nor new %v)",
-				crashPoint, got, oldFleetLayout, newFleetLayout)
-		}
-	}
-	if !completed {
-		t.Fatal("sweep never reached a crash-free rewrite; raise the crash point bound")
-	}
-}
-
 // TestServingLayoutForgedCountBounded: a layout whose range count —
 // alone, or with the header's capacity — is forged to 2^26 on a 4 MiB
 // device is refused before the decoder sizes anything from it.

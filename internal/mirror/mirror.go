@@ -130,6 +130,9 @@ type Model struct {
 	encl    *enclave.Enclave
 	headOff int
 	layers  []layerNode
+	// rootPending marks a region AllocModel laid out but no MirrorOut
+	// has filled yet: the first MirrorOut roots it.
+	rootPending bool
 
 	// lastSeal and lastOpen record the time spent in AES-GCM during
 	// the most recent MirrorOut/MirrorIn, so experiment harnesses can
@@ -289,9 +292,14 @@ func Exists(rom *romulus.Romulus) bool {
 }
 
 // AllocModel allocates the persistent mirror of net in one durable
-// transaction (Algorithm 3, alloc_mirror_model) and roots it.
+// transaction (Algorithm 3, alloc_mirror_model). The first MirrorOut
+// roots it, in the transaction that fills it: until that commits, a
+// crash leaves no mirror, and recovery trains from scratch (Algorithm
+// 2, lines 7-12) instead of finding a rooted region of unwritten
+// buffers. The region of a mirror a crash leaves unrooted stays
+// allocated, as Romulus has no free.
 func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, opts ...Option) (*Model, error) {
-	m := &Model{rom: rom, eng: eng}
+	m := &Model{rom: rom, eng: eng, rootPending: true}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -302,7 +310,7 @@ func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, 
 			return err
 		}
 		m.headOff, m.layers = hdr, layers
-		return rom.SetRoot(RootModel, hdr)
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mirror alloc: %w", err)
@@ -576,7 +584,8 @@ func checkScales(bufLayers [][]buffer, from int) error {
 
 // MirrorOut encrypts the enclave model's parameters and writes them over
 // the persistent mirror in one durable transaction, recording the
-// iteration counter (Algorithm 3, mirror_out).
+// iteration counter (Algorithm 3, mirror_out). The first MirrorOut of
+// an AllocModel handle also roots the mirror.
 //
 // Segments are sealed on par.For, each range through its own engine
 // Scratch, and stored in segment order inside the single Romulus
@@ -593,6 +602,11 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 	m.lastSeal.Store(0)
 	tasks, total := m.collectTasks(bufLayers, 0)
 	err := m.rom.Update(func() error {
+		if m.rootPending {
+			if err := m.rom.SetRoot(RootModel, m.headOff); err != nil {
+				return err
+			}
+		}
 		if err := m.rom.StoreUint64(m.headOff+modelHdrIter, uint64(net.Iteration)); err != nil {
 			return err
 		}
@@ -634,6 +648,7 @@ func (m *Model) MirrorOut(net *darknet.Network) error {
 		return order.err
 	})
 	if err == nil {
+		m.rootPending = false
 		mMirrorOut.Inc()
 		mSealSeconds.Add(time.Duration(m.lastSeal.Load()).Seconds())
 		sealedBytes, _ := payloadCounters(net)

@@ -132,63 +132,6 @@ func TestMirrorSurvivesCrashAndReopen(t *testing.T) {
 	}
 }
 
-func TestCrashDuringMirrorOutKeepsPreviousMirror(t *testing.T) {
-	// The crash-consistency property of Algorithm 3: a crash in the
-	// middle of mirror-out must leave the previous mirror recoverable.
-	for crashPoint := 1; crashPoint <= 30; crashPoint += 3 {
-		dev, rom := testHeap(t, 8<<20)
-		eng := testEngine(t)
-		net := testNet(t, 3)
-		net.Iteration = 10
-		m, err := AllocModel(rom, eng, net)
-		if err != nil {
-			t.Fatalf("AllocModel: %v", err)
-		}
-		if err := m.MirrorOut(net); err != nil {
-			t.Fatalf("MirrorOut: %v", err)
-		}
-
-		// Mutate the network (simulating one more training iteration)
-		// and crash during the next mirror-out.
-		for _, l := range net.Layers {
-			for _, p := range l.Params() {
-				for i := range p {
-					p[i] += 0.5
-				}
-			}
-		}
-		net.Iteration = 11
-		rom.SetCrashPoint(crashPoint)
-		err = m.MirrorOut(net)
-		if err == nil {
-			// Crash point beyond this tx: new mirror must be complete.
-			continue
-		}
-		if !errors.Is(err, romulus.ErrCrashInjected) {
-			t.Fatalf("crashPoint=%d: MirrorOut error = %v", crashPoint, err)
-		}
-
-		rom2, err := romulus.Open(dev)
-		if err != nil {
-			t.Fatalf("crashPoint=%d: reopen: %v", crashPoint, err)
-		}
-		m2, err := OpenModel(rom2, eng)
-		if err != nil {
-			t.Fatalf("crashPoint=%d: OpenModel: %v", crashPoint, err)
-		}
-		restored := testNet(t, 99)
-		iter, err := m2.MirrorIn(restored)
-		if err != nil {
-			t.Fatalf("crashPoint=%d: MirrorIn: %v", crashPoint, err)
-		}
-		if iter != 10 && iter != 11 {
-			t.Fatalf("crashPoint=%d: recovered iteration %d, want 10 or 11", crashPoint, iter)
-		}
-		// The mirror must decrypt and authenticate cleanly — MirrorIn
-		// succeeding proves no torn ciphertext survived.
-	}
-}
-
 func TestMirrorRejectsArchitectureMismatch(t *testing.T) {
 	_, rom := testHeap(t, 8<<20)
 	eng := testEngine(t)

@@ -7,7 +7,6 @@ import (
 
 	"plinius/internal/darknet"
 	"plinius/internal/engine"
-	"plinius/internal/romulus"
 )
 
 // quantized returns net's int8 clone.
@@ -152,86 +151,6 @@ func TestInt8ScaleMovedFailsAuth(t *testing.T) {
 	moveSegment(t, rom, qnet, segRef{qm, 0, 1, 0}, segRef{qm, 1, 1, 0})
 	if _, err := qm.MirrorIn(quantized(t, testNet(t, 2))); !errors.Is(err, engine.ErrAuth) {
 		t.Fatalf("MirrorIn with a moved scale = %v, want ErrAuth", err)
-	}
-}
-
-// TestQuantPublishCrashSweep: a quantized PublishOut crashed before any
-// one of its commit steps in turn — every store and every fence of
-// every transaction it runs (romulus.SetCrashPoint) — recovers to the
-// previous latest version or, once its flip committed, the new one.
-// Whichever is latest restores its fp32 snapshot and its int8 variant
-// bit for bit. The crashed publish is a smaller shape that recycles the
-// slot of the version before the latest, so the sweep also crosses the
-// slot's retirement and the in-place relayout of both its regions.
-func TestQuantPublishCrashSweep(t *testing.T) {
-	eng := testEngine(t)
-	shapes := []func(seed int64) *darknet.Network{
-		func(seed int64) *darknet.Network { return testNet(t, seed) },
-		func(seed int64) *darknet.Network { return testNet(t, seed) },
-		func(seed int64) *darknet.Network { return testNetShape(t, 1, 4) },
-	}
-	nets := make([]*darknet.Network, len(shapes))
-	for i, shape := range shapes {
-		nets[i] = shape(int64(i + 1))
-		perturb(nets[i], float32(i+1))
-		nets[i].Iteration = i + 1
-	}
-	completed := false
-	for point := 1; !completed; point++ {
-		if point > 4096 {
-			t.Fatal("sweep never reached a crash-free publish")
-		}
-		dev, rom := testHeap(t, 8<<20)
-		p, err := OpenPublication(rom)
-		if err != nil {
-			t.Fatalf("OpenPublication: %v", err)
-		}
-		for _, net := range nets[:2] {
-			if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
-				t.Fatalf("PublishOut v%d: %v", net.Iteration, err)
-			}
-		}
-		rom.SetCrashPoint(point)
-		_, err = p.PublishOut(eng, nets[2], WithQuantized())
-		if err == nil {
-			completed = true
-		} else if !errors.Is(err, romulus.ErrCrashInjected) {
-			t.Fatalf("crash point %d: %v", point, err)
-		}
-
-		dev.Crash()
-		rom2, err := romulus.Open(dev)
-		if err != nil {
-			t.Fatalf("crash point %d: romulus.Open: %v", point, err)
-		}
-		p2, err := OpenPublication(rom2)
-		if err != nil {
-			t.Fatalf("crash point %d: OpenPublication: %v", point, err)
-		}
-		latest := int(p2.LatestVersion())
-		if latest != 3 && (completed || latest != 2) {
-			t.Fatalf("crash point %d: latest version %d after recovery", point, latest)
-		}
-		pin, err := p2.Pin(0)
-		if err != nil {
-			t.Fatalf("crash point %d: Pin: %v", point, err)
-		}
-		want := nets[latest-1]
-		m, err := pin.Open(eng, darknet.FP32)
-		if err != nil {
-			t.Fatalf("crash point %d: pin.Open: %v", point, err)
-		}
-		restored := shapes[latest-1](99)
-		if iter, err := m.MirrorIn(restored); err != nil || iter != latest || !netsEqual(want, restored) {
-			t.Fatalf("crash point %d: fp32 v%d restores iteration %d, err %v, equal %v",
-				point, latest, iter, err, netsEqual(want, restored))
-		}
-		qnet, iter := restoreInt8(t, pin, eng, shapes[latest-1](98))
-		if iter != latest || !netsEqual(quantized(t, want), qnet) {
-			t.Fatalf("crash point %d: int8 v%d restores iteration %d, equal %v",
-				point, latest, iter, netsEqual(quantized(t, want), qnet))
-		}
-		pin.Release()
 	}
 }
 

@@ -21,23 +21,26 @@ import (
 // resealed, a durable record is written holding (a) an in-progress
 // flag, (b) the next row to reseal — advanced inside each reseal
 // chunk's transaction, so it is always exactly the torn boundary — and
-// (c) the new data key, sealed under the old key, so a recovering
-// enclave provisioned with the pre-rotation key can unwrap the new one
-// and finish the job: reseal rows from the recorded boundary, re-seal
-// the training mirror (whichever epoch it was left in), republish, and
-// clear the marker.
+// (c) the new data key sealed under the old key and the old key sealed
+// under the new one. The rotating enclave switches to the new key
+// before the rotation finishes, so a recovering enclave may hold either
+// epoch's key; it unwraps the other from the marker and finishes the
+// job: reseal rows from the recorded boundary, re-seal the training
+// mirror (whichever epoch it was left in), republish, and clear the
+// marker.
 //
-// Persistent layout (all little-endian uint64 except the key blob):
+// Persistent layout (all little-endian uint64 except the key blobs):
 //
-//	state | nextRow | wrappedLen | wrapped new key (sealed, old epoch)
+//	state | nextRow | newLen | new key sealed under the old |
+//	oldLen | old key sealed under the new
 const (
 	rotHdrState   = 0
 	rotHdrNextRow = 8
-	rotHdrKeyLen  = 16
-	rotHdrKey     = 24
-	// rotKeyMax bounds the wrapped-key blob: sealed 16-byte key.
-	rotKeyMax  = engine.IVSize + engine.KeySize + engine.TagSize
-	rotHdrSize = rotHdrKey + rotKeyMax
+	rotHdrNewKey  = 16
+	// rotKeyMax bounds a wrapped-key blob: sealed 16-byte key.
+	rotKeyMax    = engine.IVSize + engine.KeySize + engine.TagSize
+	rotHdrOldKey = rotHdrNewKey + 8 + rotKeyMax
+	rotHdrSize   = rotHdrOldKey + 8 + rotKeyMax
 
 	rotStateIdle       = 0
 	rotStateInProgress = 1
@@ -54,21 +57,22 @@ type Rotation struct {
 	off int
 }
 
-// BeginRotation durably records that a key rotation is starting: the
-// new key is sealed under oldEng (the pre-rotation engine) and the
-// marker flips to in-progress with the reseal cursor at row 0. The
-// marker region is allocated on first use and reused by every later
-// rotation.
-func BeginRotation(rom *romulus.Romulus, oldEng *engine.Engine, newKey []byte) (*Rotation, error) {
-	if len(newKey) != engine.KeySize {
-		return nil, fmt.Errorf("%w: key must be %d bytes, got %d", engine.ErrBadKey, engine.KeySize, len(newKey))
+// BeginRotation durably records that a key rotation from oldKey (the
+// key of oldEng) to newKey (of newEng) is starting: each key is sealed
+// under the other's engine and the marker flips to in-progress with the
+// reseal cursor at row 0. The marker region is allocated on first use
+// and reused by every later rotation.
+func BeginRotation(rom *romulus.Romulus, oldEng, newEng *engine.Engine, oldKey, newKey []byte) (*Rotation, error) {
+	if len(oldKey) != engine.KeySize || len(newKey) != engine.KeySize {
+		return nil, fmt.Errorf("%w: keys must be %d bytes, got %d and %d", engine.ErrBadKey, engine.KeySize, len(oldKey), len(newKey))
 	}
-	wrapped, err := oldEng.Seal(newKey)
+	wrappedNew, err := oldEng.Seal(newKey)
 	if err != nil {
 		return nil, fmt.Errorf("mirror: wrap rotation key: %w", err)
 	}
-	if len(wrapped) > rotKeyMax {
-		return nil, fmt.Errorf("%w: wrapped key %d bytes", ErrRotationCorrupt, len(wrapped))
+	wrappedOld, err := newEng.Seal(oldKey)
+	if err != nil {
+		return nil, fmt.Errorf("mirror: wrap rotation key: %w", err)
 	}
 	off, err := rom.Root(RootRotation)
 	if err != nil {
@@ -89,11 +93,16 @@ func BeginRotation(rom *romulus.Romulus, oldEng *engine.Engine, newKey []byte) (
 		if err := rom.StoreUint64(r.off+rotHdrNextRow, 0); err != nil {
 			return err
 		}
-		if err := rom.StoreUint64(r.off+rotHdrKeyLen, uint64(len(wrapped))); err != nil {
-			return err
-		}
-		if err := rom.Store(r.off+rotHdrKey, wrapped); err != nil {
-			return err
+		for _, w := range [...]struct {
+			at   int
+			blob []byte
+		}{{rotHdrNewKey, wrappedNew}, {rotHdrOldKey, wrappedOld}} {
+			if err := rom.StoreUint64(r.off+w.at, uint64(len(w.blob))); err != nil {
+				return err
+			}
+			if err := rom.Store(r.off+w.at+8, w.blob); err != nil {
+				return err
+			}
 		}
 		// The in-progress flag flips last within the transaction; a
 		// crash before commit leaves the previous marker state intact.
@@ -133,9 +142,22 @@ func OpenRotation(rom *romulus.Romulus) (*Rotation, bool, error) {
 }
 
 // NewKey unwraps the rotation's target key with the pre-rotation
-// engine (the one the recovering enclave was provisioned with).
+// engine.
 func (r *Rotation) NewKey(oldEng *engine.Engine) ([]byte, error) {
-	n, err := r.rom.LoadUint64(r.off + rotHdrKeyLen)
+	return r.unwrap(rotHdrNewKey, oldEng)
+}
+
+// OldKey unwraps the pre-rotation key with the post-rotation engine,
+// for a recovering enclave that already holds the new key.
+func (r *Rotation) OldKey(newEng *engine.Engine) ([]byte, error) {
+	return r.unwrap(rotHdrOldKey, newEng)
+}
+
+// unwrap opens the wrapped-key blob whose length word is at marker
+// offset at. The length is checked against the blob's room before
+// anything is sized from it.
+func (r *Rotation) unwrap(at int, eng *engine.Engine) ([]byte, error) {
+	n, err := r.rom.LoadUint64(r.off + at)
 	if err != nil {
 		return nil, err
 	}
@@ -143,10 +165,10 @@ func (r *Rotation) NewKey(oldEng *engine.Engine) ([]byte, error) {
 		return nil, fmt.Errorf("%w: wrapped key length %d", ErrRotationCorrupt, n)
 	}
 	wrapped := make([]byte, n)
-	if err := r.rom.Load(r.off+rotHdrKey, wrapped); err != nil {
+	if err := r.rom.Load(r.off+at+8, wrapped); err != nil {
 		return nil, err
 	}
-	key, err := oldEng.Open(wrapped)
+	key, err := eng.Open(wrapped)
 	if err != nil {
 		return nil, fmt.Errorf("mirror: unwrap rotation key: %w", err)
 	}

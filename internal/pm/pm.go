@@ -6,10 +6,12 @@
 // (Flush) makes lines durable, mirroring CLFLUSH/CLFLUSHOPT/CLWB + ADR
 // semantics; a Fence orders write-backs. Crash discards everything that
 // was never flushed, which is exactly the failure model the Romulus
-// twin-copy algorithm must survive. A clean line is durable as it
-// stands; the durable bytes of a dirty line sit in a backup image, saved
-// by the store that dirtied it. So a write-back moves no memory, as on
-// real hardware, and StoreFlush / CopyFlush cost one memmove per byte.
+// twin-copy algorithm must survive; CrashAt, the one crash-injection
+// point of the crash-consistency tests, arms it at any persistence
+// event. A clean line is durable as it stands; the durable bytes of a
+// dirty line sit in a backup image, saved by the store that dirtied it.
+// So a write-back moves no memory, as on real hardware, and StoreFlush /
+// CopyFlush cost one memmove per byte.
 //
 // Performance is accounted on a simclock.Clock using a latency Profile
 // calibrated from the paper's Fig. 2 characterisation (OptaneProfile);
@@ -143,6 +145,9 @@ type Stats struct {
 var (
 	ErrOutOfRange = errors.New("pm: access out of range")
 	ErrBadSize    = errors.New("pm: size must be a positive multiple of the cache line size")
+	// ErrCrashed refuses every mutation from an armed crash's event on
+	// (CrashAt) until the power cycle (Crash).
+	ErrCrashed = errors.New("pm: device crashed; awaiting the power cycle")
 )
 
 // Device is an emulated PM module. All methods are safe for concurrent
@@ -158,6 +163,11 @@ type Device struct {
 	clock    *simclock.Clock
 	prof     Profile
 	stats    Stats
+
+	// An armed crash (CrashAt): the persistence events left before it
+	// fires, 0 when none is armed, and whether it has fired.
+	crashIn  int
+	refusing bool
 
 	// The CopyFlush in progress, under mu: its operands, and copyRange,
 	// copyExtents bound once in New so that handing it to par.For
@@ -285,6 +295,9 @@ func (d *Device) Store(off int, data []byte) error {
 	if err := d.checkRange(off, len(data)); err != nil || len(data) == 0 {
 		return err
 	}
+	if err := d.persist(); err != nil {
+		return err
+	}
 	d.setDirtyRange(lineRange(off, len(data)))
 	copy(d.volatile[off:], data)
 	d.noteStore(off, len(data))
@@ -298,6 +311,9 @@ func (d *Device) StoreFlush(off int, data []byte, kind FlushKind) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.checkRange(off, len(data)); err != nil || len(data) == 0 {
+		return err
+	}
+	if err := d.persist(); err != nil {
 		return err
 	}
 	copy(d.volatile[off:], data)
@@ -367,18 +383,30 @@ type Extent struct{ Off, N int }
 // per byte. Any extent out of range rejects the whole call. If the
 // extents ascend without overlap and the two spans are disjoint, the
 // memmove runs on par.For in parallelCopyBytes ranges, under the device
-// lock.
-func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
+// lock. It returns how many extents it applied: all of them, none on a
+// range error, or those before the one an armed crash refuses.
+func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	total, end, ordered := 0, 0, true
-	for i, e := range ext {
+	for _, e := range ext {
 		if err := d.checkRange(src+e.Off, e.N); err != nil {
-			return err
+			return 0, err
 		}
 		if err := d.checkRange(dst+e.Off, e.N); err != nil {
-			return err
+			return 0, err
 		}
+	}
+	var refused error
+	for i, e := range ext {
+		if e.N > 0 {
+			if refused = d.persist(); refused != nil {
+				ext = ext[:i]
+				break
+			}
+		}
+	}
+	total, end, ordered := 0, 0, true
+	for i, e := range ext {
 		ordered = ordered && (i == 0 || e.Off >= end)
 		total, end = total+e.N, e.Off+e.N
 	}
@@ -395,7 +423,7 @@ func (d *Device) CopyFlush(dst, src int, ext []Extent, kind FlushKind) error {
 			d.noteFlush(dst+e.Off, e.N, kind)
 		}
 	}
-	return nil
+	return len(ext), refused
 }
 
 // parallelCopyBytes is CopyFlush's range size: a smaller commit stays on
@@ -429,18 +457,54 @@ func (d *Device) Flush(off, n int, kind FlushKind) error {
 	if err := d.checkRange(off, n); err != nil || n == 0 {
 		return err
 	}
+	if err := d.persist(); err != nil {
+		return err
+	}
 	d.noteFlush(off, n, kind)
 	return nil
 }
 
 // Fence issues an ordering fence (SFENCE). In this model durability is
 // granted at Flush (ADR), so Fence only contributes latency and ordering.
+// A fence an armed crash refuses does nothing: its writer learns of the
+// crash at its next store.
 func (d *Device) Fence() {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.persist() != nil {
+		return
+	}
 	d.stats.Fences++
-	d.mu.Unlock()
 	mFences.Inc()
 	d.clock.Advance(d.prof.Fence)
+}
+
+// CrashAt arms a power failure for crash-consistency tests: the k-th
+// persistence event from now (k >= 1) and every mutation after it fail
+// with ErrCrashed, as if power went out just before that event. The
+// events are each non-empty Store, StoreFlush and Flush, each Fence and
+// each non-empty extent of a CopyFlush, which applies exactly the
+// extents before the refused one. Loads keep reading the volatile view.
+// The next Crash is the power cycle: it drops the unflushed lines as
+// always and clears the refusal. Each call replaces the armed crash and
+// any refusal; k <= 0 disarms.
+func (d *Device) CrashAt(k int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.crashIn, d.refusing = max(k, 0), false
+}
+
+// persist admits one persistence event, or refuses it once an armed
+// crash has fired or fires at it. Callers hold d.mu.
+func (d *Device) persist() error {
+	if d.crashIn > 0 {
+		d.crashIn--
+		d.refusing = d.crashIn == 0
+	}
+	if d.refusing {
+		return ErrCrashed
+	}
+	return nil
 }
 
 // Crash simulates a power failure: every store that was never flushed is
@@ -456,6 +520,7 @@ func (d *Device) Crash() {
 		d.dirty[w] = 0
 	}
 	d.dirtyN = 0
+	d.crashIn, d.refusing = 0, false
 	d.stats.Crashes++
 	mCrashes.Inc()
 }

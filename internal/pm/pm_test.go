@@ -328,7 +328,7 @@ func TestConcurrentChunkedCopies(t *testing.T) {
 			}
 			ext := []Extent{{0, 100}, {130, 2000}, {2200, half - 2300}}
 			for i := 0; i < 20; i++ {
-				if err := d.CopyFlush(half, 0, ext, FlushClflushOpt); err != nil {
+				if _, err := d.CopyFlush(half, 0, ext, FlushClflushOpt); err != nil {
 					t.Errorf("CopyFlush: %v", err)
 					return
 				}
@@ -359,7 +359,7 @@ func TestChunkedCopyFlushAllocatesNothing(t *testing.T) {
 	ext := []Extent{{0, half / 2}, {half/2 + 100, half/2 - 100}}
 	copyFlush := func() {
 		runtime.GOMAXPROCS(4)
-		if err := d.CopyFlush(half, 0, ext, FlushCLWB); err != nil {
+		if _, err := d.CopyFlush(half, 0, ext, FlushCLWB); err != nil {
 			t.Fatalf("CopyFlush: %v", err)
 		}
 	}

@@ -204,7 +204,7 @@ func TestDeviceMatchesNaiveReference(t *testing.T) {
 			case op < 6:
 				dst, src, ext := pickExtents()
 				kind := FlushKind(1 + rng.Intn(3))
-				if err := dev.CopyFlush(dst, src, ext, kind); err != nil {
+				if _, err := dev.CopyFlush(dst, src, ext, kind); err != nil {
 					t.Fatalf("seed %d step %d: CopyFlush: %v", seed, step, err)
 				}
 				ref.copyFlush(dst, src, ext, kind)
@@ -262,7 +262,7 @@ func TestCopyFlushOutOfRange(t *testing.T) {
 		{2 * CacheLineSize, 0, []Extent{{-1, 8}}},
 		{2 * CacheLineSize, 0, []Extent{{0, 8}, {CacheLineSize, 2 * CacheLineSize}}},
 	} {
-		if err := dev.CopyFlush(c.dst, c.src, c.ext, FlushClflushOpt); err == nil {
+		if _, err := dev.CopyFlush(c.dst, c.src, c.ext, FlushClflushOpt); err == nil {
 			t.Fatalf("CopyFlush(%d, %d, %v) succeeded", c.dst, c.src, c.ext)
 		}
 	}

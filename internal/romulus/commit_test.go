@@ -14,25 +14,19 @@ import (
 // Commit to propagate the log as one device copy split across cores
 // (wherever the run has two or more), and for recovery to re-copy the
 // heap the same way. Every crash must recover all-old or all-new, and
-// the transaction must have exactly the crash steps it had when Commit
-// propagated one log entry per call: Begin 2, each Store 2, Commit 3
-// fences plus one step per log entry.
+// the transaction must have exactly one crash point per persistence
+// event: Begin 2 (MUTATING store, fence 1), one store per Store, Commit
+// 3 (fence 2, COPYING store, fence 3), one per propagated log entry, and
+// 2 more (fence 4, IDLE store).
 func TestCrashSweepChunkedPropagation(t *testing.T) {
 	const stores, block = 8, 40 << 10
-	const wantSteps = 2 + 2*stores + 3 + stores
+	const wantSteps = 2 + stores + 3 + stores + 2
 	oldImg := bytes.Repeat([]byte{0xAA}, stores*block)
 	newImg := bytes.Repeat([]byte{0x55}, stores*block)
 
 	swept := 0
 	for crashPoint := 1; ; crashPoint++ {
-		dev, err := pm.New(1 << 20)
-		if err != nil {
-			t.Fatalf("pm.New: %v", err)
-		}
-		r, err := Open(dev)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
+		dev, r := newHeap(t, 1<<20)
 		var off int
 		if err := r.Update(func() error {
 			o, err := r.Alloc(len(oldImg))
@@ -45,8 +39,8 @@ func TestCrashSweepChunkedPropagation(t *testing.T) {
 			t.Fatalf("seed Update: %v", err)
 		}
 
-		r.SetCrashPoint(crashPoint)
-		err = r.Update(func() error {
+		dev.CrashAt(crashPoint)
+		err := r.Update(func() error {
 			for i := 0; i < stores; i++ {
 				if err := r.Store(off+i*block, newImg[i*block:(i+1)*block]); err != nil {
 					return err
@@ -64,11 +58,12 @@ func TestCrashSweepChunkedPropagation(t *testing.T) {
 			}
 			break
 		}
-		if !errors.Is(err, ErrCrashInjected) {
+		if !errors.Is(err, pm.ErrCrashed) {
 			t.Fatalf("crashPoint=%d: unexpected error %v", crashPoint, err)
 		}
 		swept++
 
+		dev.Crash()
 		r2, err := Open(dev)
 		if err != nil {
 			t.Fatalf("crashPoint=%d: recovery Open: %v", crashPoint, err)
@@ -164,8 +159,10 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 	check("abort", pm.Stats{Stores: 19, Loads: 8, Flushes: 19, FlushedLines: 201, Fences: 8,
 		BytesStored: 11704, BytesLoaded: 5848}, 12572)
 
-	// Crash after the second of three log entries has propagated.
-	r.SetCrashPoint(2 + 2*3 + 2 + 2)
+	// Crash after the second of three log entries has propagated: the
+	// events are Begin's store and fence, three stores, fence 2, the
+	// COPYING store, fence 3, then one per log entry.
+	dev.CrashAt(2 + 3 + 3 + 3)
 	if err := r.Update(func() error {
 		if err := r.Store(off, fill(64, 4)); err != nil {
 			return err
@@ -174,9 +171,10 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 			return err
 		}
 		return r.Store(off+7000, fill(10, 6))
-	}); !errors.Is(err, ErrCrashInjected) {
+	}); !errors.Is(err, pm.ErrCrashed) {
 		t.Fatalf("crash: %v", err)
 	}
+	dev.Crash()
 	if _, err := Open(dev, WithEnv(SGXEnv())); err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}

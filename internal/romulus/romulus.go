@@ -65,8 +65,6 @@ var (
 	ErrRegionTooSmall   = errors.New("romulus: device too small for twin regions")
 	ErrBadOffset        = errors.New("romulus: offset outside user heap")
 	ErrCorruptHeader    = errors.New("romulus: persistent header is corrupt")
-	errCrashPointHit    = errors.New("romulus: injected crash")
-	ErrCrashInjected    = errCrashPointHit // exported alias for tests of callers
 	ErrAllocNonPositive = errors.New("romulus: allocation size must be positive")
 )
 
@@ -83,11 +81,6 @@ type Romulus struct {
 	log        []pm.Extent // main-region-relative ranges stored this tx
 	inTx       bool
 	used       int // cached allocator offset (authoritative copy in PM)
-
-	// crashAt injects a device crash before the i-th commit step
-	// (1-based); 0 disables. Used by crash-consistency tests.
-	crashAt   int
-	crashStep int
 }
 
 // Option configures a Romulus instance.
@@ -194,13 +187,11 @@ func (r *Romulus) loadUsed() error {
 // store and its write-back, so the lines end clean and the device moves
 // each byte once, across cores for a large log.
 func (r *Romulus) propagate(dst, src int, ext []pm.Extent) error {
-	if err := r.dev.CopyFlush(dst, src, ext, r.flushKind); err != nil {
-		return err
-	}
-	for _, e := range ext {
+	n, err := r.dev.CopyFlush(dst, src, ext, r.flushKind)
+	for _, e := range ext[:n] {
 		r.chargeFlushExtra(e.N)
 	}
-	return nil
+	return err
 }
 
 // state helpers -------------------------------------------------------
@@ -247,30 +238,6 @@ func (r *Romulus) chargeFenceExtra() {
 	r.dev.Clock().Advance(time.Duration(float64(base) * (r.env.FenceMult - 1)))
 }
 
-// crash injection -------------------------------------------------------
-
-// SetCrashPoint arms a crash before the n-th commit step (1-based across
-// Begin/Store/Commit sub-steps). Used by crash-consistency tests; a
-// crashed Romulus must be re-Opened on the same device.
-func (r *Romulus) SetCrashPoint(n int) {
-	r.crashAt = n
-	r.crashStep = 0
-}
-
-func (r *Romulus) maybeCrash() error {
-	if r.crashAt == 0 {
-		return nil
-	}
-	r.crashStep++
-	if r.crashStep == r.crashAt {
-		r.dev.Crash()
-		r.inTx = false
-		r.log = nil
-		return errCrashPointHit
-	}
-	return nil
-}
-
 // transactions ----------------------------------------------------------
 
 // Begin opens a durable transaction.
@@ -278,16 +245,10 @@ func (r *Romulus) Begin() error {
 	if r.inTx {
 		return ErrNestedTx
 	}
-	if err := r.maybeCrash(); err != nil {
-		return err
-	}
 	if err := r.writeState(stateMutating); err != nil {
 		return err
 	}
 	r.fence() // fence 1
-	if err := r.maybeCrash(); err != nil {
-		return err
-	}
 	r.inTx = true
 	r.log = r.log[:0]
 	return nil
@@ -303,9 +264,6 @@ func (r *Romulus) Store(off int, data []byte) error {
 	if off < 0 || len(data) > r.regionSize-off {
 		return fmt.Errorf("%w: off=%d len=%d region=%d", ErrBadOffset, off, len(data), r.regionSize)
 	}
-	if err := r.maybeCrash(); err != nil {
-		return err
-	}
 	if err := r.dev.StoreFlush(r.mainStart+off, data, r.flushKind); err != nil {
 		return err
 	}
@@ -313,7 +271,7 @@ func (r *Romulus) Store(off int, data []byte) error {
 	r.chargeFlushExtra(len(data))
 	r.log = append(r.log, pm.Extent{Off: off, N: len(data)})
 	r.env.chargeLogAppend(r.dev, len(r.log))
-	return r.maybeCrash()
+	return nil
 }
 
 // Load reads from a main-region offset. Valid inside or outside a
@@ -332,34 +290,15 @@ func (r *Romulus) Commit() error {
 	}
 	// All mutation write-backs were issued; order them.
 	r.fence() // fence 2
-	if err := r.maybeCrash(); err != nil {
-		return err
-	}
 	if err := r.writeState(stateCopying); err != nil {
 		return err
 	}
 	r.fence() // fence 3
-	if err := r.maybeCrash(); err != nil {
+	// Propagate the log main -> back in one batch.
+	if err := r.propagate(r.backStart, r.mainStart, r.log); err != nil {
 		return err
-	}
-	// Propagate the log main -> back in one batch. Each entry is still a
-	// crash step: a crash point among them propagates up to it, then fires.
-	ents := r.log
-	if k := r.crashAt - r.crashStep; k >= 1 && k < len(ents) {
-		ents = ents[:k]
-	}
-	if err := r.propagate(r.backStart, r.mainStart, ents); err != nil {
-		return err
-	}
-	for range ents {
-		if err := r.maybeCrash(); err != nil {
-			return err
-		}
 	}
 	r.fence() // fence 4
-	if err := r.maybeCrash(); err != nil {
-		return err
-	}
 	if err := r.writeState(stateIdle); err != nil {
 		return err
 	}
@@ -398,9 +337,6 @@ func (r *Romulus) Update(fn func() error) error {
 		return err
 	}
 	if err := fn(); err != nil {
-		if errors.Is(err, errCrashPointHit) {
-			return err // device already crashed; nothing to abort
-		}
 		if abortErr := r.Abort(); abortErr != nil {
 			return fmt.Errorf("abort after %v: %w", err, abortErr)
 		}

@@ -194,14 +194,7 @@ func TestCrashSweepOnMostlyEmptyHeap(t *testing.T) {
 
 	recovered := 0
 	for crashPoint := 1; ; crashPoint++ {
-		dev, err := pm.New(8 << 20)
-		if err != nil {
-			t.Fatalf("pm.New: %v", err)
-		}
-		r, err := Open(dev)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
+		dev, r := newHeap(t, 8<<20)
 		var off int
 		if err := r.Update(func() error {
 			o, err := r.Alloc(payload)
@@ -224,8 +217,8 @@ func TestCrashSweepOnMostlyEmptyHeap(t *testing.T) {
 		// The swept transaction overwrites the old block, grows the
 		// heap past the old cursor and moves a root to the new block.
 		var off2 int
-		r.SetCrashPoint(crashPoint)
-		err = r.Update(func() error {
+		dev.CrashAt(crashPoint)
+		err := r.Update(func() error {
 			if err := r.Store(off, newData); err != nil {
 				return err
 			}
@@ -246,11 +239,12 @@ func TestCrashSweepOnMostlyEmptyHeap(t *testing.T) {
 			t.Logf("swept %d crash points", recovered)
 			return // swept past the transaction's last step
 		}
-		if !errors.Is(err, ErrCrashInjected) {
+		if !errors.Is(err, pm.ErrCrashed) {
 			t.Fatalf("crashPoint=%d: unexpected error %v", crashPoint, err)
 		}
 		recovered++
 
+		dev.Crash()
 		before := dev.Stats()
 		r2, err := Open(dev)
 		if err != nil {

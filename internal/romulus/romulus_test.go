@@ -258,67 +258,6 @@ func TestFourFencesPerTransaction(t *testing.T) {
 	}
 }
 
-// TestCrashDuringCommitEveryStep exercises every injected crash point in
-// a transaction and verifies recovery always lands in one of the two
-// legal states: all-old or all-new.
-func TestCrashDuringCommitEveryStep(t *testing.T) {
-	const payload = 256
-	oldData := bytes.Repeat([]byte{0xAA}, payload)
-	newData := bytes.Repeat([]byte{0x55}, payload)
-
-	for crashPoint := 1; crashPoint < 20; crashPoint++ {
-		dev, err := pm.New(64 << 10)
-		if err != nil {
-			t.Fatalf("pm.New: %v", err)
-		}
-		r, err := Open(dev)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		var off int
-		if err := r.Update(func() error {
-			o, err := r.Alloc(payload)
-			if err != nil {
-				return err
-			}
-			off = o
-			return r.Store(off, oldData)
-		}); err != nil {
-			t.Fatalf("seed Update: %v", err)
-		}
-
-		r.SetCrashPoint(crashPoint)
-		err = r.Update(func() error {
-			return r.Store(off, newData)
-		})
-		if err == nil {
-			// Crash point beyond the transaction's steps: committed.
-			got := make([]byte, payload)
-			if err := r.Load(off, got); err != nil {
-				t.Fatalf("Load: %v", err)
-			}
-			if !bytes.Equal(got, newData) {
-				t.Fatalf("crashPoint=%d: committed tx lost data", crashPoint)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrCrashInjected) {
-			t.Fatalf("crashPoint=%d: unexpected error %v", crashPoint, err)
-		}
-		r2, err := Open(dev)
-		if err != nil {
-			t.Fatalf("crashPoint=%d: recovery Open: %v", crashPoint, err)
-		}
-		got := make([]byte, payload)
-		if err := r2.Load(off, got); err != nil {
-			t.Fatalf("crashPoint=%d: Load: %v", crashPoint, err)
-		}
-		if !bytes.Equal(got, oldData) && !bytes.Equal(got, newData) {
-			t.Fatalf("crashPoint=%d: recovered torn state %x...", crashPoint, got[:8])
-		}
-	}
-}
-
 // TestPropertyCrashConsistency drives random multi-store transactions
 // with random crash points; after recovery the heap must equal either
 // the pre-transaction or the post-transaction image.
@@ -363,7 +302,7 @@ func TestPropertyCrashConsistency(t *testing.T) {
 			stores[i] = rangeStore{at: at, data: data}
 			copy(newImg[at:], data)
 		}
-		r.SetCrashPoint(1 + rng.Intn(25))
+		dev.CrashAt(1 + rng.Intn(25))
 		err = r.Update(func() error {
 			for _, s := range stores {
 				if err := r.Store(off+s.at, s.data); err != nil {
@@ -372,9 +311,10 @@ func TestPropertyCrashConsistency(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil && !errors.Is(err, ErrCrashInjected) {
+		if err != nil && !errors.Is(err, pm.ErrCrashed) {
 			return false
 		}
+		dev.Crash()
 		r2, err := Open(dev)
 		if err != nil {
 			return false

@@ -23,22 +23,21 @@ import (
 // that calls it. A name only its own package's tests use belongs in
 // that package's export_test.go instead.
 var surfaceAllowlist = map[string]string{
-	"chaos.DropFirst":               "fleet TestHandoffRetriesThroughTransientDrops scripts hand-off drops",
-	"chaos.DropEvery":               "fleet TestKillHostUnderLoadZeroDrops scripts periodic hand-off drops",
-	"core.Framework.Classify":       "plinius.Framework.Classify (root API); TestPublicAPIServe and fleet TestFleetServesOverEPCModelZeroFaults classify against it",
-	"core.Framework.Key":            "serve TestRotateKeyServesThroughRotation checks the data key changed",
-	"enclave.Host.Kill":             "fleet TestKillHostUnderLoadZeroDrops and serve TestFleetServingSurvivesHostKill kill a host",
-	"enclave.Host.Rejoin":           "fleet TestRejoinPromotesToOriginalResidentPlacement brings a killed host back",
-	"engine.WithRand":               "mirror TestMirrorInRejectsWrongKey seeds the engine's IVs",
-	"fleet.Fleet.Rejoin":            "serve TestFleetServingSurvivesHostKill re-admits the host (serve's export_test FleetRejoin)",
-	"mirror.DataMatrix.Encrypted":   "core TestPlaintextDataMode checks the rows were loaded unsealed",
-	"mirror.DataMatrix.Row":         "core TestTornRotationRecovered reads every row after a torn rotation",
-	"obs.Tracer.Active":             "serve TestTraceLifecycleAllExitPaths asserts every exit path finishes its trace",
-	"pm.Device.DirtyLines":          "romulus TestCrashSweepChunkedPropagation asserts a commit leaves no dirty line",
-	"pm.Device.Stats":               "romulus TestStatsFourFencesScaleWithTransactions and mirror TestServingLayoutCrashSweep count fences and stores",
-	"romulus.ErrCrashInjected":      "mirror TestCrashDuringMirrorOutKeepsPreviousMirror tells an injected crash from a failure",
-	"romulus.Romulus.SetCrashPoint": "mirror TestCrashDuringMirrorOutKeepsPreviousMirror crashes a mirror write at each store",
-	"romulus.Romulus.Used":          "mirror TestSlotGCReusesRegionOnShapeChange reads the allocator cursor",
+	"chaos.DropFirst":             "fleet TestHandoffRetriesThroughTransientDrops scripts hand-off drops",
+	"chaos.DropEvery":             "fleet TestKillHostUnderLoadZeroDrops scripts periodic hand-off drops",
+	"core.Framework.Classify":     "plinius.Framework.Classify (root API); TestPublicAPIServe and fleet TestFleetServesOverEPCModelZeroFaults classify against it",
+	"core.Framework.Key":          "serve TestRotateKeyServesThroughRotation checks the data key changed",
+	"enclave.Host.Kill":           "fleet TestKillHostUnderLoadZeroDrops and serve TestFleetServingSurvivesHostKill kill a host",
+	"enclave.Host.Rejoin":         "fleet TestRejoinPromotesToOriginalResidentPlacement brings a killed host back",
+	"engine.WithRand":             "mirror TestMirrorInRejectsWrongKey seeds the engine's IVs",
+	"fleet.Fleet.Rejoin":          "serve TestFleetServingSurvivesHostKill re-admits the host (serve's export_test FleetRejoin)",
+	"mirror.DataMatrix.Encrypted": "core TestPlaintextDataMode checks the rows were loaded unsealed",
+	"mirror.DataMatrix.Row":       "core TestCrashSweep reads every row after a crashed load or rotation",
+	"obs.Tracer.Active":           "serve TestTraceLifecycleAllExitPaths asserts every exit path finishes its trace",
+	"pm.Device.CrashAt":           "romulus TestCrashSweepChunkedPropagation and core TestCrashSweep crash a writer at each persistence event",
+	"pm.Device.DirtyLines":        "romulus TestCrashSweepChunkedPropagation asserts a commit leaves no dirty line",
+	"pm.Device.Stats":             "romulus TestStatsFourFencesScaleWithTransactions and core TestCrashSweep count fences and stores",
+	"romulus.Romulus.Used":        "mirror TestSlotGCReusesRegionOnShapeChange reads the allocator cursor",
 }
 
 // TestExportedSurfaceHasUsers fails on any exported package-level name
