@@ -81,8 +81,8 @@ func newCkptFramework(b *testing.B) *core.Framework {
 }
 
 // BenchmarkMirrorSave64MiB is one mirror-out at ckpt-large scale: the
-// wall time of the seal -> PM store -> Romulus commit data path, per
-// model byte.
+// wall time of the slot writer sealing into PM plus the Romulus flip,
+// per model byte.
 func BenchmarkMirrorSave64MiB(b *testing.B) {
 	f := newCkptFramework(b)
 	b.SetBytes(int64(f.Net.ParamBytes()))
@@ -90,6 +90,27 @@ func BenchmarkMirrorSave64MiB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.MirrorSave(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPublish64MiB is one publication at ckpt-large scale: the
+// slot is retired, the slot writer seals the model into its payload
+// half, and one transaction flips the version. The first two publishes
+// lay out the twin slots the measured ones alternate between.
+func BenchmarkPublish64MiB(b *testing.B) {
+	f := newCkptFramework(b)
+	for i := 0; i < 2; i++ {
+		if _, err := f.Publish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(f.Net.ParamBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Publish(); err != nil {
 			b.Fatal(err)
 		}
 	}

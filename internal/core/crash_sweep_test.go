@@ -127,6 +127,32 @@ func romulusTxRow() crashRow {
 	}
 }
 
+// heapCursors are the two allocation cursors of a framework's heap:
+// the logged heap's top and the payload extents' bottom.
+type heapCursors struct{ used, payload int }
+
+// cursorLog records the heap cursors of every crash point's framework
+// after recovery and the row's retry of the write.
+type cursorLog []heapCursors
+
+// check records f's cursors and, at the clean run (done), fails unless
+// every crash point left them where the clean run does: a write that a
+// crash leaves allocated but unreferenced leaks its region forever, as
+// Romulus has no free.
+func (l *cursorLog) check(f *Framework, done bool) error {
+	*l = append(*l, heapCursors{f.Rom.Used(), f.Rom.PayloadCursor()})
+	if !done {
+		return nil
+	}
+	clean := (*l)[len(*l)-1]
+	for k, c := range *l {
+		if c != clean {
+			return fmt.Errorf("recovery and retry after crash point %d left heap cursors %+v, a clean run %+v", k+1, c, clean)
+		}
+	}
+	return nil
+}
+
 // perturbParams shifts every parameter of net by delta.
 func perturbParams(net *darknet.Network, delta float32) {
 	for _, l := range net.Layers {
@@ -141,9 +167,11 @@ func perturbParams(net *darknet.Network, delta float32) {
 // mirrorOutRow saves the model with MirrorSave: the first save of the
 // framework, or (steady) a save over a mirror of iteration 10. Recovery
 // restores the previous mirror (none at all before the first) or the
-// new one, bit for bit, and the recovered framework mirrors again.
+// new one, bit for bit, and the recovered framework mirrors again,
+// leaving the heap cursors where a clean run does.
 func mirrorOutRow(name string, steady bool) crashRow {
 	var oldIter, oldHash, newHash uint64
+	var cursors cursorLog
 	return crashRow{
 		name: name,
 		prepare: func(f *Framework) error {
@@ -171,8 +199,10 @@ func mirrorOutRow(name string, steady bool) crashRow {
 			if mirror.Exists(f.Rom) != (iter > 0) {
 				return fmt.Errorf("mirror rooted = %v at iteration %d", mirror.Exists(f.Rom), iter)
 			}
-			_, err := f.MirrorSave()
-			return err
+			if _, err := f.MirrorSave(); err != nil {
+				return err
+			}
+			return cursors.check(f, done)
 		},
 	}
 }
@@ -327,9 +357,11 @@ func checkRows(f *Framework, ds *mnist.Dataset) error {
 }
 
 // loadDatasetRow loads a dataset into a fresh framework: recovery finds
-// no matrix at all (and the dataset loads again) or the whole matrix.
+// no matrix at all (and the dataset loads again) or the whole matrix,
+// and the heap cursors end where a clean load leaves them.
 func loadDatasetRow() crashRow {
 	ds := mnist.Synthetic(sweepRows, 11)
+	var cursors cursorLog
 	return crashRow{
 		name:    "load_dataset",
 		prepare: func(*Framework) error { return nil },
@@ -340,7 +372,10 @@ func loadDatasetRow() crashRow {
 					return fmt.Errorf("reload after a torn load: %w", err)
 				}
 			}
-			return checkRows(f, ds)
+			if err := checkRows(f, ds); err != nil {
+				return err
+			}
+			return cursors.check(f, done)
 		},
 	}
 }

@@ -59,11 +59,11 @@ var (
 // single-goroutine save paths (SSD checkpoints); like
 // the Plinius training loop itself (§VI: "a fairly intensive
 // single-threaded application"), it is not safe for concurrent use.
-// Everything else is: Seal/Open allocate their output, OpenAAD and
-// its float views decrypt into the caller's memory, and SealAAD and
-// its float views stage through the caller's Scratch (AcquireScratch)
-// while the AEAD and the IV source are shared safely — the concurrent
-// mode the mirroring path fans out over.
+// Everything else is: Seal/Open allocate their output, SealInto,
+// OpenAAD and their float views seal and decrypt into the caller's
+// memory, and SealAAD and its float views stage through the caller's
+// Scratch (AcquireScratch) while the AEAD and the IV source are shared
+// safely — the concurrent mode the mirroring path fans out over.
 type Engine struct {
 	aead cipher.AEAD
 	rng  io.Reader
@@ -198,26 +198,39 @@ func (e *Engine) Open(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// SealAAD seals plain as IV ‖ ciphertext ‖ MAC into sc's staging area,
-// the MAC also covering aad, which is not stored in the frame: the
-// frame opens only through OpenAAD with the same aad, and a nil aad
-// gives exactly Seal's frame. AES-GCM reads plain where it lies; plain
-// may also be the frame's own ciphertext area (the bytes
-// sc.SealedBuf(SealedLen(len(plain))) holds from IVSize on), which is
-// then sealed in place. The returned slice aliases sc and is valid
-// until sc's next use or release.
-func (e *Engine) SealAAD(sc *Scratch, plain, aad []byte) ([]byte, error) {
+// SealInto seals plain as IV ‖ ciphertext ‖ MAC into dst, which must be
+// exactly SealedLen(len(plain)) bytes — the caller's own memory, or a
+// PM range being filled in place. The MAC also covers aad, which is not
+// stored in the frame: the frame opens only through OpenAAD with the
+// same aad, and a nil aad gives exactly Seal's frame. AES-GCM reads
+// plain where it lies; plain may also be dst's ciphertext area
+// (dst[IVSize:][:len(plain)]), which is then sealed in place. Every
+// other Seal* builds its frame through SealInto.
+func (e *Engine) SealInto(dst, plain, aad []byte) error {
 	n := len(plain)
-	out := sc.SealedBuf(SealedLen(n))
-	if err := e.readIV(out[:IVSize]); err != nil {
-		return nil, err
+	if len(dst) != SealedLen(n) {
+		return fmt.Errorf("engine: %d-byte frame for %d plaintext bytes", len(dst), n)
+	}
+	if err := e.readIV(dst[:IVSize]); err != nil {
+		return err
 	}
 	if e.encl != nil {
 		e.encl.Touch(n + SealedLen(n))
 	}
 	mSealOps.Inc()
 	mSealBytes.Add(float64(n))
-	return e.aead.Seal(out[:IVSize], out[:IVSize], plain, aad), nil
+	e.aead.Seal(dst[:IVSize:len(dst)], dst[:IVSize], plain, aad)
+	return nil
+}
+
+// SealAAD is SealInto sc's staging area. The returned slice aliases sc
+// and is valid until sc's next use or release.
+func (e *Engine) SealAAD(sc *Scratch, plain, aad []byte) ([]byte, error) {
+	out := sc.SealedBuf(SealedLen(len(plain)))
+	if err := e.SealInto(out, plain, aad); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // OpenAAD authenticates a frame produced by SealAAD under the same aad
@@ -300,17 +313,26 @@ func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
 	return e.SealFloatsAAD(sc, v, nil)
 }
 
-// SealFloatsAAD is SealAAD over v's little-endian encoding. On a
-// little-endian host that is v's own memory; on a big-endian host the
-// floats are first encoded into the ciphertext area and sealed in
-// place.
+// SealFloatsAAD is SealFloatsInto sc's staging area.
 func (e *Engine) SealFloatsAAD(sc *Scratch, v []float32, aad []byte) ([]byte, error) {
+	out := sc.SealedBuf(SealedLen(4 * len(v)))
+	if err := e.SealFloatsInto(out, v, aad); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SealFloatsInto is SealInto over v's little-endian encoding. On a
+// little-endian host that is v's own memory; on a big-endian host the
+// floats are first encoded into dst's ciphertext area and sealed in
+// place.
+func (e *Engine) SealFloatsInto(dst []byte, v []float32, aad []byte) error {
 	plain := floatBytes(v)
-	if !hostLittleEndian {
-		plain = sc.SealedBuf(SealedLen(len(plain)))[IVSize:][:len(plain)]
+	if !hostLittleEndian && len(dst) == SealedLen(len(plain)) {
+		plain = dst[IVSize:][:len(plain)]
 		encodeLE(plain, v)
 	}
-	return e.SealAAD(sc, plain, aad)
+	return e.SealInto(dst, plain, aad)
 }
 
 // OpenFloatsWith opens sealed into dst without allocating or staging,

@@ -235,3 +235,35 @@ func TestFloatSealOpenAllocateNothing(t *testing.T) {
 		t.Fatalf("SealFloatsAAD + OpenFloatsAAD allocate %.0f times per pair", n)
 	}
 }
+
+// TestSealIntoMatchesScratchSeal: sealing into the caller's frame —
+// a sub-slice of a larger buffer, as a PM range filled in place is —
+// writes exactly the bytes the scratch path returns, touches nothing
+// past the frame, and refuses a frame of the wrong length before
+// writing anything.
+func TestSealIntoMatchesScratchSeal(t *testing.T) {
+	e := fixedIVEngine(t)
+	sc := e.AcquireScratch()
+	defer e.ReleaseScratch(sc)
+	aad := []byte("bound")
+	for name, v := range floatCases() {
+		want, err := e.SealFloatsAAD(sc, v, aad)
+		if err != nil {
+			t.Fatalf("%s: SealFloatsAAD: %v", name, err)
+		}
+		n := SealedLen(4 * len(v))
+		region := bytes.Repeat([]byte{0xEE}, n+64)
+		if err := e.SealFloatsInto(region[:n], v, aad); err != nil {
+			t.Fatalf("%s: SealFloatsInto: %v", name, err)
+		}
+		if !bytes.Equal(region[:n], want) {
+			t.Fatalf("%s: in-place frame differs from the scratch frame", name)
+		}
+		if !bytes.Equal(region[n:], bytes.Repeat([]byte{0xEE}, 64)) {
+			t.Fatalf("%s: SealFloatsInto wrote past its frame", name)
+		}
+		if err := e.SealFloatsInto(region[:n+1], v, aad); err == nil || region[n] != 0xEE {
+			t.Fatalf("%s: a frame one byte long accepted (err %v) or written", name, err)
+		}
+	}
+}

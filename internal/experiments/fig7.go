@@ -61,7 +61,8 @@ func runFig7Point(sizeMB int) (fig7Point, error) {
 	if err != nil {
 		return fig7Point{}, err
 	}
-	// PM must hold twin copies of the sealed model plus slack.
+	// PM holds the sealed model's payload extent, whose two halves are
+	// the mirror's shadow slots, plus slack.
 	f, err := core.New(core.Config{
 		ModelConfig: cfgText,
 		Server:      core.SGXEmlPM(),
@@ -72,6 +73,16 @@ func runFig7Point(sizeMB int) (fig7Point, error) {
 		return fig7Point{}, err
 	}
 	p := fig7Point{beyondEPC: f.Net.ParamBytes()+15<<20 > enclave.UsableEPC}
+	// The timed save is the third: the first two write each payload
+	// half once, so the seal, which writes straight into the emulated
+	// device, pays no first-touch page fault of the emulator's memory
+	// (about 0.6 ms per MiB here), which PM mapped into the enclave
+	// does not.
+	for i := 0; i < 2; i++ {
+		if _, err := f.MirrorSave(); err != nil {
+			return fig7Point{}, fmt.Errorf("mirror save: %w", err)
+		}
+	}
 	// Collect garbage from framework construction so GC pauses do not
 	// land inside the timed AES sections.
 	runtime.GC()

@@ -86,10 +86,10 @@ func rowPlainLen() int {
 
 // LoadData encrypts (unless WithPlaintextRows) and copies the dataset
 // into PM, chunking the copy across transactions to bound the redo log.
-// The matrix is rooted in the last chunk's transaction, so a load torn
-// by a crash leaves no new matrix (the previous one, if any, stays
-// rooted) and the caller loads again; the torn matrix's region stays
-// allocated, as Romulus has no free.
+// The rows are written above the allocator cursor, and header and rows
+// are allocated and rooted together in the last chunk's transaction: a
+// load torn by a crash leaves no new matrix (the previous one, if any,
+// stays rooted) and nothing allocated, and the caller loads again.
 func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts ...DataOption) (*DataMatrix, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -104,41 +104,15 @@ func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts 
 	} else {
 		d.storedRow = d.plainRow
 	}
-
-	// Allocate header + matrix in one transaction.
-	err := rom.Update(func() error {
-		hdr, err := rom.Alloc(dataHdrSize)
-		if err != nil {
-			return err
-		}
-		d.headOff = hdr
-		dataOff, err := rom.Alloc(d.n * d.storedRow)
-		if err != nil {
-			return err
-		}
-		d.dataOff = dataOff
-		enc := uint64(0)
-		if d.encrypted {
-			enc = 1
-		}
-		fields := []uint64{uint64(d.n), uint64(d.plainRow), uint64(d.storedRow), enc, uint64(dataOff)}
-		for i, v := range fields {
-			if err := rom.StoreUint64(hdr+8*i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("data alloc: %w", err)
+	d.headOff = rom.Used()
+	d.dataOff = d.headOff + regionAlign(dataHdrSize)
+	size := d.dataOff - d.headOff + d.n*d.storedRow
+	if size > rom.PayloadCursor()-d.headOff {
+		return nil, fmt.Errorf("data alloc: %w: %d-byte matrix in %d free bytes", romulus.ErrOutOfSpace, size, rom.PayloadCursor()-d.headOff)
 	}
 
-	// Copy rows in chunked transactions.
 	for start := 0; start < d.n; start += loadChunkRows {
-		end := start + loadChunkRows
-		if end > d.n {
-			end = d.n
-		}
+		end := min(start+loadChunkRows, d.n)
 		err := rom.Update(func() error {
 			for i := start; i < end; i++ {
 				row, err := d.encodeRow(ds, i)
@@ -149,16 +123,39 @@ func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts 
 					return err
 				}
 			}
-			if end == d.n {
-				return rom.SetRoot(RootData, d.headOff)
+			if end < d.n {
+				return nil
 			}
-			return nil
+			return d.allocRoot(size)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("data load rows %d-%d: %w", start, end, err)
 		}
 	}
 	return d, nil
+}
+
+// allocRoot allocates the size bytes of header and rows the load wrote,
+// writes the header and roots the matrix, inside the open transaction.
+func (d *DataMatrix) allocRoot(size int) error {
+	hdr, err := d.rom.Alloc(size)
+	if err != nil {
+		return err
+	}
+	if hdr != d.headOff {
+		return fmt.Errorf("%w: matrix written at %d allocated at %d", ErrDataCorrupt, d.headOff, hdr)
+	}
+	enc := uint64(0)
+	if d.encrypted {
+		enc = 1
+	}
+	fields := []uint64{uint64(d.n), uint64(d.plainRow), uint64(d.storedRow), enc, uint64(d.dataOff)}
+	for i, v := range fields {
+		if err := d.rom.StoreUint64(hdr+8*i, v); err != nil {
+			return err
+		}
+	}
+	return d.rom.SetRoot(RootData, hdr)
 }
 
 func (d *DataMatrix) encodeRow(ds *mnist.Dataset, i int) ([]byte, error) {

@@ -29,3 +29,7 @@ func (p *Publication) LeakedBytes() int {
 	defer p.mu.Unlock()
 	return p.leaked
 }
+
+// regionSize returns what a fresh model region for the given buffers
+// takes from the two heap cursors together.
+func regionSize(bufLayers [][]buffer) int { return metaSize(bufLayers) + payloadSize(bufLayers) }

@@ -27,8 +27,10 @@ type layoutFixture struct {
 }
 
 // newLayoutFixture mirrors the network cfg describes — or, with
-// quantize, its darknet.QuantizeNetwork clone — into the RootModel region of a
-// fresh device of devBytes.
+// quantize, its darknet.QuantizeNetwork clone — into the RootModel
+// region of a fresh device of devBytes, twice, so both payload halves
+// hold a generation of the same parameters: generation 1 in half 0, and
+// generation 2, the current one, in half 1.
 func newLayoutFixture(f *testing.F, name, cfg string, quantize bool, devBytes int, eng *engine.Engine) layoutFixture {
 	dev, err := pm.New(devBytes)
 	if err != nil {
@@ -55,23 +57,27 @@ func newLayoutFixture(f *testing.F, name, cfg string, quantize bool, devBytes in
 	if fx.m, err = AllocModel(rom, eng, fx.src); err != nil {
 		f.Fatalf("AllocModel: %v", err)
 	}
-	if err := fx.m.MirrorOut(fx.src); err != nil {
-		f.Fatalf("MirrorOut: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := fx.m.MirrorOut(fx.src); err != nil {
+			f.Fatalf("MirrorOut: %v", err)
+		}
 	}
 	return fx
 }
 
 // FuzzOpenModelLayout damages the layer table of a sealed mirror on a
-// scratch device — the header's layer count, and one node's buffer
-// count, one buffer's offset and sealed length, and the node's next
-// pointer, each written as the true value plus a fuzzed delta — then
-// attaches with openModelAt and restores with MirrorIn. The table is
-// untrusted PM: every run must fail with an error or restore the sealed
-// buffers bit for bit, and must never panic. The counts and lengths
-// are fixed by the network's shape, so a run that changes any of them
-// must fail. Attaching may allocate only a small multiple of the
-// largest table the forged counts can name, and attaching plus
-// restoring no more than the device holds.
+// scratch device — the header's layer count, current payload half and
+// generation, and one node's buffer count, one buffer's offset and
+// sealed length, and the node's next pointer, each written as the true
+// value plus a fuzzed delta — then attaches with openModelAt and
+// restores with MirrorIn. The table is untrusted PM: every run must
+// fail with an error or restore the sealed buffers bit for bit, and
+// must never panic. The counts and lengths are fixed by the network's
+// shape, so a run that changes any of them must fail; so must one that
+// moves the half without the generation or the generation without the
+// half, as the other half holds another generation. Attaching may
+// allocate only a small multiple of the largest table the forged counts
+// can name, and attaching plus restoring no more than the device holds.
 //
 // Every input runs against two rows: an fp32 mirror whose first weight
 // buffer is over 1 MiB (two segments), and an int8 region whose first
@@ -96,26 +102,29 @@ func FuzzOpenModelLayout(f *testing.F) {
 	// Layout-dependent seeds on the fp32 row: the first buffer moved to
 	// just below the largest offset, where offset + length wraps around;
 	// the first node, claiming 64 buffers, linked to itself under a long
-	// layer count; and the largest layer count openModelAt accepts.
+	// layer count; the largest layer count openModelAt accepts; and the
+	// first buffer moved to the end of the half, where it crosses into
+	// the other one.
 	m := fixtures[0].m
 	maxLayers := fixtures[0].rom.RegionSize() / (nodeBufTable + nodeBufEntry)
-	f.Add(int64(0), uint8(0), int64(0), uint8(0), int64(math.MaxInt64-100-m.layers[0].bufs[0].off), int64(0), int64(0))
-	f.Add(int64(1<<15), uint8(0), int64(62), uint8(0), int64(0), int64(0), int64(m.layers[0].off-m.layers[1].off))
-	f.Add(int64(maxLayers-len(m.layers)), uint8(0), int64(0), uint8(0), int64(0), int64(0), int64(0))
+	f.Add(int64(0), uint8(0), int64(0), uint8(0), int64(math.MaxInt64-100-m.layers[0].bufs[0].off), int64(0), int64(0), int64(0), int64(0))
+	f.Add(int64(1<<15), uint8(0), int64(62), uint8(0), int64(0), int64(0), int64(m.layers[0].off-m.layers[1].off), int64(0), int64(0))
+	f.Add(int64(maxLayers-len(m.layers)), uint8(0), int64(0), uint8(0), int64(0), int64(0), int64(0), int64(0), int64(0))
+	f.Add(int64(0), uint8(0), int64(0), uint8(0), int64(fixtures[0].rom.RegionSize()-16-m.layers[0].bufs[0].off), int64(0), int64(0), int64(0), int64(0))
 	// On the int8 row: layer 0's scale pointed at layer 1's, a frame of
 	// the same length that only the bound place tells apart.
 	q := fixtures[1].m
-	f.Add(int64(0), uint8(0), int64(0), uint8(1), int64(q.layers[1].bufs[1].off-q.layers[0].bufs[1].off), int64(0), int64(0))
+	f.Add(int64(0), uint8(0), int64(0), uint8(1), int64(q.layers[1].bufs[1].off-q.layers[0].bufs[1].off), int64(0), int64(0), int64(0), int64(0))
 
-	f.Fuzz(func(t *testing.T, dNumLayers int64, node uint8, dNumBufs int64, buf uint8, dBufOff, dSealedLen, dNext int64) {
+	f.Fuzz(func(t *testing.T, dNumLayers int64, node uint8, dNumBufs int64, buf uint8, dBufOff, dSealedLen, dNext, dHalf, dGen int64) {
 		for _, fx := range fixtures {
-			fx.damageAndRestore(t, devBytes, dNumLayers, node, dNumBufs, buf, dBufOff, dSealedLen, dNext)
+			fx.damageAndRestore(t, devBytes, dNumLayers, node, dNumBufs, buf, dBufOff, dSealedLen, dNext, dHalf, dGen)
 		}
 	})
 }
 
 // damageAndRestore is one FuzzOpenModelLayout run against fx.
-func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers int64, node uint8, dNumBufs int64, buf uint8, dBufOff, dSealedLen, dNext int64) {
+func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers int64, node uint8, dNumBufs int64, buf uint8, dBufOff, dSealedLen, dNext, dHalf, dGen int64) {
 	rom, m := fx.rom, fx.m
 	li, bi := int(node)%len(m.layers), int(buf)%2
 	entry := m.layers[li].off + nodeBufTable + nodeBufEntry*bi
@@ -124,6 +133,8 @@ func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers 
 		delta int64
 	}{
 		{m.headOff + modelHdrNumL, dNumLayers},
+		{m.headOff + modelHdrHalf, dHalf},
+		{m.headOff + modelHdrGen, dGen},
 		{m.layers[li].off + nodeNumBufs, dNumBufs},
 		{entry, dBufOff},
 		{entry + 8, dSealedLen},
@@ -180,6 +191,9 @@ func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers 
 	}
 	if err == nil && (dNumLayers != 0 || dNumBufs != 0 || dSealedLen != 0) {
 		t.Fatalf("%s: layer table with a forged count or length accepted", fx.name)
+	}
+	if err == nil && (dHalf == 0) != (dGen == 0) {
+		t.Fatalf("%s: header naming half %+d, generation %+d accepted", fx.name, dHalf, dGen)
 	}
 	if err == nil && !netsEqual(fx.src, fx.dst) {
 		t.Fatalf("%s: damaged layer table restored without error into different buffers", fx.name)

@@ -3,14 +3,22 @@
 // enclave ML model in persistent memory and keeps encrypted,
 // byte-addressable training data in PM (data.go).
 //
-// The persistent model is a linked list of layer nodes, each holding the
-// sealed (AES-GCM: IV ‖ ciphertext ‖ MAC) image of every parameter
-// buffer of the corresponding enclave layer, with 28 bytes of metadata
-// per sealed segment. A buffer of up to 1 MiB is one segment — five per
+// The persistent model is a header and a linked list of layer nodes in
+// the Romulus logged heap, each node recording where the sealed
+// (AES-GCM: IV ‖ ciphertext ‖ MAC) image of every parameter buffer of
+// the corresponding enclave layer lies, with 28 bytes of metadata per
+// sealed segment. A buffer of up to 1 MiB is one segment — five per
 // convolutional layer, hence the paper's 140 B/layer encryption
 // metadata — and a larger one is sealed as several (see segmentBytes).
-// All updates run inside SGX-Romulus durable transactions, so a crash
-// at any point leaves either the previous or the new mirror intact.
+//
+// The sealed buffers live in a Romulus payload extent, outside the twin
+// copy, whose two halves are two shadow slots: each save seals every
+// segment straight into the half the header does not name, on every
+// core, one PM write per sealed byte, and then one small durable
+// transaction flips the header's {iteration, generation, half}. So a
+// crash at any point leaves either the previous or the new mirror
+// intact, and the previous one stays readable in PM: every segment's
+// MAC binds the generation it was sealed under.
 //
 // The same layout and codec carry the int8 serving variant of a
 // published snapshot (publish.go): mirrored from a quantized network
@@ -66,16 +74,22 @@ const (
 	RootRotation  = 3
 )
 
-// Persistent layout offsets (all values little-endian uint64):
+// Persistent layout offsets (all values little-endian uint64). Header
+// and layer nodes are one contiguous region of the logged heap; the
+// buffers lie back to back in payload half `half` of the payload
+// extent [payOff, payOff+paySize):
 //
-//	model header: iter | numLayers | headOff
+//	model header: iter | gen | half | numLayers | headOff | payOff | paySize
 //	layer node  : nextOff | numBufs | (bufOff, sealedLen) x numBufs
 //	buffer      : segment 0 | ... | segment k-1, each IV ‖ ciphertext ‖ MAC
 const (
 	modelHdrIter = 0
-	modelHdrNumL = 8
-	modelHdrHead = 16
-	modelHdrSize = 24
+	modelHdrGen  = 8
+	modelHdrHalf = 16
+	modelHdrNumL = 24
+	modelHdrHead = 32
+	modelHdrPay  = 40
+	modelHdrSize = 56
 	nodeNext     = 0
 	nodeNumBufs  = 8
 	nodeBufTable = 16
@@ -123,6 +137,9 @@ type layerNode struct {
 	bufs []bufRef
 }
 
+// extent is the payload extent [off, off+size) of a model region.
+type extent struct{ off, size int }
+
 // Model is a handle to the encrypted mirror copy of a network in PM.
 type Model struct {
 	rom     *romulus.Romulus
@@ -130,8 +147,14 @@ type Model struct {
 	encl    *enclave.Enclave
 	headOff int
 	layers  []layerNode
-	// rootPending marks a region AllocModel laid out but no MirrorOut
-	// has filled yet: the first MirrorOut roots it.
+	pay     extent
+	// gen is the generation the payload half half holds. A fresh model
+	// is generation 0 in half 1, so its first save seals generation 1
+	// into half 0.
+	gen  uint64
+	half int
+	// rootPending marks a model AllocModel planned but no MirrorOut has
+	// written yet: the first MirrorOut allocates and roots it.
 	rootPending bool
 
 	// lastSeal and lastOpen record the time spent in AES-GCM during
@@ -166,13 +189,12 @@ func taskGrain(tasks, total int) int { return max(1, tasks*mirrorParallelBytes/m
 // not stored: the recorded length strictly increases with n, so it
 // names one n and one k (segmentsIn).
 //
-// A one-segment fp32 buffer binds no additional data (the paper's
-// frame). Every other segment — of a buffer with k > 1, or of any
-// buffer of an int8 layer — also binds (node index, buffer index,
-// segment index, k) in its MAC, so a segment swapped within its buffer,
-// moved to another buffer or node, or cut from a buffer of a different
-// k fails authentication. In an int8 snapshot that covers the one-float
-// scales, which every quantized layer has.
+// Every segment's MAC also binds (node index, buffer index, segment
+// index, k, generation), so a segment swapped within its buffer, moved
+// to another buffer or node, cut from a buffer of a different k, or
+// copied from an older generation — the other payload half at the same
+// offset — fails authentication. In an int8 snapshot that covers the
+// one-float scales, which every quantized layer has.
 //
 // Data rows and the SSD checkpoint keep one segment per buffer.
 const segmentBytes = 1 << 20
@@ -206,34 +228,23 @@ type bufTask struct {
 	b              buffer
 	off            int
 	sealedLen      int
-	bind           bool     // the MAC binds aad
-	aad            [16]byte // li, bi, seg, k as little-endian uint32s
+	aad            [24]byte // li, bi, seg, k as little-endian uint32s, then the generation
 }
 
-// additionalData returns what the segment's MAC binds besides its
-// ciphertext: nothing for a one-segment fp32 buffer. It points into the
-// task, so callers hold the task by pointer.
-func (t *bufTask) additionalData() []byte {
-	if !t.bind {
-		return nil
-	}
-	return t.aad[:]
-}
-
-// seal seals the segment through sc.
-func (t *bufTask) seal(eng *engine.Engine, sc *engine.Scratch) ([]byte, error) {
+// seal seals the segment into its frame dst.
+func (t *bufTask) seal(eng *engine.Engine, dst []byte) error {
 	if t.b.q != nil {
-		return eng.SealAAD(sc, t.b.codes(), t.additionalData())
+		return eng.SealInto(dst, t.b.codes(), t.aad[:])
 	}
-	return eng.SealFloatsAAD(sc, t.b.f, t.additionalData())
+	return eng.SealFloatsInto(dst, t.b.f, t.aad[:])
 }
 
 // open opens sealed into the segment's elements.
 func (t *bufTask) open(eng *engine.Engine, sealed []byte) error {
 	if t.b.q != nil {
-		return eng.OpenAAD(t.b.codes(), sealed, t.additionalData())
+		return eng.OpenAAD(t.b.codes(), sealed, t.aad[:])
 	}
-	return eng.OpenFloatsAAD(t.b.f, sealed, t.additionalData())
+	return eng.OpenFloatsAAD(t.b.f, sealed, t.aad[:])
 }
 
 // errorf wraps a seal or open failure with the segment's place.
@@ -242,10 +253,10 @@ func (t *bufTask) errorf(op string, err error) error {
 }
 
 // collectTasks flattens the (layer, buffer, segment) triples of a
-// restore or mirror-out into a task list, and returns it with the
-// sealed bytes it covers. The shape has been checked (matchesFrom), so
-// every recorded length is sealedLenOf its buffer.
-func (m *Model) collectTasks(bufLayers [][]buffer, from int) ([]bufTask, int) {
+// restore or mirror-out of generation gen into a task list, and returns
+// it with the sealed bytes it covers. The shape has been checked
+// (matchesFrom), so every recorded length is sealedLenOf its buffer.
+func (m *Model) collectTasks(bufLayers [][]buffer, from int, gen uint64) ([]bufTask, int) {
 	count := 0
 	for _, bufs := range bufLayers {
 		for _, b := range bufs {
@@ -256,17 +267,17 @@ func (m *Model) collectTasks(bufLayers [][]buffer, from int) ([]bufTask, int) {
 	total := 0
 	for li, bufs := range bufLayers {
 		node := m.layers[from+li]
-		int8Layer := bufs[0].q != nil
 		for bi, b := range bufs {
 			k := segmentsFor(b.size())
 			off := node.bufs[bi].off
 			for s := 0; s < k; s++ {
 				seg := b.part(s, k)
 				t := bufTask{li: from + li, bi: bi, seg: s, k: k, b: seg, off: off,
-					sealedLen: segmentedLen(seg.size(), 1), bind: k > 1 || int8Layer}
+					sealedLen: segmentedLen(seg.size(), 1)}
 				for i, v := range [...]int{from + li, bi, s, k} {
 					binary.LittleEndian.PutUint32(t.aad[4*i:], uint32(v))
 				}
+				binary.LittleEndian.PutUint64(t.aad[16:], gen)
 				tasks = append(tasks, t)
 				off += t.sealedLen
 			}
@@ -291,134 +302,136 @@ func Exists(rom *romulus.Romulus) bool {
 	return err == nil && off != 0
 }
 
-// AllocModel allocates the persistent mirror of net in one durable
-// transaction (Algorithm 3, alloc_mirror_model). The first MirrorOut
-// roots it, in the transaction that fills it: until that commits, a
-// crash leaves no mirror, and recovery trains from scratch (Algorithm
-// 2, lines 7-12) instead of finding a rooted region of unwritten
-// buffers. The region of a mirror a crash leaves unrooted stays
-// allocated, as Romulus has no free.
+// AllocModel plans the persistent mirror of net (Algorithm 3,
+// alloc_mirror_model) without writing PM: the first MirrorOut seals the
+// payload into the free space below the payload cursor and then
+// allocates the region and roots it in one durable transaction. Until
+// that commits, a crash leaves no mirror and nothing allocated, and
+// recovery trains from scratch (Algorithm 2, lines 7-12). It fails when
+// the heap has no room for the model.
 func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, opts ...Option) (*Model, error) {
-	m := &Model{rom: rom, eng: eng, rootPending: true}
+	m := &Model{rom: rom, eng: eng, half: 1, rootPending: true}
 	for _, opt := range opts {
 		opt(m)
 	}
-	bufLayers := collectBuffers(net)
-	err := rom.Update(func() error {
-		hdr, layers, err := allocRegionWith(rom, rom.Alloc, bufLayers)
-		if err != nil {
-			return err
-		}
-		m.headOff, m.layers = hdr, layers
-		return nil
-	})
-	if err != nil {
+	if err := m.plan(collectBuffers(net)); err != nil {
 		return nil, fmt.Errorf("mirror alloc: %w", err)
 	}
 	return m, nil
 }
 
+// plan lays m out for bufLayers at the heap's cursors as they stand:
+// header and layer table where the next Alloc puts them, the payload
+// where the next AllocPayload does.
+func (m *Model) plan(bufLayers [][]buffer) error {
+	meta, pay := metaSize(bufLayers), payloadSize(bufLayers)
+	used, low := m.rom.Used(), m.rom.PayloadCursor()
+	if meta+pay > low-used {
+		return fmt.Errorf("%w: a %d-byte model region in %d free bytes", romulus.ErrOutOfSpace, meta+pay, low-used)
+	}
+	m.headOff, m.pay = used, extent{off: low - pay, size: pay}
+	m.layers = planRegion(bufLayers, m.headOff, m.pay.off)
+	return nil
+}
+
 // regionAlign applies the Romulus bump allocator's alignment, so
-// regionSize predicts exactly what a fresh allocRegionWith consumes and
-// an in-region bump allocator lays out identically.
+// metaSize and payloadSize predict exactly what a region consumes.
 func regionAlign(n int) int {
 	return (n + romulus.AllocAlign - 1) / romulus.AllocAlign * romulus.AllocAlign
 }
 
-// regionSize returns the exact heap consumption of a model region for
-// the given buffers — the sum of its aligned allocations.
-func regionSize(bufLayers [][]buffer) int {
+// nodeBytes returns the logged-heap bytes of a layer node of n buffers.
+func nodeBytes(n int) int { return regionAlign(nodeBufTable + nodeBufEntry*n) }
+
+// metaSize returns the logged-heap bytes of a model region for the
+// given buffers: its header and layer table.
+func metaSize(bufLayers [][]buffer) int {
 	total := regionAlign(modelHdrSize)
 	for _, bufs := range bufLayers {
-		total += regionAlign(nodeBufTable + nodeBufEntry*len(bufs))
-		for _, b := range bufs {
-			total += regionAlign(sealedLenOf(b.size()))
-		}
+		total += nodeBytes(len(bufs))
 	}
 	return total
 }
 
-// regionAllocator bump-allocates inside an existing PM region [base,
-// base+size) — the publication slot GC path, which re-lays out a
-// recycled region for a new shape instead of leaking it. Allocation
-// order and alignment match the Romulus heap allocator, so any shape
-// whose regionSize fits the region lays out in place.
-func regionAllocator(base, size int) func(int) (int, error) {
-	bump := base
-	return func(n int) (int, error) {
-		aligned := regionAlign(n)
-		if bump+aligned > base+size {
-			return 0, fmt.Errorf("mirror: region reuse overflow: %d + %d > %d", bump-base, aligned, size)
+// payloadSize returns the payload extent bytes of a model region for
+// the given buffers, per half.
+func payloadSize(bufLayers [][]buffer) int {
+	total := 0
+	for _, bufs := range bufLayers {
+		for _, b := range bufs {
+			total += regionAlign(sealedLenOf(b.size()))
 		}
-		off := bump
-		bump += aligned
-		return off, nil
 	}
+	return (total + romulus.PayloadAlign - 1) / romulus.PayloadAlign * romulus.PayloadAlign
 }
 
-// allocRegionWith lays out one persistent model region — header, layer
-// nodes and one sealed buffer per parameter buffer — inside an
-// already-open transaction, over an arbitrary allocator: the Romulus
-// heap for fresh regions, an in-region bump allocator for recycled
-// ones. It does not root the region; callers decide where the header is
-// referenced from (the RootModel slot for the training mirror, a
-// publication slot for published snapshots).
-func allocRegionWith(rom *romulus.Romulus, alloc func(int) (int, error), bufLayers [][]buffer) (int, []layerNode, error) {
-	hdr, err := alloc(modelHdrSize)
-	if err != nil {
-		return 0, nil, err
-	}
-	var layers []layerNode
-	var prevNodeOff = -1
-	var firstNodeOff int
+// planRegion lays out a model region for bufLayers: the header at meta
+// and the layer nodes right after it, the buffers from payload offset
+// pay on, both in layer and buffer order.
+func planRegion(bufLayers [][]buffer, meta, pay int) []layerNode {
+	next := meta + regionAlign(modelHdrSize)
+	layers := make([]layerNode, 0, len(bufLayers))
 	for _, bufs := range bufLayers {
-		nodeSize := nodeBufTable + nodeBufEntry*len(bufs)
-		nodeOff, err := alloc(nodeSize)
-		if err != nil {
-			return 0, nil, err
-		}
-		node := layerNode{off: nodeOff}
+		node := layerNode{off: next, bufs: make([]bufRef, len(bufs))}
+		next += nodeBytes(len(bufs))
 		for bi, b := range bufs {
-			sealedLen := sealedLenOf(b.size())
-			bufOff, err := alloc(sealedLen)
-			if err != nil {
-				return 0, nil, err
-			}
-			node.bufs = append(node.bufs, bufRef{off: bufOff, sealedLen: sealedLen})
-			entry := nodeOff + nodeBufTable + nodeBufEntry*bi
-			if err := rom.StoreUint64(entry, uint64(bufOff)); err != nil {
-				return 0, nil, err
-			}
-			if err := rom.StoreUint64(entry+8, uint64(sealedLen)); err != nil {
-				return 0, nil, err
-			}
+			n := sealedLenOf(b.size())
+			node.bufs[bi] = bufRef{off: pay, sealedLen: n}
+			pay += regionAlign(n)
 		}
-		if err := rom.StoreUint64(nodeOff+nodeNext, 0); err != nil {
-			return 0, nil, err
-		}
-		if err := rom.StoreUint64(nodeOff+nodeNumBufs, uint64(len(bufs))); err != nil {
-			return 0, nil, err
-		}
-		if prevNodeOff >= 0 {
-			if err := rom.StoreUint64(prevNodeOff+nodeNext, uint64(nodeOff)); err != nil {
-				return 0, nil, err
-			}
-		} else {
-			firstNodeOff = nodeOff
-		}
-		prevNodeOff = nodeOff
 		layers = append(layers, node)
 	}
-	if err := rom.StoreUint64(hdr+modelHdrIter, 0); err != nil {
-		return 0, nil, err
+	return layers
+}
+
+// metaSizeOf returns the logged-heap bytes of the header and layer
+// table planRegion laid out as layers.
+func metaSizeOf(layers []layerNode) int {
+	total := regionAlign(modelHdrSize)
+	for _, node := range layers {
+		total += nodeBytes(len(node.bufs))
 	}
-	if err := rom.StoreUint64(hdr+modelHdrNumL, uint64(len(bufLayers))); err != nil {
-		return 0, nil, err
+	return total
+}
+
+// storeTable writes m's header, naming iteration iter of generation gen
+// in payload half half, and its layer table, as laid out by
+// planRegion, in the open transaction: one store of the whole
+// metadata.
+func (m *Model) storeTable(iter, gen uint64, half int) error {
+	buf := make([]byte, metaSizeOf(m.layers))
+	put := func(at int, v uint64) { binary.LittleEndian.PutUint64(buf[at-m.headOff:], v) }
+	put(m.headOff+modelHdrIter, iter)
+	put(m.headOff+modelHdrGen, gen)
+	put(m.headOff+modelHdrHalf, uint64(half))
+	put(m.headOff+modelHdrNumL, uint64(len(m.layers)))
+	if len(m.layers) > 0 {
+		put(m.headOff+modelHdrHead, uint64(m.layers[0].off))
 	}
-	if err := rom.StoreUint64(hdr+modelHdrHead, uint64(firstNodeOff)); err != nil {
-		return 0, nil, err
+	put(m.headOff+modelHdrPay, uint64(m.pay.off))
+	put(m.headOff+modelHdrPay+8, uint64(m.pay.size))
+	for i, node := range m.layers {
+		if i+1 < len(m.layers) {
+			put(node.off+nodeNext, uint64(m.layers[i+1].off))
+		}
+		put(node.off+nodeNumBufs, uint64(len(node.bufs)))
+		for bi, b := range node.bufs {
+			entry := node.off + nodeBufTable + nodeBufEntry*bi
+			put(entry, uint64(b.off))
+			put(entry+8, uint64(b.sealedLen))
+		}
 	}
-	return hdr, layers, nil
+	return m.rom.Store(m.headOff, buf)
+}
+
+// storeFlip points m's header at iteration iter of generation gen in
+// payload half half, in the open transaction: one 24-byte store.
+func (m *Model) storeFlip(iter, gen uint64, half int) error {
+	var buf [modelHdrNumL]byte
+	binary.LittleEndian.PutUint64(buf[modelHdrIter:], iter)
+	binary.LittleEndian.PutUint64(buf[modelHdrGen:], gen)
+	binary.LittleEndian.PutUint64(buf[modelHdrHalf:], uint64(half))
+	return m.rom.Store(m.headOff, buf[:])
 }
 
 // OpenModel attaches to an existing persistent model (after a restart or
@@ -436,23 +449,36 @@ func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model
 
 // openModelAt attaches to the persistent model whose header is at hdr,
 // walking its layer list and validating the node structure. The walk
-// is bounded by what PM holds: every layer writer allocates node after
-// node upward, so a next pointer must lie past its node's table, and no
+// is bounded by what PM holds: every layer writer lays node after node
+// out upward, so a next pointer must lie past its node's table, and no
 // list can name more nodes than the region has room for. Nothing is
 // sized from the untrusted layer count; nodes are kept as they are read.
+// The header must name payload half 0 or 1 and a payload extent among
+// the heap's extents, and every buffer must lie inside that extent.
 func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Option) (*Model, error) {
 	m := &Model{rom: rom, eng: eng, headOff: hdr}
 	for _, opt := range opts {
 		opt(m)
 	}
-	numL, err := rom.LoadUint64(hdr + modelHdrNumL)
-	if err != nil {
-		return nil, err
+	var h [modelHdrSize / 8]uint64
+	for i := range h {
+		var err error
+		if h[i], err = rom.LoadUint64(hdr + 8*i); err != nil {
+			return nil, err
+		}
 	}
-	next, err := rom.LoadUint64(hdr + modelHdrHead)
-	if err != nil {
-		return nil, err
+	m.gen = h[modelHdrGen/8]
+	numL, next := h[modelHdrNumL/8], h[modelHdrHead/8]
+	payOff, paySize := h[modelHdrPay/8], h[modelHdrPay/8+1]
+	top, half := uint64(rom.RegionSize()), h[modelHdrHalf/8]
+	if half > 1 {
+		return nil, fmt.Errorf("%w: payload half %d", ErrCorrupt, half)
 	}
+	m.half = int(half)
+	if payOff < uint64(rom.PayloadCursor()) || payOff > top || paySize > top-payOff {
+		return nil, fmt.Errorf("%w: payload extent of %d bytes at %d", ErrCorrupt, paySize, payOff)
+	}
+	m.pay = extent{off: int(payOff), size: int(paySize)}
 	if numL > uint64(rom.RegionSize()/(nodeBufTable+nodeBufEntry)) {
 		return nil, fmt.Errorf("%w: %d layers", ErrCorrupt, numL)
 	}
@@ -478,6 +504,9 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 			sealedLen, err := rom.LoadUint64(entry + 8)
 			if err != nil {
 				return nil, err
+			}
+			if bufOff < payOff || bufOff-payOff > paySize || sealedLen > paySize-(bufOff-payOff) {
+				return nil, fmt.Errorf("%w: layer %d buffer %d of %d bytes at %d, outside the payload extent", ErrCorrupt, i, b, sealedLen, bufOff)
 			}
 			node.bufs = append(node.bufs, bufRef{off: int(bufOff), sealedLen: int(sealedLen)})
 		}
@@ -582,79 +611,116 @@ func checkScales(bufLayers [][]buffer, from int) error {
 	return nil
 }
 
-// MirrorOut encrypts the enclave model's parameters and writes them over
-// the persistent mirror in one durable transaction, recording the
-// iteration counter (Algorithm 3, mirror_out). The first MirrorOut of
-// an AllocModel handle also roots the mirror.
-//
-// Segments are sealed on par.For, each range through its own engine
-// Scratch, and stored in segment order inside the single Romulus
-// transaction: a sealed segment waits for its predecessor's store. So
-// the durable-transaction semantics, the ascending redo log the chunked
-// commit copy needs, and the enclave paging accounting are exactly those
-// of the sequential path, while the AES-GCM work (the dominant save
-// cost, Table Ia) overlaps the PM writes and uses all cores.
+// MirrorOut encrypts the enclave model's parameters and writes them as
+// the persistent mirror's next generation, recording the iteration
+// counter (Algorithm 3, mirror_out): the slot writer seals them into the
+// payload half the mirror does not name, then one durable transaction
+// flips the header to it. The first MirrorOut of an AllocModel handle
+// lays the planned shape out afresh at the heap's cursors, and
+// allocates and roots it in that transaction.
 func (m *Model) MirrorOut(net *darknet.Network) error {
 	bufLayers := collectBuffers(net)
 	if err := m.matches(bufLayers); err != nil {
 		return err
 	}
-	m.lastSeal.Store(0)
-	tasks, total := m.collectTasks(bufLayers, 0)
-	err := m.rom.Update(func() error {
-		if m.rootPending {
-			if err := m.rom.SetRoot(RootModel, m.headOff); err != nil {
-				return err
-			}
-		}
-		if err := m.rom.StoreUint64(m.headOff+modelHdrIter, uint64(net.Iteration)); err != nil {
+	if m.rootPending {
+		if err := m.plan(bufLayers); err != nil {
 			return err
 		}
-		// A segment waits only for segments claimed before its own,
-		// which running ranges hold, so the wait always ends.
-		var order struct {
-			sync.Mutex
-			turn   sync.Cond
-			stored int // segments [0, stored) are stored
-			err    error
-			failed atomic.Bool
-		}
-		order.turn.L = &order
-		par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
-			sc := m.eng.AcquireScratch()
-			defer m.eng.ReleaseScratch(sc)
-			for i := lo; i < hi && !order.failed.Load(); i++ {
-				t := &tasks[i]
-				sealStart := time.Now()
-				sealed, err := t.seal(m.eng, sc)
-				m.lastSeal.Add(int64(time.Since(sealStart)))
-				order.Lock()
-				for order.stored < i && order.err == nil {
-					order.turn.Wait()
-				}
-				switch {
-				case order.err != nil:
-				case err != nil:
-					order.err = t.errorf("seal", err)
-				default:
-					order.err = m.rom.Store(t.off, sealed)
-				}
-				order.stored = i + 1
-				order.failed.Store(order.err != nil)
-				order.Unlock()
-				order.turn.Broadcast()
-			}
-		})
-		return order.err
-	})
-	if err == nil {
-		m.rootPending = false
-		mMirrorOut.Inc()
-		mSealSeconds.Add(time.Duration(m.lastSeal.Load()).Seconds())
-		sealedBytes, _ := payloadCounters(net)
-		sealedBytes.Add(float64(total))
 	}
-	return err
+	gen, half := m.gen+1, 1-m.half
+	total, err := m.writeHalf(bufLayers, half, gen)
+	if err != nil {
+		return err
+	}
+	// Begin's fence 1 orders the payload write-backs above before the
+	// flip: the header never names a half whose bytes are not durable.
+	err = m.rom.Update(func() error {
+		if !m.rootPending {
+			return m.storeFlip(uint64(net.Iteration), gen, half)
+		}
+		return m.allocRoot(uint64(net.Iteration), gen, half)
+	})
+	if err != nil {
+		return err
+	}
+	m.gen, m.half, m.rootPending = gen, half, false
+	countOut(net, total, m.LastSealDuration())
+	return nil
+}
+
+// allocRoot allocates the planned model — header and layer table in the
+// logged heap, the payload extent the first save has already filled —
+// writes its table naming iteration iter of generation gen in half
+// half, and roots it, inside the open transaction.
+func (m *Model) allocRoot(iter, gen uint64, half int) error {
+	hdr, err := m.rom.Alloc(metaSizeOf(m.layers))
+	if err != nil {
+		return err
+	}
+	pay := m.pay.off
+	if m.pay.size > 0 {
+		if pay, err = m.rom.AllocPayload(m.pay.size); err != nil {
+			return err
+		}
+	}
+	if hdr != m.headOff || pay != m.pay.off {
+		return fmt.Errorf("%w: planned region at %d / %d allocated at %d / %d", ErrCorrupt, m.headOff, m.pay.off, hdr, pay)
+	}
+	if err := m.storeTable(iter, gen, half); err != nil {
+		return err
+	}
+	return m.rom.SetRoot(RootModel, hdr)
+}
+
+// writeHalf is the slot writer of MirrorOut and PublishOut. It seals
+// every segment of bufLayers under generation gen straight into its
+// place in payload half half, which nothing references: each par.For
+// range fills its segments through romulus.FillPayload, one PM store
+// and write-back per segment, with no staging copy and no ordering
+// between ranges. It returns the sealed bytes, and records the
+// aggregate AES time for LastSealDuration. The caller then flips the
+// reference in a transaction.
+func (m *Model) writeHalf(bufLayers [][]buffer, half int, gen uint64) (int, error) {
+	m.lastSeal.Store(0)
+	tasks, total := m.collectTasks(bufLayers, 0, gen)
+	var first struct {
+		sync.Mutex
+		err    error
+		failed atomic.Bool
+	}
+	par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
+		for i := lo; i < hi && !first.failed.Load(); i++ {
+			t := &tasks[i]
+			err := m.rom.FillPayload(half, t.off, t.sealedLen, func(dst []byte) error {
+				sealStart := time.Now()
+				err := t.seal(m.eng, dst)
+				m.lastSeal.Add(int64(time.Since(sealStart)))
+				if err != nil {
+					return t.errorf("seal", err)
+				}
+				return nil
+			})
+			if err != nil {
+				first.Lock()
+				if first.err == nil {
+					first.err = err
+				}
+				first.Unlock()
+				first.failed.Store(true)
+			}
+		}
+	})
+	return total, first.err
+}
+
+// countOut adds a committed mirror-out of net — total sealed bytes, seal
+// AES time seal — to the process-wide counters.
+func countOut(net *darknet.Network, total int, seal time.Duration) {
+	mMirrorOut.Inc()
+	mSealSeconds.Add(seal.Seconds())
+	sealedBytes, _ := payloadCounters(net)
+	sealedBytes.Add(float64(total))
 }
 
 // MirrorIn reads the persistent mirror, decrypts it inside the enclave
@@ -699,7 +765,7 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 		return 0, err
 	}
 	m.lastOpen.Store(0)
-	tasks, total := m.collectTasks(bufLayers, from)
+	tasks, total := m.collectTasks(bufLayers, from, m.gen)
 	var first struct {
 		sync.Mutex
 		err error
@@ -734,14 +800,15 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 	return int(iter), nil
 }
 
-// restore loads segment t from PM and opens it into its buffer.
-// The sealed bytes stage through sc's sealed side (the open uses only
-// its plain side), so steady-state restores — the streaming shard
-// group's per-batch path — allocate nothing: the scratch pool keeps the
-// buffers alive across calls.
+// restore loads segment t from the current payload half and opens it
+// into its buffer. The sealed bytes stage through sc's sealed side, so
+// steady-state restores — the streaming shard group's per-batch path —
+// allocate nothing: the scratch pool keeps the buffers alive across
+// calls. The staging copy is also what keeps PM from changing the bytes
+// between GCM's tag check and its decryption.
 func (m *Model) restore(sc *engine.Scratch, t *bufTask) error {
 	sealed := sc.SealedBuf(t.sealedLen)
-	if err := m.rom.Load(t.off, sealed); err != nil {
+	if err := m.rom.LoadPayload(m.half, t.off, sealed); err != nil {
 		return err
 	}
 	if m.encl != nil {

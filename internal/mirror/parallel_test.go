@@ -128,9 +128,9 @@ func TestParallelMirrorRoundTrip(t *testing.T) {
 }
 
 // TestParallelMirrorManyBuffers pushes many more sealed buffers than
-// there are cores through the fan-out MirrorOut, whose ranges each
-// wait for the one before to store — the case a wait on an unstarted
-// range would deadlock — and checks the roundtrip.
+// there are cores through the fan-out MirrorOut, whose ranges fill
+// their segments into PM in whatever order they run, and checks the
+// roundtrip.
 func TestParallelMirrorManyBuffers(t *testing.T) {
 	withProcs(t, 2)
 	var cfg strings.Builder

@@ -17,19 +17,26 @@
 //
 //	pub header: latestVersion | numSlots | maxPubSlots x {version, modelOff, regionSize, qOff, qSize, qValid} | layoutOff | layoutCap
 //
-// Slot model regions are mirror model regions. A slot may additionally
-// carry the quantized (int8) variant of the same version in a second
-// region (qOff/qSize), mirrored from darknet.QuantizeNetwork's clone by
-// the same MirrorOut: PublishOut writes it when asked (WithQuantized),
-// and qValid — flipped in the same durable transaction as the version —
-// records whether the variant is present, so a crash mid-publish can
-// never expose a torn int8 region. Both regions follow one discipline
-// (Publication.fitRegion): the recorded size makes slot recycling
+// Slot model regions are mirror model regions (modelOff is the header,
+// regionSize the bytes of header and layer table), written by the
+// mirror's slot writer. Slot i's payload is always half i&1 of a
+// payload extent, so slots 2j and 2j+1 are twins that can share one
+// extent, each half with its own layer table: a recycled slot is
+// re-laid out and written while its twin stays pinned. A slot may
+// additionally carry the quantized (int8) variant of the same version
+// in a second region (qOff/qSize), mirrored from
+// darknet.QuantizeNetwork's clone by the same slot writer: PublishOut
+// writes it when asked (WithQuantized), and qValid — flipped in the
+// same durable transaction as the version — records whether the
+// variant is present, so a crash mid-publish can never expose a torn
+// int8 region. Both regions follow one discipline
+// (Publication.fitRegion): the recorded sizes make slot recycling
 // shape-proof, since Romulus has no free. A recycled region whose new
-// payload fits is re-laid out in place (regionAllocator) and only a
-// genuinely outgrown region is abandoned to the bump allocator (the
-// leaked bytes are counted, as are the bytes reused in place).
-// Offsets and sizes persist across retirements. Pin counts
+// table and payload fit is re-laid out in place — the payload in its
+// own extent or its twin's — and only what is genuinely outgrown is
+// abandoned to the allocators (the leaked bytes are counted, as are the
+// bytes reused in place). Offsets and sizes persist across
+// retirements. Pin counts
 // are volatile (a restart drops all pins, as the readers died with the
 // process). The Publication handle itself serializes its in-memory
 // bookkeeping; callers must still serialize the PM device access of
@@ -88,7 +95,8 @@ var (
 // or its int8 variant.
 type region struct {
 	off    int         // header offset; 0 = never allocated
-	size   int         // heap bytes the region spans
+	size   int         // logged-heap bytes of header and layer table
+	pay    extent      // payload extent, whose half idx&1 the slot uses
 	layers []layerNode // cached layout
 }
 
@@ -181,10 +189,10 @@ func OpenPublication(rom *romulus.Romulus) (*Publication, error) {
 			return nil, err
 		}
 		s := &pubSlot{idx: i, version: version, int8Valid: int8Valid != 0}
-		if s.fp32, err = loadRegion(rom, entry+slotFP32Region); err != nil {
+		if s.fp32, err = loadRegion(rom, entry+slotFP32Region, i&1); err != nil {
 			return nil, fmt.Errorf("publication slot %d: %w", i, err)
 		}
-		if s.int8, err = loadRegion(rom, entry+slotInt8Region); err != nil {
+		if s.int8, err = loadRegion(rom, entry+slotInt8Region, i&1); err != nil {
 			return nil, fmt.Errorf("publication slot %d int8 region: %w", i, err)
 		}
 		p.slots = append(p.slots, s)
@@ -193,8 +201,9 @@ func OpenPublication(rom *romulus.Romulus) (*Publication, error) {
 }
 
 // loadRegion reads the region whose (offset, size) pair is at PM offset
-// at, walking its layer list when it has been allocated.
-func loadRegion(rom *romulus.Romulus, at int) (region, error) {
+// at, walking its layer list when it has been allocated. Its payload
+// must lie in half half.
+func loadRegion(rom *romulus.Romulus, at, half int) (region, error) {
 	off, err := rom.LoadUint64(at)
 	if err != nil {
 		return region{}, err
@@ -209,7 +218,10 @@ func loadRegion(rom *romulus.Romulus, at int) (region, error) {
 		if err != nil {
 			return region{}, err
 		}
-		r.layers = m.layers
+		if m.half != half {
+			return region{}, fmt.Errorf("%w: region in payload half %d, slot's half %d", ErrPubCorrupt, m.half, half)
+		}
+		r.layers, r.pay = m.layers, m.pay
 	}
 	return r, nil
 }
@@ -234,7 +246,6 @@ func (p *Publication) slotEntryOff(i int) int {
 // table slot, and only last a recyclable slot whose region must be
 // abandoned. Called with p.mu held.
 func (p *Publication) pickSlot(bufLayers [][]buffer) (*pubSlot, error) {
-	need := regionSize(bufLayers)
 	var fallback, fitting *pubSlot
 	for _, s := range p.slots {
 		if s.pins > 0 || (s.version == p.latest && p.latest != 0) {
@@ -243,7 +254,7 @@ func (p *Publication) pickSlot(bufLayers [][]buffer) (*pubSlot, error) {
 		if s.fp32.off != 0 && layersMatch(s.fp32.layers, bufLayers) == nil {
 			return s, nil
 		}
-		if fitting == nil && s.fp32.off != 0 && need <= s.fp32.size {
+		if fitting == nil && s.fp32.off != 0 && metaSize(bufLayers) <= s.fp32.size && p.payloadFor(s, &s.fp32, bufLayers) != nil {
 			fitting = s
 		}
 		fallback = s
@@ -276,61 +287,86 @@ func layersMatch(layers []layerNode, bufLayers [][]buffer) error {
 	return m.matches(bufLayers)
 }
 
-// fitRegion makes r — whose (offset, size) pair is at PM offset at in the
-// slot table — hold a region laid out for bufLayers. A region that
-// already matches is kept. A retired region big enough for the new
-// shape is re-laid out in place (Romulus has no free, so this is the
-// only reclamation); an outgrown one is abandoned to the bump allocator
-// and a fresh one allocated. Called with p.mu held.
-func (p *Publication) fitRegion(r *region, at int, bufLayers [][]buffer) error {
+// payloadFor returns an allocated payload extent in which region r of
+// slot s can hold bufLayers' payload: r's own, or the extent of the
+// same region of s's twin, whose other half is s's. Nil when neither
+// fits. Called with p.mu held.
+func (p *Publication) payloadFor(s *pubSlot, r *region, bufLayers [][]buffer) *extent {
+	need := payloadSize(bufLayers)
+	if r.off != 0 && need <= r.pay.size {
+		return &r.pay
+	}
+	if s.idx^1 >= len(p.slots) {
+		return nil
+	}
+	twin := &p.slots[s.idx^1].fp32
+	if r == &s.int8 {
+		twin = &p.slots[s.idx^1].int8
+	}
+	if twin.off != 0 && need <= twin.pay.size {
+		return &twin.pay
+	}
+	return nil
+}
+
+// fitRegion makes r — a region of slot s whose (offset, size) pair is
+// at PM offset at in the slot table — hold a region laid out for
+// bufLayers in payload half s.idx&1. A region that already matches is
+// kept. Otherwise the layer table is re-laid out in place if it fits,
+// or allocated afresh, and the payload goes to r's own extent or its
+// twin's if either fits (payloadFor), or to a fresh extent: Romulus has
+// no free, so reuse is the only reclamation, and what r outgrew is
+// abandoned. Called with p.mu held.
+func (p *Publication) fitRegion(s *pubSlot, r *region, at int, bufLayers [][]buffer) error {
 	if r.off != 0 && layersMatch(r.layers, bufLayers) == nil {
 		return nil
 	}
-	need := regionSize(bufLayers)
-	if r.off != 0 && need <= r.size {
-		err := p.rom.Update(func() error {
-			hdr, layers, err := allocRegionWith(p.rom, regionAllocator(r.off, r.size), bufLayers)
+	meta, paySize := metaSize(bufLayers), payloadSize(bufLayers)
+	metaFits := r.off != 0 && meta <= r.size
+	pay := p.payloadFor(s, r, bufLayers)
+	next := *r
+	err := p.rom.Update(func() error {
+		if !metaFits {
+			hdr, err := p.rom.Alloc(meta)
 			if err != nil {
 				return err
 			}
-			// The header is the region's first allocation, so its offset
-			// and size are unchanged.
-			if hdr != r.off {
-				return fmt.Errorf("%w: reused region header moved %d -> %d", ErrPubCorrupt, r.off, hdr)
+			next.off, next.size = hdr, meta
+			if err := p.rom.StoreUint64(at, uint64(hdr)); err != nil {
+				return err
 			}
-			r.layers = layers
-			return nil
-		})
-		if err == nil {
-			p.reused += need
+			if err := p.rom.StoreUint64(at+8, uint64(meta)); err != nil {
+				return err
+			}
 		}
-		return err
-	}
-	abandoned := r.size
-	err := p.rom.Update(func() error {
-		hdr, layers, err := allocRegionWith(p.rom, p.rom.Alloc, bufLayers)
-		if err != nil {
-			return err
+		if pay != nil {
+			next.pay = *pay
+		} else {
+			off, err := p.rom.AllocPayload(paySize)
+			if err != nil {
+				return err
+			}
+			next.pay = extent{off: off, size: paySize}
 		}
-		*r = region{off: hdr, size: need, layers: layers}
-		if err := p.rom.StoreUint64(at, uint64(hdr)); err != nil {
-			return err
-		}
-		return p.rom.StoreUint64(at+8, uint64(need))
+		next.layers = planRegion(bufLayers, next.off, next.pay.off)
+		m := &Model{rom: p.rom, headOff: next.off, pay: next.pay, layers: next.layers}
+		return m.storeTable(0, 0, s.idx&1)
 	})
-	if err == nil {
-		p.leaked += abandoned
-	}
-	return err
-}
-
-// write lays r out for net (see fitRegion) and mirrors net into it.
-func (p *Publication) write(eng *engine.Engine, r *region, at int, net *darknet.Network) error {
-	if err := p.fitRegion(r, at, collectBuffers(net)); err != nil {
+	if err != nil {
 		return err
 	}
-	m := &Model{rom: p.rom, eng: eng, headOff: r.off, layers: r.layers}
-	return m.MirrorOut(net)
+	if metaFits {
+		p.reused += meta
+	} else {
+		p.leaked += r.size
+	}
+	if pay != nil {
+		p.reused += paySize
+	} else {
+		p.leaked += r.pay.size
+	}
+	*r = next
+	return nil
 }
 
 // PublishOption configures one PublishOut call.
@@ -348,12 +384,14 @@ func WithQuantized() PublishOption {
 }
 
 // PublishOut seals net's parameters into an immutable snapshot and
-// publishes it as the next version. The snapshot region is written
-// first (its slot marked unpublished), then the version and the latest
-// pointer flip in one durable transaction — a crash at any point leaves
-// the previous latest version intact and restorable. With
-// WithQuantized, the int8 variant is written before that flip and its
-// validity bit rides in the same transaction.
+// publishes it as the next version. The slot is retired first, its
+// regions laid out, and its payload half written by the slot writer
+// while nothing references it; then the regions' headers, the version
+// and the latest pointer flip in one durable transaction — a crash at
+// any point leaves the previous latest version intact and restorable.
+// With WithQuantized, the int8 variant is written before that flip and
+// its validity bit rides in the same transaction. Every segment binds
+// the new version as its generation.
 //
 // The caller must serialize PM access (PublishOut vs other romulus
 // users); the publication's own bookkeeping is internally locked.
@@ -369,11 +407,10 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 			return 0, fmt.Errorf("publish quantize: %w", err)
 		}
 	}
-	bufLayers := collectBuffers(net)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	slot, err := p.pickSlot(bufLayers)
+	slot, err := p.pickSlot(collectBuffers(net))
 	if err != nil {
 		return 0, err
 	}
@@ -395,16 +432,36 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 		slot.version = 0
 		slot.int8Valid = false
 	}
-	if err := p.write(eng, &slot.fp32, entry+slotFP32Region, net); err != nil {
-		return 0, fmt.Errorf("publish seal: %w", err)
+	variants := []struct {
+		net  *darknet.Network
+		r    *region
+		at   int
+		what string
+	}{{net, &slot.fp32, slotFP32Region, "publish seal"}, {qnet, &slot.int8, slotInt8Region, "publish int8 seal"}}
+	if qnet == nil {
+		variants = variants[:1]
 	}
-	if qnet != nil {
-		if err := p.write(eng, &slot.int8, entry+slotInt8Region, qnet); err != nil {
-			return 0, fmt.Errorf("publish int8 seal: %w", err)
+	newVer, half := p.latest+1, slot.idx&1
+	models := make([]*Model, len(variants))
+	totals := make([]int, len(variants))
+	for i, v := range variants {
+		bufLayers := collectBuffers(v.net)
+		if err := p.fitRegion(slot, v.r, entry+v.at, bufLayers); err != nil {
+			return 0, fmt.Errorf("%s: %w", v.what, err)
+		}
+		models[i] = &Model{rom: p.rom, eng: eng, headOff: v.r.off, pay: v.r.pay, layers: v.r.layers}
+		if totals[i], err = models[i].writeHalf(bufLayers, half, newVer); err != nil {
+			return 0, fmt.Errorf("%s: %w", v.what, err)
 		}
 	}
-	newVer := p.latest + 1
+	// Begin's fence 1 orders the payload write-backs above before the
+	// flip.
 	err = p.rom.Update(func() error {
+		for i, m := range models {
+			if err := m.storeFlip(uint64(variants[i].net.Iteration), newVer, half); err != nil {
+				return err
+			}
+		}
 		if err := p.rom.StoreUint64(entry, newVer); err != nil {
 			return err
 		}
@@ -417,6 +474,9 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 	})
 	if err != nil {
 		return 0, err
+	}
+	for i, m := range models {
+		countOut(variants[i].net, totals[i], m.LastSealDuration())
 	}
 	slot.version = newVer
 	slot.int8Valid = qnet != nil

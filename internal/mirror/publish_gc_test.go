@@ -8,7 +8,12 @@ import (
 	mrand "math/rand"
 
 	"plinius/internal/darknet"
+	"plinius/internal/romulus"
 )
+
+// cursors returns the heap's allocator and payload cursors: a region
+// that grows either shows in one of them.
+func cursors(rom *romulus.Romulus) [2]int { return [2]int{rom.Used(), rom.PayloadCursor()} }
 
 // testNetShape builds a network with a controllable parameter count.
 func testNetShape(t *testing.T, convLayers, filters int) *darknet.Network {
@@ -51,7 +56,7 @@ func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 			// latest slot is never recycled, so alternation needs both).
 			publish(big)
 			publish(big)
-			used0 := rom.Used()
+			used0 := cursors(rom)
 
 			// Repeated same-or-smaller republish: every shape change
 			// lands in a recycled big region and must fit in place.
@@ -59,8 +64,8 @@ func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 				publish(small)
 				publish(big)
 			}
-			if got := rom.Used(); got != used0 {
-				t.Fatalf("heap grew %d bytes across same-or-smaller republishes", got-used0)
+			if got := cursors(rom); got != used0 {
+				t.Fatalf("heap cursors moved %v -> %v across same-or-smaller republishes", used0, got)
 			}
 			if p.ReusedBytes() == 0 {
 				t.Fatal("ReusedBytes = 0; shape changes should have reused regions")
@@ -93,21 +98,21 @@ func TestSlotGCPrefersFreshSlotOverAbandoning(t *testing.T) {
 	}
 	publishNet(t, p, eng, small)
 	publishNet(t, p, eng, small)
-	used0 := rom.Used()
+	used0 := cursors(rom)
 
 	// Growing republish cannot fit the recycled small region; it lands
 	// in a fresh table slot and the small region survives for reuse.
 	publishNet(t, p, eng, big)
-	if got := rom.Used(); got == used0 {
-		t.Fatal("heap did not grow for an outgrown shape")
+	if got := cursors(rom); got[0] == used0[0] || got[1] == used0[1] {
+		t.Fatalf("heap cursors %v -> %v: an outgrown shape took no new table and extent", used0, got)
 	}
 	if got := p.LeakedBytes(); got != 0 {
 		t.Fatalf("LeakedBytes = %d, want 0 (small region kept for reuse)", got)
 	}
-	used1 := rom.Used()
+	used1 := cursors(rom)
 	publishNet(t, p, eng, small) // recycles the surviving small region
-	if got := rom.Used(); got != used1 {
-		t.Fatalf("heap grew %d bytes republishing the kept shape", got-used1)
+	if got := cursors(rom); got != used1 {
+		t.Fatalf("heap cursors moved %v -> %v republishing the kept shape", used1, got)
 	}
 }
 
@@ -166,7 +171,7 @@ func TestSlotGCSurvivesReopen(t *testing.T) {
 	}
 	publishNet(t, p, eng, big)
 	publishNet(t, p, eng, big)
-	used0 := rom.Used()
+	used0 := cursors(rom)
 
 	// Reattach (as recovery does) and republish a smaller shape.
 	p2, err := OpenPublication(rom)
@@ -174,10 +179,53 @@ func TestSlotGCSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	publishNet(t, p2, eng, small)
-	if got := rom.Used(); got != used0 {
-		t.Fatalf("heap grew %d bytes after reopen; regionSize not persisted?", got-used0)
+	if got := cursors(rom); got != used0 {
+		t.Fatalf("heap cursors moved %v -> %v after reopen; region sizes not persisted?", used0, got)
 	}
 	if p2.ReusedBytes() == 0 {
 		t.Fatal("reopened publication did not reuse the recycled region")
 	}
+}
+
+// TestTwinSlotsShareOneExtent: slots 0 and 1 are twins, so the second
+// publish of a shape writes the back half of the extent the first one
+// allocated and takes no new payload space; and slot 0 is recycled —
+// re-laid out for a smaller shape in its own half — while its twin
+// stays pinned, which still restores its own version bit for bit.
+func TestTwinSlotsShareOneExtent(t *testing.T) {
+	_, rom := testHeap(t, 64<<20)
+	eng := testEngine(t)
+	big, small := testNetShape(t, 2, 16), testNetShape(t, 1, 4)
+	p, err := OpenPublication(rom)
+	if err != nil {
+		t.Fatalf("OpenPublication: %v", err)
+	}
+	publishNet(t, p, eng, big)
+	low := rom.PayloadCursor()
+	perturb(big, 1)
+	v2 := publishNet(t, p, eng, big)
+	if got := rom.PayloadCursor(); got != low {
+		t.Fatalf("the twin's publish moved the payload cursor %d -> %d", low, got)
+	}
+	if s0, s1 := p.slots[0].fp32.pay, p.slots[1].fp32.pay; s0 != s1 {
+		t.Fatalf("twin slots hold extents %+v and %+v, want one", s0, s1)
+	}
+	pin, err := p.Pin(v2)
+	if err != nil {
+		t.Fatalf("Pin: %v", err)
+	}
+	defer pin.Release()
+	publishNet(t, p, eng, small)
+	if p.slots[0].version != v2+1 || rom.PayloadCursor() != low {
+		t.Fatalf("small shape went to slot with version %d, payload cursor %d; want slot 0 recycled in place", p.slots[0].version, rom.PayloadCursor())
+	}
+	m, err := pin.Open(eng, darknet.FP32)
+	if err != nil {
+		t.Fatalf("pin.Open: %v", err)
+	}
+	got := testNetShape(t, 2, 16)
+	if _, err := m.MirrorIn(got); err != nil || !netsEqual(big, got) {
+		t.Fatalf("pinned twin after its twin's relayout: err %v, equal %v", err, netsEqual(big, got))
+	}
+	checkLatest(t, p, eng, small, func() *darknet.Network { return testNetShape(t, 1, 4) }, false)
 }

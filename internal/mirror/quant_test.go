@@ -148,7 +148,7 @@ func TestInt8ScaleMovedFailsAuth(t *testing.T) {
 		t.Fatalf("pin.Open int8: %v", err)
 	}
 	qnet := quantized(t, net)
-	moveSegment(t, rom, qnet, segRef{qm, 0, 1, 0}, segRef{qm, 1, 1, 0})
+	moveSegment(t, qnet, segRef{qm, 0, 1, 0}, segRef{qm, 1, 1, 0})
 	if _, err := qm.MirrorIn(quantized(t, testNet(t, 2))); !errors.Is(err, engine.ErrAuth) {
 		t.Fatalf("MirrorIn with a moved scale = %v, want ErrAuth", err)
 	}

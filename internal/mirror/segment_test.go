@@ -8,7 +8,6 @@ import (
 
 	"plinius/internal/darknet"
 	"plinius/internal/engine"
-	"plinius/internal/romulus"
 )
 
 // segNet is a 784-520-520-520-10 MLP: the weights of its first three
@@ -36,14 +35,14 @@ type segRef struct {
 }
 
 // bytes returns the segment's sealed bytes as laid out for net's shape,
-// and its PM offset.
+// and its offset in its model's current payload half.
 func (r segRef) bytes(t *testing.T, net *darknet.Network) ([]byte, int) {
 	t.Helper()
-	tasks, _ := r.m.collectTasks(collectBuffers(net), 0)
+	tasks, _ := r.m.collectTasks(collectBuffers(net), 0, r.m.gen)
 	for _, tk := range tasks {
 		if tk.li == r.li && tk.bi == r.bi && tk.seg == r.seg {
 			b := make([]byte, tk.sealedLen)
-			if err := r.m.rom.Load(tk.off, b); err != nil {
+			if err := r.m.rom.LoadPayload(r.m.half, tk.off, b); err != nil {
 				t.Fatalf("Load: %v", err)
 			}
 			return b, tk.off
@@ -53,32 +52,26 @@ func (r segRef) bytes(t *testing.T, net *darknet.Network) ([]byte, int) {
 	return nil, 0
 }
 
-// overwrite stores each sealed byte slice at its PM offset, as an
-// adversary with PM access could.
-func overwrite(t *testing.T, rom *romulus.Romulus, at map[int][]byte) {
+// overwrite stores each sealed byte slice at its offset in m's current
+// payload half, as an adversary with PM access could.
+func overwrite(t *testing.T, m *Model, at map[int][]byte) {
 	t.Helper()
-	err := rom.Update(func() error {
-		for off, b := range at {
-			if err := rom.Store(off, b); err != nil {
-				return err
-			}
+	for off, b := range at {
+		if err := m.rom.FillPayload(m.half, off, len(b), func(dst []byte) error { copy(dst, b); return nil }); err != nil {
+			t.Fatalf("FillPayload: %v", err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Store: %v", err)
 	}
 }
 
 // moveSegment overwrites segment to with the bytes of segment from.
-func moveSegment(t *testing.T, rom *romulus.Romulus, net *darknet.Network, from, to segRef) {
+func moveSegment(t *testing.T, net *darknet.Network, from, to segRef) {
 	t.Helper()
 	b, _ := from.bytes(t, net)
 	old, off := to.bytes(t, net)
 	if len(b) != len(old) {
 		t.Fatalf("segments of %d and %d bytes", len(b), len(old))
 	}
-	overwrite(t, rom, map[int][]byte{off: b})
+	overwrite(t, to.m, map[int][]byte{off: b})
 }
 
 // TestSegmentTamperingFailsAuth: a segment opens only at the node,
@@ -91,23 +84,25 @@ func moveSegment(t *testing.T, rom *romulus.Romulus, net *darknet.Network, from,
 func TestSegmentTamperingFailsAuth(t *testing.T) {
 	cases := []struct {
 		name    string
-		tamper  func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model)
+		tamper  func(t *testing.T, net *darknet.Network, train, slot *Model)
 		slot    bool // restore the publication slot instead of the training mirror
 		wantErr error
 	}{
-		{"swap segments of one buffer", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, _ *Model) {
+		{"swap segments of one buffer", func(t *testing.T, net *darknet.Network, train, _ *Model) {
 			a, offA := segRef{train, 1, 0, 0}.bytes(t, net)
 			b, offB := segRef{train, 1, 0, 1}.bytes(t, net)
-			overwrite(t, rom, map[int][]byte{offA: b, offB: a})
+			overwrite(t, train, map[int][]byte{offA: b, offB: a})
 		}, false, engine.ErrAuth},
-		{"segment moved to a same-size buffer", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, _ *Model) {
-			moveSegment(t, rom, net, segRef{train, 1, 0, 0}, segRef{train, 2, 0, 0})
+		{"segment moved to a same-size buffer", func(t *testing.T, net *darknet.Network, train, _ *Model) {
+			moveSegment(t, net, segRef{train, 1, 0, 0}, segRef{train, 2, 0, 0})
 		}, false, engine.ErrAuth},
-		{"training segment at another node index", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model) {
-			moveSegment(t, rom, net, segRef{train, 1, 0, 1}, segRef{slot, 2, 0, 1})
+		{"training segment at another node index", func(t *testing.T, net *darknet.Network, train, slot *Model) {
+			moveSegment(t, net, segRef{train, 1, 0, 1}, segRef{slot, 2, 0, 1})
 		}, true, engine.ErrAuth},
-		{"training segment at its own index", func(t *testing.T, rom *romulus.Romulus, net *darknet.Network, train, slot *Model) {
-			moveSegment(t, rom, net, segRef{train, 2, 0, 1}, segRef{slot, 2, 0, 1})
+		// The mirror's first generation and the first version share
+		// generation number 1.
+		{"training segment at its own index", func(t *testing.T, net *darknet.Network, train, slot *Model) {
+			moveSegment(t, net, segRef{train, 2, 0, 1}, segRef{slot, 2, 0, 1})
 		}, true, nil},
 	}
 	for _, c := range cases {
@@ -138,7 +133,7 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 			t.Fatalf("pin.Open: %v", err)
 		}
 
-		c.tamper(t, rom, net, train, slot)
+		c.tamper(t, net, train, slot)
 		m := train
 		if c.slot {
 			m = slot
@@ -171,5 +166,49 @@ func TestSealedLenNamesOneLayout(t *testing.T) {
 				t.Fatalf("segmentsIn(sealedLenOf(%d) = %d) = %d, want %d", n, l, got, want)
 			}
 		}
+	}
+}
+
+// TestOtherHalfSegmentFailsAuth: after two saves each payload half
+// holds a generation of the same parameters at the same offsets. A
+// segment copied from the older half over its place in the current one
+// fails authentication — a one-segment fp32 buffer included, whose MAC
+// binds the generation like every other segment's — and the mirror
+// restores again once the segment is put back.
+func TestOtherHalfSegmentFailsAuth(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		li, bi, seg int
+	}{
+		{"one-segment fp32 bias", 0, 1, 0},
+		{"second segment of a two-segment weight buffer", 1, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, rom := testHeap(t, 32<<20)
+			net := segNet(t, 1)
+			m, err := AllocModel(rom, testEngine(t), net)
+			if err != nil {
+				t.Fatalf("AllocModel: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := m.MirrorOut(net); err != nil {
+					t.Fatalf("MirrorOut: %v", err)
+				}
+			}
+			cur, off := segRef{m, c.li, c.bi, c.seg}.bytes(t, net)
+			old := make([]byte, len(cur))
+			if err := rom.LoadPayload(1-m.half, off, old); err != nil {
+				t.Fatalf("LoadPayload: %v", err)
+			}
+			overwrite(t, m, map[int][]byte{off: old})
+			if _, err := m.MirrorIn(segNet(t, 99)); !errors.Is(err, engine.ErrAuth) {
+				t.Fatalf("MirrorIn with a segment of the older generation = %v, want ErrAuth", err)
+			}
+			overwrite(t, m, map[int][]byte{off: cur})
+			restored := segNet(t, 99)
+			if _, err := m.MirrorIn(restored); err != nil || !netsEqual(net, restored) {
+				t.Fatalf("MirrorIn with the segment put back: err %v, equal %v", err, netsEqual(net, restored))
+			}
+		})
 	}
 }

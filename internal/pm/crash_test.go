@@ -13,7 +13,18 @@ var crashEvents = []func(d *Device) error{
 	func(d *Device) error { d.Fence(); return nil },
 	func(d *Device) error { return d.StoreFlush(192, bytes.Repeat([]byte{2}, 70), FlushClflushOpt) },
 	func(d *Device) error { return d.Store(512, []byte{3, 3, 3}) },
+	func(d *Device) error { return d.FillFlush(700, 90, FlushCLWB, fillWith(4)) },
 	func(d *Device) error { d.Fence(); return nil },
+}
+
+// fillWith returns a FillFlush fill that writes b into every byte.
+func fillWith(b byte) func([]byte) error {
+	return func(dst []byte) error {
+		for i := range dst {
+			dst[i] = b
+		}
+		return nil
+	}
 }
 
 // sameDevice fails unless a and b hold the same counters, modeled

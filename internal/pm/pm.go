@@ -10,8 +10,9 @@
 // point of the crash-consistency tests, arms it at any persistence
 // event. A clean line is durable as it stands; the durable bytes of a
 // dirty line sit in a backup image, saved by the store that dirtied it.
-// So a write-back moves no memory, as on real hardware, and StoreFlush /
-// CopyFlush cost one memmove per byte.
+// So a write-back moves no memory, as on real hardware: StoreFlush and
+// CopyFlush cost one memmove per byte, and FillFlush, whose caller
+// writes the bytes in place, none.
 //
 // Performance is accounted on a simclock.Clock using a latency Profile
 // calibrated from the paper's Fig. 2 characterisation (OptaneProfile);
@@ -322,6 +323,35 @@ func (d *Device) StoreFlush(off int, data []byte, kind FlushKind) error {
 	return nil
 }
 
+// FillFlush is StoreFlush with the bytes written in place: fill writes
+// the n bytes at off straight into the device's view, so a caller that
+// produces them (a sealer) moves no memory of its own. It is one
+// persistence event, admitted or refused before fill runs, with
+// StoreFlush's counters, dirty lines and modeled time. The device lock
+// is not held while fill runs, so fills of disjoint ranges proceed on
+// several goroutines at once; no other access may touch the range until
+// FillFlush returns. The range counts as stored and written back
+// whether or not fill returns an error, which FillFlush returns.
+func (d *Device) FillFlush(off, n int, kind FlushKind, fill func(dst []byte) error) error {
+	d.mu.Lock()
+	if err := d.checkRange(off, n); err != nil || n == 0 {
+		d.mu.Unlock()
+		return err
+	}
+	if err := d.persist(); err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	dst := d.volatile[off : off+n : off+n]
+	d.mu.Unlock()
+	err := fill(dst)
+	d.mu.Lock()
+	d.noteStore(off, n)
+	d.noteFlush(off, n, kind)
+	d.mu.Unlock()
+	return err
+}
+
 // noteStore accounts an n-byte store at off (n > 0): counters and
 // modeled time. Callers hold d.mu.
 func (d *Device) noteStore(off, n int) {
@@ -482,9 +512,9 @@ func (d *Device) Fence() {
 // CrashAt arms a power failure for crash-consistency tests: the k-th
 // persistence event from now (k >= 1) and every mutation after it fail
 // with ErrCrashed, as if power went out just before that event. The
-// events are each non-empty Store, StoreFlush and Flush, each Fence and
-// each non-empty extent of a CopyFlush, which applies exactly the
-// extents before the refused one. Loads keep reading the volatile view.
+// events are each non-empty Store, StoreFlush, FillFlush and Flush,
+// each Fence and each non-empty extent of a CopyFlush, which applies
+// exactly the extents before the refused one. Loads keep reading the volatile view.
 // The next Crash is the power cycle: it drops the unflushed lines as
 // always and clears the refusal. Each call replaces the armed crash and
 // any refusal; k <= 0 disarms.

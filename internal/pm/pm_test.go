@@ -2,8 +2,11 @@ package pm
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -436,5 +439,81 @@ func TestConcurrentStoresDoNotRace(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// TestFillFlushAccountsAsStoreFlush: filling a range in place leaves the
+// device exactly as StoreFlush of the same bytes does — counters,
+// modeled time, volatile view and durable image — over clean lines and
+// over lines an earlier unflushed Store dirtied, and a fill that fails
+// still counts as stored and written back.
+func TestFillFlushAccountsAsStoreFlush(t *testing.T) {
+	filled, stored := newTestDevice(t, 4096), newTestDevice(t, 4096)
+	for _, d := range []*Device{filled, stored} {
+		if err := d.Store(1000, []byte{7, 7, 7}); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	for _, r := range []struct{ off, n int }{{100, 1}, {130, 200}, {960, 129}, {4000, 96}} {
+		data := bytes.Repeat([]byte{byte(r.n)}, r.n)
+		if err := stored.StoreFlush(r.off, data, FlushClflushOpt); err != nil {
+			t.Fatalf("StoreFlush: %v", err)
+		}
+		err := filled.FillFlush(r.off, r.n, FlushClflushOpt, func(dst []byte) error {
+			if len(dst) != r.n || cap(dst) != r.n {
+				t.Fatalf("fill got len %d cap %d, want %d", len(dst), cap(dst), r.n)
+			}
+			copy(dst, data)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("FillFlush: %v", err)
+		}
+		sameDevice(t, fmt.Sprintf("fill of %d at %d", r.n, r.off), filled, stored)
+	}
+	bad := errors.New("seal failed")
+	if err := filled.FillFlush(2048, 64, FlushClflushOpt, func([]byte) error { return bad }); err != bad {
+		t.Fatalf("failing fill returned %v, want its error", err)
+	}
+	if err := stored.StoreFlush(2048, make([]byte, 64), FlushClflushOpt); err != nil {
+		t.Fatalf("StoreFlush: %v", err)
+	}
+	sameDevice(t, "failed fill", filled, stored)
+	if err := filled.FillFlush(4090, 7, FlushClflushOpt, fillWith(1)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("FillFlush past the device = %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestConcurrentFillFlushDoNotRace: goroutines filling disjoint ranges
+// — adjacent ones sharing a cache line — all land, and the device
+// accounts one store and one write-back per fill.
+func TestConcurrentFillFlushDoNotRace(t *testing.T) {
+	const workers, per, n = 4, 50, 100
+	d := newTestDevice(t, (workers*per*n+CacheLineSize-1)/CacheLineSize*CacheLineSize)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := d.FillFlush((g*per+i)*n, n, FlushCLWB, fillWith(byte(g+1))); err != nil {
+					t.Errorf("FillFlush: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	got := make([]byte, workers*per*n)
+	if err := d.Load(0, got); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for i, b := range got {
+		if want := byte(i/(per*n) + 1); b != want {
+			t.Fatalf("byte %d = %d, want %d", i, b, want)
+		}
+	}
+	if st := d.Stats(); st.Stores != workers*per || st.Flushes != workers*per || d.DirtyLines() != 0 {
+		t.Fatalf("stats %+v, %d dirty lines; want %d stores and write-backs, none dirty", st, d.DirtyLines(), workers*per)
 	}
 }

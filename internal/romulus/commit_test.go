@@ -104,6 +104,8 @@ func TestCrashSweepChunkedPropagation(t *testing.T) {
 // each phase. The values were recorded when every store and write-back
 // was a separate device call; the fused device ops must charge the same
 // base costs and the env's StoreMult / FlushMult / FenceMult extras.
+// Format stores each region's whole 128-byte reserved prefix, payload
+// cursor included, and every cursor read loads that prefix.
 func TestSGXEnvModeledClockPinned(t *testing.T) {
 	dev, err := pm.New(1 << 20)
 	if err != nil {
@@ -125,7 +127,7 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	check("format", pm.Stats{Stores: 4, Loads: 2, Flushes: 4, FlushedLines: 6, Fences: 1,
-		BytesStored: 32, BytesLoaded: 24}, 325)
+		BytesStored: 272, BytesLoaded: 144}, 342)
 
 	var off int
 	if err := r.Update(func() error {
@@ -145,7 +147,7 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 	check("commit", pm.Stats{Stores: 15, Loads: 6, Flushes: 15, FlushedLines: 175, Fences: 5,
-		BytesStored: 10288, BytesLoaded: 5140}, 10791)
+		BytesStored: 10528, BytesLoaded: 5260}, 10808)
 
 	failure := errors.New("application error")
 	if err := r.Update(func() error {
@@ -157,7 +159,7 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 		t.Fatalf("abort: %v", err)
 	}
 	check("abort", pm.Stats{Stores: 19, Loads: 8, Flushes: 19, FlushedLines: 201, Fences: 8,
-		BytesStored: 11704, BytesLoaded: 5848}, 12572)
+		BytesStored: 11944, BytesLoaded: 6088}, 12598)
 
 	// Crash after the second of three log entries has propagated: the
 	// events are Begin's store and fence, three stores, fence 2, the
@@ -179,5 +181,5 @@ func TestSGXEnvModeledClockPinned(t *testing.T) {
 		t.Fatalf("recovery Open: %v", err)
 	}
 	check("crash+recover", pm.Stats{Stores: 28, Loads: 16, Flushes: 28, FlushedLines: 433, Fences: 12,
-		BytesStored: 26186, BytesLoaded: 17280, Crashes: 1}, 27341)
+		BytesStored: 26426, BytesLoaded: 17880, Crashes: 1}, 27394)
 }

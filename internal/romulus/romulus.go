@@ -20,6 +20,18 @@
 // be torn, so back (consistent) is restored over main; COPYING means
 // main is consistent, so it is re-copied over back; IDLE needs nothing.
 //
+// Bulk payloads live outside the twin copy. The logged heap grows up
+// from the allocator cursor, and payload extents grow down from the top
+// of the regions from a second cursor; both cursors sit in the
+// twin-copied reserved prefix. A payload extent [off, off+n) exists in
+// both regions, and its main half and back half are two independent
+// slots: a client writes a half in place while nothing references it
+// (FillPayload: one store and write-back, no log, no copy) and then
+// flips its reference in a small transaction, whose first fence orders
+// the payload write-backs before the flip (shadow paging, Lorie 1977).
+// Transactions and recovery copy only the logged heap below the
+// allocator cursor, so they never touch a payload.
+//
 // The environment model (env.go) charges the extra costs of running the
 // library natively, inside an SGX enclave (slower fences/write-backs),
 // or unmodified inside a SCONE container (volatile-log memory pressure),
@@ -40,13 +52,14 @@ const (
 	headerSize = pm.CacheLineSize // magic + state flag
 	magic      = 0x504C4E53524D4C // "PLNSRML"
 
-	// Reserved prefix of the main region: the allocator bump offset and
-	// the root pointer table live inside main so the twin-copy protocol
-	// protects them like any other persistent data.
+	// Reserved prefix of the main region: the allocator bump offset, the
+	// root pointer table and the payload cursor live inside main so the
+	// twin-copy protocol protects them like any other persistent data.
 	usedOffset    = 0
 	rootOffset    = 8
 	NumRoots      = 8
-	reservedBytes = 2 * pm.CacheLineSize // 8B used + 8x8B roots, padded
+	lowOffset     = rootOffset + 8*NumRoots
+	reservedBytes = 2 * pm.CacheLineSize // 8B used + 8x8B roots + 8B payload cursor, padded
 )
 
 // Transaction states persisted in the header.
@@ -69,8 +82,10 @@ var (
 )
 
 // Romulus manages twin-copy durable transactions on one PM device. It is
-// single-goroutine per the paper's single-threaded training loop; the
-// underlying device is still race-safe.
+// single-goroutine per the paper's single-threaded training loop, except
+// that FillPayload and LoadPayload of disjoint ranges may run on several
+// goroutines while nothing else uses the heap; the underlying device is
+// race-safe.
 type Romulus struct {
 	dev        *pm.Device
 	env        Env
@@ -79,8 +94,10 @@ type Romulus struct {
 	mainStart  int
 	backStart  int
 	log        []pm.Extent // main-region-relative ranges stored this tx
+	logEnd     int         // end of the highest range stored this tx
 	inTx       bool
 	used       int // cached allocator offset (authoritative copy in PM)
+	low        int // cached payload cursor (authoritative copy in PM)
 }
 
 // Option configures a Romulus instance.
@@ -127,7 +144,7 @@ func Open(dev *pm.Device, opts ...Option) (*Romulus, error) {
 	} else if err := r.Recover(); err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
-	if err := r.loadUsed(); err != nil {
+	if err := r.loadCursors(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -135,11 +152,13 @@ func Open(dev *pm.Device, opts ...Option) (*Romulus, error) {
 
 // format initialises an empty heap: both regions consistent and empty.
 func (r *Romulus) format() error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(reservedBytes))
-	// used = reservedBytes in both main and back; roots zero already.
+	// used = reservedBytes and the payload cursor at the top, in both
+	// main and back; roots zero.
+	var prefix [reservedBytes]byte
+	binary.LittleEndian.PutUint64(prefix[usedOffset:], uint64(reservedBytes))
+	binary.LittleEndian.PutUint64(prefix[lowOffset:], uint64(r.regionSize))
 	for _, region := range [2]int{r.mainStart, r.backStart} {
-		if err := r.dev.Store(region+usedOffset, buf[:]); err != nil {
+		if err := r.dev.Store(region, prefix[:]); err != nil {
 			return err
 		}
 		if err := r.dev.Flush(region, reservedBytes, r.flushKind); err != nil {
@@ -158,26 +177,31 @@ func (r *Romulus) format() error {
 	return nil
 }
 
-// readUsed reads and validates the allocator cursor of the region
-// (main or back) starting at regionStart.
-func (r *Romulus) readUsed(regionStart int) (int, error) {
-	var buf [8]byte
-	if err := r.dev.Load(regionStart+usedOffset, buf[:]); err != nil {
-		return 0, err
+// readCursors reads and validates the allocator and payload cursors of
+// the region (main or back) starting at regionStart: the heap and the
+// payload extents must not overlap, and extents stay line-aligned.
+func (r *Romulus) readCursors(regionStart int) (used, low int, err error) {
+	var prefix [reservedBytes]byte
+	if err := r.dev.Load(regionStart, prefix[:]); err != nil {
+		return 0, 0, err
 	}
-	used := binary.LittleEndian.Uint64(buf[:])
-	if used < reservedBytes || used > uint64(r.regionSize) {
-		return 0, fmt.Errorf("%w: used=%d", ErrCorruptHeader, used)
+	u := binary.LittleEndian.Uint64(prefix[usedOffset:])
+	l := binary.LittleEndian.Uint64(prefix[lowOffset:])
+	if u < reservedBytes || u > uint64(r.regionSize) {
+		return 0, 0, fmt.Errorf("%w: used=%d", ErrCorruptHeader, u)
 	}
-	return int(used), nil
+	if l < u || l > uint64(r.regionSize) || l%PayloadAlign != 0 {
+		return 0, 0, fmt.Errorf("%w: payload cursor %d, used %d, region %d", ErrCorruptHeader, l, u, r.regionSize)
+	}
+	return int(u), int(l), nil
 }
 
-func (r *Romulus) loadUsed() error {
-	used, err := r.readUsed(r.mainStart)
+func (r *Romulus) loadCursors() error {
+	used, low, err := r.readCursors(r.mainStart)
 	if err != nil {
 		return err
 	}
-	r.used = used
+	r.used, r.low = used, low
 	return nil
 }
 
@@ -250,19 +274,21 @@ func (r *Romulus) Begin() error {
 	}
 	r.fence() // fence 1
 	r.inTx = true
-	r.log = r.log[:0]
+	r.log, r.logEnd = r.log[:0], 0
 	return nil
 }
 
 // Store writes data at a main-region offset inside a transaction,
 // issuing the persistent write-back immediately (the persist<> store
 // interposition of §V) and recording the range in the volatile log.
+// The range must lie below the payload cursor: the commit copies it to
+// back, which would overwrite a payload extent's back half.
 func (r *Romulus) Store(off int, data []byte) error {
 	if !r.inTx {
 		return ErrNoTransaction
 	}
-	if off < 0 || len(data) > r.regionSize-off {
-		return fmt.Errorf("%w: off=%d len=%d region=%d", ErrBadOffset, off, len(data), r.regionSize)
+	if off < 0 || len(data) > r.low-off {
+		return fmt.Errorf("%w: off=%d len=%d payload cursor=%d", ErrBadOffset, off, len(data), r.low)
 	}
 	if err := r.dev.StoreFlush(r.mainStart+off, data, r.flushKind); err != nil {
 		return err
@@ -270,6 +296,7 @@ func (r *Romulus) Store(off int, data []byte) error {
 	r.env.chargeStoreExtra(r.dev, len(data))
 	r.chargeFlushExtra(len(data))
 	r.log = append(r.log, pm.Extent{Off: off, N: len(data)})
+	r.logEnd = max(r.logEnd, off+len(data))
 	r.env.chargeLogAppend(r.dev, len(r.log))
 	return nil
 }
@@ -324,10 +351,7 @@ func (r *Romulus) Abort() error {
 	r.fence()
 	r.inTx = false
 	r.log = r.log[:0]
-	if err := r.loadUsed(); err != nil {
-		return err
-	}
-	return nil
+	return r.loadCursors()
 }
 
 // Update runs fn inside a transaction, committing on success and
@@ -373,7 +397,7 @@ func (r *Romulus) Recover() error {
 	r.fence()
 	r.inTx = false
 	r.log = r.log[:0]
-	return r.loadUsed()
+	return r.loadCursors()
 }
 
 // copyRegion restores the torn region at dst from the consistent one at
@@ -381,9 +405,10 @@ func (r *Romulus) Recover() error {
 // allocator cursor: the cursor only grows, everything a transaction can
 // have touched lies below the larger of the two cursors, and bytes past
 // the consistent cursor are unallocated in the state being restored —
-// so recovery moves (and is charged for) the live heap, not the device.
+// so recovery moves (and is charged for) the live heap, not the device,
+// and never a payload extent.
 func (r *Romulus) copyRegion(src, dst int) error {
-	used, err := r.readUsed(src)
+	used, _, err := r.readCursors(src)
 	if err != nil {
 		return err
 	}
@@ -410,8 +435,8 @@ func (r *Romulus) Alloc(size int) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrAllocNonPositive, size)
 	}
 	aligned := (size + AllocAlign - 1) / AllocAlign * AllocAlign
-	if r.used+aligned > r.regionSize {
-		return 0, fmt.Errorf("%w: used=%d want=%d region=%d", ErrOutOfSpace, r.used, aligned, r.regionSize)
+	if aligned > r.low-r.used {
+		return 0, fmt.Errorf("%w: used=%d want=%d payload cursor=%d", ErrOutOfSpace, r.used, aligned, r.low)
 	}
 	off := r.used
 	newUsed := r.used + aligned
@@ -422,6 +447,84 @@ func (r *Romulus) Alloc(size int) (int, error) {
 	}
 	r.used = newUsed
 	return off, nil
+}
+
+// PayloadAlign is the alignment of payload extents: every extent starts
+// and ends on a cache line, so filling one never writes back a line of
+// the logged heap or of another extent.
+const PayloadAlign = pm.CacheLineSize
+
+// AllocPayload allocates an n-byte payload extent inside the current
+// transaction, growing down from the payload cursor, and returns its
+// offset, which names the extent in both regions. It is the offset
+// PayloadCursor() - n, n rounded up to PayloadAlign, so a client can
+// fill the extent before allocating it and allocate it in the
+// transaction that references it. The cursor is persistent data covered
+// by the twin-copy protocol; the extent's bytes are not. It fails when
+// the extent would meet the heap, or a range this transaction stored.
+func (r *Romulus) AllocPayload(n int) (int, error) {
+	if !r.inTx {
+		return 0, ErrNoTransaction
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: %d", ErrAllocNonPositive, n)
+	}
+	aligned := (n + PayloadAlign - 1) / PayloadAlign * PayloadAlign
+	if aligned > r.low-max(r.used, r.logEnd) {
+		return 0, fmt.Errorf("%w: payload cursor=%d want=%d used=%d", ErrOutOfSpace, r.low, aligned, r.used)
+	}
+	low := r.low - aligned
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(low))
+	if err := r.Store(lowOffset, buf[:]); err != nil {
+		return 0, err
+	}
+	r.low = low
+	return low, nil
+}
+
+// FillPayload writes n bytes at offset off of payload half half (0 the
+// main region, 1 the back region) in place, outside any transaction:
+// fill writes them straight into PM (pm.Device.FillFlush) and they are
+// written back, one store and one write-back with SGX-Romulus's extra
+// costs, but neither logged nor copied. The range must lie above the
+// allocator cursor: in an allocated extent, or in the free space below
+// the payload cursor that the next AllocPayload returns. Nothing may
+// reference the half being filled until a later transaction flips it
+// in; fills of disjoint ranges may run on several goroutines.
+func (r *Romulus) FillPayload(half, off, n int, fill func(dst []byte) error) error {
+	start, err := r.payloadStart(half, off, n, r.used)
+	if err != nil {
+		return err
+	}
+	err = r.dev.FillFlush(start, n, r.flushKind, fill)
+	if !errors.Is(err, pm.ErrCrashed) {
+		r.env.chargeStoreExtra(r.dev, n)
+		r.chargeFlushExtra(n)
+	}
+	return err
+}
+
+// LoadPayload reads len(buf) bytes at offset off of payload half half.
+// The range must lie inside the allocated payload extents.
+func (r *Romulus) LoadPayload(half, off int, buf []byte) error {
+	start, err := r.payloadStart(half, off, len(buf), r.low)
+	if err != nil {
+		return err
+	}
+	return r.dev.Load(start, buf)
+}
+
+// payloadStart returns the device offset of [off, off+n) in payload
+// half half, which must lie between floor and the end of the region.
+func (r *Romulus) payloadStart(half, off, n, floor int) (int, error) {
+	if half != 0 && half != 1 {
+		return 0, fmt.Errorf("%w: payload half %d", ErrBadOffset, half)
+	}
+	if off < floor || n < 0 || n > r.regionSize-off {
+		return 0, fmt.Errorf("%w: payload off=%d len=%d, bounds [%d, %d)", ErrBadOffset, off, n, floor, r.regionSize)
+	}
+	return r.mainStart + half*r.regionSize + off, nil
 }
 
 // SetRoot durably records a root offset (inside a transaction) so
@@ -470,6 +573,11 @@ func (r *Romulus) RegionSize() int { return r.regionSize }
 
 // Used returns the allocator cursor.
 func (r *Romulus) Used() int { return r.used }
+
+// PayloadCursor returns the payload cursor: the payload extents occupy
+// [PayloadCursor(), RegionSize()), and the free space lies between it
+// and Used().
+func (r *Romulus) PayloadCursor() int { return r.low }
 
 // Device returns the backing PM device.
 func (r *Romulus) Device() *pm.Device { return r.dev }

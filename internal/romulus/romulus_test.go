@@ -378,20 +378,41 @@ func TestReopenWithoutCrashKeepsState(t *testing.T) {
 	}
 }
 
-func TestCorruptUsedCursorDetected(t *testing.T) {
-	dev, r := newHeap(t, 64<<10)
-	_ = r
-	// Corrupt the allocator cursor directly on the device (bypassing
-	// transactions) and flush it so it survives reopen.
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], 1<<60)
-	if err := dev.Store(headerSize+usedOffset, buf[:]); err != nil {
-		t.Fatalf("Store: %v", err)
-	}
-	if err := dev.Flush(headerSize+usedOffset, 8, pm.FlushClflushOpt); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if _, err := Open(dev); !errors.Is(err, ErrCorruptHeader) {
-		t.Fatalf("Open corrupt = %v, want ErrCorruptHeader", err)
+// TestCorruptCursorsDetected: Open refuses an allocator or payload
+// cursor forged directly on the device (bypassing transactions, and
+// flushed so it survives reopen) that names an impossible heap: used
+// outside the region, a payload cursor below used, past the region or
+// off a cache line.
+func TestCorruptCursorsDetected(t *testing.T) {
+	const size = 64 << 10
+	for _, c := range []struct {
+		name     string
+		at       int
+		value    uint64
+		wantOpen bool
+	}{
+		{"used past the region", usedOffset, 1 << 60, false},
+		{"used inside the reserved prefix", usedOffset, reservedBytes - 8, false},
+		{"payload cursor below used", lowOffset, reservedBytes - pm.CacheLineSize, false},
+		{"payload cursor zero", lowOffset, 0, false},
+		{"payload cursor past the region", lowOffset, size, false},
+		{"payload cursor off a line", lowOffset, 4096 + 8, false},
+		{"payload cursor at used", lowOffset, reservedBytes, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, _ := newHeap(t, size)
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], c.value)
+			if err := dev.StoreFlush(headerSize+c.at, buf[:], pm.FlushClflushOpt); err != nil {
+				t.Fatalf("StoreFlush: %v", err)
+			}
+			_, err := Open(dev)
+			if c.wantOpen && err != nil {
+				t.Fatalf("Open = %v, want a heap", err)
+			}
+			if !c.wantOpen && !errors.Is(err, ErrCorruptHeader) {
+				t.Fatalf("Open = %v, want ErrCorruptHeader", err)
+			}
+		})
 	}
 }
