@@ -177,10 +177,12 @@ func (f *Framework) SSDSave(name string) (StepTiming, error) {
 	if err != nil {
 		return StepTiming{}, fmt.Errorf("core: ssd header: %w", err)
 	}
+	sc := f.Engine.AcquireScratch()
+	defer f.Engine.ReleaseScratch(sc)
 	for li, l := range f.Net.Layers {
 		for bi, p := range l.Params() {
 			start := time.Now()
-			sealed, err := f.Engine.SealFloatsScratch(p)
+			sealed, err := f.Engine.SealFloatsWith(sc, p)
 			sealWall += time.Since(start)
 			if err != nil {
 				return StepTiming{}, fmt.Errorf("core: seal layer %d buf %d: %w", li, bi, err)
@@ -247,7 +249,8 @@ func (f *Framework) SSDRestore(name string) (StepTiming, error) {
 	if bufCount != len(params) {
 		return StepTiming{}, fmt.Errorf("core: checkpoint has %d buffers, model has %d", bufCount, len(params))
 	}
-	var readBuf []byte
+	sc := f.Engine.AcquireScratch()
+	defer f.Engine.ReleaseScratch(sc)
 	for i, p := range params {
 		var sealed []byte
 		err := f.Enclave.Ocall(func() error {
@@ -259,10 +262,7 @@ func (f *Framework) SSDRestore(name string) (StepTiming, error) {
 			if n != engine.SealedLen(4*len(p)) {
 				return fmt.Errorf("buffer %d has %d bytes, want %d", i, n, engine.SealedLen(4*len(p)))
 			}
-			if cap(readBuf) < n {
-				readBuf = make([]byte, n)
-			}
-			sealed = readBuf[:n]
+			sealed = sc.SealedBuf(n)
 			_, err := fh.Read(sealed)
 			return err
 		})
@@ -271,7 +271,7 @@ func (f *Framework) SSDRestore(name string) (StepTiming, error) {
 		}
 		f.Enclave.CopyAcross(len(sealed))
 		start := time.Now()
-		err = f.Engine.OpenFloatsInto(p, sealed)
+		err = f.Engine.OpenFloatsAAD(p, sealed, nil)
 		openWall += time.Since(start)
 		if err != nil {
 			return StepTiming{}, fmt.Errorf("core: open buffer %d: %w", i, err)

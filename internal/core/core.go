@@ -330,14 +330,10 @@ func (f *Framework) LoadDataset(ds *mnist.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("core: dataset staging: %w", err)
 	}
-	var opts []mirror.DataOption
-	if f.cfg.PlaintextData {
-		opts = append(opts, mirror.WithPlaintextRows())
-	}
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
 	return f.Enclave.Ecall(func() error {
-		dm, err := mirror.LoadData(f.Rom, f.Engine, ds, opts...)
+		dm, err := mirror.LoadData(f.Rom, f.Engine, ds, f.dataOpts()...)
 		if err != nil {
 			return fmt.Errorf("core: load data to PM: %w", err)
 		}
@@ -347,6 +343,14 @@ func (f *Framework) LoadDataset(ds *mnist.Dataset) error {
 }
 
 func (f *Framework) mirroring() bool { return f.cfg.MirrorFreq > 0 }
+
+// dataOpts returns the data matrix options f's config asks for.
+func (f *Framework) dataOpts() []mirror.DataOption {
+	if f.cfg.PlaintextData {
+		return []mirror.DataOption{mirror.WithPlaintextRows()}
+	}
+	return nil
+}
 
 // attachMirror implements Algorithm 2 lines 7-12: restore from an
 // existing persistent model or allocate a fresh one. Callers gate on
@@ -414,13 +418,13 @@ func (f *Framework) Recover(restoreNow bool) error {
 	err := f.Enclave.Ecall(func() error {
 		rom, err := romulus.Open(f.PM, romulus.WithEnv(romulusEnv(f.cfg.Server)))
 		if err != nil {
-			return err
+			return fmt.Errorf("core: recover romulus: %w", err)
 		}
 		f.Rom = rom
-		return nil
+		return f.adoptRotatedKey()
 	})
 	if err != nil {
-		return fmt.Errorf("core: recover romulus: %w", err)
+		return err
 	}
 	// Restore whenever PM actually holds a mirror.
 	restore := restoreNow && mirror.Exists(f.Rom)
@@ -428,35 +432,37 @@ func (f *Framework) Recover(restoreNow bool) error {
 		return err
 	}
 	f.crashed = false
-	// A crash mid-key-rotation left PM with mixed key epochs, and the
-	// enclave with either epoch's key. Rewind the enclave to the
-	// pre-rotation key first, so the data matrix opens under the key its
-	// unresealed rows carry; finishRotation then completes the reseal
-	// from the marker's cursor before any mirror restore, which would
-	// otherwise hit state of the wrong epoch.
-	rot, newKey, err := f.rewindRotation()
-	if err != nil {
-		return err
-	}
 	if mirror.DataExists(f.Rom) {
-		var opts []mirror.DataOption
-		if f.cfg.PlaintextData {
-			opts = append(opts, mirror.WithPlaintextRows())
-		}
-		dm, err := mirror.OpenData(f.Rom, f.Engine, opts...)
+		dm, err := mirror.OpenData(f.Rom, f.Engine, f.dataOpts()...)
 		if err != nil {
 			return fmt.Errorf("core: reopen data: %w", err)
 		}
 		f.Data = dm
 	}
-	if rot != nil {
-		if err := f.finishRotation(rot, newKey); err != nil {
-			return err
-		}
-	}
 	if restore {
 		return f.Enclave.Ecall(f.attachMirror)
 	}
+	return nil
+}
+
+// adoptRotatedKey switches the enclave to the key the last rotation
+// installed if a crash beat the switch: the rotation's key record then
+// opens under the enclave's key, and ErrAuth means the enclave holds
+// PM's key already. Without a rotation it is one root read. Called in
+// the enclave from Recover, before anything in PM is opened.
+func (f *Framework) adoptRotatedKey() error {
+	key, err := mirror.RotatedKey(f.Rom, f.Engine)
+	if errors.Is(err, engine.ErrAuth) || err == nil && key == nil {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("core: open key record: %w", err)
+	}
+	eng, err := engine.New(key, engine.WithEnclave(f.Enclave))
+	if err != nil {
+		return fmt.Errorf("core: rotated key engine: %w", err)
+	}
+	f.key, f.Engine = key, eng
 	return nil
 }
 

@@ -35,7 +35,8 @@ type crashRow struct {
 }
 
 // sweepRows is the fixture size of the dataset rows: past one 64-row
-// load and reseal chunk, so crashes land inside the second chunk too.
+// block, so a load commits two transactions and a rotation re-seals two
+// blocks, and crashes land inside the second of each too.
 const sweepRows = 70
 
 // sweepCrashes crashes row's write at its k-th persistence event, for
@@ -383,9 +384,10 @@ func loadDatasetRow() crashRow {
 // rotateKeyRow rotates the data key of a framework trained to
 // iteration 2, with mirroring on or off (the trained model then lives
 // only in its publication). Whichever key the recovered framework
-// holds, the rotation marker is clear, every data row and the latest
-// publication open under it, the model is the one of iteration 2, and
-// training goes on. A completed rotation changed the key.
+// holds, every data row and the latest publication open under it, the
+// model is the one of iteration 2, a second Crash + Recover changes
+// none of that, and training goes on. A completed rotation changed the
+// key.
 func rotateKeyRow(t *testing.T, name string, mirrored, lazy bool) crashRow {
 	ds := mnist.Synthetic(sweepRows, 11)
 	var oldKey []byte
@@ -409,20 +411,31 @@ func rotateKeyRow(t *testing.T, name string, mirrored, lazy bool) crashRow {
 			return err
 		},
 		check: func(f *Framework, done bool) error {
-			if _, inProgress, err := mirror.OpenRotation(f.Rom); err != nil || inProgress {
-				return fmt.Errorf("rotation marker after Recover = (%v, %v), want finished", inProgress, err)
-			}
 			if done && bytes.Equal(f.Key(), oldKey) {
 				return errors.New("key unchanged after a completed rotation")
 			}
-			if err := checkRows(f, ds); err != nil {
+			first, err := readRotated(t, f, ds)
+			if err != nil {
 				return err
 			}
 			// With mirroring on, a rotation that crashed before its
-			// marker committed has published nothing yet.
-			iter, err := restoreLatest(f, darknet.FP32, sweepNet(t, 1, 99, 0))
-			if (err != nil || iter != 2) && !(mirrored && !done && errors.Is(err, mirror.ErrNoPublished)) {
-				return fmt.Errorf("latest publication restores iteration %d, err %v, want 2", iter, err)
+			// transaction committed has published nothing yet.
+			if (first.pubErr != "" || first.pubIter != 2) && !(mirrored && !done && first.pubErr == mirror.ErrNoPublished.Error()) {
+				return fmt.Errorf("latest publication restores iteration %d, err %s, want 2", first.pubIter, first.pubErr)
+			}
+			if mirrored && first.mirrorIter != 2 {
+				return fmt.Errorf("mirror holds iteration %d, want 2", first.mirrorIter)
+			}
+			f.Crash()
+			if err := f.Recover(!lazy); err != nil {
+				return fmt.Errorf("second Recover: %w", err)
+			}
+			second, err := readRotated(t, f, ds)
+			if err != nil {
+				return fmt.Errorf("after a second Crash + Recover: %w", err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				return fmt.Errorf("a second Crash + Recover changed the recovered state %+v to %+v", first, second)
 			}
 			if err := f.Train(context.Background(), StopAt(3)); err != nil {
 				return fmt.Errorf("train after recovery: %w", err)
@@ -433,4 +446,42 @@ func rotateKeyRow(t *testing.T, name string, mirrored, lazy bool) crashRow {
 			return nil
 		},
 	}
+}
+
+// rotatedState is what a key rotation changes, as a recovered framework
+// reads it: its key, the iteration in its PM mirror (-1 with none), and
+// the latest published version with the iteration it restores or the
+// error restoring it gives.
+type rotatedState struct {
+	key        []byte
+	mirrorIter int
+	latest     uint64
+	pubIter    int
+	pubErr     string
+}
+
+// readRotated reads f's rotatedState, after checking that every data
+// row holds ds under f's key.
+func readRotated(t *testing.T, f *Framework, ds *mnist.Dataset) (rotatedState, error) {
+	s := rotatedState{key: f.Key(), mirrorIter: -1}
+	if err := checkRows(f, ds); err != nil {
+		return s, err
+	}
+	if mirror.Exists(f.Rom) {
+		m, err := mirror.OpenModel(f.Rom, f.Engine)
+		if err != nil {
+			return s, err
+		}
+		if s.mirrorIter, err = m.Iteration(); err != nil {
+			return s, err
+		}
+	}
+	var err error
+	if s.latest, err = f.LatestPublished(); err != nil {
+		return s, err
+	}
+	if s.pubIter, err = restoreLatest(f, darknet.FP32, sweepNet(t, 1, 99, 0)); err != nil {
+		s.pubErr = err.Error()
+	}
+	return s, nil
 }

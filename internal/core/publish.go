@@ -190,11 +190,14 @@ func (f *Framework) Servable() error {
 }
 
 // RotateKey provisions a fresh data key and re-seals every persistent
-// object under it: the training data matrix, the PM training mirror,
-// and a newly published model snapshot (whose version is returned).
-// The in-enclave model is untouched, so training continues seamlessly;
-// serving replicas must be re-provisioned afterwards (Server.RotateKey
-// drives that, one replica at a time, so serving never gaps).
+// object under it in one durable transaction (mirror.RotateKey): the
+// training data matrix, the PM training mirror, and a newly published
+// model snapshot, whose version is returned. The enclave switches keys
+// only once that transaction has committed (Recover adopts the new key
+// if a crash beat the switch). The in-enclave model is untouched, so
+// training continues seamlessly; serving replicas must be re-provisioned
+// afterwards (Server.RotateKey drives that, one replica at a time, so
+// serving never gaps).
 //
 // Snapshots published under the old key remain in PM until recycled
 // but can no longer be decrypted; after RotateKey, replicas must
@@ -224,38 +227,14 @@ func (f *Framework) RotateKey() (uint64, error) {
 		if err != nil {
 			return fmt.Errorf("new engine: %w", err)
 		}
-		// Persist the rotation marker before the first row flips: a
-		// crash anywhere until Finish commits is then detected by
-		// Recover, which unwraps the key of the other epoch from the
-		// marker and finishes the job from the recorded row cursor
-		// (rotation.go).
-		rot, err := mirror.BeginRotation(f.Rom, f.Engine, eng, f.key, newKey)
-		if err != nil {
-			return fmt.Errorf("begin rotation: %w", err)
-		}
-		if f.Data != nil {
-			if err := f.Data.ResealFrom(eng, 0, rot.Advance); err != nil {
-				return fmt.Errorf("reseal data matrix: %w", err)
-			}
-		}
-		if f.Mirror != nil {
-			f.Mirror.SetEngine(eng)
-			if err := f.Mirror.MirrorOut(f.Net); err != nil {
-				return fmt.Errorf("reseal training mirror: %w", err)
-			}
-		}
-		f.key = newKey
-		f.Engine = eng
 		if err := f.attachPublication(); err != nil {
 			return err
 		}
-		ver, err = f.pub.PublishOut(eng, f.Net, f.publishOptsLocked()...)
+		ver, err = mirror.RotateKey(f.Engine, eng, newKey, f.Net, f.pub, f.Mirror, f.Data, f.publishOptsLocked()...)
 		if err != nil {
-			return fmt.Errorf("publish under new key: %w", err)
+			return err
 		}
-		if err := rot.Finish(); err != nil {
-			return fmt.Errorf("finish rotation: %w", err)
-		}
+		f.key, f.Engine = newKey, eng
 		return nil
 	})
 	if err != nil {

@@ -53,17 +53,12 @@ var (
 	ErrBadKey   = errors.New("engine: key must be 16 bytes")
 )
 
-// Engine seals and opens buffers under one 128-bit data key.
-//
-// SealFloatsScratch reuses an internal buffer to avoid garbage on
-// single-goroutine save paths (SSD checkpoints); like
-// the Plinius training loop itself (§VI: "a fairly intensive
-// single-threaded application"), it is not safe for concurrent use.
-// Everything else is: Seal/Open allocate their output, SealInto,
+// Engine seals and opens buffers under one 128-bit data key. It is safe
+// for concurrent use: Seal and Open allocate their output, SealInto,
 // OpenAAD and their float views seal and decrypt into the caller's
-// memory, and SealAAD and its float views stage through the caller's
-// Scratch (AcquireScratch) while the AEAD and the IV source are shared
-// safely — the concurrent mode the mirroring path fans out over.
+// memory, and SealFloatsWith and SealFloatsAAD stage through the
+// caller's Scratch (AcquireScratch); the AEAD and the IV source are
+// shared safely. The mirroring path fans out over this.
 type Engine struct {
 	aead cipher.AEAD
 	rng  io.Reader
@@ -72,9 +67,6 @@ type Engine struct {
 	// rngMu serializes IV reads: the engine's IV source (the enclave
 	// RNG or an injected reader) is not required to be concurrent-safe.
 	rngMu sync.Mutex
-
-	// scratch backs the single-goroutine SealFloatsScratch.
-	scratch Scratch
 
 	// pool recycles Scratch buffers for the concurrent seal/open mode.
 	pool sync.Pool
@@ -182,7 +174,8 @@ func (e *Engine) readIV(dst []byte) error {
 // Seal encrypts plaintext into IV ‖ ciphertext ‖ MAC with a fresh random
 // IV, charging EPC paging for the touched bytes when enclave-bound.
 func (e *Engine) Seal(plaintext []byte) ([]byte, error) {
-	return e.SealAAD(&Scratch{}, plaintext, nil)
+	out := make([]byte, SealedLen(len(plaintext)))
+	return out, e.SealInto(out, plaintext, nil)
 }
 
 // Open authenticates and decrypts a buffer produced by Seal.
@@ -204,36 +197,37 @@ func (e *Engine) Open(sealed []byte) ([]byte, error) {
 // stored in the frame: the frame opens only through OpenAAD with the
 // same aad, and a nil aad gives exactly Seal's frame. AES-GCM reads
 // plain where it lies; plain may also be dst's ciphertext area
-// (dst[IVSize:][:len(plain)]), which is then sealed in place. Every
-// other Seal* builds its frame through SealInto.
+// (dst[IVSize:][:len(plain)]), which is then sealed in place. dst may be
+// untrusted memory that another party writes during the seal: the MAC
+// is never computed from bytes read back from it (sealInPlace).
+// Every other Seal* builds its frame through SealInto.
 func (e *Engine) SealInto(dst, plain, aad []byte) error {
 	n := len(plain)
 	if len(dst) != SealedLen(n) {
 		return fmt.Errorf("engine: %d-byte frame for %d plaintext bytes", len(dst), n)
-	}
-	if err := e.readIV(dst[:IVSize]); err != nil {
-		return err
 	}
 	if e.encl != nil {
 		e.encl.Touch(n + SealedLen(n))
 	}
 	mSealOps.Inc()
 	mSealBytes.Add(float64(n))
-	e.aead.Seal(dst[:IVSize:len(dst)], dst[:IVSize], plain, aad)
+	out := dst
+	if !sealInPlace {
+		sc := e.AcquireScratch()
+		defer e.ReleaseScratch(sc)
+		out = sc.SealedBuf(len(dst))
+	}
+	if err := e.readIV(out[:IVSize]); err != nil {
+		return err
+	}
+	e.aead.Seal(out[:IVSize:len(out)], out[:IVSize], plain, aad)
+	if !sealInPlace {
+		copy(dst, out)
+	}
 	return nil
 }
 
-// SealAAD is SealInto sc's staging area. The returned slice aliases sc
-// and is valid until sc's next use or release.
-func (e *Engine) SealAAD(sc *Scratch, plain, aad []byte) ([]byte, error) {
-	out := sc.SealedBuf(SealedLen(len(plain)))
-	if err := e.SealInto(out, plain, aad); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// OpenAAD authenticates a frame produced by SealAAD under the same aad
+// OpenAAD authenticates a frame produced by SealInto under the same aad
 // and decrypts it straight into dst, which must be exactly as long as
 // the plaintext; any other aad fails with ErrAuth. A sealed buffer of
 // the wrong length for dst is rejected before dst is written; on
@@ -274,13 +268,6 @@ func (e *Engine) OpenFloats(sealed []byte) ([]float32, error) {
 	return BytesToFloats(pt)
 }
 
-// SealFloatsScratch is SealFloats without allocation: the returned
-// slice aliases an internal buffer and is only valid until the next
-// *Scratch call. Single-goroutine use only.
-func (e *Engine) SealFloatsScratch(v []float32) ([]byte, error) {
-	return e.SealFloatsWith(&e.scratch, v)
-}
-
 // AcquireScratch returns a staging buffer for the concurrent
 // seal/open mode, recycled through an internal pool.
 func (e *Engine) AcquireScratch() *Scratch {
@@ -305,10 +292,10 @@ func floatBytes(v []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
-// SealFloatsWith is SealFloatsScratch staged through the caller's
-// Scratch instead of the engine's internal buffers: safe for any
-// number of goroutines each holding its own Scratch. The returned
-// slice aliases sc and is valid until sc's next use or release.
+// SealFloatsWith is SealFloats staged through the caller's Scratch
+// instead of a fresh buffer: safe for any number of goroutines each
+// holding its own Scratch. The returned slice aliases sc and is valid
+// until sc's next use or release.
 func (e *Engine) SealFloatsWith(sc *Scratch, v []float32) ([]byte, error) {
 	return e.SealFloatsAAD(sc, v, nil)
 }
@@ -354,12 +341,6 @@ func (e *Engine) OpenFloatsAAD(dst []float32, sealed, aad []byte) error {
 		decodeLE(dst, plain)
 	}
 	return nil
-}
-
-// OpenFloatsInto is OpenFloatsWith for callers that hold no Scratch;
-// the same dst-on-failure contract applies.
-func (e *Engine) OpenFloatsInto(dst []float32, sealed []byte) error {
-	return e.OpenFloatsAAD(dst, sealed, nil)
 }
 
 // encodeLE writes v into dst (len 4*len(v)) little-endian, one float at

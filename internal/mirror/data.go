@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"plinius/internal/engine"
 	"plinius/internal/mnist"
@@ -84,6 +83,14 @@ func rowPlainLen() int {
 	return 4 * (mnist.Rows*mnist.Cols + mnist.Classes)
 }
 
+// storedLen is the stored bytes of a row: sealed, or plaintext.
+func (d *DataMatrix) storedLen() int {
+	if d.encrypted {
+		return engine.SealedLen(d.plainRow)
+	}
+	return d.plainRow
+}
+
 // LoadData encrypts (unless WithPlaintextRows) and copies the dataset
 // into PM, chunking the copy across transactions to bound the redo log.
 // The rows are written above the allocator cursor, and header and rows
@@ -98,12 +105,7 @@ func LoadData(rom *romulus.Romulus, eng *engine.Engine, ds *mnist.Dataset, opts 
 	for _, opt := range opts {
 		opt(d)
 	}
-	d.n = ds.N
-	if d.encrypted {
-		d.storedRow = engine.SealedLen(d.plainRow)
-	} else {
-		d.storedRow = d.plainRow
-	}
+	d.n, d.storedRow = ds.N, d.storedLen()
 	d.headOff = rom.Used()
 	d.dataOff = d.headOff + regionAlign(dataHdrSize)
 	size := d.dataOff - d.headOff + d.n*d.storedRow
@@ -197,7 +199,7 @@ func OpenData(rom *romulus.Romulus, eng *engine.Engine, opts ...DataOption) (*Da
 	d.storedRow = int(fields[2])
 	d.encrypted = fields[3] != 0
 	d.dataOff = int(fields[4])
-	if d.n <= 0 || d.plainRow != rowPlainLen() || d.storedRow < d.plainRow || d.dataOff <= 0 {
+	if d.n <= 0 || d.plainRow != rowPlainLen() || d.storedRow != d.storedLen() || d.dataOff <= 0 {
 		return nil, fmt.Errorf("%w: header %+v", ErrDataCorrupt, fields)
 	}
 	return d, nil
@@ -233,7 +235,7 @@ func (d *DataMatrix) fetchRow(i int, stored []byte, vals []float32) error {
 		return err
 	}
 	if d.encrypted {
-		if err := d.eng.OpenFloatsInto(vals, stored); err != nil {
+		if err := d.eng.OpenFloatsAAD(vals, stored, nil); err != nil {
 			return fmt.Errorf("decrypt row %d: %w", i, err)
 		}
 	} else if err := engine.DecodeFloats(vals, stored); err != nil {
@@ -242,55 +244,37 @@ func (d *DataMatrix) fetchRow(i int, stored []byte, vals []float32) error {
 	return nil
 }
 
-// ResealFrom re-encrypts rows [start, N) under newEng's key, calling
-// mark (when non-nil) with the next unresealed row index inside each
-// chunk's transaction — chunk and cursor commit atomically, which is
-// what makes a crash at any point recoverable: rows below the recorded
-// cursor are under the new key, rows at or above it under the old.
-// Rows below start are assumed already resealed (the crash-recovery
-// resume path). On success the matrix switches to newEng.
-func (d *DataMatrix) ResealFrom(newEng *engine.Engine, start int, mark func(next int) error) error {
+// reseal re-seals every row under newEng inside the open transaction
+// (RotateKey's), one store per block of loadChunkRows contiguous rows,
+// so the redo log holds one extent per block. Each row opens and
+// re-seals in place in the enclave copy of its block. The handle keeps
+// its engine: the caller switches it once the transaction commits.
+func (d *DataMatrix) reseal(newEng *engine.Engine) error {
 	if !d.encrypted {
-		d.eng = newEng
 		return nil
 	}
-	if start < 0 || start > d.n {
-		return fmt.Errorf("%w: reseal start %d of %d", ErrDataCorrupt, start, d.n)
-	}
-	stored := make([]byte, d.storedRow)
-	for ; start < d.n; start += loadChunkRows {
-		end := start + loadChunkRows
-		if end > d.n {
-			end = d.n
+	block := make([]byte, min(loadChunkRows, d.n)*d.storedRow)
+	for start := 0; start < d.n; start += loadChunkRows {
+		rows := block[:(min(start+loadChunkRows, d.n)-start)*d.storedRow]
+		off := d.dataOff + start*d.storedRow
+		if err := d.rom.Load(off, rows); err != nil {
+			return err
 		}
-		chunkStart := start
-		err := d.rom.Update(func() error {
-			for i := chunkStart; i < end; i++ {
-				if err := d.rom.Load(d.dataOff+i*d.storedRow, stored); err != nil {
-					return err
-				}
-				plain, err := d.eng.Open(stored)
-				if err != nil {
-					return fmt.Errorf("reseal: decrypt row %d: %w", i, err)
-				}
-				resealed, err := newEng.Seal(plain)
-				if err != nil {
-					return fmt.Errorf("reseal: encrypt row %d: %w", i, err)
-				}
-				if err := d.rom.Store(d.dataOff+i*d.storedRow, resealed); err != nil {
-					return err
-				}
+		for i := 0; i < len(rows); i += d.storedRow {
+			frame := rows[i : i+d.storedRow]
+			plain := frame[engine.IVSize:][:d.plainRow]
+			err := d.eng.OpenAAD(plain, frame, nil)
+			if err == nil {
+				err = newEng.SealInto(frame, plain, nil)
 			}
-			if mark != nil {
-				return mark(end)
+			if err != nil {
+				return fmt.Errorf("reseal row %d: %w", start+i/d.storedRow, err)
 			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("data reseal rows %d-%d: %w", chunkStart, end, err)
+		}
+		if err := d.rom.Store(off, rows); err != nil {
+			return err
 		}
 	}
-	d.eng = newEng
 	return nil
 }
 
@@ -305,7 +289,7 @@ const batchParallelBytes = 32 << 10
 // All row indices are drawn from rng on the calling goroutine first,
 // so the sampled batch is identical to the sequential path no matter
 // how the work is then distributed; the per-row load → decrypt →
-// decode (fetchRow) runs on par.For, each range staging through its own
+// decode (fetchRow) runs on par.ForErr, each range staging through its own
 // PM read buffer and row buffer, writing disjoint row slices of x and y.
 func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error) {
 	if size <= 0 {
@@ -319,28 +303,20 @@ func (d *DataMatrix) Batch(rng *rand.Rand, size int) (x, y []float32, err error)
 		idxs[b] = rng.Intn(d.n)
 	}
 
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	par.For(size, max(1, batchParallelBytes/d.storedRow), func(lo, hi int) {
+	err = par.ForErr(size, max(1, batchParallelBytes/d.storedRow), func(lo, hi int) error {
 		stored := make([]byte, d.storedRow)
 		rowBuf := make([]float32, d.plainRow/4)
 		for b := lo; b < hi; b++ {
 			if err := d.fetchRow(idxs[b], stored, rowBuf); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
+				return err
 			}
 			copy(x[b*imgLen:(b+1)*imgLen], rowBuf[:imgLen])
 			copy(y[b*mnist.Classes:(b+1)*mnist.Classes], rowBuf[imgLen:])
 		}
+		return nil
 	})
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err != nil {
+		return nil, nil, err
 	}
 	mBatchReads.Add(float64(size))
 	return x, y, nil

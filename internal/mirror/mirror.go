@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -424,16 +423,6 @@ func (m *Model) storeTable(iter, gen uint64, half int) error {
 	return m.rom.Store(m.headOff, buf)
 }
 
-// storeFlip points m's header at iteration iter of generation gen in
-// payload half half, in the open transaction: one 24-byte store.
-func (m *Model) storeFlip(iter, gen uint64, half int) error {
-	var buf [modelHdrNumL]byte
-	binary.LittleEndian.PutUint64(buf[modelHdrIter:], iter)
-	binary.LittleEndian.PutUint64(buf[modelHdrGen:], gen)
-	binary.LittleEndian.PutUint64(buf[modelHdrHalf:], uint64(half))
-	return m.rom.Store(m.headOff, buf[:])
-}
-
 // OpenModel attaches to an existing persistent model (after a restart or
 // crash) by walking the linked list from the root.
 func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model, error) {
@@ -520,11 +509,6 @@ func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Opti
 	}
 	return m, nil
 }
-
-// SetEngine swaps the encryption engine used for subsequent mirror
-// operations — the key-rotation path: after the owner provisions a new
-// data key, the next MirrorOut re-seals the parameters under it.
-func (m *Model) SetEngine(eng *engine.Engine) { m.eng = eng }
 
 // collectBuffers returns the persistent buffers of every layer that
 // has parameters: its fp32 parameter buffers (conv: 5, connected: 2;
@@ -619,34 +603,70 @@ func checkScales(bufLayers [][]buffer, from int) error {
 // lays the planned shape out afresh at the heap's cursors, and
 // allocates and roots it in that transaction.
 func (m *Model) MirrorOut(net *darknet.Network) error {
-	bufLayers := collectBuffers(net)
-	if err := m.matches(bufLayers); err != nil {
-		return err
-	}
-	if m.rootPending {
-		if err := m.plan(bufLayers); err != nil {
-			return err
-		}
-	}
-	gen, half := m.gen+1, 1-m.half
-	total, err := m.writeHalf(bufLayers, half, gen)
+	w, err := m.writeOut(m.eng, net)
 	if err != nil {
 		return err
 	}
 	// Begin's fence 1 orders the payload write-backs above before the
 	// flip: the header never names a half whose bytes are not durable.
-	err = m.rom.Update(func() error {
-		if !m.rootPending {
-			return m.storeFlip(uint64(net.Iteration), gen, half)
-		}
-		return m.allocRoot(uint64(net.Iteration), gen, half)
-	})
-	if err != nil {
+	if err := m.rom.Update(w.flip); err != nil {
 		return err
 	}
-	m.gen, m.half, m.rootPending = gen, half, false
-	countOut(net, total, m.LastSealDuration())
+	w.commit()
 	return nil
+}
+
+// writeOut seals net's parameters under eng as m's next generation, into
+// the payload half m does not name, and returns the write for the
+// caller's transaction to flip in.
+func (m *Model) writeOut(eng *engine.Engine, net *darknet.Network) (written, error) {
+	bufLayers := collectBuffers(net)
+	if err := m.matches(bufLayers); err != nil {
+		return written{}, err
+	}
+	if m.rootPending {
+		if err := m.plan(bufLayers); err != nil {
+			return written{}, err
+		}
+	}
+	return m.writeHalf(eng, net, bufLayers, 1-m.half, m.gen+1)
+}
+
+// written is a generation sealed into a payload half nothing references
+// yet: flip references it in the caller's transaction, and commit
+// records it in the handle once that transaction has committed.
+type written struct {
+	m     *Model
+	eng   *engine.Engine
+	net   *darknet.Network
+	gen   uint64
+	half  int
+	total int
+}
+
+// flip points the header at iteration, generation and half of the
+// write, in the open transaction: one 24-byte store. A model AllocModel
+// planned is allocated and rooted instead.
+func (w *written) flip() error {
+	if w.m.rootPending {
+		return w.m.allocRoot(uint64(w.net.Iteration), w.gen, w.half)
+	}
+	var buf [modelHdrNumL]byte
+	binary.LittleEndian.PutUint64(buf[modelHdrIter:], uint64(w.net.Iteration))
+	binary.LittleEndian.PutUint64(buf[modelHdrGen:], w.gen)
+	binary.LittleEndian.PutUint64(buf[modelHdrHalf:], uint64(w.half))
+	return w.m.rom.Store(w.m.headOff, buf[:])
+}
+
+// commit records the flipped half in the handle, which seals under the
+// write's engine from now on, and adds the mirror-out to the
+// process-wide counters.
+func (w *written) commit() {
+	w.m.eng, w.m.gen, w.m.half, w.m.rootPending = w.eng, w.gen, w.half, false
+	mMirrorOut.Inc()
+	mSealSeconds.Add(w.m.LastSealDuration().Seconds())
+	sealedBytes, _ := payloadCounters(w.net)
+	sealedBytes.Add(float64(w.total))
 }
 
 // allocRoot allocates the planned model — header and layer table in the
@@ -674,27 +694,22 @@ func (m *Model) allocRoot(iter, gen uint64, half int) error {
 }
 
 // writeHalf is the slot writer of MirrorOut and PublishOut. It seals
-// every segment of bufLayers under generation gen straight into its
-// place in payload half half, which nothing references: each par.For
-// range fills its segments through romulus.FillPayload, one PM store
-// and write-back per segment, with no staging copy and no ordering
-// between ranges. It returns the sealed bytes, and records the
-// aggregate AES time for LastSealDuration. The caller then flips the
-// reference in a transaction.
-func (m *Model) writeHalf(bufLayers [][]buffer, half int, gen uint64) (int, error) {
+// every segment of bufLayers, the buffers of net, under eng and
+// generation gen straight into its place in payload half half, which
+// nothing references: each par.ForErr range fills its segments through
+// romulus.FillPayload, one PM store and write-back per segment, with no
+// staging copy and no ordering between ranges. It records the aggregate
+// AES time for LastSealDuration, and returns the write for a
+// transaction to flip in.
+func (m *Model) writeHalf(eng *engine.Engine, net *darknet.Network, bufLayers [][]buffer, half int, gen uint64) (written, error) {
 	m.lastSeal.Store(0)
 	tasks, total := m.collectTasks(bufLayers, 0, gen)
-	var first struct {
-		sync.Mutex
-		err    error
-		failed atomic.Bool
-	}
-	par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
-		for i := lo; i < hi && !first.failed.Load(); i++ {
+	err := par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
 			t := &tasks[i]
 			err := m.rom.FillPayload(half, t.off, t.sealedLen, func(dst []byte) error {
 				sealStart := time.Now()
-				err := t.seal(m.eng, dst)
+				err := t.seal(eng, dst)
 				m.lastSeal.Add(int64(time.Since(sealStart)))
 				if err != nil {
 					return t.errorf("seal", err)
@@ -702,25 +717,12 @@ func (m *Model) writeHalf(bufLayers [][]buffer, half int, gen uint64) (int, erro
 				return nil
 			})
 			if err != nil {
-				first.Lock()
-				if first.err == nil {
-					first.err = err
-				}
-				first.Unlock()
-				first.failed.Store(true)
+				return err
 			}
 		}
+		return nil
 	})
-	return total, first.err
-}
-
-// countOut adds a committed mirror-out of net — total sealed bytes, seal
-// AES time seal — to the process-wide counters.
-func countOut(net *darknet.Network, total int, seal time.Duration) {
-	mMirrorOut.Inc()
-	mSealSeconds.Add(seal.Seconds())
-	sealedBytes, _ := payloadCounters(net)
-	sealedBytes.Add(float64(total))
+	return written{m: m, eng: eng, net: net, gen: gen, half: half, total: total}, err
 }
 
 // MirrorIn reads the persistent mirror, decrypts it inside the enclave
@@ -754,7 +756,7 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // are checked once every segment has opened.
 //
 // The per-segment work — sealed PM read, boundary copy, in-enclave
-// AES-GCM open — runs on par.For, each range through its own engine
+// AES-GCM open — runs on par.ForErr, each range through its own engine
 // Scratch, so no range can alias another's staging memory. Segments
 // decrypt into disjoint parameter slices, PM loads are device-locked,
 // and the enclave CopyAcross/Touch accounting is mutex-protected, so
@@ -766,28 +768,18 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 	}
 	m.lastOpen.Store(0)
 	tasks, total := m.collectTasks(bufLayers, from, m.gen)
-	var first struct {
-		sync.Mutex
-		err error
-	}
-	par.For(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) {
+	err = par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
 		sc := m.eng.AcquireScratch()
 		defer m.eng.ReleaseScratch(sc)
 		for i := lo; i < hi; i++ {
-			err := m.restore(sc, &tasks[i])
-			first.Lock()
-			if first.err == nil {
-				first.err = err
-			}
-			failed := first.err != nil
-			first.Unlock()
-			if failed {
-				return
+			if err := m.restore(sc, &tasks[i]); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
-	if first.err != nil {
-		return 0, first.err
+	if err != nil {
+		return 0, err
 	}
 	if err := checkScales(bufLayers, from); err != nil {
 		return 0, err
@@ -804,9 +796,13 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 // into its buffer. The sealed bytes stage through sc's sealed side, so
 // steady-state restores — the streaming shard group's per-batch path —
 // allocate nothing: the scratch pool keeps the buffers alive across
-// calls. The staging copy is also what keeps PM from changing the bytes
-// between GCM's tag check and its decryption.
+// calls.
 func (m *Model) restore(sc *engine.Scratch, t *bufTask) error {
+	// The staging copy stays even where sealing writes PM in place: the
+	// amd64 open (gcmAesDec) loads each ciphertext chunk twice, once
+	// into the tag and once to decrypt it, so opening straight from PM
+	// would let a party writing PM mid-open decrypt bytes other than
+	// the ones the tag authenticated.
 	sealed := sc.SealedBuf(t.sealedLen)
 	if err := m.rom.LoadPayload(m.half, t.off, sealed); err != nil {
 		return err

@@ -385,6 +385,41 @@ func TestDataMatrixPlaintextMode(t *testing.T) {
 	}
 }
 
+// TestOpenDataRejectsForgedRowSize: a header whose stored row size is
+// not the sealed (or, for plaintext rows, the plain) size of a row is
+// corrupt. Rotation re-seals each row in place inside its stored frame,
+// so a forged size must never get that far.
+func TestOpenDataRejectsForgedRowSize(t *testing.T) {
+	_, rom := testHeap(t, 16<<20)
+	eng := testEngine(t)
+	dm, err := LoadData(rom, eng, mnist.Synthetic(10, 16))
+	if err != nil {
+		t.Fatalf("LoadData: %v", err)
+	}
+	plain := rowPlainLen()
+	for _, forged := range []struct {
+		stored, encrypted uint64
+	}{
+		{uint64(plain), 1},
+		{uint64(plain + 5), 1},
+		{uint64(engine.SealedLen(plain) + 1), 1},
+		{uint64(engine.SealedLen(plain)), 0},
+	} {
+		err := rom.Update(func() error {
+			if err := rom.StoreUint64(dm.headOff+dataHdrStoredRow, forged.stored); err != nil {
+				return err
+			}
+			return rom.StoreUint64(dm.headOff+dataHdrEncrypted, forged.encrypted)
+		})
+		if err != nil {
+			t.Fatalf("forge header: %v", err)
+		}
+		if _, err := OpenData(rom, eng); !errors.Is(err, ErrDataCorrupt) {
+			t.Fatalf("OpenData with %d-byte rows, encrypted %d = %v, want ErrDataCorrupt", forged.stored, forged.encrypted, err)
+		}
+	}
+}
+
 func TestOpenDataWithoutLoad(t *testing.T) {
 	_, rom := testHeap(t, 1<<20)
 	eng := testEngine(t)

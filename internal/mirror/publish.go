@@ -396,23 +396,51 @@ func WithQuantized() PublishOption {
 // The caller must serialize PM access (PublishOut vs other romulus
 // users); the publication's own bookkeeping is internally locked.
 func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts ...PublishOption) (uint64, error) {
+	w, err := p.write(eng, net, opts...)
+	if err != nil {
+		return 0, err
+	}
+	// Begin's fence 1 orders the payload write-backs above before the
+	// flip.
+	if err := p.rom.Update(w.flip); err != nil {
+		return 0, err
+	}
+	w.commit()
+	return w.version, nil
+}
+
+// published is a version sealed into a retired slot, its fp32 region
+// and then any int8 variant, that flip publishes in the caller's
+// transaction and commit records in the handle once that has committed.
+type published struct {
+	p       *Publication
+	slot    *pubSlot
+	version uint64
+	regions []written
+}
+
+// write retires a slot for the next version, lays its regions out for
+// net (and its int8 clone with WithQuantized) and seals them under eng
+// into the slot's payload half.
+func (p *Publication) write(eng *engine.Engine, net *darknet.Network, opts ...PublishOption) (*published, error) {
 	var cfg publishConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	var qnet *darknet.Network
+	nets := []*darknet.Network{net}
 	if cfg.quantized {
-		var err error
-		if qnet, err = darknet.QuantizeNetwork(net); err != nil {
-			return 0, fmt.Errorf("publish quantize: %w", err)
+		qnet, err := darknet.QuantizeNetwork(net)
+		if err != nil {
+			return nil, fmt.Errorf("publish quantize: %w", err)
 		}
+		nets = append(nets, qnet)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
 	slot, err := p.pickSlot(collectBuffers(net))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	entry := p.slotEntryOff(slot.idx)
 	// Retire the slot before overwriting its bytes so a crash mid-write
@@ -427,61 +455,61 @@ func (p *Publication) PublishOut(eng *engine.Engine, net *darknet.Network, opts 
 			return p.rom.StoreUint64(entry+slotInt8Valid, 0)
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		slot.version = 0
 		slot.int8Valid = false
 	}
-	variants := []struct {
-		net  *darknet.Network
-		r    *region
-		at   int
-		what string
-	}{{net, &slot.fp32, slotFP32Region, "publish seal"}, {qnet, &slot.int8, slotInt8Region, "publish int8 seal"}}
-	if qnet == nil {
-		variants = variants[:1]
+	w := &published{p: p, slot: slot, version: p.latest + 1}
+	for i, n := range nets {
+		r, at, what := &slot.fp32, slotFP32Region, "publish seal"
+		if i == 1 {
+			r, at, what = &slot.int8, slotInt8Region, "publish int8 seal"
+		}
+		bufLayers := collectBuffers(n)
+		if err := p.fitRegion(slot, r, entry+at, bufLayers); err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		m := &Model{rom: p.rom, headOff: r.off, pay: r.pay, layers: r.layers}
+		out, err := m.writeHalf(eng, n, bufLayers, slot.idx&1, w.version)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		w.regions = append(w.regions, out)
 	}
-	newVer, half := p.latest+1, slot.idx&1
-	models := make([]*Model, len(variants))
-	totals := make([]int, len(variants))
-	for i, v := range variants {
-		bufLayers := collectBuffers(v.net)
-		if err := p.fitRegion(slot, v.r, entry+v.at, bufLayers); err != nil {
-			return 0, fmt.Errorf("%s: %w", v.what, err)
-		}
-		models[i] = &Model{rom: p.rom, eng: eng, headOff: v.r.off, pay: v.r.pay, layers: v.r.layers}
-		if totals[i], err = models[i].writeHalf(bufLayers, half, newVer); err != nil {
-			return 0, fmt.Errorf("%s: %w", v.what, err)
-		}
-	}
-	// Begin's fence 1 orders the payload write-backs above before the
-	// flip.
-	err = p.rom.Update(func() error {
-		for i, m := range models {
-			if err := m.storeFlip(uint64(variants[i].net.Iteration), newVer, half); err != nil {
-				return err
-			}
-		}
-		if err := p.rom.StoreUint64(entry, newVer); err != nil {
+	return w, nil
+}
+
+// flip points the slot's region headers at the written halves and
+// publishes the version, with the int8 validity bit, as latest, in the
+// open transaction.
+func (w *published) flip() error {
+	for i := range w.regions {
+		if err := w.regions[i].flip(); err != nil {
 			return err
 		}
-		if qnet != nil {
-			if err := p.rom.StoreUint64(entry+slotInt8Valid, 1); err != nil {
-				return err
-			}
+	}
+	entry := w.p.slotEntryOff(w.slot.idx)
+	if err := w.p.rom.StoreUint64(entry, w.version); err != nil {
+		return err
+	}
+	if len(w.regions) > 1 {
+		if err := w.p.rom.StoreUint64(entry+slotInt8Valid, 1); err != nil {
+			return err
 		}
-		return p.rom.StoreUint64(p.hdrOff+pubHdrLatest, newVer)
-	})
-	if err != nil {
-		return 0, err
 	}
-	for i, m := range models {
-		countOut(variants[i].net, totals[i], m.LastSealDuration())
+	return w.p.rom.StoreUint64(w.p.hdrOff+pubHdrLatest, w.version)
+}
+
+// commit records the published version in the handle and counts its
+// mirror-outs.
+func (w *published) commit() {
+	for i := range w.regions {
+		w.regions[i].commit()
 	}
-	slot.version = newVer
-	slot.int8Valid = qnet != nil
-	p.latest = newVer
-	return newVer, nil
+	w.p.mu.Lock()
+	w.slot.version, w.slot.int8Valid, w.p.latest = w.version, len(w.regions) > 1, w.version
+	w.p.mu.Unlock()
 }
 
 // Pin is a reader's hold on one published version: while held, the

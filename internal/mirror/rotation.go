@@ -1,206 +1,106 @@
 package mirror
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
+	"plinius/internal/darknet"
 	"plinius/internal/engine"
 	"plinius/internal/romulus"
 )
 
-// Crash-safe key rotation marker (root slot RootRotation).
-//
-// DataMatrix.ResealFrom flips rows to the new key in chunked transactions,
-// so a crash mid-rotation leaves mixed key epochs: early rows decrypt
-// only under the new key, late rows only under the old. Without a
-// durable record that a rotation was underway, recovery reads the
-// first mixed row, fails authentication and gives up.
-//
-// The marker makes rotation crash-safe: before the first row is
-// resealed, a durable record is written holding (a) an in-progress
-// flag, (b) the next row to reseal — advanced inside each reseal
-// chunk's transaction, so it is always exactly the torn boundary — and
-// (c) the new data key sealed under the old key and the old key sealed
-// under the new one. The rotating enclave switches to the new key
-// before the rotation finishes, so a recovering enclave may hold either
-// epoch's key; it unwraps the other from the marker and finishes the
-// job: reseal rows from the recorded boundary, re-seal the training
-// mirror (whichever epoch it was left in), republish, and clear the
-// marker.
-//
-// Persistent layout (all little-endian uint64 except the key blobs):
-//
-//	state | nextRow | newLen | new key sealed under the old |
-//	oldLen | old key sealed under the new
-const (
-	rotHdrState   = 0
-	rotHdrNextRow = 8
-	rotHdrNewKey  = 16
-	// rotKeyMax bounds a wrapped-key blob: sealed 16-byte key.
-	rotKeyMax    = engine.IVSize + engine.KeySize + engine.TagSize
-	rotHdrOldKey = rotHdrNewKey + 8 + rotKeyMax
-	rotHdrSize   = rotHdrOldKey + 8 + rotKeyMax
+// keyRecordSize is the size of the key record (root slot RootRotation):
+// the data key a rotation installed, sealed under the key it replaced
+// and bound to keyRecordAAD, so no other frame opens as a record.
+const keyRecordSize = engine.IVSize + engine.KeySize + engine.TagSize
 
-	rotStateIdle       = 0
-	rotStateInProgress = 1
-)
+var keyRecordAAD = []byte("plinius key record")
 
-// Rotation errors.
-var (
-	ErrRotationCorrupt = errors.New("mirror: rotation marker is corrupt")
-)
-
-// Rotation is a handle to the persistent rotation marker.
-type Rotation struct {
-	rom *romulus.Romulus
-	off int
-}
-
-// BeginRotation durably records that a key rotation from oldKey (the
-// key of oldEng) to newKey (of newEng) is starting: each key is sealed
-// under the other's engine and the marker flips to in-progress with the
-// reseal cursor at row 0. The marker region is allocated on first use
-// and reused by every later rotation.
-func BeginRotation(rom *romulus.Romulus, oldEng, newEng *engine.Engine, oldKey, newKey []byte) (*Rotation, error) {
-	if len(oldKey) != engine.KeySize || len(newKey) != engine.KeySize {
-		return nil, fmt.Errorf("%w: keys must be %d bytes, got %d and %d", engine.ErrBadKey, engine.KeySize, len(oldKey), len(newKey))
+// RotateKey re-seals under newEng, the engine of newKey, everything
+// oldEng sealed in p's heap (paper §IV: one data key seals every PM
+// object): the data matrix d and the training mirror m, either of which
+// may be nil, and net as p's next version, which it returns. The mirror
+// and the publication are sealed into free payload halves first; then
+// one durable transaction re-seals every row in place, flips both, and
+// stores the key record, so a crash leaves PM wholly under one key. d
+// and m switch to newEng once that transaction has committed.
+func RotateKey(oldEng, newEng *engine.Engine, newKey []byte, net *darknet.Network, p *Publication, m *Model, d *DataMatrix, opts ...PublishOption) (uint64, error) {
+	var record [keyRecordSize]byte
+	if err := oldEng.SealInto(record[:], newKey, keyRecordAAD); err != nil {
+		return 0, fmt.Errorf("mirror: seal key record: %w", err)
 	}
-	wrappedNew, err := oldEng.Seal(newKey)
-	if err != nil {
-		return nil, fmt.Errorf("mirror: wrap rotation key: %w", err)
-	}
-	wrappedOld, err := newEng.Seal(oldKey)
-	if err != nil {
-		return nil, fmt.Errorf("mirror: wrap rotation key: %w", err)
-	}
-	off, err := rom.Root(RootRotation)
-	if err != nil {
-		return nil, err
-	}
-	r := &Rotation{rom: rom, off: off}
-	err = rom.Update(func() error {
-		if r.off == 0 {
-			alloc, err := rom.Alloc(rotHdrSize)
-			if err != nil {
-				return err
-			}
-			r.off = alloc
-			if err := rom.SetRoot(RootRotation, alloc); err != nil {
-				return err
-			}
-		}
-		if err := rom.StoreUint64(r.off+rotHdrNextRow, 0); err != nil {
-			return err
-		}
-		for _, w := range [...]struct {
-			at   int
-			blob []byte
-		}{{rotHdrNewKey, wrappedNew}, {rotHdrOldKey, wrappedOld}} {
-			if err := rom.StoreUint64(r.off+w.at, uint64(len(w.blob))); err != nil {
-				return err
-			}
-			if err := rom.Store(r.off+w.at+8, w.blob); err != nil {
-				return err
-			}
-		}
-		// The in-progress flag flips last within the transaction; a
-		// crash before commit leaves the previous marker state intact.
-		return rom.StoreUint64(r.off+rotHdrState, rotStateInProgress)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mirror: begin rotation: %w", err)
-	}
-	return r, nil
-}
-
-// OpenRotation attaches to the rotation marker after a restart. It
-// returns (nil, false, nil) when no rotation was ever started or the
-// last one finished cleanly, and the marker with inProgress=true when
-// a crash interrupted one.
-func OpenRotation(rom *romulus.Romulus) (*Rotation, bool, error) {
-	off, err := rom.Root(RootRotation)
-	if err != nil {
-		return nil, false, err
-	}
-	if off == 0 {
-		return nil, false, nil
-	}
-	state, err := rom.LoadUint64(off + rotHdrState)
-	if err != nil {
-		return nil, false, err
-	}
-	r := &Rotation{rom: rom, off: off}
-	switch state {
-	case rotStateIdle:
-		return r, false, nil
-	case rotStateInProgress:
-		return r, true, nil
-	default:
-		return nil, false, fmt.Errorf("%w: state %d", ErrRotationCorrupt, state)
-	}
-}
-
-// NewKey unwraps the rotation's target key with the pre-rotation
-// engine.
-func (r *Rotation) NewKey(oldEng *engine.Engine) ([]byte, error) {
-	return r.unwrap(rotHdrNewKey, oldEng)
-}
-
-// OldKey unwraps the pre-rotation key with the post-rotation engine,
-// for a recovering enclave that already holds the new key.
-func (r *Rotation) OldKey(newEng *engine.Engine) ([]byte, error) {
-	return r.unwrap(rotHdrOldKey, newEng)
-}
-
-// unwrap opens the wrapped-key blob whose length word is at marker
-// offset at. The length is checked against the blob's room before
-// anything is sized from it.
-func (r *Rotation) unwrap(at int, eng *engine.Engine) ([]byte, error) {
-	n, err := r.rom.LoadUint64(r.off + at)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > rotKeyMax {
-		return nil, fmt.Errorf("%w: wrapped key length %d", ErrRotationCorrupt, n)
-	}
-	wrapped := make([]byte, n)
-	if err := r.rom.Load(r.off+at+8, wrapped); err != nil {
-		return nil, err
-	}
-	key, err := eng.Open(wrapped)
-	if err != nil {
-		return nil, fmt.Errorf("mirror: unwrap rotation key: %w", err)
-	}
-	if len(key) != engine.KeySize {
-		return nil, fmt.Errorf("%w: unwrapped %d bytes", ErrRotationCorrupt, len(key))
-	}
-	return key, nil
-}
-
-// NextRow returns the reseal cursor: every row below it is already
-// under the new key.
-func (r *Rotation) NextRow() (int, error) {
-	n, err := r.rom.LoadUint64(r.off + rotHdrNextRow)
+	// The publication goes first: laying its slot out may allocate, and
+	// a mirror AllocModel planned is laid out at the cursors it leaves.
+	pub, err := p.write(newEng, net, opts...)
 	if err != nil {
 		return 0, err
 	}
-	if n > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: reseal cursor %d", ErrRotationCorrupt, n)
+	var out written
+	if m != nil {
+		if out, err = m.writeOut(newEng, net); err != nil {
+			return 0, err
+		}
 	}
-	return int(n), nil
-}
-
-// Advance persists the reseal cursor. It must run inside the same
-// transaction as the chunk it describes (DataMatrix.ResealFrom calls
-// it that way), so cursor and rows flip atomically.
-func (r *Rotation) Advance(next int) error {
-	return r.rom.StoreUint64(r.off+rotHdrNextRow, uint64(next))
-}
-
-// Finish durably marks the rotation complete.
-func (r *Rotation) Finish() error {
-	return r.rom.Update(func() error {
-		return r.rom.StoreUint64(r.off+rotHdrState, rotStateIdle)
+	err = p.rom.Update(func() error {
+		if d != nil {
+			if err := d.reseal(newEng); err != nil {
+				return err
+			}
+		}
+		if m != nil {
+			if err := out.flip(); err != nil {
+				return err
+			}
+		}
+		if err := pub.flip(); err != nil {
+			return err
+		}
+		return storeKeyRecord(p.rom, record[:])
 	})
+	if err != nil {
+		return 0, err
+	}
+	if d != nil {
+		d.eng = newEng
+	}
+	if m != nil {
+		out.commit()
+	}
+	pub.commit()
+	return pub.version, nil
+}
+
+// storeKeyRecord stores record as the key record, in the open
+// transaction, allocating and rooting its region on first use.
+func storeKeyRecord(rom *romulus.Romulus, record []byte) error {
+	off, err := rom.Root(RootRotation)
+	if err == nil && off == 0 {
+		if off, err = rom.Alloc(keyRecordSize); err == nil {
+			err = rom.SetRoot(RootRotation, off)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return rom.Store(off, record)
+}
+
+// RotatedKey returns the key the last rotation installed if its record
+// opens under eng, that is if eng holds the key that rotation replaced:
+// the rotation committed, but a crash beat the enclave's switch to the
+// new key. It returns nil, nil when no rotation ever committed, and
+// engine.ErrAuth when eng holds the installed key already.
+func RotatedKey(rom *romulus.Romulus, eng *engine.Engine) ([]byte, error) {
+	off, err := rom.Root(RootRotation)
+	if err != nil || off == 0 {
+		return nil, err
+	}
+	var record [keyRecordSize]byte
+	if err := rom.Load(off, record[:]); err != nil {
+		return nil, err
+	}
+	key := make([]byte, engine.KeySize)
+	if err := eng.OpenAAD(key, record[:], keyRecordAAD); err != nil {
+		return nil, err
+	}
+	return key, nil
 }

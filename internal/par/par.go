@@ -1,10 +1,10 @@
 // Package par is the process's one core budget: a pool of persistent
 // workers, at most GOMAXPROCS-1 of them and started on first use, behind
-// one primitive, For. The GEMM kernels and layer passes, the mirror's
-// seal and open fan-out, training-batch loading and the PM device's
-// chunked copy all fan out through it, so loops that run concurrently or
-// nest inside one another share the cores instead of each sizing a pool
-// of its own.
+// one primitive, For, and its twin for bodies that can fail, ForErr.
+// The GEMM kernels and layer passes, the mirror's seal and open fan-out,
+// training-batch loading and the PM device's chunked copy all fan out
+// through it, so loops that run concurrently or nest inside one another
+// share the cores instead of each sizing a pool of its own.
 package par
 
 import (
@@ -17,7 +17,10 @@ import (
 type loop struct {
 	next     atomic.Int64 // start of the next unclaimed range
 	n, grain int
-	body     func(lo, hi int)
+	body     func(lo, hi int)       // For's body, or nil
+	bodyErr  func(lo, hi int) error // ForErr's body, or nil
+	failed   atomic.Bool            // a bodyErr range failed; err holds its error
+	err      error
 	joined   sync.WaitGroup // workers that joined this loop
 
 	// want is how many more workers the loop takes while it is on
@@ -51,18 +54,34 @@ var loops = sync.Pool{New: func() any { return new(loop) }}
 // core, or when n fits in one range, body runs once over [0, n) on the
 // caller. For allocates nothing once the pool has started.
 func For(n, grain int, body func(lo, hi int)) {
+	forLoop(n, grain, body, nil)
+}
+
+// ForErr is For over a body that can fail: it returns the first error a
+// range returns, and starts no range after it (ranges already running
+// finish), or nil once every range has run.
+func ForErr(n, grain int, body func(lo, hi int) error) error {
+	return forLoop(n, grain, nil, body)
+}
+
+// forLoop runs body or bodyErr, whichever is not nil, as For describes,
+// and returns bodyErr's first error.
+func forLoop(n, grain int, body func(lo, hi int), bodyErr func(lo, hi int) error) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	grain = max(grain, 1)
 	procs := runtime.GOMAXPROCS(0)
 	helpers := min(procs, (n+grain-1)/grain) - 1
 	if helpers <= 0 {
+		if body == nil {
+			return bodyErr(0, n)
+		}
 		body(0, n)
-		return
+		return nil
 	}
 	l := loops.Get().(*loop)
-	l.n, l.grain, l.body = n, grain, body
+	l.n, l.grain, l.body, l.bodyErr = n, grain, body, bodyErr
 	l.next.Store(0)
 
 	pool.mu.Lock()
@@ -91,18 +110,29 @@ func For(n, grain int, body func(lo, hi int)) {
 	l.close()
 	pool.mu.Unlock()
 	l.joined.Wait()
-	l.body = nil
+	err := l.err
+	l.body, l.bodyErr, l.err = nil, nil, nil
+	l.failed.Store(false)
 	loops.Put(l)
+	return err
 }
 
-// run claims and runs ranges until none are left.
+// run claims and runs ranges until none are left. The first range to
+// fail records its error and moves the cursor to the end, so no range
+// starts after it.
 func (l *loop) run() {
 	for {
 		lo := int(l.next.Add(int64(l.grain))) - l.grain
 		if lo >= l.n {
 			return
 		}
-		l.body(lo, min(lo+l.grain, l.n))
+		hi := min(lo+l.grain, l.n)
+		if l.body != nil {
+			l.body(lo, hi)
+		} else if err := l.bodyErr(lo, hi); err != nil && l.failed.CompareAndSwap(false, true) {
+			l.err = err
+			l.next.Store(int64(l.n))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package par
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,44 @@ func TestBackToBackForsBothFork(t *testing.T) {
 		})
 		if stuck.Load() {
 			t.Fatalf("loop %d ran on its caller alone: no idle worker right after the previous loop", r)
+		}
+	}
+}
+
+// TestForErrReturnsFirstErrorAndStops: ForErr returns nil when every
+// range succeeds, and otherwise one of the errors the ranges returned,
+// starting no range after the failure is seen.
+func TestForErrReturnsFirstErrorAndStops(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		var ran atomic.Int64
+		if err := ForErr(100, 3, func(lo, hi int) error {
+			ran.Add(int64(hi - lo))
+			return nil
+		}); err != nil || ran.Load() != 100 {
+			t.Fatalf("GOMAXPROCS %d: clean ForErr = %v over %d indices, want nil over 100", procs, err, ran.Load())
+		}
+		errA, errB := errors.New("a"), errors.New("b")
+		ran.Store(0)
+		err := ForErr(1000, 1, func(lo, hi int) error {
+			ran.Add(1)
+			switch lo {
+			case 0:
+				return errA
+			case 1:
+				return errB
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		if err != errA && err != errB {
+			t.Fatalf("GOMAXPROCS %d: ForErr = %v, want a or b", procs, err)
+		}
+		// Only ranges claimed before the failure was recorded run; the
+		// others take a millisecond each, so all of them running means
+		// none was skipped.
+		if n := ran.Load(); n == 1000 {
+			t.Fatalf("GOMAXPROCS %d: all 1000 ranges ran after the first failed", procs)
 		}
 	}
 }
