@@ -95,6 +95,21 @@ func BenchmarkMirrorSave64MiB(b *testing.B) {
 	}
 }
 
+// BenchmarkMirrorRestore64MiB is one mirror-in at ckpt-large scale:
+// every segment opened straight from PM into the parameters, per model
+// byte.
+func BenchmarkMirrorRestore64MiB(b *testing.B) {
+	f := newCkptFramework(b)
+	b.SetBytes(int64(f.Net.ParamBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.MirrorRestore(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPublish64MiB is one publication at ckpt-large scale: the
 // slot is retired, the slot writer seals the model into its payload
 // half, and one transaction flips the version. The first two publishes

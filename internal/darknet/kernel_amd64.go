@@ -2,48 +2,18 @@
 
 package darknet
 
+import "plinius/internal/cpuid"
+
 // probeTier returns the fastest kernel tier (kernel_amd64.s) the CPU
 // and OS run.
 func probeTier() kernelTier {
 	switch {
-	case !cpuHasAVX2():
+	case !cpuid.AVX2():
 		return tierGo
-	case !cpuHasAVX512():
+	case !cpuid.AVX512():
 		return tierAVX2
 	}
 	return tierAVX512
-}
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() uint32
-
-// cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves
-// the YMM state across context switches.
-func cpuHasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xgetbv0()&6 != 6 { // XCR0: SSE and AVX state enabled
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-// cpuHasAVX512 reports, on a CPU that passed cpuHasAVX2, whether it
-// implements AVX-512F and the OS saves the opmask and ZMM state across
-// context switches.
-func cpuHasAVX512() bool {
-	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // XCR0: SSE, AVX, opmask, ZMM0-15 high halves, ZMM16-31
-	if xgetbv0()&zmmState != zmmState {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0
 }
 
 //go:noescape

@@ -10,11 +10,21 @@
 // buffer over 1 MiB, fp32 or int8, as several. Keys are 128-bit and are
 // provisioned via the remote-attestation secure channel
 // (WrapKey/UnwrapKey) or generated in the enclave.
+//
+// On an amd64 CPU with AVX-512, VAES and VPCLMULQDQ, SealInto and
+// OpenAAD run gcm_amd64.s, an AES-128-GCM kernel that seals in one pass
+// and opens with one load of each ciphertext block, picked once by
+// CPUID (GCMPath names it). Every other CPU and build takes the stdlib
+// path (crypto/cipher), which stages in pooled Scratch wherever its GCM
+// would read untrusted memory twice. Either way the nonce lives in
+// enclave memory until the frame is written, and a frame may be opened
+// straight from memory another party writes.
 package engine
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,6 +48,21 @@ var (
 	mOpenBytes = obs.Default().Counter("engine_opened_bytes_total", "Sealed bytes opened (incl. 28 B metadata each).")
 )
 
+func init() {
+	obs.Default().Gauge("engine_gcm_path",
+		"AES-GCM implementation of SealInto and OpenAAD (info series, always 1).",
+		obs.Label{Key: "path", Value: GCMPath()}).Set(1)
+}
+
+// GCMPath names the live AES-GCM path: "vaes512" (gcm_amd64.s) or
+// "stdlib" (crypto/cipher).
+func GCMPath() string {
+	if haveKernel {
+		return "vaes512"
+	}
+	return "stdlib"
+}
+
 // Sizes of the AES-GCM-128 scheme used throughout Plinius.
 const (
 	KeySize  = 16
@@ -57,28 +82,36 @@ var (
 // for concurrent use: Seal and Open allocate their output, SealInto,
 // OpenAAD and their float views seal and decrypt into the caller's
 // memory, and SealFloatsWith and SealFloatsAAD stage through the
-// caller's Scratch (AcquireScratch); the AEAD and the IV source are
-// shared safely. The mirroring path fans out over this.
+// caller's Scratch (AcquireScratch); the key state and the IV source
+// are shared safely. The mirroring path fans out over this.
 type Engine struct {
 	aead cipher.AEAD
+	kern *gcmKey // the kernel's key state; nil on the stdlib path
 	rng  io.Reader
 	encl *enclave.Enclave
 
 	// rngMu serializes IV reads: the engine's IV source (the enclave
 	// RNG or an injected reader) is not required to be concurrent-safe.
+	// The reader fills iv, which readIV copies out under the lock: a
+	// slice handed to the reader interface would escape to the heap.
 	rngMu sync.Mutex
+	iv    [IVSize]byte
 
 	// pool recycles Scratch buffers for the concurrent seal/open mode.
 	pool sync.Pool
 }
 
-// Scratch is a per-goroutine sealed-side staging buffer for the
-// concurrent seal/open mode. Obtain one with AcquireScratch, use it
-// from a single goroutine, and return it with ReleaseScratch once the
-// bytes produced into it are no longer needed. There is no plaintext
-// side: floats are sealed from, and opened into, their own memory.
+// Scratch is a per-goroutine staging buffer for the concurrent
+// seal/open mode. Obtain one with AcquireScratch, use it from a single
+// goroutine, and return it with ReleaseScratch once the bytes produced
+// into it are no longer needed. Floats are sealed from, and opened
+// into, their own memory on a little-endian host; the stdlib path also
+// stages frames and nonces here, and a big-endian host its encoded
+// floats.
 type Scratch struct {
 	sealed []byte
+	plain  []byte       // a big-endian host's little-endian encoding
+	iv     [IVSize]byte // the stdlib path's nonce, passed to cipher.AEAD
 }
 
 // SealedBuf returns a length-n buffer backed by the scratch's staging
@@ -87,10 +120,15 @@ type Scratch struct {
 // straight into its destination, so the two never alias). This keeps
 // hot restore loops allocation-free.
 func (s *Scratch) SealedBuf(n int) []byte {
-	if cap(s.sealed) < n {
-		s.sealed = make([]byte, n)
+	return grow(&s.sealed, n)
+}
+
+// grow returns (*b)[:n], reallocating *b when it is too short.
+func grow(b *[]byte, n int) []byte {
+	if cap(*b) < n {
+		*b = make([]byte, n)
 	}
-	return s.sealed[:n]
+	return (*b)[:n]
 }
 
 // Option configures an Engine.
@@ -134,7 +172,7 @@ func New(key []byte, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine gcm: %w", err)
 	}
-	e := &Engine{aead: aead}
+	e := &Engine{aead: aead, kern: newGCMKey(key, block)}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -159,16 +197,30 @@ func PlainLen(n int) (int, error) {
 	return n - Overhead, nil
 }
 
-// readIV fills dst with a fresh IV under the RNG lock, so concurrent
+// readIV returns a fresh IV, read under the RNG lock, so concurrent
 // sealers can share one (possibly non-thread-safe) IV source.
-func (e *Engine) readIV(dst []byte) error {
+func (e *Engine) readIV() ([IVSize]byte, error) {
 	e.rngMu.Lock()
-	_, err := io.ReadFull(e.rng, dst)
-	e.rngMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("engine iv: %w", err)
+	defer e.rngMu.Unlock()
+	if _, err := io.ReadFull(e.rng, e.iv[:]); err != nil {
+		return [IVSize]byte{}, fmt.Errorf("engine iv: %w", err)
 	}
-	return nil
+	return e.iv, nil
+}
+
+// errOverlap rejects a plaintext buffer that shares memory with the
+// frame's ciphertext area without starting where it starts: no single
+// pass seals or opens across that.
+var errOverlap = errors.New("engine: buffers overlap inexactly")
+
+// inexactOverlap reports whether x and y share memory without starting
+// at the same address.
+func inexactOverlap(x, y []byte) bool {
+	if len(x) == 0 || len(y) == 0 || &x[0] == &y[0] {
+		return false
+	}
+	xs, ys := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return xs < ys+uintptr(len(y)) && ys < xs+uintptr(len(x))
 }
 
 // Seal encrypts plaintext into IV ‖ ciphertext ‖ MAC with a fresh random
@@ -197,43 +249,60 @@ func (e *Engine) Open(sealed []byte) ([]byte, error) {
 // stored in the frame: the frame opens only through OpenAAD with the
 // same aad, and a nil aad gives exactly Seal's frame. AES-GCM reads
 // plain where it lies; plain may also be dst's ciphertext area
-// (dst[IVSize:][:len(plain)]), which is then sealed in place. dst may be
-// untrusted memory that another party writes during the seal: the MAC
-// is never computed from bytes read back from it (sealInPlace).
+// (dst[IVSize:][:len(plain)]), which is then sealed in place, and may
+// overlap dst nowhere else. dst may be untrusted memory that another
+// party writes during the seal: the nonce comes from enclave memory,
+// on the stack or in Scratch, and is written to dst last, and the MAC
+// is never computed from bytes read back from dst (the kernel only
+// stores to it; the stdlib path stages where its GCM would not).
 // Every other Seal* builds its frame through SealInto.
 func (e *Engine) SealInto(dst, plain, aad []byte) error {
 	n := len(plain)
 	if len(dst) != SealedLen(n) {
 		return fmt.Errorf("engine: %d-byte frame for %d plaintext bytes", len(dst), n)
 	}
+	if inexactOverlap(dst[IVSize:], plain) {
+		return errOverlap
+	}
 	if e.encl != nil {
 		e.encl.Touch(n + SealedLen(n))
 	}
 	mSealOps.Inc()
 	mSealBytes.Add(float64(n))
-	out := dst
-	if !sealInPlace {
-		sc := e.AcquireScratch()
-		defer e.ReleaseScratch(sc)
-		out = sc.SealedBuf(len(dst))
-	}
-	if err := e.readIV(out[:IVSize]); err != nil {
+	iv, err := e.readIV()
+	if err != nil {
 		return err
 	}
-	e.aead.Seal(out[:IVSize:len(out)], out[:IVSize], plain, aad)
-	if !sealInPlace {
-		copy(dst, out)
+	if e.kern != nil {
+		e.kern.seal(dst[IVSize:], plain, aad, &iv)
+		*(*[IVSize]byte)(dst) = iv
+		return nil
 	}
+	sc := e.AcquireScratch()
+	defer e.ReleaseScratch(sc)
+	sc.iv = iv
+	out := dst[IVSize:]
+	if !sealInPlace {
+		out = sc.SealedBuf(len(out))
+	}
+	e.aead.Seal(out[:0], sc.iv[:], plain, aad)
+	if !sealInPlace {
+		copy(dst[IVSize:], out)
+	}
+	*(*[IVSize]byte)(dst) = sc.iv
 	return nil
 }
 
 // OpenAAD authenticates a frame produced by SealInto under the same aad
 // and decrypts it straight into dst, which must be exactly as long as
-// the plaintext; any other aad fails with ErrAuth. A sealed buffer of
-// the wrong length for dst is rejected before dst is written; on
-// ErrAuth dst has been CLOBBERED (Go's GCM zeroes its output on a
-// failed tag check), so callers must treat dst as garbage after any
-// error.
+// the plaintext; any other aad fails with ErrAuth. dst may be exactly
+// the frame's ciphertext area (sealed[IVSize:][:len(dst)]). sealed may
+// be memory another party writes during the open: the kernel loads
+// each byte of it once, and the stdlib path, whose GCM loads the
+// ciphertext twice, opens a copy staged in pooled Scratch. A sealed
+// buffer of the wrong length for dst is rejected before dst is written;
+// on ErrAuth dst has been zeroed, so callers must treat dst as garbage
+// after any error.
 func (e *Engine) OpenAAD(dst, sealed, aad []byte) error {
 	n, err := PlainLen(len(sealed))
 	if err != nil {
@@ -242,12 +311,29 @@ func (e *Engine) OpenAAD(dst, sealed, aad []byte) error {
 	if n != len(dst) {
 		return fmt.Errorf("engine: sealed buffer holds %d plaintext bytes for a %d-byte destination", n, len(dst))
 	}
+	if inexactOverlap(dst, sealed[IVSize:]) {
+		return errOverlap
+	}
 	if e.encl != nil {
 		e.encl.Touch(2*len(sealed) - Overhead)
 	}
 	mOpenOps.Inc()
 	mOpenBytes.Add(float64(len(sealed)))
-	if _, err := e.aead.Open(dst[:0], sealed[:IVSize], sealed[IVSize:], aad); err != nil {
+	if e.kern != nil {
+		iv := *(*[IVSize]byte)(sealed)
+		want := *(*[TagSize]byte)(sealed[IVSize+n:])
+		got := e.kern.open(dst, sealed[IVSize:IVSize+n], aad, &iv)
+		if subtle.ConstantTimeCompare(got[:], want[:]) != 1 {
+			clear(dst)
+			return ErrAuth
+		}
+		return nil
+	}
+	sc := e.AcquireScratch()
+	defer e.ReleaseScratch(sc)
+	staged := sc.SealedBuf(len(sealed))
+	copy(staged, sealed)
+	if _, err := e.aead.Open(dst[:0], staged[:IVSize], staged[IVSize:], aad); err != nil {
 		return ErrAuth
 	}
 	return nil
@@ -311,19 +397,21 @@ func (e *Engine) SealFloatsAAD(sc *Scratch, v []float32, aad []byte) ([]byte, er
 
 // SealFloatsInto is SealInto over v's little-endian encoding. On a
 // little-endian host that is v's own memory; on a big-endian host the
-// floats are first encoded into dst's ciphertext area and sealed in
-// place.
+// floats are first encoded into pooled Scratch, never into dst, which
+// may be untrusted memory.
 func (e *Engine) SealFloatsInto(dst []byte, v []float32, aad []byte) error {
 	plain := floatBytes(v)
-	if !hostLittleEndian && len(dst) == SealedLen(len(plain)) {
-		plain = dst[IVSize:][:len(plain)]
+	if !hostLittleEndian {
+		sc := e.AcquireScratch()
+		defer e.ReleaseScratch(sc)
+		plain = grow(&sc.plain, len(plain))
 		encodeLE(plain, v)
 	}
 	return e.SealInto(dst, plain, aad)
 }
 
-// OpenFloatsWith opens sealed into dst without allocating or staging,
-// from any number of goroutines. The Scratch is not used by the open
+// OpenFloatsWith opens sealed into dst without allocating, from any
+// number of goroutines. The Scratch is not used by the open
 // itself; callers pass the one whose SealedBuf holds sealed.
 func (e *Engine) OpenFloatsWith(_ *Scratch, dst []float32, sealed []byte) error {
 	return e.OpenFloatsAAD(dst, sealed, nil)

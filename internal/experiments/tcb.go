@@ -29,6 +29,9 @@ var trustedPackages = map[string]bool{
 	// The worker pool runs the kernels' and the mirror's loop bodies in
 	// the enclave (the PM device's copy shares it from outside).
 	"par": true,
+	// The CPUID probes pick the kernels and the AES-GCM path the
+	// enclave runs.
+	"cpuid": true,
 }
 
 // untrustedPackages run in the untrusted runtime: device emulation,

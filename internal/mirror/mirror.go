@@ -755,12 +755,12 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // MirrorInRange; the shape has already been checked. The int8 scales
 // are checked once every segment has opened.
 //
-// The per-segment work — sealed PM read, boundary copy, in-enclave
-// AES-GCM open — runs on par.ForErr, each range through its own engine
-// Scratch, so no range can alias another's staging memory. Segments
-// decrypt into disjoint parameter slices, PM loads are device-locked,
-// and the enclave CopyAcross/Touch accounting is mutex-protected, so
-// the parallel restore charges exactly what the sequential one does.
+// The per-segment work — boundary copy, in-enclave AES-GCM open
+// straight from PM — runs on par.ForErr. Segments decrypt into
+// disjoint parameter slices, views of disjoint PM ranges run outside
+// the device lock, and the enclave CopyAcross/Touch accounting is
+// mutex-protected, so the parallel restore charges exactly what the
+// sequential one does.
 func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from int) (int, error) {
 	iter, err := m.rom.LoadUint64(m.headOff + modelHdrIter)
 	if err != nil {
@@ -769,10 +769,8 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 	m.lastOpen.Store(0)
 	tasks, total := m.collectTasks(bufLayers, from, m.gen)
 	err = par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
-		sc := m.eng.AcquireScratch()
-		defer m.eng.ReleaseScratch(sc)
 		for i := lo; i < hi; i++ {
-			if err := m.restore(sc, &tasks[i]); err != nil {
+			if err := m.restore(&tasks[i]); err != nil {
 				return err
 			}
 		}
@@ -792,31 +790,24 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 	return int(iter), nil
 }
 
-// restore loads segment t from the current payload half and opens it
-// into its buffer. The sealed bytes stage through sc's sealed side, so
-// steady-state restores — the streaming shard group's per-batch path —
-// allocate nothing: the scratch pool keeps the buffers alive across
-// calls.
-func (m *Model) restore(sc *engine.Scratch, t *bufTask) error {
-	// The staging copy stays even where sealing writes PM in place: the
-	// amd64 open (gcmAesDec) loads each ciphertext chunk twice, once
-	// into the tag and once to decrypt it, so opening straight from PM
-	// would let a party writing PM mid-open decrypt bytes other than
-	// the ones the tag authenticated.
-	sealed := sc.SealedBuf(t.sealedLen)
-	if err := m.rom.LoadPayload(m.half, t.off, sealed); err != nil {
-		return err
-	}
-	if m.encl != nil {
-		m.encl.CopyAcross(len(sealed))
-	}
-	openStart := time.Now()
-	err := t.open(m.eng, sealed)
-	m.lastOpen.Add(int64(time.Since(openStart)))
-	if err != nil {
-		return t.errorf("open", err)
-	}
-	return nil
+// restore opens segment t of the current payload half into its buffer
+// straight from PM: a Romulus payload view, the enclave's boundary
+// charge, then the open. There is no staging copy: OpenAAD reads memory
+// another party may write, loading each sealed byte once (the stdlib
+// path, whose GCM loads them twice, stages in pooled engine scratch).
+func (m *Model) restore(t *bufTask) error {
+	return m.rom.ViewPayload(m.half, t.off, t.sealedLen, func(sealed []byte) error {
+		if m.encl != nil {
+			m.encl.CopyAcross(len(sealed))
+		}
+		openStart := time.Now()
+		err := t.open(m.eng, sealed)
+		m.lastOpen.Add(int64(time.Since(openStart)))
+		if err != nil {
+			return t.errorf("open", err)
+		}
+		return nil
+	})
 }
 
 // Iteration reads the persisted iteration counter without touching the

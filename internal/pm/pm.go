@@ -404,6 +404,29 @@ func (d *Device) Load(off int, buf []byte) error {
 	return nil
 }
 
+// LoadView is Load with the bytes read in place: view reads the n bytes
+// at off straight from the device's volatile view, so a caller that
+// consumes them (an opener) moves no memory of its own. It has Load's
+// counters and modeled time and, like Load, is no persistence event.
+// The device lock is not held while view runs, so views of disjoint
+// ranges proceed on several goroutines at once; view must not write
+// the range or keep it past its return. Another party may write the
+// range meanwhile, as a host writing PM would: view must read each
+// byte it relies on once. It returns view's error.
+func (d *Device) LoadView(off, n int, view func(src []byte) error) error {
+	d.mu.Lock()
+	if err := d.checkRange(off, n); err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	src := d.volatile[off : off+n : off+n]
+	if n > 0 {
+		d.noteLoad(off, n)
+	}
+	d.mu.Unlock()
+	return view(src)
+}
+
 // Extent is the byte range [Off, Off+N) of a region.
 type Extent struct{ Off, N int }
 

@@ -517,3 +517,92 @@ func TestConcurrentFillFlushDoNotRace(t *testing.T) {
 		t.Fatalf("stats %+v, %d dirty lines; want %d stores and write-backs, none dirty", st, d.DirtyLines(), workers*per)
 	}
 }
+
+// TestLoadViewAccountsAsLoad: viewing a range in place leaves the device
+// exactly as Load of the same range does — counters, bytes loaded,
+// modeled time and images — lends exactly the range's bytes, returns
+// the view's error, and is no persistence event: a crash armed at the
+// next event still refuses the store after it.
+func TestLoadViewAccountsAsLoad(t *testing.T) {
+	viewed, loaded := newTestDevice(t, 4096), newTestDevice(t, 4096)
+	for _, d := range []*Device{viewed, loaded} {
+		if err := d.StoreFlush(0, bytes.Repeat([]byte{9}, 4096), FlushCLWB); err != nil {
+			t.Fatalf("StoreFlush: %v", err)
+		}
+		if err := d.Store(1000, []byte{1, 2, 3}); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	for _, r := range []struct{ off, n int }{{100, 1}, {130, 200}, {960, 129}, {4000, 96}, {64, 0}} {
+		want := make([]byte, r.n)
+		if err := loaded.Load(r.off, want); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		err := viewed.LoadView(r.off, r.n, func(src []byte) error {
+			if len(src) != r.n || cap(src) != r.n || !bytes.Equal(src, want) {
+				t.Fatalf("view of %d at %d: len %d cap %d, equal %v", r.n, r.off, len(src), cap(src), bytes.Equal(src, want))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("LoadView: %v", err)
+		}
+		sameDevice(t, fmt.Sprintf("view of %d at %d", r.n, r.off), viewed, loaded)
+	}
+	bad := errors.New("open failed")
+	if err := viewed.LoadView(0, 64, func([]byte) error { return bad }); err != bad {
+		t.Fatalf("failing view returned %v, want its error", err)
+	}
+	if err := viewed.LoadView(4090, 7, func([]byte) error { return nil }); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("LoadView past the device = %v, want ErrOutOfRange", err)
+	}
+	viewed.CrashAt(1)
+	if err := viewed.LoadView(0, 64, func([]byte) error { return nil }); err != nil {
+		t.Fatalf("LoadView on an armed device: %v", err)
+	}
+	if err := viewed.Store(0, []byte{1}); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("store after a view on a device armed at event 1: %v, want ErrCrashed", err)
+	}
+}
+
+// TestConcurrentLoadViewsDoNotRace: goroutines viewing disjoint ranges
+// — adjacent ones sharing a cache line — while others fill theirs, see
+// their own bytes, and the device accounts one load per view.
+func TestConcurrentLoadViewsDoNotRace(t *testing.T) {
+	const workers, per, n = 4, 50, 100
+	d := newTestDevice(t, (2*workers*per*n+CacheLineSize-1)/CacheLineSize*CacheLineSize)
+	for g := 0; g < workers; g++ {
+		if err := d.Store(g*per*n, bytes.Repeat([]byte{byte(g + 1)}, per*n)); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2*workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				off := (g*per + i) * n
+				var err error
+				if g >= workers {
+					err = d.FillFlush(off, n, FlushCLWB, fillWith(byte(g+1)))
+				} else {
+					err = d.LoadView(off, n, func(src []byte) error {
+						if !bytes.Equal(src, bytes.Repeat([]byte{byte(g + 1)}, n)) {
+							return fmt.Errorf("view at %d sees another range's bytes", off)
+						}
+						return nil
+					})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := d.Stats(); st.Loads != workers*per || st.BytesLoaded != workers*per*n {
+		t.Fatalf("stats %+v; want %d loads of %d bytes", st, workers*per, n)
+	}
+}

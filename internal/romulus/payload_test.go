@@ -148,8 +148,8 @@ func TestPayloadHalvesAreIndependentAndOutsideTheTwinCopy(t *testing.T) {
 
 // TestPayloadAccessBounds: fills may land anywhere above the heap —
 // allocated extents or the free space the next extent will take — and
-// loads only inside allocated extents; no access crosses the region's
-// end into the other half or names a third half.
+// loads and views only inside allocated extents; no access crosses the
+// region's end into the other half or names a third half.
 func TestPayloadAccessBounds(t *testing.T) {
 	_, r := newHeap(t, 64<<10)
 	top := r.RegionSize()
@@ -159,11 +159,24 @@ func TestPayloadAccessBounds(t *testing.T) {
 	if err := r.LoadPayload(0, top-128, make([]byte, 128)); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("load of unallocated space = %v, want ErrBadOffset", err)
 	}
+	noView := func([]byte) error { return nil }
+	if err := r.ViewPayload(0, top-128, 128, noView); !errors.Is(err, ErrBadOffset) {
+		t.Fatalf("view of unallocated space = %v, want ErrBadOffset", err)
+	}
 	if err := r.Update(func() error { _, err := r.AllocPayload(128); return err }); err != nil {
 		t.Fatalf("AllocPayload: %v", err)
 	}
 	if got := loadPayload(t, r, 0, top-128, 128); !bytes.Equal(got, bytes.Repeat([]byte{3}, 128)) {
 		t.Fatal("the extent lost the bytes filled before it was allocated")
+	}
+	err := r.ViewPayload(0, top-128, 128, func(src []byte) error {
+		if !bytes.Equal(src, bytes.Repeat([]byte{3}, 128)) {
+			t.Error("the view does not lend the extent's bytes")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ViewPayload: %v", err)
 	}
 	for _, c := range []struct {
 		name           string
@@ -179,6 +192,9 @@ func TestPayloadAccessBounds(t *testing.T) {
 		}
 		if err := r.FillPayload(c.half, c.off, c.len, fillBytes(1)); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("%s: FillPayload = %v, want ErrBadOffset", c.name, err)
+		}
+		if err := r.ViewPayload(c.half, c.off, c.len, noView); !errors.Is(err, ErrBadOffset) {
+			t.Errorf("%s: ViewPayload = %v, want ErrBadOffset", c.name, err)
 		}
 	}
 	if err := r.FillPayload(0, r.Used()-8, 8, fillBytes(1)); !errors.Is(err, ErrBadOffset) {

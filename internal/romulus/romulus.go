@@ -83,9 +83,9 @@ var (
 
 // Romulus manages twin-copy durable transactions on one PM device. It is
 // single-goroutine per the paper's single-threaded training loop, except
-// that FillPayload and LoadPayload of disjoint ranges may run on several
-// goroutines while nothing else uses the heap; the underlying device is
-// race-safe.
+// that FillPayload, LoadPayload and ViewPayload of disjoint ranges may
+// run on several goroutines while nothing else uses the heap; the
+// underlying device is race-safe.
 type Romulus struct {
 	dev        *pm.Device
 	env        Env
@@ -513,6 +513,20 @@ func (r *Romulus) LoadPayload(half, off int, buf []byte) error {
 		return err
 	}
 	return r.dev.Load(start, buf)
+}
+
+// ViewPayload lends view the n bytes at offset off of payload half
+// half in place (pm.Device.LoadView): LoadPayload's bounds, counters
+// and modeled time, without the copy. view runs without the device
+// lock, must not write the bytes or keep them past its return, and
+// must read each byte it relies on once; views of disjoint ranges may
+// run on several goroutines.
+func (r *Romulus) ViewPayload(half, off, n int, view func(src []byte) error) error {
+	start, err := r.payloadStart(half, off, n, r.low)
+	if err != nil {
+		return err
+	}
+	return r.dev.LoadView(start, n, view)
 }
 
 // payloadStart returns the device offset of [off, off+n) in payload
