@@ -50,7 +50,7 @@ func TestOpenTornFrame(t *testing.T) {
 	}()
 	dst := make([]byte, len(plain))
 	var opened, refused int
-	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
 		switch err := e.OpenAAD(dst, frame, nil); {
 		case errors.Is(err, ErrAuth):
 			refused++
