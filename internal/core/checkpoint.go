@@ -103,6 +103,7 @@ func (f *Framework) MirrorSave() (StepTiming, error) {
 	if err := f.Mirror.MirrorOut(f.Net); err != nil {
 		return StepTiming{}, err
 	}
+	f.synced = true
 	// Outbound stores to PM are posted writes: no inbound MEE stall, so
 	// no CopyAcross charge on the save path.
 	d := f.delta(s0)
@@ -132,6 +133,7 @@ func (f *Framework) MirrorRestore() (StepTiming, error) {
 	if _, err := f.Mirror.MirrorIn(f.Net); err != nil {
 		return StepTiming{}, err
 	}
+	f.synced = true
 	d := f.delta(s0)
 	return StepTiming{
 		Read:    d.pm + d.copyAcross + d.transitions + d.paging,
@@ -280,7 +282,7 @@ func (f *Framework) SSDRestore(name string) (StepTiming, error) {
 	if err := fh.Close(); err != nil {
 		return StepTiming{}, fmt.Errorf("core: ssd close: %w", err)
 	}
-	f.Net.Iteration = iter
+	f.Net.Iteration, f.synced = iter, false
 	d := f.delta(s0)
 	return StepTiming{
 		Read:    d.ssd + d.copyAcross + d.transitions + d.paging,

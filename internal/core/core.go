@@ -126,7 +126,7 @@ var (
 //     iteration boundaries.
 //   - pmMu owns the PM device and the Romulus heap. Every PM
 //     transaction or load anywhere in the process — training mirror,
-//     data matrix, publication table, replica restores — runs under it.
+//     data matrix, snapshot store, replica restores — runs under it.
 //
 // Lock order is always modelMu before pmMu.
 type Framework struct {
@@ -138,9 +138,13 @@ type Framework struct {
 	SSD     *storage.Device
 	Rom     *romulus.Romulus
 	Engine  *engine.Engine
-	Net     *darknet.Network
-	Mirror  *mirror.Model
-	Data    *mirror.DataMatrix
+	// Net is the enclave model. Publish names the mirror's frame when
+	// Net holds the mirror's latest generation, and it tracks that only
+	// through the framework's own paths: parameters written straight
+	// into Net's slices are published only after a MirrorSave.
+	Net    *darknet.Network
+	Mirror *mirror.Model
+	Data   *mirror.DataMatrix
 
 	modelMu sync.Mutex
 	pmMu    sync.Mutex
@@ -149,8 +153,12 @@ type Framework struct {
 	rng      *mrand.Rand
 	reserved int
 	crashed  bool
-	pub      *mirror.Publication
+	store    *mirror.Store
 	pubQuant bool // publish int8 variants alongside fp32 (guarded by pmMu)
+	// synced marks Net as holding the parameters of the mirror's latest
+	// generation: MirrorOut and MirrorIn set it, every other write of
+	// Net's parameters clears it (guarded by modelMu).
+	synced bool
 }
 
 // New builds a Framework: it creates the enclave, provisions the data
@@ -287,7 +295,7 @@ func (f *Framework) buildModel(initWeights bool) error {
 		return fmt.Errorf("core: model config: %w", err)
 	}
 	return f.Enclave.Ecall(func() error {
-		f.Net = net
+		f.Net, f.synced = net, false
 		f.reserved = net.ParamBytes() + f.cfg.TrainOverheadBytes
 		if err := f.Enclave.Reserve(f.reserved); err != nil {
 			return fmt.Errorf("core: reserve model: %w", err)
@@ -352,29 +360,46 @@ func (f *Framework) dataOpts() []mirror.DataOption {
 	return nil
 }
 
+// attachStore opens the snapshot store that holds the training mirror
+// and the publication. Caller holds pmMu.
+func (f *Framework) attachStore() error {
+	if err := f.pmLiveLocked(); err != nil {
+		return err
+	}
+	if f.store != nil {
+		return nil
+	}
+	st, err := mirror.OpenStore(f.Rom)
+	if err != nil {
+		return fmt.Errorf("core: open snapshot store: %w", err)
+	}
+	f.store = st
+	return nil
+}
+
 // attachMirror implements Algorithm 2 lines 7-12: restore from an
-// existing persistent model or allocate a fresh one. Callers gate on
-// whether mirroring applies to the current run and hold pmMu.
+// existing persistent model or plan a fresh one. Callers gate on
+// whether mirroring applies to the current run and hold modelMu and
+// pmMu.
 func (f *Framework) attachMirror() error {
 	if f.Mirror != nil {
 		return nil
 	}
-	if mirror.Exists(f.Rom) {
-		m, err := mirror.OpenModel(f.Rom, f.Engine, mirror.WithEnclave(f.Enclave))
-		if err != nil {
-			return fmt.Errorf("core: open mirror: %w", err)
-		}
-		if _, err := m.MirrorIn(f.Net); err != nil {
-			return fmt.Errorf("core: mirror in: %w", err)
-		}
-		f.Mirror = m
+	if err := f.attachStore(); err != nil {
+		return err
+	}
+	if !mirror.Exists(f.Rom) {
+		f.Mirror = f.store.AllocMirror(f.Engine, f.Net, mirror.WithEnclave(f.Enclave))
 		return nil
 	}
-	m, err := mirror.AllocModel(f.Rom, f.Engine, f.Net, mirror.WithEnclave(f.Enclave))
+	m, err := f.store.OpenMirror(f.Engine, mirror.WithEnclave(f.Enclave))
 	if err != nil {
-		return fmt.Errorf("core: alloc mirror: %w", err)
+		return fmt.Errorf("core: open mirror: %w", err)
 	}
-	f.Mirror = m
+	if _, err := m.MirrorIn(f.Net); err != nil {
+		return fmt.Errorf("core: mirror in: %w", err)
+	}
+	f.Mirror, f.synced = m, true
 	return nil
 }
 
@@ -382,7 +407,8 @@ func (f *Framework) attachMirror() error {
 // enclave and all volatile state vanish, and PM loses every unflushed
 // cache line. Crash must not race a running Train; cancel the training
 // context first (serving replicas keep answering from their in-enclave
-// weights across the framework's down window).
+// weights across the framework's down window, and keep their pins on
+// published versions).
 func (f *Framework) Crash() {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
@@ -393,7 +419,6 @@ func (f *Framework) Crash() {
 	f.Mirror = nil
 	f.Data = nil
 	f.Net = nil
-	f.pub = nil
 	f.crashed = true
 	if f.reserved > 0 {
 		_ = f.Enclave.Free(f.reserved)
@@ -425,6 +450,12 @@ func (f *Framework) Recover(restoreNow bool) error {
 	})
 	if err != nil {
 		return err
+	}
+	// Serving replicas outlive the training enclave, so the store keeps
+	// their pins; one that cannot be read again is opened afresh by its
+	// next use, which reports why.
+	if f.store != nil && f.store.Reopen(f.Rom) != nil {
+		f.store = nil
 	}
 	// Restore whenever PM actually holds a mirror.
 	restore := restoreNow && mirror.Exists(f.Rom)

@@ -84,6 +84,7 @@ func TestCrashSweep(t *testing.T) {
 		mirrorOutRow("steady_mirror_out", true),
 		publishRow(t, "publish_fp32", false),
 		publishRow(t, "publish_int8", true),
+		publishByReferenceRow(t),
 		recordLayoutRow(),
 		loadDatasetRow(),
 		rotateKeyRow(t, "rotate_key", true, false),
@@ -233,7 +234,7 @@ func quantize(t *testing.T, net *darknet.Network) *darknet.Network {
 // restoreLatest restores the latest published version at prec into net
 // under the framework's key and returns the restored iteration.
 func restoreLatest(f *Framework, prec darknet.Precision, net *darknet.Network) (int, error) {
-	pin, err := f.PinPublished(0)
+	pin, err := f.PinPublished()
 	if err != nil {
 		return 0, err
 	}
@@ -262,7 +263,7 @@ func publishRow(t *testing.T, name string, quant bool) crashRow {
 	if quant {
 		opts = append(opts, mirror.WithQuantized())
 	}
-	var pub *mirror.Publication
+	var pub *mirror.Store
 	publish := func(f *Framework, net *darknet.Network) (err error) {
 		_, err = pub.PublishOut(f.Engine, net, opts...)
 		return err
@@ -270,7 +271,7 @@ func publishRow(t *testing.T, name string, quant bool) crashRow {
 	return crashRow{
 		name: name,
 		prepare: func(f *Framework) (err error) {
-			if pub, err = mirror.OpenPublication(f.Rom); err != nil {
+			if pub, err = mirror.OpenStore(f.Rom); err != nil {
 				return err
 			}
 			if err := publish(f, nets[0]); err != nil {
@@ -302,6 +303,49 @@ func publishRow(t *testing.T, name string, quant bool) crashRow {
 	}
 }
 
+// publishByReferenceRow publishes the mirror's latest generation right
+// after a MirrorSave, over a version 1 that names the mirror's previous
+// frame: the one-transaction publish. The latest version after recovery
+// is 1 or 2, and it restores the parameters of iteration 10 or 11 bit
+// for bit.
+func publishByReferenceRow(t *testing.T) crashRow {
+	hashes := map[uint64]uint64{}
+	return crashRow{
+		name: "publish_by_reference",
+		prepare: func(f *Framework) error {
+			for v := uint64(1); v <= 2; v++ {
+				f.Net.Iteration = 9 + int(v)
+				if _, err := f.MirrorSave(); err != nil {
+					return err
+				}
+				hashes[v] = paramHash(f.Net)
+				if v == 1 {
+					if _, err := f.Publish(); err != nil {
+						return err
+					}
+					perturbParams(f.Net, 0.5)
+				}
+			}
+			return nil
+		},
+		write: func(f *Framework) error {
+			_, err := f.Publish()
+			return err
+		},
+		check: func(f *Framework, done bool) error {
+			latest, err := f.LatestPublished()
+			if err != nil || latest != 2 && (done || latest != 1) {
+				return fmt.Errorf("latest version %d after recovery, err %v", latest, err)
+			}
+			got := sweepNet(t, 1, 99, 0)
+			if iter, err := restoreLatest(f, darknet.FP32, got); err != nil || iter != 9+int(latest) || paramHash(got) != hashes[latest] {
+				return fmt.Errorf("v%d restores iteration %d, err %v, equal %v", latest, iter, err, paramHash(got) == hashes[latest])
+			}
+			return nil
+		},
+	}
+}
+
 // recordLayoutRow rewrites the serving layout as a degraded fleet
 // replan does, one group over 3 ranges becoming 2 groups over 4, so the
 // rewrite outgrows the recorded region. Recovery reads a plan and hosts
@@ -321,7 +365,7 @@ func recordLayoutRow() crashRow {
 		prepare: func(f *Framework) error { return f.RecordServingLayout(oldLayout) },
 		write:   func(f *Framework) error { return f.RecordServingLayout(newLayout) },
 		check: func(f *Framework, done bool) error {
-			p, err := mirror.OpenPublication(f.Rom)
+			p, err := mirror.OpenStore(f.Rom)
 			if err != nil {
 				return err
 			}
@@ -468,13 +512,15 @@ func readRotated(t *testing.T, f *Framework, ds *mnist.Dataset) (rotatedState, e
 		return s, err
 	}
 	if mirror.Exists(f.Rom) {
-		m, err := mirror.OpenModel(f.Rom, f.Engine)
+		st, err := mirror.OpenStore(f.Rom)
 		if err != nil {
 			return s, err
 		}
-		if s.mirrorIter, err = m.Iteration(); err != nil {
+		m, err := st.OpenMirror(f.Engine)
+		if err != nil {
 			return s, err
 		}
+		s.mirrorIter = m.Iteration()
 	}
 	var err error
 	if s.latest, err = f.LatestPublished(); err != nil {

@@ -9,12 +9,14 @@ import (
 )
 
 // Model publication and key rotation: the framework side of the v2
-// serving handshake. Publish seals the current enclave parameters into
-// an immutable, versioned snapshot in PM (separate from the training
-// mirror, which is overwritten every iteration); replicas restore a
-// pinned version, so Server.Refresh never races a concurrent
-// MirrorOut. RotateKey re-provisions the data key and re-seals all
-// persistent state under it.
+// serving handshake. The training mirror and every published version
+// are frames of one snapshot store in PM (package mirror): Publish
+// records the enclave model as the next version — by reference when the
+// mirror's latest generation holds it, else with one save — and
+// replicas restore a pinned version, whose frame no save writes, so
+// Server.Refresh never races a concurrent MirrorOut. RotateKey
+// re-provisions the data key and re-seals what the store names under
+// it.
 
 // pmLiveLocked re-checks, under pmMu, that PM is still attached.
 // Crash() nils f.Rom while holding both locks, so a caller that
@@ -25,23 +27,6 @@ func (f *Framework) pmLiveLocked() error {
 	if f.crashed || f.Rom == nil {
 		return ErrCrashedDown
 	}
-	return nil
-}
-
-// attachPublication opens (or creates) the publication table. Caller
-// holds pmMu.
-func (f *Framework) attachPublication() error {
-	if f.pub != nil {
-		return nil
-	}
-	if err := f.pmLiveLocked(); err != nil {
-		return err
-	}
-	p, err := mirror.OpenPublication(f.Rom)
-	if err != nil {
-		return fmt.Errorf("core: open publication: %w", err)
-	}
-	f.pub = p
 	return nil
 }
 
@@ -66,15 +51,12 @@ func (f *Framework) EnsureModelCurrent() error {
 		// parameters and iteration counter.
 		return f.Enclave.Ecall(f.attachMirror)
 	}
-	iter, err := f.Mirror.Iteration()
-	if err != nil {
-		return err
-	}
-	if iter <= f.Net.Iteration {
+	if f.Mirror.Iteration() <= f.Net.Iteration {
 		return nil
 	}
 	return f.Enclave.Ecall(func() error {
 		_, err := f.Mirror.MirrorIn(f.Net)
+		f.synced = err == nil
 		return err
 	})
 }
@@ -99,10 +81,19 @@ func (f *Framework) publishOptsLocked() []mirror.PublishOption {
 	return nil
 }
 
-// Publish seals the current enclave parameters into a new immutable
-// published version in PM and returns its version number. Publishing
-// is safe concurrently with Train: it synchronizes on the iteration
-// boundary and writes a snapshot region training never touches.
+// Publish records the enclave model as a new immutable published
+// version in PM and returns its version number. When the model is the
+// training mirror's latest generation — Net is at the mirror's
+// iteration and no parameter write came after the last MirrorOut or
+// MirrorIn — the version names the mirror's frame in one small
+// transaction, sealing nothing. Otherwise it costs one save: a
+// MirrorOut that the version names, in the same transaction, or with
+// no training mirror attached (MirrorFreq < 0, or before the first
+// Train or MirrorSave) a frame only the version names. So parameters
+// written straight into Net's slices are published only after a
+// MirrorSave. Publishing is safe concurrently with Train: it
+// synchronizes on the iteration boundary, and no save writes a frame a
+// version names.
 func (f *Framework) Publish() (uint64, error) {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
@@ -111,13 +102,21 @@ func (f *Framework) Publish() (uint64, error) {
 	}
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return 0, err
 	}
+	opts := f.publishOptsLocked()
 	var ver uint64
-	err := f.Enclave.Ecall(func() error {
-		v, err := f.pub.PublishOut(f.Engine, f.Net, f.publishOptsLocked()...)
-		ver = v
+	err := f.Enclave.Ecall(func() (err error) {
+		switch m := f.Mirror; {
+		case m != nil && f.synced && m.Holds(f.Net.Iteration):
+			ver, err = m.PublishLatest(f.Net, opts...)
+		case m != nil:
+			ver, err = m.PublishOut(f.Net, opts...)
+			f.synced = err == nil
+		default:
+			ver, err = f.store.PublishOut(f.Engine, f.Net, opts...)
+		}
 		return err
 	})
 	if err != nil {
@@ -131,27 +130,21 @@ func (f *Framework) Publish() (uint64, error) {
 func (f *Framework) LatestPublished() (uint64, error) {
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.pmLiveLocked(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return 0, err
 	}
-	if !mirror.PublicationExists(f.Rom) {
-		return 0, nil
-	}
-	if err := f.attachPublication(); err != nil {
-		return 0, err
-	}
-	return f.pub.LatestVersion(), nil
+	return f.store.LatestVersion(), nil
 }
 
-// PinPublished pins a published version (0 pins the latest) against
-// slot recycling and returns the hold. Replicas pin before restoring.
-func (f *Framework) PinPublished(version uint64) (*mirror.Pin, error) {
+// PinPublished pins the latest published version, so no save writes its
+// frame, and returns the hold. Replicas pin before restoring.
+func (f *Framework) PinPublished() (*mirror.Pin, error) {
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return nil, err
 	}
-	return f.pub.Pin(version)
+	return f.store.Pin()
 }
 
 // Servable reports whether the framework can publish and serve a
@@ -172,18 +165,10 @@ func (f *Framework) Servable() error {
 	// published snapshot or a mirrored model in PM to serve from.
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.pmLiveLocked(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return err
 	}
-	if mirror.PublicationExists(f.Rom) {
-		if err := f.attachPublication(); err != nil {
-			return err
-		}
-		if f.pub.LatestVersion() > 0 {
-			return nil
-		}
-	}
-	if trained || mirror.Exists(f.Rom) {
+	if trained || f.store.LatestVersion() > 0 || mirror.Exists(f.Rom) {
 		return nil
 	}
 	return ErrNoServableModel
@@ -191,17 +176,18 @@ func (f *Framework) Servable() error {
 
 // RotateKey provisions a fresh data key and re-seals every persistent
 // object under it in one durable transaction (mirror.RotateKey): the
-// training data matrix, the PM training mirror, and a newly published
-// model snapshot, whose version is returned. The enclave switches keys
+// training data matrix, and the enclave model as one new frame that is
+// both the training mirror's latest generation and a newly published
+// version, whose version is returned. The enclave switches keys
 // only once that transaction has committed (Recover adopts the new key
 // if a crash beat the switch). The in-enclave model is untouched, so
 // training continues seamlessly; serving replicas must be re-provisioned
 // afterwards (Server.RotateKey drives that, one replica at a time, so
 // serving never gaps).
 //
-// Snapshots published under the old key remain in PM until recycled
-// but can no longer be decrypted; after RotateKey, replicas must
-// refresh to the returned (or a later) version.
+// Frames that pinned readers still hold keep the old key until
+// released; after RotateKey, replicas must refresh to the returned (or
+// a later) version.
 func (f *Framework) RotateKey() (uint64, error) {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
@@ -227,14 +213,15 @@ func (f *Framework) RotateKey() (uint64, error) {
 		if err != nil {
 			return fmt.Errorf("new engine: %w", err)
 		}
-		if err := f.attachPublication(); err != nil {
+		if err := f.attachStore(); err != nil {
 			return err
 		}
-		ver, err = mirror.RotateKey(f.Engine, eng, newKey, f.Net, f.pub, f.Mirror, f.Data, f.publishOptsLocked()...)
+		ver, err = mirror.RotateKey(f.Engine, eng, newKey, f.Net, f.store, f.Mirror, f.Data, f.publishOptsLocked()...)
 		if err != nil {
 			return err
 		}
 		f.key, f.Engine = newKey, eng
+		f.synced = f.Mirror != nil
 		return nil
 	})
 	if err != nil {

@@ -259,8 +259,8 @@ type ShardGroup struct {
 // from the latest published snapshot (publishing the current model
 // first if nothing is published). Every shard enclave reserves its
 // overhead plus its range's ShardFootprintAt. A multi-range fp32 split
-// the group planned itself is recorded as the serving layout alongside
-// the publication slots, durably; auto planning reads it back, so a
+// the group planned itself is recorded as the serving layout in the
+// snapshot store, durably; auto planning reads it back, so a
 // group re-created after a crash restores the same split.
 func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if f.Crashed() {
@@ -455,7 +455,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 
 	// Pin the served version, open each shard's snapshot handle, and
 	// record the layout.
-	pin, err := f.PinPublished(0)
+	pin, err := f.PinPublished()
 	if err != nil {
 		return fail(fmt.Errorf("core: shard pin: %w", err))
 	}
@@ -523,7 +523,7 @@ func (f *Framework) ensurePublished(prec darknet.Precision) error {
 	case prec != darknet.Int8:
 		return nil
 	default:
-		pin, err := f.PinPublished(0)
+		pin, err := f.PinPublished()
 		if err != nil {
 			return err
 		}
@@ -648,13 +648,13 @@ func (g *ShardGroup) recordLayout() error {
 	f, plan := g.f, g.Plan()
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return err
 	}
-	if cur, err := f.pub.Layout(); err == nil && slices.Equal(cur.Plan, plan) {
+	if cur, err := f.store.Layout(); err == nil && slices.Equal(cur.Plan, plan) {
 		return nil
 	}
-	return f.pub.RecordLayout(mirror.Layout{Plan: plan})
+	return f.store.RecordLayout(mirror.Layout{Plan: plan})
 }
 
 // openModels opens one restore handle per shard on the pinned snapshot
@@ -663,12 +663,12 @@ func (g *ShardGroup) recordLayout() error {
 // handles are NOT installed on the shards — callers swap them in only
 // once every fallible step of their control operation has succeeded,
 // so a failed Refresh/Rotate never leaves a shard reading an unpinned
-// slot.
+// frame.
 func (g *ShardGroup) openModels(pin *mirror.Pin) ([]restorer, int, error) {
 	g.f.pmMu.Lock()
 	defer g.f.pmMu.Unlock()
 	restores := make([]restorer, len(g.shards))
-	var iteration func() (int, error)
+	iter := 0
 	for i, s := range g.shards {
 		m, err := pin.Open(s.eng, g.prec, mirror.WithEnclave(s.encl))
 		if err != nil {
@@ -676,11 +676,7 @@ func (g *ShardGroup) openModels(pin *mirror.Pin) ([]restorer, int, error) {
 		}
 		from := s.nodeFrom
 		restores[i] = func(net *darknet.Network) (int, error) { return m.MirrorInRange(net, from) }
-		iteration = m.Iteration
-	}
-	iter, err := iteration()
-	if err != nil {
-		return nil, 0, err
+		iter = m.Iteration()
 	}
 	return restores, iter, nil
 }
@@ -1034,10 +1030,10 @@ func (g *ShardGroup) Refresh() (int, error) {
 // Fallible steps are staged: the new snapshot handles are installed —
 // and the old pin released — only after everything has succeeded, so a
 // failed refresh leaves the group serving the old version coherently,
-// never reading an unpinned slot. A partial resident-mode restore is
+// never reading an unpinned frame. A partial resident-mode restore is
 // rolled back from the still-pinned old snapshot.
 func (g *ShardGroup) refreshLocked() (int, error) {
-	pin, err := g.f.PinPublished(0)
+	pin, err := g.f.PinPublished()
 	if err != nil {
 		return 0, err
 	}
@@ -1210,10 +1206,10 @@ func (f *Framework) ModelConfigText() string { return f.cfg.ModelConfig }
 func (f *Framework) ServingLayout(numLayers int) mirror.Layout {
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return mirror.Layout{}
 	}
-	l, err := f.pub.Layout()
+	l, err := f.store.Layout()
 	if err != nil || validateShardPlan(l.Plan, numLayers) != nil {
 		return mirror.Layout{}
 	}
@@ -1225,8 +1221,8 @@ func (f *Framework) ServingLayout(numLayers int) mirror.Layout {
 func (f *Framework) RecordServingLayout(l mirror.Layout) error {
 	f.pmMu.Lock()
 	defer f.pmMu.Unlock()
-	if err := f.attachPublication(); err != nil {
+	if err := f.attachStore(); err != nil {
 		return err
 	}
-	return f.pub.RecordLayout(l)
+	return f.store.RecordLayout(l)
 }

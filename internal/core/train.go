@@ -42,8 +42,8 @@ func WithProgress(fn func(iter int, loss float32)) TrainOption {
 //
 // Train may run concurrently with the serving side (Publish, replica
 // restores, key rotation): the persistent state they touch is
-// serialized internally, and published snapshots are separate immutable
-// regions, so training never tears a model being restored.
+// serialized internally, and a save never writes a frame a published
+// version names, so training never tears a model being restored.
 func (f *Framework) Train(ctx context.Context, opts ...TrainOption) error {
 	var tc trainConfig
 	for _, opt := range opts {
@@ -85,6 +85,7 @@ func (f *Framework) Train(ctx context.Context, opts ...TrainOption) error {
 
 			f.modelMu.Lock()
 			loss, err := f.Net.TrainBatch(x, y, batch)
+			f.synced = false
 			if err != nil {
 				f.modelMu.Unlock()
 				return fmt.Errorf("core: iteration %d: %w", f.Net.Iteration, err)
@@ -98,7 +99,7 @@ func (f *Framework) Train(ctx context.Context, opts ...TrainOption) error {
 					f.modelMu.Unlock()
 					return fmt.Errorf("core: mirror out: %w", err)
 				}
-				lastMirrored = iter
+				lastMirrored, f.synced = iter, true
 			}
 			f.modelMu.Unlock()
 
@@ -124,6 +125,7 @@ func (f *Framework) stopTraining(ctx context.Context, freq, lastMirrored int) er
 			f.modelMu.Unlock()
 			return fmt.Errorf("core: final mirror out at iteration %d: %w", iter, err)
 		}
+		f.synced = true
 	}
 	f.modelMu.Unlock()
 	return fmt.Errorf("core: training interrupted at iteration %d: %w", iter, context.Cause(ctx))

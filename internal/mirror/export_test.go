@@ -1,5 +1,11 @@
 package mirror
 
+import (
+	"plinius/internal/darknet"
+	"plinius/internal/engine"
+	"plinius/internal/romulus"
+)
+
 // StoredBytes returns the persistent footprint of the matrix.
 func (d *DataMatrix) StoredBytes() int { return d.n * d.storedRow }
 
@@ -14,20 +20,23 @@ func (m *Model) SealedBytes() int {
 	return total
 }
 
-// ReusedBytes returns the total bytes of recycled slot regions rewritten
-// in place across shape changes — space the bump allocator never sees.
-func (p *Publication) ReusedBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reused
+// AllocModel plans a training mirror of net in the store rom holds,
+// as Framework does on its first save.
+func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, opts ...Option) (*Model, error) {
+	s, err := OpenStore(rom)
+	if err != nil {
+		return nil, err
+	}
+	return s.AllocMirror(eng, net, opts...), nil
 }
 
-// LeakedBytes returns the total bytes abandoned in the bump allocator:
-// recycled regions too small for the new shape (Romulus has no free).
-func (p *Publication) LeakedBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.leaked
+// OpenModel attaches to the training mirror of the store rom holds.
+func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model, error) {
+	s, err := OpenStore(rom)
+	if err != nil {
+		return nil, err
+	}
+	return s.OpenMirror(eng, opts...)
 }
 
 // regionSize returns what a fresh model region for the given buffers

@@ -27,10 +27,10 @@ type layoutFixture struct {
 }
 
 // newLayoutFixture mirrors the network cfg describes — or, with
-// quantize, its darknet.QuantizeNetwork clone — into the RootModel
-// region of a fresh device of devBytes, twice, so both payload halves
-// hold a generation of the same parameters: generation 1 in half 0, and
-// generation 2, the current one, in half 1.
+// quantize, its darknet.QuantizeNetwork clone — into the snapshot store
+// of a fresh device of devBytes, twice, so both frames of the first
+// pair hold a generation of the same parameters: generation 1 in half
+// 0, and generation 2, the mirror's latest, in half 1.
 func newLayoutFixture(f *testing.F, name, cfg string, quantize bool, devBytes int, eng *engine.Engine) layoutFixture {
 	dev, err := pm.New(devBytes)
 	if err != nil {
@@ -66,11 +66,11 @@ func newLayoutFixture(f *testing.F, name, cfg string, quantize bool, devBytes in
 }
 
 // FuzzOpenModelLayout damages the layer table of a sealed mirror on a
-// scratch device — the header's layer count, current payload half and
-// generation, and one node's buffer count, one buffer's offset and
-// sealed length, and the node's next pointer, each written as the true
-// value plus a fuzzed delta — then attaches with openModelAt and
-// restores with MirrorIn. The table is untrusted PM: every run must
+// scratch device — the frame header's layer count and payload half,
+// the store header's mirror generation, and one node's buffer count,
+// one buffer's offset and sealed length, and the node's next pointer,
+// each written as the true value plus a fuzzed delta — then reopens the
+// store, attaches to the mirror and restores with MirrorIn. The table is untrusted PM: every run must
 // fail with an error or restore the sealed buffers bit for bit, and
 // must never panic. The counts and lengths are fixed by the network's
 // shape, so a run that changes any of them must fail; so must one that
@@ -102,11 +102,11 @@ func FuzzOpenModelLayout(f *testing.F) {
 	// Layout-dependent seeds on the fp32 row: the first buffer moved to
 	// just below the largest offset, where offset + length wraps around;
 	// the first node, claiming 64 buffers, linked to itself under a long
-	// layer count; the largest layer count openModelAt accepts; and the
-	// first buffer moved to the end of the half, where it crosses into
-	// the other one.
+	// layer count; the largest layer count the table's size admits; and
+	// the first buffer moved to the end of the half, where it crosses
+	// into the other one.
 	m := fixtures[0].m
-	maxLayers := fixtures[0].rom.RegionSize() / (nodeBufTable + nodeBufEntry)
+	maxLayers := m.size / (nodeBufTable + nodeBufEntry)
 	f.Add(int64(0), uint8(0), int64(0), uint8(0), int64(math.MaxInt64-100-m.layers[0].bufs[0].off), int64(0), int64(0), int64(0), int64(0))
 	f.Add(int64(1<<15), uint8(0), int64(62), uint8(0), int64(0), int64(0), int64(m.layers[0].off-m.layers[1].off), int64(0), int64(0))
 	f.Add(int64(maxLayers-len(m.layers)), uint8(0), int64(0), uint8(0), int64(0), int64(0), int64(0), int64(0), int64(0))
@@ -132,9 +132,9 @@ func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers 
 		off   int
 		delta int64
 	}{
-		{m.headOff + modelHdrNumL, dNumLayers},
-		{m.headOff + modelHdrHalf, dHalf},
-		{m.headOff + modelHdrGen, dGen},
+		{m.off + frameHdrNumL, dNumLayers},
+		{m.off + frameHdrHalf, dHalf},
+		{m.st.hdrOff + hdrMirror + 8, dGen},
 		{m.layers[li].off + nodeNumBufs, dNumBufs},
 		{entry, dBufOff},
 		{entry + 8, dSealedLen},
@@ -174,13 +174,14 @@ func (fx layoutFixture) damageAndRestore(t *testing.T, devBytes int, dNumLayers 
 	}
 
 	// One node more than the list holds, each at 64 buffers, times four.
-	openBudget := 4 * (modelHdrSize + (len(m.layers)+1)*(nodeBufTable+64*nodeBufEntry))
+	// plus the store header and its frame table.
+	openBudget := 4*(frameHdrSize+(len(m.layers)+1)*(nodeBufTable+64*nodeBufEntry)) + 8*hdrSize
 	var before, opened, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := openModelAt(rom, m.eng, m.headOff)
+	got, err := OpenModel(rom, m.eng)
 	runtime.ReadMemStats(&opened)
 	if n := opened.TotalAlloc - before.TotalAlloc; n > uint64(openBudget) {
-		t.Fatalf("%s: openModelAt allocated %d bytes, budget %d", fx.name, n, openBudget)
+		t.Fatalf("%s: OpenModel allocated %d bytes, budget %d", fx.name, n, openBudget)
 	}
 	if err == nil {
 		_, err = got.MirrorIn(fx.dst)
@@ -217,9 +218,12 @@ func FuzzServingLayout(f *testing.F) {
 	if err != nil {
 		f.Fatalf("romulus.Open: %v", err)
 	}
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		f.Fatalf("OpenPublication: %v", err)
+		f.Fatalf("OpenStore: %v", err)
+	}
+	if err := p.RecordLayout(Layout{Plan: []darknet.ShardRange{{From: 0, To: 1}}}); err != nil {
+		f.Fatalf("RecordLayout: %v", err)
 	}
 	var scratch int
 	if err := rom.Update(func() (err error) { scratch, err = rom.Alloc(scratchBytes); return err }); err != nil {
@@ -235,7 +239,7 @@ func FuzzServingLayout(f *testing.F) {
 			if err := rom.Store(scratch, body); err != nil {
 				return err
 			}
-			return rom.Store(p.hdrOff+pubHdrLayout, hdr[:])
+			return rom.Store(p.hdrOff+hdrLayout, hdr[:])
 		})
 		if err != nil {
 			t.Fatalf("forge layout: %v", err)

@@ -26,7 +26,7 @@ var (
 )
 
 // layoutOff returns the recorded layout region's offset.
-func layoutOff(t *testing.T, p *Publication) int {
+func layoutOff(t *testing.T, p *Store) int {
 	t.Helper()
 	off, _, err := p.layoutRegion()
 	if err != nil {
@@ -36,7 +36,7 @@ func layoutOff(t *testing.T, p *Publication) int {
 }
 
 // reopen simulates power loss and re-attaches the publication.
-func reopen(t *testing.T, rom *romulus.Romulus) *Publication {
+func reopen(t *testing.T, rom *romulus.Romulus) *Store {
 	t.Helper()
 	dev := rom.Device()
 	dev.Crash()
@@ -44,9 +44,9 @@ func reopen(t *testing.T, rom *romulus.Romulus) *Publication {
 	if err != nil {
 		t.Fatalf("romulus.Open after crash: %v", err)
 	}
-	p, err := OpenPublication(rom2)
+	p, err := OpenStore(rom2)
 	if err != nil {
-		t.Fatalf("OpenPublication after crash: %v", err)
+		t.Fatalf("OpenStore after crash: %v", err)
 	}
 	return p
 }
@@ -57,9 +57,9 @@ func reopen(t *testing.T, rom *romulus.Romulus) *Publication {
 // grows. An empty plan is refused before anything is written.
 func TestShardManifestRoundTripAndReuse(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if l, err := p.Layout(); err != nil || l.Plan != nil || l.Hosts != nil {
 		t.Fatalf("fresh layout = %v, %v; want the zero Layout", l, err)
@@ -112,9 +112,9 @@ func TestShardManifestRoundTripAndReuse(t *testing.T) {
 // is written.
 func TestPlacementRoundTripAndReuse(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	ragged := Layout{Plan: oldFleetLayout.Plan, Hosts: [][]int{{0, 1}}}
 	if err := p.RecordLayout(ragged); err == nil {
@@ -164,9 +164,9 @@ func TestPlacementRoundTripAndReuse(t *testing.T) {
 func TestShardManifestIndependentOfPublishes(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
 	eng := testEngine(t)
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if err := p.RecordLayout(newFleetLayout); err != nil {
 		t.Fatalf("RecordLayout: %v", err)
@@ -190,9 +190,9 @@ func TestShardManifestIndependentOfPublishes(t *testing.T) {
 // device is refused before the decoder sizes anything from it.
 func TestServingLayoutForgedCountBounded(t *testing.T) {
 	_, rom := testHeap(t, 4<<20)
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if err := p.RecordLayout(oldFleetLayout); err != nil {
 		t.Fatalf("RecordLayout: %v", err)
@@ -209,7 +209,7 @@ func TestServingLayoutForgedCountBounded(t *testing.T) {
 		{"count and capacity", 1 << 26},
 	} {
 		err := rom.Update(func() error {
-			if err := rom.StoreUint64(p.hdrOff+pubHdrLayout+8, forged.capBytes); err != nil {
+			if err := rom.StoreUint64(p.hdrOff+hdrLayout+8, forged.capBytes); err != nil {
 				return err
 			}
 			return rom.StoreUint64(off, 1<<26)
@@ -221,8 +221,8 @@ func TestServingLayoutForgedCountBounded(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		l, err := p.Layout()
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrPubCorrupt) {
-			t.Fatalf("forged %s: Layout = %v, %v; want ErrPubCorrupt", forged.name, l, err)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("forged %s: Layout = %v, %v; want ErrCorrupt", forged.name, l, err)
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 			t.Fatalf("forged %s: Layout allocated %d bytes", forged.name, n)

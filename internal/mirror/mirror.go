@@ -1,31 +1,35 @@
 // Package mirror implements Plinius' mirroring module (paper §IV,
-// Algorithm 3): it creates and maintains an encrypted mirror copy of the
-// enclave ML model in persistent memory and keeps encrypted,
-// byte-addressable training data in PM (data.go).
+// Algorithm 3): it keeps an encrypted copy of the enclave ML model in
+// persistent memory, publishes immutable versions of it for serving,
+// and keeps encrypted, byte-addressable training data in PM (data.go).
 //
-// The persistent model is a header and a linked list of layer nodes in
-// the Romulus logged heap, each node recording where the sealed
-// (AES-GCM: IV ‖ ciphertext ‖ MAC) image of every parameter buffer of
-// the corresponding enclave layer lies, with 28 bytes of metadata per
-// sealed segment. A buffer of up to 1 MiB is one segment — five per
-// convolutional layer, hence the paper's 140 B/layer encryption
-// metadata — and a larger one is sealed as several (see segmentBytes).
+// Every sealed model lives in one snapshot store (store.go): a
+// persistent table of frames. A frame is one half of a Romulus payload
+// extent, outside the twin copy, together with its layer table in the
+// logged heap — a header naming the half and the extent, and a node per
+// parameter layer recording where the sealed (AES-GCM: IV ‖ ciphertext
+// ‖ MAC) image of each of the layer's buffers lies, with 28 bytes of
+// metadata per sealed segment. A buffer of up to 1 MiB is one segment —
+// five per convolutional layer, hence the paper's 140 B/layer
+// encryption metadata — and a larger one is sealed as several (see
+// segmentBytes).
 //
-// The sealed buffers live in a Romulus payload extent, outside the twin
-// copy, whose two halves are two shadow slots: each save seals every
-// segment straight into the half the header does not name, on every
-// core, one PM write per sealed byte, and then one small durable
-// transaction flips the header's {iteration, generation, half}. So a
-// crash at any point leaves either the previous or the new mirror
-// intact, and the previous one stays readable in PM: every segment's
-// MAC binds the generation it was sealed under.
+// A save seals every segment straight into a free frame, on every core,
+// one PM write per sealed byte, and then one small durable transaction
+// names it: as the training mirror's latest generation, as the latest
+// published version, or both. A frame is free when it is neither the
+// mirror's latest, nor the latest version's, nor pinned by a reader, so
+// a crash at any point leaves every named frame intact, and a version
+// published from the mirror's latest generation is a reference to its
+// frame, not a second copy. Every segment's MAC binds the generation it
+// was sealed under, and generations never repeat within a store.
 //
-// The same layout and codec carry the int8 serving variant of a
-// published snapshot (publish.go): mirrored from a quantized network
+// A frame may also carry the int8 serving variant of its generation, in
+// a second region of the same layout: mirrored from a quantized network
 // (darknet.QuantizeNetwork), a layer node holds the int8 weight codes,
-// their fp32 scale as a one-float buffer, and the layer's remaining
-// fp32 vectors — about a quarter of the fp32 payload for a
-// weight-dominated model.
+// their fp32 scale as a one-float buffer, and the layer's remaining fp32
+// vectors — about a quarter of the fp32 payload for a weight-dominated
+// model.
 package mirror
 
 import (
@@ -67,28 +71,25 @@ var (
 
 // Root slots used by Plinius in the Romulus root table.
 const (
-	RootModel     = 0
-	RootData      = 1
-	RootPublished = 2
-	RootRotation  = 3
+	RootStore    = 0
+	RootData     = 1
+	RootRotation = 3
 )
 
-// Persistent layout offsets (all values little-endian uint64). Header
-// and layer nodes are one contiguous region of the logged heap; the
-// buffers lie back to back in payload half `half` of the payload
+// Layer table layout (all values little-endian uint64). A frame's
+// header and layer nodes are one contiguous region of the logged heap;
+// the buffers lie back to back in payload half `half` of the payload
 // extent [payOff, payOff+paySize):
 //
-//	model header: iter | gen | half | numLayers | headOff | payOff | paySize
+//	frame header: half | numLayers | headOff | payOff | paySize
 //	layer node  : nextOff | numBufs | (bufOff, sealedLen) x numBufs
 //	buffer      : segment 0 | ... | segment k-1, each IV ‖ ciphertext ‖ MAC
 const (
-	modelHdrIter = 0
-	modelHdrGen  = 8
-	modelHdrHalf = 16
-	modelHdrNumL = 24
-	modelHdrHead = 32
-	modelHdrPay  = 40
-	modelHdrSize = 56
+	frameHdrHalf = 0
+	frameHdrNumL = 8
+	frameHdrHead = 16
+	frameHdrPay  = 24
+	frameHdrSize = 40
 	nodeNext     = 0
 	nodeNumBufs  = 8
 	nodeBufTable = 16
@@ -136,25 +137,35 @@ type layerNode struct {
 	bufs []bufRef
 }
 
-// extent is the payload extent [off, off+size) of a model region.
+// extent is the payload extent [off, off+size) of a frame.
 type extent struct{ off, size int }
 
-// Model is a handle to the encrypted mirror copy of a network in PM.
+// region is a frame's layout: its layer table at [off, off+size) in the
+// logged heap, naming payload half half of extent pay. loaded marks a
+// table read from PM or laid out by this process.
+type region struct {
+	off, size int
+	half      int
+	pay       extent
+	layers    []layerNode
+	loaded    bool
+}
+
+// Model is a handle on one sealed generation of a network in PM: the
+// store's training mirror, which MirrorOut advances, or a published
+// version a Pin opened.
 type Model struct {
-	rom     *romulus.Romulus
-	eng     *engine.Engine
-	encl    *enclave.Enclave
-	headOff int
-	layers  []layerNode
-	pay     extent
-	// gen is the generation the payload half half holds. A fresh model
-	// is generation 0 in half 1, so its first save seals generation 1
-	// into half 0.
-	gen  uint64
-	half int
-	// rootPending marks a model AllocModel planned but no MirrorOut has
-	// written yet: the first MirrorOut allocates and roots it.
-	rootPending bool
+	rom  *romulus.Romulus
+	eng  *engine.Engine
+	encl *enclave.Enclave
+	// st is the store whose training mirror this is; nil for a pinned
+	// version, which never changes.
+	st *Store
+	region
+	// gen and iter are the generation the region's half holds and the
+	// training iteration it is of. A mirror no MirrorOut has rooted yet
+	// has the planned shape and generation 0.
+	gen, iter uint64
 
 	// lastSeal and lastOpen record the time spent in AES-GCM during
 	// the most recent MirrorOut/MirrorIn, so experiment harnesses can
@@ -191,9 +202,9 @@ func taskGrain(tasks, total int) int { return max(1, tasks*mirrorParallelBytes/m
 // Every segment's MAC also binds (node index, buffer index, segment
 // index, k, generation), so a segment swapped within its buffer, moved
 // to another buffer or node, cut from a buffer of a different k, or
-// copied from an older generation — the other payload half at the same
-// offset — fails authentication. In an int8 snapshot that covers the
-// one-float scales, which every quantized layer has.
+// copied from another generation — any other frame — fails
+// authentication. In an int8 snapshot that covers the one-float scales,
+// which every quantized layer has.
 //
 // Data rows and the SSD checkpoint keep one segment per buffer.
 const segmentBytes = 1 << 20
@@ -252,10 +263,10 @@ func (t *bufTask) errorf(op string, err error) error {
 }
 
 // collectTasks flattens the (layer, buffer, segment) triples of a
-// restore or mirror-out of generation gen into a task list, and returns
-// it with the sealed bytes it covers. The shape has been checked
+// restore or seal of generation gen into a task list, and returns it
+// with the sealed bytes it covers. The shape has been checked
 // (matchesFrom), so every recorded length is sealedLenOf its buffer.
-func (m *Model) collectTasks(bufLayers [][]buffer, from int, gen uint64) ([]bufTask, int) {
+func (r *region) collectTasks(bufLayers [][]buffer, from int, gen uint64) ([]bufTask, int) {
 	count := 0
 	for _, bufs := range bufLayers {
 		for _, b := range bufs {
@@ -265,7 +276,7 @@ func (m *Model) collectTasks(bufLayers [][]buffer, from int, gen uint64) ([]bufT
 	tasks := make([]bufTask, 0, count)
 	total := 0
 	for li, bufs := range bufLayers {
-		node := m.layers[from+li]
+		node := r.layers[from+li]
 		for bi, b := range bufs {
 			k := segmentsFor(b.size())
 			off := node.bufs[bi].off
@@ -295,44 +306,6 @@ func WithEnclave(e *enclave.Enclave) Option {
 	return func(m *Model) { m.encl = e }
 }
 
-// Exists reports whether a persistent model is rooted in the heap.
-func Exists(rom *romulus.Romulus) bool {
-	off, err := rom.Root(RootModel)
-	return err == nil && off != 0
-}
-
-// AllocModel plans the persistent mirror of net (Algorithm 3,
-// alloc_mirror_model) without writing PM: the first MirrorOut seals the
-// payload into the free space below the payload cursor and then
-// allocates the region and roots it in one durable transaction. Until
-// that commits, a crash leaves no mirror and nothing allocated, and
-// recovery trains from scratch (Algorithm 2, lines 7-12). It fails when
-// the heap has no room for the model.
-func AllocModel(rom *romulus.Romulus, eng *engine.Engine, net *darknet.Network, opts ...Option) (*Model, error) {
-	m := &Model{rom: rom, eng: eng, half: 1, rootPending: true}
-	for _, opt := range opts {
-		opt(m)
-	}
-	if err := m.plan(collectBuffers(net)); err != nil {
-		return nil, fmt.Errorf("mirror alloc: %w", err)
-	}
-	return m, nil
-}
-
-// plan lays m out for bufLayers at the heap's cursors as they stand:
-// header and layer table where the next Alloc puts them, the payload
-// where the next AllocPayload does.
-func (m *Model) plan(bufLayers [][]buffer) error {
-	meta, pay := metaSize(bufLayers), payloadSize(bufLayers)
-	used, low := m.rom.Used(), m.rom.PayloadCursor()
-	if meta+pay > low-used {
-		return fmt.Errorf("%w: a %d-byte model region in %d free bytes", romulus.ErrOutOfSpace, meta+pay, low-used)
-	}
-	m.headOff, m.pay = used, extent{off: low - pay, size: pay}
-	m.layers = planRegion(bufLayers, m.headOff, m.pay.off)
-	return nil
-}
-
 // regionAlign applies the Romulus bump allocator's alignment, so
 // metaSize and payloadSize predict exactly what a region consumes.
 func regionAlign(n int) int {
@@ -342,18 +315,18 @@ func regionAlign(n int) int {
 // nodeBytes returns the logged-heap bytes of a layer node of n buffers.
 func nodeBytes(n int) int { return regionAlign(nodeBufTable + nodeBufEntry*n) }
 
-// metaSize returns the logged-heap bytes of a model region for the
-// given buffers: its header and layer table.
+// metaSize returns the logged-heap bytes of a layer table for the given
+// buffers: its header and layer nodes.
 func metaSize(bufLayers [][]buffer) int {
-	total := regionAlign(modelHdrSize)
+	total := regionAlign(frameHdrSize)
 	for _, bufs := range bufLayers {
 		total += nodeBytes(len(bufs))
 	}
 	return total
 }
 
-// payloadSize returns the payload extent bytes of a model region for
-// the given buffers, per half.
+// payloadSize returns the payload extent bytes of a frame for the given
+// buffers, per half.
 func payloadSize(bufLayers [][]buffer) int {
 	total := 0
 	for _, bufs := range bufLayers {
@@ -364,54 +337,41 @@ func payloadSize(bufLayers [][]buffer) int {
 	return (total + romulus.PayloadAlign - 1) / romulus.PayloadAlign * romulus.PayloadAlign
 }
 
-// planRegion lays out a model region for bufLayers: the header at meta
-// and the layer nodes right after it, the buffers from payload offset
-// pay on, both in layer and buffer order.
-func planRegion(bufLayers [][]buffer, meta, pay int) []layerNode {
-	next := meta + regionAlign(modelHdrSize)
-	layers := make([]layerNode, 0, len(bufLayers))
+// planRegion lays out a region for bufLayers: the header at meta and
+// the layer nodes right after it, the buffers from offset pay.off of
+// the extent on, both in layer and buffer order.
+func planRegion(bufLayers [][]buffer, meta, half int, pay extent) region {
+	r := region{off: meta, size: metaSize(bufLayers), half: half, pay: pay, loaded: true}
+	next, at := meta+regionAlign(frameHdrSize), pay.off
+	r.layers = make([]layerNode, 0, len(bufLayers))
 	for _, bufs := range bufLayers {
 		node := layerNode{off: next, bufs: make([]bufRef, len(bufs))}
 		next += nodeBytes(len(bufs))
 		for bi, b := range bufs {
 			n := sealedLenOf(b.size())
-			node.bufs[bi] = bufRef{off: pay, sealedLen: n}
-			pay += regionAlign(n)
+			node.bufs[bi] = bufRef{off: at, sealedLen: n}
+			at += regionAlign(n)
 		}
-		layers = append(layers, node)
+		r.layers = append(r.layers, node)
 	}
-	return layers
+	return r
 }
 
-// metaSizeOf returns the logged-heap bytes of the header and layer
-// table planRegion laid out as layers.
-func metaSizeOf(layers []layerNode) int {
-	total := regionAlign(modelHdrSize)
-	for _, node := range layers {
-		total += nodeBytes(len(node.bufs))
+// encode returns the bytes of r's layer table, as planRegion laid it
+// out.
+func (r *region) encode() []byte {
+	buf := make([]byte, r.size)
+	put := func(at int, v uint64) { binary.LittleEndian.PutUint64(buf[at-r.off:], v) }
+	put(r.off+frameHdrHalf, uint64(r.half))
+	put(r.off+frameHdrNumL, uint64(len(r.layers)))
+	if len(r.layers) > 0 {
+		put(r.off+frameHdrHead, uint64(r.layers[0].off))
 	}
-	return total
-}
-
-// storeTable writes m's header, naming iteration iter of generation gen
-// in payload half half, and its layer table, as laid out by
-// planRegion, in the open transaction: one store of the whole
-// metadata.
-func (m *Model) storeTable(iter, gen uint64, half int) error {
-	buf := make([]byte, metaSizeOf(m.layers))
-	put := func(at int, v uint64) { binary.LittleEndian.PutUint64(buf[at-m.headOff:], v) }
-	put(m.headOff+modelHdrIter, iter)
-	put(m.headOff+modelHdrGen, gen)
-	put(m.headOff+modelHdrHalf, uint64(half))
-	put(m.headOff+modelHdrNumL, uint64(len(m.layers)))
-	if len(m.layers) > 0 {
-		put(m.headOff+modelHdrHead, uint64(m.layers[0].off))
-	}
-	put(m.headOff+modelHdrPay, uint64(m.pay.off))
-	put(m.headOff+modelHdrPay+8, uint64(m.pay.size))
-	for i, node := range m.layers {
-		if i+1 < len(m.layers) {
-			put(node.off+nodeNext, uint64(m.layers[i+1].off))
+	put(r.off+frameHdrPay, uint64(r.pay.off))
+	put(r.off+frameHdrPay+8, uint64(r.pay.size))
+	for i, node := range r.layers {
+		if i+1 < len(r.layers) {
+			put(node.off+nodeNext, uint64(r.layers[i+1].off))
 		}
 		put(node.off+nodeNumBufs, uint64(len(node.bufs)))
 		for bi, b := range node.bufs {
@@ -420,94 +380,78 @@ func (m *Model) storeTable(iter, gen uint64, half int) error {
 			put(entry+8, uint64(b.sealedLen))
 		}
 	}
-	return m.rom.Store(m.headOff, buf)
+	return buf
 }
 
-// OpenModel attaches to an existing persistent model (after a restart or
-// crash) by walking the linked list from the root.
-func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model, error) {
-	hdr, err := rom.Root(RootModel)
-	if err != nil {
-		return nil, err
+// load reads r's layer table into enclave memory with one Load of the
+// recorded [off, off+size), then walks it there. The table is untrusted
+// PM: it must lie in the logged heap, name payload half 0 or 1 and a
+// payload extent among the heap's extents, and every buffer must lie
+// inside that extent. Every layer writer lays node after node out
+// upward, so a next pointer must lie past its node's table and inside
+// the table, and no list can name more nodes than the table has room
+// for. Nothing is sized from an untrusted count; nodes are kept as they
+// are read.
+func (r *region) load(rom *romulus.Romulus) error {
+	if r.loaded {
+		return nil
 	}
-	if hdr == 0 {
-		return nil, ErrNoMirror
+	if r.off <= 0 || r.size < frameHdrSize || r.size > rom.Used()-r.off {
+		return fmt.Errorf("%w: layer table of %d bytes at %d", ErrCorrupt, r.size, r.off)
 	}
-	return openModelAt(rom, eng, hdr, opts...)
-}
-
-// openModelAt attaches to the persistent model whose header is at hdr,
-// walking its layer list and validating the node structure. The walk
-// is bounded by what PM holds: every layer writer lays node after node
-// out upward, so a next pointer must lie past its node's table, and no
-// list can name more nodes than the region has room for. Nothing is
-// sized from the untrusted layer count; nodes are kept as they are read.
-// The header must name payload half 0 or 1 and a payload extent among
-// the heap's extents, and every buffer must lie inside that extent.
-func openModelAt(rom *romulus.Romulus, eng *engine.Engine, hdr int, opts ...Option) (*Model, error) {
-	m := &Model{rom: rom, eng: eng, headOff: hdr}
-	for _, opt := range opts {
-		opt(m)
+	buf := make([]byte, r.size)
+	if err := rom.Load(r.off, buf); err != nil {
+		return err
 	}
-	var h [modelHdrSize / 8]uint64
-	for i := range h {
-		var err error
-		if h[i], err = rom.LoadUint64(hdr + 8*i); err != nil {
-			return nil, err
+	word := func(at uint64) (uint64, bool) {
+		rel := at - uint64(r.off)
+		if at < uint64(r.off) || rel > uint64(len(buf)-8) {
+			return 0, false
 		}
+		return binary.LittleEndian.Uint64(buf[rel:]), true
 	}
-	m.gen = h[modelHdrGen/8]
-	numL, next := h[modelHdrNumL/8], h[modelHdrHead/8]
-	payOff, paySize := h[modelHdrPay/8], h[modelHdrPay/8+1]
-	top, half := uint64(rom.RegionSize()), h[modelHdrHalf/8]
+	h := func(at int) uint64 { return binary.LittleEndian.Uint64(buf[at:]) }
+	half, numL, next := h(frameHdrHalf), h(frameHdrNumL), h(frameHdrHead)
+	payOff, paySize, top := h(frameHdrPay), h(frameHdrPay+8), uint64(rom.RegionSize())
 	if half > 1 {
-		return nil, fmt.Errorf("%w: payload half %d", ErrCorrupt, half)
+		return fmt.Errorf("%w: payload half %d", ErrCorrupt, half)
 	}
-	m.half = int(half)
 	if payOff < uint64(rom.PayloadCursor()) || payOff > top || paySize > top-payOff {
-		return nil, fmt.Errorf("%w: payload extent of %d bytes at %d", ErrCorrupt, paySize, payOff)
+		return fmt.Errorf("%w: payload extent of %d bytes at %d", ErrCorrupt, paySize, payOff)
 	}
-	m.pay = extent{off: int(payOff), size: int(paySize)}
-	if numL > uint64(rom.RegionSize()/(nodeBufTable+nodeBufEntry)) {
-		return nil, fmt.Errorf("%w: %d layers", ErrCorrupt, numL)
+	if numL > uint64(len(buf)/(nodeBufTable+nodeBufEntry)) {
+		return fmt.Errorf("%w: %d layers in a %d-byte table", ErrCorrupt, numL, len(buf))
 	}
+	var layers []layerNode
 	for i := uint64(0); i < numL; i++ {
-		if next == 0 {
-			return nil, fmt.Errorf("%w: list ends at layer %d of %d", ErrCorrupt, i, numL)
-		}
-		nodeOff := int(next)
-		numBufs, err := rom.LoadUint64(nodeOff + nodeNumBufs)
-		if err != nil {
-			return nil, err
+		numBufs, ok := word(next + nodeNumBufs)
+		if next == 0 || !ok {
+			return fmt.Errorf("%w: layer %d of %d at %d, outside the table", ErrCorrupt, i, numL, next)
 		}
 		if numBufs == 0 || numBufs > 64 {
-			return nil, fmt.Errorf("%w: layer %d has %d buffers", ErrCorrupt, i, numBufs)
+			return fmt.Errorf("%w: layer %d has %d buffers", ErrCorrupt, i, numBufs)
 		}
-		node := layerNode{off: nodeOff, bufs: make([]bufRef, 0, numBufs)}
+		end := next + nodeBufTable + nodeBufEntry*numBufs
+		if _, ok := word(end - 8); !ok {
+			return fmt.Errorf("%w: layer %d's %d buffers run past the table", ErrCorrupt, i, numBufs)
+		}
+		node := layerNode{off: int(next), bufs: make([]bufRef, 0, numBufs)}
 		for b := uint64(0); b < numBufs; b++ {
-			entry := nodeOff + nodeBufTable + nodeBufEntry*int(b)
-			bufOff, err := rom.LoadUint64(entry)
-			if err != nil {
-				return nil, err
-			}
-			sealedLen, err := rom.LoadUint64(entry + 8)
-			if err != nil {
-				return nil, err
-			}
+			bufOff, _ := word(next + nodeBufTable + nodeBufEntry*b)
+			sealedLen, _ := word(next + nodeBufTable + nodeBufEntry*b + 8)
 			if bufOff < payOff || bufOff-payOff > paySize || sealedLen > paySize-(bufOff-payOff) {
-				return nil, fmt.Errorf("%w: layer %d buffer %d of %d bytes at %d, outside the payload extent", ErrCorrupt, i, b, sealedLen, bufOff)
+				return fmt.Errorf("%w: layer %d buffer %d of %d bytes at %d, outside the payload extent", ErrCorrupt, i, b, sealedLen, bufOff)
 			}
 			node.bufs = append(node.bufs, bufRef{off: int(bufOff), sealedLen: int(sealedLen)})
 		}
-		m.layers = append(m.layers, node)
-		if next, err = rom.LoadUint64(nodeOff + nodeNext); err != nil {
-			return nil, err
-		}
-		if next != 0 && next < uint64(nodeOff+nodeBufTable+nodeBufEntry*int(numBufs)) {
-			return nil, fmt.Errorf("%w: layer %d links back to %d", ErrCorrupt, i, next)
+		layers = append(layers, node)
+		next, _ = word(next + nodeNext)
+		if next != 0 && next < end {
+			return fmt.Errorf("%w: layer %d links back to %d", ErrCorrupt, i, next)
 		}
 	}
-	return m, nil
+	r.half, r.pay, r.layers, r.loaded = int(half), extent{off: int(payOff), size: int(paySize)}, layers, true
+	return nil
 }
 
 // collectBuffers returns the persistent buffers of every layer that
@@ -539,25 +483,25 @@ func collectBuffers(net *darknet.Network) [][]buffer {
 	return out
 }
 
-// matches checks the persistent layout against the network architecture.
-func (m *Model) matches(bufLayers [][]buffer) error {
-	if len(bufLayers) != len(m.layers) {
+// matches checks the layout against the network architecture.
+func (r *region) matches(bufLayers [][]buffer) error {
+	if len(bufLayers) != len(r.layers) {
 		return fmt.Errorf("%w: %d persistent layers, %d network layers",
-			ErrShapeMismatch, len(m.layers), len(bufLayers))
+			ErrShapeMismatch, len(r.layers), len(bufLayers))
 	}
-	return m.matchesFrom(bufLayers, 0)
+	return r.matchesFrom(bufLayers, 0)
 }
 
 // matchesFrom checks bufLayers against the persistent layer nodes
 // starting at node index from — the shard-restore shape check, where
 // bufLayers is one contiguous slice of the full model's layers.
-func (m *Model) matchesFrom(bufLayers [][]buffer, from int) error {
-	if from < 0 || from+len(bufLayers) > len(m.layers) {
+func (r *region) matchesFrom(bufLayers [][]buffer, from int) error {
+	if from < 0 || from+len(bufLayers) > len(r.layers) {
 		return fmt.Errorf("%w: layers [%d,%d) of %d persistent",
-			ErrShapeMismatch, from, from+len(bufLayers), len(m.layers))
+			ErrShapeMismatch, from, from+len(bufLayers), len(r.layers))
 	}
 	for li, bufs := range bufLayers {
-		node := m.layers[from+li]
+		node := r.layers[from+li]
 		if len(bufs) != len(node.bufs) {
 			return fmt.Errorf("%w: layer %d has %d buffers, persistent %d",
 				ErrShapeMismatch, from+li, len(bufs), len(node.bufs))
@@ -595,122 +539,22 @@ func checkScales(bufLayers [][]buffer, from int) error {
 	return nil
 }
 
-// MirrorOut encrypts the enclave model's parameters and writes them as
-// the persistent mirror's next generation, recording the iteration
-// counter (Algorithm 3, mirror_out): the slot writer seals them into the
-// payload half the mirror does not name, then one durable transaction
-// flips the header to it. The first MirrorOut of an AllocModel handle
-// lays the planned shape out afresh at the heap's cursors, and
-// allocates and roots it in that transaction.
-func (m *Model) MirrorOut(net *darknet.Network) error {
-	w, err := m.writeOut(m.eng, net)
-	if err != nil {
-		return err
-	}
-	// Begin's fence 1 orders the payload write-backs above before the
-	// flip: the header never names a half whose bytes are not durable.
-	if err := m.rom.Update(w.flip); err != nil {
-		return err
-	}
-	w.commit()
-	return nil
-}
-
-// writeOut seals net's parameters under eng as m's next generation, into
-// the payload half m does not name, and returns the write for the
-// caller's transaction to flip in.
-func (m *Model) writeOut(eng *engine.Engine, net *darknet.Network) (written, error) {
-	bufLayers := collectBuffers(net)
-	if err := m.matches(bufLayers); err != nil {
-		return written{}, err
-	}
-	if m.rootPending {
-		if err := m.plan(bufLayers); err != nil {
-			return written{}, err
-		}
-	}
-	return m.writeHalf(eng, net, bufLayers, 1-m.half, m.gen+1)
-}
-
-// written is a generation sealed into a payload half nothing references
-// yet: flip references it in the caller's transaction, and commit
-// records it in the handle once that transaction has committed.
-type written struct {
-	m     *Model
-	eng   *engine.Engine
-	net   *darknet.Network
-	gen   uint64
-	half  int
-	total int
-}
-
-// flip points the header at iteration, generation and half of the
-// write, in the open transaction: one 24-byte store. A model AllocModel
-// planned is allocated and rooted instead.
-func (w *written) flip() error {
-	if w.m.rootPending {
-		return w.m.allocRoot(uint64(w.net.Iteration), w.gen, w.half)
-	}
-	var buf [modelHdrNumL]byte
-	binary.LittleEndian.PutUint64(buf[modelHdrIter:], uint64(w.net.Iteration))
-	binary.LittleEndian.PutUint64(buf[modelHdrGen:], w.gen)
-	binary.LittleEndian.PutUint64(buf[modelHdrHalf:], uint64(w.half))
-	return w.m.rom.Store(w.m.headOff, buf[:])
-}
-
-// commit records the flipped half in the handle, which seals under the
-// write's engine from now on, and adds the mirror-out to the
-// process-wide counters.
-func (w *written) commit() {
-	w.m.eng, w.m.gen, w.m.half, w.m.rootPending = w.eng, w.gen, w.half, false
-	mMirrorOut.Inc()
-	mSealSeconds.Add(w.m.LastSealDuration().Seconds())
-	sealedBytes, _ := payloadCounters(w.net)
-	sealedBytes.Add(float64(w.total))
-}
-
-// allocRoot allocates the planned model — header and layer table in the
-// logged heap, the payload extent the first save has already filled —
-// writes its table naming iteration iter of generation gen in half
-// half, and roots it, inside the open transaction.
-func (m *Model) allocRoot(iter, gen uint64, half int) error {
-	hdr, err := m.rom.Alloc(metaSizeOf(m.layers))
-	if err != nil {
-		return err
-	}
-	pay := m.pay.off
-	if m.pay.size > 0 {
-		if pay, err = m.rom.AllocPayload(m.pay.size); err != nil {
-			return err
-		}
-	}
-	if hdr != m.headOff || pay != m.pay.off {
-		return fmt.Errorf("%w: planned region at %d / %d allocated at %d / %d", ErrCorrupt, m.headOff, m.pay.off, hdr, pay)
-	}
-	if err := m.storeTable(iter, gen, half); err != nil {
-		return err
-	}
-	return m.rom.SetRoot(RootModel, hdr)
-}
-
-// writeHalf is the slot writer of MirrorOut and PublishOut. It seals
-// every segment of bufLayers, the buffers of net, under eng and
-// generation gen straight into its place in payload half half, which
-// nothing references: each par.ForErr range fills its segments through
-// romulus.FillPayload, one PM store and write-back per segment, with no
-// staging copy and no ordering between ranges. It records the aggregate
-// AES time for LastSealDuration, and returns the write for a
-// transaction to flip in.
-func (m *Model) writeHalf(eng *engine.Engine, net *darknet.Network, bufLayers [][]buffer, half int, gen uint64) (written, error) {
-	m.lastSeal.Store(0)
-	tasks, total := m.collectTasks(bufLayers, 0, gen)
+// seal is the slot writer of every save. It seals every segment of
+// bufLayers under eng and generation gen straight
+// into its place in r's payload half, which nothing references: each
+// par.ForErr range fills its segments through romulus.FillPayload, one
+// PM store and write-back per segment, with no staging copy and no
+// ordering between ranges. It adds the AES time to aes and returns the
+// sealed bytes.
+func seal(rom *romulus.Romulus, eng *engine.Engine, bufLayers [][]buffer, r *region, gen uint64, aes *atomic.Int64) (int, error) {
+	tasks, total := r.collectTasks(bufLayers, 0, gen)
 	err := par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			t := &tasks[i]
-			err := m.rom.FillPayload(half, t.off, t.sealedLen, func(dst []byte) error {
+			err := rom.FillPayload(r.half, t.off, t.sealedLen, func(dst []byte) error {
 				sealStart := time.Now()
 				err := t.seal(eng, dst)
-				m.lastSeal.Add(int64(time.Since(sealStart)))
+				aes.Add(int64(time.Since(sealStart)))
 				if err != nil {
 					return t.errorf("seal", err)
 				}
@@ -722,7 +566,27 @@ func (m *Model) writeHalf(eng *engine.Engine, net *darknet.Network, bufLayers []
 		}
 		return nil
 	})
-	return written{m: m, eng: eng, net: net, gen: gen, half: half, total: total}, err
+	return total, err
+}
+
+// MirrorOut encrypts the enclave model's parameters and writes them as
+// the training mirror's next generation, recording the iteration
+// counter (Algorithm 3, mirror_out): the slot writer seals them into a
+// free frame, then one durable transaction names that frame as the
+// mirror's latest. The first MirrorOut of a store lays the frames out at
+// the heap's cursors and allocates them in that transaction.
+func (m *Model) MirrorOut(net *darknet.Network) error {
+	_, err := m.save(net, false, nil)
+	return err
+}
+
+// save seals net as m's next generation through m's store, published
+// as the next version when publish is set, in one durable transaction.
+func (m *Model) save(net *darknet.Network, publish bool, opts []PublishOption) (uint64, error) {
+	if m.st == nil {
+		return 0, errors.New("mirror: a published version is read-only")
+	}
+	return m.st.save(m.eng, net, m, true, publish, opts, nil)
 }
 
 // MirrorIn reads the persistent mirror, decrypts it inside the enclave
@@ -752,23 +616,22 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 }
 
 // mirrorInFrom is the shared restore loop of MirrorIn and
-// MirrorInRange; the shape has already been checked. The int8 scales
-// are checked once every segment has opened.
+// MirrorInRange; the shape has already been checked.
 //
 // The per-segment work — boundary copy, in-enclave AES-GCM open
 // straight from PM — runs on par.ForErr. Segments decrypt into
 // disjoint parameter slices, views of disjoint PM ranges run outside
 // the device lock, and the enclave CopyAcross/Touch accounting is
 // mutex-protected, so the parallel restore charges exactly what the
-// sequential one does.
+// sequential one does. The int8 scales are checked once every segment
+// has opened.
 func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from int) (int, error) {
-	iter, err := m.rom.LoadUint64(m.headOff + modelHdrIter)
-	if err != nil {
-		return 0, err
+	if m.st != nil && m.gen == 0 {
+		return 0, ErrNoMirror
 	}
 	m.lastOpen.Store(0)
 	tasks, total := m.collectTasks(bufLayers, from, m.gen)
-	err = par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
+	err := par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if err := m.restore(&tasks[i]); err != nil {
 				return err
@@ -782,12 +645,12 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 	if err := checkScales(bufLayers, from); err != nil {
 		return 0, err
 	}
-	net.Iteration = int(iter)
+	net.Iteration = int(m.iter)
 	mMirrorIn.Inc()
 	mOpenSeconds.Add(time.Duration(m.lastOpen.Load()).Seconds())
 	_, restoredBytes := payloadCounters(net)
 	restoredBytes.Add(float64(total))
-	return int(iter), nil
+	return int(m.iter), nil
 }
 
 // restore opens segment t of the current payload half into its buffer
@@ -810,15 +673,13 @@ func (m *Model) restore(t *bufTask) error {
 	})
 }
 
-// Iteration reads the persisted iteration counter without touching the
-// parameters.
-func (m *Model) Iteration() (int, error) {
-	iter, err := m.rom.LoadUint64(m.headOff + modelHdrIter)
-	if err != nil {
-		return 0, err
-	}
-	return int(iter), nil
-}
+// Iteration returns the persisted iteration counter without touching
+// the parameters.
+func (m *Model) Iteration() int { return int(m.iter) }
+
+// Holds reports whether the mirror's latest generation is of training
+// iteration iter.
+func (m *Model) Holds(iter int) bool { return m.gen != 0 && m.iter == uint64(iter) }
 
 // MetadataBytes returns the encryption metadata footprint of the mirror:
 // engine.Overhead (28 B) per sealed segment, i.e. the sealed payload

@@ -268,12 +268,12 @@ func TestIterationPersistsAcrossMirrorOuts(t *testing.T) {
 		if err := m.MirrorOut(net); err != nil {
 			t.Fatalf("MirrorOut: %v", err)
 		}
-		got, err := m.Iteration()
+		reopened, err := OpenModel(rom, eng)
 		if err != nil {
-			t.Fatalf("Iteration: %v", err)
+			t.Fatalf("OpenModel: %v", err)
 		}
-		if got != iter {
-			t.Fatalf("Iteration = %d, want %d", got, iter)
+		if got, again := m.Iteration(), reopened.Iteration(); got != iter || again != iter {
+			t.Fatalf("Iteration = %d, reopened %d, want %d", got, again, iter)
 		}
 	}
 }

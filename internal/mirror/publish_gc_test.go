@@ -26,11 +26,13 @@ func testNetShape(t *testing.T, convLayers, filters int) *darknet.Network {
 	return n
 }
 
-// TestSlotGCReusesRegionOnShapeChange: republishing a same-or-smaller
-// shape into a recycled slot must rewrite its regions — fp32 and, when
-// published, int8 — in place: no heap growth, bytes counted in
-// ReusedBytes, nothing leaked, and the rewritten regions restore the
-// new shape.
+// grown returns the heap bytes the cursors moved from a to b.
+func grown(a, b [2]int) int { return b[0] - a[0] + a[1] - b[1] }
+
+// TestSlotGCReusesRegionOnShapeChange: once each of two shapes has
+// frames laid out — fp32 and, when published, int8 — alternating
+// publishes of the two reuse them: no heap growth, and the reused
+// frames restore the new shape.
 func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 	for _, prec := range precisions {
 		t.Run(prec.name, func(t *testing.T) {
@@ -38,13 +40,10 @@ func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 			eng := testEngine(t)
 			big := testNetShape(t, 2, 16)
 			small := testNetShape(t, 1, 4)
-			if regionSize(collectBuffers(small)) >= regionSize(collectBuffers(big)) {
-				t.Fatal("test shapes inverted: small must need less region than big")
-			}
 
-			p, err := OpenPublication(rom)
+			p, err := OpenStore(rom)
 			if err != nil {
-				t.Fatalf("OpenPublication: %v", err)
+				t.Fatalf("OpenStore: %v", err)
 			}
 			publish := func(net *darknet.Network) {
 				t.Helper()
@@ -52,29 +51,21 @@ func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 					t.Fatalf("PublishOut: %v", err)
 				}
 			}
-			// Two big publishes materialize two big-shaped slots (the
-			// latest slot is never recycled, so alternation needs both).
+			// Two publishes of each shape lay out two frames of each (the
+			// latest version's frame is never written, so alternation
+			// needs both).
 			publish(big)
 			publish(big)
+			publish(small)
+			publish(small)
 			used0 := cursors(rom)
-
-			// Repeated same-or-smaller republish: every shape change
-			// lands in a recycled big region and must fit in place.
 			for i := 0; i < 6; i++ {
 				publish(small)
 				publish(big)
 			}
 			if got := cursors(rom); got != used0 {
-				t.Fatalf("heap cursors moved %v -> %v across same-or-smaller republishes", used0, got)
+				t.Fatalf("heap cursors moved %v -> %v across alternating republishes", used0, got)
 			}
-			if p.ReusedBytes() == 0 {
-				t.Fatal("ReusedBytes = 0; shape changes should have reused regions")
-			}
-			if p.LeakedBytes() != 0 {
-				t.Fatalf("LeakedBytes = %d, want 0 (every new shape fit)", p.LeakedBytes())
-			}
-
-			// The recycled regions must still restore correctly.
 			perturb(small, 1)
 			small.Iteration = 100
 			publish(small)
@@ -83,149 +74,141 @@ func TestSlotGCReusesRegionOnShapeChange(t *testing.T) {
 	}
 }
 
-// TestSlotGCPrefersFreshSlotOverAbandoning: while the table can still
-// grow, an outgrown recycled region is left intact (available for
-// future same-shape publishes) rather than abandoned — no leak.
+// TestSlotGCPrefersFreshSlotOverAbandoning: while the frame table can
+// still grow, a shape no free frame holds takes a new pair of frames,
+// and the frames of the old shape survive for its next publish.
 func TestSlotGCPrefersFreshSlotOverAbandoning(t *testing.T) {
 	_, rom := testHeap(t, 64<<20)
 	eng := testEngine(t)
 	small := testNetShape(t, 1, 4)
 	big := testNetShape(t, 2, 16)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	publishNet(t, p, eng, small)
 	publishNet(t, p, eng, small)
 	used0 := cursors(rom)
-
-	// Growing republish cannot fit the recycled small region; it lands
-	// in a fresh table slot and the small region survives for reuse.
 	publishNet(t, p, eng, big)
 	if got := cursors(rom); got[0] == used0[0] || got[1] == used0[1] {
-		t.Fatalf("heap cursors %v -> %v: an outgrown shape took no new table and extent", used0, got)
-	}
-	if got := p.LeakedBytes(); got != 0 {
-		t.Fatalf("LeakedBytes = %d, want 0 (small region kept for reuse)", got)
+		t.Fatalf("heap cursors %v -> %v: a new shape took no new tables and extent", used0, got)
 	}
 	used1 := cursors(rom)
-	publishNet(t, p, eng, small) // recycles the surviving small region
+	publishNet(t, p, eng, small) // a frame of the kept shape
 	if got := cursors(rom); got != used1 {
 		t.Fatalf("heap cursors moved %v -> %v republishing the kept shape", used1, got)
 	}
 }
 
 // TestSlotGCLeaksOnlyOutgrownRegions: with the table full and every
-// other slot pinned, a growing republish must replace a recycled
-// region — the abandoned bytes are counted in LeakedBytes.
+// other frame pinned, a publish of a new shape lays the one free frame
+// out afresh — exactly one layer table and one extent of heap — and is
+// refused while no frame is free.
 func TestSlotGCLeaksOnlyOutgrownRegions(t *testing.T) {
 	_, rom := testHeap(t, 64<<20)
 	eng := testEngine(t)
 	small := testNetShape(t, 1, 4)
 	big := testNetShape(t, 2, 16)
-	smallSize := regionSize(collectBuffers(small))
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
-	// Fill all table slots with pinned small versions.
-	pins := make([]*Pin, 0, maxPubSlots)
-	for i := 0; i < maxPubSlots; i++ {
+	pins := make([]*Pin, 0, maxFrames)
+	for i := 0; i < maxFrames; i++ {
 		perturb(small, float32(i+1))
-		ver := publishNet(t, p, eng, small)
-		pin, err := p.Pin(ver)
+		publishNet(t, p, eng, small)
+		pin, err := p.Pin()
 		if err != nil {
-			t.Fatalf("Pin(%d): %v", ver, err)
+			t.Fatalf("Pin: %v", err)
 		}
 		pins = append(pins, pin)
 	}
-	// Everything pinned: no slot can take a new version.
-	if _, err := p.PublishOut(eng, big); !errors.Is(err, ErrSlotsPinned) {
-		t.Fatalf("PublishOut with all slots pinned = %v, want ErrSlotsPinned", err)
+	if _, err := p.PublishOut(eng, big); !errors.Is(err, ErrFramesPinned) {
+		t.Fatalf("PublishOut with every frame pinned = %v, want ErrFramesPinned", err)
 	}
-	// Release one non-latest pin; the big shape cannot fit its small
-	// region, the table cannot grow, so the region is abandoned.
 	pins[0].Release()
+	used0 := cursors(rom)
 	publishNet(t, p, eng, big)
-	if got := p.LeakedBytes(); got != smallSize {
-		t.Fatalf("LeakedBytes = %d, want %d (one abandoned small region)", got, smallSize)
+	if got, want := grown(used0, cursors(rom)), regionSize(collectBuffers(big)); got != want {
+		t.Fatalf("relaying out the free frame took %d heap bytes, want one region of %d", got, want)
 	}
 	for _, pin := range pins[1:] {
 		pin.Release()
 	}
+	checkLatest(t, p, eng, big, func() *darknet.Network { return testNetShape(t, 2, 16) }, false)
 }
 
-// TestSlotGCSurvivesReopen: regionSize is persistent, so a publication
-// reopened after a restart keeps reusing recycled regions.
+// TestSlotGCSurvivesReopen: the frame table is persistent, so a store
+// reopened after a restart keeps writing the frames it laid out.
 func TestSlotGCSurvivesReopen(t *testing.T) {
 	_, rom := testHeap(t, 64<<20)
 	eng := testEngine(t)
 	big := testNetShape(t, 2, 16)
-	small := testNetShape(t, 1, 4)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	publishNet(t, p, eng, big)
 	publishNet(t, p, eng, big)
 	used0 := cursors(rom)
 
-	// Reattach (as recovery does) and republish a smaller shape.
-	p2, err := OpenPublication(rom)
+	p2, err := OpenStore(rom)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	publishNet(t, p2, eng, small)
+	perturb(big, 1)
+	publishNet(t, p2, eng, big)
 	if got := cursors(rom); got != used0 {
-		t.Fatalf("heap cursors moved %v -> %v after reopen; region sizes not persisted?", used0, got)
+		t.Fatalf("heap cursors moved %v -> %v after reopen; frame table not persisted?", used0, got)
 	}
-	if p2.ReusedBytes() == 0 {
-		t.Fatal("reopened publication did not reuse the recycled region")
-	}
+	checkLatest(t, p2, eng, big, func() *darknet.Network { return testNetShape(t, 2, 16) }, false)
 }
 
-// TestTwinSlotsShareOneExtent: slots 0 and 1 are twins, so the second
-// publish of a shape writes the back half of the extent the first one
-// allocated and takes no new payload space; and slot 0 is recycled —
-// re-laid out for a smaller shape in its own half — while its twin
-// stays pinned, which still restores its own version bit for bit.
+// TestTwinSlotsShareOneExtent: frames are laid out in pairs, so the
+// second publish of a shape writes the back half of the extent the
+// first one allocated and takes no new payload space; and the first
+// frame is written again while its twin stays pinned, which still
+// restores its own version bit for bit.
 func TestTwinSlotsShareOneExtent(t *testing.T) {
 	_, rom := testHeap(t, 64<<20)
 	eng := testEngine(t)
-	big, small := testNetShape(t, 2, 16), testNetShape(t, 1, 4)
-	p, err := OpenPublication(rom)
+	big := testNetShape(t, 2, 16)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	publishNet(t, p, eng, big)
 	low := rom.PayloadCursor()
 	perturb(big, 1)
-	v2 := publishNet(t, p, eng, big)
+	publishNet(t, p, eng, big)
 	if got := rom.PayloadCursor(); got != low {
 		t.Fatalf("the twin's publish moved the payload cursor %d -> %d", low, got)
 	}
-	if s0, s1 := p.slots[0].fp32.pay, p.slots[1].fp32.pay; s0 != s1 {
-		t.Fatalf("twin slots hold extents %+v and %+v, want one", s0, s1)
+	if f0, f1 := p.frames[0].fp32, p.frames[1].fp32; f0.pay != f1.pay || f0.half == f1.half {
+		t.Fatalf("twin frames hold extents %+v and %+v in halves %d and %d, want one extent", f0.pay, f1.pay, f0.half, f1.half)
 	}
-	pin, err := p.Pin(v2)
+	want := testNetShape(t, 2, 16)
+	perturb(want, 1)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
 	defer pin.Release()
-	publishNet(t, p, eng, small)
-	if p.slots[0].version != v2+1 || rom.PayloadCursor() != low {
-		t.Fatalf("small shape went to slot with version %d, payload cursor %d; want slot 0 recycled in place", p.slots[0].version, rom.PayloadCursor())
+	perturb(big, 1)
+	publishNet(t, p, eng, big)
+	if p.pub.frame != 0 || rom.PayloadCursor() != low {
+		t.Fatalf("the next version went to frame %d, payload cursor %d; want frame 0 written in place", p.pub.frame, rom.PayloadCursor())
 	}
 	m, err := pin.Open(eng, darknet.FP32)
 	if err != nil {
 		t.Fatalf("pin.Open: %v", err)
 	}
 	got := testNetShape(t, 2, 16)
-	if _, err := m.MirrorIn(got); err != nil || !netsEqual(big, got) {
-		t.Fatalf("pinned twin after its twin's relayout: err %v, equal %v", err, netsEqual(big, got))
+	if _, err := m.MirrorIn(got); err != nil || !netsEqual(want, got) {
+		t.Fatalf("pinned twin after its twin's write: err %v, equal %v", err, netsEqual(want, got))
 	}
-	checkLatest(t, p, eng, small, func() *darknet.Network { return testNetShape(t, 1, 4) }, false)
+	checkLatest(t, p, eng, big, func() *darknet.Network { return testNetShape(t, 2, 16) }, false)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // publishNet publishes net and fails the test on error.
-func publishNet(t *testing.T, p *Publication, eng *engine.Engine, net *darknet.Network) uint64 {
+func publishNet(t *testing.T, p *Store, eng *engine.Engine, net *darknet.Network) uint64 {
 	t.Helper()
 	ver, err := p.PublishOut(eng, net)
 	if err != nil {
@@ -23,14 +23,14 @@ func TestPublishVersionsAreMonotonic(t *testing.T) {
 	eng := testEngine(t)
 	net := testNet(t, 1)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if got := p.LatestVersion(); got != 0 {
 		t.Fatalf("fresh publication latest = %d, want 0", got)
 	}
-	if _, err := p.Pin(0); !errors.Is(err, ErrNoPublished) {
+	if _, err := p.Pin(); !errors.Is(err, ErrNoPublished) {
 		t.Fatalf("Pin on empty publication = %v, want ErrNoPublished", err)
 	}
 	for want := uint64(1); want <= 5; want++ {
@@ -50,23 +50,23 @@ func TestPinRestoresExactVersionDespiteLaterPublishes(t *testing.T) {
 	eng := testEngine(t)
 	net := testNet(t, 1)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	net.Iteration = 7
 	v1 := publishNet(t, p, eng, net)
 	want := cloneParams(net)
 
-	pin, err := p.Pin(v1)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin(%d): %v", v1, err)
 	}
 	defer pin.Release()
 
 	// Publish several later versions with perturbed parameters; the
-	// pinned slot must never be recycled under the pin.
-	for i := 0; i < maxPubSlots+2; i++ {
+	// pinned frame must never be written under the pin.
+	for i := 0; i < maxFrames+2; i++ {
 		perturb(net, float32(i+1))
 		net.Iteration = 100 + i
 		publishNet(t, p, eng, net)
@@ -102,10 +102,10 @@ var precisions = []struct {
 	{"int8", []PublishOption{WithQuantized()}},
 }
 
-// TestReleaseAllowsSlotRecycling: a released pin lets its slot recycle,
-// and same-shape republishes keep cycling through the bounded slot
-// table without abandoning any region — the int8 regions included —
-// while the latest version restores its own weights.
+// TestReleaseAllowsSlotRecycling: a released pin lets its frame be
+// written again, and same-shape republishes keep cycling through the
+// bounded frame table without laying out any region anew — the int8
+// regions included — while the latest version restores its own weights.
 func TestReleaseAllowsSlotRecycling(t *testing.T) {
 	for _, prec := range precisions {
 		t.Run(prec.name, func(t *testing.T) {
@@ -113,12 +113,12 @@ func TestReleaseAllowsSlotRecycling(t *testing.T) {
 			eng := testEngine(t)
 			net := testNet(t, 1)
 
-			p, err := OpenPublication(rom)
+			p, err := OpenStore(rom)
 			if err != nil {
-				t.Fatalf("OpenPublication: %v", err)
+				t.Fatalf("OpenStore: %v", err)
 			}
-			v1 := publishNet(t, p, eng, net)
-			pin, err := p.Pin(v1)
+			publishNet(t, p, eng, net)
+			pin, err := p.Pin()
 			if err != nil {
 				t.Fatalf("Pin: %v", err)
 			}
@@ -128,19 +128,23 @@ func TestReleaseAllowsSlotRecycling(t *testing.T) {
 				t.Fatalf("Open after Release = %v, want ErrPinReleased", err)
 			}
 			// With the pin released, many further publishes must keep
-			// cycling through the bounded slot table without error.
-			for i := 0; i < 3*maxPubSlots; i++ {
+			// cycling through the two frames of the first pair.
+			var used [2]int
+			for i := 0; i < 3*maxFrames; i++ {
 				perturb(net, float32(i+1))
 				net.Iteration = i + 1
 				if _, err := p.PublishOut(eng, net, prec.opts...); err != nil {
 					t.Fatalf("PublishOut %d: %v", i, err)
 				}
+				if i == 1 {
+					used = cursors(rom)
+				}
 			}
-			if got := len(p.slots); got > maxPubSlots {
-				t.Fatalf("slot table grew to %d, cap %d", got, maxPubSlots)
+			if got := len(p.frames); got != 2 {
+				t.Fatalf("frame table grew to %d frames, want the first pair", got)
 			}
-			if p.LeakedBytes() != 0 {
-				t.Fatalf("LeakedBytes = %d after same-shape republishes, want 0", p.LeakedBytes())
+			if got := cursors(rom); got != used {
+				t.Fatalf("heap cursors moved %v -> %v across same-shape republishes", used, got)
 			}
 			checkLatest(t, p, eng, net, func() *darknet.Network { return testNet(t, 7) }, len(prec.opts) > 0)
 		})
@@ -151,9 +155,9 @@ func TestReleaseAllowsSlotRecycling(t *testing.T) {
 // network and checks it holds net — and, when withInt8 is set, that its
 // int8 variant holds net's quantization, while without it the variant
 // is absent (ErrNoQuant).
-func checkLatest(t *testing.T, p *Publication, eng *engine.Engine, net *darknet.Network, fresh func() *darknet.Network, withInt8 bool) {
+func checkLatest(t *testing.T, p *Store, eng *engine.Engine, net *darknet.Network, fresh func() *darknet.Network, withInt8 bool) {
 	t.Helper()
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin latest: %v", err)
 	}
@@ -196,9 +200,9 @@ func TestPublicationSurvivesReopen(t *testing.T) {
 			eng := testEngine(t)
 			net := testNet(t, 1)
 
-			p, err := OpenPublication(rom)
+			p, err := OpenStore(rom)
 			if err != nil {
-				t.Fatalf("OpenPublication: %v", err)
+				t.Fatalf("OpenStore: %v", err)
 			}
 			net.Iteration = 42
 			ver, err := p.PublishOut(eng, net, prec.opts...)
@@ -206,9 +210,9 @@ func TestPublicationSurvivesReopen(t *testing.T) {
 				t.Fatalf("PublishOut: %v", err)
 			}
 
-			p2, err := OpenPublication(rom)
+			p2, err := OpenStore(rom)
 			if err != nil {
-				t.Fatalf("re-OpenPublication: %v", err)
+				t.Fatalf("re-OpenStore: %v", err)
 			}
 			if p2.LatestVersion() != ver {
 				t.Fatalf("reopened latest %d, want %d", p2.LatestVersion(), ver)
@@ -223,21 +227,21 @@ func TestAllSlotsPinnedErrors(t *testing.T) {
 	eng := testEngine(t)
 	net := testNet(t, 1)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	var pins []*Pin
-	for i := 0; i < maxPubSlots; i++ {
+	for i := 0; i < maxFrames; i++ {
 		ver := publishNet(t, p, eng, net)
-		pin, err := p.Pin(ver)
+		pin, err := p.Pin()
 		if err != nil {
 			t.Fatalf("Pin %d: %v", ver, err)
 		}
 		pins = append(pins, pin)
 	}
-	if _, err := p.PublishOut(eng, net); !errors.Is(err, ErrSlotsPinned) {
-		t.Fatalf("PublishOut with all slots pinned = %v, want ErrSlotsPinned", err)
+	if _, err := p.PublishOut(eng, net); !errors.Is(err, ErrFramesPinned) {
+		t.Fatalf("PublishOut with every frame pinned = %v, want ErrFramesPinned", err)
 	}
 	pins[0].Release()
 	if _, err := p.PublishOut(eng, net); err != nil {

@@ -47,14 +47,14 @@ func TestQuantPublishRestoreRoundTrip(t *testing.T) {
 	net := testNet(t, 1)
 	net.Iteration = 42
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
 		t.Fatalf("PublishOut quantized: %v", err)
 	}
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
@@ -94,14 +94,14 @@ func TestQuantRestoreBound(t *testing.T) {
 	eng := testEngine(t)
 	net := testNet(t, 3)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
 		t.Fatalf("PublishOut: %v", err)
 	}
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
@@ -131,14 +131,14 @@ func TestInt8ScaleMovedFailsAuth(t *testing.T) {
 	_, rom := testHeap(t, 32<<20)
 	eng := testEngine(t)
 	net := testNet(t, 1)
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	if _, err := p.PublishOut(eng, net, WithQuantized()); err != nil {
 		t.Fatalf("PublishOut: %v", err)
 	}
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}

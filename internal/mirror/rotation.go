@@ -16,57 +16,33 @@ const keyRecordSize = engine.IVSize + engine.KeySize + engine.TagSize
 var keyRecordAAD = []byte("plinius key record")
 
 // RotateKey re-seals under newEng, the engine of newKey, everything
-// oldEng sealed in p's heap (paper §IV: one data key seals every PM
-// object): the data matrix d and the training mirror m, either of which
-// may be nil, and net as p's next version, which it returns. The mirror
-// and the publication are sealed into free payload halves first; then
-// one durable transaction re-seals every row in place, flips both, and
-// stores the key record, so a crash leaves PM wholly under one key. d
-// and m switch to newEng once that transaction has committed.
-func RotateKey(oldEng, newEng *engine.Engine, newKey []byte, net *darknet.Network, p *Publication, m *Model, d *DataMatrix, opts ...PublishOption) (uint64, error) {
+// oldEng sealed that the store still names (paper §IV: one data key
+// seals every PM object): the data matrix d, which may be nil, and net
+// as one new frame that becomes the training mirror m's latest
+// generation (when m is not nil) and s's next version, which it
+// returns. Frames only pinned readers still hold keep the old key. The
+// frame is sealed first; then one durable transaction re-seals every
+// row in place, names the frame, and stores the key record, so a crash
+// leaves PM wholly under one key. d and m switch to newEng once that
+// transaction has committed.
+func RotateKey(oldEng, newEng *engine.Engine, newKey []byte, net *darknet.Network, s *Store, m *Model, d *DataMatrix, opts ...PublishOption) (uint64, error) {
 	var record [keyRecordSize]byte
 	if err := oldEng.SealInto(record[:], newKey, keyRecordAAD); err != nil {
 		return 0, fmt.Errorf("mirror: seal key record: %w", err)
 	}
-	// The publication goes first: laying its slot out may allocate, and
-	// a mirror AllocModel planned is laid out at the cursors it leaves.
-	pub, err := p.write(newEng, net, opts...)
-	if err != nil {
-		return 0, err
-	}
-	var out written
-	if m != nil {
-		if out, err = m.writeOut(newEng, net); err != nil {
-			return 0, err
-		}
-	}
-	err = p.rom.Update(func() error {
+	extra := func() error {
 		if d != nil {
 			if err := d.reseal(newEng); err != nil {
 				return err
 			}
 		}
-		if m != nil {
-			if err := out.flip(); err != nil {
-				return err
-			}
-		}
-		if err := pub.flip(); err != nil {
-			return err
-		}
-		return storeKeyRecord(p.rom, record[:])
-	})
-	if err != nil {
-		return 0, err
+		return storeKeyRecord(s.rom, record[:])
 	}
-	if d != nil {
+	ver, err := s.save(newEng, net, m, true, true, opts, extra)
+	if err == nil && d != nil {
 		d.eng = newEng
 	}
-	if m != nil {
-		out.commit()
-	}
-	pub.commit()
-	return pub.version, nil
+	return ver, err
 }
 
 // storeKeyRecord stores record as the key record, in the open

@@ -77,10 +77,9 @@ func moveSegment(t *testing.T, net *darknet.Network, from, to segRef) {
 // TestSegmentTamperingFailsAuth: a segment opens only at the node,
 // buffer and segment index it was sealed for. Swapping two segments of
 // one buffer, moving one into another buffer of the same size, or
-// reusing a training-mirror segment at another node index of a
-// publication slot all fail with ErrAuth; the control — the same
-// segment copied to its own place in the slot, which seals the same
-// parameters — still restores.
+// reusing a training-mirror segment in a published version's frame, at
+// another node index or its own, all fail with ErrAuth; the control — a
+// version's segment written back to its own place — still restores.
 func TestSegmentTamperingFailsAuth(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -99,10 +98,13 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 		{"training segment at another node index", func(t *testing.T, net *darknet.Network, train, slot *Model) {
 			moveSegment(t, net, segRef{train, 1, 0, 1}, segRef{slot, 2, 0, 1})
 		}, true, engine.ErrAuth},
-		// The mirror's first generation and the first version share
-		// generation number 1.
+		// The mirror's frame and the version's hold the same parameters
+		// under two generations: generations never repeat in a store.
 		{"training segment at its own index", func(t *testing.T, net *darknet.Network, train, slot *Model) {
 			moveSegment(t, net, segRef{train, 2, 0, 1}, segRef{slot, 2, 0, 1})
+		}, true, engine.ErrAuth},
+		{"version segment written back in place", func(t *testing.T, net *darknet.Network, _, slot *Model) {
+			moveSegment(t, net, segRef{slot, 2, 0, 1}, segRef{slot, 2, 0, 1})
 		}, true, nil},
 	}
 	for _, c := range cases {
@@ -119,12 +121,12 @@ func TestSegmentTamperingFailsAuth(t *testing.T) {
 		if got, want := train.layers[1].bufs[0].sealedLen, segmentedLen(4*520*520, 2); got != want {
 			t.Fatalf("520x520 weights recorded as %d sealed bytes, want two segments (%d)", got, want)
 		}
-		p, err := OpenPublication(rom)
+		p, err := OpenStore(rom)
 		if err != nil {
-			t.Fatalf("OpenPublication: %v", err)
+			t.Fatalf("OpenStore: %v", err)
 		}
 		publishNet(t, p, eng, net)
-		pin, err := p.Pin(0)
+		pin, err := p.Pin()
 		if err != nil {
 			t.Fatalf("Pin: %v", err)
 		}

@@ -17,12 +17,12 @@ func TestMirrorInRangeRestoresExactSlice(t *testing.T) {
 	net := testNet(t, 1)
 	net.Iteration = 42
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	publishNet(t, p, eng, net)
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
@@ -70,12 +70,12 @@ func TestMirrorInRangeShapeMismatch(t *testing.T) {
 	eng := testEngine(t)
 	net := testNet(t, 1)
 
-	p, err := OpenPublication(rom)
+	p, err := OpenStore(rom)
 	if err != nil {
-		t.Fatalf("OpenPublication: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	publishNet(t, p, eng, net)
-	pin, err := p.Pin(0)
+	pin, err := p.Pin()
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}

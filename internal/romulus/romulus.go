@@ -418,8 +418,9 @@ func (r *Romulus) copyRegion(src, dst int) error {
 // allocator and roots ---------------------------------------------------
 
 // AllocAlign is the heap allocator's alignment: every Alloc consumes
-// a multiple of it, so clients that re-lay out regions in place (the
-// publication slot GC in package mirror) can predict exact consumption.
+// a multiple of it, so clients that lay regions out before allocating
+// them (the snapshot store in package mirror) can predict exact
+// consumption.
 const AllocAlign = 8
 
 // Alloc bump-allocates size bytes in the persistent heap inside the

@@ -117,7 +117,7 @@ func TestQuantizedShardServerServesInt8(t *testing.T) {
 	if st := s.Stats(); st.Shards < 2 || st.Precision != darknet.Int8 {
 		t.Fatalf("served %d shards at %v, want a shard group at int8", st.Shards, st.Precision)
 	}
-	pin, err := f.PinPublished(0)
+	pin, err := f.PinPublished()
 	if err != nil {
 		t.Fatalf("PinPublished: %v", err)
 	}
