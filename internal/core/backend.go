@@ -9,8 +9,8 @@ import (
 // Backend is one serving backend: what a model server forms
 // micro-batches for. A replica — a one-range ShardGroup — serves one
 // batch at a time (Window 1); a multi-range ShardGroup, and a fleet of
-// them, pipeline up to Window batches at once. Refresh, Rotate and
-// Close may run only while no batch is in flight on the backend.
+// them, pipeline up to Window batches at once. Refresh and Close may
+// run only while no batch is in flight on the backend.
 type Backend interface {
 	// ClassifyBatchCtx classifies images laid out contiguously, one
 	// class per image. Up to Window calls may run concurrently.
@@ -22,11 +22,10 @@ type Backend interface {
 	// Iteration is the training iteration of the served model.
 	Iteration() int
 	// Refresh restores the latest published version and returns its
-	// iteration.
+	// iteration, first provisioning the framework's current data key
+	// into the backend's enclaves when it has changed since they were
+	// keyed.
 	Refresh() (int, error)
-	// Rotate re-provisions the framework's current data key, then
-	// refreshes to the snapshot published under it.
-	Rotate() (int, error)
 	// Close tears the backend's enclaves down.
 	Close() error
 	// Report describes the backend. It reads only counters, atomics
@@ -62,8 +61,7 @@ type BackendReport struct {
 	ShardPrefetched    uint64
 	// Fleet fabric: FleetHosts and FleetGroups describe it (hosts,
 	// replica groups); FleetHandoffs and FleetHandoffBytes count the
-	// sealed activation hand-offs carried across attested inter-host
-	// channels.
+	// sealed activation hand-offs carried across inter-host channels.
 	FleetHosts        int
 	FleetGroups       int
 	FleetHandoffs     uint64

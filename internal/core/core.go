@@ -149,7 +149,12 @@ type Framework struct {
 	modelMu sync.Mutex
 	pmMu    sync.Mutex
 
-	key      []byte
+	key []byte
+	// keyEpoch counts the data keys the framework has held: RotateKey
+	// and a recovery that adopts a rotated key bump it, and a serving
+	// group re-provisions its enclaves when it has moved (guarded by
+	// modelMu, like key).
+	keyEpoch uint64
 	rng      *mrand.Rand
 	reserved int
 	crashed  bool
@@ -196,9 +201,18 @@ func New(cfg Config) (*Framework, error) {
 	}
 	f.PM = dev
 
-	if err := f.provisionKey(); err != nil {
-		return nil, err
+	// A key not supplied out of band is the owner's fresh one,
+	// provisioned over remote attestation (Fig. 5 steps 2-3).
+	key := cfg.DataKey
+	if len(key) == 0 {
+		if key, err = engine.GenerateKey(rand.Reader); err != nil {
+			return nil, fmt.Errorf("core: owner keygen: %w", err)
+		}
+		if key, err = f.Enclave.ProvisionKey(key); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
+	f.key = append([]byte(nil), key...)
 	eng, err := engine.New(f.key, engine.WithEnclave(f.Enclave))
 	if err != nil {
 		return nil, fmt.Errorf("core: engine: %w", err)
@@ -232,53 +246,6 @@ func romulusEnv(s ServerProfile) romulus.Env {
 		return romulus.SGXEnv()
 	}
 	return romulus.NativeEnv()
-}
-
-// provisionKey establishes the data key: either the caller supplied it
-// (already provisioned out of band) or the full Fig. 5 steps 2-3 run —
-// remote attestation, quote verification by the owner, ECDH channel,
-// wrapped-key delivery, in-enclave unwrap.
-func (f *Framework) provisionKey() error {
-	if len(f.cfg.DataKey) == engine.KeySize {
-		f.key = append([]byte(nil), f.cfg.DataKey...)
-		return nil
-	}
-	if len(f.cfg.DataKey) != 0 {
-		return fmt.Errorf("core: data key must be %d bytes, got %d", engine.KeySize, len(f.cfg.DataKey))
-	}
-	sess, quote, err := f.Enclave.BeginAttestation()
-	if err != nil {
-		return fmt.Errorf("core: attestation: %w", err)
-	}
-	owner, err := enclave.NewOwner(rand.Reader)
-	if err != nil {
-		return fmt.Errorf("core: owner: %w", err)
-	}
-	ownerChannel, err := owner.VerifyQuote(quote, enclave.PliniusMeasurement())
-	if err != nil {
-		return fmt.Errorf("core: quote verification: %w", err)
-	}
-	dataKey, err := engine.GenerateKey(rand.Reader)
-	if err != nil {
-		return fmt.Errorf("core: owner keygen: %w", err)
-	}
-	wrapped, err := engine.WrapKey(ownerChannel, dataKey, rand.Reader)
-	if err != nil {
-		return fmt.Errorf("core: wrap key: %w", err)
-	}
-	// Enclave side: derive the same channel key and unwrap.
-	return f.Enclave.Ecall(func() error {
-		enclaveChannel, err := sess.CompleteAttestation(owner.PublicKey())
-		if err != nil {
-			return fmt.Errorf("core: complete attestation: %w", err)
-		}
-		key, err := engine.UnwrapKey(enclaveChannel, wrapped)
-		if err != nil {
-			return fmt.Errorf("core: unwrap key: %w", err)
-		}
-		f.key = key
-		return nil
-	})
 }
 
 // buildModel parses the config in the untrusted runtime and builds the
@@ -494,6 +461,7 @@ func (f *Framework) adoptRotatedKey() error {
 		return fmt.Errorf("core: rotated key engine: %w", err)
 	}
 	f.key, f.Engine = key, eng
+	f.keyEpoch++
 	return nil
 }
 

@@ -69,7 +69,7 @@ func TestShardGroupPrefetchOverlapsRestores(t *testing.T) {
 }
 
 // TestShardGroupPrefetchQuiescesOnRefresh drives concurrent classify
-// traffic while Refresh and Rotate flip versions: the prefetcher must
+// traffic while Refresh flips versions and, after a key rotation, keys: the prefetcher must
 // quiesce with the pipeline (no background restore may read a handle
 // being swapped), every batch must answer, and the group must stay
 // coherent. Run with -race.
@@ -115,13 +115,47 @@ func TestShardGroupPrefetchQuiescesOnRefresh(t *testing.T) {
 	if _, err := f.RotateKey(); err != nil {
 		t.Fatalf("RotateKey: %v", err)
 	}
-	if _, err := g.Rotate(); err != nil {
-		t.Fatalf("Rotate: %v", err)
+	if _, err := g.Refresh(); err != nil {
+		t.Fatalf("Refresh after RotateKey: %v", err)
 	}
 	close(stop)
 	wg.Wait()
 	if g.Iteration() != f.Iteration() {
 		t.Fatalf("group iter %d, framework %d", g.Iteration(), f.Iteration())
+	}
+}
+
+// TestStreamingRefreshFollowsRotateKey: after Framework.RotateKey, a
+// streaming group's Refresh provisions the new key into its shards
+// before it pins the version sealed under it, so the next batch opens
+// and answers as the training enclave does.
+func TestStreamingRefreshFollowsRotateKey(t *testing.T) {
+	f, test := trainedShardFramework(t, 4)
+	g, _ := streamingGroup(t, f, 192<<10, 5)
+	defer g.Close()
+	ver, err := f.RotateKey()
+	if err != nil {
+		t.Fatalf("RotateKey: %v", err)
+	}
+	if _, err := g.Refresh(); err != nil {
+		t.Fatalf("Refresh: %v", err)
+	}
+	if g.Version() != ver {
+		t.Fatalf("Refresh serves version %d, want the rotated %d", g.Version(), ver)
+	}
+	img := test.Images[:2*g.InputSize()]
+	want, err := f.ClassifyBatch(img)
+	if err != nil {
+		t.Fatalf("framework ClassifyBatch: %v", err)
+	}
+	got, err := g.ClassifyBatch(img)
+	if err != nil {
+		t.Fatalf("ClassifyBatch after Refresh: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("class[%d]: group %d, framework %d", i, got[i], want[i])
+		}
 	}
 }
 
@@ -136,7 +170,7 @@ type faultyHandoff struct {
 	crossings atomic.Int64
 }
 
-func (h *faultyHandoff) Bind(from, to int, src, dst *enclave.Enclave) error { return nil }
+func (h *faultyHandoff) Bind(from, to int, src, dst *enclave.Enclave) {}
 
 func (h *faultyHandoff) Carry(from, to int, sealed []byte) error {
 	if from == h.failFrom && h.crossings.Add(1) == h.failBatch {

@@ -147,6 +147,20 @@ func (f *Framework) PinPublished() (*mirror.Pin, error) {
 	return f.store.Pin()
 }
 
+// pinServing pins the latest published version and returns it with the
+// data key it is sealed under and that key's epoch. Publish and
+// RotateKey write the latest version under modelMu, which is held
+// across the pin, so the key and the version always belong together.
+func (f *Framework) pinServing() (*mirror.Pin, []byte, uint64, error) {
+	f.modelMu.Lock()
+	defer f.modelMu.Unlock()
+	pin, err := f.PinPublished()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return pin, append([]byte(nil), f.key...), f.keyEpoch, nil
+}
+
 // Servable reports whether the framework can publish and serve a
 // model: nil, or a sentinel explaining why not (errors.Is-matchable
 // against ErrCrashedDown and ErrNoServableModel).
@@ -181,13 +195,12 @@ func (f *Framework) Servable() error {
 // version, whose version is returned. The enclave switches keys
 // only once that transaction has committed (Recover adopts the new key
 // if a crash beat the switch). The in-enclave model is untouched, so
-// training continues seamlessly; serving replicas must be re-provisioned
-// afterwards (Server.RotateKey drives that, one replica at a time, so
-// serving never gaps).
+// training continues seamlessly.
 //
 // Frames that pinned readers still hold keep the old key until
-// released; after RotateKey, replicas must refresh to the returned (or
-// a later) version.
+// released: serving groups go on answering under it, and their next
+// Refresh provisions the new key into their enclaves and restores the
+// returned (or a later) version.
 func (f *Framework) RotateKey() (uint64, error) {
 	f.modelMu.Lock()
 	defer f.modelMu.Unlock()
@@ -221,6 +234,7 @@ func (f *Framework) RotateKey() (uint64, error) {
 			return err
 		}
 		f.key, f.Engine = newKey, eng
+		f.keyEpoch++
 		f.synced = f.Mirror != nil
 		return nil
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"slices"
@@ -66,15 +65,16 @@ var (
 // Handoff is the seam between adjacent pipeline stages that the
 // multi-host serving fabric (internal/fleet) plugs into: when two
 // stages of one pipeline live on different hosts, the sealed
-// activations crossing between them travel an attested inter-host
-// channel instead of a same-machine buffer pass. Bind is called once
-// per adjacent (from, to) stage pair while the group is built — the
-// implementation attests both endpoint enclaves and provisions the
-// channel there — and Carry once per micro-batch crossing that
+// activations crossing between them travel an inter-host channel
+// instead of a same-machine buffer pass. Both endpoints are shard
+// enclaves the group attested and keyed itself, and the activations
+// stay sealed under that key, so a channel carries no key of its own.
+// Bind is called once per adjacent (from, to) stage pair while the
+// group is built, and Carry once per micro-batch crossing that
 // boundary, with the sealed activation payload. A Carry error fails
 // the batch.
 type Handoff interface {
-	Bind(from, to int, src, dst *enclave.Enclave) error
+	Bind(from, to int, src, dst *enclave.Enclave)
 	Carry(from, to int, sealed []byte) error
 }
 
@@ -236,9 +236,14 @@ type ShardGroup struct {
 	// both bump them, and Report sums across shards.
 	reg *obs.Registry
 
+	// keyEpoch is the framework key epoch of the data key the shard
+	// engines hold (guarded by submitMu, as the engines are swapped
+	// only while quiesced).
+	keyEpoch uint64
+
 	// handoff, when non-nil, carries sealed activations across stage
-	// boundaries (ShardOptions.Handoff — the fleet's attested
-	// inter-host channels).
+	// boundaries (ShardOptions.Handoff — the fleet's inter-host
+	// channels).
 	handoff Handoff
 
 	// Double-buffered restore: while shard k computes a batch, a
@@ -255,13 +260,13 @@ type ShardGroup struct {
 // NewShardGroup splits the framework's model into contiguous layer
 // ranges and builds one shard enclave per range on opts.Host (the
 // framework's host by default): each shard is attested and provisioned
-// with the data key over its own channel, and restores only its range
-// from the latest published snapshot (publishing the current model
-// first if nothing is published). Every shard enclave reserves its
-// overhead plus its range's ShardFootprintAt. A multi-range fp32 split
-// the group planned itself is recorded as the serving layout in the
-// snapshot store, durably; auto planning reads it back, so a
-// group re-created after a crash restores the same split.
+// with the data key over its own channel (enclave.Enclave.ProvisionKey),
+// and restores only its range from the latest published snapshot
+// (publishing the current model first if nothing is published). Every
+// shard enclave reserves its overhead plus its range's ShardFootprintAt.
+// A multi-range fp32 split the group planned itself is recorded as the
+// serving layout in the snapshot store, durably; auto planning reads it
+// back, so a group re-created after a crash restores the same split.
 func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	if f.Crashed() {
 		return nil, ErrCrashedDown
@@ -296,6 +301,10 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	if err := f.ensurePublished(prec); err != nil {
 		return nil, err
+	}
+	pin, key, epoch, err := f.pinServing()
+	if err != nil {
+		return nil, fmt.Errorf("core: shard pin: %w", err)
 	}
 	overhead := opts.OverheadBytes
 	if overhead <= 0 {
@@ -339,12 +348,14 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		prec:      prec,
 		ownPlan:   len(opts.Plan) == 0 && prec == darknet.FP32 && len(plan) > 1,
 		reg:       reg,
+		keyEpoch:  epoch,
 		handoff:   opts.Handoff,
 	}
 	fail := func(err error) (*ShardGroup, error) {
 		for _, s := range g.shards {
 			_ = s.encl.Close()
 		}
+		pin.Release()
 		return nil, err
 	}
 	role := "shard"
@@ -368,14 +379,6 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 			spanCompute:    "compute/" + k,
 			spanSeal:       "seal/" + k,
 		})
-		key, err := f.provisionEnclaveKey(encl)
-		if err != nil {
-			return fail(fmt.Errorf("core: shard %d: %w", i, err))
-		}
-		eng, err := engine.New(key, engine.WithEnclave(encl))
-		if err != nil {
-			return fail(fmt.Errorf("core: shard %d engine: %w", i, err))
-		}
 		sub, err := full.Shard(r)
 		if err != nil {
 			return fail(fmt.Errorf("core: shard %d: %w", i, err))
@@ -388,19 +391,23 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 			return fail(fmt.Errorf("core: shard %d reserve: %w", i, err))
 		}
 		s := g.shards[i]
-		s.eng, s.net, s.rng = eng, sub, r
+		s.net, s.rng = sub, r
 		s.nodeFrom = full.ParamLayersBefore(r.From)
 		s.footprint = footprint
 	}
+	engs, err := g.provision(key)
+	if err != nil {
+		return fail(err)
+	}
+	for i, s := range g.shards {
+		s.eng = engs[i]
+	}
 
 	// Bind the hand-off seam once per adjacent stage pair, with the
-	// enclaves built: a fleet hand-off attests both endpoints and
-	// provisions each cross-host channel here, before any batch flows.
+	// enclaves built, before any batch flows.
 	if g.handoff != nil {
 		for i := 0; i+1 < len(g.shards); i++ {
-			if err := g.handoff.Bind(i, i+1, g.shards[i].encl, g.shards[i+1].encl); err != nil {
-				return fail(fmt.Errorf("core: shard hand-off %d->%d: %w", i, i+1, err))
-			}
+			g.handoff.Bind(i, i+1, g.shards[i].encl, g.shards[i+1].encl)
 		}
 	}
 
@@ -453,15 +460,10 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	g.slots = make(chan struct{}, g.window)
 
-	// Pin the served version, open each shard's snapshot handle, and
+	// Open each shard's snapshot handle on the pinned version and
 	// record the layout.
-	pin, err := f.PinPublished()
+	restores, iter, err := g.openModels(pin, engs)
 	if err != nil {
-		return fail(fmt.Errorf("core: shard pin: %w", err))
-	}
-	restores, iter, err := g.openModels(pin)
-	if err != nil {
-		pin.Release()
 		return fail(fmt.Errorf("core: shard snapshot: %w", err))
 	}
 	for i, s := range g.shards {
@@ -469,13 +471,11 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
 	if err := g.recordLayout(); err != nil {
-		pin.Release()
 		return fail(fmt.Errorf("core: serving layout: %w", err))
 	}
 	if !g.streaming {
 		for _, s := range g.shards {
 			if err := s.encl.Ecall(func() error { return g.ensureHot(s) }); err != nil {
-				pin.Release()
 				return fail(fmt.Errorf("core: shard %d restore: %w", s.idx, err))
 			}
 		}
@@ -544,45 +544,23 @@ func (f *Framework) ensurePublished(prec darknet.Precision) error {
 	return err
 }
 
-// provisionEnclaveKey runs the Fig. 5 steps 2-3 flow against a serving
-// enclave: attest it, have the owner verify the quote, wrap the
-// framework's current data key for the attestation channel, and unwrap
-// it inside the enclave. It returns the provisioned key as held by the
-// enclave.
-func (f *Framework) provisionEnclaveKey(encl *enclave.Enclave) ([]byte, error) {
-	f.modelMu.Lock()
-	dataKey := append([]byte(nil), f.key...)
-	f.modelMu.Unlock()
-
-	sess, quote, err := encl.BeginAttestation()
-	if err != nil {
-		return nil, fmt.Errorf("core: serving enclave attestation: %w", err)
-	}
-	owner, err := enclave.NewOwner(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("core: serving enclave owner: %w", err)
-	}
-	ownerChannel, err := owner.VerifyQuote(quote, enclave.PliniusMeasurement())
-	if err != nil {
-		return nil, fmt.Errorf("core: serving enclave quote: %w", err)
-	}
-	wrapped, err := engine.WrapKey(ownerChannel, dataKey, rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("core: serving enclave wrap key: %w", err)
-	}
-	var key []byte
-	err = encl.Ecall(func() error {
-		ch, err := sess.CompleteAttestation(owner.PublicKey())
+// provision delivers key into every shard enclave over its own
+// attestation channel and returns one engine per shard. Nothing is
+// installed: the stages of one pipeline must always share a key, or
+// the sealed activation hand-off between them breaks, so callers swap
+// the engines in only once every shard has been keyed.
+func (g *ShardGroup) provision(key []byte) ([]*engine.Engine, error) {
+	engs := make([]*engine.Engine, len(g.shards))
+	for i, s := range g.shards {
+		k, err := s.encl.ProvisionKey(key)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		key, err = engine.UnwrapKey(ch, wrapped)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: serving enclave key provisioning: %w", err)
+		if engs[i], err = engine.New(k, engine.WithEnclave(s.encl)); err != nil {
+			return nil, fmt.Errorf("core: shard %d engine: %w", i, err)
+		}
 	}
-	return key, nil
+	return engs, nil
 }
 
 // planShards picks the contiguous layer-range plan for the options.
@@ -659,18 +637,18 @@ func (g *ShardGroup) recordLayout() error {
 
 // openModels opens one restore handle per shard on the pinned snapshot
 // — its layer range of the fp32 snapshot, or at Int8 of its quantized
-// variant — and returns them with the snapshot's iteration. The
-// handles are NOT installed on the shards — callers swap them in only
-// once every fallible step of their control operation has succeeded,
-// so a failed Refresh/Rotate never leaves a shard reading an unpinned
-// frame.
-func (g *ShardGroup) openModels(pin *mirror.Pin) ([]restorer, int, error) {
+// variant — decrypting with engs[i], and returns them with the
+// snapshot's iteration. The handles are NOT installed on the shards —
+// callers swap them in only once every fallible step of their control
+// operation has succeeded, so a failed Refresh never leaves a shard
+// reading an unpinned frame.
+func (g *ShardGroup) openModels(pin *mirror.Pin, engs []*engine.Engine) ([]restorer, int, error) {
 	g.f.pmMu.Lock()
 	defer g.f.pmMu.Unlock()
 	restores := make([]restorer, len(g.shards))
 	iter := 0
 	for i, s := range g.shards {
-		m, err := pin.Open(s.eng, g.prec, mirror.WithEnclave(s.encl))
+		m, err := pin.Open(engs[i], g.prec, mirror.WithEnclave(s.encl))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -866,8 +844,8 @@ func (g *ShardGroup) step(s *shard, job *shardJob) error {
 	err := g.process(s, job, last)
 	if err == nil && !last && g.handoff != nil {
 		// The sealed activations leave this stage: on a multi-host
-		// pipeline they cross the fleet's attested inter-host channel
-		// before the downstream stage can open them.
+		// pipeline they cross the fleet's inter-host channel before
+		// the downstream stage can open them.
 		if err = g.handoff.Carry(s.idx, s.idx+1, job.sealed); err != nil {
 			err = fmt.Errorf("core: shard %d->%d hand-off: %w", s.idx, s.idx+1, err)
 		}
@@ -1012,9 +990,20 @@ func (g *ShardGroup) resume() {
 // Refresh rolls the group to the latest published version: the
 // pipeline is quiesced (queued callers wait, none fail), every shard
 // re-pins and — in resident mode — restores its range, and the old pin
-// is released. The shards of one model must change version together: a
-// half-refreshed pipeline would mix weights from two versions inside
-// one forward pass.
+// is released. When the framework's data key has changed since the
+// shards were keyed (Framework.RotateKey, or a recovery that adopted a
+// rotated key), the current key is first provisioned into every shard
+// enclave over fresh attestation channels. The shards of one model must
+// change version and key together: a half-refreshed pipeline would mix
+// weights from two versions inside one forward pass, or seal an
+// activation its successor cannot open.
+//
+// Fallible steps are staged: the new engines and snapshot handles are
+// installed — and the old pin released — only after everything has
+// succeeded, so a failed refresh leaves the group serving the old
+// version under the old key, never reading an unpinned frame. A partial
+// resident-mode restore is rolled back from the still-pinned old
+// snapshot.
 func (g *ShardGroup) Refresh() (int, error) {
 	g.submitMu.Lock()
 	defer g.submitMu.Unlock()
@@ -1023,21 +1012,23 @@ func (g *ShardGroup) Refresh() (int, error) {
 	}
 	g.quiesce()
 	defer g.resume()
-	return g.refreshLocked()
-}
-
-// refreshLocked does the re-pin + restore with the pipeline quiesced.
-// Fallible steps are staged: the new snapshot handles are installed —
-// and the old pin released — only after everything has succeeded, so a
-// failed refresh leaves the group serving the old version coherently,
-// never reading an unpinned frame. A partial resident-mode restore is
-// rolled back from the still-pinned old snapshot.
-func (g *ShardGroup) refreshLocked() (int, error) {
-	pin, err := g.f.PinPublished()
+	// The key comes with the pin, so a rotation racing this refresh
+	// leaves it on a version it can open; the next refresh catches up.
+	pin, key, epoch, err := g.f.pinServing()
 	if err != nil {
 		return 0, err
 	}
-	restores, iter, err := g.openModels(pin)
+	engs := make([]*engine.Engine, len(g.shards))
+	for i, s := range g.shards {
+		engs[i] = s.eng
+	}
+	if epoch != g.keyEpoch {
+		if engs, err = g.provision(key); err != nil {
+			pin.Release()
+			return 0, err
+		}
+	}
+	restores, iter, err := g.openModels(pin, engs)
 	if err != nil {
 		pin.Release()
 		return 0, err
@@ -1073,8 +1064,9 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		}
 	}
 	for i, s := range g.shards {
-		s.restore = restores[i]
+		s.eng, s.restore = engs[i], restores[i]
 	}
+	g.keyEpoch = epoch
 	g.mu.Lock()
 	old := g.pin
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
@@ -1083,40 +1075,6 @@ func (g *ShardGroup) refreshLocked() (int, error) {
 		old.Release()
 	}
 	return iter, nil
-}
-
-// Rotate re-provisions the framework's current data key into every
-// shard enclave over fresh attestation channels, rebuilds the engines,
-// and refreshes to the latest published snapshot (which a preceding
-// Framework.RotateKey published under the new key).
-func (g *ShardGroup) Rotate() (int, error) {
-	g.submitMu.Lock()
-	defer g.submitMu.Unlock()
-	if g.closed {
-		return 0, ErrShardGroupClosed
-	}
-	g.quiesce()
-	defer g.resume()
-	// Stage the new-key engines and install them only once every shard
-	// has provisioned: the stages of one pipeline must always share a
-	// key, or the sealed activation hand-off between them breaks. A
-	// mid-loop provisioning failure therefore leaves the group serving
-	// coherently under the old key.
-	engs := make([]*engine.Engine, len(g.shards))
-	for i, s := range g.shards {
-		key, err := g.f.provisionEnclaveKey(s.encl)
-		if err != nil {
-			return 0, fmt.Errorf("core: shard %d rotate: %w", s.idx, err)
-		}
-		engs[i], err = engine.New(key, engine.WithEnclave(s.encl))
-		if err != nil {
-			return 0, fmt.Errorf("core: shard %d rotate engine: %w", s.idx, err)
-		}
-	}
-	for i, s := range g.shards {
-		s.eng = engs[i]
-	}
-	return g.refreshLocked()
 }
 
 // Close quiesces the pipeline (every accepted batch is answered) and

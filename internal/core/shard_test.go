@@ -405,7 +405,7 @@ func TestShardGroupHoldsParametersOnce(t *testing.T) {
 }
 
 // TestShardGroupRefreshAndRotate: the group follows publication
-// versions and key rotation, both while resident and while streaming.
+// versions and key rotation through Refresh alone.
 func TestShardGroupRefreshAndRotate(t *testing.T) {
 	f, test := trainedShardFramework(t, 4)
 	g, err := f.NewShardGroup(ShardOptions{Shards: 3, Batch: 8, Seed: 5})
@@ -435,8 +435,8 @@ func TestShardGroupRefreshAndRotate(t *testing.T) {
 	if _, err := f.RotateKey(); err != nil {
 		t.Fatalf("RotateKey: %v", err)
 	}
-	if _, err := g.Rotate(); err != nil {
-		t.Fatalf("Rotate: %v", err)
+	if _, err := g.Refresh(); err != nil {
+		t.Fatalf("Refresh after RotateKey: %v", err)
 	}
 	// Still serving correctly under the new key and version.
 	want, err := f.Classify(test.Image(0))

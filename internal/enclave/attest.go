@@ -2,8 +2,11 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -16,7 +19,8 @@ import (
 // key over the resulting channel. The Intel attestation service is
 // simulated by an HMAC keyed with a platform key that both the (honest)
 // platform and the verifier know; the untrusted host between them never
-// sees key material.
+// sees key material. ProvisionKey runs the whole flow; it is the only
+// way a data key enters an enclave.
 
 // Measurement is the enclave identity (MRENCLAVE analogue): a SHA-256
 // hash over the trusted code identity.
@@ -42,6 +46,7 @@ var (
 	ErrQuoteForged   = errors.New("enclave: quote MAC verification failed")
 	ErrWrongEnclave  = errors.New("enclave: measurement mismatch")
 	ErrNoAttestation = errors.New("enclave: no attestation session")
+	errKeyUnwrap     = errors.New("enclave: wrapped key failed authentication")
 )
 
 // platformKey stands in for the provisioning key shared between the SGX
@@ -148,4 +153,79 @@ func deriveChannelKey(secret []byte) [32]byte {
 	var key [32]byte
 	copy(key[:], h.Sum(nil))
 	return key
+}
+
+// ProvisionKey delivers dataKey into the enclave (Fig. 5 steps 2-3):
+// the enclave quotes its measurement and an ephemeral ECDH key, an
+// owner verifies the quote against PliniusMeasurement and wraps dataKey
+// under the attested channel key, and the enclave derives the same
+// channel key and unwraps, in one ecall. It returns the key as the
+// enclave holds it.
+func (e *Enclave) ProvisionKey(dataKey []byte) ([]byte, error) {
+	sess, quote, err := e.BeginAttestation()
+	if err != nil {
+		return nil, err
+	}
+	owner, err := NewOwner(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	channel, err := owner.VerifyQuote(quote, PliniusMeasurement())
+	if err != nil {
+		return nil, err
+	}
+	wrapped, err := wrapKey(channel, dataKey)
+	if err != nil {
+		return nil, err
+	}
+	var key []byte
+	err = e.Ecall(func() error {
+		channel, err := sess.CompleteAttestation(owner.PublicKey())
+		if err != nil {
+			return err
+		}
+		key, err = unwrapKey(channel, wrapped)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("enclave: key provisioning: %w", err)
+	}
+	return key, nil
+}
+
+// channelAEAD is AES-256-GCM under an attestation channel key.
+func channelAEAD(channel [32]byte) cipher.AEAD {
+	block, err := aes.NewCipher(channel[:])
+	if err != nil {
+		panic(err) // a 32-byte key is always valid
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return aead
+}
+
+// wrapKey seals dataKey under the channel key, owner side: a random
+// nonce, then the ciphertext and tag.
+func wrapKey(channel [32]byte, dataKey []byte) ([]byte, error) {
+	aead := channelAEAD(channel)
+	nonce := make([]byte, aead.NonceSize(), aead.NonceSize()+len(dataKey)+aead.Overhead())
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("enclave: wrap nonce: %w", err)
+	}
+	return aead.Seal(nonce, nonce, dataKey, nil), nil
+}
+
+// unwrapKey opens a key wrapKey sealed, enclave side.
+func unwrapKey(channel [32]byte, wrapped []byte) ([]byte, error) {
+	aead := channelAEAD(channel)
+	if len(wrapped) < aead.NonceSize()+aead.Overhead() {
+		return nil, fmt.Errorf("%w: %d bytes", errKeyUnwrap, len(wrapped))
+	}
+	key, err := aead.Open(nil, wrapped[:aead.NonceSize()], wrapped[aead.NonceSize():], nil)
+	if err != nil {
+		return nil, errKeyUnwrap
+	}
+	return key, nil
 }

@@ -252,3 +252,68 @@ func TestCompleteAttestationNilSession(t *testing.T) {
 		t.Fatalf("nil session = %v, want ErrNoAttestation", err)
 	}
 }
+
+// TestProvisionKeyDeliversKey: the key an enclave holds after
+// ProvisionKey is the owner's, and the unwrap ran in one ecall.
+func TestProvisionKeyDeliversKey(t *testing.T) {
+	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
+	dataKey := bytes.Repeat([]byte{0x5A}, 16)
+	before := e.Stats().Ecalls
+	got, err := e.ProvisionKey(dataKey)
+	if err != nil {
+		t.Fatalf("ProvisionKey: %v", err)
+	}
+	if !bytes.Equal(got, dataKey) {
+		t.Fatal("provisioned key differs from the owner's")
+	}
+	if n := e.Stats().Ecalls - before; n != 1 {
+		t.Fatalf("ProvisionKey made %d ecalls, want 1", n)
+	}
+}
+
+func TestWrapUnwrapKey(t *testing.T) {
+	var channel [32]byte
+	if _, err := rand.Read(channel[:]); err != nil {
+		t.Fatalf("rand: %v", err)
+	}
+	dataKey := make([]byte, 16)
+	if _, err := rand.Read(dataKey); err != nil {
+		t.Fatalf("rand: %v", err)
+	}
+	wrapped, err := wrapKey(channel, dataKey)
+	if err != nil {
+		t.Fatalf("wrapKey: %v", err)
+	}
+	got, err := unwrapKey(channel, wrapped)
+	if err != nil {
+		t.Fatalf("unwrapKey: %v", err)
+	}
+	if !bytes.Equal(got, dataKey) {
+		t.Fatal("unwrapped key differs")
+	}
+}
+
+func TestUnwrapKeyWrongChannel(t *testing.T) {
+	var a, b [32]byte
+	a[0], b[0] = 1, 2
+	wrapped, err := wrapKey(a, make([]byte, 16))
+	if err != nil {
+		t.Fatalf("wrapKey: %v", err)
+	}
+	if _, err := unwrapKey(b, wrapped); !errors.Is(err, errKeyUnwrap) {
+		t.Fatalf("wrong-channel unwrapKey = %v, want errKeyUnwrap", err)
+	}
+}
+
+func TestUnwrapKeyRejectsTruncated(t *testing.T) {
+	var channel [32]byte
+	wrapped, err := wrapKey(channel, make([]byte, 16))
+	if err != nil {
+		t.Fatalf("wrapKey: %v", err)
+	}
+	for _, n := range []int{0, 4, len(wrapped) - 1} {
+		if _, err := unwrapKey(channel, wrapped[:n]); !errors.Is(err, errKeyUnwrap) {
+			t.Fatalf("unwrapKey of %d of %d bytes = %v, want errKeyUnwrap", n, len(wrapped), err)
+		}
+	}
+}

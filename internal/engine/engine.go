@@ -9,7 +9,7 @@
 // A parameter buffer is one segment, except that the mirror seals a
 // buffer over 1 MiB, fp32 or int8, as several. Keys are 128-bit and are
 // provisioned via the remote-attestation secure channel
-// (WrapKey/UnwrapKey) or generated in the enclave.
+// (enclave.Enclave.ProvisionKey).
 //
 // On an amd64 CPU with AVX-512, VAES and VPCLMULQDQ, SealInto and
 // OpenAAD run gcm_amd64.s, an AES-128-GCM kernel that seals in one pass
@@ -484,53 +484,6 @@ func GenerateKey(rng io.Reader) ([]byte, error) {
 	key := make([]byte, KeySize)
 	if _, err := io.ReadFull(rng, key); err != nil {
 		return nil, fmt.Errorf("engine keygen: %w", err)
-	}
-	return key, nil
-}
-
-// WrapKey encrypts a 128-bit data key under the remote-attestation
-// channel key for provisioning to the enclave (Fig. 5, step 3).
-func WrapKey(channelKey [32]byte, dataKey []byte, rng io.Reader) ([]byte, error) {
-	if len(dataKey) != KeySize {
-		return nil, fmt.Errorf("%w: got %d", ErrBadKey, len(dataKey))
-	}
-	block, err := aes.NewCipher(channelKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("wrap cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("wrap gcm: %w", err)
-	}
-	iv := make([]byte, IVSize)
-	if _, err := io.ReadFull(rng, iv); err != nil {
-		return nil, fmt.Errorf("wrap iv: %w", err)
-	}
-	out := make([]byte, 0, IVSize+KeySize+TagSize)
-	out = append(out, iv...)
-	return aead.Seal(out, iv, dataKey, nil), nil
-}
-
-// UnwrapKey recovers a data key wrapped with WrapKey; it runs inside the
-// enclave after attestation.
-func UnwrapKey(channelKey [32]byte, wrapped []byte) ([]byte, error) {
-	if len(wrapped) < Overhead {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooShort, len(wrapped))
-	}
-	block, err := aes.NewCipher(channelKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("unwrap cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("unwrap gcm: %w", err)
-	}
-	key, err := aead.Open(nil, wrapped[:IVSize], wrapped[IVSize:], nil)
-	if err != nil {
-		return nil, ErrAuth
-	}
-	if len(key) != KeySize {
-		return nil, fmt.Errorf("%w: unwrapped %d bytes", ErrBadKey, len(key))
 	}
 	return key, nil
 }

@@ -247,51 +247,3 @@ func TestEnclaveBoundSealChargesPagingBeyondEPC(t *testing.T) {
 		t.Fatal("seal beyond EPC did not charge paging cost")
 	}
 }
-
-func TestWrapUnwrapKey(t *testing.T) {
-	var channel [32]byte
-	if _, err := rand.Read(channel[:]); err != nil {
-		t.Fatalf("rand: %v", err)
-	}
-	dataKey, err := GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
-	wrapped, err := WrapKey(channel, dataKey, rand.Reader)
-	if err != nil {
-		t.Fatalf("WrapKey: %v", err)
-	}
-	got, err := UnwrapKey(channel, wrapped)
-	if err != nil {
-		t.Fatalf("UnwrapKey: %v", err)
-	}
-	if !bytes.Equal(got, dataKey) {
-		t.Fatal("unwrapped key differs")
-	}
-}
-
-func TestUnwrapKeyWrongChannel(t *testing.T) {
-	var a, b [32]byte
-	a[0], b[0] = 1, 2
-	dataKey, err := GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
-	wrapped, err := WrapKey(a, dataKey, rand.Reader)
-	if err != nil {
-		t.Fatalf("WrapKey: %v", err)
-	}
-	if _, err := UnwrapKey(b, wrapped); !errors.Is(err, ErrAuth) {
-		t.Fatalf("wrong-channel UnwrapKey = %v, want ErrAuth", err)
-	}
-}
-
-func TestWrapKeyRejectsBadKey(t *testing.T) {
-	var channel [32]byte
-	if _, err := WrapKey(channel, []byte("short"), rand.Reader); !errors.Is(err, ErrBadKey) {
-		t.Fatalf("WrapKey short = %v, want ErrBadKey", err)
-	}
-	if _, err := UnwrapKey(channel, []byte("tiny")); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("UnwrapKey tiny = %v, want ErrTooShort", err)
-	}
-}

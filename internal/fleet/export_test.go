@@ -41,5 +41,5 @@ func (fl *Fleet) Metrics() *obs.Registry { return fl.reg }
 // InFlight returns the micro-batches currently inside the router.
 func (fl *Fleet) InFlight() int { return int(fl.inflight.Load()) }
 
-// Channels returns the number of attested inter-host channels.
+// Channels returns the number of inter-host channels.
 func (fl *Fleet) Channels() int { return len(fl.topo.Load().channels) }

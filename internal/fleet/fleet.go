@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,36 +88,29 @@ type group struct {
 
 // handoff implements core.Handoff for one replica group: stage pairs
 // on the same host keep the in-process buffer pass (Carry is a no-op),
-// pairs on different hosts get an attested Channel provisioned at Bind
-// time.
+// pairs on different hosts get a Channel at Bind time.
 type handoff struct {
 	fl    *Fleet
 	hosts []int
 	chans map[int]*Channel // keyed by `from` stage index
 }
 
-func (h *handoff) Bind(from, to int, src, dst *enclave.Enclave) error {
+func (h *handoff) Bind(from, to int, src, dst *enclave.Enclave) {
 	if h.hosts[from] == h.hosts[to] {
-		return nil
+		return
 	}
-	var faults *chaos.Injector
+	ch := &Channel{
+		From: from, To: to,
+		src: src, dst: dst,
+		mBytes: h.fl.mBytes, mSeconds: h.fl.mSeconds, mRetries: h.fl.mRetries,
+	}
 	if h.fl.channelFaults != nil {
-		faults = h.fl.channelFaults(h.hosts[from], h.hosts[to])
-	}
-	ch, err := newChannel(from, to, src, dst, chanConfig{
-		faults:   faults,
-		mBytes:   h.fl.mBytes,
-		mSeconds: h.fl.mSeconds,
-		mRetries: h.fl.mRetries,
-	})
-	if err != nil {
-		return err
+		ch.faults = h.fl.channelFaults(h.hosts[from], h.hosts[to])
 	}
 	h.chans[from] = ch
 	// Groups are built by New or under the write lock, never
 	// concurrently, so the append needs no lock of its own.
 	h.fl.channels = append(h.fl.channels, ch)
-	return nil
 }
 
 func (h *handoff) Carry(from, to int, sealed []byte) error {
@@ -131,10 +123,10 @@ func (h *handoff) Carry(from, to int, sealed []byte) error {
 
 // Fleet serves one logical model across many hosts: replica groups of
 // pipelined shard enclaves, placed by the bin-packing planner, joined
-// by attested inter-host channels, fronted by a least-loaded
-// micro-batch router. ClassifyBatchCtx is safe for concurrent use.
+// by inter-host channels, fronted by a least-loaded micro-batch
+// router. ClassifyBatchCtx is safe for concurrent use.
 //
-// Control operations (Refresh, Rotate, Close) drain and flip the whole
+// Control operations (Refresh, Close) drain and flip the whole
 // fleet atomically: intake holds the read side of a lock for the full
 // life of each batch, the control path takes the write side, so every
 // in-flight batch completes on the old version, no new batch starts
@@ -170,6 +162,8 @@ type Fleet struct {
 	degraded atomic.Bool
 
 	inflight atomic.Int64
+	// next is the router's rotating tie-break cursor (see pick).
+	next atomic.Uint64
 
 	reg       *obs.Registry
 	mBytes    *obs.Counter
@@ -211,8 +205,7 @@ func (fl *Fleet) publishTopologyLocked() {
 // current hosts, planned fresh otherwise — as many replica groups as
 // the fleet's capacity admits, at least one and at most one per host —
 // then recorded back; one shard group per replica group is built on
-// its placed hosts, with attested channels provisioned across every
-// host boundary.
+// its placed hosts, with a channel across every host boundary.
 func New(f *core.Framework, opts Options) (*Fleet, error) {
 	if len(opts.Hosts) == 0 {
 		return nil, fmt.Errorf("%w: no hosts", ErrInfeasible)
@@ -318,7 +311,7 @@ func New(f *core.Framework, opts Options) (*Fleet, error) {
 }
 
 // buildGroups builds one shard group per assignment, on its placed
-// hosts, with attested channels across every host boundary. labelBase
+// hosts, with a channel across every host boundary. labelBase
 // offsets the group metric label so replacement groups built after an
 // eviction do not collide with survivors. On error every group built so
 // far is closed.
@@ -389,55 +382,28 @@ func persistedPlacement(f *core.Framework, net *darknet.Network, headrooms []int
 	return Placement{Plan: l.Plan, Footprints: fps, Groups: l.Hosts}, true
 }
 
-// pick routes one micro-batch: least-loaded by in-flight count, ties
-// broken by a consistent hash of the batch contents so equal-load
-// groups still spread deterministically.
-func (fl *Fleet) pick(images []float32) *group {
-	if len(fl.groups) == 1 {
-		return fl.groups[0]
-	}
-	best := -1
-	var bestLoad int64
-	tie := false
-	for i, g := range fl.groups {
-		load := g.inflight.Load()
-		switch {
-		case best == -1 || load < bestLoad:
-			best, bestLoad, tie = i, load, false
-		case load == bestLoad:
-			tie = true
+// pick routes one micro-batch to the least-loaded group by in-flight
+// count. The scan starts at a cursor that advances on every pick, so
+// ties go round-robin: equal-load groups share the work whatever the
+// batches hold.
+func (fl *Fleet) pick() *group {
+	n := uint64(len(fl.groups))
+	start := fl.next.Add(1)
+	best := fl.groups[start%n]
+	bestLoad := best.inflight.Load()
+	for i := uint64(1); i < n; i++ {
+		g := fl.groups[(start+i)%n]
+		if load := g.inflight.Load(); load < bestLoad {
+			best, bestLoad = g, load
 		}
 	}
-	if !tie {
-		return fl.groups[best]
-	}
-	h := fnv.New64a()
-	n := len(images)
-	if n > 64 {
-		n = 64
-	}
-	for _, v := range images[:n] {
-		var b [4]byte
-		u := uint32(v * 1e6)
-		b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
-		_, _ = h.Write(b[:])
-	}
-	candidates := make([]*group, 0, len(fl.groups))
-	for _, g := range fl.groups {
-		if g.inflight.Load() == bestLoad {
-			candidates = append(candidates, g)
-		}
-	}
-	if len(candidates) == 0 {
-		return fl.groups[best]
-	}
-	return candidates[h.Sum64()%uint64(len(candidates))]
+	return best
 }
 
 // ClassifyBatchCtx routes the images to a replica group and pipelines
 // them through its shard stages (obs.Trace spans on ctx ride through to
 // the shard pipeline). Safe for concurrent use. The read lock is held for the
-// whole batch, so a concurrent Refresh/Rotate/Close waits out every
+// whole batch, so a concurrent Refresh/Close waits out every
 // admitted batch before flipping — no request is ever dropped by a
 // control operation.
 //
@@ -491,7 +457,7 @@ func (fl *Fleet) classifyOnce(ctx context.Context, images []float32) ([]int, err
 		}
 		return nil, fmt.Errorf("%w: %d of %d hosts down", ErrUnavailable, downCount, len(fl.hosts))
 	}
-	g := fl.pick(images)
+	g := fl.pick()
 	g.inflight.Add(1)
 	fl.inflight.Add(1)
 	defer func() {
@@ -735,9 +701,11 @@ func (fl *Fleet) Rejoin() error {
 	return fl.replanLocked()
 }
 
-// control drains the fleet and runs op on every replica group under
-// the write lock: one atomic fleet-wide flip.
-func (fl *Fleet) control(op func(*core.ShardGroup) (int, error)) (int, error) {
+// Refresh drains the fleet and rolls every replica group to the latest
+// published version together under the write lock — one atomic
+// fleet-wide flip. A group whose key is stale (Framework.RotateKey)
+// is re-keyed first, as core.ShardGroup.Refresh does.
+func (fl *Fleet) Refresh() (int, error) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fl.closed {
@@ -745,7 +713,7 @@ func (fl *Fleet) control(op func(*core.ShardGroup) (int, error)) (int, error) {
 	}
 	iter := 0
 	for gi, g := range fl.groups {
-		it, err := op(g.sg)
+		it, err := g.sg.Refresh()
 		if err != nil {
 			// The errored group kept its old version coherently (shard
 			// groups stage their flips); groups before it already moved.
@@ -755,19 +723,6 @@ func (fl *Fleet) control(op func(*core.ShardGroup) (int, error)) (int, error) {
 		iter = it
 	}
 	return iter, nil
-}
-
-// Refresh drains the fleet and rolls every replica group to the latest
-// published version together.
-func (fl *Fleet) Refresh() (int, error) {
-	return fl.control((*core.ShardGroup).Refresh)
-}
-
-// Rotate drains the fleet and re-provisions the framework's current
-// data key into every shard enclave of every group, then refreshes to
-// the snapshot published under it. Call Framework.RotateKey first.
-func (fl *Fleet) Rotate() (int, error) {
-	return fl.control((*core.ShardGroup).Rotate)
 }
 
 // Close drains the fleet and tears down every replica group, returning

@@ -45,8 +45,7 @@ func newFleetHosts(f *core.Framework, n, epcBytes int) []*enclave.Host {
 // check: a model whose footprint exceeds any single host's usable EPC
 // serves across a 3-host fleet fully resident — zero paging faults on
 // every host — with predictions identical to the sequential enclave
-// model, and with sealed activations crossing attested inter-host
-// channels.
+// model, and with sealed activations crossing inter-host channels.
 func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 	const (
 		hostEPC = 5 << 20
@@ -152,8 +151,9 @@ func TestFleetServesOverEPCModelZeroFaults(t *testing.T) {
 	}
 }
 
-// TestFleetRefreshAndRotate: control operations flip every replica
-// group together and serving continues bit-identical to the framework
+// TestFleetRefreshAndRotate: Refresh flips every replica group
+// together, to a new version and, after Framework.RotateKey, to the
+// new key, and serving continues bit-identical to the framework
 // afterwards.
 func TestFleetRefreshAndRotate(t *testing.T) {
 	f := newOverEPCFramework(t, 4<<20, 21)
@@ -177,8 +177,8 @@ func TestFleetRefreshAndRotate(t *testing.T) {
 	if _, err := f.RotateKey(); err != nil {
 		t.Fatalf("RotateKey: %v", err)
 	}
-	if _, err := fl.Rotate(); err != nil {
-		t.Fatalf("Rotate: %v", err)
+	if _, err := fl.Refresh(); err != nil {
+		t.Fatalf("Refresh after RotateKey: %v", err)
 	}
 	ds := mnist.Synthetic(1, 21)
 	got, err := fl.ClassifyBatch(ds.Images)
@@ -197,7 +197,8 @@ func TestFleetRefreshAndRotate(t *testing.T) {
 }
 
 // TestFleetControlDropsNoRequests hammers the fleet with concurrent
-// batches while Refresh and Rotate flip it mid-traffic: every request
+// batches while Refresh flips it mid-traffic, before and after a key
+// rotation: every request
 // must succeed — the control path drains, flips, and resumes without
 // dropping a single one. Run under -race this also exercises the
 // intake/control lock discipline.
@@ -242,8 +243,8 @@ func TestFleetControlDropsNoRequests(t *testing.T) {
 			errCh <- fmt.Errorf("rotate key: %w", err)
 			return
 		}
-		if _, err := fl.Rotate(); err != nil {
-			errCh <- fmt.Errorf("rotate: %w", err)
+		if _, err := fl.Refresh(); err != nil {
+			errCh <- fmt.Errorf("refresh after rotate key: %w", err)
 		}
 	}()
 	wg.Wait()
@@ -312,7 +313,8 @@ func TestFleetInfeasibleTyped(t *testing.T) {
 
 // TestFleetRouterSpreadsLoad: with replica groups placed — auto
 // packing puts one on each of two roomy hosts — concurrent traffic
-// reaches more than one group.
+// reaches more than one group, and so does a sequential pass of
+// identical batches, which finds the groups tied every time.
 func TestFleetRouterSpreadsLoad(t *testing.T) {
 	f := newOverEPCFramework(t, 1<<20, 61)
 	hosts := newFleetHosts(f, 2, 8<<20)
@@ -360,6 +362,32 @@ func TestFleetRouterSpreadsLoad(t *testing.T) {
 	}
 	if !perGroup[0] || !perGroup[1] {
 		t.Logf("router concentration: group0=%v group1=%v (load-dependent, informational)", perGroup[0], perGroup[1])
+	}
+
+	// Co-tenants push both hosts past their EPC, so the input a batch
+	// stages into its first shard pays a page fault on the host that
+	// served it.
+	for _, h := range hosts {
+		tenant := h.NewEnclave(enclave.WithSeed(1))
+		if err := tenant.Reserve(8 << 20); err != nil {
+			t.Fatalf("Reserve: %v", err)
+		}
+		defer tenant.Close()
+	}
+	var served [2]int
+	for i := 0; i < 4; i++ {
+		before := [2]uint64{hosts[0].Stats().PageSwaps, hosts[1].Stats().PageSwaps}
+		if _, err := fl.ClassifyBatch(ds.Images); err != nil {
+			t.Fatalf("sequential classify: %v", err)
+		}
+		for h := range served {
+			if hosts[h].Stats().PageSwaps > before[h] {
+				served[h]++
+			}
+		}
+	}
+	if served[0] == 0 || served[1] == 0 {
+		t.Fatalf("4 identical sequential batches served %d on host 0 and %d on host 1, want both hosts used", served[0], served[1])
 	}
 }
 

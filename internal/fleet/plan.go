@@ -8,11 +8,14 @@
 // — exceeds any one machine's budget still serves fully resident, with
 // zero paging faults, on machines none of which could hold it alone.
 // Replica groups place the same shard plan on k disjoint capacity
-// slices for throughput. Attested inter-host channels (channel.go)
-// carry the sealed activation hand-off between shard stages that land
-// on different hosts. A front-end router (fleet.go) spreads
+// slices for throughput. Inter-host channels (channel.go) carry the
+// sealed activation hand-off between shard stages that land on
+// different hosts; they hold no key, since both endpoints are shard
+// enclaves their group attested and keyed, and the activations stay
+// sealed under that data key. A front-end router (fleet.go) spreads
 // micro-batches over the replica groups and drains/re-pins the whole
-// fleet atomically on Refresh/RotateKey.
+// fleet atomically on Refresh, which also re-keys every group after a
+// Framework.RotateKey.
 package fleet
 
 import (

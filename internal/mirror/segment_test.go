@@ -8,6 +8,7 @@ import (
 
 	"plinius/internal/darknet"
 	"plinius/internal/engine"
+	"plinius/internal/romulus"
 )
 
 // segNet is a 784-520-520-520-10 MLP: the weights of its first three
@@ -41,15 +42,22 @@ func (r segRef) bytes(t *testing.T, net *darknet.Network) ([]byte, int) {
 	tasks, _ := r.m.collectTasks(collectBuffers(net), 0, r.m.gen)
 	for _, tk := range tasks {
 		if tk.li == r.li && tk.bi == r.bi && tk.seg == r.seg {
-			b := make([]byte, tk.sealedLen)
-			if err := r.m.rom.LoadPayload(r.m.half, tk.off, b); err != nil {
-				t.Fatalf("Load: %v", err)
-			}
-			return b, tk.off
+			return readPayload(t, r.m.rom, r.m.half, tk.off, tk.sealedLen), tk.off
 		}
 	}
 	t.Fatalf("no segment %d of layer %d buffer %d", r.seg, r.li, r.bi)
 	return nil, 0
+}
+
+// readPayload copies n sealed bytes at off of payload half half out of
+// PM.
+func readPayload(t *testing.T, rom *romulus.Romulus, half, off, n int) []byte {
+	t.Helper()
+	b := make([]byte, n)
+	if err := rom.ViewPayload(half, off, n, func(src []byte) error { copy(b, src); return nil }); err != nil {
+		t.Fatalf("ViewPayload: %v", err)
+	}
+	return b
 }
 
 // overwrite stores each sealed byte slice at its offset in m's current
@@ -198,10 +206,7 @@ func TestOtherHalfSegmentFailsAuth(t *testing.T) {
 				}
 			}
 			cur, off := segRef{m, c.li, c.bi, c.seg}.bytes(t, net)
-			old := make([]byte, len(cur))
-			if err := rom.LoadPayload(1-m.half, off, old); err != nil {
-				t.Fatalf("LoadPayload: %v", err)
-			}
+			old := readPayload(t, rom, 1-m.half, off, len(cur))
 			overwrite(t, m, map[int][]byte{off: old})
 			if _, err := m.MirrorIn(segNet(t, 99)); !errors.Is(err, engine.ErrAuth) {
 				t.Fatalf("MirrorIn with a segment of the older generation = %v, want ErrAuth", err)

@@ -22,8 +22,8 @@ func fillBytes(b byte) func([]byte) error {
 func loadPayload(t *testing.T, r *Romulus, half, off, n int) []byte {
 	t.Helper()
 	buf := make([]byte, n)
-	if err := r.LoadPayload(half, off, buf); err != nil {
-		t.Fatalf("LoadPayload(%d, %d, %d): %v", half, off, n, err)
+	if err := r.ViewPayload(half, off, n, func(src []byte) error { copy(buf, src); return nil }); err != nil {
+		t.Fatalf("ViewPayload(%d, %d, %d): %v", half, off, n, err)
 	}
 	return buf
 }
@@ -148,16 +148,13 @@ func TestPayloadHalvesAreIndependentAndOutsideTheTwinCopy(t *testing.T) {
 
 // TestPayloadAccessBounds: fills may land anywhere above the heap —
 // allocated extents or the free space the next extent will take — and
-// loads and views only inside allocated extents; no access crosses the
+// views only inside allocated extents; no access crosses the
 // region's end into the other half or names a third half.
 func TestPayloadAccessBounds(t *testing.T) {
 	_, r := newHeap(t, 64<<10)
 	top := r.RegionSize()
 	if err := r.FillPayload(0, top-128, 128, fillBytes(3)); err != nil {
 		t.Fatalf("fill of the next extent's space: %v", err)
-	}
-	if err := r.LoadPayload(0, top-128, make([]byte, 128)); !errors.Is(err, ErrBadOffset) {
-		t.Fatalf("load of unallocated space = %v, want ErrBadOffset", err)
 	}
 	noView := func([]byte) error { return nil }
 	if err := r.ViewPayload(0, top-128, 128, noView); !errors.Is(err, ErrBadOffset) {
@@ -187,9 +184,6 @@ func TestPayloadAccessBounds(t *testing.T) {
 		{"third half", 2, top - 128, 8},
 		{"negative half", -1, top - 128, 8},
 	} {
-		if err := r.LoadPayload(c.half, c.off, make([]byte, c.len)); !errors.Is(err, ErrBadOffset) {
-			t.Errorf("%s: LoadPayload = %v, want ErrBadOffset", c.name, err)
-		}
 		if err := r.FillPayload(c.half, c.off, c.len, fillBytes(1)); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("%s: FillPayload = %v, want ErrBadOffset", c.name, err)
 		}

@@ -83,7 +83,7 @@ var (
 
 // Romulus manages twin-copy durable transactions on one PM device. It is
 // single-goroutine per the paper's single-threaded training loop, except
-// that FillPayload, LoadPayload and ViewPayload of disjoint ranges may
+// that FillPayload and ViewPayload of disjoint ranges may
 // run on several goroutines while nothing else uses the heap; the
 // underlying device is race-safe.
 type Romulus struct {
@@ -506,19 +506,10 @@ func (r *Romulus) FillPayload(half, off, n int, fill func(dst []byte) error) err
 	return err
 }
 
-// LoadPayload reads len(buf) bytes at offset off of payload half half.
-// The range must lie inside the allocated payload extents.
-func (r *Romulus) LoadPayload(half, off int, buf []byte) error {
-	start, err := r.payloadStart(half, off, len(buf), r.low)
-	if err != nil {
-		return err
-	}
-	return r.dev.Load(start, buf)
-}
-
 // ViewPayload lends view the n bytes at offset off of payload half
-// half in place (pm.Device.LoadView): LoadPayload's bounds, counters
-// and modeled time, without the copy. view runs without the device
+// half in place (pm.Device.LoadView): a Load's counters and modeled
+// time, without the copy. The range must lie inside the allocated
+// payload extents. view runs without the device
 // lock, must not write the bytes or keep them past its return, and
 // must read each byte it relies on once; views of disjoint ranges may
 // run on several goroutines.

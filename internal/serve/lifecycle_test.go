@@ -228,6 +228,118 @@ func TestRotateKeyServesThroughRotation(t *testing.T) {
 	}
 }
 
+// TestRefreshAfterDirectRotateKey: a Framework.RotateKey the server did
+// not drive leaves the replicas holding the old key; Refresh provisions
+// the new one into each and serves the rotated version.
+func TestRefreshAfterDirectRotateKey(t *testing.T) {
+	f, test := newTrainedFramework(t, 4)
+	s, err := New(context.Background(), f, Options{Workers: 2, MaxBatch: 4, MaxQueueLatency: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New server: %v", err)
+	}
+	defer s.Close()
+	before, err := s.Classify(context.Background(), test.Image(0))
+	if err != nil {
+		t.Fatalf("Classify before rotate: %v", err)
+	}
+	ver, err := f.RotateKey()
+	if err != nil {
+		t.Fatalf("RotateKey: %v", err)
+	}
+	if _, err := s.Refresh(context.Background()); err != nil {
+		t.Fatalf("Refresh after RotateKey: %v", err)
+	}
+	if s.Version() != ver {
+		t.Fatalf("server on version %d after Refresh, want the rotated %d", s.Version(), ver)
+	}
+	for i := 0; i < 4; i++ { // more requests than replicas: each one answers
+		after, err := s.Classify(context.Background(), test.Image(0))
+		if err != nil {
+			t.Fatalf("Classify after Refresh: %v", err)
+		}
+		if after.ModelVersion != ver || after.Class != before.Class {
+			t.Fatalf("served version %d class %d, want version %d class %d", after.ModelVersion, after.Class, ver, before.Class)
+		}
+	}
+}
+
+// TestRefreshRacingRotateKey: Framework.RotateKey races Server.Refresh
+// in a loop while clients classify. Every request is answered, every
+// Refresh either leaves the server on a version its replicas can open
+// or fails with the old version still serving, and once the rotations
+// stop a Refresh serves the last one. Meant to run under -race.
+func TestRefreshRacingRotateKey(t *testing.T) {
+	f, test := newTrainedFramework(t, 4)
+	s, err := New(context.Background(), f, Options{
+		Workers:         2,
+		MaxBatch:        4,
+		MaxQueueLatency: 500 * time.Microsecond,
+		QueueDepth:      256,
+	})
+	if err != nil {
+		t.Fatalf("New server: %v", err)
+	}
+	defer s.Close()
+
+	// Every goroutine is stopped and waited for before the server
+	// closes, on the failure paths too.
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	defer func() {
+		close(stop)
+		bg.Wait()
+	}()
+	for c := 0; c < 3; c++ {
+		bg.Add(1)
+		go func(c int) {
+			defer bg.Done()
+			for i := c; ; i += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Classify(context.Background(), test.Image(i%test.N)); err != nil && !errors.Is(err, ErrOverloaded) {
+					t.Errorf("Classify while rotations race refreshes: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	const rounds = 8
+	rotated := make(chan uint64, 1)
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		var last uint64
+		for i := 0; i < rounds; i++ {
+			ver, err := f.RotateKey()
+			if err != nil {
+				t.Errorf("RotateKey: %v", err)
+				break
+			}
+			last = ver
+		}
+		rotated <- last
+	}()
+	for i := 0; i < rounds; i++ {
+		old := s.Version()
+		if _, err := s.Refresh(context.Background()); err != nil && s.Version() != old {
+			t.Fatalf("failed Refresh moved the server from version %d to %d: %v", old, s.Version(), err)
+		}
+		if _, err := s.Classify(context.Background(), test.Image(i)); err != nil {
+			t.Fatalf("Classify after Refresh %d: %v", i, err)
+		}
+	}
+	last := <-rotated
+	if _, err := s.Refresh(context.Background()); err != nil {
+		t.Fatalf("Refresh after the rotations: %v", err)
+	}
+	if s.Version() != last {
+		t.Fatalf("server on version %d, want the last rotation's %d", s.Version(), last)
+	}
+}
+
 // TestRefreshIsZeroDowntimeUnderLoad refreshes repeatedly while
 // clients hammer the pool; every non-shed request must be answered.
 func TestRefreshIsZeroDowntimeUnderLoad(t *testing.T) {

@@ -52,8 +52,10 @@
 // its shards must change version together. Either way it is race-free
 // against concurrent training, because published snapshots are
 // immutable and pinned during restore, and no accepted request is
-// dropped. RotateKey re-provisions the data key end to end (framework
-// re-seal + attested key delivery to every enclave) the same way.
+// dropped. A backend whose data key is stale — after
+// Framework.RotateKey — receives the current key over fresh
+// attestation channels in the same step, so RotateKey is the
+// framework's re-seal followed by Refresh.
 //
 // Dispatch preserves the model's math: every layer processes batch
 // samples independently, so a request's predicted class is identical
@@ -149,8 +151,8 @@ type Options struct {
 	// Fleet, when non-empty, makes the backend a multi-host fleet
 	// (internal/fleet) instead of replicas or a single shard group:
 	// the model is bin-packed across these hosts' EPC headrooms into
-	// replica groups of pipelined shard enclaves joined by attested
-	// inter-host channels, and micro-batches are routed least-loaded
+	// replica groups of pipelined shard enclaves joined by inter-host
+	// channels, and micro-batches are routed least-loaded
 	// across the groups. A fleet ignores Workers and Shards: the server
 	// runs one worker per batch its aggregate window admits. A model
 	// with no feasible placement fails construction with an error
@@ -881,31 +883,36 @@ func (s *Server) Iteration() int { return int(s.iter.Load()) }
 func (s *Server) Version() uint64 { return s.ver.Load() }
 
 // Refresh rolls every backend forward to the latest published model
-// version and returns the restored iteration. A replica pool rolls one
-// replica at a time while the others keep serving; a shard group or
-// fleet drains and flips at once (queued requests wait, none fail).
-// Either way it is safe against concurrent training: every backend
-// pins the version it restores, and published snapshots are immutable,
-// so no torn model can ever be observed.
+// version and returns the restored iteration. A backend whose enclaves
+// hold an older data key than the framework's (Framework.RotateKey
+// ran since they were keyed) first receives the current key over fresh
+// attestation channels; the version it pins is always one sealed under
+// the key it then holds, even when a rotation races the refresh. A
+// replica pool rolls one replica at a time while the others keep
+// serving; a shard group or fleet drains and flips at once (queued
+// requests wait, none fail). Either way it is safe against concurrent
+// training: every backend pins the version it restores, and published
+// snapshots are immutable, so no torn model can ever be observed.
 //
-// Every backend is attempted even if one fails; on error the server
-// may be serving mixed versions (Iteration and Version keep the old
-// values) — retry Refresh or Close the server.
+// Every backend is attempted even if one fails; a backend that fails
+// keeps serving its old version under its old key, so on error the
+// server may be serving mixed versions (Iteration and Version keep the
+// old values) — retry Refresh or Close the server.
 func (s *Server) Refresh(ctx context.Context) (int, error) {
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
-	return s.control(ctx, core.Backend.Refresh)
+	return s.refresh(ctx)
 }
 
-// control runs one control operation — Refresh or Rotate — on each
-// backend in turn, every slot of that backend borrowed from the pool
-// for the call, so no batch runs on a backend while it changes
-// version. With one slot per replica that is a one-at-a-time rollout
-// the rest of the pool serves through; a shard group or fleet, whose
-// shards must change version together, also quiesces internally. ctx
-// cancels between backends, never mid-backend. On success control
-// publishes the iteration and version it left the server on.
-func (s *Server) control(ctx context.Context, op func(core.Backend) (int, error)) (int, error) {
+// refresh runs Refresh on each backend in turn, every slot of that
+// backend borrowed from the pool for the call, so no batch runs on a
+// backend while it changes version. With one slot per replica that is
+// a one-at-a-time rollout the rest of the pool serves through; a shard
+// group or fleet, whose shards must change version together, also
+// quiesces internally. ctx cancels between backends, never
+// mid-backend. On success refresh publishes the iteration and version
+// it left the server on. The caller holds ctlMu.
+func (s *Server) refresh(ctx context.Context) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -926,7 +933,7 @@ func (s *Server) control(ctx context.Context, op func(core.Backend) (int, error)
 			}
 		}
 		held := s.pool.drain(b, n)
-		it, err := op(b)
+		it, err := b.Refresh()
 		s.pool.release(held)
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -944,9 +951,9 @@ func (s *Server) control(ctx context.Context, op func(core.Backend) (int, error)
 }
 
 // RotateKey rotates the data key end to end without a serving gap:
-// the framework generates a fresh key, re-seals the training data
-// matrix and PM mirror, and publishes a new snapshot under the new
-// key; then every backend, as in Refresh, receives the key over fresh
+// Framework.RotateKey generates a fresh key, re-seals the training
+// data matrix and PM mirror, and publishes a new snapshot under the
+// new key; then Refresh gives every backend the key over fresh
 // attestation channels and restores the new snapshot. It returns the
 // published version now being served.
 func (s *Server) RotateKey(ctx context.Context) (uint64, error) {
@@ -958,7 +965,7 @@ func (s *Server) RotateKey(ctx context.Context) (uint64, error) {
 	if _, err := s.f.RotateKey(); err != nil {
 		return 0, err
 	}
-	if _, err := s.control(ctx, core.Backend.Rotate); err != nil {
+	if _, err := s.refresh(ctx); err != nil {
 		return 0, err
 	}
 	return s.ver.Load(), nil

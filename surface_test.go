@@ -37,7 +37,6 @@ var surfaceAllowlist = map[string]string{
 	"pm.Device.CrashAt":           "romulus TestCrashSweepChunkedPropagation and core TestCrashSweep crash a writer at each persistence event",
 	"pm.Device.DirtyLines":        "romulus TestCrashSweepChunkedPropagation asserts a commit leaves no dirty line",
 	"pm.Device.Stats":             "romulus TestStatsFourFencesScaleWithTransactions and core TestCrashSweep count fences and stores",
-	"romulus.Romulus.LoadPayload": "mirror TestOtherHalfSegmentFailsAuth and segment_test.go's segRef.bytes read sealed segments back from PM",
 }
 
 // TestExportedSurfaceHasUsers fails on any exported package-level name
