@@ -26,6 +26,9 @@ func axpyRowAVX512(c, a *float32, aStride int, b *float32, boff *int, k, w int, 
 func dotPanelAVX2(pk, b *float32, boff *int, segs, seg, skip int, out *float32)
 
 //go:noescape
+func dotBlock16AVX512(pk, b *float32, boff *int, k int, c *float32, ldc, rows int, lanes uint16)
+
+//go:noescape
 func packPanel8AVX2(pk, a *float32, n, stride int)
 
 //go:noescape
@@ -135,6 +138,39 @@ func gemmTBRowsAVX2(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo
 					c[(i+l)*n+j0+jj] += out[jj*8+l]
 				}
 			}
+		}
+	}
+	putScratch(bp)
+}
+
+// gemmTBRowsAVX512 is gemmTBRowsGo on the AVX-512 block micro-kernel
+// for a row-major B. Lanes are sixteen outputs: each pass packs up to
+// eight A rows lane-interleaved, zero past k up to a multiple of 16,
+// and each block of sixteen B rows is swept once, its sums starting at
+// +0, running p ascending and added to C once — the reference order.
+// A block past B's last row repeats that row in its spare lanes, and a
+// pass of fewer than eight rows leaves the panel's other lanes as they
+// were: the sums they feed are never stored. B rows at an offset table
+// (the convolution's segmented rows), and k == 0, take the AVX2
+// kernels.
+func gemmTBRowsAVX512(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo, jhi int) {
+	if rb.off != nil || k == 0 {
+		gemmTBRowsAVX2(k, n, a, b, rb, c, lo, hi, jlo, jhi)
+		return
+	}
+	k16 := (k + 15) &^ 15
+	bp, pk := packScratch(rb.pack, 8*k16)
+	var offs [16]int
+	for i := lo; i < hi; i += 8 {
+		rows := min(8, hi-i)
+		packPanel8(k, a, i, rows, pk)
+		clear(pk[8*k:])
+		for j := jlo; j < jhi; j += 16 {
+			for jj := range offs {
+				offs[jj] = min(j+jj, jhi-1) * rb.stride
+			}
+			lanes := uint16(1<<min(16, jhi-j) - 1)
+			dotBlock16AVX512(&pk[0], &b[0], &offs[0], k, &c[i*n+j], n, rows, lanes)
 		}
 	}
 	putScratch(bp)

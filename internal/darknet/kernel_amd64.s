@@ -444,6 +444,211 @@ dotdone:
 	VZEROUPPER
 	RET
 
+// LOADROW loads B row r's sixteen floats at this tile, lanes under K1,
+// into z: the row starts boff[r] floats past DX.
+#define LOADROW(r, z) \
+	MOVQ      (r*8)(BX), AX; \
+	VMOVUPS.Z (DX)(AX*4), K1, z
+
+// TPAIR interleaves rows 2g and 2g+1 (lo, hi): within each 128-bit
+// chunk q, lo gets their floats 4q and 4q+1, t their floats 4q+2 and
+// 4q+3.
+#define TPAIR(lo, hi, t) \
+	VUNPCKHPS hi, lo, t; \
+	VUNPCKLPS hi, lo, lo
+
+// TQUAD takes the pairs of rows 4G..4G+3 (lo0, t0 of the first pair,
+// lo1, t1 of the second) to four registers, each holding those rows of
+// one column per chunk: chunk q of c0 is column 4q, of c1 4q+1, of
+// lo0 4q+2 and of lo1 4q+3.
+#define TQUAD(lo0, t0, lo1, t1, c0, c1) \
+	VUNPCKLPD lo1, lo0, c0; \
+	VUNPCKHPD lo1, lo0, c1; \
+	VUNPCKLPD t1, t0, lo0; \
+	VUNPCKHPD t1, t0, lo1
+
+// TCHUNK gathers chunk q of u0..u3 (column 4q+c of rows 0-3, 4-7,
+// 8-11, 12-15) into one register per q: u0 ends up column c, u1
+// column 4+c, u2 column 8+c, u3 column 12+c.
+#define TCHUNK(u0, u1, u2, u3, v0, v1, v2, v3) \
+	VSHUFF32X4 $0x44, u1, u0, v0; \
+	VSHUFF32X4 $0xee, u1, u0, v1; \
+	VSHUFF32X4 $0x44, u3, u2, v2; \
+	VSHUFF32X4 $0xee, u3, u2, v3; \
+	VSHUFF32X4 $0x88, v2, v0, u0; \
+	VSHUFF32X4 $0xdd, v2, v0, u1; \
+	VSHUFF32X4 $0x88, v3, v1, u2; \
+	VSHUFF32X4 $0xdd, v3, v1, u3
+
+// MB adds A row l's float p (broadcast from the packed panel at SI)
+// times column p of the tile, one output per lane, to acc through tmp.
+#define MB(p, l, col, acc, tmp) \
+	VMULPS.BCST (p*32+l*4)(SI), col, tmp; \
+	VADDPS      tmp, acc, acc
+
+#define S1(p, col) MB(p, 0, col, Z0, Z24)
+#define S2(p, col) S1(p, col); MB(p, 1, col, Z1, Z25)
+#define S4(p, col) S2(p, col); MB(p, 2, col, Z2, Z26); MB(p, 3, col, Z3, Z27)
+#define S8(p, col) S4(p, col); MB(p, 4, col, Z4, Z28); MB(p, 5, col, Z5, Z29); MB(p, 6, col, Z6, Z30); MB(p, 7, col, Z7, Z31)
+
+// SWEEPr runs the tile's sixteen columns, p ascending, through the
+// accumulators of r A rows. The transpose leaves column p in Z9, Z11,
+// Z8, Z10 (p = 0-3), Z13, Z15, Z12, Z14, Z17, Z19, Z16, Z18, Z21, Z23,
+// Z20, Z22.
+#define SWEEP1 \
+	S1(0, Z9); S1(1, Z11); S1(2, Z8); S1(3, Z10); \
+	S1(4, Z13); S1(5, Z15); S1(6, Z12); S1(7, Z14); \
+	S1(8, Z17); S1(9, Z19); S1(10, Z16); S1(11, Z18); \
+	S1(12, Z21); S1(13, Z23); S1(14, Z20); S1(15, Z22)
+#define SWEEP2 \
+	S2(0, Z9); S2(1, Z11); S2(2, Z8); S2(3, Z10); \
+	S2(4, Z13); S2(5, Z15); S2(6, Z12); S2(7, Z14); \
+	S2(8, Z17); S2(9, Z19); S2(10, Z16); S2(11, Z18); \
+	S2(12, Z21); S2(13, Z23); S2(14, Z20); S2(15, Z22)
+#define SWEEP4 \
+	S4(0, Z9); S4(1, Z11); S4(2, Z8); S4(3, Z10); \
+	S4(4, Z13); S4(5, Z15); S4(6, Z12); S4(7, Z14); \
+	S4(8, Z17); S4(9, Z19); S4(10, Z16); S4(11, Z18); \
+	S4(12, Z21); S4(13, Z23); S4(14, Z20); S4(15, Z22)
+#define SWEEP8 \
+	S8(0, Z9); S8(1, Z11); S8(2, Z8); S8(3, Z10); \
+	S8(4, Z13); S8(5, Z15); S8(6, Z12); S8(7, Z14); \
+	S8(8, Z17); S8(9, Z19); S8(10, Z16); S8(11, Z18); \
+	S8(12, Z21); S8(13, Z23); S8(14, Z20); S8(15, Z22)
+
+// ADDROW adds acc to C row at DI under the lane mask K2, then returns
+// once the rows left (R13) run out and steps DI to the next row.
+#define ADDROW(acc) \
+	VMOVUPS.Z (DI), K2, Z24; \
+	VADDPS    acc, Z24, Z24; \
+	VMOVUPS   Z24, K2, (DI); \
+	DECQ      R13; \
+	JZ        tbdone; \
+	ADDQ      R12, DI
+
+// func dotBlock16AVX512(pk, b *float32, boff *int, k int, c *float32, ldc, rows int, lanes uint16)
+//
+// Up to eight rows of A (packed lane-interleaved as for dotPanelAVX2,
+// pk[p*8+l] = A[l][p], and zero for every p in [k, k rounded up to 16))
+// against sixteen rows of B, one output per lane: c[l*ldc+j] +=
+// sum over ascending p of A[l][p]*B[j][p], each sum starting from +0,
+// for l < rows and the lanes j set in lanes. B row j is the k floats
+// boff[j] floats into b. Each tile of sixteen p loads a 16x16 block of
+// B (the k tail under a mask, as zeros) and transposes it in
+// registers, so each column holds one p of sixteen outputs; every A
+// float is then broadcast against a column by VMULPS and the product
+// added by VADDPS. Past k both operands are zero, and adding +0 leaves
+// a sum that started at +0 unchanged. The sweep runs 1, 2, 4 or 8
+// accumulators, rows rounded up; a padded row's sums are never stored.
+// Requires k >= 1 and 1 <= rows <= 8.
+TEXT ·dotBlock16AVX512(SB), NOSPLIT, $0-58
+	MOVQ pk+0(FP), SI
+	MOVQ b+8(FP), DX
+	MOVQ boff+16(FP), BX
+	MOVQ rows+48(FP), DI
+	MOVQ k+24(FP), CX
+	ANDQ $15, CX
+	MOVQ $0xffff, R10          // the last tile's lanes: all sixteen,
+	JZ   tbfull
+	MOVQ $1, R10               // or the low k%16
+	SHLQ CX, R10
+	DECQ R10
+
+tbfull:
+	MOVQ k+24(FP), CX
+	ADDQ $15, CX
+	SHRQ $4, CX                // tiles
+	MOVQ $0xffff, AX
+	KMOVW AX, K1
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+tbtile:
+	CMPQ  CX, $1
+	JNE   tbload
+	KMOVW R10, K1
+
+tbload:
+	LOADROW(0, Z8)
+	LOADROW(1, Z9)
+	LOADROW(2, Z10)
+	LOADROW(3, Z11)
+	LOADROW(4, Z12)
+	LOADROW(5, Z13)
+	LOADROW(6, Z14)
+	LOADROW(7, Z15)
+	LOADROW(8, Z16)
+	LOADROW(9, Z17)
+	LOADROW(10, Z18)
+	LOADROW(11, Z19)
+	LOADROW(12, Z20)
+	LOADROW(13, Z21)
+	LOADROW(14, Z22)
+	LOADROW(15, Z23)
+	TPAIR(Z8, Z9, Z24)
+	TPAIR(Z10, Z11, Z25)
+	TPAIR(Z12, Z13, Z26)
+	TPAIR(Z14, Z15, Z27)
+	TPAIR(Z16, Z17, Z28)
+	TPAIR(Z18, Z19, Z29)
+	TPAIR(Z20, Z21, Z30)
+	TPAIR(Z22, Z23, Z31)
+	TQUAD(Z8, Z24, Z10, Z25, Z9, Z11)
+	TQUAD(Z12, Z26, Z14, Z27, Z13, Z15)
+	TQUAD(Z16, Z28, Z18, Z29, Z17, Z19)
+	TQUAD(Z20, Z30, Z22, Z31, Z21, Z23)
+	TCHUNK(Z9, Z13, Z17, Z21, Z24, Z25, Z26, Z27)
+	TCHUNK(Z11, Z15, Z19, Z23, Z28, Z29, Z30, Z31)
+	TCHUNK(Z8, Z12, Z16, Z20, Z24, Z25, Z26, Z27)
+	TCHUNK(Z10, Z14, Z18, Z22, Z28, Z29, Z30, Z31)
+	CMPQ DI, $2
+	JLT  tbsweep1
+	JEQ  tbsweep2
+	CMPQ DI, $4
+	JLE  tbsweep4
+	SWEEP8
+	JMP  tbnext
+
+tbsweep4:
+	SWEEP4
+	JMP tbnext
+
+tbsweep2:
+	SWEEP2
+	JMP tbnext
+
+tbsweep1:
+	SWEEP1
+
+tbnext:
+	ADDQ $512, SI
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  tbtile
+	MOVQ  c+32(FP), DI
+	MOVQ  ldc+40(FP), R12
+	SHLQ  $2, R12
+	MOVQ  rows+48(FP), R13
+	KMOVW lanes+56(FP), K2
+	ADDROW(Z0)
+	ADDROW(Z1)
+	ADDROW(Z2)
+	ADDROW(Z3)
+	ADDROW(Z4)
+	ADDROW(Z5)
+	ADDROW(Z6)
+	ADDROW(Z7)
+
+tbdone:
+	VZEROUPPER
+	RET
+
 // func copyRowsAVX2(dst, src *float32, rows, w, dstPitch, srcPitch int)
 //
 // Copies rows runs of w >= 1 floats, srcPitch floats apart from src, to

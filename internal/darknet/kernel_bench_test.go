@@ -11,8 +11,13 @@ import (
 // shape list holds what that kernel actually runs: the repo
 // benchmark's training model MNISTConfig(2, 8, 32) (conv forward gemm,
 // conv backward gemmTB/gemmTA per sample, connected layer on the whole
-// batch), the over-EPC MLP's serving gemmTB at batches 1, 2 and 8, and
-// the larger perf-experiment shapes.
+// batch), the over-EPC MLP's serving gemmTB at batches 1, 2, 4 and 8,
+// and the larger perf-experiment shapes. On AVX-512 a row-major
+// gemmTB's lanes are sixteen outputs (dotBlock16AVX512), so its time
+// tracks B's bytes at serving batches where the AVX2 dot panel, whose
+// lanes are eight A rows, runs mostly empty; the gemmTB shapes here
+// are row-major, while the convolution's own dW GEMM reads segmented
+// rows and stays on the dot panel.
 var (
 	benchShapesAB = []struct{ m, k, n int }{
 		{8, 9, 784},    // conv1 forward (per sample)
@@ -33,6 +38,7 @@ var (
 		{32, 1568, 10},  // connected forward (training batch)
 		{1, 1024, 1024}, // over-EPC MLP, serving batch 1
 		{2, 1024, 1024}, // serving batch 2
+		{4, 1024, 1024}, // serving batch 4
 		{8, 1024, 1024}, // serving batch 8
 		{64, 300, 257},
 	}
@@ -74,11 +80,11 @@ func scalarBench(kernel func(m, k, n int, a, b, c []float32)) func(m, k, n int, 
 	return func(m, k, n int, a, bb []float32, _ rowsB, c []float32) { kernel(m, k, n, a, bb, c) }
 }
 
-// BenchmarkGEMM and BenchmarkGEMMTA run a sub-benchmark per assembly
-// tier the CPU has (avx2, avx512), so the 8- and 16-lane axpy kernels
-// compare on one machine; on a CPU without them, the portable kernels.
-// BenchmarkGEMMTB runs the live micro-kernels, *Go the portable blocked
-// kernels, *Scalar the reference loops.
+// BenchmarkGEMM, BenchmarkGEMMTA and BenchmarkGEMMTB run a
+// sub-benchmark per assembly tier the CPU has (avx2, avx512), so the
+// 8- and 16-lane kernels compare on one machine; on a CPU without
+// them, the portable kernels. *Go runs the portable blocked kernels,
+// *Scalar the reference loops.
 
 func BenchmarkGEMM(b *testing.B) { benchTiers(b, shapeAB, benchShapesAB) }
 
@@ -116,11 +122,7 @@ func benchTiers(b *testing.B, s gemmShape, shapes []struct{ m, k, n int }) {
 	}
 }
 
-func BenchmarkGEMMTB(b *testing.B) {
-	benchKernel(b, shapeTB, benchShapesTB, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
-		shapeTB.tile(live, false, m, k, n, a, bb, rb, c, 0, m, 0, n)
-	})
-}
+func BenchmarkGEMMTB(b *testing.B) { benchTiers(b, shapeTB, benchShapesTB) }
 
 func BenchmarkGEMMTBGo(b *testing.B) {
 	benchKernel(b, shapeTB, benchShapesTB, func(m, k, n int, a, bb []float32, rb rowsB, c []float32) {
@@ -130,6 +132,42 @@ func BenchmarkGEMMTBGo(b *testing.B) {
 
 func BenchmarkGEMMTBScalar(b *testing.B) {
 	benchKernel(b, shapeTB, benchShapesTB, scalarBench(gemmTBScalar))
+}
+
+// BenchmarkConnectedServing is Connected.Forward at serving batch 2
+// through six 1024x1024 layers (24 MiB of weights, the over-EPC MLP's
+// resident fleet shards) at the default parallelism, so a run at -cpu
+// 1,2 shows how the column-sharded gemmTB scales with cores.
+func BenchmarkConnectedServing(b *testing.B) {
+	const batch, width, layers = 2, 1024, 6
+	rng := rand.New(rand.NewSource(13))
+	net := make([]*Connected, layers)
+	for i := range net {
+		c, err := NewConnected(Shape{C: width, H: 1, W: 1}, width, LeakyReLU, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net[i] = c
+	}
+	x := make([]float32, batch*width)
+	fillRandDense(rng, x)
+	forward := func() {
+		in := x
+		for _, c := range net {
+			out, err := c.Forward(in, batch, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in = out
+		}
+	}
+	forward()
+	b.ReportAllocs()
+	b.SetBytes(int64(layers * width * width * 4)) // weight bytes read
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forward()
+	}
 }
 
 // BenchmarkTrainBatchMNIST is one SGD iteration of the repo

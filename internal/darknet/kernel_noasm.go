@@ -18,6 +18,10 @@ func gemmTBRowsAVX2(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo
 	panic("darknet: AVX2 kernel on a build without assembly")
 }
 
+func gemmTBRowsAVX512(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo, jhi int) {
+	panic("darknet: AVX-512 kernel on a build without assembly")
+}
+
 func biasLeakyAVX2(v *float32, n int, bias, slope float32) {
 	panic("darknet: AVX2 kernel on a build without assembly")
 }

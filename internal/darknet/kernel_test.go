@@ -210,9 +210,13 @@ func kernelCase(t testing.TB, m, k, n int, seed int64, specials bool) {
 // kernelEdgeShapes straddle the kernels' internal block edges: the
 // 64/16/8-float column steps and masked tail of the AVX2 axpy kernel,
 // the 128-float step and K-masked 64-float steps of the AVX-512 one,
-// their L1 panel width, the 8x8 dot panel, and the portable kernel's
-// 256-column block.
+// their L1 panel width, the 8x8 dot panel, the AVX-512 gemmTB block's
+// 1/2/4/8-row sweeps, 16-output lanes and 16-float k tiles with their
+// masked tails, and the portable kernel's 256-column block.
 var kernelEdgeShapes = []struct{ m, k, n int }{
+	{1, 1024, 1000}, {2, 1024, 1000}, {15, 1024, 16}, {3, 1024, 10},
+	{3, 17, 17}, {7, 15, 16}, {8, 16, 17}, {9, 1, 10}, {2, 15, 1},
+	{1, 16, 10}, {7, 17, 1000}, {15, 1, 17}, {9, 16, 1000}, {8, 15, 1000},
 	{1, 255, 255}, {2, 256, 256}, {9, 257, 257},
 	{3, 7, 255}, {3, 7, 256}, {3, 7, 257},
 	{5, 255, 9}, {5, 256, 9}, {5, 257, 9},
@@ -250,7 +254,10 @@ func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint16(3), uint16(0), uint16(5), int64(1), []byte{})
 	f.Add(uint16(1), uint16(40), uint16(8), int64(2), []byte{0, 0, 0, 0x80, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, m16, k16, n16 uint16, seed int64, raw []byte) {
-		m, k, n := int(m16%24), int(k16%300), int(n16%300)
+		m, k, n := int(m16%24), int(k16%1025), int(n16%1025)
+		if m*k*n > 1<<21 { // the serving shapes' work, {2, 1024, 1000}
+			t.Skip("shape past the fuzz work bound")
+		}
 		rng := rand.New(rand.NewSource(seed))
 		a := offsetSlice(m*k, 1+rng.Intn(7))
 		b := offsetSlice(k*n, 1+rng.Intn(7))
@@ -321,12 +328,22 @@ func TestGEMMShortOperandPanics(t *testing.T) {
 	gemm(4, 4, 4, make([]float32, 16), make([]float32, 16), make([]float32, 15))
 }
 
+// gemmTBKernels names the micro-kernel tile runs gemmTB on, per tier,
+// for a row-major B (the connected layers' forward).
+var gemmTBKernels = [...]string{
+	tierGo:     "gemmTBRowsGo (portable 2x4 tiles of dot products)",
+	tierAVX2:   "dotPanelAVX2 (8 lanes = 8 A rows)",
+	tierAVX512: "dotBlock16AVX512 (16 lanes = 16 outputs)",
+}
+
 // TestKernelISAInfoSeries: KernelISA() names the tier the CPUID probes
 // pick, and exactly one darknet_kernel_isa series is exported, it is 1,
-// and its label is KernelISA().
+// and its label is KernelISA(). It logs the tier and the gemmTB kernel
+// that serves a row-major B on it.
 func TestKernelISAInfoSeries(t *testing.T) {
 	isa := KernelISA()
 	t.Logf("live kernel ISA: %s", isa)
+	t.Logf("gemmTB kernel for a row-major B: %s", gemmTBKernels[live])
 	if want := probeTier().String(); isa != want {
 		t.Fatalf("KernelISA() = %q, CPUID probes give %q", isa, want)
 	}

@@ -4,10 +4,11 @@ package darknet
 // every Forward/Backward (gemm, gemmTA, gemmTB in darknet.go) dispatch
 // here. Under each shape sit interchangeable single-threaded kernel
 // tiers: assembly micro-kernels (kernel_amd64.s, selected once at init
-// by CPUID probes) that keep a C row segment — or a panel of eight dot
-// products — in vector registers across the whole inner-product sweep,
-// eight lanes wide on AVX2 and, for gemm and gemmTA, sixteen on
-// AVX-512; and the portable register-blocked Go kernels below, which
+// by CPUID probes) that keep a C row segment — or, for gemmTB, a block
+// of dot products — in vector registers across the whole inner-product
+// sweep, eight lanes wide on AVX2 and sixteen on AVX-512, where
+// gemmTB's lanes are sixteen outputs of a row-major B; and the portable
+// register-blocked Go kernels below, which
 // every other platform and -tags purego run. Every kernel finds B's
 // rows through a rowsB: a row-major B, or — for the shifted-GEMM
 // convolution (conv.go) — rows at a table of offsets into a sample's
@@ -62,7 +63,7 @@ type kernelTier int
 const (
 	tierGo     kernelTier = iota // the portable Go kernels
 	tierAVX2                     // the 8-lane axpy and dot-panel micro-kernels
-	tierAVX512                   // the axpy kernel at 16 lanes; gemmTB stays on AVX2
+	tierAVX512                   // the axpy kernel at 16 lanes; gemmTB's lanes are 16 outputs
 )
 
 func (t kernelTier) String() string { return [...]string{"go", "avx2", "avx512"}[t] }
@@ -118,9 +119,14 @@ const (
 	shapeTB                  // C += A * Bᵀ
 )
 
-// tbPanel is the granule of a gemmTB shard: the AVX2 kernel's lanes
-// are eight output rows against eight B rows.
+// tbPanel is the granule of a gemmTB row shard: the AVX2 kernel's
+// lanes are eight output rows against eight B rows, and the AVX-512
+// kernel takes A eight rows a pass.
 const tbPanel = 8
+
+// tbCols is the granule of a gemmTB column shard: the outputs one
+// AVX-512 micro-kernel call covers, two AVX2 dot panels.
+const tbCols = 16
 
 // rowsB locates the rows of a GEMM's B operand in its backing slice b.
 // Each of gemm's and gemmTA's k rows (B is k x n) is read n floats on;
@@ -225,8 +231,8 @@ func (s gemmShape) blocked(fork, write bool, m, k, n int, a, b []float32, rb row
 			s.tile(live, write, m, k, n, a, b, rb, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
 		})
 	default: // too few rows for a panel per worker (serving batches): shard columns
-		par.For((n+tbPanel-1)/tbPanel, minChunk(tbPanel*m*k), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, rb, c, 0, m, lo*tbPanel, min(hi*tbPanel, n))
+		par.For((n+tbCols-1)/tbCols, minChunk(tbCols*m*k), func(lo, hi int) {
+			s.tile(live, write, m, k, n, a, b, rb, c, 0, m, lo*tbCols, min(hi*tbCols, n))
 		})
 	}
 }
@@ -250,7 +256,9 @@ func (s gemmShape) tile(t kernelTier, write bool, m, k, n int, a, b []float32, r
 		}
 	}
 	switch {
-	case s == shapeTB && t >= tierAVX2:
+	case s == shapeTB && t == tierAVX512:
+		gemmTBRowsAVX512(k, n, a, b, rb, c, lo, hi, jlo, jhi)
+	case s == shapeTB && t == tierAVX2:
 		gemmTBRowsAVX2(k, n, a, b, rb, c, lo, hi, jlo, jhi)
 	case s == shapeTB:
 		gemmTBRowsGo(k, n, a, b, rb, c, lo, hi, jlo, jhi)

@@ -8,11 +8,12 @@ import (
 
 // fillRandSparse fills v with random values, zeroing ~1/4 of them so
 // the kernels' zero-skip paths are exercised (the skip must not change
-// results bit for bit).
+// results bit for bit). Half the zeros are −0, whose sign a sum that
+// starts from +0 must not keep.
 func fillRandSparse(rng *rand.Rand, v []float32) {
 	for i := range v {
 		if rng.Intn(4) == 0 {
-			v[i] = 0
+			v[i] = [2]float32{0, negZero}[rng.Intn(2)]
 			continue
 		}
 		v[i] = rng.Float32()*2 - 1
@@ -34,16 +35,41 @@ var gemmShapes = []struct{ m, k, n int }{
 	{0, 5, 5},      // zero rows: no output at all
 	{4, 0, 4},      // zero inner dim: C unchanged
 	{4, 4, 0},      // zero columns
+	// The AVX-512 gemmTB kernel's edges: 1-3, 7-9 and 15 A rows (its
+	// 1/2/4/8-row sweeps and passes of eight), 1, 10, 16, 17 and 1000
+	// outputs (16-lane blocks and their masked tail) and k of 1, 15,
+	// 16, 17 and 1024 (16-float tiles and the masked k tail). The
+	// serving shapes fork over column blocks.
+	{1, 1024, 1000}, // serving batch 1
+	{2, 1024, 1000}, // serving batch 2
+	{3, 17, 17},
+	{7, 15, 16},
+	{8, 16, 17},
+	{9, 1, 10},
+	{15, 1024, 16},
+	{2, 15, 1},
+	{1, 16, 10},
+	{7, 17, 1000},
+	{15, 1, 17},
+	{3, 1024, 10},
+	{9, 16, 1000},
+	{8, 15, 1000},
 }
 
-// withKernelConfigs runs body at GOMAXPROCS 1, 2, 3 and 8 so both the
-// inline and the sharded dispatch paths are covered on any machine.
+// withKernelConfigs runs body at GOMAXPROCS 1, 2, 3 and 8, so both the
+// inline and the sharded dispatch paths are covered on any machine, on
+// each assembly tier the CPU runs (live set to it; an AVX-512 CPU runs
+// the AVX2 kernels too), or without assembly on the portable kernels.
 func withKernelConfigs(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		body(t)
+	defer func(l kernelTier) { live = l }(live)
+	for tier := min(tierAVX2, probeTier()); tier <= probeTier(); tier++ {
+		live = tier
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			body(t)
+		}
 	}
 }
 
@@ -77,8 +103,9 @@ func TestGEMMBitIdenticalToScalar(t *testing.T) {
 			gemmScalar(s.m, s.k, s.n, a, b, cWant)
 			gemm(s.m, s.k, s.n, a, b, cGot)
 			for i := range cWant {
-				if cWant[i] != cGot[i] {
-					t.Fatalf("gemm %dx%dx%d: C[%d] = %v, scalar %v", s.m, s.k, s.n, i, cGot[i], cWant[i])
+				if !sameFloat(cWant[i], cGot[i]) {
+					t.Fatalf("gemm/%s %dx%dx%d at GOMAXPROCS %d: C[%d] = %v, scalar %v", live, s.m, s.k, s.n,
+						runtime.GOMAXPROCS(0), i, cGot[i], cWant[i])
 				}
 			}
 		}
@@ -101,8 +128,9 @@ func TestGEMMTABitIdenticalToScalar(t *testing.T) {
 			gemmTAScalar(s.m, s.k, s.n, a, b, cWant)
 			gemmTA(s.m, s.k, s.n, a, b, cGot)
 			for i := range cWant {
-				if cWant[i] != cGot[i] {
-					t.Fatalf("gemmTA %dx%dx%d: C[%d] = %v, scalar %v", s.m, s.k, s.n, i, cGot[i], cWant[i])
+				if !sameFloat(cWant[i], cGot[i]) {
+					t.Fatalf("gemmTA/%s %dx%dx%d at GOMAXPROCS %d: C[%d] = %v, scalar %v", live, s.m, s.k, s.n,
+						runtime.GOMAXPROCS(0), i, cGot[i], cWant[i])
 				}
 			}
 		}
@@ -125,8 +153,9 @@ func TestGEMMTBBitIdenticalToScalar(t *testing.T) {
 			gemmTBScalar(s.m, s.k, s.n, a, b, cWant)
 			gemmTB(s.m, s.k, s.n, a, b, cGot)
 			for i := range cWant {
-				if cWant[i] != cGot[i] {
-					t.Fatalf("gemmTB %dx%dx%d: C[%d] = %v, scalar %v", s.m, s.k, s.n, i, cGot[i], cWant[i])
+				if !sameFloat(cWant[i], cGot[i]) {
+					t.Fatalf("gemmTB/%s %dx%dx%d at GOMAXPROCS %d: C[%d] = %v, scalar %v", live, s.m, s.k, s.n,
+						runtime.GOMAXPROCS(0), i, cGot[i], cWant[i])
 				}
 			}
 		}

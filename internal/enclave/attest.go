@@ -22,30 +22,30 @@ import (
 // sees key material. ProvisionKey runs the whole flow; it is the only
 // way a data key enters an enclave.
 
-// Measurement is the enclave identity (MRENCLAVE analogue): a SHA-256
+// measurement is the enclave identity (MRENCLAVE analogue): a SHA-256
 // hash over the trusted code identity.
-type Measurement [32]byte
+type measurement [32]byte
 
-// PliniusMeasurement returns the measurement of the Plinius trusted
+// pliniusMeasurement returns the measurement of the Plinius trusted
 // runtime. In real SGX this is computed by the CPU at enclave build;
 // here it is a constant hash over the trusted-component names.
-func PliniusMeasurement() Measurement {
-	return Measurement(sha256.Sum256([]byte("plinius/lib-sgx-darknet+lib-sgx-romulus+mirroring")))
+func pliniusMeasurement() measurement {
+	return measurement(sha256.Sum256([]byte("plinius/lib-sgx-darknet+lib-sgx-romulus+mirroring")))
 }
 
-// Quote is the attestation evidence the enclave produces: its measurement
+// quote is the attestation evidence the enclave produces: its measurement
 // and ephemeral ECDH public key, authenticated with the platform key.
-type Quote struct {
-	Measurement Measurement
-	PublicKey   []byte
-	MAC         [32]byte
+type quote struct {
+	measurement measurement
+	pub         []byte
+	mac         [32]byte
 }
 
 // Attestation errors.
 var (
-	ErrQuoteForged   = errors.New("enclave: quote MAC verification failed")
-	ErrWrongEnclave  = errors.New("enclave: measurement mismatch")
-	ErrNoAttestation = errors.New("enclave: no attestation session")
+	errQuoteForged   = errors.New("enclave: quote MAC verification failed")
+	errWrongEnclave  = errors.New("enclave: measurement mismatch")
+	errNoAttestation = errors.New("enclave: no attestation session")
 	errKeyUnwrap     = errors.New("enclave: wrapped key failed authentication")
 )
 
@@ -54,7 +54,7 @@ var (
 // hardware; the simulation fixes it so verifier and enclave agree.
 var platformKey = sha256.Sum256([]byte("plinius-simulated-sgx-platform-provisioning-key"))
 
-func quoteMAC(m Measurement, pub []byte) [32]byte {
+func quoteMAC(m measurement, pub []byte) [32]byte {
 	h := hmac.New(sha256.New, platformKey[:])
 	h.Write(m[:])
 	h.Write(pub)
@@ -63,34 +63,34 @@ func quoteMAC(m Measurement, pub []byte) [32]byte {
 	return out
 }
 
-// AttestationSession holds the enclave side of an in-progress remote
+// attestationSession holds the enclave side of an in-progress remote
 // attestation.
-type AttestationSession struct {
+type attestationSession struct {
 	priv *ecdh.PrivateKey
 }
 
-// BeginAttestation generates the enclave's ephemeral key pair and quote.
-func (e *Enclave) BeginAttestation() (*AttestationSession, Quote, error) {
+// beginAttestation generates the enclave's ephemeral key pair and quote.
+func (e *Enclave) beginAttestation() (*attestationSession, quote, error) {
 	seed := make([]byte, 64)
 	e.ReadRand(seed)
 	priv, err := ecdh.P256().GenerateKey(bytes.NewReader(seed))
 	if err != nil {
-		return nil, Quote{}, fmt.Errorf("attestation keygen: %w", err)
+		return nil, quote{}, fmt.Errorf("attestation keygen: %w", err)
 	}
 	pub := priv.PublicKey().Bytes()
-	q := Quote{
-		Measurement: PliniusMeasurement(),
-		PublicKey:   pub,
-		MAC:         quoteMAC(PliniusMeasurement(), pub),
+	q := quote{
+		measurement: pliniusMeasurement(),
+		pub:         pub,
+		mac:         quoteMAC(pliniusMeasurement(), pub),
 	}
-	return &AttestationSession{priv: priv}, q, nil
+	return &attestationSession{priv: priv}, q, nil
 }
 
-// CompleteAttestation derives the channel key from the owner's public key.
-func (s *AttestationSession) CompleteAttestation(ownerPub []byte) ([32]byte, error) {
+// completeAttestation derives the channel key from the owner's public key.
+func (s *attestationSession) completeAttestation(ownerPub []byte) ([32]byte, error) {
 	var key [32]byte
 	if s == nil || s.priv == nil {
-		return key, ErrNoAttestation
+		return key, errNoAttestation
 	}
 	pub, err := ecdh.P256().NewPublicKey(ownerPub)
 	if err != nil {
@@ -103,37 +103,37 @@ func (s *AttestationSession) CompleteAttestation(ownerPub []byte) ([32]byte, err
 	return deriveChannelKey(secret), nil
 }
 
-// Owner is the model/dataset owner's side of attestation (runs on the
+// keyOwner is the model/dataset owner's side of attestation (runs on the
 // owner's trusted machine, not on the untrusted cloud host).
-type Owner struct {
+type keyOwner struct {
 	priv *ecdh.PrivateKey
 }
 
-// NewOwner creates an owner with an ephemeral ECDH key from rng.
-func NewOwner(rng io.Reader) (*Owner, error) {
+// newKeyOwner creates an owner with an ephemeral ECDH key from rng.
+func newKeyOwner(rng io.Reader) (*keyOwner, error) {
 	priv, err := ecdh.P256().GenerateKey(rng)
 	if err != nil {
 		return nil, fmt.Errorf("owner keygen: %w", err)
 	}
-	return &Owner{priv: priv}, nil
+	return &keyOwner{priv: priv}, nil
 }
 
-// PublicKey returns the owner's ECDH public key bytes.
-func (o *Owner) PublicKey() []byte { return o.priv.PublicKey().Bytes() }
+// publicKey returns the owner's ECDH public key bytes.
+func (o *keyOwner) publicKey() []byte { return o.priv.PublicKey().Bytes() }
 
-// VerifyQuote checks the quote's authenticity and enclave identity, then
-// derives the shared channel key. It returns ErrQuoteForged for a bad MAC
-// and ErrWrongEnclave for an unexpected measurement.
-func (o *Owner) VerifyQuote(q Quote, want Measurement) ([32]byte, error) {
+// verifyQuote checks the quote's authenticity and enclave identity, then
+// derives the shared channel key. It returns errQuoteForged for a bad MAC
+// and errWrongEnclave for an unexpected measurement.
+func (o *keyOwner) verifyQuote(q quote, want measurement) ([32]byte, error) {
 	var key [32]byte
-	expect := quoteMAC(q.Measurement, q.PublicKey)
-	if !hmac.Equal(expect[:], q.MAC[:]) {
-		return key, ErrQuoteForged
+	expect := quoteMAC(q.measurement, q.pub)
+	if !hmac.Equal(expect[:], q.mac[:]) {
+		return key, errQuoteForged
 	}
-	if q.Measurement != want {
-		return key, ErrWrongEnclave
+	if q.measurement != want {
+		return key, errWrongEnclave
 	}
-	pub, err := ecdh.P256().NewPublicKey(q.PublicKey)
+	pub, err := ecdh.P256().NewPublicKey(q.pub)
 	if err != nil {
 		return key, fmt.Errorf("enclave public key: %w", err)
 	}
@@ -157,20 +157,20 @@ func deriveChannelKey(secret []byte) [32]byte {
 
 // ProvisionKey delivers dataKey into the enclave (Fig. 5 steps 2-3):
 // the enclave quotes its measurement and an ephemeral ECDH key, an
-// owner verifies the quote against PliniusMeasurement and wraps dataKey
+// owner verifies the quote against pliniusMeasurement and wraps dataKey
 // under the attested channel key, and the enclave derives the same
 // channel key and unwraps, in one ecall. It returns the key as the
 // enclave holds it.
 func (e *Enclave) ProvisionKey(dataKey []byte) ([]byte, error) {
-	sess, quote, err := e.BeginAttestation()
+	sess, q, err := e.beginAttestation()
 	if err != nil {
 		return nil, err
 	}
-	owner, err := NewOwner(rand.Reader)
+	owner, err := newKeyOwner(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	channel, err := owner.VerifyQuote(quote, PliniusMeasurement())
+	channel, err := owner.verifyQuote(q, pliniusMeasurement())
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (e *Enclave) ProvisionKey(dataKey []byte) ([]byte, error) {
 	}
 	var key []byte
 	err = e.Ecall(func() error {
-		channel, err := sess.CompleteAttestation(owner.PublicKey())
+		channel, err := sess.completeAttestation(owner.publicKey())
 		if err != nil {
 			return err
 		}

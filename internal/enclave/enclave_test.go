@@ -191,21 +191,21 @@ func TestSealBoundToEnclaveIdentity(t *testing.T) {
 
 func TestAttestationHandshakeDerivesSameKey(t *testing.T) {
 	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
-	sess, quote, err := e.BeginAttestation()
+	sess, q, err := e.beginAttestation()
 	if err != nil {
-		t.Fatalf("BeginAttestation: %v", err)
+		t.Fatalf("beginAttestation: %v", err)
 	}
-	owner, err := NewOwner(rand.Reader)
+	owner, err := newKeyOwner(rand.Reader)
 	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
+		t.Fatalf("newKeyOwner: %v", err)
 	}
-	ownerKey, err := owner.VerifyQuote(quote, PliniusMeasurement())
+	ownerKey, err := owner.verifyQuote(q, pliniusMeasurement())
 	if err != nil {
-		t.Fatalf("VerifyQuote: %v", err)
+		t.Fatalf("verifyQuote: %v", err)
 	}
-	enclaveKey, err := sess.CompleteAttestation(owner.PublicKey())
+	enclaveKey, err := sess.completeAttestation(owner.publicKey())
 	if err != nil {
-		t.Fatalf("CompleteAttestation: %v", err)
+		t.Fatalf("completeAttestation: %v", err)
 	}
 	if ownerKey != enclaveKey {
 		t.Fatal("owner and enclave derived different channel keys")
@@ -214,42 +214,42 @@ func TestAttestationHandshakeDerivesSameKey(t *testing.T) {
 
 func TestAttestationRejectsForgedQuote(t *testing.T) {
 	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
-	_, quote, err := e.BeginAttestation()
+	_, q, err := e.beginAttestation()
 	if err != nil {
-		t.Fatalf("BeginAttestation: %v", err)
+		t.Fatalf("beginAttestation: %v", err)
 	}
-	owner, err := NewOwner(rand.Reader)
+	owner, err := newKeyOwner(rand.Reader)
 	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
+		t.Fatalf("newKeyOwner: %v", err)
 	}
-	forged := quote
-	forged.MAC[0] ^= 1
-	if _, err := owner.VerifyQuote(forged, PliniusMeasurement()); !errors.Is(err, ErrQuoteForged) {
-		t.Fatalf("forged quote = %v, want ErrQuoteForged", err)
+	forged := q
+	forged.mac[0] ^= 1
+	if _, err := owner.verifyQuote(forged, pliniusMeasurement()); !errors.Is(err, errQuoteForged) {
+		t.Fatalf("forged quote = %v, want errQuoteForged", err)
 	}
 }
 
 func TestAttestationRejectsWrongMeasurement(t *testing.T) {
 	e := NewHost(SGXEmlPMProfile()).NewEnclave(WithSeed(9))
-	_, quote, err := e.BeginAttestation()
+	_, q, err := e.beginAttestation()
 	if err != nil {
-		t.Fatalf("BeginAttestation: %v", err)
+		t.Fatalf("beginAttestation: %v", err)
 	}
-	owner, err := NewOwner(rand.Reader)
+	owner, err := newKeyOwner(rand.Reader)
 	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
+		t.Fatalf("newKeyOwner: %v", err)
 	}
-	var other Measurement
+	var other measurement
 	other[0] = 0xAB
-	if _, err := owner.VerifyQuote(quote, other); !errors.Is(err, ErrWrongEnclave) {
-		t.Fatalf("wrong measurement = %v, want ErrWrongEnclave", err)
+	if _, err := owner.verifyQuote(q, other); !errors.Is(err, errWrongEnclave) {
+		t.Fatalf("wrong measurement = %v, want errWrongEnclave", err)
 	}
 }
 
 func TestCompleteAttestationNilSession(t *testing.T) {
-	var s *AttestationSession
-	if _, err := s.CompleteAttestation(nil); !errors.Is(err, ErrNoAttestation) {
-		t.Fatalf("nil session = %v, want ErrNoAttestation", err)
+	var s *attestationSession
+	if _, err := s.completeAttestation(nil); !errors.Is(err, errNoAttestation) {
+		t.Fatalf("nil session = %v, want errNoAttestation", err)
 	}
 }
 
