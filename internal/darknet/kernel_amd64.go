@@ -2,7 +2,11 @@
 
 package darknet
 
-import "plinius/internal/cpuid"
+import (
+	"math/bits"
+
+	"plinius/internal/cpuid"
+)
 
 // probeTier returns the fastest kernel tier (kernel_amd64.s) the CPU
 // and OS run.
@@ -149,10 +153,9 @@ func gemmTBRowsAVX2(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo
 // and each block of sixteen B rows is swept once, its sums starting at
 // +0, running p ascending and added to C once — the reference order.
 // A block past B's last row repeats that row in its spare lanes, and a
-// pass of fewer than eight rows leaves the panel's other lanes as they
-// were: the sums they feed are never stored. B rows at an offset table
-// (the convolution's segmented rows), and k == 0, take the AVX2
-// kernels.
+// pass of fewer than eight rows is packed by packPanel8Swept. B rows at
+// an offset table (the convolution's segmented rows), and k == 0, take
+// the AVX2 kernels.
 func gemmTBRowsAVX512(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, jlo, jhi int) {
 	if rb.off != nil || k == 0 {
 		gemmTBRowsAVX2(k, n, a, b, rb, c, lo, hi, jlo, jhi)
@@ -163,7 +166,7 @@ func gemmTBRowsAVX512(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, j
 	var offs [16]int
 	for i := lo; i < hi; i += 8 {
 		rows := min(8, hi-i)
-		packPanel8(k, a, i, rows, pk)
+		packPanel8Swept(k, a, i, rows, pk)
 		clear(pk[8*k:])
 		for j := jlo; j < jhi; j += 16 {
 			for jj := range offs {
@@ -174,6 +177,21 @@ func gemmTBRowsAVX512(k, n int, a, b []float32, rb rowsB, c []float32, lo, hi, j
 		}
 	}
 	putScratch(bp)
+}
+
+// packPanel8Swept is packPanel8 for dotBlock16AVX512, which sweeps
+// rows rounded up to 1, 2, 4 or 8 accumulators: it also zeroes the
+// padded rows' lanes. Their sums are never stored, but the panel is
+// pooled scratch, and a denormal left there by an earlier user costs a
+// microcode assist per multiply (about 17x on a 3-row pass), so the
+// kernel's time would depend on what the buffer last held.
+func packPanel8Swept(k int, a []float32, i, rows int, pk []float32) {
+	packPanel8(k, a, i, rows, pk)
+	if swept := 1 << bits.Len(uint(rows-1)); swept > rows {
+		for p := 0; p < k; p++ {
+			clear(pk[p*8+rows : p*8+swept])
+		}
+	}
 }
 
 // packPanel8 interleaves the rows A rows from row i (row-major, stride

@@ -539,7 +539,9 @@ dotdone:
 // float is then broadcast against a column by VMULPS and the product
 // added by VADDPS. Past k both operands are zero, and adding +0 leaves
 // a sum that started at +0 unchanged. The sweep runs 1, 2, 4 or 8
-// accumulators, rows rounded up; a padded row's sums are never stored.
+// accumulators, rows rounded up; a padded row's lanes of pk must hold
+// zeros (a denormal there slows every multiply), and its sums are never
+// stored.
 // Requires k >= 1 and 1 <= rows <= 8.
 TEXT ·dotBlock16AVX512(SB), NOSPLIT, $0-58
 	MOVQ pk+0(FP), SI

@@ -734,6 +734,14 @@ func (s *Server) worker(id int) {
 			s.formMu.Lock()
 			batch = s.form(batch[:0], timer)
 			s.formMu.Unlock()
+			// Unlock readied the worker waiting on formMu onto this P,
+			// behind the batch about to run here: it would form the
+			// next batch only once an idle P's thread woke to steal it
+			// (on a VM tens of µs, varying run to run), and a request
+			// arriving meanwhile would wait in the queue. Yielding lets
+			// it park on reqCh first, where a send hands it the request
+			// directly.
+			runtime.Gosched()
 			if len(batch) == 0 {
 				return
 			}
