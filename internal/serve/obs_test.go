@@ -232,8 +232,9 @@ func TestTraceSpansTileLatency(t *testing.T) {
 }
 
 // TestShardModeTracesAndMetrics serves through a streaming shard
-// pipeline and checks (a) retained traces carry per-shard stage spans
-// and (b) the server registry exposes nonzero shard-stage series.
+// pipeline and checks (a) retained traces carry per-shard stage spans,
+// (b) the server registry exposes nonzero shard-stage series and (c) a
+// lone client's requests never count as linger riders.
 func TestShardModeTracesAndMetrics(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
 	s, err := New(context.Background(), f, Options{Shards: 3, MaxBatch: 8, MaxQueueLatency: time.Millisecond})
@@ -266,5 +267,10 @@ func TestShardModeTracesAndMetrics(t *testing.T) {
 	}
 	if flat[`serve_requests_total`] != 16 {
 		t.Fatalf("serve_requests_total = %v, want 16", flat["serve_requests_total"])
+	}
+	// One closed-loop client has no request in flight to join a batch
+	// its last one is lingering in.
+	if n, ok := flat["serve_batch_linger_riders_total"]; !ok || n != 0 {
+		t.Fatalf("serve_batch_linger_riders_total = %v (exported %v), want 0 for one sequential client", n, ok)
 	}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,26 +210,70 @@ func TestBusyWorkersAccumulateOneBatch(t *testing.T) {
 	}
 }
 
-// TestLingerFollowsMeasuredServiceTime: a backend whose batches are
-// slow makes the next lone request wait for company — a quarter of the
-// measured service time, never more than MaxQueueLatency — and a quick
-// backend arms no timer at all.
+// sendTrain sends n requests, each in its own goroutine, and returns
+// the size of the batch each rode, in sending order. Each request after
+// the first goes out at least gap after the one before, and only once
+// the queue is empty, so a worker that stalls is not handed a backlog:
+// the train's requests arrive one by one, each close behind the last.
+// The gap is spun, yielding, rather than slept: a sleep under a
+// millisecond lasts about one.
+func sendTrain(t *testing.T, s *Server, test *mnist.Dataset, n int, gap time.Duration) []int {
+	t.Helper()
+	// A linger that never ended would hold every request until ctx.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sizes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := range sizes {
+		if i > 0 {
+			for sent := time.Now(); time.Since(sent) < gap || len(s.reqCh) > 0; {
+				runtime.Gosched()
+			}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pred, err := s.Classify(ctx, test.Image(i%test.N))
+			if err != nil {
+				t.Errorf("request %d of %d: %v", i, n, err)
+			}
+			sizes[i] = pred.BatchSize
+		}(i)
+	}
+	wg.Wait()
+	return sizes
+}
+
+// TestLingerFollowsMeasuredServiceTime: after a slow batch a lone
+// request waits for company one quiet gap — at least minLinger, short
+// of a quarter of the measured service time; a train of arrivals each
+// closer than that gap keeps a linger going only up to MaxQueueLatency;
+// and a quick backend never lingers.
 func TestLingerFollowsMeasuredServiceTime(t *testing.T) {
 	f, test := newTrainedFramework(t, 2)
 	for _, tc := range []struct {
 		name     string
-		service  time.Duration // slept in every batch; zero stores quick instead
+		service  time.Duration // slept in the first batch; zero stores quick instead
 		cap      time.Duration
-		min, max time.Duration // bounds on the second request's linger
+		train    int           // requests sent 20µs apart after the first
+		ride     int           // most requests the train's first may ride with
+		min, max time.Duration // bounds on the train's linger
 	}{
-		{"slow backend lingers a quarter of its service time", 20 * time.Millisecond, time.Hour, 5 * time.Millisecond, time.Second},
-		{"the cap bounds the linger", 100 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 20 * time.Millisecond},
-		{"quick backend arms no timer", 0, time.Hour, 0, 0},
+		// S/4 is 25ms: a linger of 10ms is far past one quiet gap.
+		{"slow backend lingers one quiet gap", 100 * time.Millisecond, time.Hour, 1, 1, minLinger, 10 * time.Millisecond},
+		// 100 requests 20µs apart span 1.98ms at least: only the 1ms
+		// cap, not the quiet gap, can end the first linger before the
+		// last arrives.
+		{"the cap bounds the linger", 20 * time.Millisecond, time.Millisecond, 100, 99, minLinger, time.Second},
+		{"quick backend never lingers", 0, time.Hour, 1, 1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newServerWith(t, f, Options{Workers: 1, MaxBatch: 8, MaxQueueLatency: tc.cap}, func(s *Server, _ classifyFunc) classifyFunc {
+			var slept atomic.Bool
+			s := newServerWith(t, f, Options{Workers: 1, MaxBatch: 128, MaxQueueLatency: tc.cap}, func(s *Server, _ classifyFunc) classifyFunc {
 				return func(ctx context.Context, images []float32) ([]int, error) {
-					time.Sleep(tc.service)
+					if !slept.Swap(true) {
+						time.Sleep(tc.service)
+					}
 					return instant(s, nil)(ctx, images)
 				}
 			})
@@ -246,22 +292,57 @@ func TestLingerFollowsMeasuredServiceTime(t *testing.T) {
 				s.service.Store(int64(quick))
 			}
 			start := time.Now()
-			pred, err := s.Classify(context.Background(), test.Image(1))
-			if err != nil {
-				t.Fatalf("second Classify: %v", err)
-			}
+			sizes := sendTrain(t, s, test, tc.train, 20*time.Microsecond)
 			elapsed := time.Since(start)
-			if pred.BatchSize != 1 {
-				t.Fatalf("lone request rode a batch of %d", pred.BatchSize)
+			if sizes[0] > tc.ride {
+				t.Fatalf("the train's first request rode a batch of %d, want at most %d", sizes[0], tc.ride)
 			}
-			// A timer never fires early, so min is exact; max only has
-			// to tell the cap from the quarter and the quarter from the
-			// hour.
+			// The poll ends no sooner than its bound, so min is exact;
+			// max only has to tell one quiet gap from a quarter of the
+			// service time. Batches after the train's first are instant
+			// and drop the service floor, so they do not linger.
 			if d := lingered(s); d < tc.min || d > tc.max {
-				t.Fatalf("second request lingered %v, want within [%v, %v]", d, tc.min, tc.max)
+				t.Fatalf("the train lingered %v, want within [%v, %v]", d, tc.min, tc.max)
 			}
-			if limit := tc.service + tc.max + time.Second; elapsed > limit {
-				t.Fatalf("second request took %v, want under %v", elapsed, limit)
+			if limit := tc.max + time.Second; elapsed > limit {
+				t.Fatalf("the train took %v, want under %v", elapsed, limit)
+			}
+		})
+	}
+}
+
+// TestLingerCollectsRiders: requests that arrive while the forming
+// worker lingers ride its batch — on one core too, where the poll must
+// yield for the senders to run at all — and the linger ends once they
+// stop coming, long before the service time and the one-second cap
+// would end it.
+func TestLingerCollectsRiders(t *testing.T) {
+	f, test := newTrainedFramework(t, 2)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const limit = time.Second
+			s := newServerWith(t, f, Options{Workers: 1, MaxBatch: 8, MaxQueueLatency: limit}, instant)
+			defer s.Close()
+			const rounds = 20
+			joined := 0
+			for round := 0; round < rounds; round++ {
+				s.service.Store(int64(time.Hour))
+				// 20µs apart and each once the last is taken: well
+				// inside the quiet gap the last arrival restarted.
+				if sizes := sendTrain(t, s, test, 3, 20*time.Microsecond); sizes[0] > 1 {
+					joined++
+				}
+				if d := lingered(s); d >= limit {
+					t.Fatalf("after %d rounds the lingers add up to %v: one ran to the cap", round+1, d)
+				}
+			}
+			// A descheduled sender can miss a gap; most rounds cannot.
+			if joined < rounds/2 {
+				t.Fatalf("riders joined the first request's batch in %d of %d rounds", joined, rounds)
+			}
+			if n := obs.Flatten(s.Metrics())["serve_batch_linger_riders_total"]; n < 1 {
+				t.Fatalf("serve_batch_linger_riders_total = %v after %d rounds with company", n, joined)
 			}
 		})
 	}
@@ -308,14 +389,19 @@ func TestServiceFloorIgnoresSlowOutlier(t *testing.T) {
 // TestSimultaneousRequestsShareOneBatch: on an idle multi-worker pool
 // whose batches are slow, two requests arriving together ride one batch
 // — the lone forming worker waits for the second instead of a second
-// worker serving it alone at twice the cost.
+// worker serving it alone at twice the cost. It runs on one P, where
+// the linger's yield is what runs the second sender, so the second
+// arrives inside the quiet gap whatever the host does; on more, a
+// sender's thread the host deschedules for over minLinger misses the
+// batch (TestLingerCollectsRiders bounds that case).
 func TestSimultaneousRequestsShareOneBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f, test := newTrainedFramework(t, 2)
 	s := newServerWith(t, f, Options{Workers: 3, MaxBatch: 2, MaxQueueLatency: time.Minute}, instant)
 	defer s.Close()
 	for round := 0; round < 20; round++ {
-		// As if batches took four minutes: the former lingers up to the
-		// one-minute cap, and in practice until the second request
+		// As if batches took four minutes: the former may linger up to
+		// the one-minute cap, and stops as soon as the second request
 		// fills the batch.
 		s.service.Store(int64(4 * time.Minute))
 		var wg sync.WaitGroup

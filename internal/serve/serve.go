@@ -9,9 +9,7 @@
 // Options.MaxBatch) and dispatches immediately, so batches grow because
 // every worker was busy, never because a timer said so. One worker
 // forms at a time, and it waits for company only as long as the
-// measured service time justifies — a quarter of what a batch has
-// lately cost per request, capped by Options.MaxQueueLatency, and not
-// at all when that is too short to time (see Server.form).
+// measured service time and the arrivals justify (see Server.form).
 //
 // The batches run on core.Backend values, one contract at three
 // settings: a pool of whole-model enclave replicas (each a one-range
@@ -119,8 +117,8 @@ type Options struct {
 	// MaxQueueLatency is the upper bound on the wait for batch company
 	// (default 2ms): an idle worker dispatches immediately, and a
 	// worker whose requests are slow enough to serve that sharing a
-	// batch pays waits a quarter of the measured per-request service
-	// time for more of them, never longer than this.
+	// batch pays waits for more while they keep arriving, at most a
+	// quarter of the measured per-request service time and this.
 	MaxQueueLatency time.Duration
 	// QueueDepth is the request queue capacity (default 1024). A
 	// Classify arriving at a full queue is rejected immediately with
@@ -631,15 +629,12 @@ func (s *Server) classify(ctx context.Context, image []float32, tr *obs.Trace) (
 	}
 }
 
-// minLinger is the shortest wait for batch company worth a timer:
-// arming one costs a closed-loop client more than the company could
-// save. It is not the shortest wait the runtime times. With no P
-// running, the scheduler sleeps in the netpoller, and on Linux
-// (runtime/netpoll_epoll.go) that rounds any timer wait in (0, 1 ms)
-// up to a 1 ms epoll_wait: a linger of S/4 well under a millisecond
-// still holds its batch for about 1 ms (serve-overepc's batch span p50
-// reads 1.09 ms in both the stream phase, S/4 ≈ 0.73 ms, and the fleet
-// phase, S/4 ≈ 0.27 ms).
+// minLinger has two roles. It is the shortest wait for batch company
+// worth starting: below it a closed-loop client loses more to the wait
+// than the company could save, so the batch dispatches at once. And it
+// is the quiet gap that ends a wait: a linger that has seen no new
+// arrival for minLinger stops, since riders that come at all come close
+// behind the request that started it.
 const minLinger = 100 * time.Microsecond
 
 // take admits req, just received from reqCh, into the forming batch —
@@ -658,15 +653,18 @@ func (s *Server) take(batch []*request, req *request) []*request {
 // so the workers form one at a time and two requests arriving together
 // ride one batch instead of waking two workers. It parks until a live
 // request arrives, adds whatever else is already queued, and then
-// lingers for company for min(MaxQueueLatency, S/4), S being the
-// recent floor of batch service time per request served (see
-// serveBatch): a rider spares the pool about S of work and costs the
-// batch a quarter of that, while a server whose requests are quick to
-// serve — one at a time, or amortised over batches that are already
-// large, or because it has served nothing yet — has no wait worth
-// arming a timer for and dispatches at once. An empty result means the
-// queue is closed and drained.
-func (s *Server) form(batch []*request, timer *time.Timer) []*request {
+// lingers for company — for at most min(MaxQueueLatency, S/4), S being
+// the recent floor of batch service time per request served (see
+// serveBatch), and only while arrivals keep coming: the linger ends
+// once minLinger passes with none. A rider spares the pool about S of
+// work and costs the batch a quarter of that at most, while a server
+// whose requests are quick to serve — one at a time, or amortised over
+// batches that are already large, or because it has served nothing yet
+// — has no wait worth starting and dispatches at once. The linger polls
+// the queue, yielding between polls, instead of arming a timer, whose
+// sub-millisecond waits the netpoller rounds up to 1 ms. An empty
+// result means the queue is closed and drained.
+func (s *Server) form(batch []*request) []*request {
 	for len(batch) == 0 {
 		req, ok := <-s.reqCh
 		if !ok {
@@ -690,26 +688,24 @@ drain:
 	if wait < minLinger || len(batch) == s.opts.MaxBatch {
 		return batch
 	}
-	start := time.Now()
-	timer.Reset(wait)
-	fired := false
+	start, queued := time.Now(), len(batch)
 linger:
-	for len(batch) < s.opts.MaxBatch {
+	for quiet := minLinger; len(batch) < s.opts.MaxBatch; {
 		select {
 		case req, ok := <-s.reqCh:
 			if !ok {
 				break linger
 			}
 			batch = s.take(batch, req)
-		case <-timer.C:
-			fired = true
-			break linger
+			quiet = time.Since(start) + minLinger
+		default:
+			if time.Since(start) >= min(quiet, wait) {
+				break linger
+			}
+			runtime.Gosched()
 		}
 	}
-	if !fired && !timer.Stop() {
-		<-timer.C
-	}
-	s.stats.recordLinger(time.Since(start))
+	s.stats.recordLinger(time.Since(start), len(batch)-queued)
 	return batch
 }
 
@@ -721,18 +717,16 @@ func (s *Server) worker(id int) {
 		buf   = make([]float32, s.opts.MaxBatch*s.inputSize)
 		batch = make([]*request, 0, s.opts.MaxBatch)
 		spans []obs.SpanRec
-		timer = time.NewTimer(time.Hour)
 		// One scratch trace collects each batch's pipeline spans
 		// (window, then wait/restore/open/compute/seal per range),
 		// folded into every rider's trace.
 		bt = obs.NewTrace()
 	)
-	timer.Stop()
 	// The label attributes enclave compute in CPU profiles to the worker.
 	pprof.Do(obs.ContextWithTrace(context.Background(), bt), pprof.Labels("worker", strconv.Itoa(id)), func(ctx context.Context) {
 		for {
 			s.formMu.Lock()
-			batch = s.form(batch[:0], timer)
+			batch = s.form(batch[:0])
 			s.formMu.Unlock()
 			// Unlock readied the worker waiting on formMu onto this P,
 			// behind the batch about to run here: it would form the

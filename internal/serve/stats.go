@@ -68,6 +68,7 @@ type statsCollector struct {
 	hist      *obs.Histogram
 	batchSize *obs.Histogram
 	linger    *obs.Counter
+	riders    *obs.Counter
 	rejected  *obs.Counter
 	expired   *obs.Counter
 	epcShed   *obs.Counter
@@ -83,6 +84,7 @@ func newStatsCollector(reg *obs.Registry) statsCollector {
 		hist:      reg.Histogram("serve_request_seconds", "End-to-end request latency in the server, enqueue to classification."),
 		batchSize: reg.CountHistogram("serve_batch_size", "Requests per served micro-batch."),
 		linger:    reg.Counter("serve_batch_linger_seconds_total", "Time forming workers spent waiting for batch company beyond what was already queued."),
+		riders:    reg.Counter("serve_batch_linger_riders_total", "Requests that joined a batch while its forming worker waited for company."),
 		rejected:  reg.Counter("serve_rejected_total", "Requests rejected at a full queue."),
 		expired:   reg.Counter("serve_expired_total", "Queued requests dropped because their context ended before dispatch."),
 		epcShed:   reg.Counter("serve_epc_shed_total", "Requests shed by pressure-aware admission while the host EPC was overcommitted."),
@@ -99,7 +101,10 @@ func (c *statsCollector) record(p Prediction) { c.hist.Observe(p.Latency) }
 
 func (c *statsCollector) recordBatch(size int) { c.batchSize.ObserveCount(size) }
 
-func (c *statsCollector) recordLinger(d time.Duration) { c.linger.Add(d.Seconds()) }
+func (c *statsCollector) recordLinger(d time.Duration, riders int) {
+	c.linger.Add(d.Seconds())
+	c.riders.Add(float64(riders))
+}
 
 func (c *statsCollector) recordRejected() { c.rejected.Inc() }
 
