@@ -114,11 +114,10 @@ type Options struct {
 	Workers int
 	// MaxBatch is the largest micro-batch a worker forms (default 32).
 	MaxBatch int
-	// MaxQueueLatency is the upper bound on the wait for batch company
-	// (default 2ms): an idle worker dispatches immediately, and a
-	// worker whose requests are slow enough to serve that sharing a
-	// batch pays waits for more while they keep arriving, at most a
-	// quarter of the measured per-request service time and this.
+	// MaxQueueLatency caps the wait for batch company (default 2ms),
+	// which lasts up to a quarter of the measured per-request service
+	// time, longer for a lone request beside a batch being served, and
+	// not at all when that quarter is too short (see Server.form).
 	MaxQueueLatency time.Duration
 	// QueueDepth is the request queue capacity (default 1024). A
 	// Classify arriving at a full queue is rejected immediately with
@@ -332,6 +331,7 @@ type Server struct {
 	reqCh   chan *request
 	formMu  sync.Mutex   // held by the one worker forming a batch
 	service atomic.Int64 // recent floor of batch service time per request, ns
+	serving atomic.Int32 // batches dispatched whose backend has not returned
 	wg      sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed; held shared across enqueues
@@ -632,9 +632,8 @@ func (s *Server) classify(ctx context.Context, image []float32, tr *obs.Trace) (
 // minLinger has two roles. It is the shortest wait for batch company
 // worth starting: below it a closed-loop client loses more to the wait
 // than the company could save, so the batch dispatches at once. And it
-// is the quiet gap that ends a wait: a linger that has seen no new
-// arrival for minLinger stops, since riders that come at all come close
-// behind the request that started it.
+// is the quiet gap that ends a wait for more company: riders that come
+// at all come close behind the request before them.
 const minLinger = 100 * time.Microsecond
 
 // take admits req, just received from reqCh, into the forming batch —
@@ -653,17 +652,20 @@ func (s *Server) take(batch []*request, req *request) []*request {
 // so the workers form one at a time and two requests arriving together
 // ride one batch instead of waking two workers. It parks until a live
 // request arrives, adds whatever else is already queued, and then
-// lingers for company — for at most min(MaxQueueLatency, S/4), S being
-// the recent floor of batch service time per request served (see
-// serveBatch), and only while arrivals keep coming: the linger ends
-// once minLinger passes with none. A rider spares the pool about S of
-// work and costs the batch a quarter of that at most, while a server
-// whose requests are quick to serve — one at a time, or amortised over
-// batches that are already large, or because it has served nothing yet
-// — has no wait worth starting and dispatches at once. The linger polls
-// the queue, yielding between polls, instead of arming a timer, whose
-// sub-millisecond waits the netpoller rounds up to 1 ms. An empty
-// result means the queue is closed and drained.
+// lingers for company for min(MaxQueueLatency, S/4), S being the recent
+// floor of batch service time per request served (see serveBatch): a
+// rider spares the pool about S of work and costs the batch a quarter of
+// that, while a server whose requests are quick to serve — one at a
+// time, or amortised over batches that are already large, or because it
+// has served nothing yet — has no wait worth starting and dispatches at
+// once. A batch with company stops once minLinger passes with no
+// arrival. A lone request beside a batch being served waits, up to
+// MaxQueueLatency, until a quarter after it sees that batch return, for
+// its callers' next requests: closed-loop callers out of step would
+// otherwise stay so, each batch alone at nearly the cost of two. The
+// linger polls the queue, yielding, since the netpoller rounds a timer's
+// sub-millisecond wait up to 1 ms. An empty result means the queue is
+// closed and drained.
 func (s *Server) form(batch []*request) []*request {
 	for len(batch) == 0 {
 		req, ok := <-s.reqCh
@@ -690,16 +692,21 @@ drain:
 	}
 	start, queued := time.Now(), len(batch)
 linger:
-	for quiet := minLinger; len(batch) < s.opts.MaxBatch; {
+	for until, busy := wait, int32(0); len(batch) < s.opts.MaxBatch; {
 		select {
 		case req, ok := <-s.reqCh:
 			if !ok {
 				break linger
 			}
 			batch = s.take(batch, req)
-			quiet = time.Since(start) + minLinger
+			until = min(wait, time.Since(start)+minLinger)
 		default:
-			if time.Since(start) >= min(quiet, wait) {
+			since := time.Since(start)
+			// A batch being served, or seen so at the last poll.
+			if n := s.serving.Load(); len(batch) == 1 && (n > 0 || busy > 0) {
+				until, busy = min(s.opts.MaxQueueLatency, since+wait), n
+			}
+			if since >= until {
 				break linger
 			}
 			runtime.Gosched()
@@ -765,10 +772,12 @@ func (s *Server) serveBatch(ctx context.Context, batch []*request, buf []float32
 		return spans
 	}
 	live := batch[:n]
+	s.serving.Add(1)
 	sl := s.pool.get()
 	dispatch := time.Now()
 	classes, err := sl.b.ClassifyBatchCtx(ctx, buf[:n*s.inputSize])
 	now := time.Now()
+	s.serving.Add(-1)
 	var ver uint64
 	if err == nil {
 		ver = sl.b.Version()
