@@ -308,29 +308,26 @@ func serveHTTP(ctx context.Context, srv *plinius.Server, addr string, pprofOn bo
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
 		st := srv.Stats()
 		stats := map[string]any{
-			"precision":            st.Precision.String(),
-			"requests":             st.Requests,
-			"rejected":             st.Rejected,
-			"expired":              st.Expired,
-			"epc_shed":             st.EPCShed,
-			"epc_pressure":         st.EPCPressure,
-			"host_resident_bytes":  st.HostResidentBytes,
-			"batches":              st.Batches,
-			"avg_batch":            st.AvgBatch,
-			"avg_latency_us":       st.AvgLatency.Microseconds(),
-			"p50_latency_us":       st.P50Latency.Microseconds(),
-			"p95_latency_us":       st.P95Latency.Microseconds(),
-			"p99_latency_us":       st.P99Latency.Microseconds(),
-			"max_latency_us":       st.MaxLatency.Microseconds(),
-			"req_per_sec":          st.Throughput,
-			"uptime_sec":           st.Uptime.Seconds(),
-			"model_version":        srv.Version(),
-			"shards":               st.Shards,
-			"shard_streaming":      st.Streaming,
-			"shard_pm_restores":    st.ShardRestores,
-			"shard_stalls":         st.ShardStalls,
-			"shard_prefetch_waits": st.ShardPrefetchWaits,
-			"shard_prefetched":     st.ShardPrefetched,
+			"precision":           st.Precision.String(),
+			"requests":            st.Requests,
+			"rejected":            st.Rejected,
+			"expired":             st.Expired,
+			"epc_shed":            st.EPCShed,
+			"epc_pressure":        st.EPCPressure,
+			"host_resident_bytes": st.HostResidentBytes,
+			"batches":             st.Batches,
+			"avg_batch":           st.AvgBatch,
+			"avg_latency_us":      st.AvgLatency.Microseconds(),
+			"p50_latency_us":      st.P50Latency.Microseconds(),
+			"p95_latency_us":      st.P95Latency.Microseconds(),
+			"p99_latency_us":      st.P99Latency.Microseconds(),
+			"max_latency_us":      st.MaxLatency.Microseconds(),
+			"req_per_sec":         st.Throughput,
+			"uptime_sec":          st.Uptime.Seconds(),
+			"model_version":       srv.Version(),
+			"shards":              st.Shards,
+			"shard_streaming":     st.Streaming,
+			"shard_pm_restores":   st.ShardRestores,
 		}
 		if st.FleetHosts > 0 {
 			// Per-host fleet section: each host's resident working set,

@@ -50,11 +50,11 @@ type BackendReport struct {
 	Shards    int
 	Streaming bool
 	// Shard-pipeline counters: ShardRestores counts layer-range
-	// restores from PM, ShardStalls batches that paid a full restore on
-	// the compute path, ShardPrefetchWaits batches that paid only the
-	// unfinished remainder of an in-flight prefetch, and ShardPrefetched
-	// restores overlapped with compute by the double-buffering
-	// prefetcher.
+	// restores from PM, which a streaming stage does once per batch, as
+	// its forward pass reaches each layer. ShardStalls,
+	// ShardPrefetchWaits and ShardPrefetched read 0: they counted the
+	// background range prefetcher, which streaming no longer has, and
+	// stay for readers that print them.
 	ShardRestores      uint64
 	ShardStalls        uint64
 	ShardPrefetchWaits uint64

@@ -18,9 +18,9 @@ import (
 )
 
 // Serving enclaves. A ShardGroup serves one model from a chain of
-// enclaves, each owning one contiguous layer range that it restores —
-// sealed, from an immutable published snapshot in PM — exactly like
-// crash recovery (Algorithm 3, mirror_in). A serving replica is the
+// enclaves, each owning one contiguous layer range that it reads —
+// sealed, from an immutable published snapshot in PM — exactly as
+// crash recovery does (Algorithm 3, mirror_in). A serving replica is the
 // one-range group: the whole model in one enclave. A model over the
 // usable EPC (the Fig. 7 paging knee) splits into several ranges and
 // micro-batches pipeline through them — stage k processes batch i+1
@@ -34,17 +34,23 @@ import (
 // batch pays the all-miss fault stream. A ShardGroup instead bounds
 // what is resident: a shard holds only a small fixed overhead while
 // idle ("parked") and reserves its layer range — parameters plus
-// activation buffers — only while processing a batch ("hot"); a parked
-// shard's parameters are re-restored on demand from the pinned
-// published snapshot in PM, trading the fault storm for a sealed PM
-// read and an in-enclave decrypt, exactly the byte-addressable-PM
-// bargain the paper builds on. The pipeline admits only as many
-// concurrent batches as hot shards fit the host's EPC headroom, so the
-// host stays under the knee and serving pays (near) zero faults where
-// the monolithic replica pays all-miss.
+// activation buffers — only while processing a batch ("hot"). A
+// streaming stage reads its parameters from the pinned published
+// snapshot in PM for every batch, trading the fault storm for a sealed
+// PM read and an in-enclave decrypt, exactly the byte-addressable-PM
+// bargain the paper builds on. It reads them as the forward pass
+// reaches each layer (mirror.Opener.Forward): a fully connected layer
+// whose sealed segments hold whole weight rows multiplies each segment
+// as it opens into a cache-sized tile, so the plaintext weights are
+// never written out whole; any other layer opens into its own buffers
+// first. The pipeline admits only as many concurrent batches as hot
+// shards fit the host's EPC headroom, so the host stays under the knee
+// and serving pays (near) zero faults where the monolithic replica pays
+// all-miss.
 //
 // When the whole plan fits the headroom the group runs resident: every
-// shard restores once and stays hot, and nothing is re-read per batch.
+// shard restores its range once and stays hot, and nothing is re-read
+// per batch.
 // A one-range plan runs resident whatever the headroom — streaming it
 // would re-restore the whole model for every batch — so a replica too
 // big for its host is the over-knee monolithic baseline that sharding
@@ -132,11 +138,6 @@ type ShardOptions struct {
 	Labels []obs.Label
 }
 
-// restorer installs one stage's layer range from a handle on a pinned
-// snapshot into the stage's network and returns the snapshot's
-// iteration.
-type restorer func(net *darknet.Network) (int, error)
-
 // shard is one pipeline stage: an enclave owning one contiguous layer
 // range of the model.
 type shard struct {
@@ -147,33 +148,20 @@ type shard struct {
 	rng  darknet.ShardRange
 
 	// nodeFrom is the index of the shard's first layer node in the
-	// persistent snapshot (what MirrorInRange restores from).
+	// persistent snapshot (what its Opener reads from).
 	nodeFrom int
 	// footprint is the hot working set: parameters + activations.
 	footprint int
-	// restore reads the range from the pinned snapshot the group serves.
-	restore restorer
+	// open reads the range from the pinned snapshot the group serves.
+	open *mirror.Opener
 
-	// busy is held by the batch running this stage, from its restore
+	// busy is held by the batch running this stage, from its Ecall
 	// through the hand-off of its sealed activations downstream.
 	busy sync.Mutex
 
-	// mu guards the residency state below: the compute path and the
-	// background prefetcher both drive restores.
-	mu  sync.Mutex
-	hot bool
-	// restoring is non-nil while a restore is in flight; it is closed
-	// when the restore finishes. Waiters re-check hot afterwards: a
-	// failed restore leaves hot false and the waiter retries the
-	// restore itself, so failures propagate through the retry, not
-	// through shared error state.
-	restoring chan struct{}
-
-	// Per-shard pipeline counters in the group's registry.
-	mRestores      *obs.Counter
-	mStalls        *obs.Counter
-	mPrefetchWaits *obs.Counter
-	mPrefetched    *obs.Counter
+	// mRestores counts the stage's range restores from PM in the
+	// group's registry: one per batch while streaming.
+	mRestores *obs.Counter
 
 	// Pre-built span stage names ("restore/3", ...), so the traced hot
 	// path does no string building.
@@ -231,9 +219,8 @@ type ShardGroup struct {
 	version uint64
 	iter    int
 
-	// reg holds the group's per-shard restore/stall/prefetch counters
-	// (see ShardOptions.Metrics); the compute path and the prefetcher
-	// both bump them, and Report sums across shards.
+	// reg holds the group's per-shard restore counters (see
+	// ShardOptions.Metrics); Report sums them across shards.
 	reg *obs.Registry
 
 	// keyEpoch is the framework key epoch of the data key the shard
@@ -245,16 +232,6 @@ type ShardGroup struct {
 	// boundaries (ShardOptions.Handoff — the fleet's inter-host
 	// channels).
 	handoff Handoff
-
-	// Double-buffered restore: while shard k computes a batch, a
-	// background goroutine prefetches shard k+1's range so the batch
-	// does not stall on the restore when it arrives. The prefetcher is
-	// headroom-gated — it reserves the range only when the host has
-	// spare usable EPC, so the residency bound (window hot shards) is
-	// never exceeded and the zero-fault regime is preserved.
-	prefetchMu  sync.Mutex // guards prefetchOff and WaitGroup adds
-	prefetchOff bool       // true while quiesced or closed
-	prefetchWG  sync.WaitGroup
 }
 
 // NewShardGroup splits the framework's model into contiguous layer
@@ -367,17 +344,14 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 		k := strconv.Itoa(i)
 		labels := append([]obs.Label{{Key: "shard", Value: k}}, opts.Labels...)
 		g.shards = append(g.shards, &shard{ // tracked for cleanup
-			idx:            i,
-			encl:           encl,
-			mRestores:      reg.Counter("shard_restores_total", "Layer-range restores from PM, by shard.", labels...),
-			mStalls:        reg.Counter("shard_stage_stall_total", "Batches that paid a full range restore on the compute path, by shard.", labels...),
-			mPrefetchWaits: reg.Counter("shard_prefetch_waits_total", "Batches that waited out the remainder of an in-flight prefetch, by shard.", labels...),
-			mPrefetched:    reg.Counter("shard_prefetched_restores_total", "Restores completed by the background prefetcher, by shard.", labels...),
-			spanWait:       "wait/" + k,
-			spanRestore:    "restore/" + k,
-			spanOpen:       "open/" + k,
-			spanCompute:    "compute/" + k,
-			spanSeal:       "seal/" + k,
+			idx:         i,
+			encl:        encl,
+			mRestores:   reg.Counter("shard_restores_total", "Layer-range restores from PM, by shard.", labels...),
+			spanWait:    "wait/" + k,
+			spanRestore: "restore/" + k,
+			spanOpen:    "open/" + k,
+			spanCompute: "compute/" + k,
+			spanSeal:    "seal/" + k,
 		})
 		sub, err := full.Shard(r)
 		if err != nil {
@@ -415,16 +389,16 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	// every host can hold its placed shards within what it had to
 	// offer (or the plan is one range), else stream ranges from PM
 	// with a pipeline window sized so each host's hot set stays within
-	// its budget (the window is the most constrained host's). With
-	// double-buffered restore each in-flight batch may transiently hold
-	// TWO ranges — its stage hot while the next stage prefetches — so
-	// the window halves and the freed budget pays for the overlap; that
-	// keeps the residency bound exact (window x per-batch demand <=
-	// budget) and the zero-fault regime intact. A window of at least 1
-	// always serves — an oversized single shard overcommits its host
-	// while hot and pays (bounded) pressure, mirroring the one-replica
-	// floor of WorkersAuto. A single-host plan reduces to the pre-fleet
-	// arithmetic exactly.
+	// its budget (the window is the most constrained host's). A batch
+	// holds one range at a time, and the window budgets two per batch:
+	// the server sizes its workers from the window, and one more
+	// streaming worker would split its callers into batches of one,
+	// each paying the whole model's AES. So the residency bound (window
+	// x per-batch demand <= budget) holds with room to spare. A window
+	// of at least 1 always serves — an oversized single shard
+	// overcommits its host while hot and pays (bounded) pressure,
+	// mirroring the one-replica floor of WorkersAuto. A single-host plan
+	// reduces to the pre-fleet arithmetic exactly.
 	type hostDemand struct{ total, maxFP, count int }
 	demand := make(map[*enclave.Host]*hostDemand)
 	for i, s := range g.shards {
@@ -446,7 +420,7 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 			continue
 		}
 		g.streaming = true
-		perBatch := 2 * d.maxFP // a hot range and its successor's prefetch
+		perBatch := 2 * d.maxFP
 		w := 0
 		if perBatch > 0 {
 			w = budget / perBatch
@@ -462,12 +436,12 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 
 	// Open each shard's snapshot handle on the pinned version and
 	// record the layout.
-	restores, iter, err := g.openModels(pin, engs)
+	opens, iter, err := g.openModels(pin, engs)
 	if err != nil {
 		return fail(fmt.Errorf("core: shard snapshot: %w", err))
 	}
 	for i, s := range g.shards {
-		s.restore = restores[i]
+		s.open = opens[i]
 	}
 	g.pin, g.version, g.iter = pin, pin.Version(), iter
 	if err := g.recordLayout(); err != nil {
@@ -475,9 +449,16 @@ func (f *Framework) NewShardGroup(opts ShardOptions) (*ShardGroup, error) {
 	}
 	if !g.streaming {
 		for _, s := range g.shards {
-			if err := s.encl.Ecall(func() error { return g.ensureHot(s) }); err != nil {
+			err := s.encl.Ecall(func() error {
+				if err := s.encl.Reserve(s.footprint); err != nil {
+					return err
+				}
+				return g.restore(s, s.open)
+			})
+			if err != nil {
 				return fail(fmt.Errorf("core: shard %d restore: %w", s.idx, err))
 			}
+			s.mRestores.Inc()
 		}
 	}
 	return g, nil
@@ -635,207 +616,46 @@ func (g *ShardGroup) recordLayout() error {
 	return f.store.RecordLayout(mirror.Layout{Plan: plan})
 }
 
-// openModels opens one restore handle per shard on the pinned snapshot
-// — its layer range of the fp32 snapshot, or at Int8 of its quantized
-// variant — decrypting with engs[i], and returns them with the
-// snapshot's iteration. The handles are NOT installed on the shards —
-// callers swap them in only once every fallible step of their control
+// openModels opens one snapshot handle per shard on the pinned
+// snapshot — its layer range of the fp32 snapshot, or at Int8 of its
+// quantized variant — decrypting with engs[i], and returns each
+// handle's Opener of the shard's network, with the snapshot's
+// iteration. The openers are NOT installed on the shards — callers
+// swap them in only once every fallible step of their control
 // operation has succeeded, so a failed Refresh never leaves a shard
 // reading an unpinned frame.
-func (g *ShardGroup) openModels(pin *mirror.Pin, engs []*engine.Engine) ([]restorer, int, error) {
+func (g *ShardGroup) openModels(pin *mirror.Pin, engs []*engine.Engine) ([]*mirror.Opener, int, error) {
 	g.f.pmMu.Lock()
 	defer g.f.pmMu.Unlock()
-	restores := make([]restorer, len(g.shards))
+	opens := make([]*mirror.Opener, len(g.shards))
 	iter := 0
 	for i, s := range g.shards {
 		m, err := pin.Open(engs[i], g.prec, mirror.WithEnclave(s.encl))
 		if err != nil {
 			return nil, 0, err
 		}
-		from := s.nodeFrom
-		restores[i] = func(net *darknet.Network) (int, error) { return m.MirrorInRange(net, from) }
+		if opens[i], err = m.Opener(s.net, s.nodeFrom); err != nil {
+			return nil, 0, err
+		}
 		iter = m.Iteration()
 	}
-	return restores, iter, nil
+	return opens, iter, nil
 }
 
-// restoreShard restores one shard's layer range with the given handle
-// inside its enclave.
-func (g *ShardGroup) restoreShard(s *shard, restore restorer) error {
-	return s.encl.Ecall(func() error {
-		g.f.pmMu.Lock()
-		defer g.f.pmMu.Unlock()
-		_, err := restore(s.net)
-		return err
-	})
-}
-
-// restoreRange brings a parked shard's parameters into its enclave:
-// reserve the range on the host (unless the caller already did) and
-// restore it from the pinned snapshot. Free while the host is under
-// the knee: the restore is a sealed PM read plus in-enclave decrypt.
-// Callers must hold the shard's restoring slot (see ensureHot /
-// tryPrefetch); s.mu must NOT be held.
-func (g *ShardGroup) restoreRange(s *shard, reserved bool) error {
-	if !reserved {
-		if err := s.encl.Reserve(s.footprint); err != nil {
-			return err
-		}
-	}
+// restore installs a resident shard's whole layer range from o into
+// its network, under the PM lock. Callers are inside the shard's
+// enclave.
+func (g *ShardGroup) restore(s *shard, o *mirror.Opener) error {
 	g.f.pmMu.Lock()
-	_, err := s.restore(s.net)
-	g.f.pmMu.Unlock()
-	if err != nil {
-		_ = s.encl.Free(s.footprint)
-		return err
-	}
-	s.mRestores.Inc()
-	return nil
-}
-
-// finishRestore publishes a restore's outcome and wakes waiters.
-func (s *shard) finishRestore(err error) {
-	s.mu.Lock()
-	if err == nil {
-		s.hot = true
-	}
-	ch := s.restoring
-	s.restoring = nil
-	s.mu.Unlock()
-	close(ch)
-}
-
-// ensureHot makes the shard's range resident for the compute path,
-// waiting on an in-flight prefetch or — when none is running — doing
-// the restore synchronously. A synchronous restore puts the full
-// restore latency on the critical path (a pipeline stall, counted in
-// ShardStalls); waiting out a prefetch costs only the restore's
-// unfinished remainder (counted in ShardPrefetchWaits).
-func (g *ShardGroup) ensureHot(s *shard) error {
-	waited := false
-	s.mu.Lock()
-	for {
-		if s.hot {
-			s.mu.Unlock()
-			return nil
-		}
-		ch := s.restoring
-		if ch == nil {
-			break
-		}
-		if !waited {
-			waited = true
-			s.mPrefetchWaits.Inc()
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-		// Loop: on success hot is set; on failure we retry the restore
-		// ourselves below.
-	}
-	s.restoring = make(chan struct{})
-	s.mu.Unlock()
-	if !waited && g.streaming {
-		s.mStalls.Inc()
-	}
-	err := g.restoreRange(s, false)
-	s.finishRestore(err)
+	defer g.f.pmMu.Unlock()
+	_, err := o.Restore()
 	return err
-}
-
-// tryPrefetch starts a background restore of a parked shard so the
-// batch now computing one stage upstream does not stall on it. The
-// prefetch reserves the range up front and only when the host has
-// headroom for it — residency bounds hold, and a host already at its
-// budget simply skips the prefetch (the compute path restores as
-// before).
-func (g *ShardGroup) tryPrefetch(s *shard) {
-	if !g.streaming {
-		return
-	}
-	g.prefetchMu.Lock()
-	if g.prefetchOff {
-		g.prefetchMu.Unlock()
-		return
-	}
-	s.mu.Lock()
-	if s.hot || s.restoring != nil {
-		s.mu.Unlock()
-		g.prefetchMu.Unlock()
-		return
-	}
-	// Charge the prefetch against the shard's own host headroom
-	// atomically with the decision: Reserve here, before the restore
-	// goroutine runs, so concurrent prefetchers cannot double-claim
-	// the same budget. (The shard's host, not the group's primary —
-	// a multi-host pipeline gates each prefetch on the machine that
-	// would hold the range.)
-	if s.encl.Host().Headroom() < s.footprint || s.encl.Reserve(s.footprint) != nil {
-		s.mu.Unlock()
-		g.prefetchMu.Unlock()
-		return
-	}
-	s.restoring = make(chan struct{})
-	s.mu.Unlock()
-	g.prefetchWG.Add(1)
-	g.prefetchMu.Unlock()
-	go func() {
-		defer g.prefetchWG.Done()
-		err := s.encl.Ecall(func() error { return g.restoreRange(s, true) })
-		if err == nil {
-			s.mPrefetched.Inc()
-		} else if errors.Is(err, enclave.ErrHostDown) {
-			// The Ecall was refused at the boundary, so restoreRange
-			// never ran and never freed the budget reserved above.
-			// Return it here or a killed-then-rejoined host would leak
-			// the phantom reservation forever.
-			_ = s.encl.Free(s.footprint)
-		}
-		s.finishRestore(err)
-	}()
-}
-
-// park returns the shard's range to the host budget; the parameters
-// must be re-restored from PM before the next batch.
-func (g *ShardGroup) park(s *shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.hot {
-		return
-	}
-	_ = s.encl.Free(s.footprint)
-	s.hot = false
-}
-
-// parkSettled waits out any in-flight restore on s, then parks it —
-// the cleanup after a failed batch, which will not consume (and later
-// park) a range prefetched on its behalf.
-func (g *ShardGroup) parkSettled(s *shard) {
-	for {
-		s.mu.Lock()
-		ch := s.restoring
-		if ch == nil {
-			if s.hot {
-				_ = s.encl.Free(s.footprint)
-				s.hot = false
-			}
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		<-ch
-	}
 }
 
 // step runs the batch through one stage: it waits until the batch
 // ahead has left the stage, processes the batch there in one Ecall and
 // — still holding the stage, so batches leave it in the order they ran
 // it — carries the sealed activations on to the next stage.
-//
-// In streaming mode a failed batch goes no further, so the range this
-// stage may have prefetched downstream on its behalf is returned to
-// the budget here, under the next stage's lock so no batch is using
-// it: the host's residency falls back to the parked level.
 func (g *ShardGroup) step(s *shard, job *shardJob) error {
 	last := s.idx == len(g.shards)-1
 	s.busy.Lock()
@@ -850,44 +670,27 @@ func (g *ShardGroup) step(s *shard, job *shardJob) error {
 			err = fmt.Errorf("core: shard %d->%d hand-off: %w", s.idx, s.idx+1, err)
 		}
 	}
-	if err != nil && !last && g.streaming {
-		next := g.shards[s.idx+1]
-		next.busy.Lock()
-		g.parkSettled(next)
-		next.busy.Unlock()
-	}
 	return err
 }
 
 // process runs one micro-batch through one shard inside its enclave:
-// restore the range if parked, open the incoming sealed activations
-// (or stage the batch images at stage 0), forward through the range,
-// seal the result for the next shard — or classify at the last — then
-// park in streaming mode so the next stage window fits the budget. It
-// records per-stage spans (restore — the enclave crossing included —
-// open, compute, seal) on the job's trace so slow requests attribute
-// their time.
-//
-// Double-buffering: with this stage hot, the next stage's range starts
-// restoring in the background, so by the time the job has been
-// computed and sealed the downstream shard is (ideally) already hot —
-// restore overlaps compute instead of stalling the pipeline between
-// every pair of stages.
+// a streaming stage reserves its range on the host first and returns it
+// when the Ecall ends. It opens the incoming sealed activations (or
+// stages the batch images at stage 0), runs the range's layers —
+// a streaming stage reading each parameter layer from the pinned
+// snapshot as it reaches it — and seals the result for the next shard,
+// or classifies at the last. It records per-stage spans (restore — the
+// enclave crossing and the reservation — open, compute, seal) on the
+// job's trace so slow requests attribute their time.
 func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 	return s.encl.Ecall(func() error {
-		if err := g.ensureHot(s); err != nil {
-			return fmt.Errorf("core: shard %d restore: %w", s.idx, err)
+		if g.streaming {
+			if err := s.encl.Reserve(s.footprint); err != nil {
+				return fmt.Errorf("core: shard %d reserve: %w", s.idx, err)
+			}
+			defer s.encl.Free(s.footprint)
 		}
 		job.lap(s.spanRestore)
-		if g.streaming {
-			defer g.park(s)
-		}
-		// Double-buffer: with this stage hot (its reservation charged,
-		// so the headroom gate sees the true residual budget), start
-		// restoring the next stage's range in the background.
-		if !last {
-			g.tryPrefetch(g.shards[s.idx+1])
-		}
 		var in []float32
 		if s.idx == 0 {
 			s.encl.Touch(4 * len(job.plain))
@@ -902,19 +705,14 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 			}
 			job.sealed = nil
 		}
-		if last {
-			classes, err := s.net.ClassifyBatch(in, job.n)
-			job.lap(s.spanCompute)
-			if err != nil {
-				return fmt.Errorf("core: shard %d: %w", s.idx, err)
-			}
-			job.classes = classes
-			return nil
-		}
-		out, err := s.net.Forward(in, job.n, false)
+		out, err := g.forward(s, in, job.n)
 		job.lap(s.spanCompute)
 		if err != nil {
 			return fmt.Errorf("core: shard %d: %w", s.idx, err)
+		}
+		if last {
+			job.classes = darknet.Classes(out, job.n, s.net.OutputSize())
+			return nil
 		}
 		sealed, err := s.eng.SealFloats(out)
 		job.lap(s.spanSeal)
@@ -924,6 +722,22 @@ func (g *ShardGroup) process(s *shard, job *shardJob, last bool) error {
 		job.sealed = sealed
 		return nil
 	})
+}
+
+// forward runs in through the stage's layers: a resident stage's
+// network as restored, a streaming stage's through its Opener, which
+// reads each parameter layer from the pinned snapshot as the pass
+// reaches it and holds the PM lock for that layer only.
+func (g *ShardGroup) forward(s *shard, in []float32, n int) ([]float32, error) {
+	if !g.streaming {
+		return s.net.Forward(in, n, false)
+	}
+	out, err := s.open.Forward(in, n, &g.f.pmMu)
+	if err != nil {
+		return nil, err
+	}
+	s.mRestores.Inc()
+	return out, nil
 }
 
 // ClassifyBatchCtx runs the images (laid out contiguously, at most the
@@ -964,24 +778,16 @@ func (g *ShardGroup) ClassifyBatchCtx(ctx context.Context, images []float32) ([]
 }
 
 // quiesce waits until no batch is in flight by claiming every window
-// token, then pauses the prefetcher and waits out any in-flight
-// background restore — control operations must not race a prefetch
-// reading the snapshot handles they are about to swap. Callers hold
-// submitMu, so no new batch (and hence no new prefetch) can slip in.
+// token: control operations must not race a batch reading the snapshot
+// handles they are about to swap. Callers hold submitMu, so no new
+// batch can slip in.
 func (g *ShardGroup) quiesce() {
 	for i := 0; i < g.window; i++ {
 		g.slots <- struct{}{}
 	}
-	g.prefetchMu.Lock()
-	g.prefetchOff = true
-	g.prefetchMu.Unlock()
-	g.prefetchWG.Wait()
 }
 
 func (g *ShardGroup) resume() {
-	g.prefetchMu.Lock()
-	g.prefetchOff = false
-	g.prefetchMu.Unlock()
 	for i := 0; i < g.window; i++ {
 		<-g.slots
 	}
@@ -989,7 +795,8 @@ func (g *ShardGroup) resume() {
 
 // Refresh rolls the group to the latest published version: the
 // pipeline is quiesced (queued callers wait, none fail), every shard
-// re-pins and — in resident mode — restores its range, and the old pin
+// re-pins and — in resident mode — restores its range (a streaming
+// shard reads the new pin from its next batch on), and the old pin
 // is released. When the framework's data key has changed since the
 // shards were keyed (Framework.RotateKey, or a recovery that adopted a
 // rotated key), the current key is first provisioned into every shard
@@ -998,7 +805,7 @@ func (g *ShardGroup) resume() {
 // weights from two versions inside one forward pass, or seal an
 // activation its successor cannot open.
 //
-// Fallible steps are staged: the new engines and snapshot handles are
+// Fallible steps are staged: the new engines and snapshot openers are
 // installed — and the old pin released — only after everything has
 // succeeded, so a failed refresh leaves the group serving the old
 // version under the old key, never reading an unpinned frame. A partial
@@ -1028,7 +835,7 @@ func (g *ShardGroup) Refresh() (int, error) {
 			return 0, err
 		}
 	}
-	restores, iter, err := g.openModels(pin, engs)
+	opens, iter, err := g.openModels(pin, engs)
 	if err != nil {
 		pin.Release()
 		return 0, err
@@ -1037,21 +844,18 @@ func (g *ShardGroup) Refresh() (int, error) {
 		pin.Release()
 		return 0, err
 	}
-	if g.streaming {
-		// Parked ranges restore lazily from the new pin; drop anything
-		// still hot so no stale range survives the version flip.
-		for _, s := range g.shards {
-			g.park(s)
+	if !g.streaming {
+		restoreIn := func(s *shard, o *mirror.Opener) error {
+			return s.encl.Ecall(func() error { return g.restore(s, o) })
 		}
-	} else {
 		for i, s := range g.shards {
-			if err := g.restoreShard(s, restores[i]); err != nil {
+			if err := restoreIn(s, opens[i]); err != nil {
 				// Roll the already-restored shards back to the old
 				// (still pinned) snapshot so no forward pass can ever
 				// mix weights from two versions.
 				var rollbackErr error
 				for _, prev := range g.shards[:i] {
-					if rerr := g.restoreShard(prev, prev.restore); rerr != nil && rollbackErr == nil {
+					if rerr := restoreIn(prev, prev.open); rerr != nil && rollbackErr == nil {
 						rollbackErr = rerr
 					}
 				}
@@ -1064,7 +868,7 @@ func (g *ShardGroup) Refresh() (int, error) {
 		}
 	}
 	for i, s := range g.shards {
-		s.eng, s.restore = engs[i], restores[i]
+		s.eng, s.open = engs[i], opens[i]
 	}
 	g.keyEpoch = epoch
 	g.mu.Lock()
@@ -1134,10 +938,9 @@ func (g *ShardGroup) Iteration() int {
 // Report returns the serving precision and, for a multi-range plan,
 // the pipeline's shape and its restore counters summed over the
 // shards; a one-range group reports as the whole-model replica it is.
-// In streaming mode restores are the price paid per batch per parked
-// shard instead of the paging knee; with double-buffered restore most
-// batches find their stage hot or mid-restore, so stalls stay near the
-// per-batch stage-0 floor.
+// In streaming mode restores are the price paid per batch per stage
+// instead of the paging knee: one per stage per batch, read as the
+// pass reaches each layer, so nothing is prefetched and nothing stalls.
 func (g *ShardGroup) Report() BackendReport {
 	r := BackendReport{Precision: g.prec}
 	if len(g.shards) == 1 {
@@ -1146,9 +949,6 @@ func (g *ShardGroup) Report() BackendReport {
 	r.Shards, r.Streaming = len(g.shards), g.streaming
 	for _, s := range g.shards {
 		r.ShardRestores += uint64(s.mRestores.Value())
-		r.ShardStalls += uint64(s.mStalls.Value())
-		r.ShardPrefetchWaits += uint64(s.mPrefetchWaits.Value())
-		r.ShardPrefetched += uint64(s.mPrefetched.Value())
 	}
 	return r
 }

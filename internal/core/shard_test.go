@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"plinius/internal/darknet"
 	"plinius/internal/enclave"
+	"plinius/internal/engine"
 	"plinius/internal/mirror"
 	"plinius/internal/mnist"
 )
@@ -242,6 +244,120 @@ func TestShardGroupEquivalence(t *testing.T) {
 				t.Fatalf("ClassifyBatch after Close = %v, want ErrShardGroupClosed", err)
 			}
 		})
+	}
+	t.Run("streaming tiled MLP", testStreamingTiledMLP)
+}
+
+// tiledMLPConfig is an MLP whose fully connected weights span several
+// 1 MiB sealed segments: 784x1024 (four, on whole rows), 1024x768
+// (three, on whole rows), 768x1000 (three, split mid-row) and 1000x10.
+const tiledMLPConfig = "[net]\nbatch=4\nlearning_rate=0.1\nchannels=1\nheight=28\nwidth=28\n\n" +
+	"[connected]\noutput=1024\nactivation=leaky\n\n" +
+	"[connected]\noutput=768\nactivation=leaky\n\n" +
+	"[connected]\noutput=1000\nactivation=leaky\n\n" +
+	"[connected]\noutput=10\nactivation=linear\n\n[softmax]\n"
+
+// streamFloats runs images through the group's stages as a batch does,
+// handing plain activations from stage to stage, and returns a copy of
+// the last stage's output floats.
+func streamFloats(t *testing.T, g *ShardGroup, images []float32) []float32 {
+	t.Helper()
+	n := len(images) / g.InputSize()
+	x := images
+	for _, s := range g.shards {
+		err := s.encl.Ecall(func() error {
+			var err error
+			x, err = g.forward(s, x, n)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("stage %d: %v", s.idx, err)
+		}
+	}
+	return append([]float32(nil), x...)
+}
+
+// testStreamingTiledMLP: a streaming group over tiledMLPConfig — its
+// row-aligned layers multiplied segment by segment as they open, the
+// mid-row one opened into its own buffers — outputs the resident
+// replica's floats bit for bit at GOMAXPROCS 1, 2 and 8, and classifies
+// as it does through the sealed hand-offs. One flipped byte in a sealed
+// weight segment, tiled or mid-row, fails the batch with an
+// authentication error, no classes and the host back at its parked
+// reservations; with the byte restored the group serves again.
+func testStreamingTiledMLP(t *testing.T) {
+	f := newFramework(t, Config{ModelConfig: tiledMLPConfig, PMBytes: 128 << 20, Seed: 3, TrainOverheadBytes: 1 << 20})
+	if _, err := f.Publish(); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	prof := f.Enclave.Profile()
+	rep, err := f.NewReplicaOn(enclave.NewHost(prof, enclave.WithHostEPC(enclave.UsableEPC)), 3)
+	if err != nil {
+		t.Fatalf("NewReplicaOn: %v", err)
+	}
+	defer rep.Close()
+	host := enclave.NewHost(prof, enclave.WithHostEPC(8<<20))
+	g, err := f.NewShardGroup(ShardOptions{Host: host, Batch: 4, OverheadBytes: 64 << 10, Seed: 5})
+	if err != nil {
+		t.Fatalf("NewShardGroup: %v", err)
+	}
+	defer g.Close()
+	if r := g.Report(); !r.Streaming || r.Shards < 3 {
+		t.Fatalf("group over plan %v reports %+v; want a streaming pipeline", g.Plan(), r)
+	}
+	images := make([]float32, 4*g.InputSize())
+	rng := rand.New(rand.NewSource(4))
+	for i := range images {
+		images[i] = rng.Float32()
+	}
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			want, err := rep.shards[0].net.Forward(images, 4, false)
+			if err != nil {
+				t.Fatalf("replica Forward: %v", err)
+			}
+			got := streamFloats(t, g, images)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("GOMAXPROCS %d: out[%d] = %v, replica %v", procs, i, got[i], want[i])
+				}
+			}
+			wantClasses, err := rep.ClassifyBatch(images)
+			if err != nil {
+				t.Fatalf("replica ClassifyBatch: %v", err)
+			}
+			gotClasses, err := g.ClassifyBatch(images)
+			if err != nil || !slices.Equal(gotClasses, wantClasses) {
+				t.Fatalf("GOMAXPROCS %d: group classes %v (%v), replica %v", procs, gotClasses, err, wantClasses)
+			}
+		}()
+	}
+
+	parked := host.Resident()
+	for _, layer := range []int{0, 2} { // tiled, mid-row
+		si := 0
+		for g.shards[si].rng.To <= layer {
+			si++
+		}
+		half, off, n := g.shards[si].open.SegmentAt(layer-g.shards[si].rng.From, 1)
+		flip := func() {
+			if err := f.Rom.FillPayload(half, off+n/2, 1, func(dst []byte) error { dst[0] ^= 0x40; return nil }); err != nil {
+				t.Fatalf("FillPayload: %v", err)
+			}
+		}
+		flip()
+		classes, err := g.ClassifyBatch(images)
+		if !errors.Is(err, engine.ErrAuth) || classes != nil {
+			t.Fatalf("layer %d segment flipped: classes %v, err %v; want ErrAuth and none", layer, classes, err)
+		}
+		if got := host.Resident(); got != parked {
+			t.Fatalf("layer %d segment flipped: host holds %d bytes after the failed batch, want the parked %d", layer, got, parked)
+		}
+		flip()
+		if _, err := g.ClassifyBatch(images); err != nil {
+			t.Fatalf("layer %d segment restored: %v", layer, err)
+		}
 	}
 }
 

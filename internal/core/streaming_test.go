@@ -12,8 +12,8 @@ import (
 )
 
 // streamingGroup builds a shard group on a dedicated serving host
-// whose budget forces streaming but leaves room for double-buffering
-// (two hot ranges plus overheads).
+// whose budget forces streaming but leaves a window of at least one
+// batch (two hot ranges plus overheads).
 func streamingGroup(t *testing.T, f *Framework, budget int, seed int64) (*ShardGroup, *enclave.Host) {
 	t.Helper()
 	host := enclave.NewHost(f.Enclave.Profile(), enclave.WithHostEPC(budget))
@@ -32,21 +32,20 @@ func streamingGroup(t *testing.T, f *Framework, budget int, seed int64) (*ShardG
 	return g, host
 }
 
-// TestShardGroupPrefetchOverlapsRestores: a streaming group's
-// double-buffered restores overlap compute — some restores are
-// prefetched, and fewer batches stall on a full restore than there are
-// restores — while it answers exactly as the training enclave does and
-// still pays zero page faults: the prefetcher charges its reservations
-// against the host headroom, so the residency bound holds.
-func TestShardGroupPrefetchOverlapsRestores(t *testing.T) {
+// TestShardGroupStreamingRestoresOncePerStage: a streaming group reads
+// each stage's range from PM exactly once per batch, as the forward
+// pass reaches it — restores equal stages times batches, and the
+// prefetch counters read 0 — while it answers exactly as the training
+// enclave does, pays zero page faults and never holds more than the
+// host's budget.
+func TestShardGroupStreamingRestoresOncePerStage(t *testing.T) {
 	f, test := trainedShardFramework(t, 4)
 	want, err := f.ClassifyBatch(test.Images)
 	if err != nil {
 		t.Fatalf("framework ClassifyBatch: %v", err)
 	}
-	// Roomy enough that the headroom gate admits prefetches (two hot
-	// ranges at once), tight enough that the plan still streams.
-	g, host := streamingGroup(t, f, 192<<10, 5)
+	const budget = 192 << 10
+	g, host := streamingGroup(t, f, budget, 5)
 	got := groupClassifyAll(t, g, test, 2)
 	rep := g.Report()
 	if err := g.Close(); err != nil {
@@ -57,22 +56,27 @@ func TestShardGroupPrefetchOverlapsRestores(t *testing.T) {
 			t.Fatalf("class[%d]: group %d, framework %d", i, got[i], want[i])
 		}
 	}
-	if rep.ShardPrefetched == 0 {
-		t.Fatal("prefetcher never ran; headroom gate too tight for the test host")
+	batches := uint64((test.N + 1) / 2)
+	if rep.ShardRestores != uint64(rep.Shards)*batches {
+		t.Fatalf("%d restores over %d batches of a %d-stage group, want one per stage per batch", rep.ShardRestores, batches, rep.Shards)
 	}
-	if rep.ShardStalls >= rep.ShardRestores {
-		t.Fatalf("prefetch overlapped nothing: %d stalls in %d restores", rep.ShardStalls, rep.ShardRestores)
+	if rep.ShardStalls != 0 || rep.ShardPrefetchWaits != 0 || rep.ShardPrefetched != 0 {
+		t.Fatalf("prefetch counters read %d stalls, %d waits, %d prefetched; want 0", rep.ShardStalls, rep.ShardPrefetchWaits, rep.ShardPrefetched)
 	}
-	if s := host.Stats(); s.PageSwaps != 0 {
-		t.Fatalf("prefetching group paid %d faults; want 0 under the knee", s.PageSwaps)
+	s := host.Stats()
+	if s.PageSwaps != 0 {
+		t.Fatalf("streaming group paid %d faults; want 0 under the knee", s.PageSwaps)
+	}
+	if s.PeakResidentBytes > budget {
+		t.Fatalf("streaming group peaked at %d bytes over its %d-byte budget", s.PeakResidentBytes, budget)
 	}
 }
 
 // TestShardGroupPrefetchQuiescesOnRefresh drives concurrent classify
-// traffic while Refresh flips versions and, after a key rotation, keys: the prefetcher must
-// quiesce with the pipeline (no background restore may read a handle
-// being swapped), every batch must answer, and the group must stay
-// coherent. Run with -race.
+// traffic through a streaming group while Refresh flips versions and,
+// after a key rotation, keys: Refresh must quiesce the pipeline (no
+// batch may read an opener being swapped), every batch must answer,
+// and the group must stay coherent. Run with -race.
 func TestShardGroupPrefetchQuiescesOnRefresh(t *testing.T) {
 	f, test := trainedShardFramework(t, 4)
 	g, _ := streamingGroup(t, f, 192<<10, 7)
@@ -181,11 +185,9 @@ func (h *faultyHandoff) Carry(from, to int, sealed []byte) error {
 
 // TestShardGroupFailedHandoffParksEverything: a streaming batch whose
 // sealed activations cannot cross a stage boundary fails there without
-// leaking the range that stage prefetched downstream for it — when the
-// batch returns, every host holds only its parked shards' overhead —
-// and the next batch serves. The stages alternate between two hosts,
-// so every prefetch is admitted and the failed batch always leaves one
-// in flight or landed. Run with -race.
+// leaking a reservation — when the batch returns, every host holds only
+// its parked shards' overhead — and the next batch serves. The stages
+// alternate between two hosts. Run with -race.
 func TestShardGroupFailedHandoffParksEverything(t *testing.T) {
 	f, test := trainedShardFramework(t, 4)
 	probe, _ := streamingGroup(t, f, 192<<10, 5)
@@ -225,16 +227,16 @@ func TestShardGroupFailedHandoffParksEverything(t *testing.T) {
 			}
 		}
 		for b := 1; b <= 3; b++ {
-			before := g.Report().ShardPrefetched
+			before := g.Report().ShardRestores
 			_, err := g.ClassifyBatch(test.Images[b*2*in : (b+1)*2*in])
 			switch {
 			case b == int(h.failBatch) && !errors.Is(err, errCarry):
 				t.Fatalf("fail at %d->%d: batch %d = %v, want the injected fault", from, from+1, b, err)
 			case b == int(h.failBatch):
-				// Stages 0..from each prefetched their successor, the
-				// last of them for a stage the batch never reached.
-				if got := g.Report().ShardPrefetched - before; got != uint64(from+1) {
-					t.Fatalf("fail at %d->%d: failed batch prefetched %d ranges, want %d", from, from+1, got, from+1)
+				// Stages 0..from each read their range; the batch never
+				// reached the stages past the failed hand-off.
+				if got := g.Report().ShardRestores - before; got != uint64(from+1) {
+					t.Fatalf("fail at %d->%d: failed batch restored %d ranges, want %d", from, from+1, got, from+1)
 				}
 			case err != nil:
 				t.Fatalf("fail at %d->%d: batch %d: %v", from, from+1, b, err)

@@ -3,6 +3,8 @@ package darknet
 import (
 	"fmt"
 	"math/rand"
+
+	"plinius/internal/par"
 )
 
 // Connected is a fully-connected layer: out = activation(x Wᵀ + b).
@@ -23,6 +25,29 @@ type Connected struct {
 	// allocate nothing per call. Forward's return value aliases outBuf
 	// and is valid until the layer's next Forward.
 	outBuf, dxBuf []float32
+
+	// tiles holds a ForwardTiled pass's operands for tileRange, its
+	// par.ForErr body, which is bound on the first ForwardTiled.
+	tiles     tilePass
+	tileRange func(lo, hi int) error
+}
+
+// tilePass is one ForwardTiled pass.
+type tilePass struct {
+	x, out []float32
+	batch  int
+	w      WeightSegments
+}
+
+// WeightSegments is a weight matrix that arrives in pieces: that of a
+// layer whose weights are not resident, opened from sealed PM as the
+// forward pass reaches it. Piece s of the Segments() = k pieces holds
+// the matrix's elements [s·len/k, (s+1)·len/k), the split the mirror
+// seals a buffer in. OpenSegment fills dst, exactly the piece's length,
+// or returns an error, after which dst must not be read.
+type WeightSegments interface {
+	Segments() int
+	OpenSegment(s int, dst []float32) error
 }
 
 var _ Layer = (*Connected)(nil)
@@ -82,6 +107,14 @@ func (c *Connected) Forward(x []float32, batch int, train bool) ([]float32, erro
 	out := scratchF32(&c.outBuf, batch*outs)
 	// out = x (batch x in) * Wᵀ (in x outs)
 	gemmTB(batch, inSize, outs, x, c.weights, out)
+	c.finish(x, out, batch)
+	return out, nil
+}
+
+// finish adds the biases to out = x Wᵀ, activates it and keeps what
+// Backward needs.
+func (c *Connected) finish(x, out []float32, batch int) {
+	outs := c.out.C
 	for b := 0; b < batch; b++ {
 		axpy(1, c.biases, out[b*outs:(b+1)*outs])
 	}
@@ -89,7 +122,81 @@ func (c *Connected) Forward(x []float32, batch int, train bool) ([]float32, erro
 	c.lastX = x
 	c.lastOut = out
 	c.lastBatch = batch
+}
+
+// RowTiled reports whether each of the k pieces WeightSegments splits
+// the weights into holds whole rows, one per output, so ForwardTiled
+// can take them.
+func (c *Connected) RowTiled(k int) bool {
+	n, in := len(c.weights), c.in.Size()
+	if k <= 0 {
+		return false
+	}
+	for s := 1; s < k; s++ {
+		if s*n/k%in != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// ForwardTiled is Forward with the weights drawn from w instead of the
+// layer's own buffer, which it leaves untouched. Each piece opens into
+// a pooled scratch tile (1 MiB for a piece the mirror seals, so it
+// stays in L2) and at once yields the outputs of its rows, before the
+// next piece opens; the pieces run on par.ForErr. Every output is the
+// same ascending-p dot product Forward computes, so the result is
+// bit-identical. The pieces must hold whole rows (RowTiled). A piece
+// that fails to open fails the pass.
+func (c *Connected) ForwardTiled(x []float32, batch int, w WeightSegments) ([]float32, error) {
+	if err := checkInput(x, batch, c.in); err != nil {
+		return nil, err
+	}
+	k := w.Segments()
+	if !c.RowTiled(k) {
+		return nil, fmt.Errorf("%w: %d weight pieces of a %dx%d matrix are not whole rows", ErrBadConfig, k, c.out.C, c.in.Size())
+	}
+	out := growF32(&c.outBuf, batch*c.out.C)
+	if c.tileRange == nil {
+		c.tileRange = c.forwardTiles
+	}
+	c.tiles = tilePass{x: x, out: out, batch: batch, w: w}
+	var err error
+	if serial(k, 1) {
+		err = c.forwardTiles(0, k)
+	} else {
+		err = par.ForErr(k, 1, c.tileRange)
+	}
+	c.tiles = tilePass{}
+	if err != nil {
+		return nil, err
+	}
+	c.finish(x, out, batch)
 	return out, nil
+}
+
+// forwardTiles opens pieces [lo, hi) of a ForwardTiled pass one at a
+// time into one scratch tile and writes their rows' output columns.
+func (c *Connected) forwardTiles(lo, hi int) error {
+	p := &c.tiles
+	in, outs, k := c.in.Size(), c.out.C, p.w.Segments()
+	bp := scratchPool.Get().(*[]float32)
+	defer scratchPool.Put(bp)
+	for s := lo; s < hi; s++ {
+		r0, r1 := s*len(c.weights)/k/in, (s+1)*len(c.weights)/k/in
+		rows := r1 - r0
+		buf := growF32(bp, (in+p.batch)*rows)
+		tile, tileOut := buf[:in*rows], buf[in*rows:]
+		if err := p.w.OpenSegment(s, tile); err != nil {
+			return err
+		}
+		// tileOut = x (batch x in) * tileᵀ (in x rows), on this worker.
+		shapeTB.run(false, true, p.batch, in, rows, p.x, tile, tileOut)
+		for b := 0; b < p.batch; b++ {
+			copy(p.out[b*outs+r0:b*outs+r1], tileOut[b*rows:(b+1)*rows])
+		}
+	}
+	return nil
 }
 
 // Backward implements Layer.

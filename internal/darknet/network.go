@@ -273,12 +273,17 @@ func (n *Network) ClassifyBatch(x []float32, batch int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := n.OutputSize()
+	return Classes(probs, batch, n.OutputSize()), nil
+}
+
+// Classes returns the argmax class of each of the batch rows of outs
+// floats in probs.
+func Classes(probs []float32, batch, outs int) []int {
 	classes := make([]int, batch)
 	for b := 0; b < batch; b++ {
 		classes[b] = argmax(probs[b*outs : (b+1)*outs])
 	}
-	return classes, nil
+	return classes
 }
 
 func argmax(v []float32) int {

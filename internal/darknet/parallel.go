@@ -213,6 +213,30 @@ func (s gemmShape) runRows(fork, write bool, m, k, n int, a, b []float32, rb row
 	s.blocked(fork, write, m, k, n, a, b, rb, c)
 }
 
+// gemmFork holds one forking GEMM's operands for its par.For bodies.
+// The bodies are bound once, when the pool makes the gemmFork, so a
+// fork allocates nothing.
+type gemmFork struct {
+	s                  gemmShape
+	write              bool
+	m, k, n            int
+	a, b, c            []float32
+	rb                 rowsB
+	rows, panels, cols func(lo, hi int)
+}
+
+var gemmForks = sync.Pool{New: func() any {
+	g := new(gemmFork)
+	g.rows = func(lo, hi int) { g.tile(lo, hi, 0, g.n) }
+	g.panels = func(lo, hi int) { g.tile(lo*tbPanel, min(hi*tbPanel, g.m), 0, g.n) }
+	g.cols = func(lo, hi int) { g.tile(0, g.m, lo*tbCols, min(hi*tbCols, g.n)) }
+	return g
+}}
+
+func (g *gemmFork) tile(lo, hi, jlo, jhi int) {
+	g.s.tile(live, g.write, g.m, g.k, g.n, g.a, g.b, g.rb, g.c, lo, hi, jlo, jhi)
+}
+
 // blocked is run's blocked-kernel leg.
 func (s gemmShape) blocked(fork, write bool, m, k, n int, a, b []float32, rb rowsB, c []float32) {
 	mGemmBlocked.Inc()
@@ -221,20 +245,18 @@ func (s gemmShape) blocked(fork, write bool, m, k, n int, a, b []float32, rb row
 		return
 	}
 	rb.pack = nil
+	g := gemmForks.Get().(*gemmFork)
+	g.s, g.write, g.m, g.k, g.n, g.a, g.b, g.rb, g.c = s, write, m, k, n, a, b, rb, c
 	switch {
 	case s != shapeTB:
-		par.For(m, minChunk(k*n), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, rb, c, lo, hi, 0, n)
-		})
+		par.For(m, minChunk(k*n), g.rows)
 	case m >= 2*tbPanel:
-		par.For((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, rb, c, lo*tbPanel, min(hi*tbPanel, m), 0, n)
-		})
+		par.For((m+tbPanel-1)/tbPanel, minChunk(tbPanel*k*n), g.panels)
 	default: // too few rows for a panel per worker (serving batches): shard columns
-		par.For((n+tbCols-1)/tbCols, minChunk(tbCols*m*k), func(lo, hi int) {
-			s.tile(live, write, m, k, n, a, b, rb, c, 0, m, lo*tbCols, min(hi*tbCols, n))
-		})
+		par.For((n+tbCols-1)/tbCols, minChunk(tbCols*m*k), g.cols)
 	}
+	g.a, g.b, g.c, g.rb = nil, nil, nil, rowsB{}
+	gemmForks.Put(g)
 }
 
 // tile computes output rows [lo, hi) — of gemmTB, only their columns

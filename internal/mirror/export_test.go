@@ -42,3 +42,17 @@ func OpenModel(rom *romulus.Romulus, eng *engine.Engine, opts ...Option) (*Model
 // regionSize returns what a fresh model region for the given buffers
 // takes from the two heap cursors together.
 func regionSize(bufLayers [][]buffer) int { return metaSize(bufLayers) + payloadSize(bufLayers) }
+
+// MirrorInRange restores only the slice of the persistent model whose
+// layer nodes start at index from: net is a shard sub-network whose
+// parameter layers correspond to persistent nodes [from, from+n), and
+// only that range's sealed buffers are read, decrypted and installed,
+// as a resident shard's Opener.Restore does. The persisted iteration
+// counter is installed into net and returned.
+func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
+	o, err := m.Opener(net, from)
+	if err != nil {
+		return 0, err
+	}
+	return o.Restore()
+}

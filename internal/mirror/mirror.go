@@ -249,12 +249,13 @@ func (t *bufTask) seal(eng *engine.Engine, dst []byte) error {
 	return eng.SealFloatsInto(dst, t.b.f, t.aad[:])
 }
 
-// open opens sealed into the segment's elements.
-func (t *bufTask) open(eng *engine.Engine, sealed []byte) error {
-	if t.b.q != nil {
-		return eng.OpenAAD(t.b.codes(), sealed, t.aad[:])
+// open opens sealed into dst: the segment's elements, or a buffer of
+// their kind and length.
+func (t *bufTask) open(eng *engine.Engine, sealed []byte, dst buffer) error {
+	if dst.q != nil {
+		return eng.OpenAAD(dst.codes(), sealed, t.aad[:])
 	}
-	return eng.OpenFloatsAAD(t.b.f, sealed, t.aad[:])
+	return eng.OpenFloatsAAD(dst.f, sealed, t.aad[:])
 }
 
 // errorf wraps a seal or open failure with the segment's place.
@@ -600,23 +601,18 @@ func (m *Model) MirrorIn(net *darknet.Network) (int, error) {
 	return m.mirrorInFrom(net, bufLayers, 0)
 }
 
-// MirrorInRange restores only the slice of the persistent model whose
-// layer nodes start at index from — the shard-restore path: net is a
-// shard sub-network whose parameter layers correspond to persistent
-// nodes [from, from+n), and only that range's sealed buffers are read,
-// decrypted and installed. The persisted iteration counter (shared by
-// the whole snapshot) is installed into net and returned. An int8 shard
-// restores its range of the int8 variant the same way.
-func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
-	bufLayers := collectBuffers(net)
-	if err := m.matchesFrom(bufLayers, from); err != nil {
-		return 0, err
+// mirrorInFrom is MirrorIn's restore loop; the shape has already been
+// checked.
+func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from int) (int, error) {
+	if m.st != nil && m.gen == 0 {
+		return 0, ErrNoMirror
 	}
-	return m.mirrorInFrom(net, bufLayers, from)
+	tasks, total := m.collectTasks(bufLayers, from, m.gen)
+	return m.openAll(net, bufLayers, from, tasks, total)
 }
 
-// mirrorInFrom is the shared restore loop of MirrorIn and
-// MirrorInRange; the shape has already been checked.
+// openAll opens every segment task into its buffer, installs the
+// iteration into net and returns it.
 //
 // The per-segment work — boundary copy, in-enclave AES-GCM open
 // straight from PM — runs on par.ForErr. Segments decrypt into
@@ -625,19 +621,10 @@ func (m *Model) MirrorInRange(net *darknet.Network, from int) (int, error) {
 // mutex-protected, so the parallel restore charges exactly what the
 // sequential one does. The int8 scales are checked once every segment
 // has opened.
-func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from int) (int, error) {
-	if m.st != nil && m.gen == 0 {
-		return 0, ErrNoMirror
-	}
+func (m *Model) openAll(net *darknet.Network, bufLayers [][]buffer, from int, tasks []bufTask, total int) (int, error) {
 	m.lastOpen.Store(0)
-	tasks, total := m.collectTasks(bufLayers, from, m.gen)
 	err := par.ForErr(len(tasks), taskGrain(len(tasks), total), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := m.restore(&tasks[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.restoreTasks(tasks[lo:hi])
 	})
 	if err != nil {
 		return 0, err
@@ -646,25 +633,42 @@ func (m *Model) mirrorInFrom(net *darknet.Network, bufLayers [][]buffer, from in
 		return 0, err
 	}
 	net.Iteration = int(m.iter)
+	m.countOpened(net, total)
+	return int(m.iter), nil
+}
+
+// countOpened adds one restore of total sealed bytes of net, and its
+// AES time, to the process-wide mirror_in counters.
+func (m *Model) countOpened(net *darknet.Network, total int) {
 	mMirrorIn.Inc()
 	mOpenSeconds.Add(time.Duration(m.lastOpen.Load()).Seconds())
 	_, restoredBytes := payloadCounters(net)
 	restoredBytes.Add(float64(total))
-	return int(m.iter), nil
 }
 
-// restore opens segment t of the current payload half into its buffer
-// straight from PM: a Romulus payload view, the enclave's boundary
-// charge, then the open. There is no staging copy: OpenAAD reads memory
-// another party may write, loading each sealed byte once (the stdlib
-// path, whose GCM loads them twice, stages in pooled engine scratch).
-func (m *Model) restore(t *bufTask) error {
+// restoreTasks opens each task into its own buffer, in order.
+func (m *Model) restoreTasks(tasks []bufTask) error {
+	for i := range tasks {
+		if err := m.restore(&tasks[i], tasks[i].b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restore opens segment t of the current payload half into dst — t's
+// own elements, or a buffer of their kind and length — straight from
+// PM: a Romulus payload view, the enclave's boundary charge, then the
+// open. There is no staging copy: OpenAAD reads memory another party
+// may write, loading each sealed byte once (the stdlib path, whose GCM
+// loads them twice, stages in pooled engine scratch).
+func (m *Model) restore(t *bufTask, dst buffer) error {
 	return m.rom.ViewPayload(m.half, t.off, t.sealedLen, func(sealed []byte) error {
 		if m.encl != nil {
 			m.encl.CopyAcross(len(sealed))
 		}
 		openStart := time.Now()
-		err := t.open(m.eng, sealed)
+		err := t.open(m.eng, sealed, dst)
 		m.lastOpen.Add(int64(time.Since(openStart)))
 		if err != nil {
 			return t.errorf("open", err)

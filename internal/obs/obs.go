@@ -6,7 +6,7 @@
 // Every layer of the Plinius reproduction registers metrics here under
 // stable names — epc_page_swaps_total{enclave=...} from the enclave
 // shim, mirror_seal_seconds_total from the PM mirror, pm_bytes_stored_total
-// from the PM device, shard_stage_stall_total{shard=...} from the shard
+// from the PM device, shard_restores_total{shard=...} from the shard
 // pipeline, serve_requests_total from the inference server — so the
 // evidence the paper cares about (paging knees, AES seal cost, PM
 // traffic) is live and machine-readable instead of scattered across

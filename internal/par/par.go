@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // loop is the state one For shares with the workers that join it.
@@ -26,7 +27,19 @@ type loop struct {
 	// want is how many more workers the loop takes while it is on
 	// pool.open; 0 once it is off. Under pool.mu.
 	want int
+
+	// With a join probe set: when the loop forked, how long after that
+	// its first worker started (0 until one does), and how many ranges
+	// workers ran.
+	forked time.Time
+	late   atomic.Int64
+	helped atomic.Int64
 }
+
+// joinProbe, when set, is told of every For that hands ranges to
+// workers, when it returns: how late the first worker started on it
+// (0 if none did), how many ranges workers ran, and of how many.
+var joinProbe atomic.Pointer[func(late time.Duration, helped, ranges int)]
 
 // pool is the worker set. Each worker is a goroutine fed through a
 // one-deep channel, and is either idle (its channel on the idle stack)
@@ -83,6 +96,10 @@ func forLoop(n, grain int, body func(lo, hi int), bodyErr func(lo, hi int) error
 	l := loops.Get().(*loop)
 	l.n, l.grain, l.body, l.bodyErr = n, grain, body, bodyErr
 	l.next.Store(0)
+	probe := joinProbe.Load()
+	if probe != nil {
+		l.forked = time.Now()
+	}
 
 	pool.mu.Lock()
 	for pool.started < procs-1 {
@@ -104,14 +121,17 @@ func forLoop(n, grain int, body func(lo, hi int), bodyErr func(lo, hi int) error
 	}
 	pool.mu.Unlock()
 
-	l.run()
+	l.run(false)
 
 	pool.mu.Lock()
 	l.close()
 	pool.mu.Unlock()
 	l.joined.Wait()
+	if probe != nil {
+		(*probe)(time.Duration(l.late.Swap(0)), int(l.helped.Swap(0)), (n+grain-1)/grain)
+	}
 	err := l.err
-	l.body, l.bodyErr, l.err = nil, nil, nil
+	l.body, l.bodyErr, l.err, l.forked = nil, nil, nil, time.Time{}
 	l.failed.Store(false)
 	loops.Put(l)
 	return err
@@ -119,14 +139,20 @@ func forLoop(n, grain int, body func(lo, hi int), bodyErr func(lo, hi int) error
 
 // run claims and runs ranges until none are left. The first range to
 // fail records its error and moves the cursor to the end, so no range
-// starts after it.
-func (l *loop) run() {
+// starts after it. helper is set on a worker.
+func (l *loop) run(helper bool) {
+	if helper && !l.forked.IsZero() {
+		l.late.CompareAndSwap(0, int64(max(time.Since(l.forked), 1)))
+	}
 	for {
 		lo := int(l.next.Add(int64(l.grain))) - l.grain
 		if lo >= l.n {
 			return
 		}
 		hi := min(lo+l.grain, l.n)
+		if helper && !l.forked.IsZero() {
+			l.helped.Add(1)
+		}
 		if l.body != nil {
 			l.body(lo, hi)
 		} else if err := l.bodyErr(lo, hi); err != nil && l.failed.CompareAndSwap(false, true) {
@@ -185,7 +211,7 @@ func joinOpen() *loop {
 func serve(work chan *loop) {
 	for l := range work {
 		for l != nil {
-			l.run()
+			l.run(true)
 			pool.mu.Lock()
 			next := joinOpen()
 			if next == nil {

@@ -33,6 +33,7 @@ var surfaceAllowlist = map[string]string{
 	"fleet.Fleet.Rejoin":          "serve TestFleetServingSurvivesHostKill re-admits the host (serve's export_test FleetRejoin)",
 	"mirror.DataMatrix.Encrypted": "core TestPlaintextDataMode checks the rows were loaded unsealed",
 	"mirror.DataMatrix.Row":       "core TestCrashSweep reads every row after a crashed load or rotation",
+	"mirror.Opener.SegmentAt":     "core TestShardGroupEquivalence flips a byte of a sealed weight segment",
 	"obs.Tracer.Active":           "serve TestTraceLifecycleAllExitPaths asserts every exit path finishes its trace",
 	"pm.Device.CrashAt":           "romulus TestCrashSweepChunkedPropagation and core TestCrashSweep crash a writer at each persistence event",
 	"pm.Device.DirtyLines":        "romulus TestCrashSweepChunkedPropagation asserts a commit leaves no dirty line",
